@@ -59,7 +59,7 @@ func TestINBACViolationFlightRecorder(t *testing.T) {
 		n, f     = 4, 1
 		u        = 5 * time.Millisecond
 		perRound = 256
-		rounds   = 16
+		rounds   = 96
 	)
 	deadline := time.Now().Add(90 * time.Second)
 

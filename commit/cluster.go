@@ -19,60 +19,26 @@ import (
 // auditor records the violation.
 var ErrAgreementViolation = errors.New("commit: agreement violation")
 
-// retiredHistory is how many recently-finished transaction IDs each member
-// remembers so that straggler messages (a helper reply landing after the
-// decision, a retransmission racing the cleanup) are dropped instead of
-// accumulating forever in the pending buffer.
-const retiredHistory = 4096
-
-// boundedSet remembers the most recent retiredHistory ids, evicting FIFO:
-// the shared idiom behind straggler dropping (member.decided) and
-// txID-reuse rejection (Cluster.finished). Callers synchronize access.
-type boundedSet struct {
-	m     map[string]struct{}
-	order []string
-}
-
-func newBoundedSet() *boundedSet { return &boundedSet{m: make(map[string]struct{})} }
-
-func (s *boundedSet) has(id string) bool {
-	_, ok := s.m[id]
-	return ok
-}
-
-// add inserts id, evicting the oldest entry beyond retiredHistory.
-// Idempotent.
-func (s *boundedSet) add(id string) {
-	if s.has(id) {
-		return
-	}
-	s.m[id] = struct{}{}
-	s.order = append(s.order, id)
-	if len(s.order) > retiredHistory {
-		delete(s.m, s.order[0])
-		s.order = s.order[1:]
-	}
-}
-
-// Cluster runs n participants in one address space over an in-memory
-// network. It is the quickest way to use the library and the substrate of
-// the examples. Commit runs one protocol instance synchronously; Submit and
-// CommitMany run many concurrently through the pipeline (see pipeline.go).
+// Cluster runs n participants in one address space: n Peers on the
+// endpoints of an in-memory mesh, plus a driver that starts a transaction
+// on every peer and gathers their outcomes. It is the quickest way to use
+// the library and the substrate of the examples. Commit runs one
+// transaction synchronously; Submit and CommitMany run many concurrently
+// through the pipeline (see pipeline.go).
 type Cluster struct {
-	opts      Options
-	resources []Resource
-	mesh      *live.Mesh
+	opts  Options
+	mesh  *live.Mesh
+	peers []*Peer // peers[i-1] is Pi; fixed after NewCluster
 
-	mu      sync.Mutex
-	members []*member
-	closed  bool
-	seq     int
+	mu     sync.Mutex
+	closed bool
+	seq    int
 
 	// txID bookkeeping for the documented reuse rule: an ID may not be
 	// resubmitted while it is in flight, nor after it decided (instances are
 	// routed by txID, so reuse would cross-wire two transactions).
 	inflight map[string]struct{}
-	finished *boundedSet
+	finished boundedMap[struct{}]
 
 	// Pipeline state (pipeline.go): a lazily-started dispatcher pulls
 	// submissions off queue and runs them with at most opts.MaxInFlight
@@ -83,16 +49,6 @@ type Cluster struct {
 	stop        chan struct{}
 }
 
-type member struct {
-	id core.ProcessID
-	tr live.Transport
-
-	mu        sync.Mutex
-	instances map[string]*live.Instance
-	pending   map[string][]live.Envelope
-	decided   *boundedSet // recently retired txIDs: stragglers are dropped
-}
-
 // NewCluster builds a cluster with one participant per resource.
 func NewCluster(resources []Resource, opts Options) (*Cluster, error) {
 	n := len(resources)
@@ -101,8 +57,8 @@ func NewCluster(resources []Resource, opts Options) (*Cluster, error) {
 		return nil, err
 	}
 	c := &Cluster{
-		opts: opts, resources: resources, mesh: live.NewMesh(), stop: make(chan struct{}),
-		inflight: make(map[string]struct{}), finished: newBoundedSet(),
+		opts: opts, mesh: live.NewMesh(), stop: make(chan struct{}),
+		inflight: make(map[string]struct{}),
 	}
 	if opts.Net != nil {
 		sh := opts.Net.Shaper(time.Now())
@@ -110,16 +66,9 @@ func NewCluster(resources []Resource, opts Options) (*Cluster, error) {
 		c.mesh.Drop = sh.Drop
 	}
 	c.qcond = sync.NewCond(&c.mu)
-	for i := 1; i <= n; i++ {
-		m := &member{
-			id:        core.ProcessID(i),
-			tr:        c.mesh.Endpoint(core.ProcessID(i)),
-			instances: make(map[string]*live.Instance),
-			pending:   make(map[string][]live.Envelope),
-			decided:   newBoundedSet(),
-		}
-		m.tr.SetHandler(m.deliver)
-		c.members = append(c.members, m)
+	for i, res := range resources {
+		id := core.ProcessID(i + 1)
+		c.peers = append(c.peers, newPeer(id, n, c.mesh.Endpoint(id), res, opts))
 	}
 	return c, nil
 }
@@ -128,49 +77,14 @@ func NewCluster(resources []Resource, opts Options) (*Cluster, error) {
 // tests and demos.
 func (c *Cluster) Mesh() *live.Mesh { return c.mesh }
 
-func (m *member) deliver(e live.Envelope) {
-	m.mu.Lock()
-	inst, ok := m.instances[e.TxID]
-	if !ok {
-		if m.decided.has(e.TxID) {
-			// Straggler for a finished transaction (e.g. a helper reply
-			// arriving after the decision): drop it, or it would sit in
-			// pending forever.
-			m.mu.Unlock()
-			return
-		}
-		// The instance for this transaction does not exist yet (the runner
-		// is still wiring members up); buffer — perfect links do not lose
-		// messages.
-		m.pending[e.TxID] = append(m.pending[e.TxID], e)
-		m.mu.Unlock()
-		return
-	}
-	m.mu.Unlock()
-	inst.Deliver(e)
-}
-
-// retire forgets a finished transaction: the instance, any buffered
-// stragglers, and — bounded by retiredHistory — remembers the txID so later
-// stragglers are dropped rather than re-buffered.
-func (m *member) retire(txID string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.instances, txID)
-	delete(m.pending, txID)
-	m.decided.add(txID)
-}
-
-// txnRun is one transaction's lifecycle across every member: instance
-// creation, spontaneous start, pending flush, decision gather, and resource
-// callbacks. Commit runs one synchronously; the pipeline dispatcher runs
-// many concurrently.
+// txnRun is the driver's view of one transaction: every peer's record of
+// it. Commit runs one synchronously; the pipeline dispatcher runs many
+// concurrently.
 type txnRun struct {
-	c      *Cluster
-	txID   string
-	insts  []*live.Instance
-	begun  time.Time
-	allYes bool // every resource voted commit (abort-reason attribution)
+	c     *Cluster
+	txID  string
+	txns  []*txn // txns[i-1] is Pi's record
+	begun time.Time
 }
 
 // reserveTxID allocates a fresh transaction ID when the caller passed ""
@@ -181,28 +95,23 @@ type txnRun struct {
 func (c *Cluster) reserveTxID(txID string) (string, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if txID == "" {
-		for {
-			c.seq++
-			txID = fmt.Sprintf("tx-%d", c.seq)
-			if !c.used(txID) {
-				break
-			}
+	if txID != "" {
+		if _, ok := c.inflight[txID]; ok {
+			return "", fmt.Errorf("commit: txID %q is already in flight", txID)
 		}
-	} else if _, ok := c.inflight[txID]; ok {
-		return "", fmt.Errorf("commit: txID %q is already in flight", txID)
-	} else if c.finished.has(txID) {
-		return "", fmt.Errorf("commit: txID %q was already decided", txID)
+		if _, ok := c.finished.get(txID); ok {
+			return "", fmt.Errorf("commit: txID %q was already decided", txID)
+		}
+	}
+	for used := txID == ""; used; {
+		c.seq++
+		txID = fmt.Sprintf("tx-%d", c.seq)
+		_, running := c.inflight[txID]
+		_, decided := c.finished.get(txID)
+		used = running || decided
 	}
 	c.inflight[txID] = struct{}{}
 	return txID, nil
-}
-
-func (c *Cluster) used(txID string) bool {
-	if _, ok := c.inflight[txID]; ok {
-		return true
-	}
-	return c.finished.has(txID)
 }
 
 // unreserve releases a reserved txID that never reached a protocol instance
@@ -220,93 +129,63 @@ func (c *Cluster) markFinished(txID string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.inflight, txID)
-	c.finished.add(txID)
+	c.finished.put(txID, struct{}{})
 }
 
-// begin creates and spontaneously starts an instance of txID on every
-// member, collecting votes via Prepare and flushing any messages that
-// raced ahead.
+// begin joins txID on every peer in-process, then runs each: it votes via
+// its Resource's Prepare and spontaneously starts its instance (the paper's
+// footnote-13 convention), so no begin message is sent and a nice execution
+// pays the protocol's own messages only. Every record is claimed before any
+// peer runs: an early peer's vote finds a later one's record and waits in
+// it, and no peer can have decided and retired before the driver holds its
+// record.
 func (c *Cluster) begin(txID string) (*txnRun, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, fmt.Errorf("commit: cluster closed")
+	r := &txnRun{c: c, txID: txID, txns: make([]*txn, len(c.peers))}
+	claimed := make([]bool, len(c.peers))
+	for i, p := range c.peers {
+		p.mu.Lock()
+		r.txns[i], claimed[i] = p.join(txID)
+		p.mu.Unlock()
 	}
-	members := c.members
-	c.mu.Unlock()
-
-	n := len(members)
-	factory := c.opts.factory()
-
-	// Phase 1: create every instance (so no message can race a missing
-	// instance), collecting the votes via Prepare.
-	votes := make([]core.Value, n)
-	insts := make([]*live.Instance, n)
-	allYes := true
-	for i, m := range members {
-		votes[i] = core.Abort
-		if c.resources[i].Prepare(txID) {
-			votes[i] = core.Commit
-		} else {
-			allYes = false
-		}
-		inst := live.NewInstance(live.Config{
-			ID: m.id, N: n, F: c.opts.F, U: c.opts.ticks(), TxID: txID,
-			Label: string(c.opts.Protocol),
-			New:   factory,
-			Send:  m.tr.Send,
-		})
-		insts[i] = inst
-		m.mu.Lock()
-		m.instances[txID] = inst
-		m.mu.Unlock()
-	}
-
-	// Phase 2: spontaneous start (the paper's footnote-13 convention),
-	// then flush anything that arrived early.
-	for i, m := range members {
-		inst := insts[i]
-		inst.Start(votes[i])
-		m.mu.Lock()
-		pend := m.pending[txID]
-		delete(m.pending, txID)
-		m.mu.Unlock()
-		for _, e := range pend {
-			inst.Deliver(e)
+	for i, p := range c.peers {
+		if claimed[i] {
+			p.run(txID, r.txns[i])
 		}
 	}
-	return &txnRun{c: c, txID: txID, insts: insts, begun: time.Now(), allYes: allYes}, nil
+	for i, t := range r.txns {
+		if t == nil {
+			return nil, fmt.Errorf("commit: %v cannot start %s: closed, or already decided there", c.peers[i].id, txID)
+		}
+	}
+	r.begun = time.Now()
+	return r, nil
 }
 
-// finish gathers every member's decision, applies the resource callbacks,
-// and retires the instances. Every member is waited for before the
-// cross-member agreement check runs, so a violation dump holds the full
-// decision vector (and every member's decide event is in the flight
-// recorder) rather than stopping at the first mismatching pair.
+// finish gathers every peer's outcome; each applied its own decision to its
+// Resource before reporting (Peer.settle), so committed means applied
+// everywhere. Every peer is waited for before the cross-member agreement
+// check runs, so a violation dump holds the full decision vector (and every
+// member's decide event is in the flight recorder) rather than stopping at
+// the first mismatching pair.
 func (r *txnRun) finish(ctx context.Context) (bool, error) {
-	defer func() {
-		for i, m := range r.c.members {
-			r.insts[i].Close()
-			m.retire(r.txID)
-		}
-		r.c.markFinished(r.txID)
-	}()
+	defer r.c.markFinished(r.txID)
 
 	proto := string(r.c.opts.Protocol)
-	vals := make([]core.Value, len(r.insts))
-	for i := range r.c.members {
-		v, err := r.insts[i].Wait(ctx)
-		if err != nil {
+	vals := make([]core.Value, len(r.txns))
+	allYes := true // every resource voted commit (abort-reason attribution)
+	for i, p := range r.c.peers {
+		if _, err := p.Wait(ctx, r.txID); err != nil {
 			obs.M.Counter("commit.abort.infra." + proto).Add(1)
 			// An infra abort means this member never decided within its
 			// deadline: tell the auditor so the transaction is audited
 			// under a failure class, not failure-free.
 			if a := obs.ActiveAuditor(); a != nil {
-				a.Suspect(r.txID, r.c.members[i].id, err.Error())
+				a.Suspect(r.txID, p.id, err.Error())
 			}
 			return false, err
 		}
-		vals[i] = v
+		vals[i] = r.txns[i].inst.Outcome()
+		allYes = allYes && r.txns[i].vote == core.Commit
 	}
 	first := vals[0]
 	for _, v := range vals[1:] {
@@ -323,28 +202,20 @@ func (r *txnRun) finish(ctx context.Context) (bool, error) {
 
 	// Latency by protocol and decide path (the initiating member's path;
 	// "" for protocols that do not annotate one).
-	path := r.insts[0].DecidePath()
+	path := r.txns[0].inst.DecidePath()
 	if path == "" {
 		path = "default"
 	}
 	obs.M.Histogram("commit.latency_ns." + proto + "." + path).Record(int64(time.Since(r.begun)))
 	if first == core.Commit {
 		obs.M.Counter("commit.committed." + proto).Add(1)
-	} else if r.allYes {
+	} else if allYes {
 		// All resources voted yes, yet the decision is abort: an indulgent
 		// protocol's legal reaction to a violated timing bound.
 		obs.M.Counter("commit.abort.timing." + proto).Add(1)
 	} else {
 		// At least one "no" vote (e.g. a kv conflict): a normal abort.
 		obs.M.Counter("commit.abort.vote." + proto).Add(1)
-	}
-
-	for i := range r.c.members {
-		if first == core.Commit {
-			r.c.resources[i].Commit(r.txID)
-		} else {
-			r.c.resources[i].Abort(r.txID)
-		}
 	}
 	return first == core.Commit, nil
 }
@@ -358,19 +229,20 @@ func (r *txnRun) decisionVector(vals []core.Value) string {
 		if i > 0 {
 			b.WriteByte(' ')
 		}
-		path := r.insts[i].DecidePath()
+		path := r.txns[i].inst.DecidePath()
 		if path == "" {
 			path = "?"
 		}
-		fmt.Fprintf(&b, "%s=%s(%s)", r.c.members[i].id, v, path)
+		fmt.Fprintf(&b, "%s=%s(%s)", r.c.peers[i].id, v, path)
 	}
 	return b.String()
 }
 
 // Commit runs one atomic commit instance across all participants: every
 // resource is asked to Prepare (its vote), the configured protocol decides,
-// and Commit/Abort callbacks fire on every participant. It returns the
-// decision (true = committed).
+// and each participant fires its Commit/Abort callback on its own decision.
+// It returns the decision (true = committed) once every participant has
+// applied it.
 //
 // The returned error reports infrastructure problems (context expiry before
 // a decision, closed cluster, a txID that is already in flight or recently
@@ -403,9 +275,8 @@ func (c *Cluster) Close() {
 	c.closed = true
 	close(c.stop)
 	c.qcond.Broadcast()
-	members := c.members
 	c.mu.Unlock()
-	for _, m := range members {
-		m.tr.Close()
+	for _, p := range c.peers {
+		p.Close()
 	}
 }

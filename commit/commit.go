@@ -7,11 +7,14 @@
 //
 // Three ways to use it:
 //
-//   - Cluster: n participants in one address space over an in-memory
-//     network — the quickest way to commit transactions or to demonstrate
-//     protocol behavior under injected failures.
-//   - Peer: one participant per address space over TCP — a real deployment
-//     shape.
+//   - Peer: one participant — it votes via its Resource, runs the
+//     protocol instance, applies the decision and retires the transaction —
+//     in its own address space over TCP (NewPeer): a real deployment shape,
+//     which a Client can drive without being a participant.
+//   - Cluster: n of those Peers in one address space over an in-memory
+//     network, plus a driver that starts a transaction on all of them and
+//     gathers their outcomes — the quickest way to commit transactions or
+//     to demonstrate protocol behavior under injected failures.
 //   - Simulate: deterministic executions on the discrete-event simulator
 //     with exact message/delay measurements — the paper's complexity
 //     tables live here.

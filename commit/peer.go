@@ -12,16 +12,15 @@ import (
 	"atomiccommit/internal/core"
 	"atomiccommit/internal/live"
 	"atomiccommit/internal/obs"
-	"atomiccommit/internal/wire"
 )
 
 // retireGraceUnits is how many timeout units a peer keeps a decided
-// instance alive before retiring it. Unlike a Cluster (which observes every
-// member's decision), a peer only knows its own, and other peers may still
-// need its help to terminate (helper/termination messages). After the
-// grace, a straggler sees this peer as crashed for that instance — the
-// failure model the protocols already tolerate.
-const retireGraceUnits = 8
+// instance alive before retiring it. A peer only knows its own decision,
+// and messages already in flight to it — a vote it no longer needs, a plea
+// for help — still deserve the protocol's own answer; one unit is the bound
+// the deployment assumes on a message delay. Whoever writes later is running
+// late, and gets the outcome itself in place of protocol help (see deliver).
+const retireGraceUnits = 1
 
 // stageTTLUnits bounds how long a staged-but-never-begun transaction may
 // hold its footprint (intents, staged writes) on a hosted resource: if the
@@ -49,235 +48,50 @@ var (
 	ErrBadAddrs = errors.New("commit: bad peer address list")
 )
 
-// beginPath is the reserved envelope path announcing a transaction to peers
-// that have not started an instance for it yet.
-const beginPath = "\x00begin"
-
-// beginMsg tells a peer to Prepare and start its instance for Envelope.TxID.
-type beginMsg struct{}
-
-// Kind implements core.Message.
-func (beginMsg) Kind() string { return "BEGIN" }
-
-// WireID implements core.Wire (commit block, ID 1).
-func (beginMsg) WireID() uint16 { return 1 }
-
-// MarshalWire implements core.Wire.
-func (beginMsg) MarshalWire(b []byte) []byte { return b }
-
-// UnmarshalWire implements core.Wire.
-func (beginMsg) UnmarshalWire(d *wire.Decoder) (core.Message, error) {
-	return beginMsg{}, d.Err()
-}
-
-// decidePath is the reserved envelope path carrying a peer's decision to the
-// others, so every peer can cross-check agreement (a Cluster sees all member
-// decisions in one address space; peers otherwise only know their own).
-const decidePath = "\x00decide"
-
-// decideMsg announces that From decided V for Envelope.TxID.
-type decideMsg struct {
-	V core.Value
-}
-
-// Kind implements core.Message.
-func (decideMsg) Kind() string { return "DECIDE" }
-
-// WireID implements core.Wire (commit block, ID 2).
-func (decideMsg) WireID() uint16 { return 2 }
-
-// MarshalWire implements core.Wire.
-func (m decideMsg) MarshalWire(b []byte) []byte { return wire.AppendUvarint(b, uint64(m.V)) }
-
-// UnmarshalWire implements core.Wire.
-func (decideMsg) UnmarshalWire(d *wire.Decoder) (core.Message, error) {
-	return decideMsg{V: core.Value(d.Uvarint())}, d.Err()
-}
-
-// The client-facing paths: a commit.Client (not itself a protocol
-// participant) speaks to peers over these reserved paths to stage
-// footprints on hosted resources, start the commit, read outside
-// transactions, and learn outcomes. See client.go for the driving side.
-const (
-	helloPath      = "\x00hello"      // helloMsg: announce the client's listen address
-	stagePath      = "\x00stage"      // payload is the resource's own footprint message
-	stageAckPath   = "\x00stageack"   // stageAckMsg: stage accepted or refused
-	goPath         = "\x00go"         // goMsg: all stages acked; run the commit
-	stageGoPath    = "\x00stagego"    // stageGoMsg: footprint piggybacked on the go leg
-	resultPath     = "\x00result"     // resultMsg: the coordinator's local decision
-	queryPath      = "\x00query"      // payload is the resource's read request
-	queryReplyPath = "\x00queryreply" // payload is the resource's read reply
-	unstagePath    = "\x00unstage"    // unstageMsg: drop a staged, never-begun txn
-)
-
-// helloMsg announces the sending client's listen address so the peer can
-// route replies (peers are booted knowing only each other).
-type helloMsg struct {
-	Addr string
-}
-
-// Kind implements core.Message.
-func (helloMsg) Kind() string { return "HELLO" }
-
-// WireID implements core.Wire (commit block, ID 3).
-func (helloMsg) WireID() uint16 { return 3 }
-
-// MarshalWire implements core.Wire.
-func (m helloMsg) MarshalWire(b []byte) []byte { return wire.AppendString(b, m.Addr) }
-
-// UnmarshalWire implements core.Wire.
-func (helloMsg) UnmarshalWire(d *wire.Decoder) (core.Message, error) {
-	return helloMsg{Addr: d.String()}, d.Err()
-}
-
-// stageAckMsg acknowledges a stage; Err != "" means the resource refused it
-// and the client must abort the transaction.
-type stageAckMsg struct {
-	Err string
-}
-
-// Kind implements core.Message.
-func (stageAckMsg) Kind() string { return "STAGEACK" }
-
-// WireID implements core.Wire (commit block, ID 4).
-func (stageAckMsg) WireID() uint16 { return 4 }
-
-// MarshalWire implements core.Wire.
-func (m stageAckMsg) MarshalWire(b []byte) []byte { return wire.AppendString(b, m.Err) }
-
-// UnmarshalWire implements core.Wire.
-func (stageAckMsg) UnmarshalWire(d *wire.Decoder) (core.Message, error) {
-	return stageAckMsg{Err: d.String()}, d.Err()
-}
-
-// goMsg asks the receiving peer to coordinate the commit of Envelope.TxID
-// (every involved peer has acked its stage) and reply with resultMsg.
-type goMsg struct{}
-
-// Kind implements core.Message.
-func (goMsg) Kind() string { return "GO" }
-
-// WireID implements core.Wire (commit block, ID 5).
-func (goMsg) WireID() uint16 { return 5 }
-
-// MarshalWire implements core.Wire.
-func (goMsg) MarshalWire(b []byte) []byte { return b }
-
-// UnmarshalWire implements core.Wire.
-func (goMsg) UnmarshalWire(d *wire.Decoder) (core.Message, error) {
-	return goMsg{}, d.Err()
-}
-
-// resultMsg reports the coordinator's local decision for Envelope.TxID back
-// to the client; Err != "" reports an infrastructure failure instead.
-type resultMsg struct {
-	V   core.Value
-	Err string
-}
-
-// Kind implements core.Message.
-func (resultMsg) Kind() string { return "RESULT" }
-
-// WireID implements core.Wire (commit block, ID 6).
-func (resultMsg) WireID() uint16 { return 6 }
-
-// MarshalWire implements core.Wire.
-func (m resultMsg) MarshalWire(b []byte) []byte {
-	b = wire.AppendUvarint(b, uint64(m.V))
-	return wire.AppendString(b, m.Err)
-}
-
-// UnmarshalWire implements core.Wire.
-func (resultMsg) UnmarshalWire(d *wire.Decoder) (core.Message, error) {
-	return resultMsg{V: core.Value(d.Uvarint()), Err: d.String()}, d.Err()
-}
-
-// stageGoMsg piggybacks the coordinator's own footprint on the go leg: the
-// stage-then-ack barrier exists because cross-connection delivery is not
-// FIFO, but a footprint riding *inside* the message that starts the commit
-// trivially arrives before the protocol does — so the client saves the
-// coordinator's stage round trip (and for a single-peer footprint, the
-// whole barrier). Fp is a live.MarshalMessage encoding of the resource's
-// footprint message; empty means the coordinator hosts no slice of this
-// transaction (every footprint was staged two-phase elsewhere).
-type stageGoMsg struct {
-	Fp []byte
-}
-
-// Kind implements core.Message.
-func (stageGoMsg) Kind() string { return "STAGEGO" }
-
-// WireID implements core.Wire. The commit block (1..7) is full, so this
-// takes 83, adjacent to the kv client-path block (80..82) it serves.
-func (stageGoMsg) WireID() uint16 { return 83 }
-
-// MarshalWire implements core.Wire.
-func (m stageGoMsg) MarshalWire(b []byte) []byte { return wire.AppendBytes(b, m.Fp) }
-
-// UnmarshalWire implements core.Wire.
-func (stageGoMsg) UnmarshalWire(d *wire.Decoder) (core.Message, error) {
-	return stageGoMsg{Fp: d.Bytes()}, d.Err()
-}
-
-// unstageMsg drops a staged transaction that will never begin (a sibling
-// stage was refused). Only honored before the protocol instance starts.
-type unstageMsg struct{}
-
-// Kind implements core.Message.
-func (unstageMsg) Kind() string { return "UNSTAGE" }
-
-// WireID implements core.Wire (commit block, ID 7).
-func (unstageMsg) WireID() uint16 { return 7 }
-
-// MarshalWire implements core.Wire.
-func (unstageMsg) MarshalWire(b []byte) []byte { return b }
-
-// UnmarshalWire implements core.Wire.
-func (unstageMsg) UnmarshalWire(d *wire.Decoder) (core.Message, error) {
-	return unstageMsg{}, d.Err()
-}
-
-func init() {
-	live.RegisterWire(beginMsg{})
-	live.RegisterWire(decideMsg{})
-	live.RegisterWire(helloMsg{})
-	live.RegisterWire(stageAckMsg{})
-	live.RegisterWire(goMsg{})
-	live.RegisterWire(stageGoMsg{})
-	live.RegisterWire(resultMsg{})
-	live.RegisterWire(unstageMsg{})
-}
-
-// Peer is one participant in its own address space, connected to the others
-// over TCP: the realistic deployment shape. Any peer may initiate a
-// transaction with Commit; the other peers vote via their Resource and apply
-// the outcome via its callbacks.
+// Peer is one participant, and the only owner of a transaction's lifecycle
+// at its process: vote, protocol instance, apply, retirement. NewPeer puts
+// it in its own address space on TCP, the realistic deployment shape; a
+// Cluster is n of them on an in-memory mesh. Any peer may initiate a
+// transaction with Commit; the others vote and apply via their Resource.
 type Peer struct {
 	id   core.ProcessID
 	n    int
 	opts Options
 	res  Resource
-	tcp  *live.TCP
+	tr   live.Transport
+	mk   func(core.ProcessID) core.Module // opts.factory(), built once
 
-	mu        sync.Mutex
-	instances map[string]*live.Instance
-	pending   map[string][]live.Envelope
-	started   map[string]bool
-	decided   map[string]core.Value // outcomes of retired transactions
-	retired   []string              // FIFO eviction order for decided
-	closed    bool
-
-	// Decision cross-checking (see decideMsg): reports holds peer decisions
-	// that arrived before our own decision landed, FIFO-bounded like decided.
-	reports     map[string][]peerReport
-	reportOrder []string
-
-	// Hosting mode (res implements HostedResource): staged remembers
-	// transactions whose footprint arrived but whose protocol run has not,
-	// for the stage-TTL reclaim.
-	staged map[string]struct{}
+	mu      sync.Mutex
+	txns    map[string]*txn        // live transactions, staged or running
+	settled []settled              // applied, awaiting retirement; oldest first
+	decided boundedMap[core.Value] // outcomes of retired transactions
+	// Decision cross-checking (see decideMsg): peer decisions that arrived
+	// before our own landed. Read when ours does, then left to age out.
+	reports boundedMap[[]peerReport]
+	closed  bool
 
 	debug *http.Server // optional observability endpoint (ServeDebug)
+}
+
+// txn is what a peer holds for one live transaction, from the first sign of
+// it until retire moves its outcome into Peer.decided. Peer.mu guards the
+// fields until done is closed; after that they no longer change.
+type txn struct {
+	// staged: a client's footprint is on the hosted resource and the
+	// protocol run has not arrived, so the stage TTL may still reclaim it.
+	// Otherwise the record is running: join claimed it for one caller, who
+	// is in, or past, Resource.Prepare.
+	staged  bool
+	vote    core.Value
+	inst    *live.Instance  // nil while Resource.Prepare runs
+	pending []live.Envelope // protocol envelopes that arrived before inst
+	done    chan struct{}   // closed once Resource.Commit/Abort returned
+}
+
+// settled is a transaction whose decision was applied at the given time.
+type settled struct {
+	txID string
+	at   time.Time
 }
 
 // peerReport is one remote decision awaiting our local one.
@@ -311,17 +125,17 @@ func NewPeer(id int, addrs []string, resource Resource, opts Options) (*Peer, er
 	if opts.Net != nil {
 		tcp.SetShaper(opts.Net.Shaper(time.Now()))
 	}
+	return newPeer(core.ProcessID(id), len(addrs), tcp, resource, opts), nil
+}
+
+// newPeer runs participant id of n over tr; opts already carry defaults.
+func newPeer(id core.ProcessID, n int, tr live.Transport, resource Resource, opts Options) *Peer {
 	p := &Peer{
-		id: core.ProcessID(id), n: len(addrs), opts: opts, res: resource, tcp: tcp,
-		instances: make(map[string]*live.Instance),
-		pending:   make(map[string][]live.Envelope),
-		started:   make(map[string]bool),
-		decided:   make(map[string]core.Value),
-		reports:   make(map[string][]peerReport),
-		staged:    make(map[string]struct{}),
+		id: id, n: n, opts: opts, res: resource, tr: tr, mk: opts.factory(),
+		txns: make(map[string]*txn),
 	}
-	tcp.SetHandler(p.deliver)
-	return p, nil
+	tr.SetHandler(p.deliver)
+	return p
 }
 
 // validateAddrs rejects empty and duplicated peer addresses up front — both
@@ -341,107 +155,126 @@ func validateAddrs(addrs []string) error {
 	return nil
 }
 
-// Addr returns the peer's bound listen address.
-func (p *Peer) Addr() string { return p.tcp.Addr() }
+// Addr returns the peer's bound listen address. Addresses, like the route
+// table a client's hello updates, are a capability of the TCP transport
+// only: on the in-memory mesh it is "".
+func (p *Peer) Addr() string {
+	if tcp, ok := p.tr.(*live.TCP); ok {
+		return tcp.Addr()
+	}
+	return ""
+}
 
 func (p *Peer) deliver(e live.Envelope) {
 	switch e.Path {
-	case decidePath:
+	case decidePath, outcomePath:
 		// Decision announcements are cross-checked even for transactions we
 		// already retired: the cached outcome still answers.
 		if m, ok := e.Msg.(decideMsg); ok {
-			p.observeDecision(e.From, e.TxID, m.V)
+			p.observeDecision(e.From, e.TxID, m.V, e.Path == outcomePath)
 		}
-		return
 	case helloPath:
 		// A client announcing its reply route (possibly refreshing it after
 		// a restart on a new port).
-		if m, ok := e.Msg.(helloMsg); ok {
-			p.tcp.SetRoute(e.From, m.Addr)
+		if tcp, ok := p.tr.(*live.TCP); ok {
+			if m, ok := e.Msg.(helloMsg); ok {
+				tcp.SetRoute(e.From, m.Addr)
+			}
 		}
-		return
 	case stagePath:
 		p.handleStage(e)
-		return
 	case goPath:
 		// Coordinating a commit blocks until the decision; never stall the
 		// transport's read loop on it.
 		go p.handleGo(e)
-		return
 	case stageGoPath:
 		go p.handleStageGo(e)
-		return
 	case queryPath:
 		p.handleQuery(e)
-		return
 	case unstagePath:
-		p.handleUnstage(e)
-		return
-	}
-	p.mu.Lock()
-	if _, done := p.decided[e.TxID]; done {
-		// Straggler for a retired transaction: drop it, or it would sit
-		// in pending forever.
+		// A sibling stage was refused, so the transaction will never begin.
+		p.dropStage(e.TxID)
+	default:
+		// A begin or a protocol message — which for an unannounced
+		// transaction also implies the transaction exists: join it, our
+		// vote coming from our Resource.
+		p.mu.Lock()
+		t, first := p.join(e.TxID)
+		var inst *live.Instance
+		var outcome core.Value
+		retired := false
+		if t == nil {
+			outcome, retired = p.decided.get(e.TxID)
+		} else if e.Path != beginPath {
+			if inst = t.inst; inst == nil {
+				t.pending = append(t.pending, e)
+			}
+		}
 		p.mu.Unlock()
-		return
+		if first {
+			p.run(e.TxID, t)
+		}
+		if inst != nil {
+			inst.Deliver(e)
+		}
+		if retired && e.Path != beginPath {
+			// A straggler is dropped, not buffered forever. But its sender
+			// still runs a protocol we can no longer take part in, and
+			// cannot terminate if enough of us retired: tell it the outcome.
+			_ = p.tr.Send(live.Envelope{TxID: e.TxID, From: p.id, To: e.From, Path: outcomePath, Msg: decideMsg{V: outcome}})
+		}
 	}
-	if e.Path == beginPath {
-		p.mu.Unlock()
-		p.ensureInstance(e.TxID)
-		return
-	}
-	inst, ok := p.instances[e.TxID]
-	if !ok {
-		p.pending[e.TxID] = append(p.pending[e.TxID], e)
-		p.mu.Unlock()
-		// A protocol message for an unannounced transaction also implies
-		// the transaction exists: start our instance (its vote comes from
-		// our Resource).
-		p.ensureInstance(e.TxID)
-		return
-	}
-	p.mu.Unlock()
-	inst.Deliver(e)
 }
 
 // handleStage hands a remote client's footprint to the hosted resource and
 // acks the outcome (the client collects every involved peer's ack before it
 // sends go, so a begin can never overtake its footprint).
 func (p *Peer) handleStage(e live.Envelope) {
-	var ack stageAckMsg
+	_, refusal := p.stage(e.TxID, e.Msg)
+	if refusal == "" {
+		// The stage TTL: a footprint whose protocol run never arrives is
+		// aborted, bounding how long a dead client's intents can block
+		// other transactions.
+		txID := e.TxID
+		time.AfterFunc(stageTTLUnits*p.opts.Timeout, func() { p.dropStage(txID) })
+	}
+	_ = p.tr.Send(live.Envelope{TxID: e.TxID, From: p.id, To: e.From, Path: stageAckPath, Msg: stageAckMsg{Err: refusal}})
+}
+
+// stage puts a client's footprint for txID on the hosted resource. refusal
+// says why not ("" on success); begun, that the reason is a protocol run
+// that already began, or finished, here.
+func (p *Peer) stage(txID string, fp Message) (begun bool, refusal string) {
 	hosted, ok := p.res.(HostedResource)
 	if !ok {
-		ack.Err = "peer does not host a stageable resource"
-	} else {
-		p.mu.Lock()
-		_, done := p.decided[e.TxID]
-		started := p.started[e.TxID]
-		closed := p.closed
-		p.mu.Unlock()
-		switch {
-		case closed:
-			ack.Err = "peer closed"
-		case done || started:
-			ack.Err = "transaction already running or decided"
-		default:
-			if err := hosted.Stage(e.TxID, e.Msg); err != nil {
-				ack.Err = err.Error()
-			} else {
-				p.mu.Lock()
-				p.staged[e.TxID] = struct{}{}
-				p.mu.Unlock()
-				txID := e.TxID
-				time.AfterFunc(stageTTLUnits*p.opts.Timeout, func() { p.reclaimStage(txID) })
-			}
-		}
+		return false, "peer does not host a stageable resource"
 	}
-	_ = p.tcp.Send(live.Envelope{TxID: e.TxID, From: p.id, To: e.From, Path: stageAckPath, Msg: ack})
+	p.mu.Lock()
+	_, done := p.decided.get(txID)
+	t := p.txns[txID]
+	closed := p.closed
+	p.mu.Unlock()
+	if closed {
+		return false, "peer closed"
+	}
+	if done || (t != nil && !t.staged) {
+		return true, "transaction already running or decided"
+	}
+	if err := hosted.Stage(txID, fp); err != nil {
+		return false, err.Error()
+	}
+	p.mu.Lock()
+	if p.txns[txID] == nil { // else the protocol run claimed it meanwhile
+		p.txns[txID] = &txn{staged: true}
+	}
+	p.mu.Unlock()
+	return false, ""
 }
 
 // handleGo coordinates the commit of a client's transaction and reports the
-// local decision (or the infrastructure failure) back. The run is bounded so
-// a result always goes out — the client must observe abort-or-commit-or-
-// error, never a hang.
+// local decision (or the infrastructure failure) back, after this peer
+// applied it. The run is bounded so a result always goes out — the client
+// must observe abort-or-commit-or-error, never a hang.
 func (p *Peer) handleGo(e live.Envelope) {
 	ctx, cancel := context.WithTimeout(context.Background(), coordinateUnits*p.opts.Timeout)
 	defer cancel()
@@ -453,7 +286,7 @@ func (p *Peer) handleGo(e live.Envelope) {
 	if err != nil {
 		res.Err = err.Error()
 	}
-	_ = p.tcp.Send(live.Envelope{TxID: e.TxID, From: p.id, To: e.From, Path: resultPath, Msg: res})
+	_ = p.tr.Send(live.Envelope{TxID: e.TxID, From: p.id, To: e.From, Path: resultPath, Msg: res})
 }
 
 // handleStageGo is handleStage and handleGo collapsed into one leg: stage
@@ -470,40 +303,19 @@ func (p *Peer) handleStageGo(e live.Envelope) {
 		return
 	}
 	if len(m.Fp) > 0 {
-		hosted, isHosted := p.res.(HostedResource)
-		refuse := func(msg string) {
-			_ = p.tcp.Send(live.Envelope{TxID: e.TxID, From: p.id, To: e.From,
-				Path: resultPath, Msg: resultMsg{V: core.Abort, Err: msg}})
+		fp, err := live.UnmarshalMessage(m.Fp)
+		refusal := ""
+		if err != nil {
+			refusal = "malformed piggybacked footprint: " + err.Error()
+		} else if begun, why := p.stage(e.TxID, fp); !begun {
+			// begun is a replayed stage+go: the footprint already reached
+			// the protocol, so only answer, from the run or the cache.
+			refusal = why
 		}
-		if !isHosted {
-			refuse("peer does not host a stageable resource")
+		if refusal != "" {
+			_ = p.tr.Send(live.Envelope{TxID: e.TxID, From: p.id, To: e.From,
+				Path: resultPath, Msg: resultMsg{V: core.Abort, Err: refusal}})
 			return
-		}
-		p.mu.Lock()
-		_, done := p.decided[e.TxID]
-		started := p.started[e.TxID]
-		closed := p.closed
-		p.mu.Unlock()
-		switch {
-		case closed:
-			refuse("peer closed")
-			return
-		case done || started:
-			// A replayed stage+go: the footprint already reached the
-			// protocol; fall through and answer from the run or the cache.
-		default:
-			fp, err := live.UnmarshalMessage(m.Fp)
-			if err != nil {
-				refuse("malformed piggybacked footprint: " + err.Error())
-				return
-			}
-			if err := hosted.Stage(e.TxID, fp); err != nil {
-				refuse(err.Error())
-				return
-			}
-			p.mu.Lock()
-			p.staged[e.TxID] = struct{}{}
-			p.mu.Unlock()
 		}
 	}
 	p.handleGo(e)
@@ -521,97 +333,74 @@ func (p *Peer) handleQuery(e live.Envelope) {
 	if err != nil || reply == nil {
 		return
 	}
-	_ = p.tcp.Send(live.Envelope{TxID: e.TxID, From: p.id, To: e.From, Path: queryReplyPath, Msg: reply})
-}
-
-// handleUnstage drops a staged transaction on the client's request (a
-// sibling stage was refused, so the transaction will never begin).
-func (p *Peer) handleUnstage(e live.Envelope) {
-	p.dropStage(e.TxID)
-}
-
-// reclaimStage is the stage TTL firing: a footprint whose protocol run
-// never arrived is aborted, bounding how long a dead client's intents can
-// block other transactions.
-func (p *Peer) reclaimStage(txID string) {
-	p.dropStage(txID)
+	_ = p.tr.Send(live.Envelope{TxID: e.TxID, From: p.id, To: e.From, Path: queryReplyPath, Msg: reply})
 }
 
 // dropStage aborts a staged, never-begun transaction and poisons its txID
 // with a cached abort outcome — a pathologically late begin must be dropped
 // (and answered abort from the cache), not allowed to vacuously commit a
 // transaction whose staged writes were just thrown away. No-op once the
-// protocol instance started or decided: the protocol owns the outcome then.
+// protocol run began or decided: the protocol owns the outcome then.
 func (p *Peer) dropStage(txID string) {
 	p.mu.Lock()
-	if _, ok := p.staged[txID]; !ok {
+	if t := p.txns[txID]; t == nil || !t.staged {
 		p.mu.Unlock()
 		return
 	}
-	delete(p.staged, txID)
-	if p.started[txID] {
-		p.mu.Unlock()
-		return
-	}
-	if _, done := p.decided[txID]; done {
-		p.mu.Unlock()
-		return
-	}
-	p.decided[txID] = core.Abort
-	p.retired = append(p.retired, txID)
-	if len(p.retired) > retiredHistory {
-		delete(p.decided, p.retired[0])
-		p.retired = p.retired[1:]
-	}
+	delete(p.txns, txID)
+	p.decided.put(txID, core.Abort)
 	p.mu.Unlock()
 	p.res.Abort(txID)
 }
 
-// retire forgets a decided transaction's instance and buffered stragglers,
-// remembering its outcome (bounded by retiredHistory) so late messages are
-// dropped and Wait/Commit replays still answer from the cache.
-func (p *Peer) retire(txID string, v core.Value) {
+// retire forgets the instances of the transactions settled at least the
+// grace ago, remembering their outcomes (bounded by retiredHistory) so late
+// messages are dropped and Wait/Commit replays still answer from the cache.
+// One timer serves the whole queue, and a busy peer retires in batches: a
+// timer (and its goroutine) per transaction costs more than the rest of
+// settling one.
+func (p *Peer) retire() {
+	grace := retireGraceUnits * p.opts.Timeout
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	delete(p.instances, txID)
-	delete(p.pending, txID)
-	delete(p.started, txID)
-	delete(p.staged, txID)
-	if _, ok := p.decided[txID]; ok {
-		return
+	for len(p.settled) > 0 && time.Since(p.settled[0].at) >= grace {
+		txID := p.settled[0].txID
+		p.settled = p.settled[1:]
+		if t := p.txns[txID]; t != nil { // nil once Close dropped the records
+			t.inst.Close()
+			delete(p.txns, txID)
+			p.decided.put(txID, t.inst.Outcome())
+		}
 	}
-	p.decided[txID] = v
-	p.retired = append(p.retired, txID)
-	if len(p.retired) > retiredHistory {
-		delete(p.decided, p.retired[0])
-		p.retired = p.retired[1:]
+	if len(p.settled) > 0 && !p.closed {
+		time.AfterFunc(max(grace-time.Since(p.settled[0].at), grace/4), p.retire)
 	}
 }
 
-// ensureInstance creates and starts the local instance for txID once,
-// voting via the Resource, then flushes buffered messages.
-func (p *Peer) ensureInstance(txID string) *live.Instance {
-	p.mu.Lock()
+// join returns txID's running record, creating it (or taking over a staged
+// one: the protocol owns the footprint's fate now) on the first sign of the
+// protocol run. first tells the caller it made that claim and must call run
+// once it released p.mu, which it holds. A nil record means the peer is
+// closed, or txID retired and the outcome cache answers.
+func (p *Peer) join(txID string) (t *txn, first bool) {
 	if p.closed {
-		p.mu.Unlock()
-		return nil
+		return nil, false
 	}
-	if _, ok := p.decided[txID]; ok {
-		p.mu.Unlock()
-		return nil // already decided and retired; the cache answers
+	if _, ok := p.decided.get(txID); ok {
+		return nil, false
 	}
-	if inst, ok := p.instances[txID]; ok {
-		p.mu.Unlock()
-		return inst
+	if t := p.txns[txID]; t != nil && !t.staged {
+		return t, false
 	}
-	if p.started[txID] {
-		p.mu.Unlock()
-		return nil
-	}
-	p.started[txID] = true
-	delete(p.staged, txID) // the protocol owns the footprint's fate now
-	p.mu.Unlock()
+	t = &txn{done: make(chan struct{})}
+	p.txns[txID] = t
+	return t, true
+}
 
+// run takes a transaction its caller just claimed through the local
+// lifecycle: vote via the Resource, start the protocol instance with settle
+// as its decision hook, and hand it what arrived meanwhile.
+func (p *Peer) run(txID string, t *txn) {
 	// Prepare outside the lock: it is user code and may take time.
 	vote := core.Abort
 	if p.res.Prepare(txID) {
@@ -619,63 +408,79 @@ func (p *Peer) ensureInstance(txID string) *live.Instance {
 	}
 	inst := live.NewInstance(live.Config{
 		ID: p.id, N: p.n, F: p.opts.F, U: p.opts.ticks(), TxID: txID,
-		Label: string(p.opts.Protocol),
-		New:   p.opts.factory(),
-		Send:  p.tcp.Send,
+		Label:   string(p.opts.Protocol),
+		New:     p.mk,
+		Send:    p.tr.Send,
+		Decided: func(v core.Value) { go p.settle(txID, t, v) },
 	})
-
 	p.mu.Lock()
-	p.instances[txID] = inst
-	pend := p.pending[txID]
-	delete(p.pending, txID)
+	t.vote, t.inst = vote, inst
+	pend := t.pending
+	t.pending = nil
 	p.mu.Unlock()
 
 	inst.Start(vote)
 	for _, e := range pend {
 		inst.Deliver(e)
 	}
-	// Apply the outcome to the resource when the decision lands, then —
-	// after a grace period for peers that still need this instance's
-	// termination help — retire it so per-transaction state stays bounded.
-	go func() {
-		<-inst.Done()
-		v := inst.Outcome()
-		// Announce our decision so every peer can cross-check agreement,
-		// and check any remote decisions that arrived before ours landed.
-		p.mu.Lock()
-		stash := p.reports[txID]
-		delete(p.reports, txID)
-		closed := p.closed
-		p.mu.Unlock()
-		for _, r := range stash {
-			p.crossCheck(txID, r.from, r.v, v)
+}
+
+// settle is the one place a decision takes effect at this process. The
+// instance's Decided hook starts it when the decision lands — on a goroutine
+// of its own, because the deciding handler may be a transport's read loop,
+// which announce's sends and the Resource's callback must not stall; none is
+// parked per transaction meanwhile. Cross-check and announce, apply to the
+// Resource, release the waiters, and queue for retirement so that
+// per-transaction state stays bounded.
+func (p *Peer) settle(txID string, t *txn, v core.Value) {
+	p.announce(txID, v)
+	if v == core.Commit {
+		p.res.Commit(txID)
+	} else {
+		p.res.Abort(txID)
+	}
+	close(t.done)
+	p.mu.Lock()
+	p.settled = append(p.settled, settled{txID, time.Now()})
+	first := len(p.settled) == 1
+	p.mu.Unlock()
+	if first {
+		time.AfterFunc(retireGraceUnits*p.opts.Timeout, p.retire)
+	}
+}
+
+// announce checks our decision v against the remote ones that arrived
+// before it, and broadcasts it so every peer can do the same — only while
+// an auditor is installed or the flight recorder is on: nobody else reads
+// it, and it is n(n-1) envelopes on top of a protocol built to need 2fn.
+func (p *Peer) announce(txID string, v core.Value) {
+	p.mu.Lock()
+	stash, _ := p.reports.get(txID)
+	closed := p.closed
+	p.mu.Unlock()
+	for _, r := range stash {
+		p.crossCheck(txID, r.from, r.v, v)
+	}
+	if !closed && (obs.ActiveAuditor() != nil || obs.Default.Enabled()) {
+		p.broadcast(txID, decidePath, decideMsg{V: v})
+	}
+}
+
+// broadcast sends m to every other peer.
+func (p *Peer) broadcast(txID, path string, m core.Message) {
+	for q := core.ProcessID(1); int(q) <= p.n; q++ {
+		if q != p.id {
+			_ = p.tr.Send(live.Envelope{TxID: txID, From: p.id, To: q, Path: path, Msg: m})
 		}
-		if !closed {
-			for q := 1; q <= p.n; q++ {
-				if core.ProcessID(q) != p.id {
-					_ = p.tcp.Send(live.Envelope{TxID: txID, From: p.id, To: core.ProcessID(q), Path: decidePath, Msg: decideMsg{V: v}})
-				}
-			}
-		}
-		if v == core.Commit {
-			p.res.Commit(txID)
-		} else {
-			p.res.Abort(txID)
-		}
-		time.AfterFunc(retireGraceUnits*p.opts.Timeout, func() {
-			inst.Close()
-			p.retire(txID, v)
-		})
-	}()
-	return inst
+	}
 }
 
 // observeDecision handles a peer's decision announcement for txID: compare
 // it against ours if we have one (live or cached), else stash it until ours
 // lands. A disagreement is reported through the anomaly hook with the full
-// flight-recorder timeline — the TCP analogue of Cluster.finish's
-// agreement check.
-func (p *Peer) observeDecision(from core.ProcessID, txID string, theirs core.Value) {
+// flight-recorder timeline. final marks a retired peer's answer to our
+// straggler (see deliver): an instance still undecided adopts that decision.
+func (p *Peer) observeDecision(from core.ProcessID, txID string, theirs core.Value, final bool) {
 	// Feed the remote decision to the auditor: announcements are how one
 	// process's auditor learns the rest of the decision vector. Decide is
 	// idempotent for repeated equal values, so re-announcements are free.
@@ -683,25 +488,20 @@ func (p *Peer) observeDecision(from core.ProcessID, txID string, theirs core.Val
 		a.Decide(txID, from, theirs, "")
 	}
 	p.mu.Lock()
-	ours, known := p.decided[txID]
-	if !known {
-		if inst, ok := p.instances[txID]; ok {
-			select {
-			case <-inst.Done():
-				ours, known = inst.Outcome(), true
-			default:
-			}
+	ours, known := p.decided.get(txID)
+	if t := p.txns[txID]; !known && t != nil && t.inst != nil {
+		if final {
+			t.inst.Adopt(theirs)
+		}
+		select {
+		case <-t.inst.Done():
+			ours, known = t.inst.Outcome(), true
+		default:
 		}
 	}
 	if !known {
-		if _, ok := p.reports[txID]; !ok {
-			p.reportOrder = append(p.reportOrder, txID)
-			if len(p.reportOrder) > retiredHistory {
-				delete(p.reports, p.reportOrder[0])
-				p.reportOrder = p.reportOrder[1:]
-			}
-		}
-		p.reports[txID] = append(p.reports[txID], peerReport{from: from, v: theirs})
+		stash, _ := p.reports.get(txID)
+		p.reports.put(txID, append(stash, peerReport{from: from, v: theirs}))
 		p.mu.Unlock()
 		return
 	}
@@ -711,11 +511,10 @@ func (p *Peer) observeDecision(from core.ProcessID, txID string, theirs core.Val
 
 // crossCheck reports a decision disagreement between this peer and from.
 func (p *Peer) crossCheck(txID string, from core.ProcessID, theirs, ours core.Value) {
-	if theirs == ours {
-		return
+	if theirs != ours {
+		obs.ReportAnomaly("peer-decision-mismatch", txID,
+			fmt.Sprintf("%v decided %s but %v decided %s", p.id, ours, from, theirs))
 	}
-	obs.ReportAnomaly("peer-decision-mismatch", txID,
-		fmt.Sprintf("%v decided %s but %v decided %s", p.id, ours, from, theirs))
 }
 
 // ServeDebug starts the observability HTTP endpoint (expvar under
@@ -743,46 +542,40 @@ func (p *Peer) ServeDebug(addr string) (string, error) {
 }
 
 // Commit initiates transaction txID from this peer and blocks until the
-// LOCAL decision (other peers decide on their own and fire their callbacks).
-// It returns true iff the transaction committed.
+// LOCAL decision is applied (other peers decide on their own and fire their
+// callbacks). It returns true iff the transaction committed.
 func (p *Peer) Commit(ctx context.Context, txID string) (bool, error) {
 	if txID == "" {
 		return false, fmt.Errorf("commit: txID required")
 	}
 	// Announce the transaction so every peer starts (roughly) together.
-	for q := 1; q <= p.n; q++ {
-		if core.ProcessID(q) != p.id {
-			_ = p.tcp.Send(live.Envelope{TxID: txID, From: p.id, To: core.ProcessID(q), Path: beginPath, Msg: beginMsg{}})
-		}
-	}
-	return p.await(ctx, txID)
+	p.broadcast(txID, beginPath, beginMsg{})
+	return p.Wait(ctx, txID)
 }
 
-// Wait blocks until this peer's instance for txID (started by any peer)
-// decides. A transaction that already decided and retired answers from the
-// outcome cache.
+// Wait blocks until this peer's instance for txID (started by any peer, or
+// by this call: the paper's footnote-13 spontaneous start, which costs no
+// message) has decided and the local Resource applied the decision. A
+// transaction that already retired answers from the outcome cache.
 func (p *Peer) Wait(ctx context.Context, txID string) (bool, error) {
-	return p.await(ctx, txID)
-}
-
-// await resolves txID's outcome: from the live instance if one exists (or
-// can be started), else from the retired-outcome cache.
-func (p *Peer) await(ctx context.Context, txID string) (bool, error) {
-	inst := p.ensureInstance(txID)
-	if inst == nil {
-		p.mu.Lock()
-		v, ok := p.decided[txID]
-		p.mu.Unlock()
-		if ok {
-			return v == core.Commit, nil
-		}
+	p.mu.Lock()
+	t, first := p.join(txID)
+	v, retired := p.decided.get(txID)
+	p.mu.Unlock()
+	if first {
+		p.run(txID, t)
+	}
+	if t == nil && retired {
+		return v == core.Commit, nil
+	} else if t == nil {
 		return false, fmt.Errorf("commit: peer closed")
 	}
-	v, err := inst.Wait(ctx)
-	if err != nil {
-		return false, err
+	select {
+	case <-t.done:
+		return t.inst.Outcome() == core.Commit, nil
+	case <-ctx.Done():
+		return false, fmt.Errorf("commit instance %s at %v: %w", txID, p.id, ctx.Err())
 	}
-	return v == core.Commit, nil
 }
 
 // Close shuts the peer down.
@@ -793,15 +586,16 @@ func (p *Peer) Close() {
 		return
 	}
 	p.closed = true
-	insts := p.instances
-	p.instances = make(map[string]*live.Instance)
+	for _, t := range p.txns {
+		if t.inst != nil {
+			t.inst.Close() // stops its timers; takes no lock of ours
+		}
+	}
+	p.txns = make(map[string]*txn)
 	debug := p.debug
 	p.mu.Unlock()
 	if debug != nil {
 		debug.Close()
 	}
-	for _, inst := range insts {
-		inst.Close()
-	}
-	p.tcp.Close()
+	p.tr.Close()
 }

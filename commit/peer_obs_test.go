@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"strings"
 	"sync"
@@ -16,41 +15,42 @@ import (
 	"atomiccommit/internal/obs"
 )
 
-// startPeers boots n loopback peers (see bench.tcpPeers for the address
-// reservation dance) and returns them plus a cleanup.
-func startPeers(t *testing.T, n int, opts Options) []*Peer {
+// startPeers boots one loopback peer per resource on ephemeral ports (see
+// reserveAddrs) and closes them with the test.
+func startPeers(t *testing.T, rs []Resource, opts Options) []*Peer {
 	t.Helper()
-	addrs := make([]string, n)
-	lns := make([]net.Listener, n)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+	addrs := reserveAddrs(t, len(rs))
+	peers := make([]*Peer, len(rs))
+	for i, r := range rs {
+		p, err := NewPeer(i+1, addrs, r, opts)
 		if err != nil {
-			t.Fatalf("reserve port: %v", err)
+			t.Fatalf("peer %d: %v", i+1, err)
 		}
-		lns[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	for _, ln := range lns {
-		ln.Close()
-	}
-	peers := make([]*Peer, n)
-	for i := 1; i <= n; i++ {
-		p, err := NewPeer(i, addrs, ResourceFunc{}, opts)
-		if err != nil {
-			t.Fatalf("peer %d: %v", i, err)
-		}
-		peers[i-1] = p
+		peers[i] = p
 		t.Cleanup(p.Close)
 	}
 	return peers
 }
 
-// TestPeerDecisionCrossCheck exercises the TCP runtime's decision
-// cross-checking (the Peer analogue of Cluster.finish's agreement check):
-// agreeing peers stay silent, and a diverging decision — injected, since
-// the protocols agree in healthy runs — is reported through the anomaly
-// hook with the transaction's timeline.
+// yesResources is n resources that vote yes and ignore the callbacks.
+func yesResources(n int) []Resource {
+	rs := make([]Resource, n)
+	for i := range rs {
+		rs[i] = ResourceFunc{}
+	}
+	return rs
+}
+
+// TestPeerDecisionCrossCheck exercises the peers' decision cross-checking
+// (what separate processes have in place of Cluster.finish's agreement
+// check): agreeing peers stay silent, and a diverging decision — injected,
+// since the protocols agree in healthy runs — is reported through the
+// anomaly hook with the transaction's timeline. The flight recorder is on,
+// which is what makes peers broadcast their decisions at all.
 func TestPeerDecisionCrossCheck(t *testing.T) {
+	obs.Default.Enable()
+	defer obs.Default.Reset()
+	defer obs.Default.Disable()
 	var mu sync.Mutex
 	var kinds []string
 	obs.SetAnomalyHook(func(d obs.Dump) {
@@ -60,7 +60,7 @@ func TestPeerDecisionCrossCheck(t *testing.T) {
 	})
 	defer obs.SetAnomalyHook(nil)
 
-	peers := startPeers(t, 3, Options{Protocol: "inbac", F: 1, Timeout: 50 * time.Millisecond})
+	peers := startPeers(t, yesResources(3), Options{Protocol: "inbac", F: 1, Timeout: 50 * time.Millisecond})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
@@ -73,9 +73,17 @@ func TestPeerDecisionCrossCheck(t *testing.T) {
 			t.Fatalf("peer wait: ok=%v err=%v", ok, err)
 		}
 	}
-	// Every peer broadcast its decision; give the announcements a moment to
-	// cross the sockets, then check nobody saw a mismatch.
-	time.Sleep(300 * time.Millisecond)
+	// Every peer broadcast its decision to the two others; once all six
+	// announcements crossed the sockets, check nobody saw a mismatch.
+	waitFor(t, "the decision announcements", func() bool {
+		got := 0
+		for _, e := range obs.Default.TxTimeline("xcheck-1") {
+			if e.Kind == obs.EvRecv && e.Path == decidePath {
+				got++
+			}
+		}
+		return got == 6
+	})
 	mu.Lock()
 	if len(kinds) != 0 {
 		t.Fatalf("agreeing peers reported anomalies: %v", kinds)
@@ -85,7 +93,7 @@ func TestPeerDecisionCrossCheck(t *testing.T) {
 	// Inject a diverging announcement: peer 1 claims it decided abort for a
 	// transaction everyone committed. The cross-check must fire.
 	before := obs.M.CounterValue("obs.anomalies.peer-decision-mismatch")
-	peers[0].observeDecision(core.ProcessID(2), "xcheck-1", core.Abort)
+	peers[0].observeDecision(core.ProcessID(2), "xcheck-1", core.Abort, false)
 	if got := obs.M.CounterValue("obs.anomalies.peer-decision-mismatch"); got != before+1 {
 		t.Fatalf("mismatch counter = %d, want %d", got, before+1)
 	}
@@ -109,12 +117,12 @@ func TestPeerStashedDecisionCrossCheck(t *testing.T) {
 	})
 	defer obs.SetAnomalyHook(nil)
 
-	peers := startPeers(t, 3, Options{Protocol: "inbac", F: 1, Timeout: 50 * time.Millisecond})
+	peers := startPeers(t, yesResources(3), Options{Protocol: "inbac", F: 1, Timeout: 50 * time.Millisecond})
 
 	// Stash a bogus abort report for a transaction that has not started
 	// anywhere, then run it to commit: the stash must be drained and the
 	// divergence reported when the local decision lands.
-	peers[0].observeDecision(core.ProcessID(3), "xcheck-stash", core.Abort)
+	peers[0].observeDecision(core.ProcessID(3), "xcheck-stash", core.Abort, false)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	ok, err := peers[0].Commit(ctx, "xcheck-stash")
@@ -141,7 +149,7 @@ func TestPeerStashedDecisionCrossCheck(t *testing.T) {
 
 // TestPeerServeDebug drives the peer's observability endpoint.
 func TestPeerServeDebug(t *testing.T) {
-	peers := startPeers(t, 2, Options{Protocol: "2pc", Timeout: 50 * time.Millisecond})
+	peers := startPeers(t, yesResources(2), Options{Protocol: "2pc", Timeout: 50 * time.Millisecond})
 	addr, err := peers[0].ServeDebug("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -1,0 +1,215 @@
+package commit
+
+import (
+	"atomiccommit/internal/core"
+	"atomiccommit/internal/live"
+	"atomiccommit/internal/wire"
+)
+
+// The eight control messages a Peer and a Client exchange beside the
+// protocol's own, each on a reserved envelope path.
+
+// beginPath is the reserved envelope path announcing a transaction to peers
+// that have not started an instance for it yet.
+const beginPath = "\x00begin"
+
+// beginMsg tells a peer to Prepare and start its instance for Envelope.TxID.
+type beginMsg struct{}
+
+// Kind implements core.Message.
+func (beginMsg) Kind() string { return "BEGIN" }
+
+// WireID implements core.Wire (commit block, ID 1).
+func (beginMsg) WireID() uint16 { return 1 }
+
+// MarshalWire implements core.Wire.
+func (beginMsg) MarshalWire(b []byte) []byte { return b }
+
+// UnmarshalWire implements core.Wire.
+func (beginMsg) UnmarshalWire(d *wire.Decoder) (core.Message, error) {
+	return beginMsg{}, d.Err()
+}
+
+// decidePath is the reserved envelope path carrying a peer's decision to the
+// others, so every peer can cross-check agreement and feed its auditor the
+// whole decision vector (a peer otherwise only knows its own). Sent only
+// while someone is watching: see Peer.announce.
+const decidePath = "\x00decide"
+
+// outcomePath carries the same decideMsg as a retired peer's answer to a
+// straggler still running the protocol: a decision to adopt, not only to
+// cross-check (see Peer.deliver).
+const outcomePath = "\x00outcome"
+
+// decideMsg announces that From decided V for Envelope.TxID.
+type decideMsg struct {
+	V core.Value
+}
+
+// Kind implements core.Message.
+func (decideMsg) Kind() string { return "DECIDE" }
+
+// WireID implements core.Wire (commit block, ID 2).
+func (decideMsg) WireID() uint16 { return 2 }
+
+// MarshalWire implements core.Wire.
+func (m decideMsg) MarshalWire(b []byte) []byte { return wire.AppendUvarint(b, uint64(m.V)) }
+
+// UnmarshalWire implements core.Wire.
+func (decideMsg) UnmarshalWire(d *wire.Decoder) (core.Message, error) {
+	return decideMsg{V: core.Value(d.Uvarint())}, d.Err()
+}
+
+// The client-facing paths: a commit.Client (not itself a protocol
+// participant) speaks to peers over these reserved paths to stage
+// footprints on hosted resources, start the commit, read outside
+// transactions, and learn outcomes. See client.go for the driving side.
+const (
+	helloPath      = "\x00hello"      // helloMsg: announce the client's listen address
+	stagePath      = "\x00stage"      // payload is the resource's own footprint message
+	stageAckPath   = "\x00stageack"   // stageAckMsg: stage accepted or refused
+	goPath         = "\x00go"         // goMsg: all stages acked; run the commit
+	stageGoPath    = "\x00stagego"    // stageGoMsg: footprint piggybacked on the go leg
+	resultPath     = "\x00result"     // resultMsg: the coordinator's local decision
+	queryPath      = "\x00query"      // payload is the resource's read request
+	queryReplyPath = "\x00queryreply" // payload is the resource's read reply
+	unstagePath    = "\x00unstage"    // unstageMsg: drop a staged, never-begun txn
+)
+
+// helloMsg announces the sending client's listen address so the peer can
+// route replies (peers are booted knowing only each other).
+type helloMsg struct {
+	Addr string
+}
+
+// Kind implements core.Message.
+func (helloMsg) Kind() string { return "HELLO" }
+
+// WireID implements core.Wire (commit block, ID 3).
+func (helloMsg) WireID() uint16 { return 3 }
+
+// MarshalWire implements core.Wire.
+func (m helloMsg) MarshalWire(b []byte) []byte { return wire.AppendString(b, m.Addr) }
+
+// UnmarshalWire implements core.Wire.
+func (helloMsg) UnmarshalWire(d *wire.Decoder) (core.Message, error) {
+	return helloMsg{Addr: d.String()}, d.Err()
+}
+
+// stageAckMsg acknowledges a stage; Err != "" means the resource refused it
+// and the client must abort the transaction.
+type stageAckMsg struct {
+	Err string
+}
+
+// Kind implements core.Message.
+func (stageAckMsg) Kind() string { return "STAGEACK" }
+
+// WireID implements core.Wire (commit block, ID 4).
+func (stageAckMsg) WireID() uint16 { return 4 }
+
+// MarshalWire implements core.Wire.
+func (m stageAckMsg) MarshalWire(b []byte) []byte { return wire.AppendString(b, m.Err) }
+
+// UnmarshalWire implements core.Wire.
+func (stageAckMsg) UnmarshalWire(d *wire.Decoder) (core.Message, error) {
+	return stageAckMsg{Err: d.String()}, d.Err()
+}
+
+// goMsg asks the receiving peer to coordinate the commit of Envelope.TxID
+// (every involved peer has acked its stage) and reply with resultMsg.
+type goMsg struct{}
+
+// Kind implements core.Message.
+func (goMsg) Kind() string { return "GO" }
+
+// WireID implements core.Wire (commit block, ID 5).
+func (goMsg) WireID() uint16 { return 5 }
+
+// MarshalWire implements core.Wire.
+func (goMsg) MarshalWire(b []byte) []byte { return b }
+
+// UnmarshalWire implements core.Wire.
+func (goMsg) UnmarshalWire(d *wire.Decoder) (core.Message, error) {
+	return goMsg{}, d.Err()
+}
+
+// resultMsg reports the coordinator's local decision for Envelope.TxID back
+// to the client; Err != "" reports an infrastructure failure instead.
+type resultMsg struct {
+	V   core.Value
+	Err string
+}
+
+// Kind implements core.Message.
+func (resultMsg) Kind() string { return "RESULT" }
+
+// WireID implements core.Wire (commit block, ID 6).
+func (resultMsg) WireID() uint16 { return 6 }
+
+// MarshalWire implements core.Wire.
+func (m resultMsg) MarshalWire(b []byte) []byte {
+	b = wire.AppendUvarint(b, uint64(m.V))
+	return wire.AppendString(b, m.Err)
+}
+
+// UnmarshalWire implements core.Wire.
+func (resultMsg) UnmarshalWire(d *wire.Decoder) (core.Message, error) {
+	return resultMsg{V: core.Value(d.Uvarint()), Err: d.String()}, d.Err()
+}
+
+// stageGoMsg piggybacks the coordinator's own footprint on the go leg: the
+// stage-then-ack barrier exists because cross-connection delivery is not
+// FIFO, but a footprint riding *inside* the message that starts the commit
+// trivially arrives before the protocol does — so the client saves the
+// coordinator's stage round trip (and for a single-peer footprint, the
+// whole barrier). Fp is a live.MarshalMessage encoding of the resource's
+// footprint message; empty means the coordinator hosts no slice of this
+// transaction (every footprint was staged two-phase elsewhere).
+type stageGoMsg struct {
+	Fp []byte
+}
+
+// Kind implements core.Message.
+func (stageGoMsg) Kind() string { return "STAGEGO" }
+
+// WireID implements core.Wire. The commit block (1..7) is full, so this
+// takes 83, adjacent to the kv client-path block (80..82) it serves.
+func (stageGoMsg) WireID() uint16 { return 83 }
+
+// MarshalWire implements core.Wire.
+func (m stageGoMsg) MarshalWire(b []byte) []byte { return wire.AppendBytes(b, m.Fp) }
+
+// UnmarshalWire implements core.Wire.
+func (stageGoMsg) UnmarshalWire(d *wire.Decoder) (core.Message, error) {
+	return stageGoMsg{Fp: d.Bytes()}, d.Err()
+}
+
+// unstageMsg drops a staged transaction that will never begin (a sibling
+// stage was refused). Only honored before the protocol instance starts.
+type unstageMsg struct{}
+
+// Kind implements core.Message.
+func (unstageMsg) Kind() string { return "UNSTAGE" }
+
+// WireID implements core.Wire (commit block, ID 7).
+func (unstageMsg) WireID() uint16 { return 7 }
+
+// MarshalWire implements core.Wire.
+func (unstageMsg) MarshalWire(b []byte) []byte { return b }
+
+// UnmarshalWire implements core.Wire.
+func (unstageMsg) UnmarshalWire(d *wire.Decoder) (core.Message, error) {
+	return unstageMsg{}, d.Err()
+}
+
+func init() {
+	live.RegisterWire(beginMsg{})
+	live.RegisterWire(decideMsg{})
+	live.RegisterWire(helloMsg{})
+	live.RegisterWire(stageAckMsg{})
+	live.RegisterWire(goMsg{})
+	live.RegisterWire(stageGoMsg{})
+	live.RegisterWire(resultMsg{})
+	live.RegisterWire(unstageMsg{})
+}

@@ -119,35 +119,31 @@ func crossRuntimeExpected(i, n int) bool {
 
 // TestCrossRuntimeEquivalence runs the same scripted transactions over the
 // in-memory mesh (Cluster) and over real TCP (Peers) and asserts both
-// runtimes reach the same decisions — the codec and framing preserve
-// protocol behavior across transports.
+// runtimes reach the same decisions. Both run the one Peer lifecycle, so
+// what this still compares is the transports: the codec and framing
+// preserve protocol behavior.
 func TestCrossRuntimeEquivalence(t *testing.T) {
 	const n, txns = 4, 8
-	for pi, tc := range []struct {
-		protocol Protocol
-		basePort int
-	}{
-		{INBAC, 38500},
-		{TwoPC, 38520},
-	} {
-		t.Run(string(tc.protocol), func(t *testing.T) {
-			opts := Options{Protocol: tc.protocol, F: 1, Timeout: 60 * time.Millisecond}
+	for _, protocol := range []Protocol{INBAC, TwoPC} {
+		t.Run(string(protocol), func(t *testing.T) {
+			opts := Options{Protocol: protocol, F: 1, Timeout: 60 * time.Millisecond}
 			parse := func(txID string) int {
 				var i int
 				fmt.Sscanf(txID, "eq-%d", &i)
 				return i
 			}
 
+			resources := make([]Resource, n)
+			for j := 1; j <= n; j++ {
+				j := j
+				resources[j-1] = ResourceFunc{PrepareFn: func(txID string) bool {
+					return crossRuntimeVote(parse(txID), j)
+				}}
+			}
+
 			// Mesh runtime.
 			meshDecisions := make([]bool, txns)
 			{
-				resources := make([]Resource, n)
-				for j := 1; j <= n; j++ {
-					j := j
-					resources[j-1] = ResourceFunc{PrepareFn: func(txID string) bool {
-						return crossRuntimeVote(parse(txID), j)
-					}}
-				}
 				cl, err := NewCluster(resources, opts)
 				if err != nil {
 					t.Fatal(err)
@@ -167,22 +163,7 @@ func TestCrossRuntimeEquivalence(t *testing.T) {
 			// TCP runtime: one Peer per participant on loopback.
 			tcpDecisions := make([]bool, txns)
 			{
-				addrs := make([]string, n)
-				for j := 0; j < n; j++ {
-					addrs[j] = fmt.Sprintf("127.0.0.1:%d", tc.basePort+pi+j)
-				}
-				peers := make([]*Peer, n)
-				for j := 1; j <= n; j++ {
-					j := j
-					p, err := NewPeer(j, addrs, ResourceFunc{PrepareFn: func(txID string) bool {
-						return crossRuntimeVote(parse(txID), j)
-					}}, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer p.Close()
-					peers[j-1] = p
-				}
+				peers := startPeers(t, resources, opts)
 				for i := 0; i < txns; i++ {
 					txID := fmt.Sprintf("eq-%d", i)
 					ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)

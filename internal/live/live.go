@@ -81,6 +81,8 @@ type Instance struct {
 	decideOnce sync.Once
 	done       chan struct{}
 	outcome    core.Value
+	decided    func(core.Value) // Config.Decided
+	fire       bool             // the running handler decided: leave calls decided
 }
 
 // Config parameterizes an Instance.
@@ -96,13 +98,18 @@ type Config struct {
 	New func(id core.ProcessID) core.Module
 	// Send transmits an envelope (bound to the process's transport).
 	Send func(Envelope) error
+	// Decided, if set, is called once with the decision, as soon as the
+	// handler that decided has released the instance and on its goroutine (a
+	// delivery, a timer, Start or Adopt), so it must not block. It saves the
+	// host a goroutine parked on Done per instance.
+	Decided func(core.Value)
 }
 
 // NewInstance builds (but does not start) an instance.
 func NewInstance(cfg Config) *Instance {
 	inst := &Instance{
 		id: cfg.ID, n: cfg.N, f: cfg.F, u: cfg.U, txID: cfg.TxID, label: cfg.Label,
-		sendE:   cfg.Send,
+		sendE: cfg.Send, decided: cfg.Decided,
 		modules: make(map[string]core.Module),
 		done:    make(chan struct{}),
 	}
@@ -111,11 +118,22 @@ func NewInstance(cfg Config) *Instance {
 	return inst
 }
 
+// leave ends a handler: it releases the instance and, if the handler
+// decided, reports the decision to the host outside the lock.
+func (inst *Instance) leave() {
+	fire := inst.fire
+	inst.fire = false
+	inst.mu.Unlock()
+	if fire && inst.decided != nil {
+		inst.decided(inst.outcome)
+	}
+}
+
 // Start initializes the module tree, proposes the vote, and flushes any
 // messages that raced ahead of it. It must be called exactly once.
 func (inst *Instance) Start(vote core.Value) {
 	inst.mu.Lock()
-	defer inst.mu.Unlock()
+	defer inst.leave()
 	inst.started = time.Now()
 	if obs.Default.Enabled() {
 		obs.Default.Record(obs.Event{
@@ -145,7 +163,7 @@ func (inst *Instance) Start(vote core.Value) {
 // tree in Init (the simulator's stricter kernel asserts this).
 func (inst *Instance) Deliver(e Envelope) {
 	inst.mu.Lock()
-	defer inst.mu.Unlock()
+	defer inst.leave()
 	if inst.closed {
 		return
 	}
@@ -185,6 +203,27 @@ func (inst *Instance) Wait(ctx context.Context) (core.Value, error) {
 	case <-ctx.Done():
 		return 0, fmt.Errorf("commit instance %s at %v: %w", inst.txID, inst.id, ctx.Err())
 	}
+}
+
+// Adopt decides v on the word of a process that already decided it — what
+// is left to a straggler whose peers have retired the transaction and can
+// no longer run the protocol with it. Agreement makes any decided value the
+// decision. No-op once the instance decided; the modules keep running (and
+// helping others) until Close.
+func (inst *Instance) Adopt(v core.Value) {
+	inst.mu.Lock()
+	defer inst.leave()
+	if !inst.running || inst.closed {
+		return
+	}
+	select {
+	case <-inst.done:
+		return
+	default:
+	}
+	env := &liveEnv{inst: inst}
+	env.Annotate("decide-path", "adopted")
+	env.Decide(v)
 }
 
 // Close cancels outstanding timers. Pending callbacks become no-ops.
@@ -253,7 +292,7 @@ func (e *liveEnv) SetTimerAt(t core.Ticks, tag int) {
 	path := e.path
 	timer := time.AfterFunc(d, func() {
 		e.inst.mu.Lock()
-		defer e.inst.mu.Unlock()
+		defer e.inst.leave()
 		if e.inst.closed {
 			return
 		}
@@ -287,6 +326,7 @@ func (e *liveEnv) Decide(v core.Value) {
 			a.Decide(e.inst.txID, e.inst.id, v, e.inst.decidePath)
 		}
 		e.inst.outcome = v
+		e.inst.fire = true
 		close(e.inst.done)
 	})
 }
