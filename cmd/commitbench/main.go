@@ -34,8 +34,8 @@
 // -trace arms the flight recorder for any mode: if a run trips an anomaly
 // (a cross-member agreement violation, a peer decision mismatch), the merged
 // per-member timeline of the offending transaction is printed to stderr and
-// dumped as anomaly-<tx>-<kind>.json/.txt. The known INBAC violation
-// reproduces with:
+// dumped as anomaly-<tx>-<kind>.json/.txt. The load under which INBAC used
+// to violate agreement (until PR 14; DESIGN.md "How a handler runs"):
 //
 //	commitbench -throughput -runtime mesh -txns 512 -timeout 5ms -protocols inbac -trace
 package main

@@ -234,9 +234,15 @@ func (p *Peer) handleStage(e live.Envelope) {
 	if refusal == "" {
 		// The stage TTL: a footprint whose protocol run never arrives is
 		// aborted, bounding how long a dead client's intents can block
-		// other transactions.
+		// other transactions. The timer goroutine only looks; the
+		// Resource's callback, in the rare case there is something to
+		// drop, gets a goroutine of its own.
 		txID := e.TxID
-		time.AfterFunc(stageTTLUnits*p.opts.Timeout, func() { p.dropStage(txID) })
+		live.After(stageTTLUnits*p.opts.Timeout, func() {
+			if p.unstage(txID) {
+				go p.res.Abort(txID)
+			}
+		})
 	}
 	_ = p.tr.Send(live.Envelope{TxID: e.TxID, From: p.id, To: e.From, Path: stageAckPath, Msg: stageAckMsg{Err: refusal}})
 }
@@ -342,23 +348,30 @@ func (p *Peer) handleQuery(e live.Envelope) {
 // transaction whose staged writes were just thrown away. No-op once the
 // protocol run began or decided: the protocol owns the outcome then.
 func (p *Peer) dropStage(txID string) {
+	if p.unstage(txID) {
+		p.res.Abort(txID)
+	}
+}
+
+// unstage is dropStage up to the Resource's callback: it reports whether
+// txID was staged, and so is the caller's to abort.
+func (p *Peer) unstage(txID string) bool {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if t := p.txns[txID]; t == nil || !t.staged {
-		p.mu.Unlock()
-		return
+		return false
 	}
 	delete(p.txns, txID)
 	p.decided.put(txID, core.Abort)
-	p.mu.Unlock()
-	p.res.Abort(txID)
+	return true
 }
 
 // retire forgets the instances of the transactions settled at least the
 // grace ago, remembering their outcomes (bounded by retiredHistory) so late
 // messages are dropped and Wait/Commit replays still answer from the cache.
-// One timer serves the whole queue, and a busy peer retires in batches: a
-// timer (and its goroutine) per transaction costs more than the rest of
-// settling one.
+// One deadline serves the whole queue, and a busy peer retires in batches:
+// a deadline per transaction costs more than the rest of settling one. It
+// runs on the timer goroutine, and calls nothing that may block.
 func (p *Peer) retire() {
 	grace := retireGraceUnits * p.opts.Timeout
 	p.mu.Lock()
@@ -373,7 +386,7 @@ func (p *Peer) retire() {
 		}
 	}
 	if len(p.settled) > 0 && !p.closed {
-		time.AfterFunc(max(grace-time.Since(p.settled[0].at), grace/4), p.retire)
+		live.After(max(grace-time.Since(p.settled[0].at), grace/4), p.retire)
 	}
 }
 
@@ -445,7 +458,7 @@ func (p *Peer) settle(txID string, t *txn, v core.Value) {
 	first := len(p.settled) == 1
 	p.mu.Unlock()
 	if first {
-		time.AfterFunc(retireGraceUnits*p.opts.Timeout, p.retire)
+		live.After(retireGraceUnits*p.opts.Timeout, p.retire)
 	}
 }
 

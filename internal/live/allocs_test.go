@@ -65,3 +65,18 @@ func TestTCPSendSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("steady-state Send allocates %.3f allocs/envelope, want ~0", avg)
 	}
 }
+
+// TestInstanceNiceINBACAllocs is the ceiling on what a nice INBAC commit may
+// allocate at n=4 across its four live.Instances, protocol modules included:
+// 60 as of PR 14, 101 before it (a goroutine per self-send, a time.AfterFunc
+// per timer, map-backed collections). A change that needs more than the
+// ceiling has to say why here.
+func TestInstanceNiceINBACAllocs(t *testing.T) {
+	const txns, ceiling = 64, 90
+	niceINBAC(t, txns) // start the timer goroutine, grow the deadline heap
+	perTxn := testing.AllocsPerRun(5, func() { niceINBAC(t, txns) }) / txns
+	t.Logf("%.1f allocs per nice INBAC transaction", perTxn)
+	if perTxn > ceiling {
+		t.Fatalf("a nice INBAC transaction allocates %.1f times, ceiling %d", perTxn, ceiling)
+	}
+}

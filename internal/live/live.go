@@ -1,10 +1,10 @@
 // Package live runs the same core.Module protocol code the simulator runs,
-// but over real time and real transports: one goroutine per process, timers
-// from the standard library, and pluggable message delivery (an in-memory
-// mesh or TCP). Both transports speak the hand-rolled binary wire codec
-// (core.Wire + this package's type-ID registry); the TCP transport
-// additionally packs the envelopes of many concurrent protocol instances
-// into one length-prefixed frame per flush.
+// but over real time and real transports: handlers serialized per instance,
+// every timer of the process on one deadline heap (deadline.go), and
+// pluggable message delivery (an in-memory mesh or TCP). Both transports
+// speak the hand-rolled binary wire codec (core.Wire + this package's type-ID
+// registry); the TCP transport additionally packs the envelopes of many
+// concurrent protocol instances into one length-prefixed frame per flush.
 //
 // Time mapping: one core.Ticks equals one millisecond. Env.U() is the
 // configured timeout unit (the "known upper bound on message delay" the
@@ -48,8 +48,9 @@ type Envelope struct {
 // paper's channels do not lose messages — TCP and in-memory channels both
 // qualify).
 type Transport interface {
-	// Send transmits e to e.To. It may block briefly but must not wait for
-	// the receiver to process the message.
+	// Send transmits e to e.To. Protocol handlers call it, the process's one
+	// timer goroutine among them, so it must not block on the network nor
+	// wait for the receiver to process the message.
 	Send(e Envelope) error
 	// SetHandler installs the delivery callback. Must be called before any
 	// Send reaches this process.
@@ -74,7 +75,7 @@ type Instance struct {
 	running    bool
 	pending    []Envelope // deliveries that arrived before Start
 	modules    map[string]core.Module
-	timers     []*time.Timer
+	selfq      []Envelope // the running handler's self-sends (see drainSelf)
 	closed     bool
 	decidePath string // last "decide-path" annotation (see Env Annotate)
 
@@ -83,6 +84,11 @@ type Instance struct {
 	outcome    core.Value
 	decided    func(core.Value) // Config.Decided
 	fire       bool             // the running handler decided: leave calls decided
+
+	// Guarded by deadlines.mu: how many deadlines of this instance are on the
+	// heap, and whether Close released them.
+	armed    int
+	released bool
 }
 
 // Config parameterizes an Instance.
@@ -118,15 +124,35 @@ func NewInstance(cfg Config) *Instance {
 	return inst
 }
 
-// leave ends a handler: it releases the instance and, if the handler
-// decided, reports the decision to the host outside the lock.
+// leave ends a handler: it delivers the handler's self-sends, releases the
+// instance and, if a handler decided, reports the decision to the host
+// outside the lock.
 func (inst *Instance) leave() {
+	inst.drainSelf()
 	fire := inst.fire
 	inst.fire = false
 	inst.mu.Unlock()
 	if fire && inst.decided != nil {
 		inst.decided(inst.outcome)
 	}
+}
+
+// drainSelf delivers what the handler that just returned sent to its own
+// process: in sending order, each message a handler call of its own (so
+// handlers stay atomic), what those calls send to self included, and all of
+// it before any other event of the instance. The paper's footnote 10 makes a
+// self-send a local step, and the simulator delivers it before any timer; a
+// protocol may rely on that — INBAC's decideTimeoutLow does, for safety: a
+// backup that acknowledged has its own acknowledgement.
+func (inst *Instance) drainSelf() {
+	for i := 0; i < len(inst.selfq); i++ { // a delivery may append
+		e := inst.selfq[i]
+		if m, ok := inst.modules[e.Path]; ok {
+			m.Deliver(e.From, e.Msg)
+		}
+	}
+	clear(inst.selfq)
+	inst.selfq = inst.selfq[:0]
 }
 
 // Start initializes the module tree, proposes the vote, and flushes any
@@ -149,12 +175,31 @@ func (inst *Instance) Start(vote core.Value) {
 	root.Init(&liveEnv{inst: inst, path: ""})
 	inst.running = true
 	root.Propose(vote)
+	if a := obs.ActiveAuditor(); a != nil {
+		// The instance's clock started at the top: a stall since then makes
+		// every deadline of this process early for the others.
+		a.ObserveLag(inst.txID, time.Since(inst.started))
+	}
 	for _, e := range inst.pending {
-		if m, ok := inst.modules[e.Path]; ok {
-			m.Deliver(e.From, e.Msg)
-		}
+		inst.drainSelf()
+		inst.handle(e)
 	}
 	inst.pending = nil
+}
+
+// handle runs the Deliver handler of an envelope from another process. The
+// auditor takes the envelope's delay up to here, not up to the transport's
+// receipt: what waited behind a stalled process while its deadline passed was
+// late, whatever the network did.
+func (inst *Instance) handle(e Envelope) {
+	m, ok := inst.modules[e.Path]
+	if !ok {
+		return
+	}
+	if a := obs.ActiveAuditor(); a != nil {
+		a.ObserveRecv(e.TxID, e.HLC, obs.ProcessClock.Tick())
+	}
+	m.Deliver(e.From, e.Msg)
 }
 
 // Deliver routes an incoming envelope to its module instance. Messages that
@@ -171,11 +216,7 @@ func (inst *Instance) Deliver(e Envelope) {
 		inst.pending = append(inst.pending, e)
 		return
 	}
-	m, ok := inst.modules[e.Path]
-	if !ok {
-		return
-	}
-	m.Deliver(e.From, e.Msg)
+	inst.handle(e)
 }
 
 // Done is closed once the root decision is available; any number of
@@ -226,13 +267,36 @@ func (inst *Instance) Adopt(v core.Value) {
 	env.Decide(v)
 }
 
-// Close cancels outstanding timers. Pending callbacks become no-ops.
+// Close ends the instance: no handler runs any more, and the deadline heap
+// lets go of the timers it armed.
 func (inst *Instance) Close() {
 	inst.mu.Lock()
-	defer inst.mu.Unlock()
 	inst.closed = true
-	for _, t := range inst.timers {
-		t.Stop()
+	inst.mu.Unlock()
+	releaseDeadlines(inst)
+}
+
+// timeout runs the handler of a timer the instance armed (see SetTimerAt),
+// due at when.
+func (inst *Instance) timeout(path string, tag int, when time.Duration) {
+	inst.mu.Lock()
+	defer inst.leave()
+	if inst.closed {
+		return
+	}
+	if m, ok := inst.modules[path]; ok {
+		if obs.Default.Enabled() {
+			obs.Default.Record(obs.Event{
+				Kind: obs.EvTimerFire, TxID: inst.txID, Proc: inst.id,
+				Path: path, Tag: tag, Arg: int64(inst.now()),
+			})
+		}
+		m.Timeout(tag)
+		if a := obs.ActiveAuditor(); a != nil {
+			// Taken at the end: what a handler stalled half-way sends on is
+			// late as well.
+			a.ObserveLag(inst.txID, time.Since(deadlineEpoch)-when)
+		}
 	}
 }
 
@@ -265,48 +329,31 @@ func (e *liveEnv) Send(to core.ProcessID, m core.Message) {
 				Path: e.path, Note: "self", HLC: env.HLC,
 			})
 		}
-		// Local delivery, asynchronously to respect the event-handler
-		// atomicity contract (we are inside a handler holding the lock).
-		go e.inst.Deliver(env)
+		// Local delivery, once the running handler returned (see drainSelf).
+		e.inst.selfq = append(e.inst.selfq, env)
 		return
+	}
+	if a := obs.ActiveAuditor(); a != nil {
+		a.ObserveSend(env.TxID)
 	}
 	// Transport errors mean a peer is unreachable; the protocols treat
 	// silence as failure, which is exactly the crash/partition semantics.
 	_ = e.inst.sendE(env)
 }
 
-// SetTimerAt is only ever called from inside a handler, which already holds
-// inst.mu — so it must not lock (the timer callback, on its own goroutine,
-// does).
+// SetTimerAt is only ever called from inside a handler, which holds inst.mu.
+// A tick already past fires as soon as the handler arming it has left.
 func (e *liveEnv) SetTimerAt(t core.Ticks, tag int) {
-	d := time.Duration(t)*TickDuration - time.Since(e.inst.started)
-	if d < 0 {
-		d = 0
-	}
 	if obs.Default.Enabled() {
 		obs.Default.Record(obs.Event{
 			Kind: obs.EvTimerArm, TxID: e.inst.txID, Proc: e.inst.id,
 			Path: e.path, Tag: tag, Arg: int64(t),
 		})
 	}
-	path := e.path
-	timer := time.AfterFunc(d, func() {
-		e.inst.mu.Lock()
-		defer e.inst.leave()
-		if e.inst.closed {
-			return
-		}
-		if m, ok := e.inst.modules[path]; ok {
-			if obs.Default.Enabled() {
-				obs.Default.Record(obs.Event{
-					Kind: obs.EvTimerFire, TxID: e.inst.txID, Proc: e.inst.id,
-					Path: path, Tag: tag, Arg: int64(e.inst.now()),
-				})
-			}
-			m.Timeout(tag)
-		}
+	arm(deadline{
+		when: e.inst.started.Sub(deadlineEpoch) + time.Duration(t)*TickDuration,
+		inst: e.inst, path: e.path, tag: tag,
 	})
-	e.inst.timers = append(e.inst.timers, timer)
 }
 
 func (e *liveEnv) Decide(v core.Value) {

@@ -209,6 +209,126 @@ func TestTCPSendToDeadPeerIsSilent(t *testing.T) {
 	}
 }
 
+// TestTCPSendNeverWaitsForDial: Send to a peer whose listener is closed
+// returns at once, every time — a protocol handler, and with it the process's
+// timer goroutine, is the caller — and once the listener is back a later
+// Send is delivered.
+func TestTCPSendNeverWaitsForDial(t *testing.T) {
+	addrs := []string{"127.0.0.1:0", "127.0.0.1:0"}
+	t2, err := NewTCP(2, addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs[1] = t2.Addr()
+	t2.Close() // the address is real, nobody listens
+	t1, err := NewTCP(1, addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer t1.Close()
+
+	// A stall of the test's own goroutine (GC, a busy host) is not Send
+	// waiting: three tries at a clean hundred.
+	var slowest time.Duration
+	for try := 0; try < 3; try++ {
+		slowest = 0
+		for i := 0; i < 100; i++ {
+			start := time.Now()
+			if err := t1.Send(Envelope{TxID: "down", From: 1, To: 2, Msg: echoMsg{}}); err != nil {
+				t.Fatalf("send %d to a down peer must be silent, got %v", i, err)
+			}
+			slowest = max(slowest, time.Since(start))
+		}
+		if slowest < time.Millisecond {
+			break
+		}
+	}
+	if slowest >= time.Millisecond {
+		t.Fatalf("a Send to a down peer took %v, want under 1ms", slowest)
+	}
+
+	t2, err = NewTCP(2, addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer t2.Close()
+	recv := make(chan Envelope, 256)
+	t2.SetHandler(func(e Envelope) { recv <- e })
+	deadline := time.After(10 * time.Second)
+	for {
+		if err := t1.Send(Envelope{TxID: "up", From: 1, To: 2, Msg: echoMsg{}}); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case e := <-recv:
+			if e.TxID == "up" {
+				return
+			}
+			// "down": buffered while the dial was retried, and the listener
+			// came back in time.
+		case <-time.After(20 * time.Millisecond):
+		case <-deadline:
+			t.Fatal("nothing delivered after the listener came back")
+		}
+	}
+}
+
+// TestTCPConcurrentFirstSendsDialOnce: however many senders find no
+// connection at once, the destination is dialed once, and every envelope
+// arrives, each sender's in its sending order.
+func TestTCPConcurrentFirstSendsDialOnce(t *testing.T) {
+	addrs := []string{"127.0.0.1:0", "127.0.0.1:0"}
+	t2, err := NewTCP(2, addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer t2.Close()
+	addrs[1] = t2.Addr()
+	t1, err := NewTCP(1, addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer t1.Close()
+
+	const senders, per = 64, 4
+	recv := make(chan Envelope, senders*per)
+	t2.SetHandler(func(e Envelope) { recv <- e })
+	dials := mDials.Value()
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < senders; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			for i := 0; i < per; i++ {
+				// The path carries the sender, the message its sequence number.
+				e := Envelope{TxID: "first", From: 1, To: 2, Path: fmt.Sprint(g), Msg: echoMsg{V: core.Value(i)}}
+				if err := t1.Send(e); err != nil {
+					t.Errorf("send: %v", err)
+				}
+			}
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	next := make(map[string]core.Value, senders)
+	for got := 0; got < senders*per; got++ {
+		select {
+		case e := <-recv:
+			if v := e.Msg.(echoMsg).V; v != next[e.Path] {
+				t.Fatalf("sender %s: envelope %d arrived in place %d", e.Path, v, next[e.Path])
+			}
+			next[e.Path]++
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d of %d envelopes arrived", got, senders*per)
+		}
+	}
+	if d := mDials.Value() - dials; d != 1 {
+		t.Fatalf("%d concurrent first sends dialed %d times, want 1", senders, d)
+	}
+}
+
 // TestTCPPeerDiesMidStream: a peer that vanishes after traffic flowed must
 // look crashed — every later send drops silently (no error, no panic), per
 // the crash-failure model.

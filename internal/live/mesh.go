@@ -151,9 +151,6 @@ func (t *meshEndpoint) Send(e Envelope) error {
 				HLC: now, Arg: int64(e.HLC),
 			})
 		}
-		if a := obs.ActiveAuditor(); a != nil && e.HLC != 0 {
-			a.ObserveRecv(e.TxID, e.Path, e.HLC, now)
-		}
 		h(e)
 	}
 	if lat != nil {

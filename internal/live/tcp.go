@@ -2,6 +2,7 @@ package live
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -61,6 +62,12 @@ const (
 // unreachable peer behaves as crashed (sends are dropped silently), which is
 // precisely the failure model the protocols handle.
 //
+// Send never waits for the network, dialing included: the first envelope for
+// a destination creates its connection record, which buffers envelopes in
+// sending order from then on, and one goroutine per record dials, then
+// flushes. Protocol handlers send, and one goroutine runs every timer handler
+// of the process (deadline.go); a dial inside Send would stall them all.
+//
 // Writes are batched and allocation-free at steady state: Send appends the
 // envelope's encoding to a per-connection pending buffer (no intermediate
 // objects, no reflection) and a dedicated flush loop swaps in a spare buffer
@@ -81,10 +88,14 @@ type TCP struct {
 	inbound map[net.Conn]struct{}
 	closed  bool
 	wg      sync.WaitGroup
+
+	// closing is cancelled by Close, so that a dial in progress returns.
+	closing context.Context
+	cancel  context.CancelFunc
 }
 
 type tcpConn struct {
-	c net.Conn
+	addr string // dialed by connLoop
 	// kick (capacity 1) tells the flush loop the buffer is dirty. At most
 	// one kick is pending however many sends encode during a flush — that
 	// is the coalescing. Senders kick only under mu with shutdown checked,
@@ -92,9 +103,10 @@ type tcpConn struct {
 	kick chan struct{}
 
 	mu       sync.Mutex
-	pending  []byte // encoded envelopes awaiting the next frame
-	scratch  []byte // per-message payload scratch for appendEnvelope
-	err      error  // sticky: first encode/flush failure; the conn is dead after
+	c        net.Conn // nil until the dial succeeded
+	pending  []byte   // encoded envelopes awaiting the next frame
+	scratch  []byte   // per-message payload scratch for appendEnvelope
+	err      error    // sticky: first encode/flush failure; the conn is dead after
 	shutdown bool
 }
 
@@ -113,8 +125,11 @@ func (conn *tcpConn) shut() {
 		conn.shutdown = true
 		close(conn.kick)
 	}
+	c := conn.c
 	conn.mu.Unlock()
-	conn.c.Close()
+	if c != nil {
+		c.Close()
+	}
 }
 
 // NewTCP starts a transport for process id: addrs[i-1] is Pi's listen
@@ -132,6 +147,7 @@ func NewTCP(id core.ProcessID, addrs []string) (*TCP, error) {
 	t := &TCP{id: id, addrs: m, ln: ln,
 		conns:   make(map[core.ProcessID]*tcpConn),
 		inbound: make(map[net.Conn]struct{})}
+	t.closing, t.cancel = context.WithCancel(context.Background())
 	t.wg.Add(1)
 	go t.acceptLoop()
 	return t, nil
@@ -159,9 +175,9 @@ func (t *TCP) SetShaper(s LinkShaper) {
 }
 
 // SetRoute adds or replaces the address for peer id, evicting any live
-// connection so the next Send dials afresh. Clients announce themselves to
-// peers this way: a peer only ever has the routes it was booted with plus
-// the ones announced to it.
+// connection so the next Send starts a fresh one. Clients announce
+// themselves to peers this way: a peer only ever has the routes it was
+// booted with plus the ones announced to it.
 func (t *TCP) SetRoute(id core.ProcessID, addr string) {
 	t.mu.Lock()
 	stale := t.conns[id]
@@ -259,9 +275,6 @@ func (t *TCP) readLoop(c net.Conn) {
 					HLC:  now, Arg: int64(e.HLC), // Arg: edge back to the send
 				})
 			}
-			if a := obs.ActiveAuditor(); a != nil {
-				a.ObserveRecv(e.TxID, e.Path, e.HLC, now)
-			}
 			if h != nil {
 				h(e)
 			}
@@ -269,12 +282,12 @@ func (t *TCP) readLoop(c net.Conn) {
 	}
 }
 
-// Send implements Transport: lazy connection with a few retries, then give
-// up silently (an unreachable peer is indistinguishable from a crashed one,
-// and that is exactly what the protocols tolerate). The envelope is encoded
-// into the connection's pending buffer; the flush loop owns the socket
-// writes. A connection with a sticky error is evicted and redialed here, so
-// one broken socket never eats sends forever.
+// Send implements Transport. The envelope is encoded into the destination's
+// pending buffer; its connLoop owns the dial and the socket writes. An
+// unreachable peer is indistinguishable from a crashed one, which is exactly
+// what the protocols tolerate: what was buffered for it is dropped silently. A
+// connection with a sticky error is evicted and replaced here, so one broken
+// socket never eats sends forever.
 func (t *TCP) Send(e Envelope) error {
 	t.mu.Lock()
 	if t.closed {
@@ -304,37 +317,24 @@ func (t *TCP) Send(e Envelope) error {
 	return t.enqueue(e)
 }
 
-// enqueue is Send past the shaper: encode into the connection's pending
-// buffer, dialing (or redialing) as needed.
+// enqueue is Send past the shaper: encode into the destination's pending
+// buffer.
 func (t *TCP) enqueue(e Envelope) error {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return ErrClosed
-	}
-	conn := t.conns[e.To]
-	t.mu.Unlock()
-
-	// At most one eviction + redial per Send: a conn found dead (sticky
-	// encode/flush error, or shut by a concurrent Close of the peer) is
-	// forgotten so this send — not some later one — dials afresh.
+	// At most one eviction per Send: a conn found dead (sticky encode/flush
+	// error, or shut by a concurrent Close of the peer) is forgotten so this
+	// send — not some later one — goes out on a fresh one.
 	for attempt := 0; attempt < 2; attempt++ {
+		conn, err := t.conn(e.To)
 		if conn == nil {
-			c, err := t.dial(e.To)
-			if err != nil {
-				return nil // peer down: silence, not an error
-			}
-			conn = c
+			return err
 		}
 		conn.mu.Lock()
 		if conn.err != nil || conn.shutdown {
 			conn.mu.Unlock()
 			t.forget(e.To, conn)
-			conn = nil
 			continue
 		}
 		before := len(conn.pending)
-		var err error
 		conn.pending, conn.scratch, err = appendEnvelope(conn.pending, &e, conn.scratch)
 		if err != nil {
 			// Not a network failure: the message type cannot go on the
@@ -362,12 +362,71 @@ func (t *TCP) enqueue(e Envelope) error {
 	return nil
 }
 
-// flushLoop drains the connection's pending buffer to the socket as one
-// length-prefixed frame per iteration — one writev per batch of sends —
-// until the connection shuts or a write fails. Two buffers rotate between
-// the senders and the flusher, so encoding never waits on the network.
-func (t *TCP) flushLoop(to core.ProcessID, conn *tcpConn) {
+// conn returns the connection record of peer to, creating it — and the one
+// goroutine that dials and then flushes it — with the first envelope for to.
+// A nil record with a nil error means to has no route: silence, like any
+// unreachable peer.
+func (t *TCP) conn(to core.ProcessID) (*tcpConn, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.closed {
+		return nil, ErrClosed
+	}
+	if conn := t.conns[to]; conn != nil {
+		return conn, nil
+	}
+	addr, ok := t.addrs[to]
+	if !ok {
+		return nil, nil
+	}
+	conn := &tcpConn{addr: addr, kick: make(chan struct{}, 1)}
+	t.conns[to] = conn
+	t.wg.Add(1)
+	go t.connLoop(to, conn)
+	return conn, nil
+}
+
+// dial connects to conn.addr, with a few retries; nil means it could not. It
+// gives up at once when the transport closes, and early on a connection
+// already shut.
+func (t *TCP) dial(conn *tcpConn) net.Conn {
+	d := net.Dialer{Timeout: 500 * time.Millisecond}
+	for attempt := 1; attempt <= 5 && !conn.dead(); attempt++ {
+		if c, err := d.DialContext(t.closing, "tcp", conn.addr); err == nil {
+			mDials.Add(1)
+			return c
+		}
+		select {
+		case <-t.closing.Done():
+			return nil
+		case <-time.After(time.Duration(20*attempt) * time.Millisecond):
+		}
+	}
+	return nil
+}
+
+// connLoop dials, then drains the connection's pending buffer to the socket
+// as one length-prefixed frame per iteration — one writev per batch of sends
+// — until the connection shuts or a write fails. Two buffers rotate between
+// the senders and the flusher, so encoding never waits on the network. What
+// was buffered for a peer that cannot be dialed is dropped with the record.
+func (t *TCP) connLoop(to core.ProcessID, conn *tcpConn) {
 	defer t.wg.Done()
+	c := t.dial(conn)
+	if c != nil {
+		conn.mu.Lock()
+		if conn.shutdown {
+			c.Close()
+			c = nil
+		} else {
+			conn.c = c
+		}
+		conn.mu.Unlock()
+	}
+	if c == nil {
+		t.unmap(to, conn)
+		return
+	}
 	var spare []byte
 	var hdr [1 + binary.MaxVarintLen64]byte
 	hdr[0] = frameVersion
@@ -390,7 +449,7 @@ func (t *TCP) flushLoop(to core.ProcessID, conn *tcpConn) {
 		mFlushBytes.Add(int64(len(frame)))
 		n := 1 + binary.PutUvarint(hdr[1:], uint64(len(frame)))
 		bufs := net.Buffers{hdr[:n], frame}
-		_, err := bufs.WriteTo(conn.c)
+		_, err := bufs.WriteTo(c)
 		spare = frame[:0] // recycle for the next swap
 		if err != nil {
 			conn.mu.Lock()
@@ -411,52 +470,24 @@ func (t *TCP) flushLoop(to core.ProcessID, conn *tcpConn) {
 	flush()
 }
 
-// forget drops a dead connection so the next Send redials.
+// forget drops a dead connection so the next Send starts a fresh one.
 func (t *TCP) forget(to core.ProcessID, conn *tcpConn) {
-	t.mu.Lock()
-	if t.conns[to] == conn {
-		delete(t.conns, to)
+	if t.unmap(to, conn) {
 		mEvictions.Add(1)
+	}
+}
+
+// unmap shuts conn and, if it still is the record of peer to, removes it
+// from the connection map, reporting whether it was.
+func (t *TCP) unmap(to core.ProcessID, conn *tcpConn) bool {
+	t.mu.Lock()
+	mapped := t.conns[to] == conn
+	if mapped {
+		delete(t.conns, to)
 	}
 	t.mu.Unlock()
 	conn.shut()
-}
-
-func (t *TCP) dial(to core.ProcessID) (*tcpConn, error) {
-	t.mu.Lock()
-	addr, ok := t.addrs[to]
-	t.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("live: unknown peer %v", to)
-	}
-	var c net.Conn
-	var err error
-	for attempt := 0; attempt < 5; attempt++ {
-		c, err = net.DialTimeout("tcp", addr, 500*time.Millisecond)
-		if err == nil {
-			break
-		}
-		time.Sleep(time.Duration(20*(attempt+1)) * time.Millisecond)
-	}
-	if err != nil {
-		return nil, err
-	}
-	mDials.Add(1)
-	conn := &tcpConn{c: c, kick: make(chan struct{}, 1)}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		c.Close()
-		return nil, ErrClosed
-	}
-	if existing, ok := t.conns[to]; ok && !existing.dead() {
-		c.Close()
-		return existing, nil
-	}
-	t.conns[to] = conn
-	t.wg.Add(1)
-	go t.flushLoop(to, conn)
-	return conn, nil
+	return mapped
 }
 
 // Close implements Transport.
@@ -475,6 +506,7 @@ func (t *TCP) Close() error {
 	}
 	t.mu.Unlock()
 
+	t.cancel()
 	t.ln.Close()
 	for _, c := range conns {
 		c.shut()

@@ -15,8 +15,8 @@ import (
 // The live NBAC auditor. It ingests per-process audit records — votes,
 // decisions, decide-path annotations, failure suspicions — emitted by
 // the live runtime (live.Instance) and the commit layer (Cluster, Peer,
-// Client), plus per-envelope delay observations from the transports,
-// and continuously evaluates the same property predicates the simulator
+// Client), plus live.Instance's timing observations (every protocol
+// envelope sent and handled, every timer handler's lag), and continuously evaluates the same property predicates the simulator
 // checks (internal/nbac: one shared implementation) against every
 // observed transaction. A violated property fires ReportAnomaly, so it
 // arrives with the causally ordered flight-recorder dump.
@@ -33,13 +33,20 @@ import (
 // Execution-class honesty: the paper's validity property only forbids
 // an all-yes abort in failure-free executions, and a live run cannot
 // prove a negative — so a transaction is classified failure-free only
-// when no suspicion was recorded, every observed one-way delay was
-// within its bound U, and the votes themselves landed within U of each
-// other (the paper's model starts all processes together). Anything
-// else is audited under the network-failure column of the protocol's
-// contract, which keeps the auditor free of false positives while the
-// class-independent checks (agreement, stability, commit-despite-a-no)
-// stay fully armed.
+// when no suspicion was recorded, every protocol envelope sent was
+// handled by the time the last process decided, and the timing slack,
+// taken together, stayed under the bound U: the largest delay from a
+// send to the receiver's handler, plus the spread of the votes (the
+// paper's model starts all processes together), plus the longest a
+// timer handler finished behind its deadline or a start handler took
+// (nor are its processes ever slow). A message handled after a deadline armed in multiples of U
+// means those three add up to U at least: the receiver's timer is U
+// past a start at most one spread before the sender's, and the sender
+// sent at most one lag late. Anything else is audited under the
+// network-failure column of the protocol's contract, which keeps the
+// auditor free of false positives — on a saturated host too, where a
+// delivery can wait its turn longer than U — while the class-independent
+// checks (agreement, stability, commit-despite-a-no) stay fully armed.
 
 // AuditKind tags one audit record.
 type AuditKind uint8
@@ -86,7 +93,9 @@ type auditTxn struct {
 	firstVote  HLC // earliest vote stamp (span + vote-spread measurement)
 	lastVote   HLC
 	lastDec    HLC
-	maxDelay   time.Duration // largest observed one-way envelope delay
+	maxDelay   time.Duration // largest delay from an envelope's send to its handler
+	maxLag     time.Duration // longest a timer handler ran behind its deadline
+	inflight   int           // protocol envelopes sent and not handled yet
 	suspected  bool          // some process was suspected (crash class)
 	suspectWhy string        // first suspicion's reason, for detail strings
 
@@ -298,16 +307,26 @@ func (a *Auditor) Suspect(txID string, proc core.ProcessID, reason string) {
 	a.mu.Unlock()
 }
 
-// ObserveRecv records one envelope's observed one-way delay: the
-// receiver's merged clock minus the sender's stamp. Called by the
-// transports on every delivery while an auditor is installed.
-func (a *Auditor) ObserveRecv(txID, path string, sent, now HLC) {
-	if sent == 0 {
-		return
+// ObserveSend records that a protocol envelope of txID left a process.
+// Called by live.Instance, like the other two observations, while an
+// auditor is installed.
+func (a *Auditor) ObserveSend(txID string) {
+	a.mu.Lock()
+	if tx, ok := a.txns[txID]; ok && !tx.done {
+		tx.inflight++
 	}
-	d := now.Sub(sent)
-	if d < 0 {
-		d = 0 // cross-machine clock skew; don't let it poison maxima
+	a.mu.Unlock()
+}
+
+// ObserveRecv records that the handler of a protocol envelope of txID is
+// about to run, and the delay since its send: now, the receiver's merged clock, minus
+// the sender's stamp (0: the transport stamps none).
+func (a *Auditor) ObserveRecv(txID string, sent, now HLC) {
+	var d time.Duration
+	if sent != 0 {
+		// Cross-machine clock skew can make it negative; don't let that
+		// poison the maxima.
+		d = max(now.Sub(sent), 0)
 	}
 	for {
 		cur := a.maxDelay.Load()
@@ -317,9 +336,19 @@ func (a *Auditor) ObserveRecv(txID, path string, sent, now HLC) {
 	}
 	a.mu.Lock()
 	if tx, ok := a.txns[txID]; ok && !tx.done {
-		if d > tx.maxDelay {
-			tx.maxDelay = d
-		}
+		tx.inflight--
+		tx.maxDelay = max(tx.maxDelay, d)
+	}
+	a.mu.Unlock()
+}
+
+// ObserveLag records that a timer handler of txID finished lag after its
+// deadline, or its start handler lag after reading the clock: a slow
+// process, which the synchronous model rules out as much as a slow message.
+func (a *Auditor) ObserveLag(txID string, lag time.Duration) {
+	a.mu.Lock()
+	if tx, ok := a.txns[txID]; ok && !tx.done {
+		tx.maxLag = max(tx.maxLag, lag)
 	}
 	a.mu.Unlock()
 }
@@ -353,8 +382,8 @@ func (a *Auditor) maybeFinalizeLocked(txID string, tx *auditTxn) []pendingViolat
 	// assumptions were broken.
 	voteSpread := tx.lastVote.Sub(tx.firstVote)
 	tx.exec.AnyCrash = tx.suspected || len(tx.exec.Crashed) > 0
-	tx.exec.NetworkFailure = votesMissing ||
-		(tx.u > 0 && (tx.maxDelay > tx.u || voteSpread > tx.u))
+	tx.exec.NetworkFailure = votesMissing || tx.inflight != 0 ||
+		(tx.u > 0 && tx.maxDelay+voteSpread+tx.maxLag >= tx.u)
 
 	contract, ok := a.contracts[tx.label]
 	if !ok {
@@ -425,8 +454,8 @@ type AuditSummary struct {
 	Violations    map[string]int64    `json:"violations,omitempty"`
 	ViolationTxns map[string][]string `json:"violationTxns,omitempty"`
 
-	// MaxOneWayDelayNs is the largest observed envelope delay (receive
-	// HLC minus send stamp) across the run; MaxUNs the largest
+	// MaxOneWayDelayNs is the largest observed envelope delay (the
+	// handler's HLC minus the send stamp) across the run; MaxUNs the largest
 	// configured bound U seen — their ratio says how much headroom the
 	// deployment's timeout really had.
 	MaxOneWayDelayNs int64 `json:"maxOneWayDelayNs"`

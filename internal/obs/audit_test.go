@@ -24,7 +24,8 @@ func replay(t *testing.T, contract nbac.Contract, exec *nbac.Execution, u, delay
 	if delay > 0 {
 		sent := ProcessClock.Tick()
 		now := HLC(uint64(sent) + uint64(delay)&^hlcLogicalMask)
-		aud.ObserveRecv(txID, "", sent, now)
+		aud.ObserveSend(txID)
+		aud.ObserveRecv(txID, sent, now)
 	}
 	for p := range exec.Crashed {
 		aud.Suspect(txID, p, "replayed crash")
@@ -116,6 +117,50 @@ func TestAuditorMatchesSimChecker(t *testing.T) {
 	}
 }
 
+// TestAuditorExecutionClass: an all-yes abort is a validity violation only in
+// an execution the auditor can vouch for as failure-free. An envelope still
+// unhandled at the last decision, or delay, vote spread and timer lag adding
+// up to U, is a timing failure the protocol may answer with abort — the
+// timing aborts of a saturated host — even where each stays under U.
+func TestAuditorExecutionClass(t *testing.T) {
+	const u = 5 * time.Millisecond
+	ms := time.Millisecond
+	cases := []struct {
+		name            string
+		sent, handled   int
+		delay, lag      time.Duration
+		wantFailureFree bool
+	}{
+		{name: "all handled, slack under U", sent: 2, handled: 2, delay: 2 * ms, lag: 2 * ms, wantFailureFree: true},
+		{name: "an envelope still in flight", sent: 2, handled: 1, delay: ms},
+		{name: "delay and lag add up to U", sent: 2, handled: 2, delay: 4 * ms, lag: 2 * ms},
+		{name: "lag alone reaches U", sent: 0, handled: 0, lag: 5 * ms},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			aud := NewAuditor(AuditorConfig{})
+			const txID = "tx-class"
+			for p := core.ProcessID(1); p <= 2; p++ {
+				aud.Vote(txID, p, 2, "inbac", core.Commit, u)
+			}
+			for i := 0; i < tc.sent; i++ {
+				aud.ObserveSend(txID)
+			}
+			for i := 0; i < tc.handled; i++ {
+				sent := ProcessClock.Tick()
+				aud.ObserveRecv(txID, sent, HLC(uint64(sent)+uint64(tc.delay)&^hlcLogicalMask))
+			}
+			aud.ObserveLag(txID, tc.lag)
+			for p := core.ProcessID(1); p <= 2; p++ {
+				aud.Decide(txID, p, core.Abort, "")
+			}
+			if got := aud.Violations()["audit-validity"] == 1; got != tc.wantFailureFree {
+				t.Fatalf("all-yes abort flagged as a validity violation: %v, want %v", got, tc.wantFailureFree)
+			}
+		})
+	}
+}
+
 // TestAuditorDecisionStability: one process deciding twice, differently,
 // is flagged immediately even though agreement across processes holds.
 func TestAuditorDecisionStability(t *testing.T) {
@@ -178,7 +223,7 @@ func TestAuditorSummaryAndEviction(t *testing.T) {
 	}
 	sent := ProcessClock.Tick()
 	now := HLC(uint64(sent) + uint64(2*time.Millisecond)&^hlcLogicalMask)
-	aud.ObserveRecv("tx-2", "", sent, now)
+	aud.ObserveRecv("tx-2", sent, now)
 
 	s := aud.Summary()
 	if s.TxnsObserved != 3 || s.TxnsChecked != 2 {

@@ -29,6 +29,8 @@
 package inbac
 
 import (
+	"math/bits"
+
 	"atomiccommit/internal/consensus"
 	"atomiccommit/internal/core"
 	"atomiccommit/internal/wire"
@@ -241,13 +243,95 @@ type INBAC struct {
 	decided  bool
 	wait     bool
 
-	collection0    map[core.ProcessID]core.Value                    // votes backed up here (phase 0), later the aggregate
-	collection1    map[core.ProcessID]map[core.ProcessID]core.Value // [C] acknowledgements by sender
-	collectionHelp map[core.ProcessID]core.Value                    // union of [HELPED] collections
-	cnt            int                                              // number of [C] messages received
-	cntHelp        int                                              // number of [HELPED] messages received
+	collection0    voteSet   // votes backed up here (phase 0), later the aggregate
+	collection1    []voteSet // [C] acknowledgements; index j-1 holds those of Pj, j in 1..f+1
+	collectionHelp voteSet   // union of [HELPED] collections
+	union          voteSet   // unionC's result
+	cnt            int       // number of [C] messages received
+	cntHelp        int       // number of [HELPED] messages received
 
 	pendingHelp []core.ProcessID
+}
+
+// voteSet is a set of (process, vote) pairs with at most one vote per
+// process: bit p-1 of has says Pp's vote is in the set, the same bit of yes
+// that it is 1. One word each while n <= 64; Init sizes them, no operation
+// allocates.
+type voteSet struct{ has, yes []uint64 }
+
+func (s voteSet) put(p core.ProcessID, v core.Value) {
+	w, bit := int(p-1)/64, uint64(1)<<(uint(p-1)%64)
+	s.has[w] |= bit
+	if v == core.Commit {
+		s.yes[w] |= bit
+	} else {
+		s.yes[w] &^= bit
+	}
+}
+
+// putPairs adds a received collection, ignoring processes outside 1..n.
+func (s voteSet) putPairs(pairs []VotePair, n int) {
+	for _, pr := range pairs {
+		if pr.P >= 1 && int(pr.P) <= n {
+			s.put(pr.P, pr.V)
+		}
+	}
+}
+
+// merge adds every pair of o, o's vote winning where both have one.
+func (s voteSet) merge(o voteSet) {
+	for w := range s.has {
+		s.has[w] |= o.has[w]
+		s.yes[w] = s.yes[w]&^o.has[w] | o.yes[w]
+	}
+}
+
+func (s voteSet) reset() {
+	clear(s.has)
+	clear(s.yes)
+}
+
+// and is the AND of the votes in the set.
+func (s voteSet) and() core.Value {
+	for w := range s.has {
+		if s.yes[w] != s.has[w] {
+			return core.Abort
+		}
+	}
+	return core.Commit
+}
+
+// holds reports whether the set has a vote for each of P1..Pk.
+func (s voteSet) holds(k int) bool {
+	for w := range s.has {
+		want := ^uint64(0)
+		if k < 64 {
+			want = 1<<uint(k) - 1
+		}
+		if s.has[w]&want != want {
+			return false
+		}
+		if k -= 64; k <= 0 {
+			break
+		}
+	}
+	return true
+}
+
+// pairs lists the set in process order, the wire form of a collection.
+func (s voteSet) pairs() []VotePair {
+	count := 0
+	for _, h := range s.has {
+		count += bits.OnesCount64(h)
+	}
+	out := make([]VotePair, 0, count)
+	for w, h := range s.has {
+		for ; h != 0; h &= h - 1 {
+			b := bits.TrailingZeros64(h)
+			out = append(out, VotePair{P: core.ProcessID(w*64 + b + 1), V: core.Value(s.yes[w] >> uint(b) & 1)})
+		}
+	}
+	return out
 }
 
 // New returns an INBAC factory.
@@ -258,9 +342,19 @@ func New(opts Options) func(core.ProcessID) core.Module {
 // Init implements core.Module.
 func (p *INBAC) Init(env core.Env) {
 	p.env = env
-	p.collection0 = make(map[core.ProcessID]core.Value)
-	p.collection1 = make(map[core.ProcessID]map[core.ProcessID]core.Value)
-	p.collectionHelp = make(map[core.ProcessID]core.Value)
+	// One backing array for every set of the instance.
+	words := (env.N() + 63) / 64
+	backing := make([]uint64, 2*words*(env.F()+4))
+	set := func() voteSet {
+		s := voteSet{has: backing[:words:words], yes: backing[words : 2*words : 2*words]}
+		backing = backing[2*words:]
+		return s
+	}
+	p.collection0, p.collectionHelp, p.union = set(), set(), set()
+	p.collection1 = make([]voteSet, env.F()+1)
+	for j := range p.collection1 {
+		p.collection1[j] = set()
+	}
 	if p.opts.Consensus != nil {
 		p.uc = p.opts.Consensus()
 	} else {
@@ -304,27 +398,21 @@ func (p *INBAC) Propose(v core.Value) {
 func (p *INBAC) Deliver(from core.ProcessID, m core.Message) {
 	switch msg := m.(type) {
 	case MsgV:
-		if p.phase == 0 {
-			p.collection0[from] = msg.V
+		if p.phase == 0 && from >= 1 && int(from) <= p.n() {
+			p.collection0.put(from, msg.V)
 		}
 	case MsgC:
-		c, ok := p.collection1[from]
-		if !ok {
-			c = make(map[core.ProcessID]core.Value)
-			p.collection1[from] = c
+		if from < 1 || int(from) > len(p.collection1) {
+			return // only P1..Pf+1 acknowledge
 		}
-		for _, pr := range msg.Pairs {
-			c[pr.P] = pr.V
-		}
+		p.collection1[from-1].putPairs(msg.Pairs, p.n())
 		p.cnt++
 		p.checkWait()
 	case MsgHelp:
 		p.pendingHelp = append(p.pendingHelp, from)
 		p.flushHelp()
 	case MsgHelped:
-		for _, pr := range msg.Pairs {
-			p.collectionHelp[pr.P] = pr.V
-		}
+		p.collectionHelp.putPairs(msg.Pairs, p.n())
 		p.cntHelp++
 		p.checkWait()
 	case MsgA:
@@ -340,19 +428,9 @@ func (p *INBAC) flushHelp() {
 		return
 	}
 	for _, q := range p.pendingHelp {
-		p.env.Send(q, MsgHelped{Pairs: p.pairs(p.collection0)})
+		p.env.Send(q, MsgHelped{Pairs: p.collection0.pairs()})
 	}
 	p.pendingHelp = nil
-}
-
-func (p *INBAC) pairs(m map[core.ProcessID]core.Value) []VotePair {
-	out := make([]VotePair, 0, len(m))
-	for i := 1; i <= p.n(); i++ {
-		if v, ok := m[core.ProcessID(i)]; ok {
-			out = append(out, VotePair{P: core.ProcessID(i), V: v})
-		}
-	}
-	return out
 }
 
 // Timeout implements core.Module. The annotations name which handler a
@@ -393,48 +471,36 @@ func (p *INBAC) sendAcks() {
 	}
 	if p.opts.UnbundledAcks {
 		for _, d := range dests {
-			for _, pr := range p.pairs(p.collection0) {
+			for _, pr := range p.collection0.pairs() {
 				p.env.Send(d, MsgC{Pairs: []VotePair{pr}})
 			}
 		}
 		return
 	}
-	bundle := MsgC{Pairs: p.pairs(p.collection0)}
+	bundle := MsgC{Pairs: p.collection0.pairs()}
 	for _, d := range dests {
 		p.env.Send(d, bundle)
 	}
 }
 
-// unionC is the union of every acknowledged collection received so far.
-func (p *INBAC) unionC() map[core.ProcessID]core.Value {
-	u := make(map[core.ProcessID]core.Value)
-	for _, c := range p.collection1 {
-		for q, v := range c {
-			u[q] = v
-		}
+// unionC is the union of every acknowledged collection received so far. The
+// result is valid until the next call.
+func (p *INBAC) unionC() voteSet {
+	p.union.reset()
+	for j := range p.collection1 {
+		p.union.merge(p.collection1[j])
 	}
-	return u
+	return p.union
 }
 
-func (p *INBAC) andOf(m map[core.ProcessID]core.Value) core.Value {
-	v := core.Commit
-	for _, x := range m {
-		v = v.And(x)
-	}
-	return v
-}
-
-// complete reports whether m contains a vote for every process.
-func (p *INBAC) complete(m map[core.ProcessID]core.Value) bool {
-	return len(m) == p.n()
-}
+// complete reports whether s contains a vote for every process.
+func (p *INBAC) complete(s voteSet) bool { return s.holds(p.n()) }
 
 // fullAcksHigh is the decision test for P in {Pf+1..Pn}: a correct
 // acknowledgement from all f backups, each containing all n votes.
 func (p *INBAC) fullAcksHigh() bool {
-	for j := 1; j <= p.f(); j++ {
-		c, ok := p.collection1[core.ProcessID(j)]
-		if !ok || !p.complete(c) {
+	for j := 0; j < p.f(); j++ {
+		if !p.complete(p.collection1[j]) {
 			return false
 		}
 	}
@@ -444,19 +510,7 @@ func (p *INBAC) fullAcksHigh() bool {
 // fullAcksLow is the decision test for P in {P1..Pf}: acknowledgements from
 // P1..Pf (all n votes each) and from Pf+1 (the votes of P1..Pf).
 func (p *INBAC) fullAcksLow() bool {
-	if !p.fullAcksHigh() {
-		return false
-	}
-	c, ok := p.collection1[core.ProcessID(p.f()+1)]
-	if !ok {
-		return false
-	}
-	for q := 1; q <= p.f(); q++ {
-		if _, has := c[core.ProcessID(q)]; !has {
-			return false
-		}
-	}
-	return true
+	return p.fullAcksHigh() && p.collection1[p.f()].holds(p.f())
 }
 
 // decideTimeoutHigh is the time-2U handler for P in {Pf+1..Pn}: the state
@@ -465,16 +519,14 @@ func (p *INBAC) decideTimeoutHigh() {
 	p.phase = 2
 	// Fold everything known into the aggregate this process would hand to
 	// others when helping.
-	for q, v := range p.unionC() {
-		p.collection0[q] = v
-	}
-	p.collection0[p.env.ID()] = p.val
+	p.collection0.merge(p.unionC())
+	p.collection0.put(p.env.ID(), p.val)
 	p.flushHelp()
 
 	switch {
 	case p.fullAcksHigh():
 		p.hook(BranchFastDecide)
-		p.decide(p.andOf(p.unionC()))
+		p.decide(p.unionC().and())
 	case p.cnt >= 1:
 		p.proposeFrom(p.unionC())
 	default:
@@ -506,8 +558,7 @@ func (p *INBAC) hook(b Branch) {
 func (p *INBAC) decideTimeoutLow() {
 	if p.fullAcksLow() {
 		p.hook(BranchFastDecide)
-		u := p.unionC()
-		p.decide(p.andOf(u))
+		p.decide(p.unionC().and())
 		return
 	}
 	p.proposeFrom(p.unionC())
@@ -516,11 +567,11 @@ func (p *INBAC) decideTimeoutLow() {
 // proposeFrom cons-proposes the AND of all n votes when the collection is
 // complete and 0 otherwise (the paper: missing votes mean a failure, so it
 // is safe to propose abort).
-func (p *INBAC) proposeFrom(u map[core.ProcessID]core.Value) {
+func (p *INBAC) proposeFrom(u voteSet) {
 	p.proposed = true
 	if p.complete(u) {
 		p.hook(BranchConsAND)
-		p.uc.Propose(p.andOf(u))
+		p.uc.Propose(u.and())
 	} else {
 		p.hook(BranchConsZero)
 		p.uc.Propose(core.Abort)
@@ -540,14 +591,14 @@ func (p *INBAC) checkWait() {
 	switch {
 	case p.fullAcksHigh():
 		p.hook(BranchHelpFast)
-		p.decide(p.andOf(p.unionC()))
+		p.decide(p.unionC().and())
 	case p.cnt >= 1:
 		p.proposeFrom(p.unionC())
 	default:
 		p.proposed = true
 		if p.complete(p.collectionHelp) {
 			p.hook(BranchHelpConsAND)
-			p.uc.Propose(p.andOf(p.collectionHelp))
+			p.uc.Propose(p.collectionHelp.and())
 		} else {
 			p.hook(BranchHelpConsZero)
 			p.uc.Propose(core.Abort)
