@@ -10,34 +10,22 @@
 //	commitbench -extra crossover
 //	commitbench -sweep               # Table 5 message counts across (n, f)
 //
-// Throughput mode drives the live runtime's commit pipeline instead of the
-// simulator: txn/s and latency percentiles per protocol and in-flight
-// depth, against a serial Commit baseline (depth 1):
+// Live mode (-throughput) drives the live runtime instead of the simulator:
+// every (protocol, depth) cell boots a fresh fleet and runs -txns
+// transactions through it, -depths at a time, reporting committed and
+// decided txn/s, p50/p99 and the aborts split into vote, timing and infra.
+// -runtime picks the fleet (see bench.Config): mesh, tcp, or kv, where
+// -kv-thetas adds one cell per skew; -geo shapes the links. Its purpose is
+// to run any registered protocol under load with the checkers on; for
+// performance numbers see benchmark/README.md.
 //
-//	commitbench -throughput
-//	commitbench -throughput -txns 512 -depths 1,16,64,256 -protocols inbac,2pc,paxoscommit
+//	commitbench -throughput -runtime tcp -n 4 -f 1 -txns 512 -depths 1,16,64 -protocols inbac,2pc,paxoscommit
+//	commitbench -throughput -runtime kv -n 4 -f 1 -depths 8 -geo us-eu-ap -kv-thetas 0.7 -kv-keys 256
 //
-// -runtime selects the transport under test (mesh, or tcp for one peer
-// process per participant over loopback sockets); -json additionally writes
-// the machine-readable snapshot diffed by cmd/benchdiff:
-//
-//	commitbench -throughput -runtime tcp -json BENCH_throughput_tcp.json
-//
-// KV mode drives the sharded transactional key-value store (package kv):
-// txn/s, latency percentiles, and — the numbers no preset-vote benchmark
-// can produce — the abort rate each protocol induces under real key
-// conflicts, swept across Zipf contention levels:
-//
-//	commitbench -kv
-//	commitbench -kv -kv-thetas 0,0.9,0.99 -kv-keys 64 -kv-protocols inbac,2pc,paxoscommit,3pc
-//
-// -trace arms the flight recorder for any mode: if a run trips an anomaly
-// (a cross-member agreement violation, a peer decision mismatch), the merged
-// per-member timeline of the offending transaction is printed to stderr and
-// dumped as anomaly-<tx>-<kind>.json/.txt. The load under which INBAC used
-// to violate agreement (until PR 14; DESIGN.md "How a handler runs"):
-//
-//	commitbench -throughput -runtime mesh -txns 512 -timeout 5ms -protocols inbac -trace
+// -audit attaches the live NBAC auditor and exits 3 on a property violation.
+// -trace arms the flight recorder: an anomaly (an audit violation, a
+// cross-member disagreement) prints the merged per-member timeline of the
+// offending transaction to stderr and dumps it as anomaly-<tx>-<kind>.json.
 package main
 
 import (
@@ -50,7 +38,9 @@ import (
 	"time"
 
 	"atomiccommit/internal/bench"
+	"atomiccommit/internal/nbac"
 	"atomiccommit/internal/obs"
+	"atomiccommit/internal/protocols"
 )
 
 func main() {
@@ -63,31 +53,21 @@ func main() {
 		sweep  = flag.Bool("sweep", false, "Table 5 message sweep across (n, f)")
 		all    = flag.Bool("all", false, "regenerate everything")
 
-		throughput = flag.Bool("throughput", false, "live pipeline throughput: txn/s and latency percentiles vs in-flight depth")
-		txns       = flag.Int("txns", 256, "throughput mode: transactions per data point")
-		depths     = flag.String("depths", "1,4,16,64", "throughput mode: comma-separated in-flight depths (1 = serial baseline)")
-		protoList  = flag.String("protocols", "inbac,2pc", "throughput mode: comma-separated protocol names")
-		runtimeSel = flag.String("runtime", "mesh", "throughput mode: transport under test (mesh | tcp)")
-		jsonOut    = flag.String("json", "", "throughput mode: also write the machine-readable snapshot (BENCH_*.json) to this path")
-		timeout    = flag.Duration("timeout", 5*time.Millisecond, "throughput/kv mode: protocol timeout unit U")
-		trace      = flag.Bool("trace", false, "enable the flight recorder; on an anomaly (e.g. an agreement violation) print the merged per-member timeline to stderr and write dump files")
-		traceDir   = flag.String("trace-dir", ".", "directory for anomaly dump files (anomaly-<tx>-<kind>.json/.txt); requires -trace")
-		audit      = flag.Bool("audit", false, "attach the live NBAC property auditor to the run: every transaction is checked against its protocol's contract, violations fire anomalies, and the run exits 3 on any non-allowlisted violation")
-		auditAllow = flag.String("audit-allow", "", "audit mode: comma-separated anomaly kinds that do not fail the run (e.g. audit-agreement for a known open protocol bug)")
+		throughput = flag.Bool("throughput", false, "live mode: committed/decided txn/s, latency percentiles and the abort split per protocol and in-flight depth")
+		txns       = flag.Int("txns", 256, "live mode: measured transactions per cell")
+		depths     = flag.String("depths", "1,4,16,64", "live mode: comma-separated in-flight depths")
+		protoList  = flag.String("protocols", "inbac,2pc", "live mode: comma-separated protocol names")
+		runtimeSel = flag.String("runtime", "mesh", "live mode: the fleet under load (mesh | tcp | kv)")
+		timeout    = flag.Duration("timeout", 0, "live mode: protocol timeout unit U (default 5ms, or what the -geo profile suggests)")
+		trace      = flag.Bool("trace", false, "enable the flight recorder; on an anomaly (e.g. an agreement violation) print the merged per-member timeline to stderr and write a dump file")
+		traceDir   = flag.String("trace-dir", ".", "directory for anomaly dump files (anomaly-<tx>-<kind>.json); requires -trace")
+		audit      = flag.Bool("audit", false, "attach the live NBAC property auditor to the run: every transaction is checked against its protocol's contract, violations fire anomalies, and the run exits 3 on any violation")
 		auditJSON  = flag.String("audit-json", "", "audit mode: also write the audit summary as JSON to this path")
 
-		kvMode     = flag.Bool("kv", false, "kv mode: sharded transactional store — txn/s and induced abort rate vs Zipf contention per protocol")
-		kvF        = flag.Int("kv-f", 1, "kv mode: resilience parameter (1 <= f <= shards-1)")
-		kvProtos   = flag.String("kv-protocols", "inbac,2pc,paxoscommit", "kv mode: comma-separated protocol names")
-		kvThetas   = flag.String("kv-thetas", "0,0.7,0.99", "kv mode: comma-separated Zipf skew levels in [0,1)")
-		kvShards   = flag.Int("kv-shards", 4, "kv mode: shard (= participant) count")
-		kvTxns     = flag.Int("kv-txns", 400, "kv mode: transactions per data point")
-		kvWorkers  = flag.Int("kv-workers", 24, "kv mode: concurrent committers (= in-flight window)")
-		kvKeys     = flag.Int("kv-keys", 1024, "kv mode: keyspace size (smaller = more contention)")
-		kvOps      = flag.Int("kv-ops", 4, "kv mode: operations per transaction")
-		kvReads    = flag.Float64("kv-readfrac", 0.5, "kv mode: fraction of operations that are reads")
-		kvReadsGeo = flag.String("kv-readfracs", "", "kv geo mode: comma-separated read fractions to sweep (one row set per fraction); empty = just -kv-readfrac")
-		geo        = flag.String("geo", "", "kv mode with -runtime tcp: geo latency profile (local | us-eu | us-eu-ap); one shard per peer process over shaped sockets, one client per region")
+		kvThetas = flag.String("kv-thetas", "0,0.7,0.99", "-runtime kv: comma-separated Zipf skew levels in [0,1), one cell each")
+		kvKeys   = flag.Int("kv-keys", 1024, "-runtime kv: keyspace size (smaller = more contention)")
+		kvReads  = flag.Float64("kv-readfrac", 0.5, "-runtime kv: fraction of operations that are reads")
+		geo      = flag.String("geo", "", "live mode: geo latency profile (local | us-eu | us-eu-ap) shaping the links; the client sits in the profile's first region")
 	)
 	flag.Parse()
 
@@ -101,7 +81,13 @@ func main() {
 	}
 	var aud *obs.Auditor
 	if *audit {
-		aud = obs.NewAuditor(obs.AuditorConfig{Contracts: bench.AuditContracts()})
+		// Each protocol against the Table 1 property cell the simulator
+		// checks it against (sim.Contract is an alias of nbac.Contract).
+		contracts := make(map[string]nbac.Contract)
+		for _, info := range protocols.All() {
+			contracts[info.Name] = info.Contract
+		}
+		aud = obs.NewAuditor(obs.AuditorConfig{Contracts: contracts})
 		obs.SetAuditor(aud)
 	}
 
@@ -154,185 +140,67 @@ func main() {
 	if *all || *extra == "blocking" {
 		show(bench.BlockingDemo(*n, *f))
 	}
+	var liveErr error
 	if *throughput {
-		var ds []int
-		for _, s := range strings.Split(*depths, ",") {
-			d, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || d < 1 {
-				fmt.Fprintf(os.Stderr, "commitbench: bad depth %q\n", s)
-				os.Exit(2)
-			}
-			ds = append(ds, d)
-		}
-		var ps []string
-		for _, p := range strings.Split(*protoList, ",") {
-			ps = append(ps, strings.TrimSpace(p))
-		}
-		rows, s, err := bench.Throughput(bench.ThroughputConfig{
-			Protocols: ps, Runtime: *runtimeSel,
-			Depths: ds, Txns: *txns, N: *n, F: *f, Timeout: *timeout,
-			KeepGoing: *audit,
+		ds := list(*depths, "depth", strconv.Atoi)
+		thetas := list(*kvThetas, "theta", func(s string) (float64, error) { return strconv.ParseFloat(s, 64) })
+		ps := list(*protoList, "protocol", func(s string) (string, error) { return s, nil })
+		rows, s, err := bench.Run(bench.Config{
+			Runtime: *runtimeSel, Protocols: ps, Depths: ds, Txns: *txns, N: *n, F: *f, Timeout: *timeout,
+			Geo: *geo, Thetas: thetas, Keys: *kvKeys, ReadFrac: *kvReads,
 		})
-		if err != nil {
+		if rows == nil {
 			fmt.Fprintf(os.Stderr, "commitbench: %v\n", err)
 			os.Exit(1)
 		}
 		show(s)
-		if *jsonOut != "" {
-			var send *bench.SendStats
-			if *runtimeSel == "tcp" {
-				st, err := bench.MeasureSend()
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "commitbench: send measurement: %v\n", err)
-					os.Exit(1)
-				}
-				send = &st
-			}
-			snap := bench.NewSnapshot(*runtimeSel, rows, send)
-			snap.Metrics = obs.M.Counters("")
-			if aud != nil {
-				s := aud.Summary()
-				snap.Audit = &s
-			}
-			if err := bench.WriteSnapshot(*jsonOut, snap); err != nil {
-				fmt.Fprintf(os.Stderr, "commitbench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s (%d rows)\n", *jsonOut, len(rows))
-		}
-	}
-	if *kvMode {
-		var thetas []float64
-		for _, s := range strings.Split(*kvThetas, ",") {
-			th, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-			if err != nil || th < 0 || th >= 1 {
-				fmt.Fprintf(os.Stderr, "commitbench: bad theta %q (need [0,1))\n", s)
-				os.Exit(2)
-			}
-			thetas = append(thetas, th)
-		}
-		var ps []string
-		for _, p := range strings.Split(*kvProtos, ",") {
-			ps = append(ps, strings.TrimSpace(p))
-		}
-		readFrac := *kvReads
-		if readFrac == 0 {
-			readFrac = -1 // KVConfig uses 0 as "default"; negative means write-only
-		}
-		if *kvF < 1 || *kvF > *kvShards-1 {
-			fmt.Fprintf(os.Stderr, "commitbench: need 1 <= kv-f <= kv-shards-1 (got shards=%d f=%d)\n", *kvShards, *kvF)
-			os.Exit(2)
-		}
-		if *geo != "" || *runtimeSel == "tcp" {
-			// Distributed kv: one shard per commit.Peer over TCP, one
-			// client per region of the geo profile. The timeout unit must
-			// cover the profile's worst one-way delay, so the profile's
-			// suggestion applies unless -timeout was given explicitly.
-			geoName := *geo
-			if geoName == "" {
-				geoName = "local"
-			}
-			geoTimeout := time.Duration(0)
-			flag.Visit(func(fl *flag.Flag) {
-				if fl.Name == "timeout" {
-					geoTimeout = *timeout
-				}
-			})
-			readFracs := []float64{readFrac}
-			if *kvReadsGeo != "" {
-				readFracs = readFracs[:0]
-				for _, s := range strings.Split(*kvReadsGeo, ",") {
-					rf, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-					if err != nil || rf < 0 || rf > 1 {
-						fmt.Fprintf(os.Stderr, "commitbench: bad read fraction %q (need [0,1])\n", s)
-						os.Exit(2)
-					}
-					if rf == 0 {
-						rf = -1 // KVGeoConfig uses 0 as "default"
-					}
-					readFracs = append(readFracs, rf)
-				}
-			}
-			var rows []bench.KVGeoRow
-			for _, rf := range readFracs {
-				prows, s, err := bench.KVGeo(bench.KVGeoConfig{
-					Protocol: ps[0], Geo: geoName,
-					Shards: *kvShards, F: *kvF, Txns: *kvTxns, Workers: *kvWorkers,
-					Keys: *kvKeys, OpsPerTxn: *kvOps, Theta: thetas[0], ReadFrac: rf,
-					Timeout: geoTimeout,
-				})
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "commitbench: %v\n", err)
-					os.Exit(1)
-				}
-				show(s)
-				rows = append(rows, prows...)
-			}
-			if *jsonOut != "" {
-				snap := bench.NewKVGeoSnapshot(rows)
-				snap.Metrics = obs.M.Counters("")
-				if aud != nil {
-					s := aud.Summary()
-					snap.Audit = &s
-				}
-				if err := bench.WriteSnapshot(*jsonOut, snap); err != nil {
-					fmt.Fprintf(os.Stderr, "commitbench: %v\n", err)
-					os.Exit(1)
-				}
-				fmt.Printf("wrote %s (%d rows)\n", *jsonOut, len(rows))
-			}
-		} else {
-			_, s, err := bench.KV(bench.KVConfig{
-				Protocols: ps, Thetas: thetas,
-				Shards: *kvShards, F: *kvF, Txns: *kvTxns, Workers: *kvWorkers,
-				Keys: *kvKeys, OpsPerTxn: *kvOps, ReadFrac: readFrac,
-				Timeout: *timeout,
-			})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "commitbench: %v\n", err)
-				os.Exit(1)
-			}
-			show(s)
-		}
+		liveErr = err
 	}
 	if !ran {
 		flag.Usage()
 		os.Exit(2)
 	}
 	if aud != nil {
-		if code := auditFinish(aud, *auditAllow, *auditJSON); code != 0 {
+		if code := auditFinish(aud, *auditJSON); code != 0 {
 			os.Exit(code)
 		}
 	}
+	if liveErr != nil {
+		// The table above counts these under infra; a run with any is not a
+		// clean run.
+		fmt.Fprintf(os.Stderr, "commitbench: %v\n", liveErr)
+		os.Exit(1)
+	}
+}
+
+// list parses a comma-separated flag value, exiting 2 on a bad element.
+func list[T any](value, what string, parse func(string) (T, error)) []T {
+	var out []T
+	for _, s := range strings.Split(value, ",") {
+		v, err := parse(strings.TrimSpace(s))
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "commitbench: bad %s %q\n", what, s)
+			os.Exit(2)
+		}
+		out = append(out, v)
+	}
+	return out
 }
 
 // auditFinish prints the auditor's verdict, optionally writes the summary
-// as JSON, and returns 3 if any non-allowlisted violation fired.
-func auditFinish(aud *obs.Auditor, allowList, jsonPath string) int {
+// as JSON, and returns 3 if any property violation fired.
+func auditFinish(aud *obs.Auditor, jsonPath string) int {
 	s := aud.Summary()
 	fmt.Printf("\naudit: %d txns checked (%d observed, %d evicted incomplete), max one-way delay %v (max U %v), max vote→decision span %v (bound %d×U)\n",
 		s.TxnsChecked, s.TxnsObserved, s.Incomplete,
 		time.Duration(s.MaxOneWayDelayNs), time.Duration(s.MaxUNs),
 		time.Duration(s.MaxSpanNs), s.TerminationFactor)
 
-	allowed := make(map[string]bool)
-	for _, k := range strings.Split(allowList, ",") {
-		if k = strings.TrimSpace(k); k != "" {
-			allowed[k] = true
-		}
-	}
-	var bad int64
 	if len(s.Violations) == 0 {
 		fmt.Println("audit: no property violations")
 	}
 	for kind, count := range s.Violations {
-		status := "FAIL"
-		if allowed[kind] {
-			status = "allowed"
-		} else {
-			bad += count
-		}
-		fmt.Printf("audit: %s ×%d (%s) e.g. %s\n", kind, count, status, strings.Join(s.ViolationTxns[kind], " "))
+		fmt.Printf("audit: %s ×%d (FAIL) e.g. %s\n", kind, count, strings.Join(s.ViolationTxns[kind], " "))
 	}
 	if jsonPath != "" {
 		b, err := json.MarshalIndent(s, "", "  ")
@@ -345,8 +213,7 @@ func auditFinish(aud *obs.Auditor, allowList, jsonPath string) int {
 		}
 		fmt.Printf("wrote %s\n", jsonPath)
 	}
-	if bad > 0 {
-		fmt.Fprintf(os.Stderr, "commitbench: %d non-allowlisted property violations\n", bad)
+	if len(s.Violations) > 0 {
 		return 3
 	}
 	return 0

@@ -6,10 +6,13 @@
 // live under internal/. Beyond one-at-a-time commit.Cluster.Commit, the
 // pipeline API (commit.Cluster.Submit, Txn.Wait, commit.Cluster.CommitMany)
 // runs many transactions concurrently under a configurable in-flight window
-// — the throughput path; see commit/pipeline.go and the commitbench
-// -throughput mode. The kv subpackage is a sharded transactional key-value
-// store driven by that pipeline: every shard votes on conflicts, so abort
-// behavior becomes a real, workload-induced measurement (commitbench -kv).
+// — the throughput path; see commit/pipeline.go. The kv subpackage is a
+// sharded transactional key-value store driven by that pipeline: every shard
+// votes on conflicts, so abort behavior becomes a real, workload-induced
+// measurement. commitbench -throughput puts either under closed-loop load on
+// the mesh, on TCP or through kv (-runtime) with the live NBAC auditor
+// attached (-audit); performance numbers come from the repo benchmark, see
+// benchmark/README.md.
 // Both runtimes (in-memory mesh and TCP) speak a hand-rolled binary wire
 // codec with cross-instance frame packing and a pooled, allocation-free
 // send path — see DESIGN.md's "Wire format" section.

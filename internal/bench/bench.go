@@ -1,8 +1,9 @@
 // Package bench regenerates every table and figure of the paper's
-// evaluation from live protocol executions on the deterministic simulator.
-// Each TableN function returns both structured rows (asserted by tests and
+// evaluation from protocol executions on the deterministic simulator. Each
+// TableN function returns both structured rows (asserted by tests and
 // driven by the root-level benchmarks) and a formatted text rendering
-// (printed by cmd/commitbench) that mirrors the paper's layout.
+// (printed by cmd/commitbench) that mirrors the paper's layout. Run, in
+// live.go, is the one thing here that drives the live runtime.
 package bench
 
 import (

@@ -3,7 +3,6 @@ package bench
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 var sweep = [][2]int{{3, 1}, {3, 2}, {5, 2}, {7, 3}, {8, 1}, {9, 4}, {12, 5}}
@@ -187,61 +186,5 @@ func TestBlockingDemoRenders(t *testing.T) {
 	}
 	if !strings.Contains(out, "inbac") {
 		t.Errorf("demo must include inbac:\n%s", out)
-	}
-}
-
-func TestKVHarness(t *testing.T) {
-	rows, out, err := KV(KVConfig{
-		Protocols: []string{"2pc", "inbac"}, Thetas: []float64{0, 0.9},
-		Shards: 4, F: 1, Txns: 64, Workers: 16, Keys: 32,
-		Timeout: 5 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("want 4 rows (2 protocols x 2 thetas), got %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.Committed+r.Aborted != 64 {
-			t.Errorf("%s theta=%.1f: decided %d+%d, want 64", r.Protocol, r.Theta, r.Committed, r.Aborted)
-		}
-		if r.TxnsPerSec <= 0 || r.P99 < r.P50 {
-			t.Errorf("implausible row %+v", r)
-		}
-		if r.AbortRate < 0 || r.AbortRate > 1 {
-			t.Errorf("%s theta=%.1f: abort rate %f out of range", r.Protocol, r.Theta, r.AbortRate)
-		}
-	}
-	// 32 keys and 16 workers: the skewed points must see real conflicts.
-	if rows[1].Aborted == 0 && rows[3].Aborted == 0 {
-		t.Error("hot-key workload induced no aborts; the sweep is vacuous")
-	}
-	if !strings.Contains(out, "abort%") || !strings.Contains(out, "inbac") {
-		t.Errorf("table rendering:\n%s", out)
-	}
-}
-
-func TestThroughputHarness(t *testing.T) {
-	rows, out, err := Throughput(ThroughputConfig{
-		Protocols: []string{"2pc"}, Depths: []int{1, 8}, Txns: 24,
-		N: 3, F: 1, Timeout: 5 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("want 2 rows, got %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.TxnsPerSec <= 0 || r.P50 <= 0 || r.P99 < r.P50 {
-			t.Errorf("implausible row %+v", r)
-		}
-	}
-	if rows[1].SpeedupVsSerial <= 1 {
-		t.Errorf("depth 8 must beat serial: %+v", rows[1])
-	}
-	if !strings.Contains(out, "2pc") || !strings.Contains(out, "speedup") {
-		t.Errorf("table rendering:\n%s", out)
 	}
 }

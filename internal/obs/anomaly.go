@@ -106,12 +106,12 @@ func SetAnomalyHook(f func(Dump)) {
 }
 
 // SetDumpDir selects a directory to write anomaly dump files into
-// (anomaly-<tx>-<kind>.json and .txt); "" disables file output.
+// (anomaly-<tx>-<kind>.json); "" disables file output.
 func SetDumpDir(dir string) { dumpDir.Store(dir) }
 
 // ReportAnomaly records an anomaly: bumps the anomaly counter, stamps
 // an EvAnomaly event into the flight recorder, assembles the offending
-// transaction's merged timeline, writes dump files if a dump directory
+// transaction's merged timeline, writes the dump file if a dump directory
 // is set, and invokes the anomaly hook. It returns the dump.
 func ReportAnomaly(kind, txID, detail string) Dump {
 	M.Counter("obs.anomalies").Add(1)
@@ -122,14 +122,11 @@ func ReportAnomaly(kind, txID, detail string) Dump {
 		Events:  Default.TxTimeline(txID),
 	}
 	if dir, _ := dumpDir.Load().(string); dir != "" {
-		base := filepath.Join(dir, "anomaly-"+sanitize(txID)+"-"+sanitize(kind))
-		// Dump files are best-effort (reporting must never fail the
+		path := filepath.Join(dir, "anomaly-"+sanitize(txID)+"-"+sanitize(kind)+".json")
+		// The dump file is best-effort (reporting must never fail the
 		// commit path), but a write failure is counted so a run that
 		// silently produced no dumps is diagnosable.
-		if err := os.WriteFile(base+".json", d.JSON(), 0o644); err != nil {
-			M.Counter("obs.anomaly_dump_errors").Add(1)
-		}
-		if err := os.WriteFile(base+".txt", []byte(d.Interleaving()), 0o644); err != nil {
+		if err := os.WriteFile(path, d.JSON(), 0o644); err != nil {
 			M.Counter("obs.anomaly_dump_errors").Add(1)
 		}
 	}

@@ -75,13 +75,13 @@ func TestReportAnomalyDumpDirFailure(t *testing.T) {
 	if !hooked {
 		t.Fatal("hook did not fire despite dump-dir failure")
 	}
-	if got := M.Counter("obs.anomaly_dump_errors").Value() - before; got != 2 {
-		t.Fatalf("dump error counter moved by %d, want 2 (json + txt)", got)
+	if got := M.Counter("obs.anomaly_dump_errors").Value() - before; got != 1 {
+		t.Fatalf("dump error counter moved by %d, want 1", got)
 	}
 }
 
-// TestReportAnomalyDumpDirSuccessWritesFiles is the happy-path twin:
-// both dump files appear and the error counter stays put.
+// TestReportAnomalyDumpDirSuccessWritesFiles is the happy-path twin: the
+// dump file appears, alone, and the error counter stays put.
 func TestReportAnomalyDumpDirSuccessWritesFiles(t *testing.T) {
 	dir := t.TempDir()
 	SetDumpDir(dir)
@@ -92,11 +92,12 @@ func TestReportAnomalyDumpDirSuccessWritesFiles(t *testing.T) {
 	if got := M.Counter("obs.anomaly_dump_errors").Value() - before; got != 0 {
 		t.Fatalf("dump error counter moved by %d on success", got)
 	}
-	for _, ext := range []string{".json", ".txt"} {
-		p := filepath.Join(dir, "anomaly-tx_ok_1-dump-ok"+ext)
-		if _, err := os.Stat(p); err != nil {
-			t.Fatalf("dump file %s: %v", p, err)
-		}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "anomaly-tx_ok_1-dump-ok.json" {
+		t.Fatalf("dump dir holds %v, want anomaly-tx_ok_1-dump-ok.json alone", entries)
 	}
 }
 
