@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -24,22 +25,26 @@ import (
 	"atomiccommit/internal/sim"
 )
 
-func main() {
+func main() { run(os.Args[1:], os.Stdout) }
+
+// run is main with its inputs named, so the golden test can call it.
+func run(args []string, out io.Writer) {
+	fs := flag.NewFlagSet("commitsim", flag.ExitOnError)
 	var (
-		protocol = flag.String("protocol", "inbac", "protocol name (see -list)")
-		n        = flag.Int("n", 5, "number of processes")
-		f        = flag.Int("f", 2, "resilience parameter")
-		votes    = flag.String("votes", "", "vote vector, e.g. 11011 (default: all 1)")
-		crash    = flag.String("crash", "", "comma-separated crashes id@unit, e.g. 1@0,3@2")
-		slow     = flag.String("slow", "", "eventually synchronous network gst@factor, e.g. 8x3")
-		list     = flag.Bool("list", false, "list protocols and exit")
-		noTrace  = flag.Bool("q", false, "suppress the space-time diagram")
+		protocol = fs.String("protocol", "inbac", "protocol name (see -list)")
+		n        = fs.Int("n", 5, "number of processes")
+		f        = fs.Int("f", 2, "resilience parameter")
+		votes    = fs.String("votes", "", "vote vector, e.g. 11011 (default: all 1)")
+		crash    = fs.String("crash", "", "comma-separated crashes id@unit, e.g. 1@0,3@2")
+		slow     = fs.String("slow", "", "eventually synchronous network gst@factor, e.g. 8x3")
+		list     = fs.Bool("list", false, "list protocols and exit")
+		noTrace  = fs.Bool("q", false, "suppress the space-time diagram")
 	)
-	flag.Parse()
+	fs.Parse(args) // ExitOnError: Parse does not return an error
 
 	if *list {
 		for _, p := range protocols.All() {
-			fmt.Printf("%-18s %-14s %s\n", p.Name, "cell "+p.Contract.CF.String()+"/"+p.Contract.NF.String(), p.Paper)
+			fmt.Fprintf(out, "%-18s %-14s %s\n", p.Name, "cell "+p.Contract.CF.String()+"/"+p.Contract.NF.String(), p.Paper)
 		}
 		return
 	}
@@ -97,37 +102,37 @@ func main() {
 	cfg.Trace = tr
 	r := sim.Run(cfg)
 
-	fmt.Printf("protocol: %s — %s\n", info.Name, info.Paper)
-	fmt.Printf("contract: CF=%v NF=%v\n", info.Contract.CF, info.Contract.NF)
-	fmt.Printf("execution class: %v\n", r.Class())
-	fmt.Printf("result: %v\n\n", r)
+	fmt.Fprintf(out, "protocol: %s — %s\n", info.Name, info.Paper)
+	fmt.Fprintf(out, "contract: CF=%v NF=%v\n", info.Contract.CF, info.Contract.NF)
+	fmt.Fprintf(out, "execution class: %v\n", r.Class())
+	fmt.Fprintf(out, "result: %v\n\n", r)
 	for i := 1; i <= *n; i++ {
 		p := core.ProcessID(i)
 		switch {
 		case r.Crashed[p] && r.Decisions[p] == 0 && r.DecisionTick[p] == 0:
-			fmt.Printf("  %v: CRASHED, undecided\n", p)
+			fmt.Fprintf(out, "  %v: CRASHED, undecided\n", p)
 		case !r.Correct(p):
-			fmt.Printf("  %v: CRASHED after deciding %v at t=%d\n", p, r.Decisions[p], r.DecisionTick[p])
+			fmt.Fprintf(out, "  %v: CRASHED after deciding %v at t=%d\n", p, r.Decisions[p], r.DecisionTick[p])
 		default:
 			if v, ok := r.Decisions[p]; ok {
-				fmt.Printf("  %v: decided %v at t=%d (delay unit %d, causal depth %d)\n",
+				fmt.Fprintf(out, "  %v: decided %v at t=%d (delay unit %d, causal depth %d)\n",
 					p, v, r.DecisionTick[p], (r.DecisionTick[p]+r.U-1)/r.U, r.DecisionDepth[p])
 			} else {
-				fmt.Printf("  %v: UNDECIDED (blocked)\n", p)
+				fmt.Fprintf(out, "  %v: UNDECIDED (blocked)\n", p)
 			}
 		}
 	}
-	fmt.Printf("\nmessages to decide: %d (total sent: %d, consensus: %d)\n",
+	fmt.Fprintf(out, "\nmessages to decide: %d (total sent: %d, consensus: %d)\n",
 		r.MessagesToDecide, r.MessagesSent, r.ConsensusMessages())
-	fmt.Printf("delay units to last decision: %d\n", r.DelayUnits())
+	fmt.Fprintf(out, "delay units to last decision: %d\n", r.DelayUnits())
 	if nbac := r.SolvesNBAC(); nbac {
-		fmt.Println("this execution solves NBAC (validity + agreement + termination)")
+		fmt.Fprintln(out, "this execution solves NBAC (validity + agreement + termination)")
 	} else {
-		fmt.Printf("NBAC breakdown: validity=%v agreement=%v termination=%v\n",
+		fmt.Fprintf(out, "NBAC breakdown: validity=%v agreement=%v termination=%v\n",
 			r.Validity(), r.Agreement(), r.Termination())
 	}
 	if !*noTrace {
-		fmt.Printf("\nspace-time diagram (U = %d ticks):\n%s", r.U, tr.SpaceTime(*n))
+		fmt.Fprintf(out, "\nspace-time diagram (U = %d ticks):\n%s", r.U, tr.SpaceTime(*n))
 	}
 }
 

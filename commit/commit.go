@@ -33,17 +33,7 @@ import (
 	"atomiccommit/internal/core"
 	"atomiccommit/internal/live"
 	"atomiccommit/internal/protocols"
-	"atomiccommit/internal/protocols/anbac"
-	"atomiccommit/internal/protocols/avnbac"
-	"atomiccommit/internal/protocols/chainnbac"
-	"atomiccommit/internal/protocols/fullnbac"
-	"atomiccommit/internal/protocols/hubnbac"
 	"atomiccommit/internal/protocols/inbac"
-	"atomiccommit/internal/protocols/onenbac"
-	"atomiccommit/internal/protocols/paxoscommit"
-	"atomiccommit/internal/protocols/threepc"
-	"atomiccommit/internal/protocols/twopc"
-	"atomiccommit/internal/protocols/zeronbac"
 )
 
 // Protocol selects a commit protocol by its registry name.
@@ -237,27 +227,15 @@ func (r ResourceFunc) Abort(txID string) {
 // init registers every protocol message type in the live runtime's wire
 // type-ID registry, so both transports (TCP and the in-memory mesh, which
 // round-trips the same codec) can decode them. The codec round-trip tests
-// iterate this registry — a new message type only needs to be added here.
+// iterate that registry — a new message type only needs to be listed in its
+// protocol's registry entry (protocols.Info.Wires).
 func init() {
-	for _, m := range []core.Wire{
-		consensus.MsgPrepare{}, consensus.MsgPromise{}, consensus.MsgAccept{},
-		consensus.MsgAccepted{}, consensus.MsgNack{}, consensus.MsgDecided{},
-		consensus.MsgFlood{},
-		inbac.MsgV{}, inbac.MsgC{}, inbac.MsgHelp{}, inbac.MsgHelped{}, inbac.MsgA{},
-		twopc.MsgReq{}, twopc.MsgVote{}, twopc.MsgOutcome{},
-		threepc.MsgVote{}, threepc.MsgPrecommit{}, threepc.MsgAck{},
-		threepc.MsgOutcome{}, threepc.MsgState{},
-		onenbac.MsgV{}, onenbac.MsgD{},
-		avnbac.MsgV{}, avnbac.MsgB{},
-		zeronbac.MsgV{}, zeronbac.MsgB{}, zeronbac.MsgAck{},
-		chainnbac.MsgVal{},
-		anbac.MsgVal{}, anbac.MsgV0{}, anbac.MsgB0{}, anbac.MsgAck{},
-		hubnbac.MsgV{}, hubnbac.MsgB{},
-		fullnbac.MsgV{}, fullnbac.MsgB{}, fullnbac.MsgZ{}, fullnbac.MsgHelp{}, fullnbac.MsgHelped{},
-		paxoscommit.MsgVote2a{}, paxoscommit.MsgBundle{}, paxoscommit.MsgOutcome{},
-		paxoscommit.MsgPrepareI{}, paxoscommit.MsgPromiseI{}, paxoscommit.MsgAcceptI{},
-		paxoscommit.MsgAcceptedI{},
-	} {
+	for _, m := range consensus.Wires {
 		live.RegisterWire(m)
+	}
+	for _, p := range protocols.All() {
+		for _, m := range p.Wires {
+			live.RegisterWire(m)
+		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"atomiccommit/internal/consensus"
 	"atomiccommit/internal/core"
 	"atomiccommit/internal/live"
+	"atomiccommit/internal/protocols"
 	"atomiccommit/internal/wire"
 )
 
@@ -87,6 +88,25 @@ func TestWireRoundTripAllRegistered(t *testing.T) {
 				t.Fatalf("filled value diverged:\n got %#v\nwant %#v", out, in)
 			}
 		})
+	}
+}
+
+// TestRegistryWiresRegistered: init registered every prototype the protocol
+// registry and the consensus package list, under the type that lists it —
+// the other half of internal/protocols' TestRegistrySanity.
+func TestRegistryWiresRegistered(t *testing.T) {
+	byID := make(map[uint16]core.Wire)
+	for _, w := range live.RegisteredWires() {
+		byID[w.WireID()] = w
+	}
+	wires := append([]core.Wire(nil), consensus.Wires...)
+	for _, p := range protocols.All() {
+		wires = append(wires, p.Wires...)
+	}
+	for _, w := range wires {
+		if got, ok := byID[w.WireID()]; !ok || reflect.TypeOf(got) != reflect.TypeOf(w) {
+			t.Errorf("%T (ID %d): live registry has %T", w, w.WireID(), got)
+		}
 	}
 }
 

@@ -1,9 +1,10 @@
 // Package atomiccommit reproduces "How Fast can a Distributed Transaction
 // Commit?" (Guerraoui & Wang, PODS 2017) as a production-quality Go library.
 //
-// The public API lives in the commit subpackage; the protocols, the
-// deterministic simulator, the consensus substrate and the benchmark harness
-// live under internal/. Beyond one-at-a-time commit.Cluster.Commit, the
+// The public API lives in the commit subpackage; the protocols (each built
+// from internal/core's kit of process sets and ordered sends, and listed once
+// in internal/protocols' registry), the deterministic simulator, the
+// consensus substrate and the benchmark harness live under internal/. Beyond one-at-a-time commit.Cluster.Commit, the
 // pipeline API (commit.Cluster.Submit, Txn.Wait, commit.Cluster.CommitMany)
 // runs many transactions concurrently under a configurable in-flight window
 // — the throughput path; see commit/pipeline.go. The kv subpackage is a

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 )
@@ -187,4 +189,47 @@ func TestBlockingDemoRenders(t *testing.T) {
 	if !strings.Contains(out, "inbac") {
 		t.Errorf("demo must include inbac:\n%s", out)
 	}
+}
+
+// TestAllOutputGolden pins `commitbench -all` (n=8 f=3: every table, Figure
+// 1, the sweep and the four extras, with the argument lists
+// cmd/commitbench/main.go passes) byte for byte, so a protocol refactor
+// that claims to keep every count has a test saying so. Regenerate with
+// `go run ./cmd/commitbench -all > internal/bench/testdata/all.golden` only
+// when a table is meant to change.
+func TestAllOutputGolden(t *testing.T) {
+	const n, f = 8, 3
+	var parts []string
+	add := func(_ any, s string) { parts = append(parts, s) }
+	add(Table1(n, f))
+	add(Table2(n, f))
+	add(Table3(n, f))
+	add(Table4(n, f))
+	add(Table5(n, f))
+	add(Figure1())
+	add(nil, SweepTable5([]int{3, 4, 5, 8, 12, 16, 24}, []int{1, 2, 3, 5, 8}))
+	add(Crossover([]int{3, 5, 8, 12, 16, 24}, []int{1, 2, 3, 5}))
+	add(Ablation([][2]int{{4, 1}, {5, 2}, {8, 3}, {12, 5}, {16, 7}}))
+	add(AbortLatency([][2]int{{4, 1}, {6, 2}, {8, 3}, {12, 5}}))
+	add(nil, BlockingDemo(n, f))
+	got := strings.Join(parts, "\n") + "\n"
+
+	want, err := os.ReadFile("testdata/all.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("commitbench -all output differs from testdata/all.golden:\n%s", firstDiff(got, string(want)))
+	}
+}
+
+// firstDiff names the first line at which two outputs differ.
+func firstDiff(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(g) && i < len(w); i++ {
+		if g[i] != w[i] {
+			return fmt.Sprintf("line %d:\n got: %s\nwant: %s", i+1, g[i], w[i])
+		}
+	}
+	return fmt.Sprintf("got %d lines, want %d", len(g), len(w))
 }

@@ -75,6 +75,12 @@ const (
 	wireIDFlood
 )
 
+// Wires is one prototype of every message type of this package, for the
+// commit package to register with the live runtime.
+var Wires = []core.Wire{
+	MsgPrepare{}, MsgPromise{}, MsgAccept{}, MsgAccepted{}, MsgNack{}, MsgDecided{}, MsgFlood{},
+}
+
 func (MsgPrepare) WireID() uint16  { return wireIDPrepare }
 func (MsgPromise) WireID() uint16  { return wireIDPromise }
 func (MsgAccept) WireID() uint16   { return wireIDAccept }
@@ -151,9 +157,11 @@ type Consensus struct {
 	acceptedVal core.Value
 
 	// Leader state for the ballot this process currently leads.
-	leadBallot   int // -1 when not leading
-	promises     map[core.ProcessID]MsgPromise
-	acceptedFrom map[core.ProcessID]bool
+	leadBallot   int          // -1 when not leading
+	promisers    core.ProcSet // who promised leadBallot
+	bestB        int          // highest accepted ballot among the promises, -1 when none
+	bestV        core.Value   // its value
+	acceptedFrom core.ProcSet // who accepted (leadBallot, chosen)
 	chosen       core.Value
 	inPhase2     bool
 
@@ -222,12 +230,13 @@ func (c *Consensus) tryLead() {
 		return // already leading it
 	}
 	c.leadBallot = c.round
-	c.promises = make(map[core.ProcessID]MsgPromise)
-	c.acceptedFrom = make(map[core.ProcessID]bool)
+	// Sized here, not at Init: a nice execution never leads a ballot and
+	// pays nothing for consensus.
+	c.promisers = core.NewProcSet(c.n())
+	c.acceptedFrom = core.NewProcSet(c.n())
+	c.bestB = -1
 	c.inPhase2 = false
-	for i := 1; i <= c.n(); i++ {
-		c.env.Send(core.ProcessID(i), MsgPrepare{B: c.leadBallot})
-	}
+	core.SendAll(c.env, MsgPrepare{B: c.leadBallot})
 }
 
 // Timeout implements core.Module; the tag is the ballot whose deadline
@@ -283,21 +292,18 @@ func (c *Consensus) onPromise(from core.ProcessID, m MsgPromise) {
 	if m.B != c.leadBallot || c.inPhase2 {
 		return
 	}
-	c.promises[from] = m
-	if len(c.promises) < c.majority() {
+	c.promisers.Add(from)
+	if m.AB > c.bestB {
+		c.bestB, c.bestV = m.AB, m.AV
+	}
+	if c.promisers.Count() < c.majority() {
 		return
 	}
 	// Pick the accepted value of the highest ballot, else our own proposal.
-	bestB, bestV, has := -1, core.Value(0), false
-	for _, p := range c.promises {
-		if p.AB > bestB {
-			bestB, bestV, has = p.AB, p.AV, true
-		}
-	}
 	var v core.Value
 	switch {
-	case has && bestB >= 0:
-		v = bestV
+	case c.bestB >= 0:
+		v = c.bestV
 	case c.hasProposal:
 		v = c.proposal
 	default:
@@ -305,9 +311,7 @@ func (c *Consensus) onPromise(from core.ProcessID, m MsgPromise) {
 	}
 	c.inPhase2 = true
 	c.chosen = v
-	for i := 1; i <= c.n(); i++ {
-		c.env.Send(core.ProcessID(i), MsgAccept{B: c.leadBallot, V: v})
-	}
+	core.SendAll(c.env, MsgAccept{B: c.leadBallot, V: v})
 }
 
 func (c *Consensus) onAccept(from core.ProcessID, m MsgAccept) {
@@ -325,12 +329,9 @@ func (c *Consensus) onAccepted(from core.ProcessID, m MsgAccepted) {
 	if m.B != c.leadBallot || !c.inPhase2 {
 		return
 	}
-	c.acceptedFrom[from] = true
-	if len(c.acceptedFrom) < c.majority() {
-		return
-	}
-	for i := 1; i <= c.n(); i++ {
-		c.env.Send(core.ProcessID(i), MsgDecided{V: c.chosen})
+	c.acceptedFrom.Add(from)
+	if c.acceptedFrom.Count() >= c.majority() {
+		core.SendAll(c.env, MsgDecided{V: c.chosen})
 	}
 }
 
@@ -349,10 +350,6 @@ func (c *Consensus) onDecided(v core.Value) {
 	c.chosen = v
 	// Gossip once so the decision survives a coordinator crash in the
 	// middle of its announcement broadcast.
-	for i := 1; i <= c.n(); i++ {
-		if core.ProcessID(i) != c.env.ID() {
-			c.env.Send(core.ProcessID(i), MsgDecided{V: v})
-		}
-	}
+	core.SendOthers(c.env, MsgDecided{V: v})
 	c.env.Decide(v)
 }

@@ -27,10 +27,10 @@ type Flooding struct {
 	round    int
 	rounds   int
 
-	// seen[p] is the latest value learned from p (its proposal, ANDed
-	// conservatively if a process ever equivocated, which correct code
+	// seen holds the latest value learned from each process (its proposal,
+	// ANDed conservatively if a process ever equivocated, which correct code
 	// never does).
-	seen map[core.ProcessID]core.Value
+	seen core.VoteSet
 }
 
 // MsgFlood carries the sender's current view: every (process, value) pair it
@@ -60,14 +60,13 @@ func (MsgFlood) UnmarshalWire(d *wire.Decoder) (core.Message, error) {
 const floodUnknown uint8 = 255
 
 // NewFlooding returns a fresh flooding consensus module.
-func NewFlooding() *Flooding {
-	return &Flooding{seen: make(map[core.ProcessID]core.Value)}
-}
+func NewFlooding() *Flooding { return &Flooding{} }
 
 // Init implements core.Module.
 func (c *Flooding) Init(env core.Env) {
 	c.env = env
 	c.rounds = env.F() + 1
+	c.seen = core.NewVoteSet(env.N())
 }
 
 // Propose implements core.Module.
@@ -76,7 +75,7 @@ func (c *Flooding) Propose(v core.Value) {
 		return
 	}
 	c.proposed = true
-	c.seen[c.env.ID()] = v
+	c.seen.Put(c.env.ID(), v)
 	c.engage()
 }
 
@@ -94,20 +93,15 @@ func (c *Flooding) view() []uint8 {
 	v := make([]uint8, c.env.N())
 	for i := range v {
 		v[i] = floodUnknown
-	}
-	for p, val := range c.seen {
-		v[p-1] = uint8(val)
+		if val, ok := c.seen.Get(core.ProcessID(i + 1)); ok {
+			v[i] = uint8(val)
+		}
 	}
 	return v
 }
 
 func (c *Flooding) broadcastView() {
-	m := MsgFlood{Round: c.round, View: c.view()}
-	for i := 1; i <= c.env.N(); i++ {
-		if core.ProcessID(i) != c.env.ID() {
-			c.env.Send(core.ProcessID(i), m)
-		}
-	}
+	core.SendOthers(c.env, MsgFlood{Round: c.round, View: c.view()})
 }
 
 // Deliver implements core.Module.
@@ -115,8 +109,10 @@ func (c *Flooding) Deliver(from core.ProcessID, m core.Message) {
 	if c.decided {
 		return
 	}
+	// A view is one entry per process; any other length comes from a peer
+	// configured with a different n (or a corrupt frame) and is dropped.
 	msg, ok := m.(MsgFlood)
-	if !ok {
+	if !ok || len(msg.View) != c.env.N() {
 		return
 	}
 	// Engage lazily: a participant that never proposes still relays views
@@ -127,12 +123,11 @@ func (c *Flooding) Deliver(from core.ProcessID, m core.Message) {
 		if b == floodUnknown {
 			continue
 		}
-		p := core.ProcessID(i + 1)
-		if prev, ok := c.seen[p]; ok {
-			c.seen[p] = prev.And(core.Value(b))
-		} else {
-			c.seen[p] = core.Value(b)
+		p, v := core.ProcessID(i+1), core.Value(b)
+		if prev, ok := c.seen.Get(p); ok {
+			v = prev.And(v)
 		}
+		c.seen.Put(p, v)
 	}
 }
 
@@ -145,11 +140,7 @@ func (c *Flooding) Timeout(tag int) {
 		c.decided = true
 		// Decide the AND of every value seen; with mixed proposals this is
 		// 0, which some process proposed, so consensus validity holds.
-		v := core.Commit
-		for _, s := range c.seen {
-			v = v.And(s)
-		}
-		c.env.Decide(v)
+		c.env.Decide(c.seen.And())
 		return
 	}
 	c.round++

@@ -14,6 +14,9 @@
 // The same Module code runs unchanged on the deterministic discrete-event
 // simulator (internal/sim) used by the complexity experiments and on the live
 // goroutine runtime (internal/live) used by the public commit package.
+//
+// kit.go holds what the modules themselves are built from: the process and
+// vote sets and the ordered send helpers.
 package core
 
 import (

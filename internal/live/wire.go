@@ -13,7 +13,8 @@ import (
 
 // The wire type-ID registry. Every message type that crosses a transport
 // implements core.Wire and is registered once (the public commit package
-// registers the whole protocol family at init). The ID is the only type
+// registers the whole protocol family at init, from the prototypes
+// internal/protocols' registry and internal/consensus list). The ID is the only type
 // information on the wire, so IDs are allocated in per-package blocks and
 // never renumbered:
 //
@@ -47,8 +48,7 @@ var (
 )
 
 // RegisterWire records a message prototype under its WireID so incoming
-// envelopes can be decoded. It replaces the gob-era RegisterMessage. It
-// panics on an ID collision between distinct types — a mis-allocated ID
+// envelopes can be decoded. It panics on an ID collision between distinct types — a mis-allocated ID
 // block is a programming error that must not survive init.
 func RegisterWire(m core.Wire) {
 	wireMu.Lock()

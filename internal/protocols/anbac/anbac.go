@@ -16,6 +16,7 @@ package anbac
 
 import (
 	"atomiccommit/internal/core"
+	"atomiccommit/internal/protocols/chainnbac"
 	"atomiccommit/internal/wire"
 )
 
@@ -74,31 +75,22 @@ func (MsgAck) UnmarshalWire(d *wire.Decoder) (core.Message, error) {
 	return MsgAck{B: d.Bool()}, d.Err()
 }
 
-// Timer tags.
+// Timer tags of the overlay; the chain's own come first.
 const (
-	tagPhase1 = 1 // chain
-	tagPhase2 = 2 // chain
-	tagPhase3 = 3 // chain noop deadline
-	tagOver0  = 4 // overlay timer0, first firing
-	tagOver1  = 5 // overlay timer0, second firing
+	tagOver0 = chainnbac.TagPhase3 + 1 + iota // overlay timer0, first firing
+	tagOver1                                  // overlay timer0, second firing
 )
 
-// ANBAC is one process's instance.
+// ANBAC is one process's instance: the (n-1+f)NBAC chain plus the overlay.
 type ANBAC struct {
+	chainnbac.Chain
 	env core.Env
-
-	// Chain state (as in chainnbac).
-	decision    core.Value
-	decided     bool
-	delivered   bool
-	phase       int
-	zeroFlooded bool
 
 	// Overlay state (as in zeronbac).
 	vote        core.Value
 	deliveredV  bool
-	collectionV map[core.ProcessID]bool
-	collectionB map[core.ProcessID]bool
+	collectionV core.ProcSet // who acknowledged this process's [V,0]
+	collectionB core.ProcSet // who acknowledged this process's [B,0]
 	noop        bool
 	phase0      int
 }
@@ -111,41 +103,20 @@ func New() func(core.ProcessID) core.Module {
 // Init implements core.Module.
 func (p *ANBAC) Init(env core.Env) {
 	p.env = env
-	p.decision = core.Commit
-	p.collectionV = make(map[core.ProcessID]bool)
-	p.collectionB = make(map[core.ProcessID]bool)
+	p.Chain.Init(env, func(v core.Value) core.Message { return MsgVal{V: v} })
+	p.collectionV = core.NewProcSet(env.N())
+	p.collectionB = core.NewProcSet(env.N())
 }
-
-func (p *ANBAC) i() int { return int(p.env.ID()) }
-func (p *ANBAC) n() int { return p.env.N() }
-func (p *ANBAC) f() int { return p.env.F() }
-
-func (p *ANBAC) succ() core.ProcessID { return core.ProcessID(p.i()%p.n() + 1) }
-func (p *ANBAC) pred() core.ProcessID { return core.ProcessID((p.i()-2+p.n())%p.n() + 1) }
-
-func (p *ANBAC) at(paperTime int) core.Ticks { return core.Ticks(paperTime-1) * p.env.U() }
 
 // Propose implements core.Module.
 func (p *ANBAC) Propose(v core.Value) {
-	p.decision = p.decision.And(v)
 	p.vote = v
-	// Chain part.
-	if p.i() == 1 {
-		p.env.Send(2, MsgVal{V: p.decision})
-		p.env.SetTimerAt(p.at(p.n()+1), tagPhase2)
-		p.phase = 2
-	} else {
-		p.env.SetTimerAt(p.at(p.i()), tagPhase1)
-		p.phase = 1
-	}
-	// Overlay part.
+	p.Chain.Propose(v)
 	if v == core.Abort {
-		for q := 1; q <= p.n(); q++ {
-			p.env.Send(core.ProcessID(q), MsgV0{})
-		}
-		p.env.SetTimerAt(p.at(3), tagOver0)
+		core.SendAll(p.env, MsgV0{})
+		p.env.SetTimerAt(p.At(3), tagOver0)
 	} else {
-		p.env.SetTimerAt(p.at(2), tagOver0)
+		p.env.SetTimerAt(p.At(2), tagOver0)
 	}
 }
 
@@ -153,114 +124,56 @@ func (p *ANBAC) Propose(v core.Value) {
 func (p *ANBAC) Deliver(from core.ProcessID, m core.Message) {
 	switch msg := m.(type) {
 	case MsgV0:
-		p.decision = core.Abort
+		p.Decision = core.Abort
 		p.deliveredV = true
 		p.env.Send(from, MsgAck{B: false})
 	case MsgB0:
-		p.decision = core.Abort
+		p.Decision = core.Abort
 		p.env.Send(from, MsgAck{B: true})
 	case MsgAck:
 		if msg.B {
-			p.collectionB[from] = true
+			p.collectionB.Add(from)
 		} else {
-			p.collectionV[from] = true
+			p.collectionV.Add(from)
 		}
 	case MsgVal:
-		p.decision = p.decision.And(msg.V)
-		if p.phase <= 2 {
-			if from == p.pred() {
-				p.delivered = true
-			}
-		} else if !p.decided && msg.V == core.Abort {
-			p.floodZero()
-		}
-	}
-}
-
-func (p *ANBAC) floodZero() {
-	if p.zeroFlooded {
-		return
-	}
-	p.zeroFlooded = true
-	for q := 1; q <= p.n(); q++ {
-		if core.ProcessID(q) != p.env.ID() {
-			p.env.Send(core.ProcessID(q), MsgVal{V: core.Abort})
-		}
+		p.Chain.Deliver(from, msg.V)
 	}
 }
 
 // Timeout implements core.Module.
 func (p *ANBAC) Timeout(tag int) {
 	switch tag {
-	case tagPhase1:
-		if p.phase != 1 {
-			return
-		}
-		if !p.delivered {
-			p.decision = core.Abort
-		}
-		if p.decision == core.Commit {
-			p.env.Send(p.succ(), MsgVal{V: p.decision})
-		} else if p.i() == p.n() {
-			p.floodZero()
-		}
-		p.delivered = false
-		if p.i() >= p.f()+1 {
-			p.env.SetTimerAt(p.at(p.n()+2*p.f()+1), tagPhase3)
-			p.phase = 3
-		} else {
-			p.env.SetTimerAt(p.at(p.n()+p.i()), tagPhase2)
-			p.phase = 2
-		}
-	case tagPhase2:
-		if p.phase != 2 {
-			return
-		}
-		if !p.delivered {
-			p.decision = core.Abort
-		}
-		if p.decision == core.Commit && p.i() != p.f() {
-			p.env.Send(p.succ(), MsgVal{V: p.decision})
-		}
-		if p.decision == core.Abort {
-			p.floodZero()
-		}
-		p.delivered = false
-		p.env.SetTimerAt(p.at(p.n()+2*p.f()+1), tagPhase3)
-		p.phase = 3
-	case tagPhase3:
-		if p.phase != 3 || p.decided {
-			return
-		}
-		if p.decision == core.Commit && !p.noop {
-			p.decided = true
-			p.env.Decide(core.Commit)
-		}
 	case tagOver0:
 		switch {
 		case p.vote == core.Commit && p.deliveredV && p.phase0 == 0:
 			// Saw a zero: announce it and wait for everybody's ack.
-			for q := 1; q <= p.n(); q++ {
-				p.env.Send(core.ProcessID(q), MsgB0{})
-			}
-			p.env.SetTimerAt(p.at(4), tagOver1)
+			core.SendAll(p.env, MsgB0{})
+			p.env.SetTimerAt(p.At(4), tagOver1)
 			p.phase0 = 1
 		case p.vote == core.Abort:
-			if len(p.collectionV) == p.n() && !p.decided {
-				p.decided = true
-				p.env.Decide(core.Abort)
-			} else {
-				p.noop = true
-			}
+			p.abortIfAcked(p.collectionV)
 		}
 	case tagOver1:
 		if p.vote == core.Commit && p.deliveredV && p.phase0 == 1 {
-			if len(p.collectionB) == p.n() && !p.decided {
-				p.decided = true
-				p.env.Decide(core.Abort)
-			} else {
-				p.noop = true
-			}
+			p.abortIfAcked(p.collectionB)
 		}
+	default:
+		// The chain's commit stands only if the overlay raised no objection.
+		if p.Chain.Timeout(tag) && !p.Decided && p.Decision == core.Commit && !p.noop {
+			p.Decided = true
+			p.env.Decide(core.Commit)
+		}
+	}
+}
+
+// abortIfAcked decides 0 if every process acknowledged having seen the zero;
+// otherwise some process may commit on silence, so this one never decides.
+func (p *ANBAC) abortIfAcked(acks core.ProcSet) {
+	if acks.Full() && !p.Decided {
+		p.Decided = true
+		p.env.Decide(core.Abort)
+	} else {
+		p.noop = true
 	}
 }

@@ -65,26 +65,24 @@ func NewMessageOptimal() func(core.ProcessID) core.Module {
 type delayOpt struct {
 	env   core.Env
 	votes core.Value
-	got   map[core.ProcessID]bool
+	got   core.ProcSet
 }
 
 func (p *delayOpt) Init(env core.Env) {
 	p.env = env
 	p.votes = core.Commit
-	p.got = make(map[core.ProcessID]bool)
+	p.got = core.NewProcSet(env.N())
 }
 
 func (p *delayOpt) Propose(v core.Value) {
 	p.votes = p.votes.And(v)
-	for i := 1; i <= p.env.N(); i++ {
-		p.env.Send(core.ProcessID(i), MsgV{V: v})
-	}
+	core.SendAll(p.env, MsgV{V: v})
 	p.env.SetTimerAt(p.env.U(), 0)
 }
 
 func (p *delayOpt) Deliver(from core.ProcessID, m core.Message) {
 	if msg, ok := m.(MsgV); ok {
-		p.got[from] = true
+		p.got.Add(from)
 		p.votes = p.votes.And(msg.V)
 	}
 }
@@ -92,7 +90,7 @@ func (p *delayOpt) Deliver(from core.ProcessID, m core.Message) {
 func (p *delayOpt) Timeout(int) {
 	// Decide if and only if every vote arrived within one delay. Every
 	// decider then holds the same n votes, so agreement is immediate.
-	if len(p.got) == p.env.N() {
+	if p.got.Full() {
 		p.env.Decide(p.votes)
 	}
 }
@@ -102,21 +100,21 @@ func (p *delayOpt) Timeout(int) {
 type msgOpt struct {
 	env   core.Env
 	votes core.Value
-	got   map[core.ProcessID]bool
+	got   core.ProcSet
 	gotB  bool
 }
 
 func (p *msgOpt) Init(env core.Env) {
 	p.env = env
 	p.votes = core.Commit
-	p.got = make(map[core.ProcessID]bool)
+	p.got = core.NewProcSet(env.N())
 }
 
 func (p *msgOpt) hub() core.ProcessID { return core.ProcessID(p.env.N()) }
 
 func (p *msgOpt) Propose(v core.Value) {
 	p.votes = p.votes.And(v)
-	p.got[p.env.ID()] = true
+	p.got.Add(p.env.ID())
 	if p.env.ID() != p.hub() {
 		p.env.Send(p.hub(), MsgV{V: v})
 		p.env.SetTimerAt(2*p.env.U(), 0)
@@ -128,7 +126,7 @@ func (p *msgOpt) Propose(v core.Value) {
 func (p *msgOpt) Deliver(from core.ProcessID, m core.Message) {
 	switch msg := m.(type) {
 	case MsgV:
-		p.got[from] = true
+		p.got.Add(from)
 		p.votes = p.votes.And(msg.V)
 	case MsgB:
 		p.gotB = true
@@ -138,10 +136,8 @@ func (p *msgOpt) Deliver(from core.ProcessID, m core.Message) {
 
 func (p *msgOpt) Timeout(int) {
 	if p.env.ID() == p.hub() {
-		if len(p.got) == p.env.N() {
-			for i := 1; i < p.env.N(); i++ {
-				p.env.Send(core.ProcessID(i), MsgB{V: p.votes})
-			}
+		if p.got.Full() {
+			core.SendRange(p.env, 1, p.env.N()-1, MsgB{V: p.votes})
 			p.env.Decide(p.votes)
 		}
 		return

@@ -41,23 +41,126 @@ func (MsgVal) UnmarshalWire(d *wire.Decoder) (core.Message, error) {
 	return MsgVal{V: core.Value(d.Uvarint())}, d.Err()
 }
 
-// Timer tags are the protocol phases.
+// Timer tags are the chain's phases. A protocol embedding Chain keeps its
+// own tags above TagPhase3.
 const (
 	tagPhase1 = 1
 	tagPhase2 = 2
-	tagPhase3 = 3
+	TagPhase3 = 3 // end of the noop
 )
 
-// ChainNBAC is one process's instance.
-type ChainNBAC struct {
+// Chain is the chain state machine — the ring pass, the abort flood and the
+// noop — without the final decision, which is what the two protocols built
+// on it do differently: (n-1+f)NBAC decides whatever the chain ends with,
+// aNBAC commits only if its acknowledgement overlay raised no objection.
+type Chain struct {
 	env core.Env
+	val func(core.Value) core.Message // wraps an aggregate in the embedder's wire type
 
-	decision    core.Value
-	decided     bool
+	Decision    core.Value // AND of everything seen so far
+	Decided     bool       // set by the embedder; a decided process stops re-flooding zeros
 	delivered   bool
 	phase       int
 	zeroFlooded bool
 }
+
+// Init attaches the chain to env; val builds the message that carries an
+// aggregate (each embedding protocol has its own wire ID for it).
+func (c *Chain) Init(env core.Env, val func(core.Value) core.Message) {
+	c.env, c.val, c.Decision = env, val, core.Commit
+}
+
+func (c *Chain) i() int { return int(c.env.ID()) }
+func (c *Chain) n() int { return c.env.N() }
+func (c *Chain) f() int { return c.env.F() }
+
+// succ and pred implement the paper's % convention (0 maps to n).
+func (c *Chain) succ() core.ProcessID { return core.ProcessID(c.i()%c.n() + 1) }
+func (c *Chain) pred() core.ProcessID { return core.ProcessID((c.i()-2+c.n())%c.n() + 1) }
+
+// At converts a paper clock value to ticks (see the package comment).
+func (c *Chain) At(paperTime int) core.Ticks { return core.Ticks(paperTime-1) * c.env.U() }
+
+// Propose starts the chain with this process's vote.
+func (c *Chain) Propose(v core.Value) {
+	c.Decision = c.Decision.And(v)
+	if c.i() == 1 {
+		c.env.Send(2, c.val(c.Decision))
+		c.env.SetTimerAt(c.At(c.n()+1), tagPhase2)
+		c.phase = 2
+	} else {
+		c.env.SetTimerAt(c.At(c.i()), tagPhase1)
+		c.phase = 1
+	}
+}
+
+// Deliver takes an aggregate v received from from.
+func (c *Chain) Deliver(from core.ProcessID, v core.Value) {
+	c.Decision = c.Decision.And(v)
+	if c.phase <= 2 {
+		if from == c.pred() {
+			c.delivered = true
+		}
+	} else if !c.Decided && v == core.Abort {
+		// During the noop, a zero must be re-flooded so that every correct
+		// process hears it before the noop ends (the paper's agreement
+		// argument); flooding once per process is enough and avoids the
+		// storm a literal re-broadcast per receipt would cause.
+		c.floodZero()
+	}
+}
+
+func (c *Chain) floodZero() {
+	if c.zeroFlooded {
+		return
+	}
+	c.zeroFlooded = true
+	core.SendOthers(c.env, c.val(core.Abort))
+}
+
+// Timeout runs the chain's handler for tag (tags it does not own are
+// ignored) and reports whether the noop just ended: the embedder decides.
+func (c *Chain) Timeout(tag int) (noopOver bool) {
+	switch {
+	case tag == tagPhase1 && c.phase == 1:
+		if !c.delivered {
+			c.Decision = core.Abort
+		}
+		if c.Decision == core.Commit {
+			c.env.Send(c.succ(), c.val(c.Decision))
+		} else if c.i() == c.n() {
+			c.floodZero()
+		}
+		c.delivered = false
+		if c.i() >= c.f()+1 {
+			c.env.SetTimerAt(c.At(c.n()+2*c.f()+1), TagPhase3)
+			c.phase = 3
+		} else {
+			c.env.SetTimerAt(c.At(c.n()+c.i()), tagPhase2)
+			c.phase = 2
+		}
+	case tag == tagPhase2 && c.phase == 2:
+		if !c.delivered {
+			c.Decision = core.Abort
+		}
+		if c.Decision == core.Commit && c.i() != c.f() {
+			c.env.Send(c.succ(), c.val(c.Decision))
+		}
+		if c.Decision == core.Abort {
+			c.floodZero()
+		}
+		c.delivered = false
+		c.env.SetTimerAt(c.At(c.n()+2*c.f()+1), TagPhase3)
+		c.phase = 3
+	case tag == TagPhase3 && c.phase == 3:
+		return true
+	}
+	return false
+}
+
+// ChainNBAC is one process's (n-1+f)NBAC instance: the chain, deciding its
+// aggregate when the noop ends.
+type ChainNBAC struct{ Chain }
 
 // New returns a (n-1+f)NBAC factory.
 func New() func(core.ProcessID) core.Module {
@@ -65,98 +168,21 @@ func New() func(core.ProcessID) core.Module {
 }
 
 // Init implements core.Module.
-func (p *ChainNBAC) Init(env core.Env) { p.env = env; p.decision = core.Commit }
-
-func (p *ChainNBAC) i() int { return int(p.env.ID()) }
-func (p *ChainNBAC) n() int { return p.env.N() }
-func (p *ChainNBAC) f() int { return p.env.F() }
-
-// succ and pred implement the paper's % convention (0 maps to n).
-func (p *ChainNBAC) succ() core.ProcessID { return core.ProcessID(p.i()%p.n() + 1) }
-func (p *ChainNBAC) pred() core.ProcessID { return core.ProcessID((p.i()-2+p.n())%p.n() + 1) }
-
-func (p *ChainNBAC) at(paperTime int) core.Ticks { return core.Ticks(paperTime-1) * p.env.U() }
-
-// Propose implements core.Module.
-func (p *ChainNBAC) Propose(v core.Value) {
-	p.decision = p.decision.And(v)
-	if p.i() == 1 {
-		p.env.Send(2, MsgVal{V: p.decision})
-		p.env.SetTimerAt(p.at(p.n()+1), tagPhase2)
-		p.phase = 2
-	} else {
-		p.env.SetTimerAt(p.at(p.i()), tagPhase1)
-		p.phase = 1
-	}
+func (p *ChainNBAC) Init(env core.Env) {
+	p.Chain.Init(env, func(v core.Value) core.Message { return MsgVal{V: v} })
 }
 
 // Deliver implements core.Module.
 func (p *ChainNBAC) Deliver(from core.ProcessID, m core.Message) {
-	msg, ok := m.(MsgVal)
-	if !ok {
-		return
-	}
-	p.decision = p.decision.And(msg.V)
-	if p.phase <= 2 {
-		if from == p.pred() {
-			p.delivered = true
-		}
-	} else if !p.decided && msg.V == core.Abort {
-		// During the noop, a zero must be re-flooded so that every correct
-		// process hears it before the noop ends (the paper's agreement
-		// argument); flooding once per process is enough and avoids the
-		// storm a literal re-broadcast per receipt would cause.
-		p.floodZero()
-	}
-}
-
-func (p *ChainNBAC) floodZero() {
-	if p.zeroFlooded {
-		return
-	}
-	p.zeroFlooded = true
-	for q := 1; q <= p.n(); q++ {
-		if core.ProcessID(q) != p.env.ID() {
-			p.env.Send(core.ProcessID(q), MsgVal{V: core.Abort})
-		}
+	if msg, ok := m.(MsgVal); ok {
+		p.Chain.Deliver(from, msg.V)
 	}
 }
 
 // Timeout implements core.Module.
 func (p *ChainNBAC) Timeout(tag int) {
-	switch {
-	case tag == tagPhase1 && p.phase == 1:
-		if !p.delivered {
-			p.decision = core.Abort
-		}
-		if p.decision == core.Commit {
-			p.env.Send(p.succ(), MsgVal{V: p.decision})
-		} else if p.i() == p.n() {
-			p.floodZero()
-		}
-		p.delivered = false
-		if p.i() >= p.f()+1 {
-			p.env.SetTimerAt(p.at(p.n()+2*p.f()+1), tagPhase3)
-			p.phase = 3
-		} else {
-			p.env.SetTimerAt(p.at(p.n()+p.i()), tagPhase2)
-			p.phase = 2
-		}
-	case tag == tagPhase2 && p.phase == 2:
-		if !p.delivered {
-			p.decision = core.Abort
-		}
-		if p.decision == core.Commit && p.i() != p.f() {
-			p.env.Send(p.succ(), MsgVal{V: p.decision})
-		}
-		if p.decision == core.Abort {
-			p.floodZero()
-		}
-		p.delivered = false
-		p.env.SetTimerAt(p.at(p.n()+2*p.f()+1), tagPhase3)
-		p.phase = 3
-	case tag == tagPhase3 && p.phase == 3:
-		p.decided = true
-		p.env.Decide(p.decision)
+	if p.Chain.Timeout(tag) {
+		p.Decided = true
+		p.env.Decide(p.Decision)
 	}
 }

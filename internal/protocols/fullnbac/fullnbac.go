@@ -87,18 +87,14 @@ const (
 	tagPhase2 = 2
 )
 
-// Options configures the protocol.
-type Options struct {
-	// Consensus builds the underlying indulgent uniform consensus; nil
-	// means the Paxos-based module.
-	Consensus func() core.Module
-}
+// Options is empty: the underlying indulgent uniform consensus is always
+// the Paxos-based module.
+type Options struct{}
 
 // FullNBAC is one process's instance.
 type FullNBAC struct {
-	env  core.Env
-	opts Options
-	uc   core.Module
+	env core.Env
+	uc  core.Module
 
 	votes     core.Value
 	receivedV bool
@@ -112,19 +108,15 @@ type FullNBAC struct {
 }
 
 // New returns a (2n-2+f)NBAC factory.
-func New(opts Options) func(core.ProcessID) core.Module {
-	return func(core.ProcessID) core.Module { return &FullNBAC{opts: opts} }
+func New(Options) func(core.ProcessID) core.Module {
+	return func(core.ProcessID) core.Module { return &FullNBAC{} }
 }
 
 // Init implements core.Module.
 func (p *FullNBAC) Init(env core.Env) {
 	p.env = env
 	p.votes = core.Commit
-	if p.opts.Consensus != nil {
-		p.uc = p.opts.Consensus()
-	} else {
-		p.uc = consensus.New()
-	}
+	p.uc = consensus.New()
 	env.Register("uc", p.uc, p.onConsensus)
 }
 
@@ -267,9 +259,7 @@ func (p *FullNBAC) phase1Timeout() {
 			p.env.Send(core.ProcessID(i+1), MsgB{V: p.votes})
 			p.decide(p.votes)
 		} else {
-			for q := 1; q <= f; q++ {
-				p.env.Send(core.ProcessID(q), MsgHelp{})
-			}
+			core.SendRange(p.env, 1, f, MsgHelp{})
 			p.env.Send(core.ProcessID(n), MsgHelp{})
 		}
 	}

@@ -59,7 +59,7 @@ type HubNBAC struct {
 	env core.Env
 
 	votes       core.Value
-	collection  map[core.ProcessID]bool
+	collection  core.ProcSet // whose vote the hub holds
 	receivedB   bool
 	phase       int
 	zeroFlooded bool
@@ -74,7 +74,8 @@ func New() func(core.ProcessID) core.Module {
 func (p *HubNBAC) Init(env core.Env) {
 	p.env = env
 	p.votes = core.Commit
-	p.collection = map[core.ProcessID]bool{env.ID(): true}
+	p.collection = core.NewProcSet(env.N())
+	p.collection.Add(env.ID())
 }
 
 func (p *HubNBAC) hub() core.ProcessID { return core.ProcessID(p.env.N()) }
@@ -97,7 +98,7 @@ func (p *HubNBAC) Deliver(from core.ProcessID, m core.Message) {
 	switch msg := m.(type) {
 	case MsgV:
 		p.votes = p.votes.And(msg.V)
-		p.collection[from] = true
+		p.collection.Add(from)
 	case MsgB:
 		p.receivedB = true
 		p.votes = msg.V
@@ -112,11 +113,7 @@ func (p *HubNBAC) floodZero() {
 		return
 	}
 	p.zeroFlooded = true
-	for q := 1; q <= p.env.N(); q++ {
-		if core.ProcessID(q) != p.env.ID() {
-			p.env.Send(core.ProcessID(q), MsgB{V: core.Abort})
-		}
-	}
+	core.SendOthers(p.env, MsgB{V: core.Abort})
 }
 
 // Timeout implements core.Module.
@@ -125,10 +122,8 @@ func (p *HubNBAC) Timeout(tag int) {
 	case tag == tagGather && p.phase == 0:
 		p.phase = 1
 		if p.env.ID() == p.hub() {
-			if p.votes == core.Commit && len(p.collection) == p.env.N() {
-				for q := 1; q < p.env.N(); q++ {
-					p.env.Send(core.ProcessID(q), MsgB{V: core.Commit})
-				}
+			if p.votes == core.Commit && p.collection.Full() {
+				core.SendRange(p.env, 1, p.env.N()-1, MsgB{V: core.Commit})
 			} else {
 				p.votes = core.Abort
 				p.floodZero()

@@ -29,8 +29,6 @@
 package inbac
 
 import (
-	"math/bits"
-
 	"atomiccommit/internal/consensus"
 	"atomiccommit/internal/core"
 	"atomiccommit/internal/wire"
@@ -243,93 +241,30 @@ type INBAC struct {
 	decided  bool
 	wait     bool
 
-	collection0    voteSet   // votes backed up here (phase 0), later the aggregate
-	collection1    []voteSet // [C] acknowledgements; index j-1 holds those of Pj, j in 1..f+1
-	collectionHelp voteSet   // union of [HELPED] collections
-	union          voteSet   // unionC's result
-	cnt            int       // number of [C] messages received
-	cntHelp        int       // number of [HELPED] messages received
+	collection0    core.VoteSet   // votes backed up here (phase 0), later the aggregate
+	collection1    []core.VoteSet // [C] acknowledgements; index j-1 holds those of Pj, j in 1..f+1
+	collectionHelp core.VoteSet   // union of [HELPED] collections
+	union          core.VoteSet   // unionC's result
+	cnt            int            // number of [C] messages received
+	cntHelp        int            // number of [HELPED] messages received
 
 	pendingHelp []core.ProcessID
 }
 
-// voteSet is a set of (process, vote) pairs with at most one vote per
-// process: bit p-1 of has says Pp's vote is in the set, the same bit of yes
-// that it is 1. One word each while n <= 64; Init sizes them, no operation
-// allocates.
-type voteSet struct{ has, yes []uint64 }
-
-func (s voteSet) put(p core.ProcessID, v core.Value) {
-	w, bit := int(p-1)/64, uint64(1)<<(uint(p-1)%64)
-	s.has[w] |= bit
-	if v == core.Commit {
-		s.yes[w] |= bit
-	} else {
-		s.yes[w] &^= bit
-	}
-}
-
-// putPairs adds a received collection, ignoring processes outside 1..n.
-func (s voteSet) putPairs(pairs []VotePair, n int) {
+// putPairs adds a received collection to s (core.VoteSet drops entries for
+// processes outside 1..n).
+func putPairs(s core.VoteSet, pairs []VotePair) {
 	for _, pr := range pairs {
-		if pr.P >= 1 && int(pr.P) <= n {
-			s.put(pr.P, pr.V)
-		}
+		s.Put(pr.P, pr.V)
 	}
 }
 
-// merge adds every pair of o, o's vote winning where both have one.
-func (s voteSet) merge(o voteSet) {
-	for w := range s.has {
-		s.has[w] |= o.has[w]
-		s.yes[w] = s.yes[w]&^o.has[w] | o.yes[w]
-	}
-}
-
-func (s voteSet) reset() {
-	clear(s.has)
-	clear(s.yes)
-}
-
-// and is the AND of the votes in the set.
-func (s voteSet) and() core.Value {
-	for w := range s.has {
-		if s.yes[w] != s.has[w] {
-			return core.Abort
-		}
-	}
-	return core.Commit
-}
-
-// holds reports whether the set has a vote for each of P1..Pk.
-func (s voteSet) holds(k int) bool {
-	for w := range s.has {
-		want := ^uint64(0)
-		if k < 64 {
-			want = 1<<uint(k) - 1
-		}
-		if s.has[w]&want != want {
-			return false
-		}
-		if k -= 64; k <= 0 {
-			break
-		}
-	}
-	return true
-}
-
-// pairs lists the set in process order, the wire form of a collection.
-func (s voteSet) pairs() []VotePair {
-	count := 0
-	for _, h := range s.has {
-		count += bits.OnesCount64(h)
-	}
-	out := make([]VotePair, 0, count)
-	for w, h := range s.has {
-		for ; h != 0; h &= h - 1 {
-			b := bits.TrailingZeros64(h)
-			out = append(out, VotePair{P: core.ProcessID(w*64 + b + 1), V: core.Value(s.yes[w] >> uint(b) & 1)})
-		}
+// pairsOf lists s in process order, the wire form of a collection.
+func pairsOf(s core.VoteSet) []VotePair {
+	out := make([]VotePair, 0, s.Count())
+	for p := s.Next(0); p != 0; p = s.Next(p) {
+		v, _ := s.Get(p)
+		out = append(out, VotePair{P: p, V: v})
 	}
 	return out
 }
@@ -342,19 +277,8 @@ func New(opts Options) func(core.ProcessID) core.Module {
 // Init implements core.Module.
 func (p *INBAC) Init(env core.Env) {
 	p.env = env
-	// One backing array for every set of the instance.
-	words := (env.N() + 63) / 64
-	backing := make([]uint64, 2*words*(env.F()+4))
-	set := func() voteSet {
-		s := voteSet{has: backing[:words:words], yes: backing[words : 2*words : 2*words]}
-		backing = backing[2*words:]
-		return s
-	}
-	p.collection0, p.collectionHelp, p.union = set(), set(), set()
-	p.collection1 = make([]voteSet, env.F()+1)
-	for j := range p.collection1 {
-		p.collection1[j] = set()
-	}
+	sets := core.NewVoteSets(env.N(), env.F()+4)
+	p.collection0, p.collectionHelp, p.union, p.collection1 = sets[0], sets[1], sets[2], sets[3:]
 	if p.opts.Consensus != nil {
 		p.uc = p.opts.Consensus()
 	} else {
@@ -373,16 +297,10 @@ func (p *INBAC) Propose(v core.Value) {
 	if p.opts.Accelerated && v == core.Abort {
 		// Section 5.2: announce the 0 and decide immediately; the protocol
 		// keeps running underneath so backups and helpers stay consistent.
-		for q := 1; q <= p.n(); q++ {
-			if core.ProcessID(q) != p.env.ID() {
-				p.env.Send(core.ProcessID(q), MsgA{})
-			}
-		}
+		core.SendOthers(p.env, MsgA{})
 		p.decide(core.Abort)
 	}
-	for q := 1; q <= p.f(); q++ {
-		p.env.Send(core.ProcessID(q), MsgV{V: v})
-	}
+	core.SendRange(p.env, 1, p.f(), MsgV{V: v})
 	if p.i() <= p.f() {
 		p.env.Send(core.ProcessID(p.f()+1), MsgV{V: v})
 	}
@@ -398,21 +316,21 @@ func (p *INBAC) Propose(v core.Value) {
 func (p *INBAC) Deliver(from core.ProcessID, m core.Message) {
 	switch msg := m.(type) {
 	case MsgV:
-		if p.phase == 0 && from >= 1 && int(from) <= p.n() {
-			p.collection0.put(from, msg.V)
+		if p.phase == 0 {
+			p.collection0.Put(from, msg.V)
 		}
 	case MsgC:
 		if from < 1 || int(from) > len(p.collection1) {
 			return // only P1..Pf+1 acknowledge
 		}
-		p.collection1[from-1].putPairs(msg.Pairs, p.n())
+		putPairs(p.collection1[from-1], msg.Pairs)
 		p.cnt++
 		p.checkWait()
 	case MsgHelp:
 		p.pendingHelp = append(p.pendingHelp, from)
 		p.flushHelp()
 	case MsgHelped:
-		p.collectionHelp.putPairs(msg.Pairs, p.n())
+		putPairs(p.collectionHelp, msg.Pairs)
 		p.cntHelp++
 		p.checkWait()
 	case MsgA:
@@ -428,7 +346,7 @@ func (p *INBAC) flushHelp() {
 		return
 	}
 	for _, q := range p.pendingHelp {
-		p.env.Send(q, MsgHelped{Pairs: p.collection0.pairs()})
+		p.env.Send(q, MsgHelped{Pairs: pairsOf(p.collection0)})
 	}
 	p.pendingHelp = nil
 }
@@ -459,48 +377,37 @@ func (p *INBAC) Timeout(tag int) {
 // sendAcks is the backup acknowledgement at time U: P1..Pf broadcast their
 // collection to everyone, Pf+1 answers its f wards only.
 func (p *INBAC) sendAcks() {
-	var dests []core.ProcessID
-	if p.i() <= p.f() {
-		for q := 1; q <= p.n(); q++ {
-			dests = append(dests, core.ProcessID(q))
-		}
-	} else { // i == f+1
-		for q := 1; q <= p.f(); q++ {
-			dests = append(dests, core.ProcessID(q))
-		}
+	last := p.n()
+	if p.i() == p.f()+1 {
+		last = p.f()
 	}
+	pairs := pairsOf(p.collection0)
 	if p.opts.UnbundledAcks {
-		for _, d := range dests {
-			for _, pr := range p.collection0.pairs() {
-				p.env.Send(d, MsgC{Pairs: []VotePair{pr}})
+		for d := 1; d <= last; d++ {
+			for _, pr := range pairs {
+				p.env.Send(core.ProcessID(d), MsgC{Pairs: []VotePair{pr}})
 			}
 		}
 		return
 	}
-	bundle := MsgC{Pairs: p.collection0.pairs()}
-	for _, d := range dests {
-		p.env.Send(d, bundle)
-	}
+	core.SendRange(p.env, 1, last, MsgC{Pairs: pairs})
 }
 
 // unionC is the union of every acknowledged collection received so far. The
 // result is valid until the next call.
-func (p *INBAC) unionC() voteSet {
-	p.union.reset()
+func (p *INBAC) unionC() core.VoteSet {
+	p.union.Reset()
 	for j := range p.collection1 {
-		p.union.merge(p.collection1[j])
+		p.union.Merge(p.collection1[j])
 	}
 	return p.union
 }
-
-// complete reports whether s contains a vote for every process.
-func (p *INBAC) complete(s voteSet) bool { return s.holds(p.n()) }
 
 // fullAcksHigh is the decision test for P in {Pf+1..Pn}: a correct
 // acknowledgement from all f backups, each containing all n votes.
 func (p *INBAC) fullAcksHigh() bool {
 	for j := 0; j < p.f(); j++ {
-		if !p.complete(p.collection1[j]) {
+		if !p.collection1[j].Full() {
 			return false
 		}
 	}
@@ -510,7 +417,7 @@ func (p *INBAC) fullAcksHigh() bool {
 // fullAcksLow is the decision test for P in {P1..Pf}: acknowledgements from
 // P1..Pf (all n votes each) and from Pf+1 (the votes of P1..Pf).
 func (p *INBAC) fullAcksLow() bool {
-	return p.fullAcksHigh() && p.collection1[p.f()].holds(p.f())
+	return p.fullAcksHigh() && p.collection1[p.f()].Holds(p.f())
 }
 
 // decideTimeoutHigh is the time-2U handler for P in {Pf+1..Pn}: the state
@@ -519,14 +426,14 @@ func (p *INBAC) decideTimeoutHigh() {
 	p.phase = 2
 	// Fold everything known into the aggregate this process would hand to
 	// others when helping.
-	p.collection0.merge(p.unionC())
-	p.collection0.put(p.env.ID(), p.val)
+	p.collection0.Merge(p.unionC())
+	p.collection0.Put(p.env.ID(), p.val)
 	p.flushHelp()
 
 	switch {
 	case p.fullAcksHigh():
 		p.hook(BranchFastDecide)
-		p.decide(p.unionC().and())
+		p.decide(p.unionC().And())
 	case p.cnt >= 1:
 		p.proposeFrom(p.unionC())
 	default:
@@ -534,9 +441,7 @@ func (p *INBAC) decideTimeoutHigh() {
 		// acknowledgements they received and wait for n-f answers in total.
 		p.hook(BranchAskHelp)
 		p.wait = true
-		for q := p.f() + 1; q <= p.n(); q++ {
-			p.env.Send(core.ProcessID(q), MsgHelp{})
-		}
+		core.SendRange(p.env, p.f()+1, p.n(), MsgHelp{})
 	}
 }
 
@@ -558,7 +463,7 @@ func (p *INBAC) hook(b Branch) {
 func (p *INBAC) decideTimeoutLow() {
 	if p.fullAcksLow() {
 		p.hook(BranchFastDecide)
-		p.decide(p.unionC().and())
+		p.decide(p.unionC().And())
 		return
 	}
 	p.proposeFrom(p.unionC())
@@ -567,11 +472,11 @@ func (p *INBAC) decideTimeoutLow() {
 // proposeFrom cons-proposes the AND of all n votes when the collection is
 // complete and 0 otherwise (the paper: missing votes mean a failure, so it
 // is safe to propose abort).
-func (p *INBAC) proposeFrom(u voteSet) {
+func (p *INBAC) proposeFrom(u core.VoteSet) {
 	p.proposed = true
-	if p.complete(u) {
+	if u.Full() {
 		p.hook(BranchConsAND)
-		p.uc.Propose(u.and())
+		p.uc.Propose(u.And())
 	} else {
 		p.hook(BranchConsZero)
 		p.uc.Propose(core.Abort)
@@ -591,14 +496,14 @@ func (p *INBAC) checkWait() {
 	switch {
 	case p.fullAcksHigh():
 		p.hook(BranchHelpFast)
-		p.decide(p.unionC().and())
+		p.decide(p.unionC().And())
 	case p.cnt >= 1:
 		p.proposeFrom(p.unionC())
 	default:
 		p.proposed = true
-		if p.complete(p.collectionHelp) {
+		if p.collectionHelp.Full() {
 			p.hook(BranchHelpConsAND)
-			p.uc.Propose(p.collectionHelp.and())
+			p.uc.Propose(p.collectionHelp.And())
 		} else {
 			p.hook(BranchHelpConsZero)
 			p.uc.Propose(core.Abort)

@@ -1,8 +1,6 @@
 package inbac
 
 import (
-	"math/rand"
-	"reflect"
 	"testing"
 
 	"atomiccommit/internal/consensus"
@@ -275,66 +273,6 @@ func TestBackupAssignment(t *testing.T) {
 		for q := range got {
 			if !want[q] {
 				t.Errorf("%v sent an unexpected vote to %v", p, q)
-			}
-		}
-	}
-}
-
-// TestVoteSetAgainstMap drives a vote set and the map it replaced through
-// the same random operations, across the one-word boundary: the wire form,
-// the AND and the completeness tests must agree after every step.
-func TestVoteSetAgainstMap(t *testing.T) {
-	newSet := func(n int) voteSet {
-		w := (n + 63) / 64
-		return voteSet{has: make([]uint64, w), yes: make([]uint64, w)}
-	}
-	for _, n := range []int{1, 4, 63, 64, 65, 130} {
-		rng := rand.New(rand.NewSource(int64(n)))
-		sets := []voteSet{newSet(n), newSet(n)}
-		maps := []map[core.ProcessID]core.Value{{}, {}}
-		for step := 0; step < 2000; step++ {
-			k := rng.Intn(2)
-			switch op := rng.Intn(20); {
-			case op == 0:
-				sets[k].reset()
-				clear(maps[k])
-			case op == 1:
-				sets[k].merge(sets[1-k])
-				for q, v := range maps[1-k] {
-					maps[k][q] = v
-				}
-			default:
-				// Mostly in range, sometimes the garbage a corrupt peer could send.
-				q, v := core.ProcessID(rng.Intn(n+3)-1), core.Value(rng.Intn(2))
-				sets[k].putPairs([]VotePair{{P: q, V: v}}, n)
-				if q >= 1 && int(q) <= n {
-					maps[k][q] = v
-				}
-			}
-			var want []VotePair
-			and := core.Commit
-			for q := core.ProcessID(1); int(q) <= n; q++ {
-				if v, ok := maps[k][q]; ok {
-					want = append(want, VotePair{P: q, V: v})
-					and = and.And(v)
-				}
-			}
-			if got := sets[k].pairs(); len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
-				t.Fatalf("n=%d step %d: pairs %v, want %v", n, step, got, want)
-			}
-			if got := sets[k].and(); got != and {
-				t.Fatalf("n=%d step %d: and %v, want %v", n, step, got, and)
-			}
-			for _, upto := range []int{0, 1, n / 2, n} {
-				held := true
-				for q := 1; q <= upto; q++ {
-					if _, ok := maps[k][core.ProcessID(q)]; !ok {
-						held = false
-					}
-				}
-				if got := sets[k].holds(upto); got != held {
-					t.Fatalf("n=%d step %d: holds(%d) = %v, want %v", n, step, upto, got, held)
-				}
 			}
 		}
 	}

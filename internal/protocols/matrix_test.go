@@ -3,8 +3,14 @@ package protocols
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"reflect"
+	"regexp"
+	"strconv"
+	"strings"
 	"testing"
 
+	"atomiccommit/internal/consensus"
 	"atomiccommit/internal/core"
 	"atomiccommit/internal/sched"
 	"atomiccommit/internal/sim"
@@ -254,6 +260,68 @@ func TestRegistrySanity(t *testing.T) {
 	if len(All()) != 13 {
 		t.Errorf("expected 13 protocols, got %d", len(All()))
 	}
+
+	// Wire prototypes: every ID unique per type, inside the block
+	// internal/live/wire.go documents for the type's package, and the whole
+	// set exactly the IDs shipped so far (a shipped ID is never withdrawn,
+	// reused or renumbered). That commit.init registers every one of them is
+	// asserted next to it, in commit/wire_test.go: this package cannot
+	// import commit.
+	blocks := wireBlocks(t)
+	ids := make(map[uint16]string)
+	wires := append([]core.Wire(nil), consensus.Wires...)
+	for _, p := range All() {
+		if len(p.Wires) == 0 {
+			t.Errorf("%s: no wire prototypes", p.Name)
+		}
+		wires = append(wires, p.Wires...)
+	}
+	for _, w := range wires {
+		typ := reflect.TypeOf(w)
+		if prev, ok := ids[w.WireID()]; ok && prev != typ.String() {
+			t.Errorf("wire ID %d claimed by both %s and %s", w.WireID(), prev, typ)
+		}
+		ids[w.WireID()] = typ.String()
+		pkg := strings.TrimPrefix(typ.PkgPath(), "atomiccommit/internal/")
+		if b, ok := blocks[pkg]; !ok {
+			t.Errorf("%s: internal/live/wire.go documents no ID block for %s", typ, pkg)
+		} else if w.WireID() < b[0] || w.WireID() > b[1] {
+			t.Errorf("%s: ID %d outside the documented block %d..%d", typ, w.WireID(), b[0], b[1])
+		}
+	}
+	shipped := [][2]uint16{{8, 14}, {16, 20}, {24, 26}, {28, 32}, {36, 42}, {46, 47}, {50, 51}, {54, 56}, {60, 60}, {62, 65}, {68, 69}, {72, 76}}
+	count := 0
+	for _, r := range shipped {
+		for id := r[0]; id <= r[1]; id++ {
+			count++
+			if _, ok := ids[id]; !ok {
+				t.Errorf("shipped wire ID %d is no longer listed", id)
+			}
+		}
+	}
+	if len(ids) != count {
+		t.Errorf("%d wire IDs listed, %d shipped: a new message type extends the shipped list here", len(ids), count)
+	}
+}
+
+// wireBlocks reads the per-package ID blocks out of the registry comment in
+// internal/live/wire.go ("16..20   protocols/inbac"), keyed by the package
+// path below internal/.
+func wireBlocks(t *testing.T) map[string][2]uint16 {
+	src, err := os.ReadFile("../live/wire.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := make(map[string][2]uint16)
+	for _, m := range regexp.MustCompile(`(?m)^//\s+(\d+)(?:\.\.(\d+))?\s+(?:internal/)?((?:protocols/)?\w+)`).FindAllStringSubmatch(string(src), -1) {
+		lo, _ := strconv.Atoi(m[1])
+		hi := lo
+		if m[2] != "" {
+			hi, _ = strconv.Atoi(m[2])
+		}
+		blocks[m[3]] = [2]uint16{uint16(lo), uint16(hi)}
+	}
+	return blocks
 }
 
 // TestTable5FormulasAtF1 pins the paper's f=1 comparison (section 1.3): 2PC

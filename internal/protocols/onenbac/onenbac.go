@@ -58,53 +58,42 @@ const (
 	tagPhase1 = 1 // end of the [D, d] wait (time 2U)
 )
 
-// Options configures the protocol.
-type Options struct {
-	// Consensus builds the underlying uniform consensus module; nil means
-	// the synchronous flooding consensus (terminates for any f in
-	// crash-failure executions, matching 1NBAC's cell (AVT, VT)).
-	Consensus func() core.Module
-}
+// Options is empty: the underlying consensus is always the synchronous
+// flooding module (terminates for any f in crash-failure executions,
+// matching 1NBAC's cell (AVT, VT)).
+type Options struct{}
 
 // OneNBAC is one process's instance.
 type OneNBAC struct {
-	env  core.Env
-	opts Options
-
-	uc core.Module
+	env core.Env
+	uc  core.Module
 
 	phase    int
 	proposed bool
 	decided  bool
 	decision core.Value
-	votes    map[core.ProcessID]bool
+	votes    core.ProcSet // whose vote arrived
 	gotD     bool
 }
 
 // New returns a 1NBAC factory.
-func New(opts Options) func(core.ProcessID) core.Module {
-	return func(core.ProcessID) core.Module { return &OneNBAC{opts: opts} }
+func New(Options) func(core.ProcessID) core.Module {
+	return func(core.ProcessID) core.Module { return &OneNBAC{} }
 }
 
 // Init implements core.Module.
 func (p *OneNBAC) Init(env core.Env) {
 	p.env = env
-	p.votes = make(map[core.ProcessID]bool)
+	p.votes = core.NewProcSet(env.N())
 	p.decision = core.Commit
-	if p.opts.Consensus != nil {
-		p.uc = p.opts.Consensus()
-	} else {
-		p.uc = consensus.NewFlooding()
-	}
+	p.uc = consensus.NewFlooding()
 	env.Register("uc", p.uc, p.onConsensus)
 }
 
 // Propose implements core.Module.
 func (p *OneNBAC) Propose(v core.Value) {
 	p.decision = p.decision.And(v)
-	for i := 1; i <= p.env.N(); i++ {
-		p.env.Send(core.ProcessID(i), MsgV{V: v})
-	}
+	core.SendAll(p.env, MsgV{V: v})
 	p.env.SetTimerAt(p.env.U(), tagPhase0)
 }
 
@@ -112,7 +101,7 @@ func (p *OneNBAC) Propose(v core.Value) {
 func (p *OneNBAC) Deliver(from core.ProcessID, m core.Message) {
 	switch msg := m.(type) {
 	case MsgV:
-		p.votes[from] = true
+		p.votes.Add(from)
 		p.decision = p.decision.And(msg.V)
 	case MsgD:
 		p.gotD = true
@@ -124,11 +113,9 @@ func (p *OneNBAC) Deliver(from core.ProcessID, m core.Message) {
 func (p *OneNBAC) Timeout(tag int) {
 	switch {
 	case tag == tagPhase0 && p.phase == 0:
-		if len(p.votes) == p.env.N() {
+		if p.votes.Full() {
 			// All votes in after one delay: decide and help the others.
-			for i := 1; i <= p.env.N(); i++ {
-				p.env.Send(core.ProcessID(i), MsgD{V: p.decision})
-			}
+			core.SendAll(p.env, MsgD{V: p.decision})
 			p.decide(p.decision)
 			return
 		}

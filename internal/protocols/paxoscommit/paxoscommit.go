@@ -187,10 +187,11 @@ type instState struct {
 
 // leadInst is a recovery leader's per-instance tally for its current ballot.
 type leadInst struct {
-	promises map[core.ProcessID]MsgPromiseI
-	accepted map[core.ProcessID]bool
-	inPhase2 bool
-	value    core.Value
+	promisers core.ProcSet // who promised
+	bestB     int          // highest accepted ballot among the promises, -1 when none
+	value     core.Value   // that ballot's value (Abort when none), proposed in phase 2
+	accepted  core.ProcSet // who accepted value
+	inPhase2  bool
 }
 
 // PaxosCommit is one process's instance.
@@ -204,14 +205,16 @@ type PaxosCommit struct {
 	// Acceptor state, indexed by instance 1..n.
 	inst []instState
 
-	// Bundle collection (leader in Classic, everyone in Faster).
-	bundles map[core.ProcessID][]uint8
+	// Bundle collection (leader in Classic, everyone in Faster): who sent a
+	// bundle with all n votes, and the AND of those votes.
+	complete    core.ProcSet
+	fastOutcome core.Value
 
 	// Recovery.
 	round      int
 	leadBallot int
 	leading    map[int]*leadInst // per instance
-	resolved   map[int]core.Value
+	resolved   core.VoteSet      // instance k's chosen vote, filed under Pk
 }
 
 // New returns a PaxosCommit factory.
@@ -226,9 +229,10 @@ func (p *PaxosCommit) Init(env core.Env) {
 	for k := range p.inst {
 		p.inst[k] = instState{promised: -1, accB: -1}
 	}
-	p.bundles = make(map[core.ProcessID][]uint8)
+	p.complete = core.NewProcSet(env.N())
+	p.fastOutcome = core.Commit
 	p.leadBallot = -1
-	p.resolved = make(map[int]core.Value)
+	p.resolved = core.NewVoteSet(env.N())
 }
 
 func (p *PaxosCommit) n() int { return p.env.N() }
@@ -256,10 +260,7 @@ func (p *PaxosCommit) roundDeadline(r int) core.Ticks {
 // Propose implements core.Module.
 func (p *PaxosCommit) Propose(v core.Value) {
 	p.vote = v
-	me := int(p.env.ID())
-	for a := 1; a <= p.numFast(); a++ {
-		p.env.Send(core.ProcessID(a), MsgVote2a{Inst: me, V: v})
-	}
+	core.SendRange(p.env, 1, p.numFast(), MsgVote2a{Inst: int(p.env.ID()), V: v})
 	if p.isFast() {
 		p.env.SetTimerAt(p.env.U(), tagBundle)
 	}
@@ -270,10 +271,19 @@ func (p *PaxosCommit) Propose(v core.Value) {
 	p.env.SetTimerAt(p.roundDeadline(0), 0)
 }
 
+// hasInst reports whether k, an instance number off the wire, names one of
+// the n instances. A peer configured with another n, or a corrupt frame that
+// still parses, can send any number; such a message is dropped before it
+// indexes anything.
+func (p *PaxosCommit) hasInst(k int) bool { return k >= 1 && k <= p.n() }
+
 // Deliver implements core.Module.
 func (p *PaxosCommit) Deliver(from core.ProcessID, m core.Message) {
 	switch msg := m.(type) {
 	case MsgVote2a:
+		if !p.hasInst(msg.Inst) {
+			return
+		}
 		st := &p.inst[msg.Inst]
 		if st.promised <= 0 && st.accB < 0 {
 			st.promised = 0
@@ -281,18 +291,44 @@ func (p *PaxosCommit) Deliver(from core.ProcessID, m core.Message) {
 			st.accV = msg.V
 		}
 	case MsgBundle:
-		p.bundles[from] = msg.Views
+		p.onBundle(from, msg.Views)
 	case MsgOutcome:
 		p.decideOutcome(msg.V)
 	case MsgPrepareI:
-		p.onPrepare(from, msg)
+		if p.hasInst(msg.Inst) {
+			p.onPrepare(from, msg)
+		}
 	case MsgPromiseI:
-		p.onPromise(from, msg)
+		if p.hasInst(msg.Inst) {
+			p.onPromise(from, msg)
+		}
 	case MsgAcceptI:
-		p.onAccept(from, msg)
+		if p.hasInst(msg.Inst) {
+			p.onAccept(from, msg)
+		}
 	case MsgAcceptedI:
-		p.onAccepted(from, msg)
+		if p.hasInst(msg.Inst) {
+			p.onAccepted(from, msg)
+		}
 	}
+}
+
+// onBundle counts a bundle that holds a vote for every RM. One with unknown
+// entries does not count; one that is not n entries long (empty included) is
+// malformed and must not count as complete either.
+func (p *PaxosCommit) onBundle(from core.ProcessID, views []uint8) {
+	if len(views) != p.n() {
+		return
+	}
+	all := core.Commit
+	for _, b := range views {
+		if b == unknown {
+			return
+		}
+		all = all.And(core.Value(b))
+	}
+	p.complete.Add(from)
+	p.fastOutcome = p.fastOutcome.And(all)
 }
 
 // Timeout implements core.Module.
@@ -323,13 +359,10 @@ func (p *PaxosCommit) sendBundle() {
 			views[k-1] = uint8(p.inst[k].accV)
 		}
 	}
-	msg := MsgBundle{Views: views}
 	if p.opts.Mode == Faster {
-		for q := 1; q <= p.n(); q++ {
-			p.env.Send(core.ProcessID(q), msg)
-		}
+		core.SendAll(p.env, MsgBundle{Views: views})
 	} else {
-		p.env.Send(1, msg)
+		p.env.Send(1, MsgBundle{Views: views})
 	}
 }
 
@@ -338,29 +371,12 @@ func (p *PaxosCommit) tryFastDecision() {
 	if p.decided {
 		return
 	}
-	complete := 0
-	outcome := core.Commit
-	for _, views := range p.bundles {
-		full := true
-		for _, b := range views {
-			if b == unknown {
-				full = false
-				break
-			}
-			outcome = outcome.And(core.Value(b))
-		}
-		if full {
-			complete++
-		}
-	}
-	if complete >= p.numFast() {
+	if p.complete.Count() >= p.numFast() {
 		if p.opts.Mode == Classic {
 			// The leader announces; everyone else decides at 3U.
-			for q := 2; q <= p.n(); q++ {
-				p.env.Send(core.ProcessID(q), MsgOutcome{V: outcome})
-			}
+			core.SendRange(p.env, 2, p.n(), MsgOutcome{V: p.fastOutcome})
 		}
-		p.decideOutcome(outcome)
+		p.decideOutcome(p.fastOutcome)
 		return
 	}
 	// Fast path failed. The round-0 leader escalates immediately rather
@@ -378,16 +394,15 @@ func (p *PaxosCommit) startRecovery(ballot int) {
 	p.leadBallot = ballot
 	p.leading = make(map[int]*leadInst)
 	for k := 1; k <= p.n(); k++ {
-		if _, done := p.resolved[k]; done {
+		if p.resolved.Has(core.ProcessID(k)) {
 			continue
 		}
 		p.leading[k] = &leadInst{
-			promises: make(map[core.ProcessID]MsgPromiseI),
-			accepted: make(map[core.ProcessID]bool),
+			promisers: core.NewProcSet(p.n()),
+			bestB:     -1,
+			accepted:  core.NewProcSet(p.n()),
 		}
-		for a := 1; a <= p.numFull(); a++ {
-			p.env.Send(core.ProcessID(a), MsgPrepareI{Inst: k, B: ballot})
-		}
+		core.SendRange(p.env, 1, p.numFull(), MsgPrepareI{Inst: k, B: ballot})
 	}
 	p.maybeFinishRecovery()
 }
@@ -412,27 +427,18 @@ func (p *PaxosCommit) onPromise(from core.ProcessID, m MsgPromiseI) {
 	if !ok || li.inPhase2 {
 		return
 	}
-	li.promises[from] = m
-	if len(li.promises) < p.majority() {
-		return
-	}
 	// Adopt the accepted value of the highest ballot; a silent instance
 	// (its RM never voted) is resolved Abort — a failure occurred, so
 	// validity allows it.
-	bestB, v := -1, core.Abort
-	for _, pr := range li.promises {
-		if pr.AccB > bestB {
-			bestB, v = pr.AccB, pr.AccV
-		}
+	li.promisers.Add(from)
+	if m.AccB > li.bestB {
+		li.bestB, li.value = m.AccB, m.AccV
 	}
-	if bestB < 0 {
-		v = core.Abort
+	if li.promisers.Count() < p.majority() {
+		return
 	}
 	li.inPhase2 = true
-	li.value = v
-	for a := 1; a <= p.numFull(); a++ {
-		p.env.Send(core.ProcessID(a), MsgAcceptI{Inst: m.Inst, B: m.B, V: v})
-	}
+	core.SendRange(p.env, 1, p.numFull(), MsgAcceptI{Inst: m.Inst, B: m.B, V: li.value})
 }
 
 func (p *PaxosCommit) onAccept(from core.ProcessID, m MsgAcceptI) {
@@ -457,29 +463,22 @@ func (p *PaxosCommit) onAccepted(from core.ProcessID, m MsgAcceptedI) {
 	if !ok || !li.inPhase2 {
 		return
 	}
-	li.accepted[from] = true
-	if len(li.accepted) < p.majority() {
+	li.accepted.Add(from)
+	if li.accepted.Count() < p.majority() {
 		return
 	}
-	p.resolved[m.Inst] = li.value
+	p.resolved.Put(core.ProcessID(m.Inst), li.value)
 	delete(p.leading, m.Inst)
 	p.maybeFinishRecovery()
 }
 
 // maybeFinishRecovery announces the outcome once every instance is resolved.
 func (p *PaxosCommit) maybeFinishRecovery() {
-	if p.decided || len(p.resolved) != p.n() {
+	if p.decided || !p.resolved.Full() {
 		return
 	}
-	outcome := core.Commit
-	for _, v := range p.resolved {
-		outcome = outcome.And(v)
-	}
-	for q := 1; q <= p.n(); q++ {
-		if core.ProcessID(q) != p.env.ID() {
-			p.env.Send(core.ProcessID(q), MsgOutcome{V: outcome})
-		}
-	}
+	outcome := p.resolved.And()
+	core.SendOthers(p.env, MsgOutcome{V: outcome})
 	p.decideOutcome(outcome)
 }
 

@@ -1,7 +1,13 @@
 // Package protocols registers every commit protocol in this repository
-// together with its robustness contract (its cell in the paper's Table 1)
-// and the paper's closed-form nice-execution complexity, so that the test
-// matrix and the benchmark harness can run the whole suite uniformly.
+// together with its robustness contract (its cell in the paper's Table 1),
+// the paper's closed-form nice-execution complexity and its wire message
+// types, so that the test matrix, the benchmark harness and the live
+// runtime's codec can take the whole suite uniformly.
+//
+// Adding a protocol is a package under this directory (a core.Module built
+// from the internal/core kit, its messages in a fresh wire ID block listed in
+// internal/live/wire.go), one Info entry below, and a row in DESIGN.md's
+// protocol table. Nothing else names protocols one by one.
 package protocols
 
 import (
@@ -52,127 +58,155 @@ type Info struct {
 	// UsesConsensus marks protocols whose nice executions must stay
 	// consensus-silent (asserted by tests).
 	UsesConsensus bool
+
+	// Wires is one prototype of every message type the protocol's package
+	// puts on the wire (internal/consensus's, used by several, are listed
+	// there). The commit package registers them with the live runtime.
+	Wires []core.Wire
 }
 
 func c(k int) Formula { return func(n, f int) int { return k } }
 
-// All returns every registered protocol, in a stable order.
-func All() []Info {
-	return []Info{
-		{
-			Name: "inbac", Paper: "INBAC (section 5, appendix A)",
-			Contract:    sim.Contract{Name: "inbac", CF: sim.PropsAVT, NF: sim.PropsAVT, MajorityForT: true},
-			New:         func() func(core.ProcessID) core.Module { return inbac.New(inbac.Options{}) },
-			PaperDelays: c(2), PaperMessages: func(n, f int) int { return 2 * f * n },
-			Delays: c(2), Messages: func(n, f int) int { return 2 * f * n },
-			MinN: 2, UsesConsensus: true,
-		},
-		{
-			Name: "1nbac", Paper: "1NBAC (appendix D)",
-			Contract:    sim.Contract{Name: "1nbac", CF: sim.PropsAVT, NF: sim.PropsVT},
-			New:         func() func(core.ProcessID) core.Module { return onenbac.New(onenbac.Options{}) },
-			PaperDelays: c(1), PaperMessages: func(n, f int) int { return n*n - n },
-			Delays: c(1), Messages: func(n, f int) int { return n*n - n },
-			MinN: 2, UsesConsensus: true,
-		},
-		{
-			Name: "avnbac-delay", Paper: "avNBAC, delay-optimal variant (section 4.1)",
-			Contract:    sim.Contract{Name: "avnbac-delay", CF: sim.PropsAV, NF: sim.PropsAV},
-			New:         func() func(core.ProcessID) core.Module { return avnbac.NewDelayOptimal() },
-			PaperDelays: c(1), PaperMessages: nil,
-			Delays: c(1), Messages: func(n, f int) int { return n*n - n },
-			MinN: 2,
-		},
-		{
-			Name: "avnbac-msg", Paper: "avNBAC, message-optimal variant (appendix E.5)",
-			Contract:    sim.Contract{Name: "avnbac-msg", CF: sim.PropsAV, NF: sim.PropsAV},
-			New:         func() func(core.ProcessID) core.Module { return avnbac.NewMessageOptimal() },
-			PaperDelays: nil, PaperMessages: func(n, f int) int { return 2*n - 2 },
-			Delays: c(2), Messages: func(n, f int) int { return 2*n - 2 },
-			MinN: 2,
-		},
-		{
-			Name: "0nbac", Paper: "0NBAC (appendix E.1)",
-			Contract:    sim.Contract{Name: "0nbac", CF: sim.PropsAT, NF: sim.PropsAT, MajorityForT: true},
-			New:         func() func(core.ProcessID) core.Module { return zeronbac.New(zeronbac.Options{}) },
-			PaperDelays: c(1), PaperMessages: c(0),
-			Delays: c(1), Messages: c(0),
-			MinN: 2, UsesConsensus: true,
-		},
-		{
-			Name: "anbac", Paper: "aNBAC (appendix E.3)",
-			Contract:    sim.Contract{Name: "anbac", CF: sim.PropsAV, NF: sim.PropA},
-			New:         func() func(core.ProcessID) core.Module { return anbac.New() },
-			PaperDelays: nil, PaperMessages: func(n, f int) int { return n - 1 + f },
-			Delays: func(n, f int) int { return n + 2*f }, Messages: func(n, f int) int { return n - 1 + f },
-			MinN: 3,
-		},
-		{
-			Name: "chainnbac", Paper: "(n-1+f)NBAC (appendix E.2)",
-			Contract:    sim.Contract{Name: "chainnbac", CF: sim.PropsAVT, NF: sim.PropT},
-			New:         func() func(core.ProcessID) core.Module { return chainnbac.New() },
-			PaperDelays: func(n, f int) int { return 2*f + n - 1 }, PaperMessages: func(n, f int) int { return n - 1 + f },
-			Delays: func(n, f int) int { return n + 2*f }, Messages: func(n, f int) int { return n - 1 + f },
-			MinN: 3,
-		},
-		{
-			Name: "hubnbac", Paper: "(2n-2)NBAC (appendix E.4)",
-			Contract:    sim.Contract{Name: "hubnbac", CF: sim.PropsAVT, NF: sim.PropsVT},
-			New:         func() func(core.ProcessID) core.Module { return hubnbac.New() },
-			PaperDelays: nil, PaperMessages: func(n, f int) int { return 2*n - 2 },
-			Delays: func(n, f int) int { return 2 + f }, Messages: func(n, f int) int { return 2*n - 2 },
-			MinN: 2,
-		},
-		{
-			Name: "fullnbac", Paper: "(2n-2+f)NBAC (appendix E.6)",
-			Contract:    sim.Contract{Name: "fullnbac", CF: sim.PropsAVT, NF: sim.PropsAVT, MajorityForT: true},
-			New:         func() func(core.ProcessID) core.Module { return fullnbac.New(fullnbac.Options{}) },
-			PaperDelays: nil, PaperMessages: func(n, f int) int { return 2*n - 2 + f },
-			Delays: func(n, f int) int { return 2*n + f - 2 }, Messages: func(n, f int) int { return 2*n - 2 + f },
-			MinN: 3, UsesConsensus: true,
-		},
-		{
-			Name: "2pc", Paper: "2PC (Gray 1978; Table 5)",
-			Contract:    sim.Contract{Name: "2pc", CF: sim.PropsAV, NF: sim.PropsAV},
-			New:         func() func(core.ProcessID) core.Module { return twopc.New(twopc.Options{}) },
-			PaperDelays: c(2), PaperMessages: func(n, f int) int { return 2*n - 2 },
-			Delays: c(2), Messages: func(n, f int) int { return 2*n - 2 },
-			MinN: 2,
-		},
-		{
-			Name: "3pc", Paper: "3PC (Skeen 1981; section 6.2)",
-			Contract:    sim.Contract{Name: "3pc", CF: sim.PropsAVT, NF: sim.PropsVT},
-			New:         func() func(core.ProcessID) core.Module { return threepc.New() },
-			PaperDelays: nil, PaperMessages: nil,
-			Delays: c(4), Messages: func(n, f int) int { return 4*n - 4 },
-			MinN: 2,
-		},
-		{
-			Name: "paxoscommit", Paper: "PaxosCommit (Gray & Lamport 2006; Table 5)",
-			Contract: sim.Contract{Name: "paxoscommit", CF: sim.PropsAVT, NF: sim.PropsAVT, MajorityForT: true},
-			New: func() func(core.ProcessID) core.Module {
-				return paxoscommit.New(paxoscommit.Options{Mode: paxoscommit.Classic})
-			},
-			PaperDelays: c(3), PaperMessages: func(n, f int) int { return n*f + 2*n - 2 },
-			Delays: c(3), Messages: func(n, f int) int { return n*f + 2*n - 2 },
-			MinN: 2,
-		},
-		{
-			Name: "fasterpaxoscommit", Paper: "Faster PaxosCommit (Gray & Lamport 2006; Table 5)",
-			Contract: sim.Contract{Name: "fasterpaxoscommit", CF: sim.PropsAVT, NF: sim.PropsAVT, MajorityForT: true},
-			New: func() func(core.ProcessID) core.Module {
-				return paxoscommit.New(paxoscommit.Options{Mode: paxoscommit.Faster})
-			},
-			PaperDelays: c(2), PaperMessages: func(n, f int) int { return 2*f*n + 2*n - 2*f - 2 },
-			Delays: c(2), Messages: func(n, f int) int { return 2*f*n + 2*n - 2*f - 2 },
-			MinN: 2,
-		},
+// avnbac and paxoscommit each register two variants over one message set.
+var (
+	avnbacWires = []core.Wire{avnbac.MsgV{}, avnbac.MsgB{}}
+	paxosWires  = []core.Wire{
+		paxoscommit.MsgVote2a{}, paxoscommit.MsgBundle{}, paxoscommit.MsgOutcome{}, paxoscommit.MsgPrepareI{},
+		paxoscommit.MsgPromiseI{}, paxoscommit.MsgAcceptI{}, paxoscommit.MsgAcceptedI{},
 	}
+)
+
+// All returns every registered protocol, in a stable order. The slice is
+// shared: callers must not modify it.
+func All() []Info { return all }
+
+var all = []Info{
+	{
+		Name: "inbac", Paper: "INBAC (section 5, appendix A)",
+		Contract:    sim.Contract{Name: "inbac", CF: sim.PropsAVT, NF: sim.PropsAVT, MajorityForT: true},
+		New:         func() func(core.ProcessID) core.Module { return inbac.New(inbac.Options{}) },
+		PaperDelays: c(2), PaperMessages: func(n, f int) int { return 2 * f * n },
+		Delays: c(2), Messages: func(n, f int) int { return 2 * f * n },
+		MinN: 2, UsesConsensus: true,
+		Wires: []core.Wire{inbac.MsgV{}, inbac.MsgC{}, inbac.MsgHelp{}, inbac.MsgHelped{}, inbac.MsgA{}},
+	},
+	{
+		Name: "1nbac", Paper: "1NBAC (appendix D)",
+		Contract:    sim.Contract{Name: "1nbac", CF: sim.PropsAVT, NF: sim.PropsVT},
+		New:         func() func(core.ProcessID) core.Module { return onenbac.New(onenbac.Options{}) },
+		PaperDelays: c(1), PaperMessages: func(n, f int) int { return n*n - n },
+		Delays: c(1), Messages: func(n, f int) int { return n*n - n },
+		MinN: 2, UsesConsensus: true,
+		Wires: []core.Wire{onenbac.MsgV{}, onenbac.MsgD{}},
+	},
+	{
+		Name: "avnbac-delay", Paper: "avNBAC, delay-optimal variant (section 4.1)",
+		Contract:    sim.Contract{Name: "avnbac-delay", CF: sim.PropsAV, NF: sim.PropsAV},
+		New:         func() func(core.ProcessID) core.Module { return avnbac.NewDelayOptimal() },
+		PaperDelays: c(1), PaperMessages: nil,
+		Delays: c(1), Messages: func(n, f int) int { return n*n - n },
+		MinN:  2,
+		Wires: avnbacWires,
+	},
+	{
+		Name: "avnbac-msg", Paper: "avNBAC, message-optimal variant (appendix E.5)",
+		Contract:    sim.Contract{Name: "avnbac-msg", CF: sim.PropsAV, NF: sim.PropsAV},
+		New:         func() func(core.ProcessID) core.Module { return avnbac.NewMessageOptimal() },
+		PaperDelays: nil, PaperMessages: func(n, f int) int { return 2*n - 2 },
+		Delays: c(2), Messages: func(n, f int) int { return 2*n - 2 },
+		MinN:  2,
+		Wires: avnbacWires,
+	},
+	{
+		Name: "0nbac", Paper: "0NBAC (appendix E.1)",
+		Contract:    sim.Contract{Name: "0nbac", CF: sim.PropsAT, NF: sim.PropsAT, MajorityForT: true},
+		New:         func() func(core.ProcessID) core.Module { return zeronbac.New(zeronbac.Options{}) },
+		PaperDelays: c(1), PaperMessages: c(0),
+		Delays: c(1), Messages: c(0),
+		MinN: 2, UsesConsensus: true,
+		Wires: []core.Wire{zeronbac.MsgV{}, zeronbac.MsgB{}, zeronbac.MsgAck{}},
+	},
+	{
+		Name: "anbac", Paper: "aNBAC (appendix E.3)",
+		Contract:    sim.Contract{Name: "anbac", CF: sim.PropsAV, NF: sim.PropA},
+		New:         func() func(core.ProcessID) core.Module { return anbac.New() },
+		PaperDelays: nil, PaperMessages: func(n, f int) int { return n - 1 + f },
+		Delays: func(n, f int) int { return n + 2*f }, Messages: func(n, f int) int { return n - 1 + f },
+		MinN:  3,
+		Wires: []core.Wire{anbac.MsgVal{}, anbac.MsgV0{}, anbac.MsgB0{}, anbac.MsgAck{}},
+	},
+	{
+		Name: "chainnbac", Paper: "(n-1+f)NBAC (appendix E.2)",
+		Contract:    sim.Contract{Name: "chainnbac", CF: sim.PropsAVT, NF: sim.PropT},
+		New:         func() func(core.ProcessID) core.Module { return chainnbac.New() },
+		PaperDelays: func(n, f int) int { return 2*f + n - 1 }, PaperMessages: func(n, f int) int { return n - 1 + f },
+		Delays: func(n, f int) int { return n + 2*f }, Messages: func(n, f int) int { return n - 1 + f },
+		MinN:  3,
+		Wires: []core.Wire{chainnbac.MsgVal{}},
+	},
+	{
+		Name: "hubnbac", Paper: "(2n-2)NBAC (appendix E.4)",
+		Contract:    sim.Contract{Name: "hubnbac", CF: sim.PropsAVT, NF: sim.PropsVT},
+		New:         func() func(core.ProcessID) core.Module { return hubnbac.New() },
+		PaperDelays: nil, PaperMessages: func(n, f int) int { return 2*n - 2 },
+		Delays: func(n, f int) int { return 2 + f }, Messages: func(n, f int) int { return 2*n - 2 },
+		MinN:  2,
+		Wires: []core.Wire{hubnbac.MsgV{}, hubnbac.MsgB{}},
+	},
+	{
+		Name: "fullnbac", Paper: "(2n-2+f)NBAC (appendix E.6)",
+		Contract:    sim.Contract{Name: "fullnbac", CF: sim.PropsAVT, NF: sim.PropsAVT, MajorityForT: true},
+		New:         func() func(core.ProcessID) core.Module { return fullnbac.New(fullnbac.Options{}) },
+		PaperDelays: nil, PaperMessages: func(n, f int) int { return 2*n - 2 + f },
+		Delays: func(n, f int) int { return 2*n + f - 2 }, Messages: func(n, f int) int { return 2*n - 2 + f },
+		MinN: 3, UsesConsensus: true,
+		Wires: []core.Wire{fullnbac.MsgV{}, fullnbac.MsgB{}, fullnbac.MsgZ{}, fullnbac.MsgHelp{}, fullnbac.MsgHelped{}},
+	},
+	{
+		Name: "2pc", Paper: "2PC (Gray 1978; Table 5)",
+		Contract:    sim.Contract{Name: "2pc", CF: sim.PropsAV, NF: sim.PropsAV},
+		New:         func() func(core.ProcessID) core.Module { return twopc.New(twopc.Options{}) },
+		PaperDelays: c(2), PaperMessages: func(n, f int) int { return 2*n - 2 },
+		Delays: c(2), Messages: func(n, f int) int { return 2*n - 2 },
+		MinN:  2,
+		Wires: []core.Wire{twopc.MsgReq{}, twopc.MsgVote{}, twopc.MsgOutcome{}},
+	},
+	{
+		Name: "3pc", Paper: "3PC (Skeen 1981; section 6.2)",
+		Contract:    sim.Contract{Name: "3pc", CF: sim.PropsAVT, NF: sim.PropsVT},
+		New:         func() func(core.ProcessID) core.Module { return threepc.New() },
+		PaperDelays: nil, PaperMessages: nil,
+		Delays: c(4), Messages: func(n, f int) int { return 4*n - 4 },
+		MinN:  2,
+		Wires: []core.Wire{threepc.MsgVote{}, threepc.MsgPrecommit{}, threepc.MsgAck{}, threepc.MsgOutcome{}, threepc.MsgState{}},
+	},
+	{
+		Name: "paxoscommit", Paper: "PaxosCommit (Gray & Lamport 2006; Table 5)",
+		Contract: sim.Contract{Name: "paxoscommit", CF: sim.PropsAVT, NF: sim.PropsAVT, MajorityForT: true},
+		New: func() func(core.ProcessID) core.Module {
+			return paxoscommit.New(paxoscommit.Options{Mode: paxoscommit.Classic})
+		},
+		PaperDelays: c(3), PaperMessages: func(n, f int) int { return n*f + 2*n - 2 },
+		Delays: c(3), Messages: func(n, f int) int { return n*f + 2*n - 2 },
+		MinN:  2,
+		Wires: paxosWires,
+	},
+	{
+		Name: "fasterpaxoscommit", Paper: "Faster PaxosCommit (Gray & Lamport 2006; Table 5)",
+		Contract: sim.Contract{Name: "fasterpaxoscommit", CF: sim.PropsAVT, NF: sim.PropsAVT, MajorityForT: true},
+		New: func() func(core.ProcessID) core.Module {
+			return paxoscommit.New(paxoscommit.Options{Mode: paxoscommit.Faster})
+		},
+		PaperDelays: c(2), PaperMessages: func(n, f int) int { return 2*f*n + 2*n - 2*f - 2 },
+		Delays: c(2), Messages: func(n, f int) int { return 2*f*n + 2*n - 2*f - 2 },
+		MinN:  2,
+		Wires: paxosWires,
+	},
 }
 
 // ByName returns the protocol registered under name.
 func ByName(name string) (Info, bool) {
-	for _, p := range All() {
+	for _, p := range all {
 		if p.Name == name {
 			return p, true
 		}

@@ -111,14 +111,13 @@ const Coordinator core.ProcessID = 1
 type ThreePC struct {
 	env core.Env
 
-	vote         core.Value
-	votes        map[core.ProcessID]core.Value
+	votes        core.VoteSet // the coordinator's collection
 	precommitted bool
 	decided      bool
 	decision     core.Value
 
 	nextRound int
-	reports   map[int]map[core.ProcessID]bool // round -> reporter -> precommitted
+	witnessed map[int]bool // election round -> some reporter was precommitted
 }
 
 // New returns a 3PC factory.
@@ -129,8 +128,8 @@ func New() func(core.ProcessID) core.Module {
 // Init implements core.Module.
 func (p *ThreePC) Init(env core.Env) {
 	p.env = env
-	p.votes = make(map[core.ProcessID]core.Value)
-	p.reports = make(map[int]map[core.ProcessID]bool)
+	p.votes = core.NewVoteSet(env.N())
+	p.witnessed = make(map[int]bool)
 }
 
 func (p *ThreePC) n() int { return p.env.N() }
@@ -148,7 +147,6 @@ func (p *ThreePC) roundStart(j int) core.Ticks { return core.Ticks(4+3*j) * p.en
 
 // Propose implements core.Module.
 func (p *ThreePC) Propose(v core.Value) {
-	p.vote = v
 	p.env.Send(Coordinator, MsgVote{V: v})
 	if p.isCoord() {
 		p.env.SetTimerAt(p.env.U(), tagVotes)
@@ -162,7 +160,7 @@ func (p *ThreePC) Deliver(from core.ProcessID, m core.Message) {
 	switch msg := m.(type) {
 	case MsgVote:
 		if p.isCoord() {
-			p.votes[from] = msg.V
+			p.votes.Put(from, msg.V)
 		}
 	case MsgPrecommit:
 		if !p.decided && !p.precommitted {
@@ -209,35 +207,17 @@ func (p *ThreePC) Timeout(tag int) {
 }
 
 func (p *ThreePC) coordVotesDeadline() {
-	all := core.Commit
-	complete := true
-	for q := 1; q <= p.n(); q++ {
-		v, ok := p.votes[core.ProcessID(q)]
-		if !ok {
-			complete = false
-			break
-		}
-		all = all.And(v)
-	}
-	if !complete || all == core.Abort {
+	if !p.votes.Full() || p.votes.And() == core.Abort {
 		p.broadcastOutcome(core.Abort)
 		p.decide(core.Abort)
 		return
 	}
 	p.precommitted = true
-	for q := 2; q <= p.n(); q++ {
-		p.env.Send(core.ProcessID(q), MsgPrecommit{})
-	}
+	core.SendRange(p.env, 2, p.n(), MsgPrecommit{})
 	p.env.SetTimerAt(3*p.env.U(), tagCommit)
 }
 
-func (p *ThreePC) broadcastOutcome(v core.Value) {
-	for q := 1; q <= p.n(); q++ {
-		if core.ProcessID(q) != p.env.ID() {
-			p.env.Send(core.ProcessID(q), MsgOutcome{V: v})
-		}
-	}
-}
+func (p *ThreePC) broadcastOutcome(v core.Value) { core.SendOthers(p.env, MsgOutcome{V: v}) }
 
 // startRound schedules participation from election round j on.
 func (p *ThreePC) startRound(j int) {
@@ -272,12 +252,9 @@ func (p *ThreePC) onState(from core.ProcessID, m MsgState) {
 	if p.elected(m.Round) != p.env.ID() {
 		return
 	}
-	r, ok := p.reports[m.Round]
-	if !ok {
-		r = make(map[core.ProcessID]bool)
-		p.reports[m.Round] = r
+	if m.Precommitted {
+		p.witnessed[m.Round] = true
 	}
-	r[from] = m.Precommitted
 }
 
 // resolveRound is the elected coordinator's decision point for round j:
@@ -289,14 +266,8 @@ func (p *ThreePC) resolveRound(j int) {
 	if p.decided {
 		return
 	}
-	witness := p.precommitted
-	for _, pre := range p.reports[j] {
-		if pre {
-			witness = true
-		}
-	}
 	out := core.Abort
-	if witness {
+	if p.precommitted || p.witnessed[j] {
 		out = core.Commit
 	}
 	p.broadcastOutcome(out)

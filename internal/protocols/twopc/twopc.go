@@ -4,8 +4,7 @@
 // The default variant is the paper's "fair comparison" form (footnote 13):
 // every process starts spontaneously, so participants push their votes to
 // the coordinator P1 without being asked. In a nice execution it takes 2
-// message delays and 2n-2 messages. The classic coordinator-initiated
-// variant (one extra delay and n-1 extra messages) is available via Classic.
+// message delays and 2n-2 messages.
 //
 // 2PC guarantees agreement and validity in every crash-failure and every
 // network-failure execution, but it is blocking: if the coordinator crashes
@@ -20,7 +19,9 @@ import (
 
 // Message types.
 type (
-	// MsgReq is the classic variant's vote solicitation.
+	// MsgReq was the coordinator-initiated variant's vote solicitation. The
+	// variant is gone and nothing sends or handles it; the type stays
+	// registered because a shipped wire ID is never withdrawn or reused.
 	MsgReq struct{}
 	// MsgVote carries a participant's vote to the coordinator.
 	MsgVote struct{ V core.Value }
@@ -62,51 +63,33 @@ func (MsgOutcome) UnmarshalWire(d *wire.Decoder) (core.Message, error) {
 // failure); P1 throughout this repository.
 const Coordinator core.ProcessID = 1
 
-// Options configures the protocol.
-type Options struct {
-	// Classic makes the coordinator solicit votes with an explicit request
-	// round instead of assuming spontaneous starts.
-	Classic bool
-}
+// Options is empty: 2PC has no variant left to select.
+type Options struct{}
 
 // TwoPC is one process's 2PC instance.
 type TwoPC struct {
-	env  core.Env
-	opts Options
+	env core.Env
 
-	vote    core.Value
-	votes   map[core.ProcessID]core.Value
+	votes   core.VoteSet // the coordinator's collection
 	decided bool
-	outcome core.Value
 	sentOut bool
 }
 
 // New returns a 2PC factory for the simulator and live runtime.
-func New(opts Options) func(core.ProcessID) core.Module {
-	return func(core.ProcessID) core.Module { return &TwoPC{opts: opts} }
+func New(Options) func(core.ProcessID) core.Module {
+	return func(core.ProcessID) core.Module { return &TwoPC{} }
 }
 
 // Init implements core.Module.
 func (p *TwoPC) Init(env core.Env) {
 	p.env = env
-	p.votes = make(map[core.ProcessID]core.Value)
+	p.votes = core.NewVoteSet(env.N())
 }
 
 func (p *TwoPC) isCoord() bool { return p.env.ID() == Coordinator }
 
 // Propose implements core.Module.
 func (p *TwoPC) Propose(v core.Value) {
-	p.vote = v
-	if p.opts.Classic {
-		if p.isCoord() {
-			for i := 1; i <= p.env.N(); i++ {
-				p.env.Send(core.ProcessID(i), MsgReq{})
-			}
-			// Votes back by 2U (request U + vote U).
-			p.env.SetTimerAt(2*p.env.U(), 0)
-		}
-		return
-	}
 	// Spontaneous start: push the vote immediately.
 	p.env.Send(Coordinator, MsgVote{V: v})
 	if p.isCoord() {
@@ -117,11 +100,9 @@ func (p *TwoPC) Propose(v core.Value) {
 // Deliver implements core.Module.
 func (p *TwoPC) Deliver(from core.ProcessID, m core.Message) {
 	switch msg := m.(type) {
-	case MsgReq:
-		p.env.Send(Coordinator, MsgVote{V: p.vote})
 	case MsgVote:
 		if p.isCoord() {
-			p.votes[from] = msg.V
+			p.votes.Put(from, msg.V)
 		}
 	case MsgOutcome:
 		p.decide(msg.V)
@@ -136,20 +117,11 @@ func (p *TwoPC) Timeout(int) {
 		return
 	}
 	p.sentOut = true
-	out := core.Commit
-	for i := 1; i <= p.env.N(); i++ {
-		v, ok := p.votes[core.ProcessID(i)]
-		if !ok {
-			out = core.Abort
-			break
-		}
-		out = out.And(v)
+	out := core.Abort
+	if p.votes.Full() {
+		out = p.votes.And()
 	}
-	for i := 1; i <= p.env.N(); i++ {
-		if core.ProcessID(i) != p.env.ID() {
-			p.env.Send(core.ProcessID(i), MsgOutcome{V: out})
-		}
-	}
+	core.SendOthers(p.env, MsgOutcome{V: out})
 	p.decide(out)
 }
 
@@ -158,6 +130,5 @@ func (p *TwoPC) decide(v core.Value) {
 		return
 	}
 	p.decided = true
-	p.outcome = v
 	p.env.Decide(v)
 }

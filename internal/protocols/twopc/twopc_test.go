@@ -22,17 +22,6 @@ func TestSpontaneousNiceExecution(t *testing.T) {
 	}
 }
 
-func TestClassicVariantCosts(t *testing.T) {
-	n := 5
-	r := sim.Run(sim.Config{N: n, F: 1, New: New(Options{Classic: true})})
-	if !r.SolvesNBAC() {
-		t.Fatalf("%v", r)
-	}
-	if r.MessagesToDecide != 3*n-3 || r.DelayUnits() != 3 {
-		t.Fatalf("classic 2PC: want 3n-3=%d messages / 3 delays, got %v", 3*n-3, r)
-	}
-}
-
 // TestBlocking reproduces the paper's motivation for everything beyond 2PC:
 // the coordinator is a single point of failure. It crashes after collecting
 // the votes and before announcing the outcome, and every participant stays

@@ -63,24 +63,18 @@ const (
 	tagSecond = 1 // acknowledgement deadline (time 2U or 3U)
 )
 
-// Options configures the protocol.
-type Options struct {
-	// Consensus builds the underlying uniform consensus; nil means the
-	// indulgent Paxos module (agreement is required in network-failure
-	// executions for this cell, so the synchronous flooding consensus is
-	// not an option here).
-	Consensus func() core.Module
-}
+// Options is empty: the underlying consensus is always the indulgent Paxos
+// module (agreement is required in network-failure executions for this
+// cell, so the synchronous flooding consensus is not an option here).
+type Options struct{}
 
 // ZeroNBAC is one process's instance.
 type ZeroNBAC struct {
-	env  core.Env
-	opts Options
-
-	uc core.Module
+	env core.Env
+	uc  core.Module
 
 	myvote   core.Value
-	myack    map[core.ProcessID]bool
+	myack    core.ProcSet // who acknowledged this process's [V] or [B]
 	zero     bool
 	phase    int
 	decided  bool
@@ -88,19 +82,15 @@ type ZeroNBAC struct {
 }
 
 // New returns a 0NBAC factory.
-func New(opts Options) func(core.ProcessID) core.Module {
-	return func(core.ProcessID) core.Module { return &ZeroNBAC{opts: opts} }
+func New(Options) func(core.ProcessID) core.Module {
+	return func(core.ProcessID) core.Module { return &ZeroNBAC{} }
 }
 
 // Init implements core.Module.
 func (p *ZeroNBAC) Init(env core.Env) {
 	p.env = env
-	p.myack = make(map[core.ProcessID]bool)
-	if p.opts.Consensus != nil {
-		p.uc = p.opts.Consensus()
-	} else {
-		p.uc = consensus.New()
-	}
+	p.myack = core.NewProcSet(env.N())
+	p.uc = consensus.New()
 	env.Register("uc", p.uc, p.onConsensus)
 }
 
@@ -108,9 +98,7 @@ func (p *ZeroNBAC) Init(env core.Env) {
 func (p *ZeroNBAC) Propose(v core.Value) {
 	p.myvote = v
 	if v == core.Abort {
-		for i := 1; i <= p.env.N(); i++ {
-			p.env.Send(core.ProcessID(i), MsgV{})
-		}
+		core.SendAll(p.env, MsgV{})
 	}
 	p.env.SetTimerAt(p.env.U(), tagFirst)
 	p.phase = 1
@@ -134,7 +122,7 @@ func (p *ZeroNBAC) Deliver(from core.ProcessID, m core.Message) {
 			}
 		}
 	case MsgAck:
-		p.myack[from] = true
+		p.myack.Add(from)
 	}
 }
 
@@ -149,9 +137,7 @@ func (p *ZeroNBAC) Timeout(tag int) {
 			p.decided = true
 			p.env.Decide(core.Commit)
 		case p.zero && p.myvote == core.Commit:
-			for i := 1; i <= p.env.N(); i++ {
-				p.env.Send(core.ProcessID(i), MsgB{})
-			}
+			core.SendAll(p.env, MsgB{})
 			p.env.SetTimerAt(3*p.env.U(), tagSecond)
 		default: // voted 0
 			p.env.SetTimerAt(2*p.env.U(), tagSecond)
@@ -161,7 +147,7 @@ func (p *ZeroNBAC) Timeout(tag int) {
 			return
 		}
 		p.proposed = true
-		if len(p.myack) < p.env.N() {
+		if !p.myack.Full() {
 			// Somebody did not acknowledge: it may have committed on
 			// silence, so propose 1.
 			p.uc.Propose(core.Commit)

@@ -37,7 +37,8 @@
 //
 // Transactions commit through the Committer, so thousands of them run
 // concurrently under Options.MaxInFlight. See Workload and Run for the
-// built-in contention generator used by the benchmarks (commitbench -kv).
+// built-in contention generator used by the benchmarks (commitbench
+// -throughput -runtime kv).
 package kv
 
 import (
