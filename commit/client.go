@@ -20,7 +20,7 @@ import (
 //
 // A client has its own process ID, which must be outside the peers' range
 // 1..len(addrs) and unique among the deployment's clients (IDs route reply
-// traffic). Every request is preceded by a tiny hello announcing the
+// traffic). Every request is accompanied by a tiny hello announcing the
 // client's listen address, so peers can answer — and keep answering after
 // they restart.
 //
@@ -148,8 +148,11 @@ func (c *Client) resolve(txID string, ok bool, err error) {
 	}
 }
 
-// hello announces the client's reply route to a peer. Sent before every
+// hello announces the client's reply route to a peer. Sent with every
 // request — it is tens of bytes, and it heals routes after a peer restart.
+// It is an envelope of its own, so a shaped link may deliver the request
+// first; the peer's transport parks the reply until the route arrives
+// (live.TCP.SetRoute).
 func (c *Client) hello(peer core.ProcessID) {
 	_ = c.tcp.Send(live.Envelope{TxID: "hello", From: c.id, To: peer,
 		Path: helloPath, Msg: helloMsg{Addr: c.tcp.Addr()}})
@@ -284,8 +287,7 @@ func (c *Client) SubmitAt(ctx context.Context, txID string, coord int) *Txn {
 }
 
 // submitMsg is SubmitAt generalized over the message that starts the
-// commit: a bare goMsg, or a stageGoMsg carrying the coordinator's own
-// footprint (StageGo).
+// commit: a bare goMsg, or a stageGoMsg carrying the footprint (StageGoAll).
 func (c *Client) submitMsg(ctx context.Context, txID string, coord int, path string, msg Message) *Txn {
 	t := &Txn{TxID: txID, done: make(chan struct{})}
 	t.start = time.Now()
@@ -339,38 +341,59 @@ func (c *Client) submitMsg(ctx context.Context, txID string, coord int, path str
 	return t
 }
 
-// stageGoBudget bounds the footprint a StageGo may piggyback on the go
-// leg. A larger footprint falls back to the two-phase stage path so one
-// giant transaction cannot monopolize a flush frame (frames are bounded at
-// 8 MiB on the read side) or starve the envelopes batched behind it.
+// stageGoBudget bounds the footprint a stage+go message may carry, all
+// slices together. A larger footprint falls back to the two-phase stage path
+// so one giant transaction cannot monopolize a flush frame (frames are
+// bounded at 8 MiB on the read side) or starve the envelopes batched behind
+// it.
 const stageGoBudget = 256 << 10
 
-// ErrStageTooLarge reports a footprint too big to piggyback on the go leg;
+// ErrStageTooLarge reports a footprint too big to ride the stage+go message;
 // the caller should stage it two-phase (Stage + SubmitAt) instead.
 var ErrStageTooLarge = errors.New("commit: footprint exceeds the stage+go budget")
 
 // StageGo ships txID's footprint for the coordinator's own resource INSIDE
-// the go message and returns the commit future: one WAN leg where Stage +
-// SubmitAt pay two. The stage-ack barrier exists because cross-connection
-// delivery is not FIFO; a footprint riding in the message that starts the
-// commit is trivially ordered before it, so no ack is needed. Footprints
-// for OTHER peers must still be staged and acked (Stage) before calling
-// this. m may be nil when the coordinator hosts no slice of the
-// transaction. Returns ErrStageTooLarge (before anything is sent) when m's
-// encoding exceeds the piggyback budget — stage two-phase then.
+// the go message and returns the commit future: StageGoAll for a transaction
+// whose only hosted slice is the coordinator's. m may be nil when every
+// footprint was staged and acked beforehand (Stage), which makes this a bare
+// go.
 func (c *Client) StageGo(ctx context.Context, txID string, coord int, m Message) (*Txn, error) {
-	var fp []byte
+	var fps map[int]Message
 	if m != nil {
-		var err error
-		fp, err = live.MarshalMessage(m)
+		fps = map[int]Message{coord: m}
+	}
+	return c.StageGoAll(ctx, txID, coord, fps)
+}
+
+// StageGoAll ships txID's whole footprint — fps maps each involved peer to
+// its slice — inside the one message that asks coord to run the commit, and
+// returns the commit future: one client leg whatever the number of peers.
+// The coordinator stages its own slice and forwards every other on the begin
+// that announces the transaction to that peer, so no slice can be overtaken
+// by the protocol run it belongs to and no ack is needed. Returns
+// ErrStageTooLarge (before anything is sent) when the encoded slices exceed
+// the budget together — stage two-phase then.
+func (c *Client) StageGoAll(ctx context.Context, txID string, coord int, fps map[int]Message) (*Txn, error) {
+	var msg stageGoMsg
+	total := 0
+	for peer, m := range fps {
+		if err := c.checkPeer(peer); err != nil {
+			return nil, err
+		}
+		fp, err := live.MarshalMessage(m)
 		if err != nil {
 			return nil, err
 		}
-		if len(fp) > stageGoBudget {
-			return nil, fmt.Errorf("%w: %d bytes > %d", ErrStageTooLarge, len(fp), stageGoBudget)
+		if total += len(fp); total > stageGoBudget {
+			return nil, fmt.Errorf("%w: over %d bytes", ErrStageTooLarge, stageGoBudget)
+		}
+		if peer == coord {
+			msg.Fp = fp
+		} else {
+			msg.Others = append(msg.Others, peerSlice{Peer: core.ProcessID(peer), Fp: fp})
 		}
 	}
-	return c.submitMsg(ctx, txID, coord, stageGoPath, stageGoMsg{Fp: fp}), nil
+	return c.submitMsg(ctx, txID, coord, stageGoPath, msg), nil
 }
 
 // Submit enqueues one transaction, choosing a coordinator round-robin

@@ -40,15 +40,46 @@ type hostedFake struct {
 	refuse    bool // refuse every stage
 	staged    map[string]string
 	history   map[string]string // every payload ever staged (survives commit)
+	prepared  map[string]string // per Prepare call, what was staged at that moment
 	committed []string
 	aborted   []string
 }
 
 func newHostedFake() *hostedFake {
-	return &hostedFake{staged: make(map[string]string), history: make(map[string]string)}
+	return &hostedFake{staged: make(map[string]string), history: make(map[string]string),
+		prepared: make(map[string]string)}
 }
 
-func (h *hostedFake) Prepare(txID string) bool { return true }
+// conflictPayload is the footprint a hostedFake votes no on.
+const conflictPayload = "conflict"
+
+func (h *hostedFake) Prepare(txID string) bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.prepared[txID] = h.staged[txID]
+	return h.staged[txID] != conflictPayload
+}
+
+// preparedWith reports whether Prepare ran for txID, and on which payload.
+func (h *hostedFake) preparedWith(txID string) (string, bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	payload, ok := h.prepared[txID]
+	return payload, ok
+}
+
+// count returns how often txID appears in list.
+func (h *hostedFake) count(list func(*hostedFake) []string, txID string) int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	n := 0
+	for _, id := range list(h) {
+		if id == txID {
+			n++
+		}
+	}
+	return n
+}
 
 func (h *hostedFake) Commit(txID string) {
 	h.mu.Lock()
@@ -88,14 +119,7 @@ func (h *hostedFake) Query(m Message) (Message, error) {
 }
 
 func (h *hostedFake) has(list func(*hostedFake) []string, txID string) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for _, id := range list(h) {
-		if id == txID {
-			return true
-		}
-	}
-	return false
+	return h.count(list, txID) > 0
 }
 
 func committedList(h *hostedFake) []string { return h.committed }
@@ -189,6 +213,36 @@ func TestClientQuery(t *testing.T) {
 	fp, ok := reply.(fakeFootprint)
 	if !ok || fp.Payload != "ping-reply" {
 		t.Fatalf("reply = %#v, want ping-reply", reply)
+	}
+}
+
+// TestClientRequestOvertakesHello: on a shaped link every envelope is delayed
+// on its own, so a client's first request can reach a peer before the hello
+// that tells the peer where to answer. The reply must wait for the route and
+// then go out, not vanish and leave the caller to its 32 U deadline.
+func TestClientRequestOvertakesHello(t *testing.T) {
+	t.Parallel()
+	opts := Options{Protocol: INBAC, F: 1, Timeout: 25 * time.Millisecond} // a query expires after 800ms
+	_, _, c := hostedDeployment(t, 3, opts)
+	const helloDelay = 100 * time.Millisecond
+	c.tcp.SetShaper(live.LinkShaper{Delay: func(e live.Envelope) time.Duration {
+		if e.Path == helloPath {
+			return helloDelay
+		}
+		return 0
+	}})
+
+	start := time.Now()
+	reply, err := c.Query(ctx(t), 2, fakeFootprint{Payload: "early"})
+	took := time.Since(start)
+	if err != nil {
+		t.Fatalf("the first query, overtaking its hello: %v", err)
+	}
+	if fp, ok := reply.(fakeFootprint); !ok || fp.Payload != "early-reply" {
+		t.Fatalf("reply = %#v, want early-reply", reply)
+	}
+	if took < helloDelay || took > 4*helloDelay {
+		t.Fatalf("answered after %v, want shortly after the hello landed at %v", took, helloDelay)
 	}
 }
 

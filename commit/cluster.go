@@ -149,7 +149,7 @@ func (c *Cluster) begin(txID string) (*txnRun, error) {
 	}
 	for i, p := range c.peers {
 		if claimed[i] {
-			p.run(txID, r.txns[i])
+			p.run(txID, r.txns[i], nil)
 		}
 	}
 	for i, t := range r.txns {

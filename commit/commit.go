@@ -179,7 +179,9 @@ type Resource interface {
 // Prepare and apply at Commit) ahead of the protocol run, and Query answers
 // one-shot reads outside any transaction. A kv shard is the canonical
 // implementation; any resource wanting remote clients implements it the
-// same way.
+// same way. A peer hosting one never calls Prepare before the transaction
+// was announced to it, since the footprint may arrive on the announcement
+// (see the ordering rule on Peer).
 //
 // The contract: a staged transaction is eventually resolved — by the commit
 // protocol's Commit/Abort callback, by an explicit client unstage, or by

@@ -53,13 +53,27 @@ var (
 // it in its own address space on TCP, the realistic deployment shape; a
 // Cluster is n of them on an in-memory mesh. Any peer may initiate a
 // transaction with Commit; the others vote and apply via their Resource.
+//
+// The ordering rule. A peer with a plain Resource joins a transaction on
+// first contact, be it a begin or a protocol envelope: its vote needs
+// nothing but the txID. A peer hosting a HostedResource votes on a footprint,
+// and that footprint reaches it on the transaction's announcement (a begin
+// carrying its slice), which protocol envelopes routinely overtake — every
+// envelope is delayed on its own, only what shares an envelope shares an
+// arrival. So a hosted peer never calls Prepare on the strength of a protocol
+// envelope alone: it buffers such envelopes on the transaction's record until
+// the announcement arrives — a begin, a go or stage+go, a local Commit or
+// Wait, the Cluster driver's join, or an earlier two-phase stage of that ID —
+// and if none arrives within one timeout unit it joins voting abort without
+// calling Prepare, which would vote on a footprint it does not have.
 type Peer struct {
-	id   core.ProcessID
-	n    int
-	opts Options
-	res  Resource
-	tr   live.Transport
-	mk   func(core.ProcessID) core.Module // opts.factory(), built once
+	id     core.ProcessID
+	n      int
+	opts   Options
+	res    Resource
+	hosted HostedResource // res, if it is one; else nil
+	tr     live.Transport
+	mk     func(core.ProcessID) core.Module // opts.factory(), built once
 
 	mu      sync.Mutex
 	txns    map[string]*txn        // live transactions, staged or running
@@ -77,16 +91,27 @@ type Peer struct {
 // it until retire moves its outcome into Peer.decided. Peer.mu guards the
 // fields until done is closed; after that they no longer change.
 type txn struct {
-	// staged: a client's footprint is on the hosted resource and the
-	// protocol run has not arrived, so the stage TTL may still reclaim it.
-	// Otherwise the record is running: join claimed it for one caller, who
-	// is in, or past, Resource.Prepare.
-	staged  bool
+	phase   txnPhase
 	vote    core.Value
-	inst    *live.Instance  // nil while Resource.Prepare runs
+	inst    *live.Instance  // nil until the vote is in
 	pending []live.Envelope // protocol envelopes that arrived before inst
 	done    chan struct{}   // closed once Resource.Commit/Abort returned
 }
+
+// txnPhase is where a transaction's record stands at this peer.
+type txnPhase uint8
+
+const (
+	// running: join claimed the record for one caller, who is in, or past,
+	// Resource.Prepare.
+	running txnPhase = iota
+	// staged: a client's two-phase footprint is on the hosted resource and
+	// the protocol run has not arrived, so the stage TTL may still reclaim it.
+	staged
+	// unannounced: a hosted peer holds protocol envelopes of a transaction
+	// nobody announced to it yet (see the ordering rule on Peer).
+	unannounced
+)
 
 // settled is a transaction whose decision was applied at the given time.
 type settled struct {
@@ -134,6 +159,7 @@ func newPeer(id core.ProcessID, n int, tr live.Transport, resource Resource, opt
 		id: id, n: n, opts: opts, res: resource, tr: tr, mk: opts.factory(),
 		txns: make(map[string]*txn),
 	}
+	p.hosted, _ = resource.(HostedResource)
 	tr.SetHandler(p.deliver)
 	return p
 }
@@ -186,7 +212,7 @@ func (p *Peer) deliver(e live.Envelope) {
 	case goPath:
 		// Coordinating a commit blocks until the decision; never stall the
 		// transport's read loop on it.
-		go p.handleGo(e)
+		go p.handleGo(e, nil)
 	case stageGoPath:
 		go p.handleStageGo(e)
 	case queryPath:
@@ -194,30 +220,50 @@ func (p *Peer) deliver(e live.Envelope) {
 	case unstagePath:
 		// A sibling stage was refused, so the transaction will never begin.
 		p.dropStage(e.TxID)
-	default:
-		// A begin or a protocol message — which for an unannounced
-		// transaction also implies the transaction exists: join it, our
-		// vote coming from our Resource.
+	case beginPath:
+		m, _ := e.Msg.(beginMsg)
 		p.mu.Lock()
 		t, first := p.join(e.TxID)
+		p.mu.Unlock()
+		if first {
+			// Otherwise the slice, if any, is dropped unstaged: the
+			// transaction already runs, or ended, without it.
+			p.run(e.TxID, t, m.Fp)
+		}
+	default:
+		// A protocol message. For a plain Resource it also implies that the
+		// transaction exists: join it. A hosted peer waits for the
+		// announcement instead (the ordering rule on Peer).
+		p.mu.Lock()
+		t := p.txns[e.TxID]
+		first, arm := false, false
+		outcome, retired := p.decided.get(e.TxID)
+		switch {
+		case p.closed || retired:
+			t = nil
+		case p.hosted != nil && (t == nil || t.phase == unannounced):
+			if arm = t == nil; arm {
+				t = &txn{phase: unannounced}
+				p.txns[e.TxID] = t
+			}
+		default:
+			t, first = p.join(e.TxID)
+		}
 		var inst *live.Instance
-		var outcome core.Value
-		retired := false
-		if t == nil {
-			outcome, retired = p.decided.get(e.TxID)
-		} else if e.Path != beginPath {
+		if t != nil {
 			if inst = t.inst; inst == nil {
 				t.pending = append(t.pending, e)
 			}
 		}
 		p.mu.Unlock()
-		if first {
-			p.run(e.TxID, t)
-		}
-		if inst != nil {
+		switch {
+		case first:
+			p.run(e.TxID, t, nil)
+		case arm:
+			p.awaitAnnouncement(e.TxID, t)
+		case inst != nil:
 			inst.Deliver(e)
-		}
-		if retired && e.Path != beginPath {
+		case retired:
 			// A straggler is dropped, not buffered forever. But its sender
 			// still runs a protocol we can no longer take part in, and
 			// cannot terminate if enough of us retired: tell it the outcome.
@@ -226,9 +272,27 @@ func (p *Peer) deliver(e live.Envelope) {
 	}
 }
 
-// handleStage hands a remote client's footprint to the hosted resource and
-// acks the outcome (the client collects every involved peer's ack before it
-// sends go, so a begin can never overtake its footprint).
+// awaitAnnouncement bounds the wait of an unannounced transaction: if its
+// announcement has not arrived one timeout unit from now, the peer joins
+// voting abort. That happens on the timer goroutine, and calls no Resource
+// method.
+func (p *Peer) awaitAnnouncement(txID string, t *txn) {
+	live.After(p.opts.Timeout, func() {
+		p.mu.Lock()
+		first := false
+		if p.txns[txID] == t && t.phase == unannounced {
+			_, first = p.join(txID)
+		}
+		p.mu.Unlock()
+		if first {
+			p.start(txID, t, core.Abort)
+		}
+	})
+}
+
+// handleStage hands a remote client's two-phase footprint to the hosted
+// resource and acks the outcome (the client collects every involved peer's
+// ack before it sends go, so the begin cannot overtake the footprint).
 func (p *Peer) handleStage(e live.Envelope) {
 	_, refusal := p.stage(e.TxID, e.Msg)
 	if refusal == "" {
@@ -251,8 +315,7 @@ func (p *Peer) handleStage(e live.Envelope) {
 // says why not ("" on success); begun, that the reason is a protocol run
 // that already began, or finished, here.
 func (p *Peer) stage(txID string, fp Message) (begun bool, refusal string) {
-	hosted, ok := p.res.(HostedResource)
-	if !ok {
+	if p.hosted == nil {
 		return false, "peer does not host a stageable resource"
 	}
 	p.mu.Lock()
@@ -263,15 +326,19 @@ func (p *Peer) stage(txID string, fp Message) (begun bool, refusal string) {
 	if closed {
 		return false, "peer closed"
 	}
-	if done || (t != nil && !t.staged) {
+	if done || (t != nil && t.phase == running) {
 		return true, "transaction already running or decided"
 	}
-	if err := hosted.Stage(txID, fp); err != nil {
+	if err := p.hosted.Stage(txID, fp); err != nil {
 		return false, err.Error()
 	}
 	p.mu.Lock()
-	if p.txns[txID] == nil { // else the protocol run claimed it meanwhile
-		p.txns[txID] = &txn{staged: true}
+	switch t := p.txns[txID]; {
+	case t == nil:
+		p.txns[txID] = &txn{phase: staged}
+	case t.phase == unannounced:
+		t.phase = staged // the stage announces it; the run collects t.pending
+	default: // the protocol run claimed it meanwhile
 	}
 	p.mu.Unlock()
 	return false, ""
@@ -279,12 +346,13 @@ func (p *Peer) stage(txID string, fp Message) (begun bool, refusal string) {
 
 // handleGo coordinates the commit of a client's transaction and reports the
 // local decision (or the infrastructure failure) back, after this peer
-// applied it. The run is bounded so a result always goes out — the client
-// must observe abort-or-commit-or-error, never a hang.
-func (p *Peer) handleGo(e live.Envelope) {
+// applied it; slices[q], if any, rides the begin to Pq. The run is bounded so
+// a result always goes out — the client must observe abort-or-commit-or-error,
+// never a hang.
+func (p *Peer) handleGo(e live.Envelope, slices [][]byte) {
 	ctx, cancel := context.WithTimeout(context.Background(), coordinateUnits*p.opts.Timeout)
 	defer cancel()
-	ok, err := p.Commit(ctx, e.TxID)
+	ok, err := p.commit(ctx, e.TxID, slices)
 	res := resultMsg{V: core.Abort}
 	if ok {
 		res.V = core.Commit
@@ -295,47 +363,77 @@ func (p *Peer) handleGo(e live.Envelope) {
 	_ = p.tr.Send(live.Envelope{TxID: e.TxID, From: p.id, To: e.From, Path: resultPath, Msg: res})
 }
 
-// handleStageGo is handleStage and handleGo collapsed into one leg: stage
-// the piggybacked footprint (same-connection delivery guarantees it cannot
-// be overtaken by the begin it precedes), then coordinate the commit and
-// report the decision. A stage refusal answers as a resultMsg error — the
-// transaction never begins, and nothing was staged elsewhere that this
-// client still owns (two-phase stages, if any, were acked first). No stage
-// TTL is armed: the protocol run arrives in the same breath, so there is
-// no orphaned-stage window for a client crash to leave behind.
+// handleStageGo is the whole client side of a commit in one leg: check every
+// slice, stage this peer's own, then coordinate the commit with each other
+// slice riding the begin to its peer, and report the decision. The stage
+// needs no ack and no TTL, because nothing orders it against the run but this
+// function: the footprint was inside the message that starts the commit. A
+// malformed message or a refused stage answers as a resultMsg error before
+// anything is staged anywhere — the transaction never begins.
 func (p *Peer) handleStageGo(e live.Envelope) {
 	m, ok := e.Msg.(stageGoMsg)
 	if !ok {
 		return
 	}
+	refuse := func(why string) {
+		_ = p.tr.Send(live.Envelope{TxID: e.TxID, From: p.id, To: e.From,
+			Path: resultPath, Msg: resultMsg{V: core.Abort, Err: why}})
+	}
+	slices, err := p.checkSlices(m)
+	if err != nil {
+		refuse(err.Error())
+		return
+	}
 	if len(m.Fp) > 0 {
 		fp, err := live.UnmarshalMessage(m.Fp)
-		refusal := ""
 		if err != nil {
-			refusal = "malformed piggybacked footprint: " + err.Error()
-		} else if begun, why := p.stage(e.TxID, fp); !begun {
-			// begun is a replayed stage+go: the footprint already reached
-			// the protocol, so only answer, from the run or the cache.
-			refusal = why
+			refuse("malformed footprint: " + err.Error())
+			return
 		}
-		if refusal != "" {
-			_ = p.tr.Send(live.Envelope{TxID: e.TxID, From: p.id, To: e.From,
-				Path: resultPath, Msg: resultMsg{V: core.Abort, Err: refusal}})
+		if begun, why := p.stage(e.TxID, fp); begun {
+			// A replayed stage+go: the footprints already reached the
+			// protocol, so only answer, from the run or the cache.
+			slices = nil
+		} else if why != "" {
+			refuse(why)
 			return
 		}
 	}
-	p.handleGo(e)
+	p.handleGo(e, slices)
+}
+
+// checkSlices validates the other peers' slices of a client's stage+go
+// message — which crosses a trust boundary — and files them by peer, for
+// commit to forward: nil when there is none.
+func (p *Peer) checkSlices(m stageGoMsg) ([][]byte, error) {
+	if len(m.Others) == 0 {
+		return nil, nil
+	}
+	slices := make([][]byte, p.n+1)
+	total := len(m.Fp)
+	for _, o := range m.Others {
+		if o.Peer < 1 || int(o.Peer) > p.n || o.Peer == p.id || slices[o.Peer] != nil {
+			return nil, fmt.Errorf("footprint for %v: not another peer of P1..P%d, or its second", o.Peer, p.n)
+		}
+		if total += len(o.Fp); total > stageGoBudget {
+			return nil, ErrStageTooLarge
+		}
+		if _, err := live.UnmarshalMessage(o.Fp); err != nil {
+			return nil, fmt.Errorf("malformed footprint for %v: %v", o.Peer, err)
+		}
+		slices[o.Peer] = o.Fp
+	}
+	return slices, nil
 }
 
 // handleQuery answers a one-shot read against the hosted resource. Errors
 // the resource cannot encode in its reply message degrade to silence (the
 // client's context expires), the same as a crashed peer.
 func (p *Peer) handleQuery(e live.Envelope) {
-	hosted, ok := p.res.(HostedResource)
-	if !ok {
+	if p.hosted == nil {
 		return
 	}
-	reply, err := hosted.Query(e.Msg)
+	reply, err := p.hosted.Query(e.Msg)
 	if err != nil || reply == nil {
 		return
 	}
@@ -358,7 +456,7 @@ func (p *Peer) dropStage(txID string) {
 func (p *Peer) unstage(txID string) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if t := p.txns[txID]; t == nil || !t.staged {
+	if t := p.txns[txID]; t == nil || t.phase != staged {
 		return false
 	}
 	delete(p.txns, txID)
@@ -391,10 +489,11 @@ func (p *Peer) retire() {
 }
 
 // join returns txID's running record, creating it (or taking over a staged
-// one: the protocol owns the footprint's fate now) on the first sign of the
-// protocol run. first tells the caller it made that claim and must call run
-// once it released p.mu, which it holds. A nil record means the peer is
-// closed, or txID retired and the outcome cache answers.
+// or unannounced one: the protocol owns the footprint's fate now, and the run
+// the envelopes held back) when the transaction is announced. first tells the
+// caller it made that claim and must call run once it released p.mu, which it
+// holds. A nil record means the peer is closed, or txID retired and the
+// outcome cache answers.
 func (p *Peer) join(txID string) (t *txn, first bool) {
 	if p.closed {
 		return nil, false
@@ -402,23 +501,44 @@ func (p *Peer) join(txID string) (t *txn, first bool) {
 	if _, ok := p.decided.get(txID); ok {
 		return nil, false
 	}
-	if t := p.txns[txID]; t != nil && !t.staged {
+	t = p.txns[txID]
+	if t != nil && t.phase == running {
 		return t, false
 	}
-	t = &txn{done: make(chan struct{})}
-	p.txns[txID] = t
+	if t == nil {
+		t = &txn{}
+		p.txns[txID] = t
+	}
+	t.phase, t.done = running, make(chan struct{})
 	return t, true
 }
 
 // run takes a transaction its caller just claimed through the local
-// lifecycle: vote via the Resource, start the protocol instance with settle
-// as its decision hook, and hand it what arrived meanwhile.
-func (p *Peer) run(txID string, t *txn) {
-	// Prepare outside the lock: it is user code and may take time.
+// lifecycle: stage fp, the slice of the footprint its announcement carried
+// (if it carried one), vote via the Resource, and start the protocol. A slice
+// that does not decode, or that the resource refuses, is a vote to abort
+// without Prepare — the client sees an abort, never a hang.
+func (p *Peer) run(txID string, t *txn, fp []byte) {
+	// Stage and Prepare outside the lock: user code, and may take time.
 	vote := core.Abort
-	if p.res.Prepare(txID) {
+	if (len(fp) == 0 || p.stageSlice(txID, fp)) && p.res.Prepare(txID) {
 		vote = core.Commit
 	}
+	p.start(txID, t, vote)
+}
+
+// stageSlice hands a begin's slice to the hosted resource.
+func (p *Peer) stageSlice(txID string, fp []byte) bool {
+	if p.hosted == nil {
+		return false
+	}
+	m, err := live.UnmarshalMessage(fp)
+	return err == nil && p.hosted.Stage(txID, m) == nil
+}
+
+// start runs the protocol instance of a claimed transaction on vote, with
+// settle as its decision hook, and hands it what arrived meanwhile.
+func (p *Peer) start(txID string, t *txn, vote core.Value) {
 	inst := live.NewInstance(live.Config{
 		ID: p.id, N: p.n, F: p.opts.F, U: p.opts.ticks(), TxID: txID,
 		Label:   string(p.opts.Protocol),
@@ -558,11 +678,24 @@ func (p *Peer) ServeDebug(addr string) (string, error) {
 // LOCAL decision is applied (other peers decide on their own and fire their
 // callbacks). It returns true iff the transaction committed.
 func (p *Peer) Commit(ctx context.Context, txID string) (bool, error) {
+	return p.commit(ctx, txID, nil)
+}
+
+// commit is Commit with slices[q], when set, riding the begin to Pq.
+func (p *Peer) commit(ctx context.Context, txID string, slices [][]byte) (bool, error) {
 	if txID == "" {
 		return false, fmt.Errorf("commit: txID required")
 	}
 	// Announce the transaction so every peer starts (roughly) together.
-	p.broadcast(txID, beginPath, beginMsg{})
+	if slices == nil {
+		p.broadcast(txID, beginPath, beginMsg{})
+	} else {
+		for q := core.ProcessID(1); int(q) <= p.n; q++ {
+			if q != p.id {
+				_ = p.tr.Send(live.Envelope{TxID: txID, From: p.id, To: q, Path: beginPath, Msg: beginMsg{Fp: slices[q]}})
+			}
+		}
+	}
 	return p.Wait(ctx, txID)
 }
 
@@ -576,7 +709,7 @@ func (p *Peer) Wait(ctx context.Context, txID string) (bool, error) {
 	v, retired := p.decided.get(txID)
 	p.mu.Unlock()
 	if first {
-		p.run(txID, t)
+		p.run(txID, t, nil)
 	}
 	if t == nil && retired {
 		return v == core.Commit, nil

@@ -156,6 +156,108 @@ func TestClientStageGoNonHostedPeer(t *testing.T) {
 	}
 }
 
+// TestStageGoMalformedRefused: a stage+go message crosses a trust boundary.
+// Whatever is wrong with the slices for the other peers — or with the
+// coordinator's own — the coordinator answers with one resultMsg error before
+// anything is staged anywhere.
+func TestStageGoMalformedRefused(t *testing.T) {
+	t.Parallel()
+	opts := Options{Protocol: INBAC, F: 1, Timeout: 25 * time.Millisecond}
+	_, fakes, c := hostedDeployment(t, 3, opts)
+	enc := func(payload string) []byte {
+		b, err := live.MarshalMessage(fakeFootprint{Payload: payload})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	garbage := []byte{0xff, 0xff, 0xff, 0x7f} // a wire ID nothing registers
+	cases := []struct {
+		name string
+		msg  stageGoMsg
+	}{
+		{"peer zero", stageGoMsg{Fp: enc("c"), Others: []peerSlice{{Peer: 0, Fp: enc("x")}}}},
+		{"peer beyond n", stageGoMsg{Fp: enc("c"), Others: []peerSlice{{Peer: 4, Fp: enc("x")}}}},
+		{"coordinator among the others", stageGoMsg{Fp: enc("c"), Others: []peerSlice{{Peer: 1, Fp: enc("x")}}}},
+		{"duplicate peer", stageGoMsg{Fp: enc("c"), Others: []peerSlice{{Peer: 2, Fp: enc("x")}, {Peer: 2, Fp: enc("y")}}}},
+		{"slice does not decode", stageGoMsg{Fp: enc("c"), Others: []peerSlice{{Peer: 2, Fp: enc("x")}, {Peer: 3, Fp: garbage}}}},
+		{"empty slice", stageGoMsg{Fp: enc("c"), Others: []peerSlice{{Peer: 2}}}},
+		{"own slice does not decode", stageGoMsg{Fp: garbage, Others: []peerSlice{{Peer: 2, Fp: enc("x")}}}},
+		{"total over budget", stageGoMsg{Fp: enc(strings.Repeat("c", stageGoBudget/2)),
+			Others: []peerSlice{{Peer: 2, Fp: enc(strings.Repeat("x", stageGoBudget/2))}}}},
+	}
+	for i, tc := range cases {
+		i, tc := i, tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			c1, cancel := context.WithTimeout(context.Background(), 20*opts.Timeout)
+			defer cancel()
+			txID := fmt.Sprintf("malformed-%d", i)
+			ok, err := c.submitMsg(c1, txID, 1, stageGoPath, tc.msg).Wait(c1)
+			if ok || err == nil || errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("ok=%v err=%v, want the coordinator's refusal", ok, err)
+			}
+			for j, f := range fakes {
+				f.mu.Lock()
+				payload, staged := f.history[txID]
+				f.mu.Unlock()
+				if staged {
+					t.Errorf("P%d staged %q for a refused message", j+1, payload)
+				}
+			}
+		})
+	}
+}
+
+// TestBeginBadSliceVotesAbort: a peer that cannot stage the slice its begin
+// carries — it does not decode, or the resource refuses it — votes abort
+// without calling Prepare, so the client sees an abort, never a hang.
+func TestBeginBadSliceVotesAbort(t *testing.T) {
+	t.Parallel()
+	opts := Options{Protocol: INBAC, F: 1, Timeout: 25 * time.Millisecond}
+
+	t.Run("does not decode", func(t *testing.T) {
+		t.Parallel()
+		peers, fakes, c := hostedDeployment(t, 3, opts)
+		c1 := ctx(t)
+		const txID = "begin-garbage"
+		// Only a faulty coordinator forwards a slice it could not decode.
+		peers[2].deliver(live.Envelope{TxID: txID, From: 1, To: 3, Path: beginPath,
+			Msg: beginMsg{Fp: []byte{0xff, 0xff, 0xff, 0x7f}}})
+		ok, err := c.SubmitAt(c1, txID, 1).Wait(c1)
+		if ok || err != nil {
+			t.Fatalf("ok=%v err=%v, want an abort without error", ok, err)
+		}
+		if payload, called := fakes[2].preparedWith(txID); called {
+			t.Fatalf("P3 called Prepare (on %q) after a slice it could not decode", payload)
+		}
+	})
+
+	t.Run("stage refused", func(t *testing.T) {
+		t.Parallel()
+		_, fakes, c := hostedDeployment(t, 3, opts)
+		fakes[2].mu.Lock()
+		fakes[2].refuse = true
+		fakes[2].mu.Unlock()
+		c1 := ctx(t)
+		const txID = "begin-refused"
+		txn, err := c.StageGoAll(c1, txID, 1, map[int]Message{
+			1: fakeFootprint{Payload: "a"}, 3: fakeFootprint{Payload: "c"},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ok, err := txn.Wait(c1)
+		if ok || err != nil {
+			t.Fatalf("ok=%v err=%v, want an abort without error", ok, err)
+		}
+		if payload, called := fakes[2].preparedWith(txID); called {
+			t.Fatalf("P3 called Prepare (on %q) after refusing the stage", payload)
+		}
+		waitFor(t, "P1 dropping its staged slice", func() bool { return fakes[0].has(abortedList, txID) })
+	})
+}
+
 // FuzzStageGoFootprintTruncation drives truncated and mutated stage+go
 // payloads through the exact decode path the peer runs on them — the outer
 // stageGoMsg decode, then live.UnmarshalMessage on the piggybacked bytes.

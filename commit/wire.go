@@ -14,7 +14,14 @@ import (
 const beginPath = "\x00begin"
 
 // beginMsg tells a peer to Prepare and start its instance for Envelope.TxID.
-type beginMsg struct{}
+// Fp, when set, is that peer's slice of the transaction's footprint (a
+// live.MarshalMessage encoding, forwarded from the client's stageGoMsg): the
+// peer hands it to HostedResource.Stage before it votes. Footprint and
+// announcement travel in one envelope, so neither can overtake the other. A
+// begin without a slice has an empty payload.
+type beginMsg struct {
+	Fp []byte
+}
 
 // Kind implements core.Message.
 func (beginMsg) Kind() string { return "BEGIN" }
@@ -23,11 +30,19 @@ func (beginMsg) Kind() string { return "BEGIN" }
 func (beginMsg) WireID() uint16 { return 1 }
 
 // MarshalWire implements core.Wire.
-func (beginMsg) MarshalWire(b []byte) []byte { return b }
+func (m beginMsg) MarshalWire(b []byte) []byte {
+	if len(m.Fp) == 0 {
+		return b
+	}
+	return wire.AppendBytes(b, m.Fp)
+}
 
 // UnmarshalWire implements core.Wire.
 func (beginMsg) UnmarshalWire(d *wire.Decoder) (core.Message, error) {
-	return beginMsg{}, d.Err()
+	if d.Remaining() == 0 {
+		return beginMsg{}, d.Err()
+	}
+	return beginMsg{Fp: d.Bytes()}, d.Err()
 }
 
 // decidePath is the reserved envelope path carrying a peer's decision to the
@@ -158,16 +173,23 @@ func (resultMsg) UnmarshalWire(d *wire.Decoder) (core.Message, error) {
 	return resultMsg{V: core.Value(d.Uvarint()), Err: d.String()}, d.Err()
 }
 
-// stageGoMsg piggybacks the coordinator's own footprint on the go leg: the
-// stage-then-ack barrier exists because cross-connection delivery is not
-// FIFO, but a footprint riding *inside* the message that starts the commit
-// trivially arrives before the protocol does — so the client saves the
-// coordinator's stage round trip (and for a single-peer footprint, the
-// whole barrier). Fp is a live.MarshalMessage encoding of the resource's
-// footprint message; empty means the coordinator hosts no slice of this
-// transaction (every footprint was staged two-phase elsewhere).
+// stageGoMsg carries a transaction's whole footprint on the message that
+// starts its commit. Fp is the coordinator's own slice and Others the slices
+// of the other involved peers, which the coordinator forwards on its begin to
+// each (beginMsg.Fp): a footprint riding *inside* the message that announces
+// the transaction cannot be overtaken by it, so no stage round trip and no
+// ack barrier is paid. Each slice is a live.MarshalMessage encoding of the
+// resource's footprint message; an empty Fp means the coordinator hosts no
+// slice of this transaction.
 type stageGoMsg struct {
-	Fp []byte
+	Fp     []byte
+	Others []peerSlice
+}
+
+// peerSlice is one other peer's slice inside a stageGoMsg.
+type peerSlice struct {
+	Peer core.ProcessID
+	Fp   []byte
 }
 
 // Kind implements core.Message.
@@ -177,12 +199,33 @@ func (stageGoMsg) Kind() string { return "STAGEGO" }
 // takes 83, adjacent to the kv client-path block (80..82) it serves.
 func (stageGoMsg) WireID() uint16 { return 83 }
 
-// MarshalWire implements core.Wire.
-func (m stageGoMsg) MarshalWire(b []byte) []byte { return wire.AppendBytes(b, m.Fp) }
+// MarshalWire implements core.Wire. Without Others the encoding ends after
+// Fp, which is also what a sender predating Others writes.
+func (m stageGoMsg) MarshalWire(b []byte) []byte {
+	b = wire.AppendBytes(b, m.Fp)
+	if len(m.Others) == 0 {
+		return b
+	}
+	b = wire.AppendUvarint(b, uint64(len(m.Others)))
+	for _, o := range m.Others {
+		b = wire.AppendUvarint(b, uint64(o.Peer))
+		b = wire.AppendBytes(b, o.Fp)
+	}
+	return b
+}
 
 // UnmarshalWire implements core.Wire.
 func (stageGoMsg) UnmarshalWire(d *wire.Decoder) (core.Message, error) {
-	return stageGoMsg{Fp: d.Bytes()}, d.Err()
+	m := stageGoMsg{Fp: d.Bytes()}
+	if d.Remaining() > 0 {
+		if n := d.Len(); n > 0 {
+			m.Others = make([]peerSlice, n)
+			for i := range m.Others {
+				m.Others[i] = peerSlice{Peer: core.ProcessID(d.Uvarint()), Fp: d.Bytes()}
+			}
+		}
+	}
+	return m, d.Err()
 }
 
 // unstageMsg drops a staged transaction that will never begin (a sibling

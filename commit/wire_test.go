@@ -2,6 +2,7 @@ package commit
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -119,6 +120,92 @@ func TestWireRoundTripNegativeBallots(t *testing.T) {
 	} {
 		if out := roundTrip(t, m); !reflect.DeepEqual(out, m) {
 			t.Fatalf("%T diverged: got %#v want %#v", m, out, m)
+		}
+	}
+}
+
+// decodeAs decodes raw through proto's UnmarshalWire.
+func decodeAs(proto core.Wire, raw []byte) (core.Message, error) {
+	var d wire.Decoder
+	d.Reset(raw)
+	return proto.UnmarshalWire(&d)
+}
+
+// cutShort reports whether err is how the codec says "the input ends early"
+// (a length prefix pointing past the end reads as ErrCorrupt).
+func cutShort(err error) bool {
+	return errors.Is(err, wire.ErrTruncated) || errors.Is(err, wire.ErrCorrupt)
+}
+
+// TestBeginMsgWire: a begin without a slice is the empty payload it always
+// was, so it decodes what a peer predating slices sends and vice versa; a
+// slice round-trips; and no cut of a sliced begin decodes as something else.
+func TestBeginMsgWire(t *testing.T) {
+	if b := (beginMsg{}).MarshalWire(nil); len(b) != 0 {
+		t.Fatalf("a bare begin encodes to %d bytes, want 0", len(b))
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		var m core.Message = beginMsg{}
+		_ = m.(core.Wire).MarshalWire(nil)
+	}); n != 0 {
+		t.Fatalf("building and encoding a bare begin allocates %v times, want 0", n)
+	}
+	full := beginMsg{Fp: []byte("a footprint slice")}.MarshalWire(nil)
+	cases := []struct {
+		name string
+		raw  []byte
+		want core.Message
+	}{
+		{"bare, as before slices existed", nil, beginMsg{}},
+		{"with a slice", full, beginMsg{Fp: []byte("a footprint slice")}},
+	}
+	for _, tc := range cases {
+		got, err := decodeAs(beginMsg{}, tc.raw)
+		if err != nil || !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: decoded %#v, %v; want %#v", tc.name, got, err, tc.want)
+		}
+	}
+	for cut := 1; cut < len(full); cut++ {
+		if got, err := decodeAs(beginMsg{}, full[:cut]); !cutShort(err) {
+			t.Errorf("cut at %d of %d: decoded %#v, %v; want a truncation error", cut, len(full), got, err)
+		}
+	}
+}
+
+// TestStageGoMsgWire: without Others the encoding is the one a client
+// predating them writes, and decodes as before; with them it round-trips;
+// a cut anywhere but on that old boundary is a truncation error.
+func TestStageGoMsgWire(t *testing.T) {
+	fp := []byte("coordinator slice")
+	old := wire.AppendBytes(nil, fp) // the parent commit's whole stageGoMsg
+	if b := (stageGoMsg{Fp: fp}).MarshalWire(nil); !reflect.DeepEqual(b, old) {
+		t.Fatalf("a stage+go without others encodes to %x, want the old form %x", b, old)
+	}
+	msg := stageGoMsg{Fp: fp, Others: []peerSlice{{Peer: 2, Fp: []byte("two")}, {Peer: 4, Fp: []byte("four")}}}
+	full := msg.MarshalWire(nil)
+	cases := []struct {
+		name string
+		raw  []byte
+		want core.Message
+	}{
+		{"old form", old, stageGoMsg{Fp: fp}},
+		{"old form, no footprint", wire.AppendBytes(nil, nil), stageGoMsg{}},
+		{"with others", full, msg},
+	}
+	for _, tc := range cases {
+		got, err := decodeAs(stageGoMsg{}, tc.raw)
+		if err != nil || !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: decoded %#v, %v; want %#v", tc.name, got, err, tc.want)
+		}
+	}
+	for cut := 0; cut < len(full); cut++ {
+		got, err := decodeAs(stageGoMsg{}, full[:cut])
+		if cut == len(old) {
+			if err != nil || !reflect.DeepEqual(got, stageGoMsg{Fp: fp}) {
+				t.Errorf("cut on the old boundary: decoded %#v, %v; want the old form", got, err)
+			}
+		} else if !cutShort(err) {
+			t.Errorf("cut at %d of %d: decoded %#v, %v; want a truncation error", cut, len(full), got, err)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package live
 
 import (
 	"net"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -240,5 +241,40 @@ func TestSetRoute(t *testing.T) {
 	case e := <-got2:
 		t.Fatalf("old route still receiving: %q", e.TxID)
 	default:
+	}
+}
+
+// TestSetRouteSendsParked: envelopes for a destination the transport has no
+// route to are kept — the newest maxParked of them — and go out, in order,
+// when SetRoute supplies the route.
+func TestSetRouteSendsParked(t *testing.T) {
+	t.Parallel()
+	addrs := freeAddrs(t, 2)
+	t1 := newTCP(t, 1, addrs[:1]) // knows nobody but itself
+	t2 := newTCP(t, 2, addrs)
+	const sent = maxParked + 6
+	got := make(chan Envelope, sent)
+	t2.SetHandler(func(e Envelope) { got <- e })
+
+	for i := 0; i < sent; i++ {
+		if err := t1.Send(Envelope{TxID: strconv.Itoa(i), From: 1, To: 2, Path: "p", Msg: echoMsg{V: core.Commit}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t1.SetRoute(2, t2.Addr())
+	for i := sent - maxParked; i < sent; i++ {
+		select {
+		case e := <-got:
+			if e.TxID != strconv.Itoa(i) {
+				t.Fatalf("got envelope %s, want %d (the oldest %d are dropped)", e.TxID, i, sent-maxParked)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("parked envelope %d never arrived", i)
+		}
+	}
+	select {
+	case e := <-got:
+		t.Fatalf("envelope %s arrived beyond the %d parked", e.TxID, maxParked)
+	case <-time.After(50 * time.Millisecond):
 	}
 }

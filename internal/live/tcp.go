@@ -35,6 +35,10 @@ var (
 // few hundred bytes, so one frame can carry hundreds of messages.
 const sendBufferSize = 64 << 10
 
+// maxParked bounds what the transport keeps for one destination it has no
+// route to yet (see TCP.parked); beyond it the oldest envelope is dropped.
+const maxParked = 64
+
 // Frame layout: everything buffered between two flushes — envelopes from
 // MANY protocol instances (the pipeline runs hundreds concurrently) — goes
 // out as ONE length-prefixed frame in one writev:
@@ -86,8 +90,13 @@ type TCP struct {
 	shaper  LinkShaper
 	conns   map[core.ProcessID]*tcpConn
 	inbound map[net.Conn]struct{}
-	closed  bool
-	wg      sync.WaitGroup
+	// parked holds envelopes for destinations with no route yet, until
+	// SetRoute supplies one: a client's first request can overtake the hello
+	// announcing its address (a shaper delays each envelope on its own), and
+	// the reply must not be lost for that.
+	parked map[core.ProcessID][]Envelope
+	closed bool
+	wg     sync.WaitGroup
 
 	// closing is cancelled by Close, so that a dial in progress returns.
 	closing context.Context
@@ -146,7 +155,8 @@ func NewTCP(id core.ProcessID, addrs []string) (*TCP, error) {
 	}
 	t := &TCP{id: id, addrs: m, ln: ln,
 		conns:   make(map[core.ProcessID]*tcpConn),
-		inbound: make(map[net.Conn]struct{})}
+		inbound: make(map[net.Conn]struct{}),
+		parked:  make(map[core.ProcessID][]Envelope)}
 	t.closing, t.cancel = context.WithCancel(context.Background())
 	t.wg.Add(1)
 	go t.acceptLoop()
@@ -175,9 +185,10 @@ func (t *TCP) SetShaper(s LinkShaper) {
 }
 
 // SetRoute adds or replaces the address for peer id, evicting any live
-// connection so the next Send starts a fresh one. Clients announce
-// themselves to peers this way: a peer only ever has the routes it was
-// booted with plus the ones announced to it.
+// connection so the next Send starts a fresh one, and sends what was parked
+// for id while it had no route. Clients announce themselves to peers this
+// way: a peer only ever has the routes it was booted with plus the ones
+// announced to it.
 func (t *TCP) SetRoute(id core.ProcessID, addr string) {
 	t.mu.Lock()
 	stale := t.conns[id]
@@ -189,9 +200,14 @@ func (t *TCP) SetRoute(id core.ProcessID, addr string) {
 		delete(t.conns, id)
 		mEvictions.Add(1)
 	}
+	parked := t.parked[id]
+	delete(t.parked, id)
 	t.mu.Unlock()
 	if stale != nil {
 		stale.shut()
+	}
+	for _, e := range parked {
+		_ = t.enqueue(e)
 	}
 }
 
@@ -324,7 +340,7 @@ func (t *TCP) enqueue(e Envelope) error {
 	// error, or shut by a concurrent Close of the peer) is forgotten so this
 	// send — not some later one — goes out on a fresh one.
 	for attempt := 0; attempt < 2; attempt++ {
-		conn, err := t.conn(e.To)
+		conn, err := t.conn(e)
 		if conn == nil {
 			return err
 		}
@@ -362,11 +378,12 @@ func (t *TCP) enqueue(e Envelope) error {
 	return nil
 }
 
-// conn returns the connection record of peer to, creating it — and the one
-// goroutine that dials and then flushes it — with the first envelope for to.
-// A nil record with a nil error means to has no route: silence, like any
-// unreachable peer.
-func (t *TCP) conn(to core.ProcessID) (*tcpConn, error) {
+// conn returns the connection record of e's destination, creating it — and
+// the one goroutine that dials and then flushes it — with the first envelope
+// for it. A nil record with a nil error means the destination has no route
+// yet, and e was parked for SetRoute to send.
+func (t *TCP) conn(e Envelope) (*tcpConn, error) {
+	to := e.To
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
@@ -377,6 +394,11 @@ func (t *TCP) conn(to core.ProcessID) (*tcpConn, error) {
 	}
 	addr, ok := t.addrs[to]
 	if !ok {
+		q := t.parked[to]
+		if len(q) >= maxParked {
+			q = q[:copy(q, q[1:])]
+		}
+		t.parked[to] = append(q, e)
 		return nil, nil
 	}
 	conn := &tcpConn{addr: addr, kick: make(chan struct{}, 1)}
@@ -500,6 +522,7 @@ func (t *TCP) Close() error {
 	t.closed = true
 	conns := t.conns
 	t.conns = make(map[core.ProcessID]*tcpConn)
+	t.parked = nil
 	inbound := make([]net.Conn, 0, len(t.inbound))
 	for c := range t.inbound {
 		inbound = append(inbound, c)

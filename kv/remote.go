@@ -7,29 +7,29 @@
 //  1. Reads are batched Query round-trips (readMsg -> readReplyMsg):
 //     Txn.GetMulti fans out one query per owning shard in parallel (one
 //     leg of wall-clock for the whole read set), a per-owner coalescer
-//     merges concurrent single-key reads from different in-flight
-//     transactions into one query per flush window (the double-buffer
-//     idiom of internal/live/tcp.go), and a client-side versioned read
-//     cache answers repeat reads with no leg at all. A stale cache hit is
-//     safe by construction — shard Prepare revalidates every read
-//     version, so the worst case is an OCC abort.
-//  2. Submit ships per-shard footprints (footprintMsg) to their owners
-//     and waits for every stage ack before the commit begins — except the
-//     coordinator's own footprint, which rides INSIDE the go message
-//     (stage+go piggyback): same-connection delivery makes the ack
-//     barrier unnecessary for that slice, so a single-shard transaction
-//     commits in one client leg instead of two.
-//  3. The client sends "go" to one coordinator peer (preferring one in
-//     its own region when a geo profile is configured) and the peers run
-//     the commit protocol among themselves; the client only learns the
-//     result.
+//     lets reads from different in-flight transactions that are pending
+//     together share one query — and sends it at once, so a read is one
+//     round trip however many queries to its owner are in flight — and a
+//     client-side versioned read cache answers repeat reads with no leg
+//     at all. A stale cache hit is safe by construction — shard Prepare
+//     revalidates every read version, so the worst case is an OCC abort.
+//  2. Submit is one leg and waits for nothing: every involved shard's
+//     footprint (footprintMsg) rides INSIDE the message that asks one
+//     coordinator peer to run the commit, and the coordinator's begin to
+//     each other peer carries that peer's slice. Footprint and
+//     announcement share an envelope, so neither can overtake the other;
+//     commit.Peer's ordering rule keeps a shard from voting before its
+//     announcement arrived. Only a footprint over the message budget is
+//     staged two-phase — stage at every owner, collect the acks, bare go.
+//  3. The coordinator is an involved peer in the client's own region when
+//     a geo profile is configured; the peers run the commit protocol among
+//     themselves and the client only learns the result.
 //
-// After "go" is sent the protocol owns the outcome: the client never
-// unstages, because a one-sided release could break atomicity. Footprints
-// orphaned by a client crash are reclaimed by the peers' stage TTL, which
-// also poisons the transaction ID so a pathologically late "go" answers
-// abort. (A piggybacked footprint has no orphan window: it arrives in the
-// same message as the go.)
+// Once the go is sent the protocol owns the outcome: the client never
+// unstages, because a one-sided release could break atomicity. Two-phase
+// footprints orphaned by a client crash are reclaimed by the peers' stage
+// TTL, which also poisons the transaction ID so a pathologically late "go"
+// answers abort. (A footprint riding the go has no orphan window.)
 
 package kv
 
@@ -126,7 +126,8 @@ type remoteBackend struct {
 }
 
 // readBatch is one coalesced wire read: the deduplicated keys headed to
-// one owner, and (after done closes) their results or the shared error.
+// one owner (fixed once its sender ran), and (after done closes) their
+// results or the shared error.
 // Riders find their answer via pos; error demux is per caller — everyone
 // on a failed batch gets the same owner-attributed error, wrapped by the
 // caller with whatever context it has.
@@ -138,19 +139,18 @@ type readBatch struct {
 	err  error
 }
 
-// readCoalescer merges concurrent reads bound for one shard owner into one
-// readMsg per flush window, double-buffered exactly like the TCP
-// transport's frame writer: while one batch is on the wire, every new read
-// accumulates into the next pending batch; when the reply lands, the
-// pending batch (all riders that arrived during the round trip) flies as
-// one query. A lone read still flies immediately.
+// readCoalescer merges concurrent reads bound for one shard owner: the first
+// reader to find nothing pending opens a batch and starts its sender, and
+// every reader that arrives before the sender runs rides the same readMsg.
+// The sender takes the batch as it is and puts it on the wire at once — a
+// read never waits for the reply to somebody else's query, so it costs one
+// round trip however many queries to its owner are already in flight.
 type readCoalescer struct {
 	b     *remoteBackend
 	owner int
 
 	mu      sync.Mutex
-	pending *readBatch
-	busy    bool // a run loop is draining batches
+	pending *readBatch // open: its sender has not run yet
 }
 
 func (b *remoteBackend) coalescer(owner int) *readCoalescer {
@@ -164,15 +164,17 @@ func (b *remoteBackend) coalescer(owner int) *readCoalescer {
 	return co
 }
 
-// enqueue adds keys to the owner's pending batch (deduplicated: two
-// transactions reading one key share a slot) and returns the batch to wait
-// on, launching the drain loop if none is in flight.
+// enqueue adds keys to the owner's open batch (deduplicated: two
+// transactions reading one key share a slot), opening one and starting its
+// sender if there is none, and returns the batch to wait on.
 func (co *readCoalescer) enqueue(keys []string) *readBatch {
 	co.mu.Lock()
+	defer co.mu.Unlock()
 	batch := co.pending
 	if batch == nil {
 		batch = &readBatch{pos: make(map[string]int, len(keys)), done: make(chan struct{})}
 		co.pending = batch
+		go co.send(batch)
 	}
 	for _, k := range keys {
 		if _, ok := batch.pos[k]; !ok {
@@ -180,34 +182,16 @@ func (co *readCoalescer) enqueue(keys []string) *readBatch {
 			batch.keys = append(batch.keys, k)
 		}
 	}
-	launch := !co.busy
-	if launch {
-		co.busy = true
-	}
-	co.mu.Unlock()
-	if launch {
-		go co.run()
-	}
 	return batch
 }
 
-// run drains batches until none is pending. Exactly one run loop exists
-// per coalescer at a time (the busy flag), so batches resolve in order and
-// at most one read query per owner is ever in flight from this client.
-func (co *readCoalescer) run() {
-	for {
-		co.mu.Lock()
-		batch := co.pending
-		co.pending = nil
-		if batch == nil {
-			co.busy = false
-			co.mu.Unlock()
-			return
-		}
-		co.mu.Unlock()
-		batch.res, batch.err = co.b.fetch(co.owner, batch.keys)
-		close(batch.done)
-	}
+// send closes batch to further readers and runs its query.
+func (co *readCoalescer) send(batch *readBatch) {
+	co.mu.Lock()
+	co.pending = nil
+	co.mu.Unlock()
+	batch.res, batch.err = co.b.fetch(co.owner, batch.keys)
+	close(batch.done)
 }
 
 // fetch puts one batched read on the wire and fills the cache from the
@@ -346,68 +330,53 @@ func (b *remoteBackend) note(committed bool, reads map[string]uint64, writes map
 
 func (b *remoteBackend) submit(ctx context.Context, txID string, fps map[int]*footprint) (*commit.Txn, func(), error) {
 	idxs := make([]int, 0, len(fps))
-	for i := range fps {
+	msgs := make(map[int]commit.Message, len(fps))
+	for i, fp := range fps {
 		idxs = append(idxs, i)
+		msgs[i+1] = footprintToMsg(fp)
 	}
 	sort.Ints(idxs)
 	coord := b.coordinator(idxs)
 
-	// Stage at every involved owner EXCEPT the coordinator, in parallel,
-	// and collect all acks before go: cross-connection ordering is not
-	// FIFO, so the commit must not start until every cross-connection
-	// footprint has provably landed. The coordinator's own footprint needs
-	// no ack — it rides inside the go message below, on the same
-	// connection, where ordering is trivial.
-	others := make([]int, 0, len(idxs))
-	for _, i := range idxs {
-		if i+1 != coord {
-			others = append(others, i)
-		}
+	// One leg: every shard's footprint rides the message that starts the
+	// commit, and reaches its shard on the coordinator's begin.
+	ct, err := b.client.StageGoAll(ctx, txID, coord, msgs)
+	if err == nil {
+		mLegs.Add(1)
+		// No cleanup func: once go is sent the peers own the staged state.
+		return ct, nil, nil
 	}
-	if len(others) > 0 {
-		mLegs.Add(1) // the stage barrier: one parallel phase
-		errs := make([]error, len(others))
-		var wg sync.WaitGroup
-		for j, i := range others {
-			wg.Add(1)
-			go func(j, i int) {
-				defer wg.Done()
-				if err := b.client.Stage(ctx, txID, i+1, footprintToMsg(fps[i])); err != nil {
-					errs[j] = fmt.Errorf("stage at P%d: %w", i+1, err)
-				}
-			}(j, i)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				// Nothing has begun: walking back the sibling stages is safe
-				// (and the peers' stage TTL backstops any unstage we lose).
-				for _, i := range others {
-					b.client.Unstage(txID, i+1)
-				}
-				return nil, nil, fmt.Errorf("kv: %s: %w", txID, err)
-			}
-		}
+	if !errors.Is(err, commit.ErrStageTooLarge) {
+		return nil, nil, fmt.Errorf("kv: %s: %w", txID, err)
 	}
 
-	// The go leg, with the coordinator's footprint piggybacked: one WAN
-	// round trip where stage-ack-then-go paid two. An oversized footprint
-	// falls back to the two-phase path (ack first, then a bare go).
-	mLegs.Add(1)
-	ct, err := b.client.StageGo(ctx, txID, coord, footprintToMsg(fps[coord-1]))
-	if err != nil {
-		mLegs.Add(1)
-		if serr := b.client.Stage(ctx, txID, coord, footprintToMsg(fps[coord-1])); serr != nil {
-			for _, i := range others {
+	// Too large for one message: stage at every involved owner in parallel
+	// and collect all acks — the barrier that keeps a begin from overtaking
+	// a footprint travelling apart from it — then send a bare go.
+	mLegs.Add(2)
+	errs := make([]error, len(idxs))
+	var wg sync.WaitGroup
+	for j, i := range idxs {
+		wg.Add(1)
+		go func(j, i int) {
+			defer wg.Done()
+			if err := b.client.Stage(ctx, txID, i+1, msgs[i+1]); err != nil {
+				errs[j] = fmt.Errorf("stage at P%d: %w", i+1, err)
+			}
+		}(j, i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			// Nothing has begun: walking back the sibling stages is safe
+			// (and the peers' stage TTL backstops any unstage we lose).
+			for _, i := range idxs {
 				b.client.Unstage(txID, i+1)
 			}
-			b.client.Unstage(txID, coord)
-			return nil, nil, fmt.Errorf("kv: %s: stage at P%d: %w", txID, coord, serr)
+			return nil, nil, fmt.Errorf("kv: %s: %w", txID, err)
 		}
-		ct = b.client.SubmitAt(ctx, txID, coord)
 	}
-	// No cleanup func: once go is sent the peers own the staged state.
-	return ct, nil, nil
+	return b.client.SubmitAt(ctx, txID, coord), nil, nil
 }
 
 // coordinator picks which involved peer drives the commit: one in the

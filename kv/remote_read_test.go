@@ -3,6 +3,7 @@ package kv
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -100,46 +101,57 @@ func TestRemoteGetMultiFanOut(t *testing.T) {
 	}
 }
 
-// TestRemoteCommitLegs pins the WAN-leg cost of the commit path: a
-// single-shard transaction pays ONE leg (piggybacked stage+go), a
-// cross-shard transaction pays TWO (parallel stage barrier + go). This is
-// the tentpole's contract — a regression here re-adds a WAN round trip.
-// Not parallel: it asserts on global counter deltas.
+// TestRemoteCommitLegs pins the WAN-leg cost of the commit path: ONE client
+// leg whether the transaction touches one shard or all of them (every
+// footprint rides the stage+go message), and the two-phase fallback — stage
+// barrier, then go — only for a footprint over the message budget. A
+// regression here re-adds a WAN round trip. Not parallel: it asserts on
+// global counter deltas.
 func TestRemoteCommitLegs(t *testing.T) {
 	opts := commit.Options{Protocol: commit.INBAC, F: 1, Timeout: 25 * time.Millisecond}
 	s, _, _ := remoteDeployment(t, 3, opts)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
-	single := s.Txn()
-	single.Put(keyForShard(t, 0, 3), "a")
-	legs0 := obs.M.CounterValue("kv.remote.legs")
-	if ok, err := single.Commit(ctx); !ok || err != nil {
-		t.Fatalf("single-shard txn: ok=%v err=%v", ok, err)
-	}
-	if d := obs.M.CounterValue("kv.remote.legs") - legs0; d != 1 {
-		t.Fatalf("single-shard blind write paid %d legs, want 1 (stage+go)", d)
-	}
-
-	multi := s.Txn()
-	multi.Put(keyForShard(t, 0, 3), "b")
-	multi.Put(keyForShard(t, 1, 3), "b")
-	multi.Put(keyForShard(t, 2, 3), "b")
-	legs0 = obs.M.CounterValue("kv.remote.legs")
-	if ok, err := multi.Commit(ctx); !ok || err != nil {
-		t.Fatalf("cross-shard txn: ok=%v err=%v", ok, err)
-	}
-	if d := obs.M.CounterValue("kv.remote.legs") - legs0; d != 2 {
-		t.Fatalf("cross-shard blind write paid %d legs, want 2 (stage barrier + go)", d)
+	big := strings.Repeat("x", 200<<10) // two of these exceed the 256 KiB budget
+	for _, tc := range []struct {
+		name   string
+		shards []int
+		value  string
+		legs   int64
+	}{
+		{"single-shard", []int{0}, "a", 1},
+		{"cross-shard", []int{0, 1, 2}, "b", 1},
+		{"oversize", []int{0, 1}, big, 2},
+	} {
+		// An indulgent protocol may abort an all-yes transaction when the
+		// machine is slow (common under -race): the leg count is what is
+		// pinned, so retry an abort.
+		committed := false
+		for attempt := 0; attempt < 4 && !committed; attempt++ {
+			txn := s.Txn()
+			for _, sh := range tc.shards {
+				txn.Put(keyForShard(t, sh, 3), tc.value)
+			}
+			legs0 := obs.M.CounterValue("kv.remote.legs")
+			ok, err := txn.Commit(ctx)
+			if err != nil {
+				t.Fatalf("%s txn: %v", tc.name, err)
+			}
+			if d := obs.M.CounterValue("kv.remote.legs") - legs0; d != tc.legs {
+				t.Fatalf("%s blind write paid %d legs, want %d", tc.name, d, tc.legs)
+			}
+			committed = ok
+		}
+		if !committed {
+			t.Fatalf("%s txn aborted on every attempt", tc.name)
+		}
 	}
 }
 
-// TestRemoteCoalescerMerge: concurrent single-key reads from different
-// transactions bound for one owner must merge into few wire queries while
-// one is in flight. A two-region profile gives the in-flight window real
-// width; the later readers' batch forms during it. Not parallel: it asserts
-// on global counter deltas.
-func TestRemoteCoalescerMerge(t *testing.T) {
+// coalescerProfile is a two-region network with a 60 ms round trip between
+// the client (pinned to us, like P1) and P2 (eu), the owner of shard 1.
+func coalescerProfile() *live.NetProfile {
 	const oneWay = 30 * time.Millisecond
 	profile := &live.NetProfile{
 		Name:    "test-2r",
@@ -147,56 +159,113 @@ func TestRemoteCoalescerMerge(t *testing.T) {
 		OneWay:  [][]time.Duration{{0, oneWay}, {oneWay, 0}},
 		Intra:   0,
 	}
-	// 2 shards: P1 round-robins to us, P2 to eu. Pin the client to us so
-	// its reads of shard 1 (owner P2) cross the 60ms round trip.
 	profile.Pin(core.ProcessID(3), "us")
-	opts := commit.Options{Protocol: commit.INBAC, F: 1, Timeout: 100 * time.Millisecond, Net: profile}
+	return profile
+}
+
+// TestRemoteCoalescerMerge is the read contract: readers pending together
+// share one wire query, and no reader waits for the reply to a query that
+// left before it came — a read costs one round trip however many are in
+// flight to its owner. Not parallel: it asserts on global counter deltas,
+// and narrows the scheduler.
+func TestRemoteCoalescerMerge(t *testing.T) {
+	const roundTrip = 60 * time.Millisecond
+	opts := commit.Options{Protocol: commit.INBAC, F: 1, Timeout: 100 * time.Millisecond, Net: coalescerProfile()}
 	s, _, _ := remoteDeployment(t, 2, opts)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
 	const readers = 8
 	var keys []string
-	for i := 0; len(keys) < readers; i++ {
+	for i := 0; len(keys) < readers+2; i++ {
 		k := fmt.Sprintf("co-%d", i)
 		if shardIndex(k, 2) == 1 {
 			keys = append(keys, k)
 		}
 	}
 
+	// Pending together: with one P the sender goroutine the first enqueue
+	// starts cannot run before this goroutine blocks, so all eight readers
+	// (and a repeated key) are pending when it does.
+	co := s.b.(*remoteBackend).coalescer(2)
 	batches0 := obs.M.CounterValue("kv.remote.read.batches")
-	legs0 := obs.M.CounterValue("kv.remote.legs")
-	errs := make([]error, readers)
-	var wg sync.WaitGroup
-	// First reader launches a batch; while it is on the 60ms round trip the
-	// rest arrive and accumulate into ONE pending batch.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_, _, errs[0] = s.Txn().WithContext(ctx).Read(keys[0])
-	}()
-	time.Sleep(15 * time.Millisecond)
-	for i := 1; i < readers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, _, errs[i] = s.Txn().WithContext(ctx).Read(keys[i])
-		}(i)
+	procs := runtime.GOMAXPROCS(1)
+	batches := make([]*readBatch, readers+1)
+	for i := range batches {
+		batches[i] = co.enqueue([]string{keys[i%readers]})
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
+	runtime.GOMAXPROCS(procs)
+	for i, b := range batches {
+		if b != batches[0] {
+			t.Fatalf("reader %d got a batch of its own", i)
+		}
+		if err := await(ctx, b); err != nil {
 			t.Fatalf("reader %d: %v", i, err)
 		}
 	}
-	batches := obs.M.CounterValue("kv.remote.read.batches") - batches0
-	if batches < 1 || batches > 3 {
-		t.Fatalf("%d concurrent reads cost %d wire batches, want 2 (first + merged rest)", readers, batches)
+	if len(batches[0].keys) != readers {
+		t.Fatalf("the shared query carried %d keys, want %d (one per distinct key)", len(batches[0].keys), readers)
 	}
-	// Per-caller leg accounting is unchanged by merging: every reader
-	// waited one round-trip phase.
-	if d := obs.M.CounterValue("kv.remote.legs") - legs0; d != readers {
-		t.Fatalf("legs delta = %d, want %d (one per reader)", d, readers)
+	if d := obs.M.CounterValue("kv.remote.read.batches") - batches0; d != 1 {
+		t.Fatalf("%d readers pending together cost %d wire queries, want 1", readers, d)
+	}
+
+	// Not queued: a read issued 15 ms after another query to the same owner
+	// left. Waiting out that query's reply first would cost 1.75 round trips.
+	legs0 := obs.M.CounterValue("kv.remote.legs")
+	first := make(chan error, 1)
+	go func() {
+		_, _, err := s.Txn().WithContext(ctx).Read(keys[readers])
+		first <- err
+	}()
+	time.Sleep(15 * time.Millisecond)
+	start := time.Now()
+	_, _, err := s.Txn().WithContext(ctx).Read(keys[readers+1])
+	took := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	if took < roundTrip || took > roundTrip*5/4 {
+		t.Fatalf("a read behind an in-flight query took %v, want one %v round trip (at most 1.25)", took, roundTrip)
+	}
+	// Per-caller leg accounting: every reader waited one round-trip phase.
+	if d := obs.M.CounterValue("kv.remote.legs") - legs0; d != 2 {
+		t.Fatalf("legs delta = %d, want 2 (one per reader)", d)
+	}
+}
+
+// TestRemoteSubmitDoesNotWait: Submit of a cross-shard transaction whose
+// other shard is a WAN round trip away returns at once — every client-side
+// wait of a commit is inside Wait, on the one stage+go leg.
+func TestRemoteSubmitDoesNotWait(t *testing.T) {
+	t.Parallel()
+	opts := commit.Options{Protocol: commit.INBAC, F: 1, Timeout: 100 * time.Millisecond, Net: coalescerProfile()}
+	s, _, _ := remoteDeployment(t, 2, opts)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	committed := false
+	for attempt := 0; attempt < 4 && !committed; attempt++ {
+		txn := s.Txn()
+		txn.Put(keyForShard(t, 0, 2), "near")
+		txn.Put(keyForShard(t, 1, 2), "far")
+		start := time.Now()
+		p, err := txn.Submit(ctx)
+		if took := time.Since(start); took > 5*time.Millisecond {
+			t.Fatalf("Submit took %v, want < 5ms: it waited on the network", took)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if committed, err = p.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !committed {
+		t.Fatal("the transaction aborted on every attempt")
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"atomiccommit/commit"
+	"atomiccommit/internal/live"
 )
 
 // kvAddrs grabs n distinct loopback addresses by binding and releasing
@@ -182,6 +183,117 @@ func TestRemoteBankConservation(t *testing.T) {
 	}
 	if sum != accounts*initial {
 		t.Fatalf("money not conserved: sum=%d want=%d (%d transfers committed)", sum, accounts*initial, committed.Load())
+	}
+}
+
+// TestRemoteNoStateLeaks is TestNoStateLeaks for the remote runtime, on a
+// network built to break the one-leg commit's ordering. Every envelope is
+// delayed by up to 6 ms on its own, and the client sits with P2 and P4, so a
+// transfer touching shard 0 is coordinated elsewhere and P1 — the INBAC
+// backup every vote goes to — is in a race between those votes and the begin
+// carrying its slice, which the votes win about every other time. Now and
+// then a begin is late enough (U is 10 ms) for its peer to give up on it.
+// Whatever each transfer's fate, once the network is quiet no shard holds a
+// staged footprint or an intent, and money is conserved — it is not if a
+// peer votes yes on a footprint that has yet to arrive.
+func TestRemoteNoStateLeaks(t *testing.T) {
+	t.Parallel()
+	const n = 4
+	profile := &live.NetProfile{
+		Name: "test-jitter", Regions: []string{"a", "b"},
+		OneWay: [][]time.Duration{{0, 0}, {0, 0}},
+		Jitter: 6 * time.Millisecond,
+	}
+	profile.Pin(n+1, "b")
+	opts := commit.Options{Protocol: commit.INBAC, F: 1, Timeout: 10 * time.Millisecond, MaxInFlight: 16, Net: profile}
+	addrs := kvAddrs(t, n)
+	shards := make([]*Shard, n)
+	for i := range shards {
+		shards[i] = NewShard(i)
+		p, err := commit.NewPeer(i+1, addrs, shards[i], opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(p.Close)
+	}
+	s, err := OpenRemote(n+1, addrs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+
+	// Accounts start absent, which reads as a balance of 0. Each worker moves
+	// money between a pair of its own — one account on shard 0 or 2, one on
+	// shard 1 or 3 — so no transfer conflicts and every abort is the
+	// network's doing.
+	const workers, perWorker = 8, 12
+	byShard := keysAcrossShards(t, n, workers, "leak")
+	balance := func(v string, ok bool) int {
+		b, err := strconv.Atoi(v)
+		if ok && err != nil {
+			t.Errorf("balance %q: %v", v, err)
+		}
+		return b
+	}
+	var committed, aborted atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			from, to := byShard[w%2*2][w], byShard[w%2*2+1][w]
+			for k := 0; k < perWorker; k++ {
+				txn := s.Txn().WithContext(ctx)
+				vals, oks, err := txn.GetMulti(from, to)
+				if err != nil {
+					t.Errorf("read %s, %s: %v", from, to, err)
+					return
+				}
+				txn.Put(from, strconv.Itoa(balance(vals[0], oks[0])-1))
+				txn.Put(to, strconv.Itoa(balance(vals[1], oks[1])+1))
+				ok, err := txn.Commit(ctx)
+				switch {
+				case err != nil:
+					t.Errorf("transfer: %v", err)
+					return
+				case ok:
+					committed.Add(1)
+				default:
+					aborted.Add(1)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if committed.Load() == 0 || aborted.Load() == 0 {
+		t.Errorf("%d transfers committed and %d aborted: the test needs both", committed.Load(), aborted.Load())
+	}
+	// Quiescence: the last envelopes land within the jitter bound and the
+	// slowest transaction ends a few U after its last peer joined. Only then
+	// is what the shards hold a final state.
+	time.Sleep(profile.Jitter + 20*opts.Timeout)
+
+	sum := 0
+	for i, sh := range shards {
+		sh.mu.Lock()
+		staged, locks := len(sh.staged), len(sh.locks)
+		sh.mu.Unlock()
+		if staged != 0 || locks != 0 {
+			t.Errorf("shard %d leaked: staged=%d locks=%d", i, staged, locks)
+		}
+		for _, key := range byShard[i] {
+			v, ok, err := s.Read(key)
+			if err != nil {
+				t.Fatalf("final read %s: %v", key, err)
+			}
+			sum += balance(v, ok)
+		}
+	}
+	if sum != 0 {
+		t.Errorf("money not conserved: the balances sum to %d, want 0 (%d transfers committed, %d aborted)",
+			sum, committed.Load(), aborted.Load())
 	}
 }
 
