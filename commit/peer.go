@@ -236,17 +236,18 @@ func (p *Peer) deliver(e live.Envelope) {
 		// announcement instead (the ordering rule on Peer).
 		p.mu.Lock()
 		t := p.txns[e.TxID]
-		first, arm := false, false
-		outcome, retired := p.decided.get(e.TxID)
+		var outcome core.Value
+		first, arm, retired := false, false, false
+		if t == nil {
+			outcome, retired = p.decided.get(e.TxID)
+		}
 		switch {
 		case p.closed || retired:
 			t = nil
-		case p.hosted != nil && (t == nil || t.phase == unannounced):
-			if arm = t == nil; arm {
-				t = &txn{phase: unannounced}
-				p.txns[e.TxID] = t
-			}
-		default:
+		case p.hosted != nil && t == nil:
+			t, arm = &txn{phase: unannounced}, true
+			p.txns[e.TxID] = t
+		case p.hosted == nil || t.phase != unannounced:
 			t, first = p.join(e.TxID)
 		}
 		var inst *live.Instance
@@ -687,14 +688,15 @@ func (p *Peer) commit(ctx context.Context, txID string, slices [][]byte) (bool, 
 		return false, fmt.Errorf("commit: txID required")
 	}
 	// Announce the transaction so every peer starts (roughly) together.
-	if slices == nil {
-		p.broadcast(txID, beginPath, beginMsg{})
-	} else {
-		for q := core.ProcessID(1); int(q) <= p.n; q++ {
-			if q != p.id {
-				_ = p.tr.Send(live.Envelope{TxID: txID, From: p.id, To: q, Path: beginPath, Msg: beginMsg{Fp: slices[q]}})
-			}
+	for q := core.ProcessID(1); int(q) <= p.n; q++ {
+		if q == p.id {
+			continue
 		}
+		var begin core.Message = beginMsg{} // as ever: no payload, no allocation
+		if slices != nil {
+			begin = beginMsg{Fp: slices[q]}
+		}
+		_ = p.tr.Send(live.Envelope{TxID: txID, From: p.id, To: q, Path: beginPath, Msg: begin})
 	}
 	return p.Wait(ctx, txID)
 }

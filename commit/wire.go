@@ -214,15 +214,13 @@ func (m stageGoMsg) MarshalWire(b []byte) []byte {
 	return b
 }
 
-// UnmarshalWire implements core.Wire.
+// UnmarshalWire implements core.Wire. The count of Others is a client's
+// claim: entries are appended as they decode, never allocated up front.
 func (stageGoMsg) UnmarshalWire(d *wire.Decoder) (core.Message, error) {
 	m := stageGoMsg{Fp: d.Bytes()}
 	if d.Remaining() > 0 {
-		if n := d.Len(); n > 0 {
-			m.Others = make([]peerSlice, n)
-			for i := range m.Others {
-				m.Others[i] = peerSlice{Peer: core.ProcessID(d.Uvarint()), Fp: d.Bytes()}
-			}
+		for n := d.Len(); n > 0 && d.Err() == nil; n-- {
+			m.Others = append(m.Others, peerSlice{Peer: core.ProcessID(d.Uvarint()), Fp: d.Bytes()})
 		}
 	}
 	return m, d.Err()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -207,6 +208,25 @@ func TestStageGoMsgWire(t *testing.T) {
 		} else if !cutShort(err) {
 			t.Errorf("cut at %d of %d: decoded %#v, %v; want a truncation error", cut, len(full), got, err)
 		}
+	}
+
+	// The count is the sender's claim and the entries behind it may be junk:
+	// decoding pays for what decodes, not for the claim (1<<20 entries of 32
+	// bytes here).
+	const claim = 1 << 20
+	junk := wire.AppendUvarint(wire.AppendBytes(nil, fp), claim)
+	for i := 0; i < claim; i++ {
+		junk = append(junk, 0xff)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := decodeAs(stageGoMsg{}, junk)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Errorf("%d junk entries decoded: %d others", claim, len(got.(stageGoMsg).Others))
+	}
+	if spent := after.TotalAlloc - before.TotalAlloc; spent > claim {
+		t.Errorf("refusing a claim of %d entries allocated %d bytes", claim, spent)
 	}
 }
 

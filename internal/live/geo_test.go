@@ -278,3 +278,66 @@ func TestSetRouteSendsParked(t *testing.T) {
 	case <-time.After(50 * time.Millisecond):
 	}
 }
+
+// TestParkedIsBounded: a sender names its own reply address, so what is parked
+// for routes that never come must stay bounded however many addresses are
+// named — the oldest queue makes room — and a queue older than parkedFor is
+// dropped, not handed to whoever supplies the route later.
+func TestParkedIsBounded(t *testing.T) {
+	t.Parallel()
+	addrs := freeAddrs(t, 2)
+	t1 := newTCP(t, 1, addrs[:1]) // knows nobody but itself
+	t2 := newTCP(t, 2, addrs)
+	got := make(chan Envelope, 4)
+	t2.SetHandler(func(e Envelope) { got <- e })
+
+	const first, extra = 100, 10
+	for id := first; id < first+maxParkedDests+extra; id++ {
+		if err := t1.Send(Envelope{TxID: strconv.Itoa(id), From: 1, To: core.ProcessID(id), Path: "p", Msg: echoMsg{V: core.Commit}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t1.mu.Lock()
+	n := len(t1.parked)
+	_, oldest := t1.parked[first+extra-1]
+	stale, fresh := t1.parked[first+extra], t1.parked[first+extra+1]
+	if stale != nil {
+		stale.since = stale.since.Add(-parkedFor)
+	}
+	t1.mu.Unlock()
+	if n != maxParkedDests || oldest || stale == nil || fresh == nil {
+		t.Fatalf("%d destinations parked (oldest kept: %v), want the newest %d", n, oldest, maxParkedDests)
+	}
+
+	t1.SetRoute(first+extra, t2.Addr())
+	t1.SetRoute(first+extra+1, t2.Addr())
+	select {
+	case e := <-got:
+		if e.TxID != strconv.Itoa(first+extra+1) {
+			t.Fatalf("got envelope %s, parked longer than %v", e.TxID, parkedFor)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the fresh parked envelope never arrived")
+	}
+	select {
+	case e := <-got:
+		t.Fatalf("envelope %s arrived, parked longer than %v", e.TxID, parkedFor)
+	case <-time.After(50 * time.Millisecond):
+	}
+
+	// An expired queue also makes room, and does not count against the bound.
+	t1.mu.Lock()
+	for _, q := range t1.parked {
+		q.since = q.since.Add(-parkedFor)
+	}
+	t1.mu.Unlock()
+	if err := t1.Send(Envelope{TxID: "late", From: 1, To: 99, Path: "p", Msg: echoMsg{V: core.Commit}}); err != nil {
+		t.Fatal(err)
+	}
+	t1.mu.Lock()
+	n = len(t1.parked)
+	t1.mu.Unlock()
+	if n != 1 {
+		t.Fatalf("%d destinations parked after every queue expired, want 1", n)
+	}
+}

@@ -35,9 +35,18 @@ var (
 // few hundred bytes, so one frame can carry hundreds of messages.
 const sendBufferSize = 64 << 10
 
-// maxParked bounds what the transport keeps for one destination it has no
-// route to yet (see TCP.parked); beyond it the oldest envelope is dropped.
-const maxParked = 64
+// What the transport keeps for destinations it has no route to yet (see
+// TCP.parked) is bounded three ways, because a sender names its own reply
+// address and may never supply the route: maxParked envelopes per destination
+// (beyond it the oldest is dropped), maxParkedDests destinations (beyond it
+// the oldest queue is dropped), and parkedFor from a queue's first envelope —
+// far longer than a hello trails a request, and by then no caller still waits
+// for the reply, so a later user of the ID is not handed it either.
+const (
+	maxParked      = 64
+	maxParkedDests = 64
+	parkedFor      = 5 * time.Second
+)
 
 // Frame layout: everything buffered between two flushes — envelopes from
 // MANY protocol instances (the pipeline runs hundreds concurrently) — goes
@@ -94,7 +103,7 @@ type TCP struct {
 	// SetRoute supplies one: a client's first request can overtake the hello
 	// announcing its address (a shaper delays each envelope on its own), and
 	// the reply must not be lost for that.
-	parked map[core.ProcessID][]Envelope
+	parked map[core.ProcessID]*parkedQueue
 	closed bool
 	wg     sync.WaitGroup
 
@@ -156,7 +165,7 @@ func NewTCP(id core.ProcessID, addrs []string) (*TCP, error) {
 	t := &TCP{id: id, addrs: m, ln: ln,
 		conns:   make(map[core.ProcessID]*tcpConn),
 		inbound: make(map[net.Conn]struct{}),
-		parked:  make(map[core.ProcessID][]Envelope)}
+		parked:  make(map[core.ProcessID]*parkedQueue)}
 	t.closing, t.cancel = context.WithCancel(context.Background())
 	t.wg.Add(1)
 	go t.acceptLoop()
@@ -206,9 +215,49 @@ func (t *TCP) SetRoute(id core.ProcessID, addr string) {
 	if stale != nil {
 		stale.shut()
 	}
-	for _, e := range parked {
-		_ = t.enqueue(e)
+	if parked != nil && time.Since(parked.since) < parkedFor {
+		for _, e := range parked.envs {
+			_ = t.enqueue(e)
+		}
 	}
+}
+
+// parkedQueue is what waits for one destination's route, oldest first, and
+// when the first of it was parked.
+type parkedQueue struct {
+	envs  []Envelope
+	since time.Time
+}
+
+// park keeps e until SetRoute supplies its destination's route, within the
+// bounds above. The caller holds t.mu.
+func (t *TCP) park(e Envelope) {
+	now := time.Now()
+	q := t.parked[e.To]
+	if q != nil && now.Sub(q.since) >= parkedFor {
+		q = nil
+	}
+	if q == nil {
+		// A new queue: make room by dropping the expired, else the oldest.
+		var oldest core.ProcessID
+		var oldestSince time.Time
+		for id, o := range t.parked {
+			if now.Sub(o.since) >= parkedFor {
+				delete(t.parked, id)
+			} else if oldestSince.IsZero() || o.since.Before(oldestSince) {
+				oldest, oldestSince = id, o.since
+			}
+		}
+		if len(t.parked) >= maxParkedDests {
+			delete(t.parked, oldest)
+		}
+		q = &parkedQueue{since: now}
+		t.parked[e.To] = q
+	}
+	if len(q.envs) >= maxParked {
+		q.envs = q.envs[:copy(q.envs, q.envs[1:])]
+	}
+	q.envs = append(q.envs, e)
 }
 
 func (t *TCP) acceptLoop() {
@@ -394,11 +443,7 @@ func (t *TCP) conn(e Envelope) (*tcpConn, error) {
 	}
 	addr, ok := t.addrs[to]
 	if !ok {
-		q := t.parked[to]
-		if len(q) >= maxParked {
-			q = q[:copy(q, q[1:])]
-		}
-		t.parked[to] = append(q, e)
+		t.park(e)
 		return nil, nil
 	}
 	conn := &tcpConn{addr: addr, kick: make(chan struct{}, 1)}

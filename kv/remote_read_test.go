@@ -113,8 +113,12 @@ func TestRemoteCommitLegs(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
+	// Keys of its own for every case: a shard other than the coordinator's may
+	// still hold the previous case's write intents when the client has its
+	// result, and would vote no on a second write of the key.
+	keys := keysAcrossShards(t, 3, 3, "legs")
 	big := strings.Repeat("x", 200<<10) // two of these exceed the 256 KiB budget
-	for _, tc := range []struct {
+	for i, tc := range []struct {
 		name   string
 		shards []int
 		value  string
@@ -124,27 +128,16 @@ func TestRemoteCommitLegs(t *testing.T) {
 		{"cross-shard", []int{0, 1, 2}, "b", 1},
 		{"oversize", []int{0, 1}, big, 2},
 	} {
-		// An indulgent protocol may abort an all-yes transaction when the
-		// machine is slow (common under -race): the leg count is what is
-		// pinned, so retry an abort.
-		committed := false
-		for attempt := 0; attempt < 4 && !committed; attempt++ {
-			txn := s.Txn()
-			for _, sh := range tc.shards {
-				txn.Put(keyForShard(t, sh, 3), tc.value)
-			}
-			legs0 := obs.M.CounterValue("kv.remote.legs")
-			ok, err := txn.Commit(ctx)
-			if err != nil {
-				t.Fatalf("%s txn: %v", tc.name, err)
-			}
-			if d := obs.M.CounterValue("kv.remote.legs") - legs0; d != tc.legs {
-				t.Fatalf("%s blind write paid %d legs, want %d", tc.name, d, tc.legs)
-			}
-			committed = ok
+		txn := s.Txn()
+		for _, sh := range tc.shards {
+			txn.Put(keys[sh][i], tc.value)
 		}
-		if !committed {
-			t.Fatalf("%s txn aborted on every attempt", tc.name)
+		legs0 := obs.M.CounterValue("kv.remote.legs")
+		if ok, err := txn.Commit(ctx); !ok || err != nil {
+			t.Fatalf("%s txn: ok=%v err=%v", tc.name, ok, err)
+		}
+		if d := obs.M.CounterValue("kv.remote.legs") - legs0; d != tc.legs {
+			t.Fatalf("%s blind write paid %d legs, want %d", tc.name, d, tc.legs)
 		}
 	}
 }
@@ -177,7 +170,7 @@ func TestRemoteCoalescerMerge(t *testing.T) {
 
 	const readers = 8
 	var keys []string
-	for i := 0; len(keys) < readers+2; i++ {
+	for i := 0; len(keys) < readers+6; i++ {
 		k := fmt.Sprintf("co-%d", i)
 		if shardIndex(k, 2) == 1 {
 			keys = append(keys, k)
@@ -211,29 +204,38 @@ func TestRemoteCoalescerMerge(t *testing.T) {
 	}
 
 	// Not queued: a read issued 15 ms after another query to the same owner
-	// left. Waiting out that query's reply first would cost 1.75 round trips.
-	legs0 := obs.M.CounterValue("kv.remote.legs")
-	first := make(chan error, 1)
-	go func() {
-		_, _, err := s.Txn().WithContext(ctx).Read(keys[readers])
-		first <- err
-	}()
-	time.Sleep(15 * time.Millisecond)
-	start := time.Now()
-	_, _, err := s.Txn().WithContext(ctx).Read(keys[readers+1])
-	took := time.Since(start)
-	if err != nil {
-		t.Fatal(err)
+	// left. Waiting out that query's reply first cannot cost less than 1.75
+	// round trips, so the fastest of three tries tells the two apart even on
+	// a machine too busy to schedule every try on time.
+	best := time.Hour
+	for try := 0; try < 3 && best > roundTrip*5/4; try++ {
+		legs0 := obs.M.CounterValue("kv.remote.legs")
+		first := make(chan error, 1)
+		go func() {
+			_, _, err := s.Txn().WithContext(ctx).Read(keys[readers+2*try])
+			first <- err
+		}()
+		time.Sleep(15 * time.Millisecond)
+		start := time.Now()
+		_, _, err := s.Txn().WithContext(ctx).Read(keys[readers+2*try+1])
+		took := time.Since(start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := <-first; err != nil {
+			t.Fatal(err)
+		}
+		if took < roundTrip {
+			t.Fatalf("a read took %v, less than the %v round trip", took, roundTrip)
+		}
+		// Per-caller leg accounting: every reader waited one round-trip phase.
+		if d := obs.M.CounterValue("kv.remote.legs") - legs0; d != 2 {
+			t.Fatalf("legs delta = %d, want 2 (one per reader)", d)
+		}
+		best = min(best, took)
 	}
-	if err := <-first; err != nil {
-		t.Fatal(err)
-	}
-	if took < roundTrip || took > roundTrip*5/4 {
-		t.Fatalf("a read behind an in-flight query took %v, want one %v round trip (at most 1.25)", took, roundTrip)
-	}
-	// Per-caller leg accounting: every reader waited one round-trip phase.
-	if d := obs.M.CounterValue("kv.remote.legs") - legs0; d != 2 {
-		t.Fatalf("legs delta = %d, want 2 (one per reader)", d)
+	if best > roundTrip*5/4 {
+		t.Fatalf("a read behind an in-flight query took %v at best, want one %v round trip (at most 1.25)", best, roundTrip)
 	}
 }
 
@@ -247,25 +249,27 @@ func TestRemoteSubmitDoesNotWait(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
-	committed := false
-	for attempt := 0; attempt < 4 && !committed; attempt++ {
+	// A Submit that waits on the network cannot take less than the 60 ms round
+	// trip, so the fastest of three tries is what is pinned: a busy machine may
+	// be late scheduling any one of them. Every try must commit.
+	keys := keysAcrossShards(t, 2, 3, "submit") // every try its own: no conflict with the last
+	best := time.Hour
+	for try := 0; try < 3 && best > 5*time.Millisecond; try++ {
 		txn := s.Txn()
-		txn.Put(keyForShard(t, 0, 2), "near")
-		txn.Put(keyForShard(t, 1, 2), "far")
+		txn.Put(keys[0][try], "near")
+		txn.Put(keys[1][try], "far")
 		start := time.Now()
 		p, err := txn.Submit(ctx)
-		if took := time.Since(start); took > 5*time.Millisecond {
-			t.Fatalf("Submit took %v, want < 5ms: it waited on the network", took)
-		}
+		best = min(best, time.Since(start))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if committed, err = p.Wait(ctx); err != nil {
-			t.Fatal(err)
+		if ok, err := p.Wait(ctx); !ok || err != nil {
+			t.Fatalf("Wait: ok=%v err=%v", ok, err)
 		}
 	}
-	if !committed {
-		t.Fatal("the transaction aborted on every attempt")
+	if best > 5*time.Millisecond {
+		t.Fatalf("Submit took %v at best, want < 5ms: it waited on the network", best)
 	}
 }
 
