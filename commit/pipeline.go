@@ -68,10 +68,19 @@ func (t *Txn) resolve(ok bool, err error) {
 // short-circuit trivial transactions while keeping a uniform future-based
 // API; the ID is not registered with any cluster.
 func ResolvedTxn(txID string, committed bool) *Txn {
-	t := &Txn{TxID: txID, done: make(chan struct{})}
-	t.start = time.Now()
-	t.resolve(committed, nil)
+	t, resolve := UnresolvedTxn(txID)
+	resolve(committed, nil)
 	return t
+}
+
+// UnresolvedTxn returns a future that its caller resolves, by calling
+// resolve exactly once, for a transaction a layer above the pipeline decides
+// without running an atomic-commit instance (kv's read-only validation).
+// Latency runs from this call to resolve; the ID is not registered with
+// any cluster.
+func UnresolvedTxn(txID string) (t *Txn, resolve func(committed bool, err error)) {
+	t = &Txn{TxID: txID, done: make(chan struct{}), start: time.Now()}
+	return t, t.resolve
 }
 
 // Submit enqueues one transaction on the commit pipeline and returns a

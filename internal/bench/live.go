@@ -93,7 +93,9 @@ type Row struct {
 
 	Committed int
 	// VoteAborts had a participant vote no (on kv, a conflict on shard
-	// state). TimingAborts were aborted although every vote seen was yes:
+	// state — a Prepare that voted no, or a shard refusing a read-only
+	// transaction's validation). TimingAborts were aborted although every
+	// vote seen was yes:
 	// an indulgent protocol's legal reaction to a violated timing bound.
 	// InfraAborts never got a decision — a deadline, a refused stage, a
 	// cross-member disagreement — and are left out of DecidedPerSec and the
@@ -141,7 +143,8 @@ func Run(cfg Config) ([]Row, string, error) {
 		}
 	}
 	t.blank()
-	t.row("vote: a participant voted no. timing: every vote seen was yes and the protocol aborted anyway.")
+	t.row("vote: a participant voted no, or a kv shard refused a read-only transaction's validation.")
+	t.row("timing: every vote seen was yes and the protocol aborted anyway.")
 	t.row("infra: no decision (an error). For performance numbers see benchmark/README.md.")
 	return rows, t.String(), firstErr
 }
@@ -275,12 +278,19 @@ func (fl *fleet) boot(cfg Config, proto string, theta float64, depth, id int) er
 	}
 	fl.txn = func(ctx context.Context, w, _ int) (string, bool, error) {
 		t := store.Txn().WithContext(ctx)
-		gens[w].Apply(t, gens[w].NextTxn())
+		ops := gens[w].NextTxn()
+		gens[w].Apply(t, ops)
 		p, err := t.Submit(ctx)
 		if err != nil {
 			return "", false, err
 		}
 		ok, err := p.Wait(ctx)
+		if err == nil && !ok && !slices.ContainsFunc(ops, func(op kv.Op) bool { return !op.Read }) {
+			// A read-only transaction runs no protocol, so no Prepare voted
+			// no: its abort is a shard refusing the validation, a conflict
+			// like any no vote.
+			fl.noVotes.Store(p.TxID(), struct{}{})
+		}
 		return p.TxID(), ok, err
 	}
 	return nil

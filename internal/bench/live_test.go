@@ -102,6 +102,22 @@ func TestRunAllAbortCellReadsZero(t *testing.T) {
 	}
 }
 
+// TestRunFilesRefusedValidationUnderVote: one key, half the transactions a
+// blind write of it and half a read of it. The reads are read-only
+// transactions, which run no protocol: one that a writer's intent or a newer
+// version gets refused has no Prepare that voted no, and is a conflict all
+// the same — it must not read as a timing abort.
+func TestRunFilesRefusedValidationUnderVote(t *testing.T) {
+	rows, _, err := Run(Config{Runtime: "kv", Protocols: []string{"2pc"}, Depths: []int{8}, Txns: 64, N: 3, F: 1,
+		Keys: 1, ReadFrac: 0.5, Timeout: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := rows[0]; r.VoteAborts == 0 || r.TimingAborts != 0 {
+		t.Errorf("conflicts on one hot key must all be vote aborts: %+v", r)
+	}
+}
+
 // TestConsecutiveKVCellsUnderOneAuditor: cells used to name their
 // transactions alike (kv-c5-0, kv-c5-1, ...), so under one auditor the
 // second cell's decisions read as the first cell's processes changing their

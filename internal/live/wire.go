@@ -33,6 +33,7 @@ import (
 //	72..76   protocols/fullnbac
 //	80..82   kv (footprint, read, readReply)
 //	83       commit (stageGoMsg — piggybacked stage+go client leg)
+//	84..85   kv (validate, validateReply — the read-only commit)
 //	>= 240   reserved for tests
 //
 // Versioning: adding a message type takes a fresh ID; removing one retires

@@ -162,6 +162,61 @@ func TestRemoteCacheStaleAbort(t *testing.T) {
 	}
 }
 
+// TestRemoteCacheRefusedDropsFreshReads: a refused transaction drops every
+// key it read from the cache, not just its cache hits. Here every read was a
+// wire read that FILLED the cache, the entry went stale before validation,
+// and the read-only transaction is refused: no hit was consumed, so the
+// stale-abort counter stays put, but the entry must be gone — left in place
+// it fails the next reader of the key as well. Not parallel: it asserts on
+// global counter deltas.
+func TestRemoteCacheRefusedDropsFreshReads(t *testing.T) {
+	opts := commit.Options{Protocol: commit.INBAC, F: 1, Timeout: 25 * time.Millisecond}
+	sA, _, addrs := remoteDeployment(t, 3, opts)
+	sA.ConfigureReadCache(1024, 10*time.Second) // TTL far beyond the test
+	sB, err := OpenRemote(5, addrs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sB.Close)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	const key = "refused-key"
+	put := func(val string) {
+		t.Helper()
+		txn := sB.Txn()
+		txn.Put(key, val)
+		if ok, err := txn.Commit(ctx); !ok || err != nil {
+			t.Fatalf("put %s: ok=%v err=%v", val, ok, err)
+		}
+	}
+	put("v1")
+
+	hit0, staleAb0 := obs.M.CounterValue("kv.cache.hit"), obs.M.CounterValue("kv.cache.stale_abort")
+	reader := sA.Txn()
+	if v, ok, err := reader.Read(key); err != nil || !ok || v != "v1" {
+		t.Fatalf("read = (%q,%v,%v), want v1", v, ok, err)
+	}
+	put("v2") // single-shard: applied by the time B has its result
+	if ok, err := reader.Commit(ctx); err != nil || ok {
+		t.Fatalf("read-only txn over an overwritten version: ok=%v err=%v, want a refusal", ok, err)
+	}
+	if d := obs.M.CounterValue("kv.cache.hit") - hit0; d != 0 {
+		t.Fatalf("%d cache hits, want 0: the test needs a transaction whose reads were all fresh", d)
+	}
+	if d := obs.M.CounterValue("kv.cache.stale_abort") - staleAb0; d != 0 {
+		t.Fatalf("stale_abort moved by %d for a transaction that consumed no cache hit", d)
+	}
+
+	next := sA.Txn()
+	if v, ok, err := next.Read(key); err != nil || !ok || v != "v2" {
+		t.Fatalf("next reader got (%q,%v,%v), want a wire read of v2: the refused transaction left its stale entry cached", v, ok, err)
+	}
+	if ok, err := next.Commit(ctx); !ok || err != nil {
+		t.Fatalf("next reader: ok=%v err=%v, want a commit", ok, err)
+	}
+}
+
 // TestRemoteCacheOwnWriteFreshness: a committed read-modify-write leaves
 // the cache entry FRESH (version readVer+1, exactly what the shard now
 // holds), so the next transaction's cached read survives Prepare.

@@ -3,7 +3,7 @@
 // workload that makes abort behavior real.
 //
 // The store partitions the keyspace across shards by key hash; every shard
-// is one commit participant, so a multi-shard transaction is one
+// is one commit participant, so a transaction that writes is one
 // atomic-commit instance of whichever protocol the store was opened with
 // (INBAC by default). Concurrency control is Helios-style conflict voting
 // from the paper's introduction, per key:
@@ -25,15 +25,30 @@
 // intents that exclude concurrent writers, so its effective execution point
 // is its commit.
 //
+// A transaction that wrote nothing has no outcome for the shards to agree
+// on, so it runs no atomic-commit instance and stages nothing: Submit asks
+// each shard it read from, once, whether every version read is still current
+// and no write intent is on the key, and the transaction commits iff all say
+// yes (two-phase commit's read-only optimisation). It stays serializable
+// because all of its reads finish before any validation starts: a committed
+// writer W it overlaps either applied at a shared key before the read, or
+// prepared there after the validation — anything in between shows as a
+// changed version or a pending intent — and reading W's effect anywhere
+// means W had already prepared everywhere, which rules out the second case
+// at every other key. The intent check is what covers a W applied on one
+// shard and still pending on another; see Shard.validate. A refusal is an
+// ordinary abort: retry with a fresh Txn.
+//
 // The store runs over either of two runtimes behind the same Txn API:
 //
 //   - Open hosts every shard in-process on a commit.Cluster (goroutine
 //     mesh). Reads and staging are function calls.
 //   - OpenRemote hosts no shards at all: each shard lives in its own
 //     commit.Peer process (see Serve), and the store talks to them over
-//     TCP through a commit.Client — reads become Query round-trips and
+//     TCP through a commit.Client — reads become Query round-trips,
 //     Txn.Submit ships per-shard footprints to their owners before
-//     driving the commit remotely.
+//     driving the commit remotely, and a read-only Submit is one more
+//     parallel Query round trip.
 //
 // Transactions commit through the Committer, so thousands of them run
 // concurrently under Options.MaxInFlight. See Workload and Run for the
@@ -102,12 +117,18 @@ type backend interface {
 	// state if the protocol instance dies of an infrastructure error
 	// (Txn.Err != nil) and its Commit/Abort callbacks never fire.
 	submit(ctx context.Context, txID string, fps map[int]*footprint) (*commit.Txn, func(), error)
+	// validate is the whole commit of a transaction that wrote nothing: it
+	// asks every shard owning a key of reads whether the versions read still
+	// stand with no write intent in the way (Shard.validate), and reports
+	// true iff all said yes. Nothing is staged and no protocol instance
+	// runs. An error means some shard's answer is unknown.
+	validate(ctx context.Context, reads map[string]uint64) (bool, error)
 	// note observes a decided transaction's outcome so the backend can
 	// maintain its client-side read cache: committed read-modify-writes
-	// become fresh entries, blind writes invalidate, and an abort that
-	// consumed cached reads invalidates them (and counts toward the
-	// stale-abort metric). cached lists the keys whose reads were cache
-	// hits.
+	// become fresh entries, blind writes invalidate, and an abort or a
+	// refused validation drops every key the transaction read (and counts
+	// toward the stale-abort metric if any of them was a cache hit). cached
+	// lists the keys whose reads were cache hits.
 	note(committed bool, reads map[string]uint64, writes map[string]write, cached []string)
 }
 
@@ -257,6 +278,15 @@ func (b *localBackend) readMulti(ctx context.Context, keys []string) ([]readResu
 }
 
 func (b *localBackend) note(bool, map[string]uint64, map[string]write, []string) {}
+
+func (b *localBackend) validate(_ context.Context, reads map[string]uint64) (bool, error) {
+	for i, m := range validateMsgs(reads, len(b.shards)) {
+		if !b.shards[i].validate(m.Keys, m.Vers) {
+			return false, nil
+		}
+	}
+	return true, nil
+}
 
 func (b *localBackend) submit(ctx context.Context, txID string, fps map[int]*footprint) (*commit.Txn, func(), error) {
 	involved := make([]*Shard, 0, len(fps))

@@ -1,0 +1,237 @@
+package kv
+
+import (
+	"context"
+	"strconv"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"atomiccommit/commit"
+	"atomiccommit/internal/live"
+	"atomiccommit/internal/obs"
+)
+
+// TestValidateRefusesAcrossVisibilityGap walks one writer W over x (shard A)
+// and y (shard B) through the gap in which it is applied on A and still
+// prepared on B, and asks both shards about a reader that saw new x and old
+// y. A has nothing to object to; the read is fractured, and only B can say
+// so: by W's write intent while B holds it, by the version once B applied.
+// Not parallel: it asserts on global counter deltas.
+//
+// Mutation note: with the write-intent check deleted from Shard.validate,
+// step 2 answers yes on both shards and the reader commits having seen W on
+// A and not on B — run the test after that edit to see the check is what
+// keeps a committed read-only transaction from a fractured read.
+func TestValidateRefusesAcrossVisibilityGap(t *testing.T) {
+	a, b := NewShard(0), NewShard(1)
+	write := func(txID string, sh *Shard, key, val string) {
+		t.Helper()
+		if err := sh.Stage(txID, footprintMsg{WriteKeys: []string{key}, WriteVals: []string{val}, WriteDels: []bool{false}}); err != nil {
+			t.Fatal(err)
+		}
+		if !sh.Prepare(txID) {
+			t.Fatalf("%s: shard %d voted no", txID, sh.id)
+		}
+	}
+	validate := func(sh *Shard, key string, ver uint64) bool {
+		t.Helper()
+		reply, err := sh.Query(validateMsg{Keys: []string{key}, Vers: []uint64{ver}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reply.(validateReplyMsg).OK
+	}
+	conflicts := func() (intent, stale int64) {
+		return obs.M.CounterValue("kv.conflict.intent"), obs.M.CounterValue("kv.conflict.stale_read")
+	}
+
+	write("seed", a, "x", "old")
+	write("seed", b, "y", "old")
+	a.Commit("seed")
+	b.Commit("seed")
+
+	// 1. W prepared on both shards, committed on A only.
+	write("W", a, "x", "new")
+	write("W", b, "y", "new")
+	a.Commit("W")
+
+	// 2. The reader saw new x and old y.
+	xv, _, xver := a.readCommitted("x")
+	yv, _, yver := b.readCommitted("y")
+	if xv != "new" || yv != "old" {
+		t.Fatalf("read x=%q y=%q, want the fractured new/old", xv, yv)
+	}
+	intent0, stale0 := conflicts()
+	if !validate(a, "x", xver) {
+		t.Fatal("shard A refused a current read with no intent on it")
+	}
+	if validate(b, "y", yver) {
+		t.Fatal("shard B validated old y while W's write intent is on it: a fractured read commits")
+	}
+	if intent, stale := conflicts(); intent-intent0 != 1 || stale != stale0 {
+		t.Fatalf("refusal counted as %d intent conflicts and %d stale reads, want 1 and 0", intent-intent0, stale-stale0)
+	}
+
+	// 3. B applies: the same read is now refused for its version.
+	b.Commit("W")
+	if validate(b, "y", yver) {
+		t.Fatal("shard B validated a version W overwrote")
+	}
+	if intent, stale := conflicts(); intent-intent0 != 1 || stale-stale0 != 1 {
+		t.Fatalf("after the apply: %d intent conflicts and %d stale reads, want 1 and 1", intent-intent0, stale-stale0)
+	}
+
+	// 4. A fresh read of both validates, and validation left nothing behind.
+	_, _, xver = a.readCommitted("x")
+	yv, _, yver = b.readCommitted("y")
+	if yv != "new" || !validate(a, "x", xver) || !validate(b, "y", yver) {
+		t.Fatalf("fresh read y=%q did not validate on both shards", yv)
+	}
+	for _, sh := range []*Shard{a, b} {
+		if len(sh.staged) != 0 || len(sh.locks) != 0 {
+			t.Fatalf("shard %d holds staged=%d locks=%d after validations", sh.id, len(sh.staged), len(sh.locks))
+		}
+	}
+}
+
+// TestReadOnlyAuditSeesConstantTotal is the read-only contract end to end:
+// while transfers move money between accounts on different shards, audits
+// read every account in one GetMulti and commit with an empty write set. An
+// audit that commits must have seen the constant total — a fractured read of
+// a half-applied transfer shows as a wrong sum — and the run must contain
+// both outcomes, a committed audit and a refused one.
+func TestReadOnlyAuditSeesConstantTotal(t *testing.T) {
+	t.Parallel()
+	t.Run("local", func(t *testing.T) {
+		t.Parallel()
+		s := open(t, 4, commit.Options{MaxInFlight: 16})
+		auditUnderTransfers(t, s, 25*time.Millisecond)
+	})
+	t.Run("remote", func(t *testing.T) {
+		t.Parallel()
+		// The jittered two-region net of TestRemoteNoStateLeaks: every envelope
+		// is late by up to 6 ms on its own, so shards apply one transfer at
+		// visibly different times.
+		const n = 4
+		profile := &live.NetProfile{
+			Name: "test-jitter", Regions: []string{"a", "b"},
+			OneWay: [][]time.Duration{{0, 0}, {0, 0}},
+			Jitter: 6 * time.Millisecond,
+		}
+		profile.Pin(n+1, "b")
+		opts := commit.Options{Protocol: commit.INBAC, F: 1, Timeout: 10 * time.Millisecond, MaxInFlight: 16, Net: profile}
+		s, _, _ := remoteDeployment(t, n, opts)
+		auditUnderTransfers(t, s, opts.Timeout)
+	})
+}
+
+// auditUnderTransfers runs two transfer workers and three auditors against s
+// until the transfers are done; u is the store's timeout unit, which paces
+// the transfers so that audits find gaps between them.
+func auditUnderTransfers(t *testing.T, s *Store, u time.Duration) {
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	const perShard, balance = 2, 100
+	var accounts []string
+	for _, ks := range keysAcrossShards(t, s.Shards(), perShard, "audit") {
+		accounts = append(accounts, ks...)
+	}
+	seed := s.Txn()
+	for _, k := range accounts {
+		seed.Put(k, strconv.Itoa(balance))
+	}
+	if ok, err := seed.Commit(ctx); !ok || err != nil {
+		t.Fatalf("seed: ok=%v err=%v", ok, err)
+	}
+	// The seed's writes may still be applying on shards other than its
+	// coordinator's, where an account reads as absent: a transaction built
+	// on that is refused (the seed's intent, then its version), so absent
+	// just counts as 0.
+	want := balance * len(accounts)
+	amount := func(v string, ok bool) int {
+		n, err := strconv.Atoi(v)
+		if ok && err != nil {
+			t.Errorf("balance %q: %v", v, err)
+		}
+		return n
+	}
+
+	var transfers, audits, refused atomic.Int64
+	var writers, auditors sync.WaitGroup
+	done := make(chan struct{})
+	for w := 0; w < 2; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			for k := 0; k < 24; k++ {
+				// Neighbours in accounts sit on one shard; +perShard crosses.
+				from := accounts[(w+3*k)%len(accounts)]
+				to := accounts[(w+3*k+perShard)%len(accounts)]
+				txn := s.Txn().WithContext(ctx)
+				vals, oks, err := txn.GetMulti(from, to)
+				if err != nil {
+					t.Errorf("transfer read: %v", err)
+					return
+				}
+				txn.Put(from, strconv.Itoa(amount(vals[0], oks[0])-1))
+				txn.Put(to, strconv.Itoa(amount(vals[1], oks[1])+1))
+				ok, err := txn.Commit(ctx)
+				if err != nil {
+					t.Errorf("transfer: %v", err)
+					return
+				}
+				if ok {
+					transfers.Add(1)
+				}
+				time.Sleep(3 * u)
+			}
+		}(w)
+	}
+	for a := 0; a < 3; a++ {
+		auditors.Add(1)
+		go func() {
+			defer auditors.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				txn := s.Txn().WithContext(ctx)
+				vals, oks, err := txn.GetMulti(accounts...)
+				if err != nil {
+					t.Errorf("audit read: %v", err)
+					return
+				}
+				sum := 0
+				for i, v := range vals {
+					sum += amount(v, oks[i])
+				}
+				ok, err := txn.Commit(ctx)
+				switch {
+				case err != nil:
+					t.Errorf("audit: %v", err)
+					return
+				case !ok:
+					refused.Add(1)
+				case sum != want:
+					t.Errorf("a committed audit saw a total of %d, want %d: %v", sum, want, vals)
+					return
+				default:
+					audits.Add(1)
+				}
+				time.Sleep(u / 4)
+			}
+		}()
+	}
+	writers.Wait()
+	close(done)
+	auditors.Wait()
+	if transfers.Load() == 0 || audits.Load() == 0 || refused.Load() == 0 {
+		t.Errorf("%d transfers and %d audits committed, %d audits refused: the test needs all three",
+			transfers.Load(), audits.Load(), refused.Load())
+	}
+	t.Logf("%d transfers, %d audits committed, %d refused", transfers.Load(), audits.Load(), refused.Load())
+}

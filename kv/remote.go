@@ -11,16 +11,21 @@
 //     together share one query — and sends it at once, so a read is one
 //     round trip however many queries to its owner are in flight — and a
 //     client-side versioned read cache answers repeat reads with no leg
-//     at all. A stale cache hit is safe by construction — shard Prepare
+//     at all. A stale cache hit is safe by construction — the commit
 //     revalidates every read version, so the worst case is an OCC abort.
-//  2. Submit is one leg and waits for nothing: every involved shard's
-//     footprint (footprintMsg) rides INSIDE the message that asks one
-//     coordinator peer to run the commit, and the coordinator's begin to
-//     each other peer carries that peer's slice. Footprint and
-//     announcement share an envelope, so neither can overtake the other;
-//     commit.Peer's ordering rule keeps a shard from voting before its
-//     announcement arrived. Only a footprint over the message budget is
-//     staged two-phase — stage at every owner, collect the acks, bare go.
+//  2. Submit is one leg and waits for nothing. A transaction that wrote
+//     nothing runs no commit protocol at all: one validation query per
+//     shard it read from (validateMsg -> validateReplyMsg), fanned out in
+//     parallel like the reads, and it commits iff every shard says yes —
+//     read round plus validation round, nothing staged anywhere. For one
+//     that writes, every involved shard's footprint (footprintMsg) rides
+//     INSIDE the message that asks one coordinator peer to run the commit,
+//     and the coordinator's begin to each other peer carries that peer's
+//     slice. Footprint and announcement share an envelope, so neither can
+//     overtake the other; commit.Peer's ordering rule keeps a shard from
+//     voting before its announcement arrived. Only a footprint over the
+//     message budget is staged two-phase — stage at every owner, collect
+//     the acks, bare go.
 //  3. The coordinator is an involved peer in the client's own region when
 //     a geo profile is configured; the peers run the commit protocol among
 //     themselves and the client only learns the result.
@@ -303,9 +308,11 @@ func (b *remoteBackend) readMulti(ctx context.Context, keys []string) ([]readRes
 // read-modify-write's post-commit version is exactly readVersion+1 (the
 // write intent held from Prepare through Commit excluded every other
 // writer), so the freshest possible entry costs nothing; a blind write or
-// delete invalidates (the new version is unknown client-side); an abort
-// that consumed cached reads counts toward the stale-abort metric and
-// invalidates them so the retry re-reads.
+// delete invalidates (the new version is unknown client-side); an abort or
+// a refused validation drops every key the transaction read — the entries
+// it fetched itself as much as its cache hits, or the next reader of the
+// stale one aborts too — and counts toward the stale-abort metric if it
+// consumed a hit.
 func (b *remoteBackend) note(committed bool, reads map[string]uint64, writes map[string]write, cached []string) {
 	if b.cache == nil {
 		return
@@ -322,10 +329,51 @@ func (b *remoteBackend) note(committed bool, reads map[string]uint64, writes map
 	}
 	if len(cached) > 0 {
 		mCacheStaleAbort.Add(1)
-		for _, key := range cached {
-			b.cache.invalidate(key)
+	}
+	for key := range reads {
+		b.cache.invalidate(key)
+	}
+}
+
+// validate fans one validateMsg out to every owner of a key in reads, in
+// parallel: one WAN round trip of wall-clock, the read-only transaction's
+// whole commit. A refusal is final whatever the other owners say, so it
+// returns at once; an owner whose answer never came is an error, never a
+// yes or a no.
+func (b *remoteBackend) validate(ctx context.Context, reads map[string]uint64) (bool, error) {
+	msgs := validateMsgs(reads, b.n)
+	mLegs.Add(1)
+	type answer struct {
+		ok  bool
+		err error
+	}
+	answers := make(chan answer, len(msgs)) // every sender finishes, whoever listens
+	for i, m := range msgs {
+		go func(owner int, m validateMsg) {
+			reply, err := b.client.Query(ctx, owner, m)
+			r, ok := reply.(validateReplyMsg)
+			if err == nil && !ok {
+				err = fmt.Errorf("malformed reply %T", reply)
+			}
+			if err != nil {
+				err = fmt.Errorf("kv: validate at P%d: %w", owner, err)
+			}
+			answers <- answer{ok: r.OK, err: err}
+		}(i+1, m)
+	}
+	var firstErr error
+	for range msgs {
+		a := <-answers
+		switch {
+		case a.err != nil:
+			if firstErr == nil {
+				firstErr = a.err
+			}
+		case !a.ok:
+			return false, nil
 		}
 	}
+	return firstErr == nil, firstErr
 }
 
 func (b *remoteBackend) submit(ctx context.Context, txID string, fps map[int]*footprint) (*commit.Txn, func(), error) {

@@ -2,10 +2,12 @@ package kv
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -139,6 +141,127 @@ func TestRemoteCommitLegs(t *testing.T) {
 		if d := obs.M.CounterValue("kv.remote.legs") - legs0; d != tc.legs {
 			t.Fatalf("%s blind write paid %d legs, want %d", tc.name, d, tc.legs)
 		}
+	}
+}
+
+// spyShard is a shard that counts the commit-path calls reaching it and can be
+// told to leave validation queries unanswered.
+type spyShard struct {
+	*Shard
+	commitPath atomic.Int64 // Stage + Prepare + Commit + Abort
+	mute       atomic.Bool
+}
+
+func (s *spyShard) Stage(txID string, m commit.Message) error {
+	s.commitPath.Add(1)
+	return s.Shard.Stage(txID, m)
+}
+func (s *spyShard) Prepare(txID string) bool { s.commitPath.Add(1); return s.Shard.Prepare(txID) }
+func (s *spyShard) Commit(txID string)       { s.commitPath.Add(1); s.Shard.Commit(txID) }
+func (s *spyShard) Abort(txID string)        { s.commitPath.Add(1); s.Shard.Abort(txID) }
+func (s *spyShard) Query(m commit.Message) (commit.Message, error) {
+	if _, ok := m.(validateMsg); ok && s.mute.Load() {
+		return nil, fmt.Errorf("muted") // the peer turns an error into silence
+	}
+	return s.Shard.Query(m)
+}
+
+// TestRemoteReadOnlyLegs pins the read-only commit next to the read-write
+// one: a cross-shard transaction that wrote nothing is TWO legs — the read
+// fan-out and the validation fan-out — and reaches no shard's Stage, Prepare,
+// Commit or Abort, so nothing is staged and no intent is taken. A validation
+// query nobody answers resolves the future with an error: an unknown answer
+// is not a refusal. Not parallel: it asserts on global counter deltas.
+func TestRemoteReadOnlyLegs(t *testing.T) {
+	const n = 3
+	opts := commit.Options{Protocol: commit.INBAC, F: 1, Timeout: 10 * time.Millisecond}
+	addrs := kvAddrs(t, n)
+	spies := make([]*spyShard, n)
+	for i := range spies {
+		spies[i] = &spyShard{Shard: NewShard(i)}
+		p, err := commit.NewPeer(i+1, addrs, spies[i], opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(p.Close)
+	}
+	s, err := OpenRemote(n+1, addrs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	var keys []string
+	for _, ks := range keysAcrossShards(t, n, 1, "ro") {
+		keys = append(keys, ks...)
+	}
+	seed := s.Txn()
+	for _, k := range keys {
+		seed.Put(k, "v")
+	}
+	if ok, err := seed.Commit(ctx); !ok || err != nil {
+		t.Fatalf("seed: ok=%v err=%v", ok, err)
+	}
+	// The seed's outcome reaches the shards other than its coordinator's after
+	// the client has its result; wait for all three to have applied it, which
+	// is also when the last commit-path call of the seed has been counted.
+	quiet := func() bool {
+		for _, sp := range spies {
+			sp.mu.Lock()
+			busy := len(sp.staged) + len(sp.locks)
+			sp.mu.Unlock()
+			if busy != 0 {
+				return false
+			}
+		}
+		return true
+	}
+	for deadline := time.Now().Add(10 * time.Second); !quiet(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the seed never settled on every shard")
+		}
+	}
+	s.ConfigureReadCache(0, 0) // every read below is a wire read
+	calls := func() (sum int64) {
+		for _, sp := range spies {
+			sum += sp.commitPath.Load()
+		}
+		return sum
+	}
+
+	calls0, legs0 := calls(), obs.M.CounterValue("kv.remote.legs")
+	txn := s.Txn().WithContext(ctx)
+	if _, oks, err := txn.GetMulti(keys...); err != nil || !oks[0] || !oks[n-1] {
+		t.Fatalf("GetMulti: oks=%v err=%v", oks, err)
+	}
+	if ok, err := txn.Commit(ctx); !ok || err != nil {
+		t.Fatalf("read-only txn: ok=%v err=%v", ok, err)
+	}
+	if d := obs.M.CounterValue("kv.remote.legs") - legs0; d != 2 {
+		t.Fatalf("cross-shard read-only txn paid %d legs, want 2 (read fan-out, validate fan-out)", d)
+	}
+	if d := calls() - calls0; d != 0 || !quiet() {
+		t.Fatalf("read-only txn made %d Stage/Prepare/Commit/Abort calls (quiet=%v), want none and nothing held", d, quiet())
+	}
+
+	// One owner stops answering validations: error, not abort, within the
+	// client's own query bound.
+	spies[1].mute.Store(true)
+	txn = s.Txn().WithContext(ctx)
+	if _, _, err := txn.GetMulti(keys...); err != nil {
+		t.Fatal(err)
+	}
+	ok, err := txn.Commit(ctx)
+	if err == nil || ok || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("unanswered validation: ok=%v err=%v, want a deadline error", ok, err)
+	}
+	if !strings.Contains(err.Error(), "P2") {
+		t.Fatalf("error lacks the owner attribution: %v", err)
+	}
+	if d := calls() - calls0; d != 0 || !quiet() {
+		t.Fatalf("after the failed validation: %d commit-path calls (quiet=%v), want none", d, quiet())
 	}
 }
 

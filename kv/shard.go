@@ -10,10 +10,10 @@ import (
 	"atomiccommit/internal/obs"
 )
 
-// Conflict metrics: why Prepare voted "no", split by cause. The commit
-// layer's abort counters say a vote aborted the transaction; these say
-// whether the vote was a stale read (a concurrent commit overwrote it) or a
-// key intent held by another transaction.
+// Conflict metrics: why Prepare voted "no" or validate refused, split by
+// cause. The commit layer's abort counters say a vote aborted the
+// transaction; these say whether it was a stale read (a concurrent commit
+// overwrote it) or a key intent held by another transaction.
 var (
 	mStaleRead = obs.M.Counter("kv.conflict.stale_read")
 	mIntent    = obs.M.Counter("kv.conflict.intent")
@@ -52,9 +52,9 @@ type lockState struct {
 // Shard is one partition of the keyspace and one commit participant. It
 // implements commit.Resource (Prepare votes on conflicts, Commit/Abort
 // apply or drop the staged footprint) and commit.HostedResource (Stage
-// receives a remote client's footprint, Query answers reads), so a shard
-// runs identically inside a local Cluster and inside a commit.Peer process
-// reachable only over TCP.
+// receives a remote client's footprint, Query answers reads and read-only
+// validations), so a shard runs identically inside a local Cluster and
+// inside a commit.Peer process reachable only over TCP.
 type Shard struct {
 	id int // 0-based; shard i is hosted by peer i+1 in a distributed store
 
@@ -144,19 +144,62 @@ func (sh *Shard) Stage(txID string, m commit.Message) error {
 }
 
 // Query implements commit.HostedResource: batched committed reads
-// (readMsg -> readReplyMsg) for remote clients building their read sets.
+// (readMsg -> readReplyMsg) for remote clients building their read sets,
+// and the read-only commit (validateMsg -> validateReplyMsg).
 func (sh *Shard) Query(m commit.Message) (commit.Message, error) {
-	rq, ok := m.(readMsg)
-	if !ok {
-		return nil, fmt.Errorf("kv: shard %d: unexpected query %T", sh.id, m)
+	switch rq := m.(type) {
+	case readMsg:
+		reply := readReplyMsg{
+			Vals: make([]string, len(rq.Keys)),
+			Oks:  make([]bool, len(rq.Keys)),
+			Vers: make([]uint64, len(rq.Keys)),
+		}
+		sh.readCommittedMulti(rq.Keys, reply.Vals, reply.Oks, reply.Vers)
+		return reply, nil
+	case validateMsg:
+		// The decoder produces matching lengths; only a hand-built message
+		// can disagree, and it gets no answer rather than a yes.
+		if len(rq.Keys) != len(rq.Vers) {
+			return nil, fmt.Errorf("kv: shard %d: malformed validate: %d keys, %d versions", sh.id, len(rq.Keys), len(rq.Vers))
+		}
+		return validateReplyMsg{OK: sh.validate(rq.Keys, rq.Vers)}, nil
 	}
-	reply := readReplyMsg{
-		Vals: make([]string, len(rq.Keys)),
-		Oks:  make([]bool, len(rq.Keys)),
-		Vers: make([]uint64, len(rq.Keys)),
+	return nil, fmt.Errorf("kv: shard %d: unexpected query %T", sh.id, m)
+}
+
+// validate is a read-only transaction's whole commit on this shard: yes iff
+// every key still has the version that was read and no write intent of any
+// transaction is on it — Prepare's read check without taking a shared read
+// intent. Nothing is staged, no intent outlives the call and the shard
+// learns no transaction ID; the transaction commits iff every shard it read
+// from says yes (shared read intents remain for the read sets of read-write
+// transactions, which need them until their writes apply).
+//
+// Why that is serializable: all of the transaction's reads r_k finish before
+// any validation t_k starts. For a committed writer W and a key k both
+// touch, a yes at t_k means either W applied at k before r_k, or W prepared
+// at k's shard after t_k — anything in between shows as a changed version or
+// a pending intent. "Read W's effect at k'" means W had decided, hence had
+// prepared everywhere, before r_k' < t_k, which contradicts "prepared after
+// t_k" at k; the same chain closes the cycle through any W' that depends on
+// W. The intent check is what makes this hold across the cross-shard
+// visibility gap (W applied on shard A, still holding its intent on shard
+// B): without it the reader that saw W's write on A and the pre-image on B
+// is told yes at B, a fractured read.
+func (sh *Shard) validate(keys []string, vers []uint64) bool {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	for i, key := range keys {
+		if sh.versions[key] != vers[i] {
+			mStaleRead.Add(1)
+			return false
+		}
+		if l, held := sh.locks[key]; held && l.writer != "" {
+			mIntent.Add(1)
+			return false
+		}
 	}
-	sh.readCommittedMulti(rq.Keys, reply.Vals, reply.Oks, reply.Vers)
-	return reply, nil
+	return true
 }
 
 // Prepare implements commit.Resource: validate read versions and acquire

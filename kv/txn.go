@@ -19,8 +19,9 @@ type readVal struct {
 // Txn is a transaction builder: Get/Put/Delete buffer a read set (with the
 // versions observed) and a write set client-side; Commit or Submit routes
 // the footprint to the involved shards and runs one atomic-commit instance
-// across the whole store. A Txn is single-use and not safe for concurrent
-// use.
+// across the whole store — or, when the write set is empty, one validation
+// query per shard read from and no instance at all. A Txn is single-use and
+// not safe for concurrent use.
 type Txn struct {
 	s           *Store
 	ctx         context.Context // bounds read legs; Background when unset
@@ -57,7 +58,7 @@ func (t *Txn) use() {
 
 // Get reads a key: the transaction's own pending write if it has one, the
 // cached first read otherwise, else the latest committed value (whose
-// version is recorded and revalidated at Prepare). Over a remote runtime a
+// version is recorded and revalidated at commit). Over a remote runtime a
 // failed read reports absent and poisons the transaction — Submit will
 // return the error instead of committing on incomplete data. Use Read to
 // observe read errors directly.
@@ -164,7 +165,7 @@ type Pending struct {
 	txn     *commit.Txn
 	clean   func() // backend-provided; may be nil (remote: peers own cleanup)
 	release sync.Once
-	noted   chan struct{} // closed after the post-decision cache note; nil for trivial txns
+	noted   chan struct{} // closed after the post-decision cache note; nil if it precedes Done
 }
 
 // cleanup releases staged state after an infrastructure error (the
@@ -213,8 +214,11 @@ func (p *Pending) Wait(ctx context.Context) (bool, error) {
 
 // Submit stages the transaction's footprint on every involved shard and
 // enqueues it on the store's commit pipeline, returning a future
-// immediately. ctx bounds the transaction itself. A transaction with an
-// empty footprint commits trivially without running the protocol.
+// immediately. ctx bounds the transaction itself. A transaction that wrote
+// nothing runs no protocol instance: the future resolves committed iff every
+// shard it read from validates its reads (see the package comment), with an
+// error if some shard's answer never came; one with an empty footprint
+// commits trivially.
 func (t *Txn) Submit(ctx context.Context) (*Pending, error) {
 	if t.submitted {
 		return nil, fmt.Errorf("kv: transaction already submitted")
@@ -225,6 +229,24 @@ func (t *Txn) Submit(ctx context.Context) (*Pending, error) {
 	}
 	if ctx == nil {
 		ctx = context.Background()
+	}
+
+	txID := t.s.nextTxID()
+	if len(t.writes) == 0 {
+		if len(t.reads) == 0 {
+			return &Pending{id: txID, txn: commit.ResolvedTxn(txID, true)}, nil
+		}
+		ct, resolve := commit.UnresolvedTxn(txID)
+		go func() {
+			ok, err := t.s.b.validate(ctx, t.reads)
+			if err == nil {
+				// Before the future resolves: whoever sees the outcome sees
+				// the cache without the keys a refusal found stale.
+				t.s.b.note(ok, t.reads, nil, t.cachedReads)
+			}
+			resolve(ok, err)
+		}()
+		return &Pending{id: txID, txn: ct}, nil
 	}
 
 	// Split the footprint by shard index.
@@ -244,10 +266,6 @@ func (t *Txn) Submit(ctx context.Context) (*Pending, error) {
 		fp(shardIndex(key, t.s.nshards)).writes[key] = w
 	}
 
-	txID := t.s.nextTxID()
-	if len(byShard) == 0 {
-		return &Pending{id: txID, txn: commit.ResolvedTxn(txID, true)}, nil
-	}
 	ct, clean, err := t.s.b.submit(ctx, txID, byShard)
 	if err != nil {
 		return nil, err

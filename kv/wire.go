@@ -1,7 +1,8 @@
 // Wire messages for the distributed kv runtime: the footprint a remote
-// client stages at a shard owner, and the read request/reply pair behind
-// transactional Gets. IDs live in the kv block (80..82) of the live wire
-// registry — see internal/live/wire.go for the ID map.
+// client stages at a shard owner, the read request/reply pair behind
+// transactional Gets, and the validation request/reply pair that commits a
+// read-only transaction. IDs live in the kv block (80..82, 84..85) of the
+// live wire registry — see internal/live/wire.go for the ID map.
 //
 // Maps are encoded as sorted parallel slices so the same footprint always
 // produces the same bytes (useful for tests and future dedup/digests).
@@ -21,6 +22,8 @@ func init() {
 	live.RegisterWire(footprintMsg{})
 	live.RegisterWire(readMsg{})
 	live.RegisterWire(readReplyMsg{})
+	live.RegisterWire(validateMsg{})
+	live.RegisterWire(validateReplyMsg{})
 }
 
 // footprintMsg carries one shard's slice of a transaction footprint from a
@@ -203,5 +206,78 @@ func (readReplyMsg) UnmarshalWire(d *wire.Decoder) (core.Message, error) {
 			m.Vers[i] = d.Uvarint()
 		}
 	}
+	return m, d.Err()
+}
+
+// validateMsg asks a shard owner whether a read-only transaction's reads
+// there still stand: Keys[i] was read at version Vers[i] (parallel slices,
+// in no particular order). It names no transaction — nothing is staged.
+type validateMsg struct {
+	Keys []string
+	Vers []uint64
+}
+
+// Kind implements core.Message.
+func (validateMsg) Kind() string { return "KVVALIDATE" }
+
+// WireID implements core.Wire.
+func (validateMsg) WireID() uint16 { return 84 }
+
+// MarshalWire implements core.Wire.
+func (m validateMsg) MarshalWire(b []byte) []byte {
+	b = wire.AppendUvarint(b, uint64(len(m.Keys)))
+	for i, k := range m.Keys {
+		b = wire.AppendString(b, k)
+		b = wire.AppendUvarint(b, m.Vers[i])
+	}
+	return b
+}
+
+// UnmarshalWire implements core.Wire.
+func (validateMsg) UnmarshalWire(d *wire.Decoder) (core.Message, error) {
+	var m validateMsg
+	if n := d.Len(); n > 0 {
+		m.Keys = make([]string, n)
+		m.Vers = make([]uint64, n)
+		for i := 0; i < n; i++ {
+			m.Keys[i] = d.String()
+			m.Vers[i] = d.Uvarint()
+		}
+	}
+	return m, d.Err()
+}
+
+// validateMsgs splits a read set into one validateMsg per owning shard,
+// keyed by shard index among n.
+func validateMsgs(reads map[string]uint64, n int) map[int]validateMsg {
+	msgs := make(map[int]validateMsg)
+	for key, ver := range reads {
+		i := shardIndex(key, n)
+		m := msgs[i]
+		m.Keys = append(m.Keys, key)
+		m.Vers = append(m.Vers, ver)
+		msgs[i] = m
+	}
+	return msgs
+}
+
+// validateReplyMsg answers a validateMsg: OK iff every key still has the
+// version that was read and no write intent is on it (Shard.validate).
+type validateReplyMsg struct {
+	OK bool
+}
+
+// Kind implements core.Message.
+func (validateReplyMsg) Kind() string { return "KVVALIDATEREPLY" }
+
+// WireID implements core.Wire.
+func (validateReplyMsg) WireID() uint16 { return 85 }
+
+// MarshalWire implements core.Wire.
+func (m validateReplyMsg) MarshalWire(b []byte) []byte { return wire.AppendBool(b, m.OK) }
+
+// UnmarshalWire implements core.Wire.
+func (validateReplyMsg) UnmarshalWire(d *wire.Decoder) (core.Message, error) {
+	m := validateReplyMsg{OK: d.Bool()}
 	return m, d.Err()
 }

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"atomiccommit/internal/core"
 	"atomiccommit/internal/wire"
 )
 
@@ -98,5 +99,54 @@ func TestWireTruncated(t *testing.T) {
 		if _, err := (footprintMsg{}).UnmarshalWire(&d); err == nil {
 			t.Fatalf("truncation at %d decoded without error", cut)
 		}
+	}
+}
+
+func TestValidateWireRoundTrip(t *testing.T) {
+	t.Parallel()
+	for _, m := range []core.Wire{
+		validateMsg{Keys: []string{"x", "", "acct-7"}, Vers: []uint64{7, 0, 1 << 40}},
+		validateMsg{},
+		validateReplyMsg{OK: true},
+		validateReplyMsg{},
+	} {
+		full := m.MarshalWire(nil)
+		var d wire.Decoder
+		d.Reset(full)
+		decoded, err := m.UnmarshalWire(&d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(decoded, m) {
+			t.Fatalf("%T round trip: %#v", m, decoded)
+		}
+		for cut := 0; cut < len(full); cut++ {
+			d.Reset(full[:cut])
+			if _, err := m.UnmarshalWire(&d); err == nil {
+				t.Fatalf("%T truncated at %d of %d decoded without error", m, cut, len(full))
+			}
+		}
+	}
+}
+
+// TestValidateLengthMismatch: a validateMsg whose parallel slices disagree can
+// only be hand-built. The shard must answer it with an error — which the peer
+// turns into silence — never with a panic or a yes.
+func TestValidateLengthMismatch(t *testing.T) {
+	t.Parallel()
+	sh := NewShard(0)
+	for _, m := range []validateMsg{
+		{Keys: []string{"a", "b"}, Vers: []uint64{0}},
+		{Keys: []string{"a"}},
+		{Vers: []uint64{0}},
+	} {
+		if reply, err := sh.Query(m); err == nil {
+			t.Fatalf("Query(%#v) = %#v, want an error", m, reply)
+		}
+	}
+	// The well-formed one about a never-written key is a yes.
+	reply, err := sh.Query(validateMsg{Keys: []string{"a"}, Vers: []uint64{0}})
+	if err != nil || reply != (validateReplyMsg{OK: true}) {
+		t.Fatalf("Query = %#v, %v; want a yes", reply, err)
 	}
 }
