@@ -19,10 +19,10 @@ import (
 // package's remote runtime is the canonical caller.
 //
 // A client has its own process ID, which must be outside the peers' range
-// 1..len(addrs) and unique among the deployment's clients (IDs route reply
-// traffic). Every request is accompanied by a tiny hello announcing the
-// client's listen address, so peers can answer — and keep answering after
-// they restart.
+// 1..len(addrs) and unique among the deployment's clients: a peer answers on
+// the connection a request came in on, and files that connection under the
+// sender's ID. A client dials and never listens; it needs no address, and a
+// peer that restarted answers as soon as the next request has redialed it.
 //
 // Every blocking call is bounded by a deadline derived from
 // Options.Timeout — whatever the caller's context says — so a crashed peer
@@ -34,23 +34,22 @@ type Client struct {
 	tcp  *live.TCP
 
 	mu      sync.Mutex
-	pending map[string]*Txn              // awaiting resultMsg, keyed by txID
-	acks    map[ackKey]chan stageAckMsg  // awaiting stageAckMsg
-	queries map[string]chan core.Message // awaiting queryReply, keyed by query ID
+	pending map[string]*Txn                // awaiting resultMsg, keyed by txID
+	replies map[replyKey]chan core.Message // awaiting a stage ack or a query reply
 	seq     uint64
 	closed  bool
 	stop    chan struct{}
 }
 
-// ackKey routes a stage ack: one stage may be in flight per (txID, peer).
-type ackKey struct {
+// replyKey files the one reply a Stage or a Query waits for: one may be in
+// flight per (txID, peer), a query's txID being an ID of its own.
+type replyKey struct {
 	txID string
 	from core.ProcessID
 }
 
 // NewClient connects a client with process ID id (id > len(addrs)) to the
 // peers at addrs; addrs[i-1] is Pi's address, exactly as given to NewPeer.
-// The client listens on an ephemeral loopback port for replies.
 func NewClient(id int, addrs []string, opts Options) (*Client, error) {
 	if err := validateAddrs(addrs); err != nil {
 		return nil, err
@@ -62,16 +61,7 @@ func NewClient(id int, addrs []string, opts Options) (*Client, error) {
 	if id <= len(addrs) {
 		return nil, fmt.Errorf("%w: client id %d must exceed the peer count %d", ErrPeerID, id, len(addrs))
 	}
-	// The transport wants addrs[i-1] for process i: extend the peer list
-	// with empty placeholder slots up to the client's own, which holds its
-	// ephemeral listen address.
-	extended := make([]string, id)
-	copy(extended, addrs)
-	for i := len(addrs); i < id-1; i++ {
-		extended[i] = fmt.Sprintf("client-%d.invalid:0", i+1) // never dialed
-	}
-	extended[id-1] = "127.0.0.1:0"
-	tcp, err := live.NewTCP(core.ProcessID(id), extended)
+	tcp, err := live.NewTCP(core.ProcessID(id), addrs)
 	if err != nil {
 		return nil, err
 	}
@@ -81,8 +71,7 @@ func NewClient(id int, addrs []string, opts Options) (*Client, error) {
 	c := &Client{
 		id: core.ProcessID(id), n: len(addrs), opts: opts, tcp: tcp,
 		pending: make(map[string]*Txn),
-		acks:    make(map[ackKey]chan stageAckMsg),
-		queries: make(map[string]chan core.Message),
+		replies: make(map[replyKey]chan core.Message),
 		stop:    make(chan struct{}),
 	}
 	tcp.SetHandler(c.deliver)
@@ -98,26 +87,14 @@ func (c *Client) Timeout() time.Duration { return c.opts.Timeout }
 
 func (c *Client) deliver(e live.Envelope) {
 	switch e.Path {
-	case stageAckPath:
-		m, ok := e.Msg.(stageAckMsg)
-		if !ok {
-			return
-		}
-		k := ackKey{txID: e.TxID, from: e.From}
+	case stageAckPath, queryReplyPath:
+		k := replyKey{txID: e.TxID, from: e.From}
 		c.mu.Lock()
-		ch := c.acks[k]
-		delete(c.acks, k)
+		ch := c.replies[k]
+		delete(c.replies, k)
 		c.mu.Unlock()
 		if ch != nil {
-			ch <- m // buffered; the waiter may already have given up
-		}
-	case queryReplyPath:
-		c.mu.Lock()
-		ch := c.queries[e.TxID]
-		delete(c.queries, e.TxID)
-		c.mu.Unlock()
-		if ch != nil {
-			ch <- e.Msg
+			ch <- e.Msg // buffered; the waiter may already have given up
 		}
 	case resultPath:
 		m, ok := e.Msg.(resultMsg)
@@ -148,16 +125,6 @@ func (c *Client) resolve(txID string, ok bool, err error) {
 	}
 }
 
-// hello announces the client's reply route to a peer. Sent with every
-// request — it is tens of bytes, and it heals routes after a peer restart.
-// It is an envelope of its own, so a shaped link may deliver the request
-// first; the peer's transport parks the reply until the route arrives
-// (live.TCP.SetRoute).
-func (c *Client) hello(peer core.ProcessID) {
-	_ = c.tcp.Send(live.Envelope{TxID: "hello", From: c.id, To: peer,
-		Path: helloPath, Msg: helloMsg{Addr: c.tcp.Addr()}})
-}
-
 // bound caps ctx at the client's own deadline d, so no call waits on a
 // crashed peer longer than the protocol's timeout budget — even under a
 // caller context with a generous (or absent) deadline.
@@ -180,46 +147,14 @@ func (c *Client) checkPeer(peer int) error {
 // context are both errors; after any error the transaction must not be
 // started (send Unstage to the peers already staged).
 func (c *Client) Stage(ctx context.Context, txID string, peer int, m Message) error {
-	if err := c.checkPeer(peer); err != nil {
-		return err
+	reply, err := c.roundTrip(ctx, txID, peer, stagePath, m)
+	if err != nil {
+		return fmt.Errorf("commit: stage %s at P%d: %w", txID, peer, err)
 	}
-	ctx, cancel := c.bound(ctx, 32*c.opts.Timeout)
-	defer cancel()
-	k := ackKey{txID: txID, from: core.ProcessID(peer)}
-	ch := make(chan stageAckMsg, 1)
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return fmt.Errorf("commit: client closed")
+	if ack, ok := reply.(stageAckMsg); !ok || ack.Err != "" {
+		return fmt.Errorf("commit: stage %s at P%d refused: %s", txID, peer, ack.Err)
 	}
-	if _, dup := c.acks[k]; dup {
-		c.mu.Unlock()
-		return fmt.Errorf("commit: stage %s at P%d already in flight", txID, peer)
-	}
-	c.acks[k] = ch
-	c.mu.Unlock()
-
-	c.hello(k.from)
-	if err := c.tcp.Send(live.Envelope{TxID: txID, From: c.id, To: k.from, Path: stagePath, Msg: m}); err != nil {
-		c.mu.Lock()
-		delete(c.acks, k)
-		c.mu.Unlock()
-		return err
-	}
-	select {
-	case ack := <-ch:
-		if ack.Err != "" {
-			return fmt.Errorf("commit: stage %s at P%d refused: %s", txID, peer, ack.Err)
-		}
-		return nil
-	case <-c.stop:
-		return fmt.Errorf("commit: client closed")
-	case <-ctx.Done():
-		c.mu.Lock()
-		delete(c.acks, k)
-		c.mu.Unlock()
-		return fmt.Errorf("commit: stage %s at P%d: %w", txID, peer, ctx.Err())
-	}
+	return nil
 }
 
 // Unstage asks a peer to drop txID's staged footprint. Best-effort and
@@ -238,40 +173,58 @@ func (c *Client) Unstage(txID string, peer int) {
 // reply is whatever message type the resource answers with; an unreachable
 // or non-hosting peer surfaces as context expiry.
 func (c *Client) Query(ctx context.Context, peer int, m Message) (Message, error) {
+	c.mu.Lock()
+	c.seq++
+	qid := fmt.Sprintf("q%d-%d", c.id, c.seq)
+	c.mu.Unlock()
+	reply, err := c.roundTrip(ctx, qid, peer, queryPath, m)
+	if err != nil {
+		return nil, fmt.Errorf("commit: query P%d: %w", peer, err)
+	}
+	return reply, nil
+}
+
+var errClientClosed = errors.New("client closed")
+
+// roundTrip sends m to peer on path under txID and waits for the one reply
+// deliver files under (txID, peer), a closed client or the deadline.
+func (c *Client) roundTrip(ctx context.Context, txID string, peer int, path string, m Message) (core.Message, error) {
 	if err := c.checkPeer(peer); err != nil {
 		return nil, err
 	}
 	ctx, cancel := c.bound(ctx, 32*c.opts.Timeout)
 	defer cancel()
+	k := replyKey{txID: txID, from: core.ProcessID(peer)}
+	ch := make(chan core.Message, 1)
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return nil, fmt.Errorf("commit: client closed")
+		return nil, errClientClosed
 	}
-	c.seq++
-	qid := fmt.Sprintf("q%d-%d", c.id, c.seq)
-	ch := make(chan core.Message, 1)
-	c.queries[qid] = ch
-	c.mu.Unlock()
-
-	to := core.ProcessID(peer)
-	c.hello(to)
-	if err := c.tcp.Send(live.Envelope{TxID: qid, From: c.id, To: to, Path: queryPath, Msg: m}); err != nil {
-		c.mu.Lock()
-		delete(c.queries, qid)
+	if _, dup := c.replies[k]; dup {
 		c.mu.Unlock()
+		return nil, errors.New("already in flight")
+	}
+	c.replies[k] = ch
+	c.mu.Unlock()
+	defer func() {
+		c.mu.Lock()
+		if c.replies[k] == ch { // else deliver took it, and k may have a new waiter
+			delete(c.replies, k)
+		}
+		c.mu.Unlock()
+	}()
+
+	if err := c.tcp.Send(live.Envelope{TxID: txID, From: c.id, To: k.from, Path: path, Msg: m}); err != nil {
 		return nil, err
 	}
 	select {
 	case reply := <-ch:
 		return reply, nil
 	case <-c.stop:
-		return nil, fmt.Errorf("commit: client closed")
+		return nil, errClientClosed
 	case <-ctx.Done():
-		c.mu.Lock()
-		delete(c.queries, qid)
-		c.mu.Unlock()
-		return nil, fmt.Errorf("commit: query P%d: %w", peer, ctx.Err())
+		return nil, ctx.Err()
 	}
 }
 
@@ -318,9 +271,7 @@ func (c *Client) submitMsg(ctx context.Context, txID string, coord int, path str
 	c.pending[txID] = t
 	c.mu.Unlock()
 
-	to := core.ProcessID(coord)
-	c.hello(to)
-	if err := c.tcp.Send(live.Envelope{TxID: txID, From: c.id, To: to, Path: path, Msg: msg}); err != nil {
+	if err := c.tcp.Send(live.Envelope{TxID: txID, From: c.id, To: core.ProcessID(coord), Path: path, Msg: msg}); err != nil {
 		c.resolve(txID, false, err)
 		return t
 	}
@@ -351,19 +302,6 @@ const stageGoBudget = 256 << 10
 // ErrStageTooLarge reports a footprint too big to ride the stage+go message;
 // the caller should stage it two-phase (Stage + SubmitAt) instead.
 var ErrStageTooLarge = errors.New("commit: footprint exceeds the stage+go budget")
-
-// StageGo ships txID's footprint for the coordinator's own resource INSIDE
-// the go message and returns the commit future: StageGoAll for a transaction
-// whose only hosted slice is the coordinator's. m may be nil when every
-// footprint was staged and acked beforehand (Stage), which makes this a bare
-// go.
-func (c *Client) StageGo(ctx context.Context, txID string, coord int, m Message) (*Txn, error) {
-	var fps map[int]Message
-	if m != nil {
-		fps = map[int]Message{coord: m}
-	}
-	return c.StageGoAll(ctx, txID, coord, fps)
-}
 
 // StageGoAll ships txID's whole footprint — fps maps each involved peer to
 // its slice — inside the one message that asks coord to run the commit, and
@@ -397,10 +335,10 @@ func (c *Client) StageGoAll(ctx context.Context, txID string, coord int, fps map
 }
 
 // Submit enqueues one transaction, choosing a coordinator round-robin
-// across the peers, and returns a future immediately; it (with CommitMany
-// and Close) is what lets a Client stand in for a Cluster behind the kv
-// store's Committer interface. Use SubmitAt to pick the coordinator — e.g.
-// one in the client's own region.
+// across the peers, and returns a future immediately; it (with Close) is
+// what lets a Client stand in for a Cluster behind the kv store's Committer
+// interface. Use SubmitAt to pick the coordinator — e.g. one in the client's
+// own region.
 func (c *Client) Submit(ctx context.Context, txID string) *Txn {
 	c.mu.Lock()
 	c.seq++
@@ -410,22 +348,9 @@ func (c *Client) Submit(ctx context.Context, txID string) *Txn {
 }
 
 // CommitMany submits every txID (allocating IDs for empty strings) and
-// waits for all of them, mirroring Cluster.CommitMany.
+// waits for all of them, exactly as Cluster.CommitMany does.
 func (c *Client) CommitMany(ctx context.Context, txIDs []string) ([]bool, error) {
-	txns := make([]*Txn, len(txIDs))
-	for i, id := range txIDs {
-		txns[i] = c.Submit(ctx, id)
-	}
-	results := make([]bool, len(txns))
-	var firstErr error
-	for i, t := range txns {
-		ok, err := t.Wait(ctx)
-		results[i] = ok
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return results, firstErr
+	return commitMany(ctx, txIDs, c.Submit)
 }
 
 // Close shuts the client down; in-flight futures resolve with an error.

@@ -216,33 +216,90 @@ func TestClientQuery(t *testing.T) {
 	}
 }
 
-// TestClientRequestOvertakesHello: on a shaped link every envelope is delayed
-// on its own, so a client's first request can reach a peer before the hello
-// that tells the peer where to answer. The reply must wait for the route and
-// then go out, not vanish and leave the caller to its 32 U deadline.
-func TestClientRequestOvertakesHello(t *testing.T) {
+// TestClientFirstQueryOneRoundTrip: a peer answers on the connection the
+// request came in on, so nothing travels ahead of a fresh client's first
+// request that it could overtake: on links that delay every envelope on its
+// own, the first query costs one round trip.
+func TestClientFirstQueryOneRoundTrip(t *testing.T) {
 	t.Parallel()
 	opts := Options{Protocol: INBAC, F: 1, Timeout: 25 * time.Millisecond} // a query expires after 800ms
-	_, _, c := hostedDeployment(t, 3, opts)
-	const helloDelay = 100 * time.Millisecond
-	c.tcp.SetShaper(live.LinkShaper{Delay: func(e live.Envelope) time.Duration {
-		if e.Path == helloPath {
-			return helloDelay
-		}
-		return 0
-	}})
+	peers, _, c := hostedDeployment(t, 3, opts)
+	const oneWay, jitter = 50 * time.Millisecond, 100 * time.Millisecond
+	shaper := live.LinkShaper{Delay: live.Jitter(oneWay, jitter, 1)}
+	c.tcp.SetShaper(shaper)
+	peers[1].tr.(*live.TCP).SetShaper(shaper)
 
 	start := time.Now()
 	reply, err := c.Query(ctx(t), 2, fakeFootprint{Payload: "early"})
 	took := time.Since(start)
 	if err != nil {
-		t.Fatalf("the first query, overtaking its hello: %v", err)
+		t.Fatalf("the first query: %v", err)
 	}
 	if fp, ok := reply.(fakeFootprint); !ok || fp.Payload != "early-reply" {
 		t.Fatalf("reply = %#v, want early-reply", reply)
 	}
-	if took < helloDelay || took > 4*helloDelay {
-		t.Fatalf("answered after %v, want shortly after the hello landed at %v", took, helloDelay)
+	if took < 2*oneWay || took > 2*(oneWay+jitter)+100*time.Millisecond {
+		t.Fatalf("answered after %v, want one round trip of %v to %v", took, 2*oneWay, 2*(oneWay+jitter))
+	}
+}
+
+// TestClientReopenedSameID: a client that closed and came back under its ID
+// is answered on its new connection.
+func TestClientReopenedSameID(t *testing.T) {
+	t.Parallel()
+	opts := Options{Protocol: INBAC, F: 1, Timeout: 25 * time.Millisecond}
+	peers, _, first := hostedDeployment(t, 3, opts)
+	addrs := make([]string, len(peers))
+	for i, p := range peers {
+		addrs[i] = p.Addr()
+	}
+	ping := func(c *Client) {
+		t.Helper()
+		reply, err := c.Query(ctx(t), 2, fakeFootprint{Payload: "ping"})
+		if fp, ok := reply.(fakeFootprint); err != nil || !ok || fp.Payload != "ping-reply" {
+			t.Fatalf("reply = %#v, err = %v", reply, err)
+		}
+	}
+	ping(first)
+	first.Close()
+	for life := 0; life < 3; life++ {
+		c, err := NewClient(len(addrs)+1, addrs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ping(c)
+		c.Close()
+	}
+}
+
+// TestClientLateResultFindsConnection: a client whose first and only message
+// is a bare go — what the repository benchmark sends — gets the coordinator's
+// result, which leaves two timeout units later, on the connection the go
+// opened.
+func TestClientLateResultFindsConnection(t *testing.T) {
+	t.Parallel()
+	opts := Options{Protocol: INBAC, F: 1, Timeout: 25 * time.Millisecond}
+	addrs := reserveAddrs(t, 3)
+	for i := 1; i <= 3; i++ {
+		p, err := NewPeer(i, addrs, ResourceFunc{}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(p.Close)
+	}
+	c, err := NewClient(4, addrs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+
+	txn := c.SubmitAt(ctx(t), "", 2)
+	ok, err := txn.Wait(ctx(t))
+	if !ok || err != nil {
+		t.Fatalf("first-contact go: committed=%v err=%v", ok, err)
+	}
+	if took := txn.Latency(); took < 2*opts.Timeout {
+		t.Fatalf("result after %v, before INBAC's 2U = %v decision", took, 2*opts.Timeout)
 	}
 }
 

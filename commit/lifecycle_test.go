@@ -130,7 +130,7 @@ func TestApplyBeforeAck(t *testing.T) {
 // (f=1) puts exactly 2fn = 8 envelopes on the mesh — no begin, no decision
 // broadcast. With an auditor installed every peer also announces its
 // decision to the others, n(n-1) = 12 more. Not parallel: the counter is
-// process-wide (parallel tests stay parked until the serial ones finished).
+// process-wide (parallel tests wait until the serial ones finished).
 func TestLivePathEnvelopeBound(t *testing.T) {
 	const n, f = 4, 1
 	run := func(t *testing.T, want int64) {

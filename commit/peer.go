@@ -181,9 +181,8 @@ func validateAddrs(addrs []string) error {
 	return nil
 }
 
-// Addr returns the peer's bound listen address. Addresses, like the route
-// table a client's hello updates, are a capability of the TCP transport
-// only: on the in-memory mesh it is "".
+// Addr returns the peer's bound listen address, which only the TCP transport
+// has: on the in-memory mesh it is "".
 func (p *Peer) Addr() string {
 	if tcp, ok := p.tr.(*live.TCP); ok {
 		return tcp.Addr()
@@ -198,14 +197,6 @@ func (p *Peer) deliver(e live.Envelope) {
 		// already retired: the cached outcome still answers.
 		if m, ok := e.Msg.(decideMsg); ok {
 			p.observeDecision(e.From, e.TxID, m.V, e.Path == outcomePath)
-		}
-	case helloPath:
-		// A client announcing its reply route (possibly refreshing it after
-		// a restart on a new port).
-		if tcp, ok := p.tr.(*live.TCP); ok {
-			if m, ok := e.Msg.(helloMsg); ok {
-				tcp.SetRoute(e.From, m.Addr)
-			}
 		}
 	case stagePath:
 		p.handleStage(e)
@@ -562,8 +553,8 @@ func (p *Peer) start(txID string, t *txn, vote core.Value) {
 // settle is the one place a decision takes effect at this process. The
 // instance's Decided hook starts it when the decision lands — on a goroutine
 // of its own, because the deciding handler may be a transport's read loop,
-// which announce's sends and the Resource's callback must not stall; none is
-// parked per transaction meanwhile. Cross-check and announce, apply to the
+// which announce's sends and the Resource's callback must not stall; none
+// waits per transaction meanwhile. Cross-check and announce, apply to the
 // Resource, release the waiters, and queue for retirement so that
 // per-transaction state stays bounded.
 func (p *Peer) settle(txID string, t *txn, v core.Value) {

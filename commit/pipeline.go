@@ -130,9 +130,14 @@ func (c *Cluster) Submit(ctx context.Context, txID string) *Txn {
 // waits for all of them. results[i] is txIDs[i]'s decision; the first
 // per-transaction error, if any, is returned after every future resolved.
 func (c *Cluster) CommitMany(ctx context.Context, txIDs []string) ([]bool, error) {
+	return commitMany(ctx, txIDs, c.Submit)
+}
+
+// commitMany is CommitMany over a Cluster's or a Client's Submit.
+func commitMany(ctx context.Context, txIDs []string, submit func(context.Context, string) *Txn) ([]bool, error) {
 	txns := make([]*Txn, len(txIDs))
 	for i, id := range txIDs {
-		txns[i] = c.Submit(ctx, id)
+		txns[i] = submit(ctx, id)
 	}
 	results := make([]bool, len(txns))
 	var firstErr error

@@ -29,7 +29,7 @@ func TestClientStageGoCommits(t *testing.T) {
 	committed := false
 	for attempt := 0; attempt < 4 && !committed; attempt++ {
 		txID = fmt.Sprintf("stagego-tx-%d", attempt)
-		txn, err := c.StageGo(ctx, txID, 2, fakeFootprint{Payload: "piggy"})
+		txn, err := c.StageGoAll(ctx, txID, 2, map[int]Message{2: fakeFootprint{Payload: "piggy"}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +52,7 @@ func TestClientStageGoCommits(t *testing.T) {
 	})
 }
 
-// TestClientStageGoNilFootprint: a nil message degrades to a bare go — the
+// TestClientStageGoNilFootprint: no footprint degrades to a bare go — the
 // path two-phase callers use after staging everything with acks.
 func TestClientStageGoNilFootprint(t *testing.T) {
 	t.Parallel()
@@ -71,7 +71,7 @@ func TestClientStageGoNilFootprint(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		txn, err := c.StageGo(ctx, txID, 1, nil)
+		txn, err := c.StageGoAll(ctx, txID, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +94,7 @@ func TestClientStageGoTooLarge(t *testing.T) {
 	_, _, c := hostedDeployment(t, 2, opts)
 
 	big := fakeFootprint{Payload: strings.Repeat("x", stageGoBudget+1)}
-	txn, err := c.StageGo(context.Background(), "stagego-big", 1, big)
+	txn, err := c.StageGoAll(context.Background(), "stagego-big", 1, map[int]Message{1: big})
 	if !errors.Is(err, ErrStageTooLarge) {
 		t.Fatalf("err = %v, want ErrStageTooLarge", err)
 	}
@@ -115,7 +115,7 @@ func TestClientStageGoRefused(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	txn, err := c.StageGo(ctx, "stagego-refused", 1, fakeFootprint{Payload: "p"})
+	txn, err := c.StageGoAll(ctx, "stagego-refused", 1, map[int]Message{1: fakeFootprint{Payload: "p"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestClientStageGoNonHostedPeer(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	txn, err := c.StageGo(ctx, "stagego-nonhosted", 1, fakeFootprint{})
+	txn, err := c.StageGoAll(ctx, "stagego-nonhosted", 1, map[int]Message{1: fakeFootprint{}})
 	if err != nil {
 		t.Fatal(err)
 	}

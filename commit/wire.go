@@ -6,7 +6,7 @@ import (
 	"atomiccommit/internal/wire"
 )
 
-// The eight control messages a Peer and a Client exchange beside the
+// The seven control messages a Peer and a Client exchange beside the
 // protocol's own, each on a reserved envelope path.
 
 // beginPath is the reserved envelope path announcing a transaction to peers
@@ -80,7 +80,6 @@ func (decideMsg) UnmarshalWire(d *wire.Decoder) (core.Message, error) {
 // footprints on hosted resources, start the commit, read outside
 // transactions, and learn outcomes. See client.go for the driving side.
 const (
-	helloPath      = "\x00hello"      // helloMsg: announce the client's listen address
 	stagePath      = "\x00stage"      // payload is the resource's own footprint message
 	stageAckPath   = "\x00stageack"   // stageAckMsg: stage accepted or refused
 	goPath         = "\x00go"         // goMsg: all stages acked; run the commit
@@ -90,26 +89,6 @@ const (
 	queryReplyPath = "\x00queryreply" // payload is the resource's read reply
 	unstagePath    = "\x00unstage"    // unstageMsg: drop a staged, never-begun txn
 )
-
-// helloMsg announces the sending client's listen address so the peer can
-// route replies (peers are booted knowing only each other).
-type helloMsg struct {
-	Addr string
-}
-
-// Kind implements core.Message.
-func (helloMsg) Kind() string { return "HELLO" }
-
-// WireID implements core.Wire (commit block, ID 3).
-func (helloMsg) WireID() uint16 { return 3 }
-
-// MarshalWire implements core.Wire.
-func (m helloMsg) MarshalWire(b []byte) []byte { return wire.AppendString(b, m.Addr) }
-
-// UnmarshalWire implements core.Wire.
-func (helloMsg) UnmarshalWire(d *wire.Decoder) (core.Message, error) {
-	return helloMsg{Addr: d.String()}, d.Err()
-}
 
 // stageAckMsg acknowledges a stage; Err != "" means the resource refused it
 // and the client must abort the transaction.
@@ -195,8 +174,8 @@ type peerSlice struct {
 // Kind implements core.Message.
 func (stageGoMsg) Kind() string { return "STAGEGO" }
 
-// WireID implements core.Wire. The commit block (1..7) is full, so this
-// takes 83, adjacent to the kv client-path block (80..82) it serves.
+// WireID implements core.Wire. The commit block (1..7) has no free ID, so
+// this takes 83, adjacent to the kv client-path block (80..82) it serves.
 func (stageGoMsg) WireID() uint16 { return 83 }
 
 // MarshalWire implements core.Wire. Without Others the encoding ends after
@@ -247,7 +226,6 @@ func (unstageMsg) UnmarshalWire(d *wire.Decoder) (core.Message, error) {
 func init() {
 	live.RegisterWire(beginMsg{})
 	live.RegisterWire(decideMsg{})
-	live.RegisterWire(helloMsg{})
 	live.RegisterWire(stageAckMsg{})
 	live.RegisterWire(goMsg{})
 	live.RegisterWire(stageGoMsg{})

@@ -2,7 +2,6 @@ package live
 
 import (
 	"net"
-	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -193,151 +192,5 @@ func TestShapedTCPPartition(t *testing.T) {
 			t.Fatal("post-partition envelope never arrived")
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// TestSetRoute re-points a peer ID at a different address mid-flight.
-func TestSetRoute(t *testing.T) {
-	t.Parallel()
-	addrs := freeAddrs(t, 3)
-	t1 := newTCP(t, 1, addrs)
-	t2 := newTCP(t, 2, addrs)
-	t3 := newTCP(t, 3, addrs)
-
-	got2 := make(chan Envelope, 1)
-	got3 := make(chan Envelope, 1)
-	t2.SetHandler(func(e Envelope) { got2 <- e })
-	t3.SetHandler(func(e Envelope) { got3 <- e })
-
-	send := func(tx string) {
-		t.Helper()
-		if err := t1.Send(Envelope{TxID: tx, From: 1, To: 2, Path: "p", Msg: echoMsg{V: core.Commit}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	send("before")
-	select {
-	case e := <-got2:
-		if e.TxID != "before" {
-			t.Fatalf("got %q", e.TxID)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("envelope to original route never arrived")
-	}
-
-	// Re-point peer 2 at process 3's listener: traffic addressed To:2 must
-	// land on t3 now (whose runtime still sees To=2 in the envelope).
-	t1.SetRoute(2, t3.Addr())
-	send("after")
-	select {
-	case e := <-got3:
-		if e.TxID != "after" {
-			t.Fatalf("got %q", e.TxID)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("envelope to new route never arrived")
-	}
-	select {
-	case e := <-got2:
-		t.Fatalf("old route still receiving: %q", e.TxID)
-	default:
-	}
-}
-
-// TestSetRouteSendsParked: envelopes for a destination the transport has no
-// route to are kept — the newest maxParked of them — and go out, in order,
-// when SetRoute supplies the route.
-func TestSetRouteSendsParked(t *testing.T) {
-	t.Parallel()
-	addrs := freeAddrs(t, 2)
-	t1 := newTCP(t, 1, addrs[:1]) // knows nobody but itself
-	t2 := newTCP(t, 2, addrs)
-	const sent = maxParked + 6
-	got := make(chan Envelope, sent)
-	t2.SetHandler(func(e Envelope) { got <- e })
-
-	for i := 0; i < sent; i++ {
-		if err := t1.Send(Envelope{TxID: strconv.Itoa(i), From: 1, To: 2, Path: "p", Msg: echoMsg{V: core.Commit}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	t1.SetRoute(2, t2.Addr())
-	for i := sent - maxParked; i < sent; i++ {
-		select {
-		case e := <-got:
-			if e.TxID != strconv.Itoa(i) {
-				t.Fatalf("got envelope %s, want %d (the oldest %d are dropped)", e.TxID, i, sent-maxParked)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("parked envelope %d never arrived", i)
-		}
-	}
-	select {
-	case e := <-got:
-		t.Fatalf("envelope %s arrived beyond the %d parked", e.TxID, maxParked)
-	case <-time.After(50 * time.Millisecond):
-	}
-}
-
-// TestParkedIsBounded: a sender names its own reply address, so what is parked
-// for routes that never come must stay bounded however many addresses are
-// named — the oldest queue makes room — and a queue older than parkedFor is
-// dropped, not handed to whoever supplies the route later.
-func TestParkedIsBounded(t *testing.T) {
-	t.Parallel()
-	addrs := freeAddrs(t, 2)
-	t1 := newTCP(t, 1, addrs[:1]) // knows nobody but itself
-	t2 := newTCP(t, 2, addrs)
-	got := make(chan Envelope, 4)
-	t2.SetHandler(func(e Envelope) { got <- e })
-
-	const first, extra = 100, 10
-	for id := first; id < first+maxParkedDests+extra; id++ {
-		if err := t1.Send(Envelope{TxID: strconv.Itoa(id), From: 1, To: core.ProcessID(id), Path: "p", Msg: echoMsg{V: core.Commit}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	t1.mu.Lock()
-	n := len(t1.parked)
-	_, oldest := t1.parked[first+extra-1]
-	stale, fresh := t1.parked[first+extra], t1.parked[first+extra+1]
-	if stale != nil {
-		stale.since = stale.since.Add(-parkedFor)
-	}
-	t1.mu.Unlock()
-	if n != maxParkedDests || oldest || stale == nil || fresh == nil {
-		t.Fatalf("%d destinations parked (oldest kept: %v), want the newest %d", n, oldest, maxParkedDests)
-	}
-
-	t1.SetRoute(first+extra, t2.Addr())
-	t1.SetRoute(first+extra+1, t2.Addr())
-	select {
-	case e := <-got:
-		if e.TxID != strconv.Itoa(first+extra+1) {
-			t.Fatalf("got envelope %s, parked longer than %v", e.TxID, parkedFor)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("the fresh parked envelope never arrived")
-	}
-	select {
-	case e := <-got:
-		t.Fatalf("envelope %s arrived, parked longer than %v", e.TxID, parkedFor)
-	case <-time.After(50 * time.Millisecond):
-	}
-
-	// An expired queue also makes room, and does not count against the bound.
-	t1.mu.Lock()
-	for _, q := range t1.parked {
-		q.since = q.since.Add(-parkedFor)
-	}
-	t1.mu.Unlock()
-	if err := t1.Send(Envelope{TxID: "late", From: 1, To: 99, Path: "p", Msg: echoMsg{V: core.Commit}}); err != nil {
-		t.Fatal(err)
-	}
-	t1.mu.Lock()
-	n = len(t1.parked)
-	t1.mu.Unlock()
-	if n != 1 {
-		t.Fatalf("%d destinations parked after every queue expired, want 1", n)
 	}
 }

@@ -107,7 +107,7 @@ type Config struct {
 	// Decided, if set, is called once with the decision, as soon as the
 	// handler that decided has released the instance and on its goroutine (a
 	// delivery, a timer, Start or Adopt), so it must not block. It saves the
-	// host a goroutine parked on Done per instance.
+	// host a goroutine waiting on Done per instance.
 	Decided func(core.Value)
 }
 

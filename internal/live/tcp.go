@@ -35,19 +35,6 @@ var (
 // few hundred bytes, so one frame can carry hundreds of messages.
 const sendBufferSize = 64 << 10
 
-// What the transport keeps for destinations it has no route to yet (see
-// TCP.parked) is bounded three ways, because a sender names its own reply
-// address and may never supply the route: maxParked envelopes per destination
-// (beyond it the oldest is dropped), maxParkedDests destinations (beyond it
-// the oldest queue is dropped), and parkedFor from a queue's first envelope —
-// far longer than a hello trails a request, and by then no caller still waits
-// for the reply, so a later user of the ID is not handed it either.
-const (
-	maxParked      = 64
-	maxParkedDests = 64
-	parkedFor      = 5 * time.Second
-)
-
 // Frame layout: everything buffered between two flushes — envelopes from
 // MANY protocol instances (the pipeline runs hundreds concurrently) — goes
 // out as ONE length-prefixed frame in one writev:
@@ -70,10 +57,22 @@ const (
 	maxFrameSize = 8 << 20
 )
 
-// TCP is the cross-address-space transport: one listener per process, lazy
-// dialing with bounded retries, envelopes in the hand-rolled wire codec. An
-// unreachable peer behaves as crashed (sends are dropped silently), which is
-// precisely the failure model the protocols handle.
+// TCP is the cross-address-space transport: envelopes in the hand-rolled wire
+// codec over one connection per destination, dialed lazily with bounded
+// retries. An unreachable peer behaves as crashed (sends are dropped
+// silently), which is precisely the failure model the protocols handle.
+//
+// Every connection carries envelopes both ways, and who listens follows from
+// the address table: a process whose ID has an address there (a peer) listens
+// on it and is reached by dialing it — peer to peer, one dialed connection per
+// direction. A process whose ID has none (a client) dials and never listens:
+// it reads replies off the connections it dialed, and the accepting side binds
+// such a connection to the From of the envelopes arriving on it, so a Send to
+// that ID writes there. An ID with a configured address is never bound —
+// whatever an inbound connection claims, a peer is reached at its listener. A
+// newer connection from the same ID takes the binding over, the record goes
+// when the connection's read loop ends, and a Send to an ID with neither
+// address nor connection is dropped: it looks crashed.
 //
 // Send never waits for the network, dialing included: the first envelope for
 // a destination creates its connection record, which buffers envelopes in
@@ -91,7 +90,7 @@ const (
 type TCP struct {
 	id core.ProcessID
 
-	ln      net.Listener
+	ln      net.Listener // nil in a process that only dials
 	handler func(Envelope)
 
 	mu      sync.Mutex
@@ -99,13 +98,8 @@ type TCP struct {
 	shaper  LinkShaper
 	conns   map[core.ProcessID]*tcpConn
 	inbound map[net.Conn]struct{}
-	// parked holds envelopes for destinations with no route yet, until
-	// SetRoute supplies one: a client's first request can overtake the hello
-	// announcing its address (a shaper delays each envelope on its own), and
-	// the reply must not be lost for that.
-	parked map[core.ProcessID]*parkedQueue
-	closed bool
-	wg     sync.WaitGroup
+	closed  bool
+	wg      sync.WaitGroup
 
 	// closing is cancelled by Close, so that a dial in progress returns.
 	closing context.Context
@@ -113,7 +107,10 @@ type TCP struct {
 }
 
 type tcpConn struct {
-	addr string // dialed by connLoop
+	// to is the ID the record is mapped under in TCP.conns. TCP.mu guards it:
+	// bind moves an accepted connection's record when its sender's ID changes.
+	to   core.ProcessID
+	addr string // dialed by connLoop; "" on an accepted connection
 	// kick (capacity 1) tells the flush loop the buffer is dirty. At most
 	// one kick is pending however many sends encode during a flush — that
 	// is the coalescing. Senders kick only under mu with shutdown checked,
@@ -151,29 +148,38 @@ func (conn *tcpConn) shut() {
 }
 
 // NewTCP starts a transport for process id: addrs[i-1] is Pi's listen
-// address. The listener is bound immediately; handlers may be set later but
-// before peers start sending.
+// address. If id has one, the listener is bound immediately; an id beyond
+// addrs only dials (see TCP). Handlers may be set later but before peers start
+// sending.
 func NewTCP(id core.ProcessID, addrs []string) (*TCP, error) {
 	m := make(map[core.ProcessID]string, len(addrs))
 	for i, a := range addrs {
 		m[core.ProcessID(i+1)] = a
 	}
-	ln, err := net.Listen("tcp", m[id])
-	if err != nil {
-		return nil, fmt.Errorf("live: listen %s: %w", m[id], err)
-	}
-	t := &TCP{id: id, addrs: m, ln: ln,
+	t := &TCP{id: id, addrs: m,
 		conns:   make(map[core.ProcessID]*tcpConn),
-		inbound: make(map[net.Conn]struct{}),
-		parked:  make(map[core.ProcessID]*parkedQueue)}
+		inbound: make(map[net.Conn]struct{})}
 	t.closing, t.cancel = context.WithCancel(context.Background())
-	t.wg.Add(1)
-	go t.acceptLoop()
+	if addr, listens := m[id]; listens {
+		ln, err := net.Listen("tcp", addr)
+		if err != nil {
+			return nil, fmt.Errorf("live: listen %s: %w", addr, err)
+		}
+		t.ln = ln
+		t.wg.Add(1)
+		go t.acceptLoop()
+	}
 	return t, nil
 }
 
-// Addr returns the bound listen address (useful with ":0" ephemeral ports).
-func (t *TCP) Addr() string { return t.ln.Addr().String() }
+// Addr returns the bound listen address (useful with ":0" ephemeral ports),
+// "" in a process that only dials.
+func (t *TCP) Addr() string {
+	if t.ln == nil {
+		return ""
+	}
+	return t.ln.Addr().String()
+}
 
 // SetHandler implements Transport.
 func (t *TCP) SetHandler(h func(Envelope)) {
@@ -193,73 +199,6 @@ func (t *TCP) SetShaper(s LinkShaper) {
 	t.shaper = s
 }
 
-// SetRoute adds or replaces the address for peer id, evicting any live
-// connection so the next Send starts a fresh one, and sends what was parked
-// for id while it had no route. Clients announce themselves to peers this
-// way: a peer only ever has the routes it was booted with plus the ones
-// announced to it.
-func (t *TCP) SetRoute(id core.ProcessID, addr string) {
-	t.mu.Lock()
-	stale := t.conns[id]
-	changed := t.addrs[id] != addr
-	t.addrs[id] = addr
-	if !changed {
-		stale = nil // same address: keep the live conn
-	} else if stale != nil {
-		delete(t.conns, id)
-		mEvictions.Add(1)
-	}
-	parked := t.parked[id]
-	delete(t.parked, id)
-	t.mu.Unlock()
-	if stale != nil {
-		stale.shut()
-	}
-	if parked != nil && time.Since(parked.since) < parkedFor {
-		for _, e := range parked.envs {
-			_ = t.enqueue(e)
-		}
-	}
-}
-
-// parkedQueue is what waits for one destination's route, oldest first, and
-// when the first of it was parked.
-type parkedQueue struct {
-	envs  []Envelope
-	since time.Time
-}
-
-// park keeps e until SetRoute supplies its destination's route, within the
-// bounds above. The caller holds t.mu.
-func (t *TCP) park(e Envelope) {
-	now := time.Now()
-	q := t.parked[e.To]
-	if q != nil && now.Sub(q.since) >= parkedFor {
-		q = nil
-	}
-	if q == nil {
-		// A new queue: make room by dropping the expired, else the oldest.
-		var oldest core.ProcessID
-		var oldestSince time.Time
-		for id, o := range t.parked {
-			if now.Sub(o.since) >= parkedFor {
-				delete(t.parked, id)
-			} else if oldestSince.IsZero() || o.since.Before(oldestSince) {
-				oldest, oldestSince = id, o.since
-			}
-		}
-		if len(t.parked) >= maxParkedDests {
-			delete(t.parked, oldest)
-		}
-		q = &parkedQueue{since: now}
-		t.parked[e.To] = q
-	}
-	if len(q.envs) >= maxParked {
-		q.envs = q.envs[:copy(q.envs, q.envs[1:])]
-	}
-	q.envs = append(q.envs, e)
-}
-
 func (t *TCP) acceptLoop() {
 	defer t.wg.Done()
 	for {
@@ -276,23 +215,29 @@ func (t *TCP) acceptLoop() {
 		t.inbound[c] = struct{}{}
 		t.mu.Unlock()
 		t.wg.Add(1)
-		go t.readLoop(c)
+		go t.readLoop(c, nil)
 	}
 }
 
-// readLoop decodes frames off one inbound connection. Any framing or codec
-// error drops the connection — the peer then looks crashed, which the
-// protocols tolerate — except an unknown message type ID, which is skipped
-// envelope by envelope so mixed-version peers keep interoperating on the
-// types both sides know.
-func (t *TCP) readLoop(c net.Conn) {
+// readLoop decodes frames off one connection: an accepted one, or, in a
+// process that does not listen, one it dialed. conn is the record that writes
+// to c — the dialed one, or nil until bind gives an accepted connection one —
+// and it goes when the loop ends. Any framing or codec error drops the
+// connection — the peer then looks crashed, which the protocols tolerate —
+// except an unknown message type ID, which is skipped envelope by envelope so
+// mixed-version peers keep interoperating on the types both sides know.
+func (t *TCP) readLoop(c net.Conn, conn *tcpConn) {
 	defer t.wg.Done()
 	defer func() {
 		t.mu.Lock()
 		delete(t.inbound, c)
 		t.mu.Unlock()
 		c.Close()
+		if conn != nil {
+			t.forget(conn)
+		}
 	}()
+	var from core.ProcessID // sender of the last envelope
 	br := bufio.NewReaderSize(c, sendBufferSize)
 	var frame []byte // reused across frames
 	var d wire.Decoder
@@ -328,6 +273,10 @@ func (t *TCP) readLoop(c net.Conn) {
 				return
 			}
 			mRecvEnvelopes.Add(1)
+			if e.From != from {
+				from = e.From
+				conn = t.bind(from, c, conn)
+			}
 			// Merge the sender's stamp into the local clock (the HLC
 			// receive rule): everything this process records after the
 			// delivery is causally after the matching send.
@@ -345,6 +294,35 @@ func (t *TCP) readLoop(c net.Conn) {
 			}
 		}
 	}
+}
+
+// bind makes c, an accepted connection, the way to from — the sender of the
+// envelopes arriving on it — unless from has a configured address: a peer is
+// reached at its listener, whatever an inbound connection claims. conn is c's
+// record, nil before the first binding; a sender that changes its ID takes the
+// record along. The record from was bound to before, on a connection its
+// sender abandoned, is shut.
+func (t *TCP) bind(from core.ProcessID, c net.Conn, conn *tcpConn) *tcpConn {
+	t.mu.Lock()
+	if _, peer := t.addrs[from]; peer || t.closed || (conn != nil && conn.addr != "") {
+		t.mu.Unlock()
+		return conn
+	}
+	if conn == nil {
+		conn = &tcpConn{c: c, kick: make(chan struct{}, 1)}
+		t.wg.Add(1)
+		go t.connLoop(conn)
+	} else if t.conns[conn.to] == conn {
+		delete(t.conns, conn.to)
+	}
+	stale := t.conns[from]
+	conn.to = from
+	t.conns[from] = conn
+	t.mu.Unlock()
+	if stale != nil {
+		stale.shut()
+	}
+	return conn
 }
 
 // Send implements Transport. The envelope is encoded into the destination's
@@ -389,14 +367,14 @@ func (t *TCP) enqueue(e Envelope) error {
 	// error, or shut by a concurrent Close of the peer) is forgotten so this
 	// send — not some later one — goes out on a fresh one.
 	for attempt := 0; attempt < 2; attempt++ {
-		conn, err := t.conn(e)
+		conn, err := t.conn(e.To)
 		if conn == nil {
 			return err
 		}
 		conn.mu.Lock()
 		if conn.err != nil || conn.shutdown {
 			conn.mu.Unlock()
-			t.forget(e.To, conn)
+			t.forget(conn)
 			continue
 		}
 		before := len(conn.pending)
@@ -427,12 +405,11 @@ func (t *TCP) enqueue(e Envelope) error {
 	return nil
 }
 
-// conn returns the connection record of e's destination, creating it — and
+// conn returns the connection record of destination to, creating it — and
 // the one goroutine that dials and then flushes it — with the first envelope
-// for it. A nil record with a nil error means the destination has no route
-// yet, and e was parked for SetRoute to send.
-func (t *TCP) conn(e Envelope) (*tcpConn, error) {
-	to := e.To
+// for it. A nil record with a nil error means to has neither a configured
+// address nor a connection bound to it: the envelope is dropped.
+func (t *TCP) conn(to core.ProcessID) (*tcpConn, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
@@ -443,13 +420,12 @@ func (t *TCP) conn(e Envelope) (*tcpConn, error) {
 	}
 	addr, ok := t.addrs[to]
 	if !ok {
-		t.park(e)
 		return nil, nil
 	}
-	conn := &tcpConn{addr: addr, kick: make(chan struct{}, 1)}
+	conn := &tcpConn{to: to, addr: addr, kick: make(chan struct{}, 1)}
 	t.conns[to] = conn
 	t.wg.Add(1)
-	go t.connLoop(to, conn)
+	go t.connLoop(conn)
 	return conn, nil
 }
 
@@ -472,27 +448,37 @@ func (t *TCP) dial(conn *tcpConn) net.Conn {
 	return nil
 }
 
-// connLoop dials, then drains the connection's pending buffer to the socket
-// as one length-prefixed frame per iteration — one writev per batch of sends
-// — until the connection shuts or a write fails. Two buffers rotate between
-// the senders and the flusher, so encoding never waits on the network. What
-// was buffered for a peer that cannot be dialed is dropped with the record.
-func (t *TCP) connLoop(to core.ProcessID, conn *tcpConn) {
+// connLoop dials, unless the connection was accepted, then drains the
+// connection's pending buffer to the socket as one length-prefixed frame per
+// iteration — one writev per batch of sends — until the connection shuts or a
+// write fails. Two buffers rotate between the senders and the flusher, so
+// encoding never waits on the network. What was buffered for a peer that
+// cannot be dialed is dropped with the record.
+func (t *TCP) connLoop(conn *tcpConn) {
 	defer t.wg.Done()
-	c := t.dial(conn)
-	if c != nil {
-		conn.mu.Lock()
-		if conn.shutdown {
-			c.Close()
-			c = nil
-		} else {
-			conn.c = c
-		}
-		conn.mu.Unlock()
-	}
+	c := conn.c // an accepted connection's; nil on a record to be dialed
 	if c == nil {
-		t.unmap(to, conn)
-		return
+		if c = t.dial(conn); c != nil {
+			conn.mu.Lock()
+			if conn.shutdown {
+				c.Close()
+				c = nil
+			} else {
+				conn.c = c
+			}
+			conn.mu.Unlock()
+		}
+		if c == nil {
+			t.unmap(conn)
+			return
+		}
+		if t.ln == nil {
+			// Nobody can dial this process: what the peer has for it comes
+			// back on c. A process that listens is dialed, and would only pay
+			// for a reader nothing is written to.
+			t.wg.Add(1)
+			go t.readLoop(c, conn)
+		}
 	}
 	var spare []byte
 	var hdr [1 + binary.MaxVarintLen64]byte
@@ -529,7 +515,7 @@ func (t *TCP) connLoop(to core.ProcessID, conn *tcpConn) {
 	}
 	for range conn.kick {
 		if flush() != nil {
-			t.forget(to, conn)
+			t.forget(conn)
 			return
 		}
 	}
@@ -538,19 +524,19 @@ func (t *TCP) connLoop(to core.ProcessID, conn *tcpConn) {
 }
 
 // forget drops a dead connection so the next Send starts a fresh one.
-func (t *TCP) forget(to core.ProcessID, conn *tcpConn) {
-	if t.unmap(to, conn) {
+func (t *TCP) forget(conn *tcpConn) {
+	if t.unmap(conn) {
 		mEvictions.Add(1)
 	}
 }
 
-// unmap shuts conn and, if it still is the record of peer to, removes it
-// from the connection map, reporting whether it was.
-func (t *TCP) unmap(to core.ProcessID, conn *tcpConn) bool {
+// unmap shuts conn and, if it still is the record of its destination,
+// removes it from the connection map, reporting whether it was.
+func (t *TCP) unmap(conn *tcpConn) bool {
 	t.mu.Lock()
-	mapped := t.conns[to] == conn
+	mapped := t.conns[conn.to] == conn
 	if mapped {
-		delete(t.conns, to)
+		delete(t.conns, conn.to)
 	}
 	t.mu.Unlock()
 	conn.shut()
@@ -567,7 +553,6 @@ func (t *TCP) Close() error {
 	t.closed = true
 	conns := t.conns
 	t.conns = make(map[core.ProcessID]*tcpConn)
-	t.parked = nil
 	inbound := make([]net.Conn, 0, len(t.inbound))
 	for c := range t.inbound {
 		inbound = append(inbound, c)
@@ -575,7 +560,9 @@ func (t *TCP) Close() error {
 	t.mu.Unlock()
 
 	t.cancel()
-	t.ln.Close()
+	if t.ln != nil {
+		t.ln.Close()
+	}
 	for _, c := range conns {
 		c.shut()
 	}

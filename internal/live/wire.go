@@ -18,10 +18,11 @@ import (
 // information on the wire, so IDs are allocated in per-package blocks and
 // never renumbered:
 //
-//	 1..7    commit (beginMsg, decideMsg, hello/stage/go/result/unstage)
+//	 1..7    commit (beginMsg, decideMsg, stageAck/go/result/unstage; ID 3,
+//	         once the client's hello, is retired: never reuse)
 //	 8..14   internal/consensus (incl. flooding)
 //	16..20   protocols/inbac
-//	24..26   protocols/twopc
+//	24..26   protocols/twopc (24, once MsgReq, is retired: never reuse)
 //	28..32   protocols/threepc
 //	36..42   protocols/paxoscommit
 //	46..47   protocols/onenbac

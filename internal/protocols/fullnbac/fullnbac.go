@@ -87,10 +87,6 @@ const (
 	tagPhase2 = 2
 )
 
-// Options is empty: the underlying indulgent uniform consensus is always
-// the Paxos-based module.
-type Options struct{}
-
 // FullNBAC is one process's instance.
 type FullNBAC struct {
 	env core.Env
@@ -107,8 +103,9 @@ type FullNBAC struct {
 	pendingHelp []core.ProcessID
 }
 
-// New returns a (2n-2+f)NBAC factory.
-func New(Options) func(core.ProcessID) core.Module {
+// New returns a (2n-2+f)NBAC factory. The underlying indulgent uniform
+// consensus is always the Paxos-based module.
+func New() func(core.ProcessID) core.Module {
 	return func(core.ProcessID) core.Module { return &FullNBAC{} }
 }
 

@@ -15,7 +15,7 @@ const u = sim.DefaultU
 func TestNiceExecution(t *testing.T) {
 	for _, nf := range [][2]int{{3, 1}, {3, 2}, {5, 2}, {6, 3}, {8, 7}} {
 		n, f := nf[0], nf[1]
-		r := sim.Run(sim.Config{N: n, F: f, New: New(Options{})})
+		r := sim.Run(sim.Config{N: n, F: f, New: New()})
 		if !r.SolvesNBAC() {
 			t.Fatalf("n=%d f=%d: %v", n, f, r)
 		}
@@ -33,7 +33,7 @@ func TestNiceExecution(t *testing.T) {
 func TestRingBreakFallsBackToConsensus(t *testing.T) {
 	n, f := 5, 2
 	for victim := 2; victim <= n; victim++ {
-		r := sim.Run(sim.Config{N: n, F: f, New: New(Options{}),
+		r := sim.Run(sim.Config{N: n, F: f, New: New(),
 			Policy: sched.CrashAtStart(core.ProcessID(victim))})
 		if !r.Agreement() || !r.Validity() || !r.Termination() {
 			t.Fatalf("victim P%d: %v", victim, r)
@@ -57,7 +57,7 @@ func TestHelpPath(t *testing.T) {
 		return at + u
 	}}
 	tr := &sim.Trace{}
-	r := sim.Run(sim.Config{N: n, F: f, New: New(Options{}), Policy: pol, Trace: tr})
+	r := sim.Run(sim.Config{N: n, F: f, New: New(), Policy: pol, Trace: tr})
 	if !r.Agreement() || !r.Validity() || !r.Termination() {
 		t.Fatalf("%v", r)
 	}
@@ -75,7 +75,7 @@ func TestHelpPath(t *testing.T) {
 // TestIndulgence: eventually synchronous executions solve NBAC (the cell is
 // (AVT, AVT), same as INBAC, at f fewer messages but many more delays).
 func TestIndulgence(t *testing.T) {
-	r := sim.Run(sim.Config{N: 5, F: 2, New: New(Options{}),
+	r := sim.Run(sim.Config{N: 5, F: 2, New: New(),
 		Policy: sched.GST(u, 15*u, 4*u)})
 	if !r.Agreement() || !r.Validity() || !r.Termination() {
 		t.Fatalf("%v", r)
@@ -86,7 +86,7 @@ func TestIndulgence(t *testing.T) {
 // execution (Pf first at (n+f-1)U, the [Z] tail last).
 func TestDecisionSchedule(t *testing.T) {
 	n, f := 5, 2
-	r := sim.Run(sim.Config{N: n, F: f, New: New(Options{})})
+	r := sim.Run(sim.Config{N: n, F: f, New: New()})
 	if got, want := r.DecisionTick[core.ProcessID(f)], core.Ticks(n+f-1)*u; got != want {
 		t.Errorf("Pf decided at %d, want %d", got, want)
 	}

@@ -58,11 +58,6 @@ const (
 	tagPhase1 = 1 // end of the [D, d] wait (time 2U)
 )
 
-// Options is empty: the underlying consensus is always the synchronous
-// flooding module (terminates for any f in crash-failure executions,
-// matching 1NBAC's cell (AVT, VT)).
-type Options struct{}
-
 // OneNBAC is one process's instance.
 type OneNBAC struct {
 	env core.Env
@@ -76,8 +71,10 @@ type OneNBAC struct {
 	gotD     bool
 }
 
-// New returns a 1NBAC factory.
-func New(Options) func(core.ProcessID) core.Module {
+// New returns a 1NBAC factory. The underlying consensus is always the
+// synchronous flooding module (terminates for any f in crash-failure
+// executions, matching 1NBAC's cell (AVT, VT)).
+func New() func(core.ProcessID) core.Module {
 	return func(core.ProcessID) core.Module { return &OneNBAC{} }
 }
 

@@ -16,7 +16,7 @@ const u = sim.DefaultU
 func TestOneDelayDecision(t *testing.T) {
 	for _, nf := range [][2]int{{2, 1}, {4, 3}, {6, 2}} {
 		n, f := nf[0], nf[1]
-		r := sim.Run(sim.Config{N: n, F: f, New: New(Options{})})
+		r := sim.Run(sim.Config{N: n, F: f, New: New()})
 		if !r.SolvesNBAC() {
 			t.Fatalf("n=%d f=%d: %v", n, f, r)
 		}
@@ -36,7 +36,7 @@ func TestOneDelayDecision(t *testing.T) {
 // count excludes it while the total send count sees it.
 func TestHelpingBroadcastNotCounted(t *testing.T) {
 	n := 4
-	r := sim.Run(sim.Config{N: n, F: 1, New: New(Options{}), RunToQuiescence: true})
+	r := sim.Run(sim.Config{N: n, F: 1, New: New(), RunToQuiescence: true})
 	if r.MessagesToDecide != n*n-n {
 		t.Fatalf("messages to decide = %d, want %d", r.MessagesToDecide, n*n-n)
 	}
@@ -51,7 +51,7 @@ func TestHelpingBroadcastNotCounted(t *testing.T) {
 // not terminate).
 func TestCrashFallsBackToConsensus(t *testing.T) {
 	n := 5
-	r := sim.Run(sim.Config{N: n, F: n - 1, New: New(Options{}),
+	r := sim.Run(sim.Config{N: n, F: n - 1, New: New(),
 		Policy: sched.CrashAtStart(2, 3, 4, 5)})
 	if !r.Agreement() || !r.Validity() || !r.Termination() {
 		t.Fatalf("synchronous NBAC must tolerate n-1 crashes: %v", r)
@@ -67,7 +67,7 @@ func TestCrashFallsBackToConsensus(t *testing.T) {
 func TestFastDeciderHelpsLaggard(t *testing.T) {
 	n := 5
 	pol := sched.PartialBroadcast(1, 0, 4, 5)
-	r := sim.Run(sim.Config{N: n, F: 2, New: New(Options{}), Policy: pol})
+	r := sim.Run(sim.Config{N: n, F: 2, New: New(), Policy: pol})
 	if !r.Agreement() || !r.Validity() || !r.Termination() {
 		t.Fatalf("%v", r)
 	}
@@ -80,7 +80,7 @@ func TestFastDeciderHelpsLaggard(t *testing.T) {
 // under network failures it must still terminate with valid decisions
 // (agreement is not promised — that is the price of one delay).
 func TestNetworkFailureKeepsValidityAndTermination(t *testing.T) {
-	r := sim.Run(sim.Config{N: 4, F: 2, New: New(Options{}),
+	r := sim.Run(sim.Config{N: 4, F: 2, New: New(),
 		Policy: sched.GST(u, 10*u, 3*u)})
 	if !r.Validity() || !r.Termination() {
 		t.Fatalf("validity+termination must hold under network failures: %v", r)

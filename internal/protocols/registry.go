@@ -93,7 +93,7 @@ var all = []Info{
 	{
 		Name: "1nbac", Paper: "1NBAC (appendix D)",
 		Contract:    sim.Contract{Name: "1nbac", CF: sim.PropsAVT, NF: sim.PropsVT},
-		New:         func() func(core.ProcessID) core.Module { return onenbac.New(onenbac.Options{}) },
+		New:         func() func(core.ProcessID) core.Module { return onenbac.New() },
 		PaperDelays: c(1), PaperMessages: func(n, f int) int { return n*n - n },
 		Delays: c(1), Messages: func(n, f int) int { return n*n - n },
 		MinN: 2, UsesConsensus: true,
@@ -120,7 +120,7 @@ var all = []Info{
 	{
 		Name: "0nbac", Paper: "0NBAC (appendix E.1)",
 		Contract:    sim.Contract{Name: "0nbac", CF: sim.PropsAT, NF: sim.PropsAT, MajorityForT: true},
-		New:         func() func(core.ProcessID) core.Module { return zeronbac.New(zeronbac.Options{}) },
+		New:         func() func(core.ProcessID) core.Module { return zeronbac.New() },
 		PaperDelays: c(1), PaperMessages: c(0),
 		Delays: c(1), Messages: c(0),
 		MinN: 2, UsesConsensus: true,
@@ -156,7 +156,7 @@ var all = []Info{
 	{
 		Name: "fullnbac", Paper: "(2n-2+f)NBAC (appendix E.6)",
 		Contract:    sim.Contract{Name: "fullnbac", CF: sim.PropsAVT, NF: sim.PropsAVT, MajorityForT: true},
-		New:         func() func(core.ProcessID) core.Module { return fullnbac.New(fullnbac.Options{}) },
+		New:         func() func(core.ProcessID) core.Module { return fullnbac.New() },
 		PaperDelays: nil, PaperMessages: func(n, f int) int { return 2*n - 2 + f },
 		Delays: func(n, f int) int { return 2*n + f - 2 }, Messages: func(n, f int) int { return 2*n - 2 + f },
 		MinN: 3, UsesConsensus: true,
@@ -165,11 +165,11 @@ var all = []Info{
 	{
 		Name: "2pc", Paper: "2PC (Gray 1978; Table 5)",
 		Contract:    sim.Contract{Name: "2pc", CF: sim.PropsAV, NF: sim.PropsAV},
-		New:         func() func(core.ProcessID) core.Module { return twopc.New(twopc.Options{}) },
+		New:         func() func(core.ProcessID) core.Module { return twopc.New() },
 		PaperDelays: c(2), PaperMessages: func(n, f int) int { return 2*n - 2 },
 		Delays: c(2), Messages: func(n, f int) int { return 2*n - 2 },
 		MinN:  2,
-		Wires: []core.Wire{twopc.MsgReq{}, twopc.MsgVote{}, twopc.MsgOutcome{}},
+		Wires: []core.Wire{twopc.MsgVote{}, twopc.MsgOutcome{}},
 	},
 	{
 		Name: "3pc", Paper: "3PC (Skeen 1981; section 6.2)",

@@ -19,35 +19,23 @@ import (
 
 // Message types.
 type (
-	// MsgReq was the coordinator-initiated variant's vote solicitation. The
-	// variant is gone and nothing sends or handles it; the type stays
-	// registered because a shipped wire ID is never withdrawn or reused.
-	MsgReq struct{}
 	// MsgVote carries a participant's vote to the coordinator.
 	MsgVote struct{ V core.Value }
 	// MsgOutcome carries the coordinator's decision to everyone.
 	MsgOutcome struct{ V core.Value }
 )
 
-func (MsgReq) Kind() string     { return "REQ" }
 func (MsgVote) Kind() string    { return "VOTE" }
 func (MsgOutcome) Kind() string { return "OUTCOME" }
 
-// Wire IDs (twopc block 24..26; see internal/live's registry).
+// Wire IDs (twopc block 24..26; see internal/live's registry). 24 is retired.
 const (
-	wireIDReq uint16 = 24 + iota
-	wireIDVote
+	wireIDVote uint16 = 25 + iota
 	wireIDOutcome
 )
 
-func (MsgReq) WireID() uint16     { return wireIDReq }
 func (MsgVote) WireID() uint16    { return wireIDVote }
 func (MsgOutcome) WireID() uint16 { return wireIDOutcome }
-
-func (MsgReq) MarshalWire(b []byte) []byte { return b }
-func (MsgReq) UnmarshalWire(d *wire.Decoder) (core.Message, error) {
-	return MsgReq{}, d.Err()
-}
 
 func (m MsgVote) MarshalWire(b []byte) []byte { return wire.AppendUvarint(b, uint64(m.V)) }
 func (MsgVote) UnmarshalWire(d *wire.Decoder) (core.Message, error) {
@@ -63,9 +51,6 @@ func (MsgOutcome) UnmarshalWire(d *wire.Decoder) (core.Message, error) {
 // failure); P1 throughout this repository.
 const Coordinator core.ProcessID = 1
 
-// Options is empty: 2PC has no variant left to select.
-type Options struct{}
-
 // TwoPC is one process's 2PC instance.
 type TwoPC struct {
 	env core.Env
@@ -76,7 +61,7 @@ type TwoPC struct {
 }
 
 // New returns a 2PC factory for the simulator and live runtime.
-func New(Options) func(core.ProcessID) core.Module {
+func New() func(core.ProcessID) core.Module {
 	return func(core.ProcessID) core.Module { return &TwoPC{} }
 }
 

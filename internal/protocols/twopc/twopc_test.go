@@ -12,7 +12,7 @@ const u = sim.DefaultU
 
 func TestSpontaneousNiceExecution(t *testing.T) {
 	for _, n := range []int{2, 3, 5, 9} {
-		r := sim.Run(sim.Config{N: n, F: 1, New: New(Options{})})
+		r := sim.Run(sim.Config{N: n, F: 1, New: New()})
 		if !r.SolvesNBAC() {
 			t.Fatalf("n=%d: %v", n, r)
 		}
@@ -28,7 +28,7 @@ func TestSpontaneousNiceExecution(t *testing.T) {
 // undecided forever.
 func TestBlocking(t *testing.T) {
 	n := 5
-	r := sim.Run(sim.Config{N: n, F: 1, New: New(Options{}),
+	r := sim.Run(sim.Config{N: n, F: 1, New: New(),
 		Policy: sched.Crashes(map[core.ProcessID]core.Ticks{1: u})})
 	if r.Termination() {
 		t.Fatalf("2PC must block on coordinator crash, got %v", r)
@@ -48,7 +48,7 @@ func TestBlocking(t *testing.T) {
 func TestCoordinatorCrashMidOutcome(t *testing.T) {
 	n := 5
 	pol := sched.PartialBroadcast(1, u, 4, 5)
-	r := sim.Run(sim.Config{N: n, F: 1, New: New(Options{}), Policy: pol})
+	r := sim.Run(sim.Config{N: n, F: 1, New: New(), Policy: pol})
 	if !r.Agreement() || !r.Validity() {
 		t.Fatalf("agreement/validity must survive a partial outcome broadcast: %v", r)
 	}
@@ -64,7 +64,7 @@ func TestCoordinatorCrashMidOutcome(t *testing.T) {
 // the coordinator aborts; validity holds because a (network) failure
 // occurred.
 func TestLateVoteAborts(t *testing.T) {
-	r := sim.Run(sim.Config{N: 4, F: 1, New: New(Options{}),
+	r := sim.Run(sim.Config{N: 4, F: 1, New: New(),
 		Policy: sched.DelayFrom(u, 3, 5*u)})
 	if v, ok := r.Decision(); !ok || v != core.Abort {
 		t.Fatalf("late vote must abort: %v", r)

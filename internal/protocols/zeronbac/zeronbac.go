@@ -63,11 +63,6 @@ const (
 	tagSecond = 1 // acknowledgement deadline (time 2U or 3U)
 )
 
-// Options is empty: the underlying consensus is always the indulgent Paxos
-// module (agreement is required in network-failure executions for this
-// cell, so the synchronous flooding consensus is not an option here).
-type Options struct{}
-
 // ZeroNBAC is one process's instance.
 type ZeroNBAC struct {
 	env core.Env
@@ -81,8 +76,10 @@ type ZeroNBAC struct {
 	proposed bool
 }
 
-// New returns a 0NBAC factory.
-func New(Options) func(core.ProcessID) core.Module {
+// New returns a 0NBAC factory. The underlying consensus is always the
+// indulgent Paxos module (agreement is required in network-failure executions
+// for this cell, so the synchronous flooding consensus is not an option here).
+func New() func(core.ProcessID) core.Module {
 	return func(core.ProcessID) core.Module { return &ZeroNBAC{} }
 }
 

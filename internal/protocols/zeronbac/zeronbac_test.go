@@ -14,7 +14,7 @@ const u = sim.DefaultU
 // (AT, AT) cell costs ZERO messages and one delay, with no tradeoff.
 func TestZeroMessagesNiceExecution(t *testing.T) {
 	for _, n := range []int{2, 3, 6, 10} {
-		r := sim.Run(sim.Config{N: n, F: 1, New: New(Options{}), RunToQuiescence: true})
+		r := sim.Run(sim.Config{N: n, F: 1, New: New(), RunToQuiescence: true})
 		if !r.SolvesNBAC() {
 			t.Fatalf("n=%d: %v", n, r)
 		}
@@ -32,7 +32,7 @@ func TestZeroMessagesNiceExecution(t *testing.T) {
 // failure-free execution.
 func TestImplicitVoteAbort(t *testing.T) {
 	votes := []core.Value{1, 0, 1, 1}
-	r := sim.Run(sim.Config{N: 4, F: 1, Votes: votes, New: New(Options{})})
+	r := sim.Run(sim.Config{N: 4, F: 1, Votes: votes, New: New()})
 	if !r.SolvesNBAC() {
 		t.Fatalf("%v", r)
 	}
@@ -49,7 +49,7 @@ func TestValidityIsSacrificed(t *testing.T) {
 	n := 5
 	votes := []core.Value{0, 1, 1, 1, 1}
 	// P1 votes 0 and crashes before sending anything.
-	r := sim.Run(sim.Config{N: n, F: 1, Votes: votes, New: New(Options{}),
+	r := sim.Run(sim.Config{N: n, F: 1, Votes: votes, New: New(),
 		Policy: sched.CrashAtStart(1)})
 	if !r.Agreement() || !r.Termination() {
 		t.Fatalf("agreement+termination are promised: %v", r)
@@ -69,7 +69,7 @@ func TestPartialZeroAnnouncement(t *testing.T) {
 	n := 5
 	votes := []core.Value{0, 1, 1, 1, 1}
 	pol := sched.PartialBroadcast(1, 0, 3, 4, 5) // P2 alone hears the zero
-	r := sim.Run(sim.Config{N: n, F: 1, Votes: votes, New: New(Options{}), Policy: pol})
+	r := sim.Run(sim.Config{N: n, F: 1, Votes: votes, New: New(), Policy: pol})
 	if !r.Agreement() || !r.Termination() {
 		t.Fatalf("%v", r)
 	}
@@ -79,7 +79,7 @@ func TestPartialZeroAnnouncement(t *testing.T) {
 // cell still promises agreement and termination.
 func TestNetworkFailureAgreement(t *testing.T) {
 	votes := []core.Value{1, 0, 1, 1, 1}
-	r := sim.Run(sim.Config{N: 5, F: 2, Votes: votes, New: New(Options{}),
+	r := sim.Run(sim.Config{N: 5, F: 2, Votes: votes, New: New(),
 		Policy: sched.GST(u, 8*u, 4*u)})
 	if !r.Agreement() || !r.Termination() {
 		t.Fatalf("%v", r)

@@ -78,7 +78,6 @@ var ErrTooFewShards = errors.New("kv: a store needs at least 2 shards")
 // over either runtime.
 type Committer interface {
 	Submit(ctx context.Context, txID string) *commit.Txn
-	CommitMany(ctx context.Context, txIDs []string) ([]bool, error)
 	Close()
 }
 
