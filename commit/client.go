@@ -24,21 +24,23 @@ import (
 // sender's ID. A client dials and never listens; it needs no address, and a
 // peer that restarted answers as soon as the next request has redialed it.
 //
-// Every blocking call is bounded by a deadline derived from
-// Options.Timeout — whatever the caller's context says — so a crashed peer
-// yields an error within the protocol's timeout budget, never a hang.
+// Every call is bounded by a deadline derived from Options.Timeout — whatever
+// the caller's context says — so a crashed peer yields an error within the
+// protocol's timeout budget, never a hang. A submission's bound costs no
+// goroutine and no timer of its own: one sweep per client serves them all.
 type Client struct {
 	id   core.ProcessID
 	n    int // peers are 1..n
 	opts Options
 	tcp  *live.TCP
 
-	mu      sync.Mutex
-	pending map[string]*Txn                // awaiting resultMsg, keyed by txID
-	replies map[replyKey]chan core.Message // awaiting a stage ack or a query reply
-	seq     uint64
-	closed  bool
-	stop    chan struct{}
+	mu       sync.Mutex
+	pending  map[string]*Txn                // awaiting resultMsg, keyed by txID
+	replies  map[replyKey]chan core.Message // awaiting a stage ack or a query reply
+	seq      uint64
+	closed   bool
+	sweeping bool // a sweep of pending is armed (see sweep)
+	stop     chan struct{}
 }
 
 // replyKey files the one reply a Stage or a Query waits for: one may be in
@@ -114,7 +116,8 @@ func (c *Client) deliver(e live.Envelope) {
 }
 
 // resolve settles txID's future exactly once: whoever removes it from
-// pending (the result handler, the watcher timeout, Close) resolves it.
+// pending (the result handler, its context's watch, the sweep, Close)
+// resolves it.
 func (c *Client) resolve(txID string, ok bool, err error) {
 	c.mu.Lock()
 	t := c.pending[txID]
@@ -122,6 +125,45 @@ func (c *Client) resolve(txID string, ok bool, err error) {
 	c.mu.Unlock()
 	if t != nil {
 		t.resolve(ok, err)
+	}
+}
+
+// expire resolves t, if it is still pending, with its context's error.
+func (c *Client) expire(t *Txn) {
+	c.mu.Lock()
+	mine := c.pending[t.TxID] == t
+	if mine {
+		delete(c.pending, t.TxID)
+	}
+	c.mu.Unlock()
+	if mine {
+		t.resolve(false, fmt.Errorf("commit: submit %s: %w", t.TxID, t.ctx.Err()))
+	}
+}
+
+// sweep resolves, with an error, every submission whose coordinator has not
+// answered within coordinateUnits+16 timeout units — the coordinator bounds
+// its own run at coordinateUnits and always replies, so the slack beyond
+// that only covers the reply's travel; past it the coordinator is presumed
+// dead — and looks again every coordinateUnits/16 while one is pending. It
+// runs on the timer goroutine.
+func (c *Client) sweep() {
+	var expired []*Txn
+	c.mu.Lock()
+	for id, t := range c.pending {
+		if time.Since(t.start) >= (coordinateUnits+16)*c.opts.Timeout {
+			delete(c.pending, id)
+			expired = append(expired, t)
+		}
+	}
+	c.sweeping = len(c.pending) > 0 && !c.closed
+	again := c.sweeping
+	c.mu.Unlock()
+	if again {
+		live.After(coordinateUnits/16*c.opts.Timeout, c.sweep)
+	}
+	for _, t := range expired {
+		t.resolve(false, fmt.Errorf("commit: submit %s: %w", t.TxID, context.DeadlineExceeded))
 	}
 }
 
@@ -242,7 +284,7 @@ func (c *Client) SubmitAt(ctx context.Context, txID string, coord int) *Txn {
 // submitMsg is SubmitAt generalized over the message that starts the
 // commit: a bare goMsg, or a stageGoMsg carrying the footprint (StageGoAll).
 func (c *Client) submitMsg(ctx context.Context, txID string, coord int, path string, msg Message) *Txn {
-	t := &Txn{TxID: txID, done: make(chan struct{})}
+	t := newTxn(ctx, txID)
 	t.start = time.Now()
 	if err := c.checkPeer(coord); err != nil {
 		t.resolve(false, err)
@@ -269,26 +311,17 @@ func (c *Client) submitMsg(ctx context.Context, txID string, coord int, path str
 		return t
 	}
 	c.pending[txID] = t
+	t.watchContext(c.expire)
+	arm := !c.sweeping
+	c.sweeping = true
 	c.mu.Unlock()
+	if arm {
+		live.After(coordinateUnits/16*c.opts.Timeout, c.sweep)
+	}
 
 	if err := c.tcp.Send(live.Envelope{TxID: txID, From: c.id, To: core.ProcessID(coord), Path: path, Msg: msg}); err != nil {
 		c.resolve(txID, false, err)
-		return t
 	}
-	// The watcher guarantees resolution: the coordinator bounds its own run
-	// at coordinateUnits and always replies, so the slack beyond that only
-	// covers the reply's travel; past it the coordinator is presumed dead.
-	bctx, cancel := c.bound(ctx, (coordinateUnits+16)*c.opts.Timeout)
-	go func() {
-		defer cancel()
-		select {
-		case <-t.done:
-		case <-c.stop:
-			c.resolve(txID, false, fmt.Errorf("commit: client closed"))
-		case <-bctx.Done():
-			c.resolve(txID, false, fmt.Errorf("commit: submit %s: %w", txID, bctx.Err()))
-		}
-	}()
 	return t
 }
 

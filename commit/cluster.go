@@ -6,12 +6,16 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"atomiccommit/internal/core"
 	"atomiccommit/internal/live"
 	"atomiccommit/internal/obs"
 )
+
+// errClusterClosed resolves what a closing cluster leaves unfinished.
+var errClusterClosed = errors.New("commit: cluster closed")
 
 // ErrAgreementViolation is wrapped into the error Commit returns when the
 // cross-member agreement check fails — the one error callers may want to
@@ -36,17 +40,16 @@ type Cluster struct {
 
 	// txID bookkeeping for the documented reuse rule: an ID may not be
 	// resubmitted while it is in flight, nor after it decided (instances are
-	// routed by txID, so reuse would cross-wire two transactions).
-	inflight map[string]struct{}
+	// routed by txID, so reuse would cross-wire two transactions). inflight
+	// maps every reserved ID to its run, nil until begin started one.
+	inflight map[string]*txnRun
 	finished boundedMap[struct{}]
 
-	// Pipeline state (pipeline.go): a lazily-started dispatcher pulls
-	// submissions off queue and runs them with at most opts.MaxInFlight
-	// transactions in flight.
-	queue       []*Txn
-	qcond       *sync.Cond
-	dispatching bool
-	stop        chan struct{}
+	// Pipeline state (pipeline.go): submissions waiting, in order, for one
+	// of the opts.MaxInFlight slots, and how many slots are taken. A run
+	// that ends passes its slot on; nothing waits per transaction.
+	queue []*Txn
+	slots int
 }
 
 // NewCluster builds a cluster with one participant per resource.
@@ -56,16 +59,12 @@ func NewCluster(resources []Resource, opts Options) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Cluster{
-		opts: opts, mesh: live.NewMesh(), stop: make(chan struct{}),
-		inflight: make(map[string]struct{}),
-	}
+	c := &Cluster{opts: opts, mesh: live.NewMesh(), inflight: make(map[string]*txnRun)}
 	if opts.Net != nil {
 		sh := opts.Net.Shaper(time.Now())
 		c.mesh.Latency = sh.Delay
 		c.mesh.Drop = sh.Drop
 	}
-	c.qcond = sync.NewCond(&c.mu)
 	for i, res := range resources {
 		id := core.ProcessID(i + 1)
 		c.peers = append(c.peers, newPeer(id, n, c.mesh.Endpoint(id), res, opts))
@@ -77,15 +76,30 @@ func NewCluster(resources []Resource, opts Options) (*Cluster, error) {
 // tests and demos.
 func (c *Cluster) Mesh() *live.Mesh { return c.mesh }
 
-// txnRun is the driver's view of one transaction: every peer's record of
-// it. Commit runs one synchronously; the pipeline dispatcher runs many
-// concurrently.
+// txnRun is the driver's view of one transaction: every peer's record of it
+// and the future it resolves. Nothing waits on it: each peer's apply counts
+// it down (applied), and the last one checks agreement and resolves the
+// future — unless the caller's context expired first (expire) or the cluster
+// closed. Commit runs one outside the pipeline's window; Submit, many in it.
 type txnRun struct {
-	c     *Cluster
-	txID  string
-	txns  []*txn // txns[i-1] is Pi's record
-	begun time.Time
+	c    *Cluster
+	fut  *Txn
+	txns []*txn // txns[i-1] is Pi's record
+	slot bool   // holds one of the pipeline's MaxInFlight slots
+	// left counts the applies still to come, plus one that begin holds until
+	// it is done with the run.
+	left atomic.Int32
+	over atomic.Bool // whoever sets it resolves the future (end)
 }
+
+// runPath and runMsg carry the driver's start of a peer (begin) through the
+// mesh's Post: local work on the peer's delivery goroutine, never a network
+// message — runMsg has no wire form, so no transport decodes one.
+const runPath = "run"
+
+type runMsg struct{ t *txn }
+
+func (runMsg) Kind() string { return "RUN" }
 
 // reserveTxID allocates a fresh transaction ID when the caller passed ""
 // (skipping any ID a caller used explicitly) and registers it as in flight.
@@ -110,17 +124,8 @@ func (c *Cluster) reserveTxID(txID string) (string, error) {
 		_, decided := c.finished.get(txID)
 		used = running || decided
 	}
-	c.inflight[txID] = struct{}{}
+	c.inflight[txID] = nil
 	return txID, nil
-}
-
-// unreserve releases a reserved txID that never reached a protocol instance
-// (begin failed, or the submission expired in the queue): the ID may be
-// reused.
-func (c *Cluster) unreserve(txID string) {
-	c.mu.Lock()
-	delete(c.inflight, txID)
-	c.mu.Unlock()
 }
 
 // markFinished moves a decided txID from the in-flight set to the bounded
@@ -132,60 +137,89 @@ func (c *Cluster) markFinished(txID string) {
 	c.finished.put(txID, struct{}{})
 }
 
-// begin joins txID on every peer in-process, then runs each: it votes via
-// its Resource's Prepare and spontaneously starts its instance (the paper's
-// footnote-13 convention), so no begin message is sent and a nice execution
-// pays the protocol's own messages only. Every record is claimed before any
-// peer runs: an early peer's vote finds a later one's record and waits in
-// it, and no peer can have decided and retired before the driver holds its
-// record.
-func (c *Cluster) begin(txID string) (*txnRun, error) {
-	r := &txnRun{c: c, txID: txID, txns: make([]*txn, len(c.peers))}
-	claimed := make([]bool, len(c.peers))
+// begin starts t: it joins t.TxID on every peer in-process, then posts each
+// claimed record's start to its peer's delivery goroutine (Mesh.Post), where
+// the peer votes via its Resource's Prepare and spontaneously starts its
+// instance (the paper's footnote-13 convention): no begin message is sent,
+// so a nice execution pays the protocol's own messages only, and the caller
+// — Submit, or a run passing its slot on — never runs a Resource method.
+// Every record is claimed before any peer runs: an early peer's vote finds a
+// later one's record and waits in it, and no peer can have decided and
+// retired before the driver holds its record. slot says t holds one of the
+// pipeline's slots, which the run passes on when it ends.
+func (c *Cluster) begin(t *Txn, slot bool) *txnRun {
+	n := len(c.peers)
+	r := &txnRun{c: c, fut: t, slot: slot, txns: make([]*txn, n)}
+	r.left.Store(int32(n + 1))
+	t.start = time.Now()
+	c.mu.Lock()
+	closed := c.closed
+	if !closed {
+		c.inflight[t.TxID] = r // the cluster's Close ends it from here on
+	}
+	c.mu.Unlock()
+	if closed {
+		r.fail(errClusterClosed)
+		return r
+	}
+	claimed := make([]bool, n)
+	var missing *Peer
 	for i, p := range c.peers {
 		p.mu.Lock()
-		r.txns[i], claimed[i] = p.join(txID)
+		tx, first := p.join(t.TxID)
+		switch {
+		case tx == nil:
+			if missing == nil {
+				missing = p
+			}
+		case tx.applied():
+			r.left.Add(-1)
+		default:
+			tx.run = r
+		}
 		p.mu.Unlock()
+		r.txns[i], claimed[i] = tx, first
 	}
 	for i, p := range c.peers {
 		if claimed[i] {
-			p.run(txID, r.txns[i], nil)
+			c.mesh.Post(live.Envelope{TxID: t.TxID, From: p.id, To: p.id, Path: runPath, Msg: runMsg{r.txns[i]}})
 		}
 	}
-	for i, t := range r.txns {
-		if t == nil {
-			return nil, fmt.Errorf("commit: %v cannot start %s: closed, or already decided there", c.peers[i].id, txID)
-		}
+	switch {
+	case missing != nil:
+		r.fail(fmt.Errorf("commit: %v cannot start %s: closed, or already decided there", missing.id, t.TxID))
+	case t.ctx.Err() != nil:
+		// The context may have expired before the run was filed to expire.
+		r.expire(t.ctx.Err())
 	}
-	r.begun = time.Now()
-	return r, nil
+	r.applied() // begin's own count
+	return r
 }
 
-// finish gathers every peer's outcome; each applied its own decision to its
-// Resource before reporting (Peer.settle), so committed means applied
-// everywhere. Every peer is waited for before the cross-member agreement
-// check runs, so a violation dump holds the full decision vector (and every
+// applied counts one apply (or begin's own count) down; the last runs
+// complete.
+func (r *txnRun) applied() {
+	if r.left.Add(-1) == 0 {
+		r.complete()
+	}
+}
+
+// complete runs once every peer applied its own decision to its Resource
+// (Peer.settle), so committed means applied everywhere. It runs on the last
+// peer's apply worker, after every peer's decision is in, so the
+// cross-member agreement check sees the full decision vector (and every
 // member's decide event is in the flight recorder) rather than stopping at
 // the first mismatching pair.
-func (r *txnRun) finish(ctx context.Context) (bool, error) {
-	defer r.c.markFinished(r.txID)
-
+func (r *txnRun) complete() {
+	if !r.over.CompareAndSwap(false, true) {
+		return // expired, or closed, already
+	}
 	proto := string(r.c.opts.Protocol)
 	vals := make([]core.Value, len(r.txns))
 	allYes := true // every resource voted commit (abort-reason attribution)
-	for i, p := range r.c.peers {
-		if _, err := p.Wait(ctx, r.txID); err != nil {
-			obs.M.Counter("commit.abort.infra." + proto).Add(1)
-			// An infra abort means this member never decided within its
-			// deadline: tell the auditor so the transaction is audited
-			// under a failure class, not failure-free.
-			if a := obs.ActiveAuditor(); a != nil {
-				a.Suspect(r.txID, p.id, err.Error())
-			}
-			return false, err
-		}
-		vals[i] = r.txns[i].inst.Outcome()
-		allYes = allYes && r.txns[i].vote == core.Commit
+	for i, tx := range r.txns {
+		vals[i] = tx.inst.Outcome()
+		allYes = allYes && tx.vote == core.Commit
 	}
 	first := vals[0]
 	for _, v := range vals[1:] {
@@ -195,8 +229,9 @@ func (r *txnRun) finish(ctx context.Context) (bool, error) {
 			// surfacing it — with the full interleaving that produced
 			// it — beats hiding it.
 			detail := r.decisionVector(vals)
-			obs.ReportAnomaly("cluster-agreement-violation", r.txID, detail)
-			return false, fmt.Errorf("%w on %s: %s", ErrAgreementViolation, r.txID, detail)
+			obs.ReportAnomaly("cluster-agreement-violation", r.fut.TxID, detail)
+			r.end(false, fmt.Errorf("%w on %s: %s", ErrAgreementViolation, r.fut.TxID, detail))
+			return
 		}
 	}
 
@@ -206,7 +241,7 @@ func (r *txnRun) finish(ctx context.Context) (bool, error) {
 	if path == "" {
 		path = "default"
 	}
-	obs.M.Histogram("commit.latency_ns." + proto + "." + path).Record(int64(time.Since(r.begun)))
+	obs.M.Histogram("commit.latency_ns." + proto + "." + path).Record(int64(time.Since(r.fut.start)))
 	if first == core.Commit {
 		obs.M.Counter("commit.committed." + proto).Add(1)
 	} else if allYes {
@@ -217,7 +252,51 @@ func (r *txnRun) finish(ctx context.Context) (bool, error) {
 		// At least one "no" vote (e.g. a kv conflict): a normal abort.
 		obs.M.Counter("commit.abort.vote." + proto).Add(1)
 	}
-	return first == core.Commit, nil
+	r.end(first == core.Commit, nil)
+}
+
+// expire resolves the future with its context's error while some peer has
+// yet to apply the decision: an infrastructure abort. The auditor is told
+// that peer is suspect, so the transaction is audited under a failure
+// class, not failure-free. The peers run on and apply what they decide.
+func (r *txnRun) expire(err error) {
+	var late *Peer
+	for i, tx := range r.txns {
+		if tx != nil && !tx.applied() {
+			late = r.c.peers[i]
+			break
+		}
+	}
+	if late == nil || !r.over.CompareAndSwap(false, true) {
+		return // every peer applied: complete resolves it, or did
+	}
+	txID := r.fut.TxID
+	err = fmt.Errorf("commit instance %s at %v: %w", txID, late.id, err)
+	obs.M.Counter("commit.abort.infra." + string(r.c.opts.Protocol)).Add(1)
+	if a := obs.ActiveAuditor(); a != nil {
+		a.Suspect(txID, late.id, err.Error())
+	}
+	r.end(false, err)
+}
+
+// fail ends the run with err unless something else already ended it.
+func (r *txnRun) fail(err error) {
+	if r.over.CompareAndSwap(false, true) {
+		r.end(false, err)
+	}
+}
+
+// end resolves the future of a run that is over (its caller set r.over),
+// files the txID as finished and passes the run's slot on.
+func (r *txnRun) end(ok bool, err error) {
+	c := r.c
+	c.markFinished(r.fut.TxID)
+	r.fut.resolve(ok, err)
+	if r.slot {
+		if t := c.next(); t != nil {
+			c.begin(t, true)
+		}
+	}
 }
 
 // decisionVector renders every member's decision and decide path, the
@@ -249,23 +328,21 @@ func (r *txnRun) decisionVector(vals []core.Value) string {
 // decided); a unanimous abort is a normal outcome, not an error. A nil ctx
 // defaults to context.Background().
 func (c *Cluster) Commit(ctx context.Context, txID string) (bool, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	txID, err := c.reserveTxID(txID)
 	if err != nil {
 		return false, err
 	}
-	r, err := c.begin(txID)
-	if err != nil {
-		c.unreserve(txID)
-		return false, err
-	}
-	return r.finish(ctx)
+	t := newTxn(ctx, txID)
+	c.mu.Lock()
+	t.watchContext(c.expire)
+	c.mu.Unlock()
+	c.begin(t, false)
+	<-t.done
+	return t.committed, t.err
 }
 
-// Close shuts the cluster down; in-flight Commit calls may fail, and queued
-// pipeline submissions resolve with an error.
+// Close shuts the cluster down: in-flight transactions and queued pipeline
+// submissions resolve with an error, and every peer closes.
 func (c *Cluster) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -273,9 +350,22 @@ func (c *Cluster) Close() {
 		return
 	}
 	c.closed = true
-	close(c.stop)
-	c.qcond.Broadcast()
+	queue := c.queue
+	c.queue = nil
+	gQueueDepth.Set(0)
+	var runs []*txnRun
+	for _, r := range c.inflight {
+		if r != nil {
+			runs = append(runs, r)
+		}
+	}
 	c.mu.Unlock()
+	for _, t := range queue {
+		t.resolve(false, errClusterClosed)
+	}
+	for _, r := range runs {
+		r.fail(errClusterClosed)
+	}
 	for _, p := range c.peers {
 		p.Close()
 	}

@@ -162,6 +162,13 @@ func (o Options) ticks() core.Ticks {
 
 // Resource is the participant-side hook: the local outcome of the
 // transaction's execution (the paper's "vote") and the final callbacks.
+//
+// All three must return promptly. Prepare runs on the peer's delivery path,
+// on both transports — a TCP connection's read loop, a Cluster peer's mesh
+// inbox — so the deliveries behind it wait for it. Commit and Abort run one
+// at a time, in the order the peer decided, on the peer's apply worker, so
+// its later decisions wait for them. Different peers' callbacks run
+// concurrently.
 type Resource interface {
 	// Prepare reports whether the transaction can commit locally ("yes"
 	// vote). A false vote guarantees a global abort.

@@ -142,11 +142,8 @@ func TestLivePathEnvelopeBound(t *testing.T) {
 				t.Fatal(err)
 			}
 			before := obs.M.CounterValue("live.mesh.envelopes")
-			r, err := cl.begin("bound")
-			if err != nil {
-				t.Fatal(err)
-			}
-			ok, err := r.finish(ctx(t))
+			r := cl.begin(newTxn(ctx(t), "bound"), false)
+			ok, err := r.fut.Wait(ctx(t))
 			got := obs.M.CounterValue("live.mesh.envelopes") - before
 			nice := ok && err == nil
 			for _, tx := range r.txns {

@@ -35,7 +35,8 @@ const stageTTLUnits = 64
 // coordinateUnits bounds a client-initiated commit run on the coordinating
 // peer, so a resultMsg always goes back even if the protocol cannot
 // terminate (e.g. no correct majority): far above any decision time, which
-// is a few timeout units.
+// is a few timeout units. One sweep per peer enforces it, every
+// coordinateUnits/16 (see sweep).
 const coordinateUnits = 128
 
 // NewPeer input validation errors, matchable with errors.Is.
@@ -81,10 +82,20 @@ type Peer struct {
 	decided boundedMap[core.Value] // outcomes of retired transactions
 	// Decision cross-checking (see decideMsg): peer decisions that arrived
 	// before our own landed. Read when ours does, then left to age out.
-	reports boundedMap[[]peerReport]
-	closed  bool
+	reports  boundedMap[[]peerReport]
+	closed   bool
+	sweeping bool // a coordination sweep is armed (see sweep)
 
-	debug *http.Server // optional observability endpoint (ServeDebug)
+	// apply is the apply worker: every decision of this peer, in the order
+	// they landed, and every dropped stage, run one at a time by settle.
+	apply *live.Inbox[decision]
+
+	// stopDebug closes the optional observability endpoint (ServeDebug). A
+	// func, not the *http.Server: the queued records reach Peer, the linker
+	// keeps every method of every type reachable from a queued value, and a
+	// field of the server's type drags in net/http's TLS stack (1.9 MB of
+	// binary, 0.7 MB of resident text on kv-geo-read).
+	stopDebug func() error
 }
 
 // txn is what a peer holds for one live transaction, from the first sign of
@@ -96,6 +107,35 @@ type txn struct {
 	inst    *live.Instance  // nil until the vote is in
 	pending []live.Envelope // protocol envelopes that arrived before inst
 	done    chan struct{}   // closed once Resource.Commit/Abort returned
+
+	// client asked this peer to coordinate the commit and awaits its result
+	// (0: nobody does); its go arrived at since.
+	client core.ProcessID
+	since  time.Time
+	// run is the Cluster driver's view of the transaction, which the apply
+	// counts down (nil outside a Cluster).
+	run *txnRun
+}
+
+// applied reports whether the peer applied t's decision. settle closes done
+// under Peer.mu, so under the lock the answer is consistent with the rest
+// of the record.
+func (t *txn) applied() bool {
+	select {
+	case <-t.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// decision is one entry of the apply worker's queue: txID's outcome v, to
+// apply and report, or — with no record — a stage dropped before its run
+// began, which only Resource.Abort hears of.
+type decision struct {
+	txID string
+	t    *txn
+	v    core.Value
 }
 
 // txnPhase is where a transaction's record stands at this peer.
@@ -160,6 +200,7 @@ func newPeer(id core.ProcessID, n int, tr live.Transport, resource Resource, opt
 		txns: make(map[string]*txn),
 	}
 	p.hosted, _ = resource.(HostedResource)
+	p.apply = live.NewInbox(p.settle)
 	tr.SetHandler(p.deliver)
 	return p
 }
@@ -201,11 +242,15 @@ func (p *Peer) deliver(e live.Envelope) {
 	case stagePath:
 		p.handleStage(e)
 	case goPath:
-		// Coordinating a commit blocks until the decision; never stall the
-		// transport's read loop on it.
-		go p.handleGo(e, nil)
+		p.coordinate(e, nil)
 	case stageGoPath:
-		go p.handleStageGo(e)
+		p.handleStageGo(e)
+	case runPath:
+		// The Cluster driver's start of a record it claimed (Cluster.begin),
+		// posted to this peer's delivery goroutine; never off the network.
+		if m, ok := e.Msg.(runMsg); ok {
+			p.run(e.TxID, m.t, nil)
+		}
 	case queryPath:
 		p.handleQuery(e)
 	case unstagePath:
@@ -292,13 +337,9 @@ func (p *Peer) handleStage(e live.Envelope) {
 		// aborted, bounding how long a dead client's intents can block
 		// other transactions. The timer goroutine only looks; the
 		// Resource's callback, in the rare case there is something to
-		// drop, gets a goroutine of its own.
+		// drop, runs on the apply worker.
 		txID := e.TxID
-		live.After(stageTTLUnits*p.opts.Timeout, func() {
-			if p.unstage(txID) {
-				go p.res.Abort(txID)
-			}
-		})
+		live.After(stageTTLUnits*p.opts.Timeout, func() { p.dropStage(txID) })
 	}
 	_ = p.tr.Send(live.Envelope{TxID: e.TxID, From: p.id, To: e.From, Path: stageAckPath, Msg: stageAckMsg{Err: refusal}})
 }
@@ -336,23 +377,88 @@ func (p *Peer) stage(txID string, fp Message) (begun bool, refusal string) {
 	return false, ""
 }
 
-// handleGo coordinates the commit of a client's transaction and reports the
-// local decision (or the infrastructure failure) back, after this peer
-// applied it; slices[q], if any, rides the begin to Pq. The run is bounded so
-// a result always goes out — the client must observe abort-or-commit-or-error,
-// never a hang.
-func (p *Peer) handleGo(e live.Envelope, slices [][]byte) {
-	ctx, cancel := context.WithTimeout(context.Background(), coordinateUnits*p.opts.Timeout)
-	defer cancel()
-	ok, err := p.commit(ctx, e.TxID, slices)
+// coordinate runs the commit of a client's transaction from this peer, which
+// announces it to every other peer (slices[q], if any, riding the begin to
+// Pq), and files the client for the result: the apply worker sends it once
+// this peer applied the decision (settle), and the coordination sweep sends
+// an error if that has not happened within coordinateUnits — the client must
+// observe abort-or-commit-or-error, never a hang. It runs on the delivery
+// path up to the instance's start, as a begin does; nothing waits per
+// transaction.
+func (p *Peer) coordinate(e live.Envelope, slices [][]byte) {
+	if e.TxID == "" {
+		p.reply(e.TxID, e.From, resultMsg{V: core.Abort, Err: "commit: txID required"})
+		return
+	}
+	p.sendBegins(e.TxID, slices)
+	p.mu.Lock()
+	t, first := p.join(e.TxID)
+	answer, arm := true, false
 	res := resultMsg{V: core.Abort}
-	if ok {
-		res.V = core.Commit
+	switch {
+	case t == nil:
+		if v, retired := p.decided.get(e.TxID); retired {
+			res.V = v
+		} else {
+			res.Err = "commit: peer closed"
+		}
+	case t.applied():
+		res.V = t.inst.Outcome()
+	default:
+		t.client, t.since = e.From, time.Now()
+		answer, arm = false, !p.sweeping
+		p.sweeping = true
 	}
-	if err != nil {
-		res.Err = err.Error()
+	p.mu.Unlock()
+	if arm {
+		live.After(coordinateUnits/16*p.opts.Timeout, p.sweep)
 	}
-	_ = p.tr.Send(live.Envelope{TxID: e.TxID, From: p.id, To: e.From, Path: resultPath, Msg: res})
+	if first {
+		p.run(e.TxID, t, nil)
+	}
+	if answer {
+		p.reply(e.TxID, e.From, res)
+	}
+}
+
+// sweep answers, with an error, every client whose commit this peer has
+// coordinated for coordinateUnits without applying a decision — the protocol
+// cannot terminate without a correct majority — and looks again every
+// coordinateUnits/16 while some client waits. One deadline per peer serves
+// them all: one per commit would keep tens of thousands of heap entries alive
+// under load, each for 128 U. It runs on the timer goroutine, and only sends.
+func (p *Peer) sweep() {
+	type late struct {
+		txID string
+		to   core.ProcessID
+	}
+	var expired []late
+	p.mu.Lock()
+	p.sweeping = false
+	for txID, t := range p.txns {
+		switch {
+		case t.client == 0:
+		case time.Since(t.since) >= coordinateUnits*p.opts.Timeout:
+			expired = append(expired, late{txID, t.client})
+			t.client = 0
+		default:
+			p.sweeping = true
+		}
+	}
+	again := p.sweeping && !p.closed
+	p.mu.Unlock()
+	if again {
+		live.After(coordinateUnits/16*p.opts.Timeout, p.sweep)
+	}
+	for _, l := range expired {
+		p.reply(l.txID, l.to, resultMsg{V: core.Abort,
+			Err: fmt.Sprintf("commit instance %s at %v: %v", l.txID, p.id, context.DeadlineExceeded)})
+	}
+}
+
+// reply sends a client the result of the commit it asked this peer to run.
+func (p *Peer) reply(txID string, to core.ProcessID, res resultMsg) {
+	_ = p.tr.Send(live.Envelope{TxID: txID, From: p.id, To: to, Path: resultPath, Msg: res})
 }
 
 // handleStageGo is the whole client side of a commit in one leg: check every
@@ -367,10 +473,7 @@ func (p *Peer) handleStageGo(e live.Envelope) {
 	if !ok {
 		return
 	}
-	refuse := func(why string) {
-		_ = p.tr.Send(live.Envelope{TxID: e.TxID, From: p.id, To: e.From,
-			Path: resultPath, Msg: resultMsg{V: core.Abort, Err: why}})
-	}
+	refuse := func(why string) { p.reply(e.TxID, e.From, resultMsg{V: core.Abort, Err: why}) }
 	slices, err := p.checkSlices(m)
 	if err != nil {
 		refuse(err.Error())
@@ -391,7 +494,7 @@ func (p *Peer) handleStageGo(e live.Envelope) {
 			return
 		}
 	}
-	p.handleGo(e, slices)
+	p.coordinate(e, slices)
 }
 
 // checkSlices validates the other peers' slices of a client's stage+go
@@ -436,24 +539,20 @@ func (p *Peer) handleQuery(e live.Envelope) {
 // with a cached abort outcome — a pathologically late begin must be dropped
 // (and answered abort from the cache), not allowed to vacuously commit a
 // transaction whose staged writes were just thrown away. No-op once the
-// protocol run began or decided: the protocol owns the outcome then.
+// protocol run began or decided: the protocol owns the outcome then. The
+// Resource's Abort runs on the apply worker.
 func (p *Peer) dropStage(txID string) {
-	if p.unstage(txID) {
-		p.res.Abort(txID)
-	}
-}
-
-// unstage is dropStage up to the Resource's callback: it reports whether
-// txID was staged, and so is the caller's to abort.
-func (p *Peer) unstage(txID string) bool {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	if t := p.txns[txID]; t == nil || t.phase != staged {
-		return false
+	t := p.txns[txID]
+	staged := t != nil && t.phase == staged
+	if staged {
+		delete(p.txns, txID)
+		p.decided.put(txID, core.Abort)
 	}
-	delete(p.txns, txID)
-	p.decided.put(txID, core.Abort)
-	return true
+	p.mu.Unlock()
+	if staged {
+		p.apply.Push(decision{txID: txID, v: core.Abort})
+	}
 }
 
 // retire forgets the instances of the transactions settled at least the
@@ -529,16 +628,21 @@ func (p *Peer) stageSlice(txID string, fp []byte) bool {
 }
 
 // start runs the protocol instance of a claimed transaction on vote, with
-// settle as its decision hook, and hands it what arrived meanwhile.
+// the apply worker's queue as its decision hook, and hands it what arrived
+// meanwhile. A peer that closed meanwhile starts nothing.
 func (p *Peer) start(txID string, t *txn, vote core.Value) {
 	inst := live.NewInstance(live.Config{
 		ID: p.id, N: p.n, F: p.opts.F, U: p.opts.ticks(), TxID: txID,
 		Label:   string(p.opts.Protocol),
 		New:     p.mk,
 		Send:    p.tr.Send,
-		Decided: func(v core.Value) { go p.settle(txID, t, v) },
+		Decided: func(v core.Value) { p.apply.Push(decision{txID, t, v}) },
 	})
 	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
+		return
+	}
 	t.vote, t.inst = vote, inst
 	pend := t.pending
 	t.pending = nil
@@ -550,25 +654,39 @@ func (p *Peer) start(txID string, t *txn, vote core.Value) {
 	}
 }
 
-// settle is the one place a decision takes effect at this process. The
-// instance's Decided hook starts it when the decision lands — on a goroutine
-// of its own, because the deciding handler may be a transport's read loop,
-// which announce's sends and the Resource's callback must not stall; none
-// waits per transaction meanwhile. Cross-check and announce, apply to the
-// Resource, release the waiters, and queue for retirement so that
-// per-transaction state stays bounded.
-func (p *Peer) settle(txID string, t *txn, v core.Value) {
-	p.announce(txID, v)
-	if v == core.Commit {
-		p.res.Commit(txID)
-	} else {
-		p.res.Abort(txID)
+// settle is the one place a decision takes effect at this process, run by
+// the apply worker in the order the decisions landed: the instance's Decided
+// hook queues it, because the deciding handler may be a transport's read loop
+// or the timer goroutine, which announce's sends and the Resource's callback
+// must not stall. Cross-check and announce, apply to the Resource, release
+// the waiters, answer the client this peer coordinates for and count down the
+// Cluster driver's run, then queue for retirement so that per-transaction
+// state stays bounded. A dropped stage, which has no record, only reaches
+// Resource.Abort.
+func (p *Peer) settle(d decision) {
+	if d.t == nil {
+		p.res.Abort(d.txID)
+		return
 	}
-	close(t.done)
+	p.announce(d.txID, d.v)
+	if d.v == core.Commit {
+		p.res.Commit(d.txID)
+	} else {
+		p.res.Abort(d.txID)
+	}
 	p.mu.Lock()
-	p.settled = append(p.settled, settled{txID, time.Now()})
+	close(d.t.done)
+	client, run := d.t.client, d.t.run
+	d.t.client = 0
+	p.settled = append(p.settled, settled{d.txID, time.Now()})
 	first := len(p.settled) == 1
 	p.mu.Unlock()
+	if client != 0 {
+		p.reply(d.txID, client, resultMsg{V: d.v})
+	}
+	if run != nil {
+		run.applied()
+	}
 	if first {
 		live.After(retireGraceUnits*p.opts.Timeout, p.retire)
 	}
@@ -653,7 +771,7 @@ func (p *Peer) ServeDebug(addr string) (string, error) {
 	if p.closed {
 		return "", fmt.Errorf("commit: peer closed")
 	}
-	if p.debug != nil {
+	if p.stopDebug != nil {
 		return "", fmt.Errorf("commit: debug endpoint already serving")
 	}
 	ln, err := net.Listen("tcp", addr)
@@ -661,7 +779,7 @@ func (p *Peer) ServeDebug(addr string) (string, error) {
 		return "", err
 	}
 	srv := &http.Server{Handler: obs.DebugHandler()}
-	p.debug = srv
+	p.stopDebug = srv.Close
 	go srv.Serve(ln)
 	return ln.Addr().String(), nil
 }
@@ -670,15 +788,16 @@ func (p *Peer) ServeDebug(addr string) (string, error) {
 // LOCAL decision is applied (other peers decide on their own and fire their
 // callbacks). It returns true iff the transaction committed.
 func (p *Peer) Commit(ctx context.Context, txID string) (bool, error) {
-	return p.commit(ctx, txID, nil)
-}
-
-// commit is Commit with slices[q], when set, riding the begin to Pq.
-func (p *Peer) commit(ctx context.Context, txID string, slices [][]byte) (bool, error) {
 	if txID == "" {
 		return false, fmt.Errorf("commit: txID required")
 	}
-	// Announce the transaction so every peer starts (roughly) together.
+	p.sendBegins(txID, nil)
+	return p.Wait(ctx, txID)
+}
+
+// sendBegins announces txID to every other peer, so that every peer starts
+// (roughly) together; slices[q], when set, rides the begin to Pq.
+func (p *Peer) sendBegins(txID string, slices [][]byte) {
 	for q := core.ProcessID(1); int(q) <= p.n; q++ {
 		if q == p.id {
 			continue
@@ -689,7 +808,6 @@ func (p *Peer) commit(ctx context.Context, txID string, slices [][]byte) (bool, 
 		}
 		_ = p.tr.Send(live.Envelope{TxID: txID, From: p.id, To: q, Path: beginPath, Msg: begin})
 	}
-	return p.Wait(ctx, txID)
 }
 
 // Wait blocks until this peer's instance for txID (started by any peer, or
@@ -731,10 +849,11 @@ func (p *Peer) Close() {
 		}
 	}
 	p.txns = make(map[string]*txn)
-	debug := p.debug
+	stopDebug := p.stopDebug
 	p.mu.Unlock()
-	if debug != nil {
-		debug.Close()
+	p.apply.Close() // a crash: applies still queued are dropped
+	if stopDebug != nil {
+		stopDebug()
 	}
 	p.tr.Close()
 }

@@ -42,7 +42,7 @@ func yesResources(n int) []Resource {
 }
 
 // TestPeerDecisionCrossCheck exercises the peers' decision cross-checking
-// (what separate processes have in place of Cluster.finish's agreement
+// (what separate processes have in place of the Cluster driver's agreement
 // check): agreeing peers stay silent, and a diverging decision — injected,
 // since the protocols agree in healthy runs — is reported through the
 // anomaly hook with the transaction's timeline. The flight recorder is on,

@@ -3,13 +3,14 @@ package commit
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"atomiccommit/internal/obs"
 )
 
 // Pipeline depth gauges: how many submissions sit queued behind the window
-// and how many transactions are actively running. Sampled by /debug/metrics
+// and how many of its slots are taken. Sampled by /debug/metrics
 // and the bench counter deltas.
 var (
 	gQueueDepth = obs.M.Gauge("pipeline.queue_depth")
@@ -22,13 +23,23 @@ type Txn struct {
 	// TxID is the transaction's identifier (allocated if Submit got "").
 	TxID string
 
-	ctx   context.Context
-	start time.Time // when the dispatcher began running the transaction
-	end   time.Time
+	ctx     context.Context
+	unwatch func() bool // stops ctx's watch; nil if nothing watches it
+	start   time.Time   // when the transaction began running
+	end     time.Time
 
 	done      chan struct{}
 	committed bool
 	err       error
+}
+
+// newTxn returns the unresolved future of txID, bounded by ctx (nil: no
+// bound).
+func newTxn(ctx context.Context, txID string) *Txn {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	return &Txn{TxID: txID, ctx: ctx, done: make(chan struct{})}
 }
 
 // Done is closed once the transaction's outcome is available.
@@ -57,10 +68,29 @@ func (t *Txn) Wait(ctx context.Context) (bool, error) {
 	}
 }
 
+// resolve settles the future; its caller is the one that may (see
+// txnRun.over, Cluster.expire, Client.resolve). A transaction that never
+// began running has zero latency.
 func (t *Txn) resolve(ok bool, err error) {
+	if t.unwatch != nil {
+		t.unwatch()
+	}
 	t.end = time.Now()
+	if t.start.IsZero() {
+		t.start = t.end
+	}
 	t.committed, t.err = ok, err
 	close(t.done)
+}
+
+// watchContext arranges for expire to run once ctx ends — with
+// context.AfterFunc, so a watch costs no goroutine, and a context that
+// never ends costs nothing at all. The caller holds the lock expire takes
+// first, so t.unwatch is set before expire can resolve t.
+func (t *Txn) watchContext(expire func(*Txn)) {
+	if t.ctx.Done() != nil {
+		t.unwatch = context.AfterFunc(t.ctx, func() { expire(t) })
+	}
 }
 
 // ResolvedTxn returns a future that is already resolved with the given
@@ -84,10 +114,10 @@ func UnresolvedTxn(txID string) (t *Txn, resolve func(committed bool, err error)
 }
 
 // Submit enqueues one transaction on the commit pipeline and returns a
-// future immediately. The pipeline's dispatcher runs up to
-// Options.MaxInFlight transactions concurrently, each a full protocol
-// instance with its own per-member state (instances are routed by TxID);
-// submissions beyond the window queue in order.
+// future immediately. Up to Options.MaxInFlight transactions run
+// concurrently, each a full protocol instance with its own per-member state
+// (instances are routed by TxID); submissions beyond the window queue in
+// order, and each run that ends starts the oldest of them in its place.
 //
 // ctx bounds the transaction itself: if it expires while the transaction is
 // queued or running, the future resolves with its error. A nil ctx defaults
@@ -96,33 +126,71 @@ func UnresolvedTxn(txID string) (t *Txn, resolve func(committed bool, err error)
 // decided-set) is rejected — the future resolves with an error — because
 // instances are routed by txID and reuse would cross-wire two transactions.
 func (c *Cluster) Submit(ctx context.Context, txID string) *Txn {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+	t := newTxn(ctx, txID)
 	id, err := c.reserveTxID(txID)
 	if err != nil {
-		t := &Txn{TxID: txID, ctx: ctx, done: make(chan struct{})}
-		t.start = time.Now()
 		t.resolve(false, err)
 		return t
 	}
-	t := &Txn{TxID: id, ctx: ctx, done: make(chan struct{})}
+	t.TxID = id
 	c.mu.Lock()
 	if c.closed {
-		delete(c.inflight, t.TxID)
+		delete(c.inflight, id)
 		c.mu.Unlock()
-		t.start = time.Now()
-		t.resolve(false, fmt.Errorf("commit: cluster closed"))
+		t.resolve(false, errClusterClosed)
 		return t
 	}
-	if !c.dispatching {
-		c.dispatching = true
-		go c.dispatch()
+	run := c.slots < c.opts.MaxInFlight && len(c.queue) == 0
+	if run {
+		c.slots++
+		gInFlight.Set(int64(c.slots))
+	} else {
+		c.queue = append(c.queue, t)
+		gQueueDepth.Set(int64(len(c.queue)))
 	}
-	c.queue = append(c.queue, t)
-	gQueueDepth.Set(int64(len(c.queue)))
-	c.qcond.Signal()
+	t.watchContext(c.expire)
 	c.mu.Unlock()
+	if run {
+		c.begin(t, true)
+	}
+	return t
+}
+
+// expire resolves t with its context's error, whether it still waits for a
+// slot — it leaves the queue, and its ID is free again — or runs (see
+// txnRun.expire).
+func (c *Cluster) expire(t *Txn) {
+	err := t.ctx.Err()
+	c.mu.Lock()
+	if i := slices.Index(c.queue, t); i >= 0 {
+		c.queue = slices.Delete(c.queue, i, i+1)
+		gQueueDepth.Set(int64(len(c.queue)))
+		delete(c.inflight, t.TxID)
+		c.mu.Unlock()
+		t.resolve(false, fmt.Errorf("commit: submit %s: %w", t.TxID, err))
+		return
+	}
+	r := c.inflight[t.TxID]
+	c.mu.Unlock()
+	if r != nil && r.fut == t {
+		r.expire(err)
+	}
+}
+
+// next passes the slot its caller holds to the oldest queued submission,
+// which it returns, or frees the slot when none waits (nil).
+func (c *Cluster) next() *Txn {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.queue) == 0 || c.closed {
+		c.slots--
+		gInFlight.Set(int64(c.slots))
+		return nil
+	}
+	t := c.queue[0]
+	c.queue[0] = nil
+	c.queue = c.queue[1:]
+	gQueueDepth.Set(int64(len(c.queue)))
 	return t
 }
 
@@ -149,66 +217,4 @@ func commitMany(ctx context.Context, txIDs []string, submit func(context.Context
 		}
 	}
 	return results, firstErr
-}
-
-// dispatch is the pipeline's dispatcher loop: it pulls submissions off the
-// queue in order and runs each through the shared transaction runner
-// (begin/finish in cluster.go), admitting at most MaxInFlight at a time.
-// It exits when the cluster closes, resolving whatever is still queued.
-func (c *Cluster) dispatch() {
-	window := make(chan struct{}, c.opts.MaxInFlight)
-	for {
-		c.mu.Lock()
-		for len(c.queue) == 0 && !c.closed {
-			c.qcond.Wait()
-		}
-		if c.closed {
-			queue := c.queue
-			c.queue = nil
-			gQueueDepth.Set(0)
-			for _, t := range queue {
-				delete(c.inflight, t.TxID)
-			}
-			c.mu.Unlock()
-			for _, t := range queue {
-				t.start = time.Now()
-				t.resolve(false, fmt.Errorf("commit: cluster closed"))
-			}
-			return
-		}
-		t := c.queue[0]
-		c.queue = c.queue[1:]
-		gQueueDepth.Set(int64(len(c.queue)))
-		c.mu.Unlock()
-
-		select {
-		case window <- struct{}{}:
-		case <-t.ctx.Done():
-			c.unreserve(t.TxID)
-			t.start = time.Now()
-			t.resolve(false, fmt.Errorf("commit: submit %s: %w", t.TxID, t.ctx.Err()))
-			continue
-		case <-c.stop:
-			c.unreserve(t.TxID)
-			t.start = time.Now()
-			t.resolve(false, fmt.Errorf("commit: cluster closed"))
-			continue
-		}
-		go func(t *Txn) {
-			gInFlight.Add(1)
-			defer func() {
-				gInFlight.Add(-1)
-				<-window
-			}()
-			t.start = time.Now()
-			r, err := c.begin(t.TxID)
-			if err != nil {
-				c.unreserve(t.TxID)
-				t.resolve(false, err)
-				return
-			}
-			ok, err := r.finish(t.ctx)
-			t.resolve(ok, err)
-		}(t)
-	}
 }

@@ -24,7 +24,7 @@ func (d *deadline) before(o *deadline) bool {
 // deadlines is the process's one timer: a heap of every armed deadline and
 // one goroutine, started with the first of them, that runs each handler when
 // its time comes. A handler therefore runs on a stack that is already grown,
-// and arming costs a heap slot, where a time.AfterFunc each costs a timer, a
+// and arming costs a heap slot, where a runtime timer each costs a timer, a
 // closure and a fresh goroutine per firing.
 //
 // The goroutine runs every timer handler of the process, one at a time, so a

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"atomiccommit/internal/core"
@@ -18,9 +19,89 @@ var (
 	mMeshBytes     = obs.M.Counter("live.mesh.bytes")
 )
 
+// Inbox is a FIFO of values that one long-lived goroutine hands, in order, to
+// the function it was made with: the commit host's workers (a mesh
+// destination's deliveries, a peer's apply worker) in place of a goroutine
+// per value. Push never blocks and allocates nothing once the queue reached
+// its working size; the goroutine swaps the whole queue out and runs it with
+// the lock released.
+type Inbox[T any] struct {
+	mu     sync.Mutex
+	wake   sync.Cond
+	q      []T
+	idle   bool        // the goroutine waits for a Push
+	closed atomic.Bool // written under mu; read per value by the goroutine
+}
+
+// NewInbox starts the goroutine that runs handle on every value pushed.
+func NewInbox[T any](handle func(T)) *Inbox[T] {
+	b := &Inbox[T]{}
+	b.wake.L = &b.mu
+	go b.run(handle)
+	return b
+}
+
+// Push queues v, reporting false — v dropped — once the inbox is closed.
+func (b *Inbox[T]) Push(v T) bool {
+	b.mu.Lock()
+	if b.closed.Load() {
+		b.mu.Unlock()
+		return false
+	}
+	b.q = append(b.q, v)
+	wake := b.idle
+	b.idle = false
+	b.mu.Unlock()
+	if wake {
+		b.wake.Signal()
+	}
+	return true
+}
+
+// Close stops the inbox, like a crash: what is queued is dropped and the
+// goroutine exits once the value in hand, if any, is done. It does not wait
+// for that.
+func (b *Inbox[T]) Close() {
+	b.mu.Lock()
+	b.closed.Store(true)
+	b.q = nil
+	b.mu.Unlock()
+	b.wake.Signal()
+}
+
+func (b *Inbox[T]) run(handle func(T)) {
+	var batch []T
+	for {
+		b.mu.Lock()
+		for len(b.q) == 0 && !b.closed.Load() {
+			b.idle = true
+			b.wake.Wait()
+		}
+		batch, b.q = b.q, batch[:0]
+		b.mu.Unlock()
+		for i := range batch {
+			if b.closed.Load() {
+				return
+			}
+			handle(batch[i])
+		}
+		if b.closed.Load() {
+			return
+		}
+		clear(batch)
+	}
+}
+
 // Mesh is an in-memory network connecting n processes in one address space:
 // the transport behind the public commit.Cluster. Latency and partitions are
 // injectable, which the failure examples and tests use.
+//
+// Each destination has one inbox, drained in arrival order by one goroutine
+// that runs the destination's handler — the mesh twin of a TCP read loop: a
+// handler that blocks holds up deliveries to its own process only. An
+// envelope that Latency delays reaches its inbox from the deadline heap
+// (After), so nothing on the mesh starts a goroutine or a runtime timer per
+// envelope.
 //
 // Every envelope whose message implements core.Wire is round-tripped through
 // the same binary codec the TCP transport puts on the socket (encode into a
@@ -31,8 +112,8 @@ var (
 // never alias the sender's slices. Messages that do not implement core.Wire
 // (test doubles) are delivered by reference as before.
 type Mesh struct {
-	mu       sync.RWMutex
-	handlers map[core.ProcessID]func(Envelope)
+	mu      sync.RWMutex
+	inboxes map[core.ProcessID]*Inbox[meshItem]
 
 	// Latency returns the artificial one-way latency of an envelope; nil
 	// means deliver as fast as the scheduler allows.
@@ -43,9 +124,17 @@ type Mesh struct {
 	Drop func(e Envelope) bool
 }
 
+// meshItem is one entry of a destination's inbox: an envelope and its
+// encoded size, or (local) a process's own work item (see Post).
+type meshItem struct {
+	e     Envelope
+	size  int
+	local bool
+}
+
 // NewMesh returns an empty mesh.
 func NewMesh() *Mesh {
-	return &Mesh{handlers: make(map[core.ProcessID]func(Envelope))}
+	return &Mesh{inboxes: make(map[core.ProcessID]*Inbox[meshItem])}
 }
 
 // Jitter returns a Latency function uniform in [base, base+spread).
@@ -67,15 +156,61 @@ func (m *Mesh) Endpoint(id core.ProcessID) Transport {
 	return &meshEndpoint{mesh: m, id: id}
 }
 
+// Post queues e on e.To's inbox as it is: no codec, no counters, no latency
+// and no drop. It is how a host hands one of its processes local work — the
+// commit.Cluster driver's start of a peer — to run on that process's delivery
+// goroutine, in order with its envelopes, without putting a message on the
+// network.
+func (m *Mesh) Post(e Envelope) {
+	m.mu.RLock()
+	in := m.inboxes[e.To]
+	m.mu.RUnlock()
+	if in != nil {
+		in.Push(meshItem{e: e, local: true})
+	}
+}
+
 type meshEndpoint struct {
 	mesh *Mesh
 	id   core.ProcessID
 }
 
+// SetHandler starts the endpoint's inbox, replacing (and closing) an earlier
+// one.
 func (t *meshEndpoint) SetHandler(h func(Envelope)) {
+	in := NewInbox(func(it meshItem) { deliverMesh(h, it) })
 	t.mesh.mu.Lock()
-	defer t.mesh.mu.Unlock()
-	t.mesh.handlers[t.id] = h
+	old := t.mesh.inboxes[t.id]
+	t.mesh.inboxes[t.id] = in
+	t.mesh.mu.Unlock()
+	if old != nil {
+		old.Close()
+	}
+}
+
+// deliverMesh runs h on one inbox entry, on the destination's goroutine.
+func deliverMesh(h func(Envelope), it meshItem) {
+	e := it.e
+	if it.local {
+		h(e)
+		return
+	}
+	var now obs.HLC
+	if e.HLC != 0 {
+		now = obs.ProcessClock.Observe(e.HLC)
+	}
+	if obs.Default.Enabled() {
+		var wid uint16
+		if w, ok := e.Msg.(core.Wire); ok {
+			wid = w.WireID()
+		}
+		obs.Default.Record(obs.Event{
+			Kind: obs.EvRecv, TxID: e.TxID, Proc: e.To, Peer: e.From,
+			Path: e.Path, WireID: wid, Size: it.size,
+			HLC: now, Arg: int64(e.HLC),
+		})
+	}
+	h(e)
 }
 
 // meshBuf is the pooled scratch pair for the mesh's codec round-trip.
@@ -108,11 +243,11 @@ func roundTrip(e Envelope) (Envelope, int, error) {
 
 func (t *meshEndpoint) Send(e Envelope) error {
 	t.mesh.mu.RLock()
-	h := t.mesh.handlers[e.To]
+	in := t.mesh.inboxes[e.To]
 	drop := t.mesh.Drop
 	lat := t.mesh.Latency
 	t.mesh.mu.RUnlock()
-	if h == nil || (drop != nil && drop(e)) {
+	if in == nil || (drop != nil && drop(e)) {
 		return nil // silence models a crashed/partitioned peer
 	}
 	size := 0
@@ -135,35 +270,24 @@ func (t *meshEndpoint) Send(e Envelope) error {
 			})
 		}
 	}
-	deliver := func() {
-		var now obs.HLC
-		if e.HLC != 0 {
-			now = obs.ProcessClock.Observe(e.HLC)
-		}
-		if obs.Default.Enabled() {
-			var wid uint16
-			if w, ok := e.Msg.(core.Wire); ok {
-				wid = w.WireID()
-			}
-			obs.Default.Record(obs.Event{
-				Kind: obs.EvRecv, TxID: e.TxID, Proc: e.To, Peer: e.From,
-				Path: e.Path, WireID: wid, Size: size,
-				HLC: now, Arg: int64(e.HLC),
-			})
-		}
-		h(e)
-	}
+	it := meshItem{e: e, size: size}
 	if lat != nil {
-		time.AfterFunc(lat(e), deliver)
-	} else {
-		go deliver()
+		if d := lat(e); d > 0 {
+			After(d, func() { in.Push(it) })
+			return nil
+		}
 	}
+	in.Push(it)
 	return nil
 }
 
 func (t *meshEndpoint) Close() error {
 	t.mesh.mu.Lock()
-	defer t.mesh.mu.Unlock()
-	delete(t.mesh.handlers, t.id)
+	in := t.mesh.inboxes[t.id]
+	delete(t.mesh.inboxes, t.id)
+	t.mesh.mu.Unlock()
+	if in != nil {
+		in.Close()
+	}
 	return nil
 }

@@ -190,7 +190,8 @@ func (t *TCP) SetHandler(h func(Envelope)) {
 
 // SetShaper installs a link shaper on this process's outbound envelopes
 // (see NetProfile.Shaper). A zero LinkShaper removes shaping. Envelopes a
-// shaper delays are held in timers and enqueued late; envelopes it drops
+// shaper delays wait on the deadline heap (After) and are enqueued late, on
+// the timer goroutine — enqueue only encodes into a buffer; envelopes it drops
 // vanish — to the receiver either looks like the network being slow or the
 // sender being crashed, the two failure modes the protocols already absorb.
 func (t *TCP) SetShaper(s LinkShaper) {
@@ -353,7 +354,7 @@ func (t *TCP) Send(e Envelope) error {
 	if shaper.Delay != nil {
 		if d := shaper.Delay(e); d > 0 {
 			mShapedDelayed.Add(1)
-			time.AfterFunc(d, func() { t.enqueue(e) })
+			After(d, func() { t.enqueue(e) })
 			return nil
 		}
 	}

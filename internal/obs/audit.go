@@ -307,6 +307,15 @@ func (a *Auditor) Suspect(txID string, proc core.ProcessID, reason string) {
 	a.mu.Unlock()
 }
 
+// Suspected reports whether some process was suspected during txID (and
+// the transaction's record is still held).
+func (a *Auditor) Suspected(txID string) bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	tx, ok := a.txns[txID]
+	return ok && tx.suspected
+}
+
 // ObserveSend records that a protocol envelope of txID left a process.
 // Called by live.Instance, like the other two observations, while an
 // auditor is installed.
