@@ -1,9 +1,12 @@
 // Client-side versioned read cache for the remote runtime. A hit skips the
 // WAN entirely; safety comes for free because every read version travels in
-// the footprint and shard Prepare revalidates it — the worst a stale entry
-// can cause is an OCC abort, which the existing abort-attribution counters
-// already classify. A TTL caps how stale an entry may be served, so a hot
-// geo workload converges to fresh reads instead of thrashing on aborts.
+// the footprint and shard Prepare (or a read-only validation) revalidates
+// it — the worst a stale entry can cause is an OCC abort, which the existing
+// abort-attribution counters already classify. That abort drops every key
+// the transaction read, so a stale entry lives until its first failed use;
+// a current one lives until LRU eviction or a blind write. OpenRemote sets
+// no staleness TTL: an age limit would only evict entries that are still
+// current. An explicit one (Store.ConfigureReadCache) is still honoured.
 
 package kv
 
@@ -27,7 +30,7 @@ var (
 
 // cacheEntry is one cached committed read: value, presence, the version the
 // owning shard reported (or the client derived from its own commit), and
-// when it was observed.
+// when it was observed (zero when the cache has no TTL).
 type cacheEntry struct {
 	key string
 	val string
@@ -36,7 +39,8 @@ type cacheEntry struct {
 	at  time.Time
 }
 
-// readCache is an LRU of key -> (value, version) with a staleness TTL.
+// readCache is an LRU of key -> (value, version) with an optional
+// staleness TTL (0 = none).
 // Filled by read replies and by the client's own committed
 // read-modify-writes (whose post-commit version is exactly readVersion+1:
 // the shard's Prepare validated the read under intents that excluded every
@@ -89,7 +93,10 @@ func (c *readCache) put(key, val string, ok bool, ver uint64) {
 	if c == nil {
 		return
 	}
-	now := time.Now()
+	var now time.Time
+	if c.ttl > 0 {
+		now = time.Now()
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, found := c.m[key]; found {

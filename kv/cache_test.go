@@ -217,6 +217,46 @@ func TestRemoteCacheRefusedDropsFreshReads(t *testing.T) {
 	}
 }
 
+// TestRemoteCacheOutlivesOldTTL: the cache OpenRemote builds has no
+// staleness bound, so an entry far older than the 16 U it once allowed is
+// still a hit and the read wires no query — a stale entry is dropped by the
+// first transaction it fails, not by its age. Not parallel: it asserts on
+// global counter deltas.
+func TestRemoteCacheOutlivesOldTTL(t *testing.T) {
+	const u = 2 * time.Millisecond
+	opts := commit.Options{Protocol: commit.INBAC, F: 1, Timeout: u}
+	s, _, _ := remoteDeployment(t, 2, opts)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	const key = "aged-key"
+	// Retried: a U this tight can time a commit out, which is a legal abort.
+	for try := 0; ; try++ {
+		seed := s.Txn()
+		seed.Put(key, "v")
+		if ok, err := seed.Commit(ctx); ok && err == nil {
+			break
+		} else if try == 9 {
+			t.Fatalf("seed: ok=%v err=%v", ok, err)
+		}
+	}
+	if v, ok, err := s.Txn().WithContext(ctx).Read(key); err != nil || !ok || v != "v" {
+		t.Fatalf("filling read = (%q,%v,%v), want v", v, ok, err)
+	}
+	time.Sleep(40 * u)
+
+	hit0, batches0 := obs.M.CounterValue("kv.cache.hit"), obs.M.CounterValue("kv.remote.read.batches")
+	if v, ok, err := s.Txn().WithContext(ctx).Read(key); err != nil || !ok || v != "v" {
+		t.Fatalf("aged read = (%q,%v,%v), want v", v, ok, err)
+	}
+	if d := obs.M.CounterValue("kv.cache.hit") - hit0; d != 1 {
+		t.Fatalf("an entry 40 U old: %d cache hits, want 1", d)
+	}
+	if d := obs.M.CounterValue("kv.remote.read.batches") - batches0; d != 0 {
+		t.Fatalf("an entry 40 U old: %d wire reads, want 0", d)
+	}
+}
+
 // TestRemoteCacheOwnWriteFreshness: a committed read-modify-write leaves
 // the cache entry FRESH (version readVer+1, exactly what the shard now
 // holds), so the next transaction's cached read survives Prepare.

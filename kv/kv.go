@@ -227,12 +227,13 @@ func (s *Store) Read(key string) (string, bool, error) {
 }
 
 // ConfigureReadCache resizes the remote runtime's client-side versioned
-// read cache: capacity entries served for at most ttl before expiring
-// (ttl <= 0 means no staleness bound). capacity 0 disables the cache —
-// every transactional read pays its WAN round trip again. A stale hit can
-// only cost an OCC abort (Prepare revalidates every read version), never
-// an incorrect commit. No-op on local stores, which have no WAN to skip.
-// Not safe to call concurrently with in-flight transactions.
+// read cache to capacity entries; capacity 0 disables it — every
+// transactional read pays its WAN round trip again. A stale hit can only
+// cost an OCC abort (Prepare revalidates every read version), never an
+// incorrect commit, and that abort drops the entry, so the cache OpenRemote
+// builds has no staleness bound. ttl > 0 sets one anyway: entries older
+// than ttl miss. No-op on local stores, which have no WAN to skip. Not safe
+// to call concurrently with in-flight transactions.
 func (s *Store) ConfigureReadCache(capacity int, ttl time.Duration) {
 	if rb, ok := s.b.(*remoteBackend); ok {
 		rb.cache = newReadCache(capacity, ttl)

@@ -396,6 +396,105 @@ func TestRemoteSubmitDoesNotWait(t *testing.T) {
 	}
 }
 
+// TestCoordinatorNearestPeer pins the coordinator rule: with a geo profile
+// the peer nearest the client, involved or not, with ties going to an
+// involved peer and then to the lowest index; without one, the lowest
+// involved index.
+func TestCoordinatorNearestPeer(t *testing.T) {
+	t.Parallel()
+	usEu, err := live.NamedProfile("us-eu") // P1, P3 in us; P2, P4 in eu
+	if err != nil {
+		t.Fatal(err)
+	}
+	usEu.Pin(5, "us")
+	usEuAp, err := live.NamedProfile("us-eu-ap") // P1 in us, P2 in eu
+	if err != nil {
+		t.Fatal(err)
+	}
+	usEuAp.Pin(3, "ap")
+	for _, tc := range []struct {
+		name   string
+		net    *live.NetProfile
+		client core.ProcessID
+		n      int
+		idxs   []int // involved shards, 0-based
+		want   int
+	}{
+		{"involved home peer kept over a lower uninvolved one", usEu, 5, 4, []int{2, 3}, 3},
+		{"every involved peer remote", usEu, 5, 4, []int{1, 3}, 1},
+		{"no peer in the client's region", usEuAp, 3, 2, []int{1}, 1},
+		{"no profile", nil, 5, 4, []int{1, 3}, 2},
+	} {
+		if got := coordinator(tc.net, tc.client, tc.n, tc.idxs); got != tc.want {
+			t.Errorf("%s: coordinator = P%d, want P%d", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestRemoteFarWriteCoordinatedNearby: a write whose only shard is across the
+// WAN is coordinated by the peer next to the client, so the client waits for
+// the protocol's 2U (200 ms) and crosses no WAN link itself; a coordinator in
+// the far region adds its 30 ms go leg and 30 ms result leg. The near peer
+// hosts no slice of the write, votes yes and holds nothing once the client
+// has its result, and the far shard applies the write. Not parallel: it
+// times commits.
+func TestRemoteFarWriteCoordinatedNearby(t *testing.T) {
+	const u, oneWay = 100 * time.Millisecond, 30 * time.Millisecond
+	opts := commit.Options{Protocol: commit.INBAC, F: 1, Timeout: u, Net: coalescerProfile()}
+	addrs := kvAddrs(t, 2)
+	shards := make([]*Shard, 2)
+	for i := range shards {
+		shards[i] = NewShard(i)
+		p, err := commit.NewPeer(i+1, addrs, shards[i], opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(p.Close)
+	}
+	s, err := OpenRemote(3, addrs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	// A commit coordinated across the WAN cannot take less than 2U plus the
+	// round trip, so the fastest of three tries is what is pinned: a busy
+	// machine may be late scheduling any one of them. Every try writes a key
+	// of its own, so none meets the last one's intent.
+	far := keysAcrossShards(t, 2, 3, "far")[1]
+	best := time.Hour
+	for try := 0; try < 3 && best >= 2*u+oneWay; try++ {
+		key := far[try]
+		txn := s.Txn()
+		txn.Put(key, "v")
+		start := time.Now()
+		ok, err := txn.Commit(ctx)
+		best = min(best, time.Since(start))
+		if !ok || err != nil {
+			t.Fatalf("write to %s: ok=%v err=%v", key, ok, err)
+		}
+		shards[0].mu.Lock()
+		staged, locks := len(shards[0].staged), len(shards[0].locks)
+		shards[0].mu.Unlock()
+		if staged != 0 || locks != 0 {
+			t.Fatalf("P1 holds staged=%d locks=%d for a write it has no slice of", staged, locks)
+		}
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			if v, _, err := s.Read(key); err == nil && v == "v" {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("P2 never served the committed %s", key)
+			}
+		}
+	}
+	if best >= 2*u+oneWay {
+		t.Fatalf("a write to P2's shard alone took %v at best, want under %v: it was coordinated across the WAN", best, 2*u+oneWay)
+	}
+}
+
 // TestRemoteReadErrorDemux: concurrent reads riding one coalescer against a
 // dead owner must EACH get the owner-attributed error — a shared batch
 // failure demuxes to every caller, poisoning every transaction involved.

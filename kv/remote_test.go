@@ -188,11 +188,12 @@ func TestRemoteBankConservation(t *testing.T) {
 
 // TestRemoteNoStateLeaks is TestNoStateLeaks for the remote runtime, on a
 // network built to break the one-leg commit's ordering. Every envelope is
-// delayed by up to 6 ms on its own, and the client sits with P2 and P4, so a
-// transfer touching shard 0 is coordinated elsewhere and P1 — the INBAC
-// backup every vote goes to — is in a race between those votes and the begin
-// carrying its slice, which the votes win about every other time. Now and
-// then a begin is late enough (U is 10 ms) for its peer to give up on it.
+// delayed by up to 6 ms on its own, and the client sits with P2 and P4, a
+// millisecond nearer than P1 and P3, so every transfer is coordinated by P2
+// or P4 and P1 — the INBAC backup every vote goes to — is in a race between
+// those votes and the begin carrying its slice, which the votes win about
+// every other time. Now and then a begin is late enough (U is 10 ms) for its
+// peer to give up on it.
 // Whatever each transfer's fate, once the network is quiet no shard holds a
 // staged footprint or an intent, and money is conserved — it is not if a
 // peer votes yes on a footprint that has yet to arrive.
@@ -201,7 +202,7 @@ func TestRemoteNoStateLeaks(t *testing.T) {
 	const n = 4
 	profile := &live.NetProfile{
 		Name: "test-jitter", Regions: []string{"a", "b"},
-		OneWay: [][]time.Duration{{0, 0}, {0, 0}},
+		OneWay: [][]time.Duration{{0, time.Millisecond}, {time.Millisecond, 0}},
 		Jitter: 6 * time.Millisecond,
 	}
 	profile.Pin(n+1, "b")
@@ -353,7 +354,8 @@ func TestRemotePeerCrashAndRedial(t *testing.T) {
 		t.Fatal("transaction against a crashed peer never resolved")
 	}
 
-	// Restart on the same address; redial + hello heal both directions.
+	// Restart on the same address; the next send to it, from the client or
+	// from P2, redials, and P1 answers the client on the new connection.
 	p0b, err := ServeShard(0, addrs, opts)
 	if err != nil {
 		t.Fatal(err)
