@@ -83,10 +83,6 @@ func NewClient(id int, addrs []string, opts Options) (*Client, error) {
 // ID returns the client's process ID.
 func (c *Client) ID() int { return int(c.id) }
 
-// Timeout returns the effective timeout unit U (after defaults, including
-// a Net-derived default), which sizes retry and TTL decisions above.
-func (c *Client) Timeout() time.Duration { return c.opts.Timeout }
-
 func (c *Client) deliver(e live.Envelope) {
 	switch e.Path {
 	case stageAckPath, queryReplyPath:

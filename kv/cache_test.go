@@ -193,9 +193,12 @@ func TestRemoteCacheRefusedDropsFreshReads(t *testing.T) {
 	put("v1")
 
 	hit0, staleAb0 := obs.M.CounterValue("kv.cache.hit"), obs.M.CounterValue("kv.cache.stale_abort")
+	// A second shard in the read set: without a profile a one-shard read set
+	// is anchored, its read standing in for its validation, and would commit.
+	other := keyForShard(t, (shardIndex(key, 3)+1)%3, 3)
 	reader := sA.Txn()
-	if v, ok, err := reader.Read(key); err != nil || !ok || v != "v1" {
-		t.Fatalf("read = (%q,%v,%v), want v1", v, ok, err)
+	if vals, oks, err := reader.GetMulti(key, other); err != nil || !oks[0] || vals[0] != "v1" {
+		t.Fatalf("read = (%q,%v,%v), want v1", vals, oks, err)
 	}
 	put("v2") // single-shard: applied by the time B has its result
 	if ok, err := reader.Commit(ctx); err != nil || ok {

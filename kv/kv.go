@@ -39,6 +39,15 @@
 // shard and still pending on another; see Shard.validate. A refusal is an
 // ordinary abort: retry with a fresh Txn.
 //
+// Over a remote runtime the first read can spare one shard, the anchor,
+// that question: the read set's farthest shard is read last, after every
+// other read returned, and a reply with no write intent on any of its keys
+// is its validation at the moment of the read (r_a = t_a in the argument
+// above). Only the other shards are validated, after it. The far shard
+// then costs one round trip and the near ones two: "Distributed
+// Transactional Systems Cannot Be Fast" (PAPERS.md) rules out one round at
+// every shard, and it counts rounds, not how long they take.
+//
 // The store runs over either of two runtimes behind the same Txn API:
 //
 //   - Open hosts every shard in-process on a commit.Cluster (goroutine
@@ -48,7 +57,7 @@
 //     TCP through a commit.Client — reads become Query round-trips,
 //     Txn.Submit ships per-shard footprints to their owners before
 //     driving the commit remotely, and a read-only Submit is one more
-//     parallel Query round trip.
+//     parallel Query round trip, to every shard read from but the anchor.
 //
 // Transactions commit through the Committer, so thousands of them run
 // concurrently under Options.MaxInFlight. See Workload and Run for the
@@ -87,30 +96,34 @@ var (
 )
 
 // readResult is one key's answer from a backend read: the committed value,
-// presence, the version to validate at Prepare, and whether it was served
-// from the client-side read cache (no WAN leg; the transaction remembers,
-// for abort attribution and invalidation).
+// presence, the version to validate at Prepare, whether it was served from
+// the client-side read cache (no WAN leg; the transaction remembers, for
+// abort attribution and invalidation), and whether a write intent sat on
+// the key when the shard answered.
 type readResult struct {
 	val    string
 	ok     bool
 	ver    uint64
 	cached bool
+	held   bool
 }
 
 // backend is the runtime-specific half of the store: how reads reach a
 // shard and how a transaction's footprints are staged before the commit
 // protocol runs.
 type backend interface {
-	// read returns key's committed state. ctx bounds the read leg (remote
-	// runtimes; local reads never block). useCache allows answering from
-	// the client-side versioned read cache — safe only for transactional
-	// reads, whose version is revalidated at Prepare; non-transactional
-	// reads must pass false to observe the shard's latest committed state.
-	read(ctx context.Context, key string, useCache bool) (readResult, error)
-	// readMulti returns the committed state of every key, in input order,
-	// fanning out one batched request per owning shard in parallel — at
-	// most one WAN round trip of wall-clock whatever the key spread.
-	readMulti(ctx context.Context, keys []string) ([]readResult, error)
+	// read returns key's latest committed state, never from the client-side
+	// read cache: a non-transactional read has no commit to catch a stale
+	// version. ctx bounds the read leg (remote runtimes; local reads never
+	// block).
+	read(ctx context.Context, key string) (readResult, error)
+	// readMulti returns the committed state of every key for a transaction,
+	// in input order, answering from the read cache what it can and fanning
+	// the rest out in one batched request per owning shard in parallel. On
+	// the transaction's first read it may read one owner last and fresh;
+	// it returns that owner (1-based), the anchor, when the read was also
+	// the owner's validation, and 0 otherwise (remoteBackend.readMulti).
+	readMulti(ctx context.Context, keys []string, first bool) ([]readResult, int, error)
 	// submit stages fps (keyed by shard index) and starts the commit for
 	// txID. The returned cleanup — which may be nil — releases staged
 	// state if the protocol instance dies of an infrastructure error
@@ -222,7 +235,7 @@ func (s *Store) Get(key string) (string, bool) {
 // version there costs an OCC abort at Prepare; a non-transactional read
 // has no such validation step).
 func (s *Store) Read(key string) (string, bool, error) {
-	r, err := s.b.read(context.Background(), key, false)
+	r, err := s.b.read(context.Background(), key)
 	return r.val, r.ok, err
 }
 
@@ -264,17 +277,17 @@ type localBackend struct {
 	shards []*Shard
 }
 
-func (b *localBackend) read(_ context.Context, key string, _ bool) (readResult, error) {
+func (b *localBackend) read(_ context.Context, key string) (readResult, error) {
 	v, ok, ver := b.shards[shardIndex(key, len(b.shards))].readCommitted(key)
 	return readResult{val: v, ok: ok, ver: ver}, nil
 }
 
-func (b *localBackend) readMulti(ctx context.Context, keys []string) ([]readResult, error) {
+func (b *localBackend) readMulti(ctx context.Context, keys []string, _ bool) ([]readResult, int, error) {
 	out := make([]readResult, len(keys))
 	for i, key := range keys {
-		out[i], _ = b.read(ctx, key, false)
+		out[i], _ = b.read(ctx, key)
 	}
-	return out, nil
+	return out, 0, nil
 }
 
 func (b *localBackend) note(bool, map[string]uint64, map[string]write, []string) {}

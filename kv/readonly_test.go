@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"atomiccommit/commit"
+	"atomiccommit/internal/core"
 	"atomiccommit/internal/live"
 	"atomiccommit/internal/obs"
 )
@@ -94,6 +95,110 @@ func TestValidateRefusesAcrossVisibilityGap(t *testing.T) {
 			t.Fatalf("shard %d holds staged=%d locks=%d after validations", sh.id, len(sh.staged), len(sh.locks))
 		}
 	}
+}
+
+// TestAnchorHeldAcrossVisibilityGap is TestValidateRefusesAcrossVisibilityGap
+// with B as the anchor: the reader saw W's x on A, then read y on B last,
+// where the read is to stand in for B's validation. W still holds its intent
+// on B, so the read reports y held, the anchor is not clear and B must be
+// asked after all — and refuses. Once B applied W, a fresh read of y is new
+// and clear.
+func TestAnchorHeldAcrossVisibilityGap(t *testing.T) {
+	t.Parallel()
+	a, b := NewShard(0), NewShard(1)
+	write := func(txID string, sh *Shard, key, val string) {
+		t.Helper()
+		if err := sh.Stage(txID, footprintMsg{WriteKeys: []string{key}, WriteVals: []string{val}, WriteDels: []bool{false}}); err != nil {
+			t.Fatal(err)
+		}
+		if !sh.Prepare(txID) {
+			t.Fatalf("%s: shard %d voted no", txID, sh.id)
+		}
+	}
+	read := func(sh *Shard, key string) readReplyMsg {
+		t.Helper()
+		reply, err := sh.Query(readMsg{Keys: []string{key}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reply.(readReplyMsg)
+	}
+
+	write("seed", a, "x", "old")
+	write("seed", b, "y", "old")
+	a.Commit("seed")
+	b.Commit("seed")
+	if r := read(b, "y"); r.Held[0] {
+		t.Fatal("y read as held with no transaction in flight")
+	}
+
+	// W prepared on both shards, committed on A only.
+	write("W", a, "x", "new")
+	write("W", b, "y", "new")
+	a.Commit("W")
+
+	if r := read(a, "x"); r.Vals[0] != "new" || r.Held[0] {
+		t.Fatalf("x = %q held=%v, want new and clear", r.Vals[0], r.Held[0])
+	}
+	r := read(b, "y")
+	if r.Vals[0] != "old" {
+		t.Fatalf("y = %q, want the pre-image old", r.Vals[0])
+	}
+	if !r.Held[0] {
+		t.Fatal("the anchor read of old y reports no intent while W's is on it: a fractured read commits")
+	}
+	reply, err := b.Query(validateMsg{Keys: []string{"y"}, Vers: []uint64{r.Vers[0]}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reply.(validateReplyMsg).OK {
+		t.Fatal("shard B validated old y while W's write intent is on it")
+	}
+
+	b.Commit("W")
+	if r := read(b, "y"); r.Vals[0] != "new" || r.Held[0] {
+		t.Fatalf("after the apply y = %q held=%v, want new and clear", r.Vals[0], r.Held[0])
+	}
+}
+
+// TestAnchoredAuditSeesConstantTotal is TestReadOnlyAuditSeesConstantTotal
+// with every audit anchored: P2 alone sits in a far region, the client's read
+// cache is off, and so every audit reads the three near shards, then P2
+// fresh, and validates only the near shards. The client sits between the
+// regions, closer to P2 than the near peers are: a transfer between P2 and a
+// near shard, coordinated near the client, is applied on the near shard
+// about 6 ms before P2, while an audit's read reaches P2 1.5 ms after it
+// left. An audit that read the near shard in that gap must meet the
+// transfer's intent in its read of P2.
+//
+// Mutation note: with the held check deleted from remoteBackend.readMulti,
+// such an audit commits with a wrong total.
+//
+// Not parallel: the test lives on millisecond windows, and its seed and
+// transfers need INBAC's votes inside U.
+func TestAnchoredAuditSeesConstantTotal(t *testing.T) {
+	const n = 4
+	ms := time.Millisecond
+	profile := &live.NetProfile{
+		Name: "test-far-p2", Regions: []string{"near", "client", "far"},
+		OneWay: [][]time.Duration{
+			{0, ms / 2, 6 * ms},
+			{ms / 2, 0, 3 * ms / 2},
+			{6 * ms, 3 * ms / 2, 0},
+		},
+		Jitter: ms,
+	}
+	for _, id := range []core.ProcessID{1, 3, 4} {
+		profile.Pin(id, "near")
+	}
+	profile.Pin(n+1, "client")
+	profile.Pin(2, "far")
+	// P2's vote reaches the near peers about 14 ms after they start: U
+	// leaves that much again for a loaded machine.
+	opts := commit.Options{Protocol: commit.INBAC, F: 1, Timeout: 28 * ms, MaxInFlight: 16, Net: profile}
+	s, _, _ := remoteDeployment(t, n, opts)
+	s.ConfigureReadCache(0, 0)
+	auditUnderTransfers(t, s, opts.Timeout)
 }
 
 // TestReadOnlyAuditSeesConstantTotal is the read-only contract end to end:

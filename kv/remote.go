@@ -18,11 +18,15 @@
 //     nothing runs no commit protocol at all: one validation query per
 //     shard it read from (validateMsg -> validateReplyMsg), fanned out in
 //     parallel like the reads, and it commits iff every shard says yes —
-//     read round plus validation round, nothing staged anywhere. For one
-//     that writes, every involved shard's footprint (footprintMsg) rides
-//     INSIDE the message that asks one coordinator peer to run the commit,
-//     and the coordinator's begin to each other peer carries that peer's
-//     slice. Footprint and announcement share an envelope, so neither can
+//     read round plus validation round, nothing staged anywhere. Its
+//     first read can make the far shard's two rounds one (anchorOf): the
+//     near shards are read first, the anchor last and fresh, and an
+//     anchor reply with no write intent on its keys stands in for the
+//     anchor's validation. For a transaction that writes, every involved
+//     shard's footprint (footprintMsg) rides INSIDE the message that asks
+//     one coordinator peer to run the commit, and the coordinator's begin
+//     to each other peer carries that peer's slice. Footprint and
+//     announcement share an envelope, so neither can
 //     overtake the other; commit.Peer's ordering rule keeps a shard from
 //     voting before its announcement arrived. Only a footprint over the
 //     message budget is staged two-phase — stage at every owner, collect
@@ -218,12 +222,12 @@ func (b *remoteBackend) fetch(owner int, keys []string) ([]readResult, error) {
 		return nil, fmt.Errorf("shard owner P%d: %w", owner, err)
 	}
 	r, ok := reply.(readReplyMsg)
-	if !ok || len(r.Vals) != len(keys) || len(r.Oks) != len(keys) || len(r.Vers) != len(keys) {
+	if !ok || len(r.Vals) != len(keys) || len(r.Oks) != len(keys) || len(r.Vers) != len(keys) || len(r.Held) != len(keys) {
 		return nil, fmt.Errorf("shard owner P%d: malformed read reply %T", owner, reply)
 	}
 	res := make([]readResult, len(keys))
 	for i, key := range keys {
-		res[i] = readResult{val: r.Vals[i], ok: r.Oks[i], ver: r.Vers[i]}
+		res[i] = readResult{val: r.Vals[i], ok: r.Oks[i], ver: r.Vers[i], held: r.Held[i]}
 		b.cache.put(key, r.Vals[i], r.Oks[i], r.Vers[i])
 	}
 	return res, nil
@@ -240,47 +244,64 @@ func await(ctx context.Context, batch *readBatch) error {
 	}
 }
 
-func (b *remoteBackend) read(ctx context.Context, key string, useCache bool) (readResult, error) {
-	if useCache {
-		if val, ok, ver, hit := b.cache.get(key); hit {
-			return readResult{val: val, ok: ok, ver: ver, cached: true}, nil
-		}
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	owner := shardIndex(key, b.n) + 1
-	mLegs.Add(1)
-	batch := b.coalescer(owner).enqueue([]string{key})
-	if err := await(ctx, batch); err != nil {
-		return readResult{}, fmt.Errorf("read %q via P%d: %w", key, owner, err)
-	}
-	return batch.res[batch.pos[key]], nil
+func (b *remoteBackend) read(ctx context.Context, key string) (readResult, error) {
+	out := make([]readResult, 1)
+	err := b.readInto(ctx, []string{key}, out, map[int][]int{shardIndex(key, b.n) + 1: {0}})
+	return out[0], err
 }
 
 // readMulti answers every key in input order, serving what it can from the
 // cache and fanning the misses out through the per-owner coalescers in
 // parallel — one WAN round trip of wall-clock for the whole set, shared
-// with any concurrent readers of the same owners.
-func (b *remoteBackend) readMulti(ctx context.Context, keys []string) ([]readResult, error) {
+// with any concurrent readers of the same owners. On a transaction's first
+// read the plan of anchorOf may replace that: the anchor's keys are left
+// out of the fan-out and read, all of them and fresh, once it returned. The
+// anchor is returned if its reply held no write intent on any of them.
+func (b *remoteBackend) readMulti(ctx context.Context, keys []string, first bool) ([]readResult, int, error) {
+	out := make([]readResult, len(keys))
+	owners := make(map[int][]int) // owner -> positions in keys
+	misses := make(map[int][]int) // owner -> positions the cache did not answer
+	for i, key := range keys {
+		owner := shardIndex(key, b.n) + 1
+		owners[owner] = append(owners[owner], i)
+		if val, ok, ver, hit := b.cache.get(key); hit {
+			out[i] = readResult{val: val, ok: ok, ver: ver, cached: true}
+		} else {
+			misses[owner] = append(misses[owner], i)
+		}
+	}
+	anchor := 0
+	if first {
+		anchor = b.anchorOf(owners, misses)
+		delete(misses, anchor)
+	}
+	if err := b.readInto(ctx, keys, out, misses); err != nil || anchor == 0 {
+		return out, 0, err
+	}
+	if err := b.readInto(ctx, keys, out, map[int][]int{anchor: owners[anchor]}); err != nil {
+		return out, 0, err
+	}
+	for _, i := range owners[anchor] {
+		if out[i].held {
+			return out, 0, nil
+		}
+	}
+	return out, anchor, nil
+}
+
+// readInto reads keys[i] for every position i listed under its owner in
+// byOwner, one coalesced query per owner in parallel — one leg of
+// wall-clock — and writes the answers into out.
+func (b *remoteBackend) readInto(ctx context.Context, keys []string, out []readResult, byOwner map[int][]int) error {
+	if len(byOwner) == 0 {
+		return nil
+	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	out := make([]readResult, len(keys))
-	byOwner := make(map[int][]int) // owner -> positions in keys still to fetch
-	for i, key := range keys {
-		if val, ok, ver, hit := b.cache.get(key); hit {
-			out[i] = readResult{val: val, ok: ok, ver: ver, cached: true}
-			continue
-		}
-		owner := shardIndex(key, b.n) + 1
-		byOwner[owner] = append(byOwner[owner], i)
-	}
-	if len(byOwner) == 0 {
-		return out, nil
-	}
 	mLegs.Add(1) // the fan-out is parallel: one sequential phase
 	type flight struct {
+		owner int
 		batch *readBatch
 		idxs  []int
 	}
@@ -290,17 +311,57 @@ func (b *remoteBackend) readMulti(ctx context.Context, keys []string) ([]readRes
 		for j, i := range idxs {
 			ks[j] = keys[i]
 		}
-		flights = append(flights, flight{batch: b.coalescer(owner).enqueue(ks), idxs: idxs})
+		flights = append(flights, flight{owner: owner, batch: b.coalescer(owner).enqueue(ks), idxs: idxs})
 	}
 	for _, f := range flights {
 		if err := await(ctx, f.batch); err != nil {
-			return nil, fmt.Errorf("read %q: %w", keys[f.idxs[0]], err)
+			return fmt.Errorf("read %q via P%d: %w", keys[f.idxs[0]], f.owner, err)
 		}
 		for _, i := range f.idxs {
 			out[i] = f.batch.res[f.batch.pos[keys[i]]]
 		}
 	}
-	return out, nil
+	return nil
+}
+
+// anchorOf picks the owner whose read can double as its validation, or 0
+// when that does not pay. The anchor is the read set's farthest owner by
+// round trip, ties to the lowest index. Reading every other owner's misses
+// first, the anchor then, and validating only the others costs
+// miss_non + rtt(a) + all_non; today's plan, every miss then a validation
+// fan-out as slow as the anchor, costs miss_all + rtt(a). Each term is the
+// slowest round trip of its set, and rtt(a) cancels. Without a profile
+// every round trip is one unit, so only a single-owner read set with a miss
+// is anchored.
+func (b *remoteBackend) anchorOf(owners, misses map[int][]int) int {
+	rtt := func(peer int) time.Duration {
+		if b.net == nil {
+			return 1
+		}
+		return 2 * b.net.DelayBetween(core.ProcessID(b.client.ID()), core.ProcessID(peer))
+	}
+	a := 0
+	for o := range owners {
+		if a == 0 || rtt(o) > rtt(a) || rtt(o) == rtt(a) && o < a {
+			a = o
+		}
+	}
+	var missNon, allNon, missAll time.Duration
+	for o := range owners {
+		if len(misses[o]) > 0 {
+			missAll = max(missAll, rtt(o))
+		}
+		if o != a {
+			allNon = max(allNon, rtt(o))
+			if len(misses[o]) > 0 {
+				missNon = max(missNon, rtt(o))
+			}
+		}
+	}
+	if missNon+allNon < missAll {
+		return a
+	}
+	return 0
 }
 
 // note maintains the read cache from a decided transaction: a committed

@@ -144,12 +144,13 @@ func TestRemoteCommitLegs(t *testing.T) {
 	}
 }
 
-// spyShard is a shard that counts the commit-path calls reaching it and can be
-// told to leave validation queries unanswered.
+// spyShard is a shard that counts the commit-path calls and the validation
+// queries reaching it and can be told to leave validation queries unanswered.
 type spyShard struct {
 	*Shard
-	commitPath atomic.Int64 // Stage + Prepare + Commit + Abort
-	mute       atomic.Bool
+	commitPath  atomic.Int64 // Stage + Prepare + Commit + Abort
+	validations atomic.Int64
+	mute        atomic.Bool
 }
 
 func (s *spyShard) Stage(txID string, m commit.Message) error {
@@ -160,10 +161,170 @@ func (s *spyShard) Prepare(txID string) bool { s.commitPath.Add(1); return s.Sha
 func (s *spyShard) Commit(txID string)       { s.commitPath.Add(1); s.Shard.Commit(txID) }
 func (s *spyShard) Abort(txID string)        { s.commitPath.Add(1); s.Shard.Abort(txID) }
 func (s *spyShard) Query(m commit.Message) (commit.Message, error) {
-	if _, ok := m.(validateMsg); ok && s.mute.Load() {
-		return nil, fmt.Errorf("muted") // the peer turns an error into silence
+	if _, ok := m.(validateMsg); ok {
+		s.validations.Add(1)
+		if s.mute.Load() {
+			return nil, fmt.Errorf("muted") // the peer turns an error into silence
+		}
 	}
 	return s.Shard.Query(m)
+}
+
+// spyDeployment boots n spy shard peers on real sockets plus a client store
+// with its read cache off, so that every read is a wire read.
+func spyDeployment(t *testing.T, n int, opts commit.Options) (*Store, []*spyShard) {
+	t.Helper()
+	addrs := kvAddrs(t, n)
+	spies := make([]*spyShard, n)
+	for i := range spies {
+		spies[i] = &spyShard{Shard: NewShard(i)}
+		p, err := commit.NewPeer(i+1, addrs, spies[i], opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(p.Close)
+	}
+	s, err := OpenRemote(n+1, addrs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	s.ConfigureReadCache(0, 0)
+	return s, spies
+}
+
+// anchorProfile is a two-region network with a 60 ms round trip between
+// them: the client of an n-peer deployment and every peer not listed in far
+// in us, the peers in far in eu.
+func anchorProfile(n int, far ...core.ProcessID) *live.NetProfile {
+	const oneWay = 30 * time.Millisecond
+	profile := &live.NetProfile{
+		Name:    "test-anchor",
+		Regions: []string{"us", "eu"},
+		OneWay:  [][]time.Duration{{0, oneWay}, {oneWay, 0}},
+	}
+	for id := core.ProcessID(1); id <= core.ProcessID(n+1); id++ {
+		profile.Pin(id, "us")
+	}
+	for _, id := range far {
+		profile.Pin(id, "eu")
+	}
+	return profile
+}
+
+// validations returns how many validation queries each spy has answered.
+func validations(spies []*spyShard) []int64 {
+	out := make([]int64, len(spies))
+	for i, sp := range spies {
+		out[i] = sp.validations.Load()
+	}
+	return out
+}
+
+// readOnly reads keys in one GetMulti, then further one Read each, and
+// commits the transaction, which must commit.
+func readOnly(t *testing.T, s *Store, ctx context.Context, keys []string, later ...string) {
+	t.Helper()
+	txn := s.Txn().WithContext(ctx)
+	if _, _, err := txn.GetMulti(keys...); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range later {
+		if _, _, err := txn.Read(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ok, err := txn.Commit(ctx); !ok || err != nil {
+		t.Fatalf("read-only txn: ok=%v err=%v", ok, err)
+	}
+}
+
+// TestAnchorSparesFarValidation: a read-only transaction over a near shard
+// and one far shard reads the near one, then the far one, and validates only
+// the near one — three legs, of which one crosses the WAN, where reading both
+// and validating both crosses it twice. No validation query reaches the far
+// shard, and the best of three runs takes under 1.5 far round trips. Not
+// parallel: it times transactions and asserts on global counter deltas.
+func TestAnchorSparesFarValidation(t *testing.T) {
+	const roundTrip = 60 * time.Millisecond
+	opts := commit.Options{Protocol: commit.INBAC, F: 1, Timeout: 100 * time.Millisecond, Net: anchorProfile(2, 2)}
+	s, spies := spyDeployment(t, 2, opts)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	// Never-written keys: no write intent can sit on them.
+	keys := keysAcrossShards(t, 2, 3, "anchor")
+	best := time.Hour
+	for try := 0; try < 3; try++ {
+		legs0 := obs.M.CounterValue("kv.remote.legs")
+		start := time.Now()
+		readOnly(t, s, ctx, []string{keys[0][try], keys[1][try]})
+		best = min(best, time.Since(start))
+		if d := obs.M.CounterValue("kv.remote.legs") - legs0; d != 3 {
+			t.Fatalf("anchored read-only txn paid %d legs, want 3 (near read, far read, near validation)", d)
+		}
+	}
+	if v := validations(spies); v[0] != 3 || v[1] != 0 {
+		t.Fatalf("validation queries per shard = %v, want [3 0]: the far shard's read is its validation", v)
+	}
+	if best >= roundTrip*3/2 {
+		t.Fatalf("a read-only txn over one far shard took %v at best, want under %v", best, roundTrip*3/2)
+	}
+}
+
+// TestAnchorTwoFarShards: with two far shards in the read set, anchoring one
+// still leaves a far validation, so the transaction takes today's plan — one
+// read fan-out, one validation fan-out, every shard validated.
+func TestAnchorTwoFarShards(t *testing.T) {
+	t.Parallel()
+	opts := commit.Options{Protocol: commit.INBAC, F: 1, Timeout: 100 * time.Millisecond, Net: anchorProfile(3, 2, 3)}
+	s, spies := spyDeployment(t, 3, opts)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	var keys []string
+	for _, ks := range keysAcrossShards(t, 3, 1, "twofar") {
+		keys = append(keys, ks...)
+	}
+	readOnly(t, s, ctx, keys)
+	if v := validations(spies); v[0] != 1 || v[1] != 1 || v[2] != 1 {
+		t.Fatalf("validation queries per shard = %v, want [1 1 1]", v)
+	}
+}
+
+// TestAnchorVoidedByLaterRead: a read after the anchored one happens after
+// the anchor's read, so the anchor's read no longer follows every read of the
+// transaction, and the far shard is validated after all.
+func TestAnchorVoidedByLaterRead(t *testing.T) {
+	t.Parallel()
+	opts := commit.Options{Protocol: commit.INBAC, F: 1, Timeout: 100 * time.Millisecond, Net: anchorProfile(2, 2)}
+	s, spies := spyDeployment(t, 2, opts)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	keys := keysAcrossShards(t, 2, 2, "voided")
+	readOnly(t, s, ctx, []string{keys[0][0], keys[1][0]}, keys[0][1])
+	if v := validations(spies); v[0] != 1 || v[1] != 1 {
+		t.Fatalf("validation queries per shard = %v, want [1 1]: the later read voids the anchor", v)
+	}
+}
+
+// TestAnchorSingleShardNoProfile: without a profile every round trip counts
+// the same, and a read-only transaction that read one shard is anchored
+// there: its read is its whole commit, and no validation query is sent.
+func TestAnchorSingleShardNoProfile(t *testing.T) {
+	t.Parallel()
+	opts := commit.Options{Protocol: commit.INBAC, F: 1, Timeout: 25 * time.Millisecond}
+	s, spies := spyDeployment(t, 2, opts)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	keys := keysAcrossShards(t, 2, 2, "single")
+	readOnly(t, s, ctx, keys[1])
+	readOnly(t, s, ctx, nil, keys[0][0])
+	if v := validations(spies); v[0] != 0 || v[1] != 0 {
+		t.Fatalf("validation queries per shard = %v, want none", v)
+	}
 }
 
 // TestRemoteReadOnlyLegs pins the read-only commit next to the read-write

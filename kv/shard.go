@@ -100,14 +100,25 @@ func (sh *Shard) readCommitted(key string) (string, bool, uint64) {
 
 // readCommittedMulti answers a whole batch under one lock acquisition, so a
 // coalesced read observes one consistent committed snapshot of the shard
-// and the lock is not bounced once per key.
-func (sh *Shard) readCommittedMulti(keys []string, vals []string, oks []bool, vers []uint64) {
+// and the lock is not bounced once per key. Held reports the write intents
+// of that same snapshot: a key read at version v with none held is what
+// validate would have said yes to at the moment of the read.
+func (sh *Shard) readCommittedMulti(keys []string) readReplyMsg {
+	r := readReplyMsg{
+		Vals: make([]string, len(keys)),
+		Oks:  make([]bool, len(keys)),
+		Vers: make([]uint64, len(keys)),
+		Held: make([]bool, len(keys)),
+	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	for i, key := range keys {
-		v, ok := sh.data[key]
-		vals[i], oks[i], vers[i] = v, ok, sh.versions[key]
+		r.Vals[i], r.Oks[i] = sh.data[key]
+		r.Vers[i] = sh.versions[key]
+		l, locked := sh.locks[key]
+		r.Held[i] = locked && l.writer != ""
 	}
+	return r
 }
 
 // stage registers a transaction's footprint ahead of Prepare. Keys in both
@@ -149,13 +160,7 @@ func (sh *Shard) Stage(txID string, m commit.Message) error {
 func (sh *Shard) Query(m commit.Message) (commit.Message, error) {
 	switch rq := m.(type) {
 	case readMsg:
-		reply := readReplyMsg{
-			Vals: make([]string, len(rq.Keys)),
-			Oks:  make([]bool, len(rq.Keys)),
-			Vers: make([]uint64, len(rq.Keys)),
-		}
-		sh.readCommittedMulti(rq.Keys, reply.Vals, reply.Oks, reply.Vers)
-		return reply, nil
+		return sh.readCommittedMulti(rq.Keys), nil
 	case validateMsg:
 		// The decoder produces matching lengths; only a hand-built message
 		// can disagree, and it gets no answer rather than a yes.
@@ -186,6 +191,13 @@ func (sh *Shard) Query(m commit.Message) (commit.Message, error) {
 // visibility gap (W applied on shard A, still holding its intent on shard
 // B): without it the reader that saw W's write on A and the pre-image on B
 // is told yes at B, a fractured read.
+//
+// The argument also holds with r_a = t_a at one shard a, the anchor: a read
+// there (readCommittedMulti) that found no write intent on any of the
+// transaction's keys is this check's yes at the moment of the read. The
+// client reads a last, after every other read returned, and validates the
+// others only after that, so every read still precedes every validation;
+// an intent at a is what fails the anchor then, exactly as here.
 func (sh *Shard) validate(keys []string, vers []uint64) bool {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()

@@ -20,8 +20,8 @@ type readVal struct {
 // versions observed) and a write set client-side; Commit or Submit routes
 // the footprint to the involved shards and runs one atomic-commit instance
 // across the whole store — or, when the write set is empty, one validation
-// query per shard read from and no instance at all. A Txn is single-use and
-// not safe for concurrent use.
+// query per shard read from but the anchor and no instance at all. A Txn is
+// single-use and not safe for concurrent use.
 type Txn struct {
 	s           *Store
 	ctx         context.Context // bounds read legs; Background when unset
@@ -29,6 +29,7 @@ type Txn struct {
 	cache       map[string]readVal
 	writes      map[string]write
 	cachedReads []string // keys served from the client-side read cache
+	anchor      int      // peer whose first read was also its validation; 0 = none
 	submitted   bool
 	err         error // sticky: a failed remote read poisons the transaction
 }
@@ -76,31 +77,41 @@ func (t *Txn) Read(key string) (string, bool, error) {
 	if w, ok := t.writes[key]; ok {
 		return w.value, !w.tombstone, nil
 	}
-	if r, ok := t.cache[key]; ok {
-		return r.value, r.ok, nil
+	if _, ok := t.cache[key]; !ok {
+		if err := t.fetch([]string{key}); err != nil {
+			return "", false, err
+		}
 	}
-	r, err := t.s.b.read(t.readCtx(), key, true)
-	if err != nil {
-		t.err = fmt.Errorf("kv: read %q: %w", key, err)
-		return "", false, t.err
-	}
-	t.record(key, r)
-	return r.val, r.ok, nil
+	r := t.cache[key]
+	return r.value, r.ok, nil
 }
 
-// record buffers one backend read result into the transaction's read set.
-func (t *Txn) record(key string, r readResult) {
-	t.reads[key] = r.ver
-	t.cache[key] = readVal{value: r.val, ok: r.ok}
-	if r.cached {
-		t.cachedReads = append(t.cachedReads, key)
+// fetch reads keys from the backend into the read set. Only the first
+// backend read may anchor; a later one voids the anchor, whose read then no
+// longer follows every other read of the transaction.
+func (t *Txn) fetch(keys []string) error {
+	rs, anchor, err := t.s.b.readMulti(t.readCtx(), keys, len(t.reads) == 0)
+	if err != nil {
+		t.err = fmt.Errorf("kv: %w", err)
+		return t.err
 	}
+	t.anchor = anchor
+	for i, key := range keys {
+		t.reads[key] = rs[i].ver
+		t.cache[key] = readVal{value: rs[i].val, ok: rs[i].ok}
+		if rs[i].cached {
+			t.cachedReads = append(t.cachedReads, key)
+		}
+	}
+	return nil
 }
 
 // GetMulti reads many keys at once, in input order. Over a remote runtime
 // the whole miss set costs at most one WAN round trip of wall-clock: the
 // backend fans out one batched query per owning shard in parallel (and the
-// client-side read cache may answer some keys with no round trip at all).
+// client-side read cache may answer some keys with no round trip at all). A
+// transaction's first read may instead read its farthest shard after the
+// others, when that spares a read-only commit the far shard's validation.
 // Keys already written or read by this transaction are served from its own
 // buffers, like Get. A failed read poisons the transaction.
 func (t *Txn) GetMulti(keys ...string) ([]string, []bool, error) {
@@ -124,13 +135,8 @@ func (t *Txn) GetMulti(keys ...string) ([]string, []bool, error) {
 		missing = append(missing, key)
 	}
 	if len(missing) > 0 {
-		rs, err := t.s.b.readMulti(t.readCtx(), missing)
-		if err != nil {
-			t.err = fmt.Errorf("kv: %w", err)
-			return nil, nil, t.err
-		}
-		for i, key := range missing {
-			t.record(key, rs[i])
+		if err := t.fetch(missing); err != nil {
+			return nil, nil, err
 		}
 	}
 	vals := make([]string, len(keys))
@@ -216,9 +222,9 @@ func (p *Pending) Wait(ctx context.Context) (bool, error) {
 // enqueues it on the store's commit pipeline, returning a future
 // immediately. ctx bounds the transaction itself. A transaction that wrote
 // nothing runs no protocol instance: the future resolves committed iff every
-// shard it read from validates its reads (see the package comment), with an
-// error if some shard's answer never came; one with an empty footprint
-// commits trivially.
+// shard it read from but the anchor validates its reads (see the package
+// comment), with an error if some shard's answer never came; one with
+// nothing left to validate commits at once.
 func (t *Txn) Submit(ctx context.Context) (*Pending, error) {
 	if t.submitted {
 		return nil, fmt.Errorf("kv: transaction already submitted")
@@ -233,12 +239,21 @@ func (t *Txn) Submit(ctx context.Context) (*Pending, error) {
 
 	txID := t.s.nextTxID()
 	if len(t.writes) == 0 {
-		if len(t.reads) == 0 {
+		reads := t.reads
+		if t.anchor != 0 {
+			reads = make(map[string]uint64, len(t.reads))
+			for key, ver := range t.reads {
+				if shardIndex(key, t.s.nshards)+1 != t.anchor {
+					reads[key] = ver
+				}
+			}
+		}
+		if len(reads) == 0 {
 			return &Pending{id: txID, txn: commit.ResolvedTxn(txID, true)}, nil
 		}
 		ct, resolve := commit.UnresolvedTxn(txID)
 		go func() {
-			ok, err := t.s.b.validate(ctx, t.reads)
+			ok, err := t.s.b.validate(ctx, reads)
 			if err == nil {
 				// Before the future resolves: whoever sees the outcome sees
 				// the cache without the keys a refusal found stale.

@@ -168,12 +168,14 @@ func (readMsg) UnmarshalWire(d *wire.Decoder) (core.Message, error) {
 	return m, d.Err()
 }
 
-// readReplyMsg answers a readMsg: value, presence, and version per
-// requested key, in request order (parallel slices).
+// readReplyMsg answers a readMsg: value, presence, version and whether a
+// write intent sat on the key, per requested key, in request order (parallel
+// slices).
 type readReplyMsg struct {
 	Vals []string
 	Oks  []bool
 	Vers []uint64
+	Held []bool
 }
 
 // Kind implements core.Message.
@@ -182,7 +184,8 @@ func (readReplyMsg) Kind() string { return "KVREADREPLY" }
 // WireID implements core.Wire.
 func (readReplyMsg) WireID() uint16 { return 82 }
 
-// MarshalWire implements core.Wire.
+// MarshalWire implements core.Wire: the per-key triples, then the intent
+// bits.
 func (m readReplyMsg) MarshalWire(b []byte) []byte {
 	b = wire.AppendUvarint(b, uint64(len(m.Vals)))
 	for i := range m.Vals {
@@ -190,20 +193,30 @@ func (m readReplyMsg) MarshalWire(b []byte) []byte {
 		b = wire.AppendBool(b, m.Oks[i])
 		b = wire.AppendUvarint(b, m.Vers[i])
 	}
+	for _, h := range m.Held {
+		b = wire.AppendBool(b, h)
+	}
 	return b
 }
 
-// UnmarshalWire implements core.Wire.
+// UnmarshalWire implements core.Wire. An encoding that ends after the
+// triples, from a shard that predates the intent bits, decodes as every key
+// held: no client takes such a read for a validation.
 func (readReplyMsg) UnmarshalWire(d *wire.Decoder) (core.Message, error) {
 	var m readReplyMsg
 	if n := d.Len(); n > 0 {
 		m.Vals = make([]string, n)
 		m.Oks = make([]bool, n)
 		m.Vers = make([]uint64, n)
+		m.Held = make([]bool, n)
 		for i := 0; i < n; i++ {
 			m.Vals[i] = d.String()
 			m.Oks[i] = d.Bool()
 			m.Vers[i] = d.Uvarint()
+		}
+		old := d.Remaining() == 0
+		for i := range m.Held {
+			m.Held[i] = old || d.Bool()
 		}
 	}
 	return m, d.Err()

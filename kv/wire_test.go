@@ -76,6 +76,7 @@ func TestReadWireRoundTrip(t *testing.T) {
 		Vals: []string{"10", "", "z"},
 		Oks:  []bool{true, false, true},
 		Vers: []uint64{7, 0, 1 << 40},
+		Held: []bool{false, true, false},
 	}
 	d.Reset(reply.MarshalWire(nil))
 	decoded, err = readReplyMsg{}.UnmarshalWire(&d)
@@ -84,6 +85,57 @@ func TestReadWireRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(decoded, reply) {
 		t.Fatalf("readReplyMsg round trip: %#v", decoded)
+	}
+}
+
+// TestReadReplyIntentWire: a read reply's intent bits round-trip, every cut
+// of its encoding errors but one, and that one — the per-key triples with no
+// bits after them, which is how a shard that predates the bits answers —
+// decodes as every key held, so no client takes it for a validation.
+func TestReadReplyIntentWire(t *testing.T) {
+	t.Parallel()
+	reply := readReplyMsg{
+		Vals: []string{"10", "", "z"},
+		Oks:  []bool{true, false, true},
+		Vers: []uint64{7, 0, 1 << 40},
+		Held: []bool{false, true, false},
+	}
+	old := wire.AppendUvarint(nil, uint64(len(reply.Vals)))
+	for i := range reply.Vals {
+		old = wire.AppendString(old, reply.Vals[i])
+		old = wire.AppendBool(old, reply.Oks[i])
+		old = wire.AppendUvarint(old, reply.Vers[i])
+	}
+	full := reply.MarshalWire(nil)
+	if !bytes.HasPrefix(full, old) {
+		t.Fatal("the intent bits are not appended to the old encoding")
+	}
+
+	var d wire.Decoder
+	for _, m := range []readReplyMsg{reply, {}} {
+		d.Reset(m.MarshalWire(nil))
+		if decoded, err := (readReplyMsg{}).UnmarshalWire(&d); err != nil || !reflect.DeepEqual(decoded, m) {
+			t.Fatalf("round trip of %#v: %#v, %v", m, decoded, err)
+		}
+	}
+	for cut := 0; cut < len(full); cut++ {
+		if cut == len(old) {
+			continue
+		}
+		d.Reset(full[:cut])
+		if _, err := (readReplyMsg{}).UnmarshalWire(&d); err == nil {
+			t.Fatalf("truncated at %d of %d decoded without error", cut, len(full))
+		}
+	}
+	d.Reset(old)
+	decoded, err := readReplyMsg{}.UnmarshalWire(&d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := reply
+	want.Held = []bool{true, true, true}
+	if !reflect.DeepEqual(decoded, want) {
+		t.Fatalf("old encoding decoded as %#v, want every key held", decoded)
 	}
 }
 
