@@ -199,8 +199,21 @@ type HostedResource interface {
 	// Stage hands the resource txID's footprint before the protocol runs.
 	// An error refuses the stage (the client aborts the transaction).
 	Stage(txID string, m Message) error
-	// Query answers a read-only request outside any transaction.
+	// Query answers a read-only request outside any transaction. An answer
+	// that is a Hop goes on to the process it names instead of back to the
+	// sender.
 	Query(m Message) (Message, error)
+}
+
+// Hop is a Query answer that names the process it goes to next: another
+// peer, which gets it as a new query, or anyone else, which gets it as the
+// reply to the query it continues — so a hosted resource can pass one
+// request along a chain of peers, and no peer keeps state or waits for it.
+// The client's reply is filed under the peer it asked, so a chain must end
+// there. An answer naming the peer that holds it, or ID 0, is dropped.
+type Hop interface {
+	Message
+	Next() core.ProcessID
 }
 
 // ResourceFunc adapts plain functions to Resource. Nil fields default to

@@ -521,9 +521,11 @@ func (p *Peer) checkSlices(m stageGoMsg) ([][]byte, error) {
 	return slices, nil
 }
 
-// handleQuery answers a one-shot read against the hosted resource. Errors
-// the resource cannot encode in its reply message degrade to silence (the
-// client's context expires), the same as a crashed peer.
+// handleQuery answers a one-shot read against the hosted resource, or, when
+// the answer is a Hop, passes it on: to another peer as a query, to anyone
+// else as the reply, both under the query's ID. Errors the resource cannot
+// encode in its reply message degrade to silence (the client's context
+// expires), the same as a crashed peer.
 func (p *Peer) handleQuery(e live.Envelope) {
 	if p.hosted == nil {
 		return
@@ -532,7 +534,16 @@ func (p *Peer) handleQuery(e live.Envelope) {
 	if err != nil || reply == nil {
 		return
 	}
-	_ = p.tr.Send(live.Envelope{TxID: e.TxID, From: p.id, To: e.From, Path: queryReplyPath, Msg: reply})
+	to, path := e.From, queryReplyPath
+	if h, ok := reply.(Hop); ok {
+		if to = h.Next(); to == 0 || to == p.id {
+			return
+		}
+		if int(to) <= p.n {
+			path = queryPath
+		}
+	}
+	_ = p.tr.Send(live.Envelope{TxID: e.TxID, From: p.id, To: to, Path: path, Msg: reply})
 }
 
 // dropStage aborts a staged, never-begun transaction and poisons its txID

@@ -85,7 +85,7 @@ const (
 	goPath         = "\x00go"         // goMsg: all stages acked; run the commit
 	stageGoPath    = "\x00stagego"    // stageGoMsg: footprint piggybacked on the go leg
 	resultPath     = "\x00result"     // resultMsg: the coordinator's local decision
-	queryPath      = "\x00query"      // payload is the resource's read request
+	queryPath      = "\x00query"      // payload is the resource's read request, or a Hop passed on
 	queryReplyPath = "\x00queryreply" // payload is the resource's read reply
 	unstagePath    = "\x00unstage"    // unstageMsg: drop a staged, never-begun txn
 )

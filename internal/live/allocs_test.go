@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"atomiccommit/internal/core"
+	"atomiccommit/internal/obs"
 )
 
 // TestTCPSendSteadyStateAllocs pins the hot send path at (amortized) zero
@@ -63,6 +64,24 @@ func TestTCPSendSteadyStateAllocs(t *testing.T) {
 	// the measured loop; allow a small epsilon above the ~0 target.
 	if avg > 0.1 {
 		t.Fatalf("steady-state Send allocates %.3f allocs/envelope, want ~0", avg)
+	}
+}
+
+// TestDecidePathCounterResolvedOnce: a decision counts on the registry's
+// "decide_path.<label>.<note>" counter ("unlabeled" standing in for no
+// label), and once the pair was resolved, finding it again allocates
+// nothing — no name is built per decision.
+func TestDecidePathCounterResolvedOnce(t *testing.T) {
+	for _, tc := range []struct{ label, name string }{
+		{"inbac", "decide_path.inbac.test-note"},
+		{"", "decide_path.unlabeled.test-note"},
+	} {
+		if decidePathCounter(tc.label, "test-note") != obs.M.Counter(tc.name) {
+			t.Fatalf("label %q: not the counter %s", tc.label, tc.name)
+		}
+	}
+	if avg := testing.AllocsPerRun(100, func() { decidePathCounter("inbac", "test-note").Add(1) }); avg != 0 {
+		t.Fatalf("a resolved decide-path counter costs %.1f allocs per decision, want 0", avg)
 	}
 }
 

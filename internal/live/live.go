@@ -18,7 +18,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"atomiccommit/internal/core"
@@ -388,11 +390,7 @@ func (e *liveEnv) Annotate(key, note string) {
 		if e.inst.decidePath == "" {
 			e.inst.decidePath = note
 		}
-		label := e.inst.label
-		if label == "" {
-			label = "unlabeled"
-		}
-		obs.M.Counter("decide_path." + label + "." + note).Add(1)
+		decidePathCounter(e.inst.label, note).Add(1)
 		if a := obs.ActiveAuditor(); a != nil {
 			a.DecidePath(e.inst.txID, e.inst.id, note)
 		}
@@ -403,6 +401,36 @@ func (e *liveEnv) Annotate(key, note string) {
 			Path: e.path, Note: key + "=" + note,
 		})
 	}
+}
+
+// decidePaths maps a (label, note) pair to its "decide_path.<label>.<note>"
+// counter. It is copied on write, so a decision finds its counter with no
+// lock taken and no string built; the pairs are a protocol's few decide
+// paths, so it stops growing early.
+var (
+	decidePaths   atomic.Pointer[map[[2]string]*obs.Counter]
+	decidePathsMu sync.Mutex // serializes the copies
+)
+
+// decidePathCounter returns the counter of decisions taken on decide path
+// note by instances labelled label ("unlabeled" when label is "").
+func decidePathCounter(label, note string) *obs.Counter {
+	k := [2]string{label, note}
+	if m := decidePaths.Load(); m != nil && (*m)[k] != nil {
+		return (*m)[k]
+	}
+	decidePathsMu.Lock()
+	defer decidePathsMu.Unlock()
+	m := make(map[[2]string]*obs.Counter)
+	if old := decidePaths.Load(); old != nil {
+		maps.Copy(m, *old)
+	}
+	if label == "" {
+		label = "unlabeled"
+	}
+	m[k] = obs.M.Counter("decide_path." + label + "." + note) // the registry's one counter of that name
+	decidePaths.Store(&m)
+	return m[k]
 }
 
 // Register is only ever called from inside Init/handlers (inst.mu held).

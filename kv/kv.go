@@ -39,14 +39,17 @@
 // shard and still pending on another; see Shard.validate. A refusal is an
 // ordinary abort: retry with a fresh Txn.
 //
-// Over a remote runtime the first read can spare one shard, the anchor,
-// that question: the read set's farthest shard is read last, after every
-// other read returned, and a reply with no write intent on any of its keys
-// is its validation at the moment of the read (r_a = t_a in the argument
-// above). Only the other shards are validated, after it. The far shard
-// then costs one round trip and the near ones two: "Distributed
+// Over a remote runtime the first read can spare the far shards that
+// question. Once every near read returned, one relay visits the read set's
+// owners in the farthest region in turn: each reads its keys fresh and
+// passes the relay on; the last one's read is its validation when no write
+// intent is on its keys (r_a = t_a in the argument above); on the way back
+// each earlier one validates what it read, after every later read. Only
+// the near shards are validated after that. The far shards then cost one
+// client round trip between them, and the near ones two: "Distributed
 // Transactional Systems Cannot Be Fast" (PAPERS.md) rules out one round at
-// every shard, and it counts rounds, not how long they take.
+// every shard, and it counts rounds, not how long they take — each far
+// shard still has its two, over its region's short links.
 //
 // The store runs over either of two runtimes behind the same Txn API:
 //
@@ -57,7 +60,8 @@
 //     TCP through a commit.Client — reads become Query round-trips,
 //     Txn.Submit ships per-shard footprints to their owners before
 //     driving the commit remotely, and a read-only Submit is one more
-//     parallel Query round trip, to every shard read from but the anchor.
+//     parallel Query round trip, to every shard read from that its relay
+//     did not validate.
 //
 // Transactions commit through the Committer, so thousands of them run
 // concurrently under Options.MaxInFlight. See Workload and Run for the
@@ -96,16 +100,14 @@ var (
 )
 
 // readResult is one key's answer from a backend read: the committed value,
-// presence, the version to validate at Prepare, whether it was served from
-// the client-side read cache (no WAN leg; the transaction remembers, for
-// abort attribution and invalidation), and whether a write intent sat on
-// the key when the shard answered.
+// presence, the version to validate at Prepare, and whether it was served
+// from the client-side read cache (no WAN leg; the transaction remembers,
+// for abort attribution and invalidation).
 type readResult struct {
 	val    string
 	ok     bool
 	ver    uint64
 	cached bool
-	held   bool
 }
 
 // backend is the runtime-specific half of the store: how reads reach a
@@ -120,10 +122,10 @@ type backend interface {
 	// readMulti returns the committed state of every key for a transaction,
 	// in input order, answering from the read cache what it can and fanning
 	// the rest out in one batched request per owning shard in parallel. On
-	// the transaction's first read it may read one owner last and fresh;
-	// it returns that owner (1-based), the anchor, when the read was also
-	// the owner's validation, and 0 otherwise (remoteBackend.readMulti).
-	readMulti(ctx context.Context, keys []string, first bool) ([]readResult, int, error)
+	// the transaction's first read it may instead read the farthest owners
+	// last, fresh and in one relay; it returns the owners (1-based) whose
+	// read was also their validation (remoteBackend.readMulti).
+	readMulti(ctx context.Context, keys []string, first bool) ([]readResult, []int, error)
 	// submit stages fps (keyed by shard index) and starts the commit for
 	// txID. The returned cleanup — which may be nil — releases staged
 	// state if the protocol instance dies of an infrastructure error
@@ -282,12 +284,12 @@ func (b *localBackend) read(_ context.Context, key string) (readResult, error) {
 	return readResult{val: v, ok: ok, ver: ver}, nil
 }
 
-func (b *localBackend) readMulti(ctx context.Context, keys []string, _ bool) ([]readResult, int, error) {
+func (b *localBackend) readMulti(ctx context.Context, keys []string, _ bool) ([]readResult, []int, error) {
 	out := make([]readResult, len(keys))
 	for i, key := range keys {
 		out[i], _ = b.read(ctx, key)
 	}
-	return out, 0, nil
+	return out, nil, nil
 }
 
 func (b *localBackend) note(bool, map[string]uint64, map[string]write, []string) {}

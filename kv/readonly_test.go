@@ -115,13 +115,19 @@ func TestAnchorHeldAcrossVisibilityGap(t *testing.T) {
 			t.Fatalf("%s: shard %d voted no", txID, sh.id)
 		}
 	}
-	read := func(sh *Shard, key string) readReplyMsg {
+	// The anchor's read is a one-hop relay; y is held iff its verdict is no.
+	type anchorRead struct {
+		readReplyMsg
+		Held []bool
+	}
+	read := func(sh *Shard, key string) anchorRead {
 		t.Helper()
-		reply, err := sh.Query(readMsg{Keys: []string{key}})
+		reply, err := sh.Query(relayMsg{N: 2, Client: 3, Hops: []relayHop{{Peer: core.ProcessID(sh.id + 1), Keys: []string{key}}}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return reply.(readReplyMsg)
+		h := reply.(relayMsg).Hops[0]
+		return anchorRead{h.Got, []bool{!h.OK}}
 	}
 
 	write("seed", a, "x", "old")
@@ -159,6 +165,108 @@ func TestAnchorHeldAcrossVisibilityGap(t *testing.T) {
 	if r := read(b, "y"); r.Vals[0] != "new" || r.Held[0] {
 		t.Fatalf("after the apply y = %q held=%v, want new and clear", r.Vals[0], r.Held[0])
 	}
+}
+
+// TestRelayValidatesOnTheWayBack walks a two-hop relay, A then B, through
+// the gap in which a writer W is applied on B and still prepared on A. A
+// reads old x on the way out; W prepares on both shards and applies on B;
+// B, the last hop, reads W's y with no intent on it, so its read is its
+// validation. Only A's closing validation, on the way back, can tell that
+// old x and new y do not belong together — and it does, by W's intent on
+// x. The reader must then validate A at Submit, which refuses too.
+//
+// Mutation note: with A's validation moved before its forward (in
+// Shard.relay, the way-out branch validating right after its read), A says
+// yes before W prepared, the client skips A's validation and commits the
+// fractured read.
+func TestRelayValidatesOnTheWayBack(t *testing.T) {
+	t.Parallel()
+	a, b := NewShard(0), NewShard(1)
+	write := func(txID string, sh *Shard, key, val string) {
+		t.Helper()
+		if err := sh.Stage(txID, footprintMsg{WriteKeys: []string{key}, WriteVals: []string{val}, WriteDels: []bool{false}}); err != nil {
+			t.Fatal(err)
+		}
+		if !sh.Prepare(txID) {
+			t.Fatalf("%s: shard %d voted no", txID, sh.id)
+		}
+	}
+	hop := func(sh *Shard, m commit.Message, next core.ProcessID) relayMsg {
+		t.Helper()
+		reply, err := sh.Query(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := reply.(relayMsg)
+		if r.Next() != next {
+			t.Fatalf("shard %d passed the relay to %d, want %d", sh.id, r.Next(), next)
+		}
+		return r
+	}
+	write("seed", a, "x", "old")
+	write("seed", b, "y", "old")
+	a.Commit("seed")
+	b.Commit("seed")
+
+	const client = 3
+	m := relayMsg{N: 2, Client: client, Hops: []relayHop{{Peer: 1, Keys: []string{"x"}}, {Peer: 2, Keys: []string{"y"}}}}
+	m = hop(a, m, 2)
+	write("W", a, "x", "new")
+	write("W", b, "y", "new")
+	b.Commit("W")
+	m = hop(b, m, 1)
+	m = hop(a, m, client)
+
+	x, y := m.Hops[0], m.Hops[1]
+	if x.Got.Vals[0] != "old" || y.Got.Vals[0] != "new" {
+		t.Fatalf("read x=%q y=%q, want the fractured old/new", x.Got.Vals[0], y.Got.Vals[0])
+	}
+	if !y.OK {
+		t.Fatal("B's read of applied y with no intent on it is not its validation")
+	}
+	if x.OK {
+		t.Fatal("A validated old x on the way back while W's write intent is on it: a fractured read commits")
+	}
+	if a.validate([]string{"x"}, x.Got.Vers) {
+		t.Fatal("A validated old x at Submit while W's write intent is on it")
+	}
+	a.Commit("W")
+	if a.validate([]string{"x"}, x.Got.Vers) {
+		t.Fatal("A validated a version W overwrote")
+	}
+}
+
+// TestRelayedAuditSeesConstantTotal is TestAnchoredAuditSeesConstantTotal
+// with two far shards, P2 and P4: every audit reads P1 and P3, then relays
+// its read through P2 and P4, which validate among themselves, and
+// validates only the near shards. Transfers between P2 and P4 apply on the
+// two at different times as much as those between a near and a far shard.
+//
+// Not parallel: the test lives on millisecond windows, and its seed and
+// transfers need INBAC's votes inside U.
+func TestRelayedAuditSeesConstantTotal(t *testing.T) {
+	const n = 4
+	ms := time.Millisecond
+	profile := &live.NetProfile{
+		Name: "test-far-p2-p4", Regions: []string{"near", "client", "far"},
+		OneWay: [][]time.Duration{
+			{0, ms / 2, 6 * ms},
+			{ms / 2, 0, 3 * ms / 2},
+			{6 * ms, 3 * ms / 2, 0},
+		},
+		Jitter: ms,
+	}
+	for _, id := range []core.ProcessID{1, 3} {
+		profile.Pin(id, "near")
+	}
+	profile.Pin(n+1, "client")
+	for _, id := range []core.ProcessID{2, 4} {
+		profile.Pin(id, "far")
+	}
+	opts := commit.Options{Protocol: commit.INBAC, F: 1, Timeout: 28 * ms, MaxInFlight: 16, Net: profile}
+	s, _, _ := remoteDeployment(t, n, opts)
+	s.ConfigureReadCache(0, 0)
+	auditUnderTransfers(t, s, opts.Timeout)
 }
 
 // TestAnchoredAuditSeesConstantTotal is TestReadOnlyAuditSeesConstantTotal
@@ -243,12 +351,23 @@ func auditUnderTransfers(t *testing.T, s *Store, u time.Duration) {
 	for _, ks := range keysAcrossShards(t, s.Shards(), perShard, "audit") {
 		accounts = append(accounts, ks...)
 	}
-	seed := s.Txn()
-	for _, k := range accounts {
-		seed.Put(k, strconv.Itoa(balance))
-	}
-	if ok, err := seed.Commit(ctx); !ok || err != nil {
-		t.Fatalf("seed: ok=%v err=%v", ok, err)
+	// INBAC may abort the seed on timing, a legal outcome on a loaded
+	// machine: try again with a fresh Txn, a few times.
+	for try := 1; ; try++ {
+		seed := s.Txn()
+		for _, k := range accounts {
+			seed.Put(k, strconv.Itoa(balance))
+		}
+		ok, err := seed.Commit(ctx)
+		if err != nil {
+			t.Fatalf("seed: %v", err)
+		}
+		if ok {
+			break
+		}
+		if try == 5 {
+			t.Fatalf("the seed aborted %d times", try)
+		}
 	}
 	// The seed's writes may still be applying on shards other than its
 	// coordinator's, where an account reads as absent: a transaction built

@@ -19,14 +19,17 @@
 //     shard it read from (validateMsg -> validateReplyMsg), fanned out in
 //     parallel like the reads, and it commits iff every shard says yes —
 //     read round plus validation round, nothing staged anywhere. Its
-//     first read can make the far shard's two rounds one (anchorOf): the
-//     near shards are read first, the anchor last and fresh, and an
-//     anchor reply with no write intent on its keys stands in for the
-//     anchor's validation. For a transaction that writes, every involved
-//     shard's footprint (footprintMsg) rides INSIDE the message that asks
-//     one coordinator peer to run the commit, and the coordinator's begin
-//     to each other peer carries that peer's slice. Footprint and
-//     announcement share an envelope, so neither can
+//     first read can take every far shard's two rounds off the client's
+//     clock but one round trip (relayOf): the near shards are read
+//     first, then one relay (relayMsg) visits the far owners in turn and
+//     comes back the same way. Each reads its keys fresh on the way out;
+//     the last one's read, with no write intent on its keys, is its
+//     validation, and each earlier one validates on the way back, over
+//     the far region's short links. For a transaction that writes, every
+//     involved shard's footprint (footprintMsg) rides INSIDE the message
+//     that asks one coordinator peer to run the commit, and the
+//     coordinator's begin to each other peer carries that peer's slice.
+//     Footprint and announcement share an envelope, so neither can
 //     overtake the other; commit.Peer's ordering rule keeps a shard from
 //     voting before its announcement arrived. Only a footprint over the
 //     message budget is staged two-phase — stage at every owner, collect
@@ -49,6 +52,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -61,9 +65,10 @@ import (
 
 // WAN-leg accounting: mLegs counts the sequential round-trip phases remote
 // transactions paid (a parallel fan-out is one phase — it costs one RTT of
-// wall-clock); mReadBatches counts readMsg queries actually put on the
-// wire, so batches much smaller than reads means the coalescer and the
-// cache are doing their jobs. The geo bench reports both per transaction.
+// wall-clock); mReadBatches counts read queries (readMsg or relayMsg)
+// actually put on the wire, so batches much smaller than reads means the
+// coalescer and the cache are doing their jobs. The geo bench reports both
+// per transaction.
 var (
 	mLegs        = obs.M.Counter("kv.remote.legs")
 	mReadBatches = obs.M.Counter("kv.remote.read.batches")
@@ -208,29 +213,38 @@ func (co *readCoalescer) send(batch *readBatch) {
 // many callers, each of which stops *waiting* when its own context
 // expires.
 func (b *remoteBackend) fetch(owner int, keys []string) ([]readResult, error) {
-	mReadBatches.Add(1)
-	reply, err := b.client.Query(context.Background(), owner, readMsg{Keys: keys})
-	if err != nil && errors.Is(err, context.DeadlineExceeded) {
-		// The query's own (generous) deadline expired — a reply lost under
-		// load, not a caller cancellation. One retry: the coalescer fans a
-		// single batch failure out to every merged reader, so a transient
-		// loss here is disproportionately expensive.
-		mReadRetries.Add(1)
-		reply, err = b.client.Query(context.Background(), owner, readMsg{Keys: keys})
-	}
+	reply, err := b.ask(context.Background(), owner, readMsg{Keys: keys})
 	if err != nil {
-		return nil, fmt.Errorf("shard owner P%d: %w", owner, err)
+		return nil, err
 	}
 	r, ok := reply.(readReplyMsg)
-	if !ok || len(r.Vals) != len(keys) || len(r.Oks) != len(keys) || len(r.Vers) != len(keys) || len(r.Held) != len(keys) {
+	if !ok || len(r.Vals) != len(keys) || len(r.Oks) != len(keys) || len(r.Vers) != len(keys) {
 		return nil, fmt.Errorf("shard owner P%d: malformed read reply %T", owner, reply)
 	}
 	res := make([]readResult, len(keys))
 	for i, key := range keys {
-		res[i] = readResult{val: r.Vals[i], ok: r.Oks[i], ver: r.Vers[i], held: r.Held[i]}
+		res[i] = readResult{val: r.Vals[i], ok: r.Oks[i], ver: r.Vers[i]}
 		b.cache.put(key, r.Vals[i], r.Oks[i], r.Vers[i])
 	}
 	return res, nil
+}
+
+// ask puts one read query on the wire. When the client's own (generous)
+// deadline expires — a reply lost under load, not a caller cancellation —
+// it asks once more: the coalescer fans a single batch failure out to every
+// merged reader, and a relay's failure is a transaction's, so a transient
+// loss is disproportionately expensive.
+func (b *remoteBackend) ask(ctx context.Context, owner int, m commit.Message) (commit.Message, error) {
+	mReadBatches.Add(1)
+	reply, err := b.client.Query(ctx, owner, m)
+	if err != nil && errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
+		mReadRetries.Add(1)
+		reply, err = b.client.Query(ctx, owner, m)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("shard owner P%d: %w", owner, err)
+	}
+	return reply, nil
 }
 
 // await blocks until the batch resolves or ctx expires (the batch flies on
@@ -254,10 +268,11 @@ func (b *remoteBackend) read(ctx context.Context, key string) (readResult, error
 // cache and fanning the misses out through the per-owner coalescers in
 // parallel — one WAN round trip of wall-clock for the whole set, shared
 // with any concurrent readers of the same owners. On a transaction's first
-// read the plan of anchorOf may replace that: the anchor's keys are left
-// out of the fan-out and read, all of them and fresh, once it returned. The
-// anchor is returned if its reply held no write intent on any of them.
-func (b *remoteBackend) readMulti(ctx context.Context, keys []string, first bool) ([]readResult, int, error) {
+// read the plan of relayOf may replace that: the relay owners' keys are
+// left out of the fan-out and read, all of them and fresh, in one relay
+// once it returned. The owners whose read was also their validation are
+// returned.
+func (b *remoteBackend) readMulti(ctx context.Context, keys []string, first bool) ([]readResult, []int, error) {
 	out := make([]readResult, len(keys))
 	owners := make(map[int][]int) // owner -> positions in keys
 	misses := make(map[int][]int) // owner -> positions the cache did not answer
@@ -270,23 +285,56 @@ func (b *remoteBackend) readMulti(ctx context.Context, keys []string, first bool
 			misses[owner] = append(misses[owner], i)
 		}
 	}
-	anchor := 0
+	var route []int
 	if first {
-		anchor = b.anchorOf(owners, misses)
-		delete(misses, anchor)
-	}
-	if err := b.readInto(ctx, keys, out, misses); err != nil || anchor == 0 {
-		return out, 0, err
-	}
-	if err := b.readInto(ctx, keys, out, map[int][]int{anchor: owners[anchor]}); err != nil {
-		return out, 0, err
-	}
-	for _, i := range owners[anchor] {
-		if out[i].held {
-			return out, 0, nil
+		route = b.relayOf(owners, misses)
+		for _, o := range route {
+			delete(misses, o)
 		}
 	}
-	return out, anchor, nil
+	if err := b.readInto(ctx, keys, out, misses); err != nil || route == nil {
+		return out, nil, err
+	}
+	validated, err := b.relay(ctx, keys, out, owners, route)
+	return out, validated, err
+}
+
+// relay reads keys[i] for every position i of every owner in route, fresh,
+// with one relay that visits the owners in route order, and writes the
+// answers into out: one client round trip for all of them. It returns the
+// owners whose read was also their validation.
+func (b *remoteBackend) relay(ctx context.Context, keys []string, out []readResult, owners map[int][]int, route []int) ([]int, error) {
+	mLegs.Add(1)
+	m := relayMsg{N: b.n, Client: core.ProcessID(b.client.ID()), Hops: make([]relayHop, len(route))}
+	for j, o := range route {
+		m.Hops[j] = relayHop{Peer: core.ProcessID(o), Keys: make([]string, len(owners[o]))}
+		for k, i := range owners[o] {
+			m.Hops[j].Keys[k] = keys[i]
+		}
+	}
+	reply, err := b.ask(ctx, route[0], m)
+	if err != nil {
+		return nil, fmt.Errorf("relay %q via P%d: %w", keys[owners[route[0]][0]], route[0], err)
+	}
+	r, ok := reply.(relayMsg)
+	if !ok || len(r.Hops) != len(route) {
+		return nil, fmt.Errorf("relay via P%d: malformed reply %T", route[0], reply)
+	}
+	var validated []int
+	for j, o := range route {
+		h := r.Hops[j]
+		if int(h.Peer) != o || len(h.Got.Vals) != len(owners[o]) {
+			return nil, fmt.Errorf("relay via P%d: malformed hop at P%d", route[0], h.Peer)
+		}
+		for k, i := range owners[o] {
+			out[i] = readResult{val: h.Got.Vals[k], ok: h.Got.Oks[k], ver: h.Got.Vers[k]}
+			b.cache.put(keys[i], h.Got.Vals[k], h.Got.Oks[k], h.Got.Vers[k])
+		}
+		if h.OK {
+			validated = append(validated, o)
+		}
+	}
+	return validated, nil
 }
 
 // readInto reads keys[i] for every position i listed under its owner in
@@ -295,9 +343,6 @@ func (b *remoteBackend) readMulti(ctx context.Context, keys []string, first bool
 func (b *remoteBackend) readInto(ctx context.Context, keys []string, out []readResult, byOwner map[int][]int) error {
 	if len(byOwner) == 0 {
 		return nil
-	}
-	if ctx == nil {
-		ctx = context.Background()
 	}
 	mLegs.Add(1) // the fan-out is parallel: one sequential phase
 	type flight struct {
@@ -324,44 +369,61 @@ func (b *remoteBackend) readInto(ctx context.Context, keys []string, out []readR
 	return nil
 }
 
-// anchorOf picks the owner whose read can double as its validation, or 0
-// when that does not pay. The anchor is the read set's farthest owner by
-// round trip, ties to the lowest index. Reading every other owner's misses
-// first, the anchor then, and validating only the others costs
-// miss_non + rtt(a) + all_non; today's plan, every miss then a validation
-// fan-out as slow as the anchor, costs miss_all + rtt(a). Each term is the
-// slowest round trip of its set, and rtt(a) cancels. Without a profile
-// every round trip is one unit, so only a single-owner read set with a miss
-// is anchored.
-func (b *remoteBackend) anchorOf(owners, misses map[int][]int) int {
-	rtt := func(peer int) time.Duration {
+// relayOf plans a transaction's first read: the route of its relay — the
+// owners it visits, in order — or nil when a relay does not pay. The route
+// holds the read set's farthest owner by round trip, a, ties to the lowest
+// index, and with a profile every other owner in a's region, in index
+// order; without one every round trip is one unit and a goes alone.
+// Reading every other owner's misses first, the relay then, and validating
+// only the others costs miss_non + rtt(a) + hops + all_non, where hops is
+// the round trips between consecutive owners on the route; the plain plan,
+// every miss then a validation fan-out as slow as a, costs
+// miss_all + rtt(a). Each other term is the slowest round trip of its set,
+// and rtt(a) cancels. So without a profile only a single-owner read set
+// with a miss is relayed.
+func (b *remoteBackend) relayOf(owners, misses map[int][]int) []int {
+	rtt := func(from, to int) time.Duration {
 		if b.net == nil {
 			return 1
 		}
-		return 2 * b.net.DelayBetween(core.ProcessID(b.client.ID()), core.ProcessID(peer))
+		return 2 * b.net.DelayBetween(core.ProcessID(from), core.ProcessID(to))
 	}
+	client := b.client.ID()
 	a := 0
 	for o := range owners {
-		if a == 0 || rtt(o) > rtt(a) || rtt(o) == rtt(a) && o < a {
+		if a == 0 || rtt(client, o) > rtt(client, a) || rtt(client, o) == rtt(client, a) && o < a {
 			a = o
 		}
 	}
-	var missNon, allNon, missAll time.Duration
+	route := []int{a}
+	if b.net != nil {
+		region := b.net.RegionOf(core.ProcessID(a))
+		for o := range owners {
+			if o != a && b.net.RegionOf(core.ProcessID(o)) == region {
+				route = append(route, o)
+			}
+		}
+		sort.Ints(route)
+	}
+	var missNon, allNon, missAll, hops time.Duration
+	for j := 1; j < len(route); j++ {
+		hops += rtt(route[j-1], route[j])
+	}
 	for o := range owners {
 		if len(misses[o]) > 0 {
-			missAll = max(missAll, rtt(o))
+			missAll = max(missAll, rtt(client, o))
 		}
-		if o != a {
-			allNon = max(allNon, rtt(o))
+		if !slices.Contains(route, o) {
+			allNon = max(allNon, rtt(client, o))
 			if len(misses[o]) > 0 {
-				missNon = max(missNon, rtt(o))
+				missNon = max(missNon, rtt(client, o))
 			}
 		}
 	}
-	if missNon+allNon < missAll {
-		return a
+	if missNon+allNon+hops < missAll {
+		return route
 	}
-	return 0
+	return nil
 }
 
 // note maintains the read cache from a decided transaction: a committed

@@ -52,9 +52,9 @@ type lockState struct {
 // Shard is one partition of the keyspace and one commit participant. It
 // implements commit.Resource (Prepare votes on conflicts, Commit/Abort
 // apply or drop the staged footprint) and commit.HostedResource (Stage
-// receives a remote client's footprint, Query answers reads and read-only
-// validations), so a shard runs identically inside a local Cluster and
-// inside a commit.Peer process reachable only over TCP.
+// receives a remote client's footprint, Query answers reads, relay hops and
+// read-only validations), so a shard runs identically inside a local
+// Cluster and inside a commit.Peer process reachable only over TCP.
 type Shard struct {
 	id int // 0-based; shard i is hosted by peer i+1 in a distributed store
 
@@ -100,25 +100,26 @@ func (sh *Shard) readCommitted(key string) (string, bool, uint64) {
 
 // readCommittedMulti answers a whole batch under one lock acquisition, so a
 // coalesced read observes one consistent committed snapshot of the shard
-// and the lock is not bounced once per key. Held reports the write intents
-// of that same snapshot: a key read at version v with none held is what
-// validate would have said yes to at the moment of the read.
-func (sh *Shard) readCommittedMulti(keys []string) readReplyMsg {
-	r := readReplyMsg{
+// and the lock is not bounced once per key. free reports that no write
+// intent sat on any of the keys in that same snapshot: the read is then
+// what validate would have said yes to at the moment of the read.
+func (sh *Shard) readCommittedMulti(keys []string) (r readReplyMsg, free bool) {
+	r = readReplyMsg{
 		Vals: make([]string, len(keys)),
 		Oks:  make([]bool, len(keys)),
 		Vers: make([]uint64, len(keys)),
-		Held: make([]bool, len(keys)),
 	}
+	free = true
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	for i, key := range keys {
 		r.Vals[i], r.Oks[i] = sh.data[key]
 		r.Vers[i] = sh.versions[key]
-		l, locked := sh.locks[key]
-		r.Held[i] = locked && l.writer != ""
+		if l, locked := sh.locks[key]; locked && l.writer != "" {
+			free = false
+		}
 	}
-	return r
+	return r, free
 }
 
 // stage registers a transaction's footprint ahead of Prepare. Keys in both
@@ -156,11 +157,15 @@ func (sh *Shard) Stage(txID string, m commit.Message) error {
 
 // Query implements commit.HostedResource: batched committed reads
 // (readMsg -> readReplyMsg) for remote clients building their read sets,
-// and the read-only commit (validateMsg -> validateReplyMsg).
+// this shard's hop of a relay (relayMsg, passed on to the process it names
+// next), and the read-only commit (validateMsg -> validateReplyMsg).
 func (sh *Shard) Query(m commit.Message) (commit.Message, error) {
 	switch rq := m.(type) {
 	case readMsg:
-		return sh.readCommittedMulti(rq.Keys), nil
+		r, _ := sh.readCommittedMulti(rq.Keys)
+		return r, nil
+	case relayMsg:
+		return sh.relay(rq)
 	case validateMsg:
 		// The decoder produces matching lengths; only a hand-built message
 		// can disagree, and it gets no answer rather than a yes.
@@ -170,6 +175,36 @@ func (sh *Shard) Query(m commit.Message) (commit.Message, error) {
 		return validateReplyMsg{OK: sh.validate(rq.Keys, rq.Vers)}, nil
 	}
 	return nil, fmt.Errorf("kv: shard %d: unexpected query %T", sh.id, m)
+}
+
+// relay runs this shard's part of a relay and names where it goes next. On
+// the way out the hop reads its keys and forwards the relay; the last hop's
+// read is its validation when no write intent is on its keys, and it turns
+// the relay back. On the way back a hop validates what it read on the way
+// out — only now, after every later hop has read — and passes the relay on
+// towards the first hop, which hands it to the client.
+func (sh *Shard) relay(m relayMsg) (commit.Message, error) {
+	if m.At < 0 || m.At >= len(m.Hops) || m.Hops[m.At].Peer != core.ProcessID(sh.id+1) {
+		return nil, fmt.Errorf("kv: shard %d: relay not at this shard", sh.id)
+	}
+	m.Hops = append([]relayHop(nil), m.Hops...) // the answer is a new message
+	h := &m.Hops[m.At]
+	switch {
+	case !m.Back:
+		var free bool
+		h.Got, free = sh.readCommittedMulti(h.Keys)
+		if m.At < len(m.Hops)-1 {
+			m.At++
+			return m, nil
+		}
+		h.OK, m.Back = free, true
+	case len(h.Got.Vers) != len(h.Keys):
+		return nil, fmt.Errorf("kv: shard %d: relay back with %d versions for %d keys", sh.id, len(h.Got.Vers), len(h.Keys))
+	default:
+		h.OK = sh.validate(h.Keys, h.Got.Vers)
+	}
+	m.At--
+	return m, nil
 }
 
 // validate is a read-only transaction's whole commit on this shard: yes iff
@@ -192,12 +227,17 @@ func (sh *Shard) Query(m commit.Message) (commit.Message, error) {
 // B): without it the reader that saw W's write on A and the pre-image on B
 // is told yes at B, a fractured read.
 //
-// The argument also holds with r_a = t_a at one shard a, the anchor: a read
-// there (readCommittedMulti) that found no write intent on any of the
-// transaction's keys is this check's yes at the moment of the read. The
-// client reads a last, after every other read returned, and validates the
-// others only after that, so every read still precedes every validation;
-// an intent at a is what fails the anchor then, exactly as here.
+// The argument also holds with r_a = t_a at one shard a: a read there
+// (readCommittedMulti) that found no write intent on any of the
+// transaction's keys is this check's yes at the moment of the read. A relay
+// (Shard.relay) makes a its last hop. The client reads its other shards
+// first and sends the relay only once they returned; the relay reads at
+// every hop on its way out, reaches a last, and validates each earlier hop
+// only on its way back, after a's read; the client validates what is left
+// only once the relay is back. So every read still precedes every
+// validation, and an intent at a is what fails a's read-as-validation then,
+// exactly as here. A one-hop relay is the case where a is the only far
+// shard.
 func (sh *Shard) validate(keys []string, vers []uint64) bool {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()

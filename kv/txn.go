@@ -3,6 +3,7 @@ package kv
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -20,8 +21,8 @@ type readVal struct {
 // versions observed) and a write set client-side; Commit or Submit routes
 // the footprint to the involved shards and runs one atomic-commit instance
 // across the whole store — or, when the write set is empty, one validation
-// query per shard read from but the anchor and no instance at all. A Txn is
-// single-use and not safe for concurrent use.
+// query per shard read from whose read was not also its validation, and no
+// instance at all. A Txn is single-use and not safe for concurrent use.
 type Txn struct {
 	s           *Store
 	ctx         context.Context // bounds read legs; Background when unset
@@ -29,7 +30,7 @@ type Txn struct {
 	cache       map[string]readVal
 	writes      map[string]write
 	cachedReads []string // keys served from the client-side read cache
-	anchor      int      // peer whose first read was also its validation; 0 = none
+	validated   []int    // peers whose first read was also their validation
 	submitted   bool
 	err         error // sticky: a failed remote read poisons the transaction
 }
@@ -87,15 +88,15 @@ func (t *Txn) Read(key string) (string, bool, error) {
 }
 
 // fetch reads keys from the backend into the read set. Only the first
-// backend read may anchor; a later one voids the anchor, whose read then no
-// longer follows every other read of the transaction.
+// backend read may validate inside the read; a later one clears those
+// validations, which then no longer follow every read of the transaction.
 func (t *Txn) fetch(keys []string) error {
-	rs, anchor, err := t.s.b.readMulti(t.readCtx(), keys, len(t.reads) == 0)
+	rs, validated, err := t.s.b.readMulti(t.readCtx(), keys, len(t.reads) == 0)
 	if err != nil {
 		t.err = fmt.Errorf("kv: %w", err)
 		return t.err
 	}
-	t.anchor = anchor
+	t.validated = validated
 	for i, key := range keys {
 		t.reads[key] = rs[i].ver
 		t.cache[key] = readVal{value: rs[i].val, ok: rs[i].ok}
@@ -110,8 +111,9 @@ func (t *Txn) fetch(keys []string) error {
 // the whole miss set costs at most one WAN round trip of wall-clock: the
 // backend fans out one batched query per owning shard in parallel (and the
 // client-side read cache may answer some keys with no round trip at all). A
-// transaction's first read may instead read its farthest shard after the
-// others, when that spares a read-only commit the far shard's validation.
+// transaction's first read may instead read its farthest shards after the
+// others, in one relay, when that spares a read-only commit their
+// validation.
 // Keys already written or read by this transaction are served from its own
 // buffers, like Get. A failed read poisons the transaction.
 func (t *Txn) GetMulti(keys ...string) ([]string, []bool, error) {
@@ -222,9 +224,9 @@ func (p *Pending) Wait(ctx context.Context) (bool, error) {
 // enqueues it on the store's commit pipeline, returning a future
 // immediately. ctx bounds the transaction itself. A transaction that wrote
 // nothing runs no protocol instance: the future resolves committed iff every
-// shard it read from but the anchor validates its reads (see the package
-// comment), with an error if some shard's answer never came; one with
-// nothing left to validate commits at once.
+// shard it read from, but those its relay validated, validates its reads
+// (see the package comment), with an error if some shard's answer never
+// came; one with nothing left to validate commits at once.
 func (t *Txn) Submit(ctx context.Context) (*Pending, error) {
 	if t.submitted {
 		return nil, fmt.Errorf("kv: transaction already submitted")
@@ -240,10 +242,10 @@ func (t *Txn) Submit(ctx context.Context) (*Pending, error) {
 	txID := t.s.nextTxID()
 	if len(t.writes) == 0 {
 		reads := t.reads
-		if t.anchor != 0 {
+		if len(t.validated) > 0 {
 			reads = make(map[string]uint64, len(t.reads))
 			for key, ver := range t.reads {
-				if shardIndex(key, t.s.nshards)+1 != t.anchor {
+				if !slices.Contains(t.validated, shardIndex(key, t.s.nshards)+1) {
 					reads[key] = ver
 				}
 			}

@@ -1,8 +1,9 @@
 // Wire messages for the distributed kv runtime: the footprint a remote
 // client stages at a shard owner, the read request/reply pair behind
-// transactional Gets, and the validation request/reply pair that commits a
-// read-only transaction. IDs live in the kv block (80..82, 84..85) of the
-// live wire registry — see internal/live/wire.go for the ID map.
+// transactional Gets, the validation request/reply pair that commits a
+// read-only transaction, and the relay that reads several far owners in one
+// client round trip. IDs live in the kv block (80..81, 84..87) of the live
+// wire registry — see internal/live/wire.go for the ID map.
 //
 // Maps are encoded as sorted parallel slices so the same footprint always
 // produces the same bytes (useful for tests and future dedup/digests).
@@ -10,6 +11,7 @@
 package kv
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -24,6 +26,7 @@ func init() {
 	live.RegisterWire(readReplyMsg{})
 	live.RegisterWire(validateMsg{})
 	live.RegisterWire(validateReplyMsg{})
+	live.RegisterWire(relayMsg{})
 }
 
 // footprintMsg carries one shard's slice of a transaction footprint from a
@@ -168,24 +171,23 @@ func (readMsg) UnmarshalWire(d *wire.Decoder) (core.Message, error) {
 	return m, d.Err()
 }
 
-// readReplyMsg answers a readMsg: value, presence, version and whether a
-// write intent sat on the key, per requested key, in request order (parallel
-// slices).
+// readReplyMsg answers a readMsg: value, presence and version per requested
+// key, in request order (parallel slices). It took a fresh wire ID when the
+// per-key intent bits it carried under ID 82 went: a relay's verdict says
+// whether a read was also a validation now.
 type readReplyMsg struct {
 	Vals []string
 	Oks  []bool
 	Vers []uint64
-	Held []bool
 }
 
 // Kind implements core.Message.
 func (readReplyMsg) Kind() string { return "KVREADREPLY" }
 
 // WireID implements core.Wire.
-func (readReplyMsg) WireID() uint16 { return 82 }
+func (readReplyMsg) WireID() uint16 { return 87 }
 
-// MarshalWire implements core.Wire: the per-key triples, then the intent
-// bits.
+// MarshalWire implements core.Wire.
 func (m readReplyMsg) MarshalWire(b []byte) []byte {
 	b = wire.AppendUvarint(b, uint64(len(m.Vals)))
 	for i := range m.Vals {
@@ -193,33 +195,115 @@ func (m readReplyMsg) MarshalWire(b []byte) []byte {
 		b = wire.AppendBool(b, m.Oks[i])
 		b = wire.AppendUvarint(b, m.Vers[i])
 	}
-	for _, h := range m.Held {
-		b = wire.AppendBool(b, h)
-	}
 	return b
 }
 
-// UnmarshalWire implements core.Wire. An encoding that ends after the
-// triples, from a shard that predates the intent bits, decodes as every key
-// held: no client takes such a read for a validation.
+// UnmarshalWire implements core.Wire.
 func (readReplyMsg) UnmarshalWire(d *wire.Decoder) (core.Message, error) {
 	var m readReplyMsg
 	if n := d.Len(); n > 0 {
 		m.Vals = make([]string, n)
 		m.Oks = make([]bool, n)
 		m.Vers = make([]uint64, n)
-		m.Held = make([]bool, n)
 		for i := 0; i < n; i++ {
 			m.Vals[i] = d.String()
 			m.Oks[i] = d.Bool()
 			m.Vers[i] = d.Uvarint()
 		}
-		old := d.Remaining() == 0
-		for i := range m.Held {
-			m.Held[i] = old || d.Bool()
-		}
 	}
 	return m, d.Err()
+}
+
+// relayMsg is one read that visits the owners in Hops in turn and comes
+// back the same way (Shard.relay): each hop reads its keys on the way out;
+// the last hop's read counts as its validation when no write intent sits on
+// its keys; on the way back each earlier hop validates what it read, and the
+// first hop hands the whole message to Client. Every hop is a Query answer
+// that names the next process (commit.Hop), so no peer keeps state or waits.
+//
+// N is the deployment's peer count as the client knows it: peers are 1..N
+// and clients above. The decoder holds a route to at most N hops, in
+// ascending peer order — so no owner twice, checked in one pass — and a
+// relay visits a peer at most twice: a client cannot bounce it among them.
+type relayMsg struct {
+	N      int
+	Client core.ProcessID
+	At     int  // the hop it is headed to; -1 once it is headed to Client
+	Back   bool // on its way back: every hop has read
+	Hops   []relayHop
+}
+
+// relayHop is one owner's part of a relay: its keys, what it read (Got,
+// empty until it did) and its verdict — OK iff the read doubled as the
+// owner's validation.
+type relayHop struct {
+	Peer core.ProcessID
+	Keys []string
+	Got  readReplyMsg
+	OK   bool
+}
+
+// Kind implements core.Message.
+func (relayMsg) Kind() string { return "KVRELAY" }
+
+// WireID implements core.Wire.
+func (relayMsg) WireID() uint16 { return 86 }
+
+// Next implements commit.Hop.
+func (m relayMsg) Next() core.ProcessID {
+	switch {
+	case m.At == -1:
+		return m.Client
+	case m.At >= 0 && m.At < len(m.Hops):
+		return m.Hops[m.At].Peer
+	}
+	return 0
+}
+
+// MarshalWire implements core.Wire.
+func (m relayMsg) MarshalWire(b []byte) []byte {
+	b = wire.AppendUvarint(b, uint64(m.N))
+	b = wire.AppendUvarint(b, uint64(m.Client))
+	b = wire.AppendInt(b, m.At)
+	b = wire.AppendBool(b, m.Back)
+	b = wire.AppendUvarint(b, uint64(len(m.Hops)))
+	for _, h := range m.Hops {
+		b = wire.AppendUvarint(b, uint64(h.Peer))
+		b = readMsg{Keys: h.Keys}.MarshalWire(b)
+		b = h.Got.MarshalWire(b)
+		b = wire.AppendBool(b, h.OK)
+	}
+	return b
+}
+
+// errRelayRoute reports a relay whose route or position the decoder refuses.
+var errRelayRoute = errors.New("kv: malformed relay")
+
+// UnmarshalWire implements core.Wire. The hop count is a client's claim:
+// hops are appended as they decode, never allocated up front.
+func (relayMsg) UnmarshalWire(d *wire.Decoder) (core.Message, error) {
+	m := relayMsg{N: int(d.Uvarint()), Client: core.ProcessID(d.Uvarint()), At: d.Int(), Back: d.Bool()}
+	for n := d.Len(); n > 0 && d.Err() == nil; n-- {
+		var h relayHop
+		h.Peer = core.ProcessID(d.Uvarint())
+		keys, _ := readMsg{}.UnmarshalWire(d)
+		h.Keys = keys.(readMsg).Keys
+		got, _ := readReplyMsg{}.UnmarshalWire(d)
+		h.Got = got.(readReplyMsg)
+		h.OK = d.Bool()
+		if h.Peer < 1 || int(h.Peer) > m.N || len(m.Hops) > 0 && h.Peer <= m.Hops[len(m.Hops)-1].Peer ||
+			len(h.Got.Vals) != 0 && len(h.Got.Vals) != len(h.Keys) {
+			return nil, errRelayRoute
+		}
+		m.Hops = append(m.Hops, h)
+	}
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	if len(m.Hops) == 0 || int(m.Client) <= m.N || m.At < -1 || m.At >= len(m.Hops) || m.At == -1 && !m.Back {
+		return nil, errRelayRoute
+	}
+	return m, nil
 }
 
 // validateMsg asks a shard owner whether a read-only transaction's reads

@@ -76,7 +76,6 @@ func TestReadWireRoundTrip(t *testing.T) {
 		Vals: []string{"10", "", "z"},
 		Oks:  []bool{true, false, true},
 		Vers: []uint64{7, 0, 1 << 40},
-		Held: []bool{false, true, false},
 	}
 	d.Reset(reply.MarshalWire(nil))
 	decoded, err = readReplyMsg{}.UnmarshalWire(&d)
@@ -88,54 +87,78 @@ func TestReadWireRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadReplyIntentWire: a read reply's intent bits round-trip, every cut
-// of its encoding errors but one, and that one — the per-key triples with no
-// bits after them, which is how a shard that predates the bits answers —
-// decodes as every key held, so no client takes it for a validation.
-func TestReadReplyIntentWire(t *testing.T) {
+// TestRelayWireRoundTrip: a relay round-trips on its way out, on its way
+// back and headed to the client, and every cut of its encoding errors.
+func TestRelayWireRoundTrip(t *testing.T) {
 	t.Parallel()
-	reply := readReplyMsg{
-		Vals: []string{"10", "", "z"},
-		Oks:  []bool{true, false, true},
-		Vers: []uint64{7, 0, 1 << 40},
-		Held: []bool{false, true, false},
-	}
-	old := wire.AppendUvarint(nil, uint64(len(reply.Vals)))
-	for i := range reply.Vals {
-		old = wire.AppendString(old, reply.Vals[i])
-		old = wire.AppendBool(old, reply.Oks[i])
-		old = wire.AppendUvarint(old, reply.Vers[i])
-	}
-	full := reply.MarshalWire(nil)
-	if !bytes.HasPrefix(full, old) {
-		t.Fatal("the intent bits are not appended to the old encoding")
-	}
-
-	var d wire.Decoder
-	for _, m := range []readReplyMsg{reply, {}} {
-		d.Reset(m.MarshalWire(nil))
-		if decoded, err := (readReplyMsg{}).UnmarshalWire(&d); err != nil || !reflect.DeepEqual(decoded, m) {
+	got := readReplyMsg{Vals: []string{"10", ""}, Oks: []bool{true, false}, Vers: []uint64{7, 0}}
+	for _, m := range []relayMsg{
+		{N: 4, Client: 5, Hops: []relayHop{{Peer: 2, Keys: []string{"x", "w"}}, {Peer: 4, Keys: []string{"y"}}}},
+		{N: 4, Client: 5, At: 0, Back: true, Hops: []relayHop{{Peer: 2, Keys: []string{"x", "w"}, Got: got}, {Peer: 4, Keys: []string{"y"}, Got: readReplyMsg{Vals: []string{"v"}, Oks: []bool{true}, Vers: []uint64{1 << 40}}, OK: true}}},
+		{N: 2, Client: 3, At: -1, Back: true, Hops: []relayHop{{Peer: 1, Keys: []string{"x", "w"}, Got: got, OK: true}}},
+	} {
+		full := m.MarshalWire(nil)
+		var d wire.Decoder
+		d.Reset(full)
+		decoded, err := relayMsg{}.UnmarshalWire(&d)
+		if err != nil || !reflect.DeepEqual(decoded, m) {
 			t.Fatalf("round trip of %#v: %#v, %v", m, decoded, err)
 		}
-	}
-	for cut := 0; cut < len(full); cut++ {
-		if cut == len(old) {
-			continue
-		}
-		d.Reset(full[:cut])
-		if _, err := (readReplyMsg{}).UnmarshalWire(&d); err == nil {
-			t.Fatalf("truncated at %d of %d decoded without error", cut, len(full))
+		for cut := 0; cut < len(full); cut++ {
+			d.Reset(full[:cut])
+			if _, err := (relayMsg{}).UnmarshalWire(&d); err == nil {
+				t.Fatalf("%#v truncated at %d of %d decoded without error", m, cut, len(full))
+			}
 		}
 	}
-	d.Reset(old)
-	decoded, err := readReplyMsg{}.UnmarshalWire(&d)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestRelayRouteBounds: the relay decoder holds a route to at most N hops,
+// peers of 1..N in ascending order, headed to a client above them — so a
+// relay visits a peer at most twice, and a client cannot bounce it among
+// the peers — and a shard answers a relay not at it with an error, which
+// the peer turns into silence.
+func TestRelayRouteBounds(t *testing.T) {
+	t.Parallel()
+	hop := func(peers ...core.ProcessID) []relayHop {
+		hs := make([]relayHop, len(peers))
+		for i, p := range peers {
+			hs[i] = relayHop{Peer: p, Keys: []string{"k"}}
+		}
+		return hs
 	}
-	want := reply
-	want.Held = []bool{true, true, true}
-	if !reflect.DeepEqual(decoded, want) {
-		t.Fatalf("old encoding decoded as %#v, want every key held", decoded)
+	for _, tc := range []struct {
+		name string
+		m    relayMsg
+	}{
+		{"more hops than peers", relayMsg{N: 2, Client: 3, Hops: hop(1, 2, 3)}},
+		{"an owner twice", relayMsg{N: 3, Client: 4, Hops: hop(1, 2, 1)}},
+		{"an owner twice in a row", relayMsg{N: 3, Client: 4, Hops: hop(2, 2)}},
+		{"out of order", relayMsg{N: 3, Client: 4, Hops: hop(2, 1)}},
+		{"peer 0", relayMsg{N: 2, Client: 3, Hops: hop(0, 1)}},
+		{"peer above N", relayMsg{N: 2, Client: 3, Hops: hop(1, 3)}},
+		{"a peer as the client", relayMsg{N: 2, Client: 2, Hops: hop(1)}},
+		{"no hops", relayMsg{N: 2, Client: 3}},
+		{"past the last hop", relayMsg{N: 2, Client: 3, At: 2, Hops: hop(1, 2)}},
+		{"before the client", relayMsg{N: 2, Client: 3, At: -2, Back: true, Hops: hop(1, 2)}},
+		{"to the client on the way out", relayMsg{N: 2, Client: 3, At: -1, Hops: hop(1, 2)}},
+		{"a read of the wrong length", relayMsg{N: 2, Client: 3, Back: true, Hops: []relayHop{{Peer: 1, Keys: []string{"k"}, Got: readReplyMsg{Vals: []string{"a", "b"}, Oks: []bool{true, true}, Vers: []uint64{1, 1}}}}}},
+	} {
+		var d wire.Decoder
+		d.Reset(tc.m.MarshalWire(nil))
+		if m, err := (relayMsg{}).UnmarshalWire(&d); err == nil {
+			t.Errorf("%s: decoded as %#v", tc.name, m)
+		}
+	}
+	sh := NewShard(0)
+	for _, m := range []relayMsg{
+		{N: 2, Client: 3, At: 1, Hops: hop(1, 2)},
+		{N: 2, Client: 3, At: -1, Back: true, Hops: hop(1)},
+		{N: 2, Client: 3, Back: true, Hops: hop(1)}, // back, but never read
+	} {
+		if reply, err := sh.Query(m); err == nil {
+			t.Errorf("shard P1 answered %#v with %#v", m, reply)
+		}
 	}
 }
 
