@@ -13,10 +13,10 @@ import (
 )
 
 // Client drives transactions against a deployment of Peers without being a
-// protocol participant itself: it stages per-resource footprints on the
-// peers that host them (HostedResource), asks one peer to coordinate the
-// commit, and resolves a Txn future from the coordinator's result. The kv
-// package's remote runtime is the canonical caller.
+// protocol participant itself: it asks one peer to coordinate the commit,
+// handing it the per-resource footprints for the peers that host them
+// (HostedResource), and resolves a Txn future from the coordinator's result.
+// The kv package's remote runtime is the canonical caller.
 //
 // A client has its own process ID, which must be outside the peers' range
 // 1..len(addrs) and unique among the deployment's clients: a peer answers on
@@ -36,15 +36,15 @@ type Client struct {
 
 	mu       sync.Mutex
 	pending  map[string]*Txn                // awaiting resultMsg, keyed by txID
-	replies  map[replyKey]chan core.Message // awaiting a stage ack or a query reply
+	replies  map[replyKey]chan core.Message // awaiting a query reply
 	seq      uint64
 	closed   bool
 	sweeping bool // a sweep of pending is armed (see sweep)
 	stop     chan struct{}
 }
 
-// replyKey files the one reply a Stage or a Query waits for: one may be in
-// flight per (txID, peer), a query's txID being an ID of its own.
+// replyKey files the one reply a Query waits for: the query's ID, unique
+// per client, and the peer it asked.
 type replyKey struct {
 	txID string
 	from core.ProcessID
@@ -85,7 +85,7 @@ func (c *Client) ID() int { return int(c.id) }
 
 func (c *Client) deliver(e live.Envelope) {
 	switch e.Path {
-	case stageAckPath, queryReplyPath:
+	case queryReplyPath:
 		k := replyKey{txID: e.TxID, from: e.From}
 		c.mu.Lock()
 		ch := c.replies[k]
@@ -163,16 +163,6 @@ func (c *Client) sweep() {
 	}
 }
 
-// bound caps ctx at the client's own deadline d, so no call waits on a
-// crashed peer longer than the protocol's timeout budget — even under a
-// caller context with a generous (or absent) deadline.
-func (c *Client) bound(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return context.WithTimeout(ctx, d)
-}
-
 func (c *Client) checkPeer(peer int) error {
 	if peer < 1 || peer > c.n {
 		return fmt.Errorf("%w: peer %d not in 1..%d", ErrPeerID, peer, c.n)
@@ -180,99 +170,62 @@ func (c *Client) checkPeer(peer int) error {
 	return nil
 }
 
-// Stage ships txID's footprint for one hosted resource to its peer and
-// waits for the ack. A refused stage (the resource said no) and an expired
-// context are both errors; after any error the transaction must not be
-// started (send Unstage to the peers already staged).
-func (c *Client) Stage(ctx context.Context, txID string, peer int, m Message) error {
-	reply, err := c.roundTrip(ctx, txID, peer, stagePath, m)
-	if err != nil {
-		return fmt.Errorf("commit: stage %s at P%d: %w", txID, peer, err)
-	}
-	if ack, ok := reply.(stageAckMsg); !ok || ack.Err != "" {
-		return fmt.Errorf("commit: stage %s at P%d refused: %s", txID, peer, ack.Err)
-	}
-	return nil
-}
-
-// Unstage asks a peer to drop txID's staged footprint. Best-effort and
-// only meaningful before go was sent for the transaction: once the commit
-// protocol may be running, the outcome is the protocol's to decide and
-// peers ignore the request.
-func (c *Client) Unstage(txID string, peer int) {
-	if c.checkPeer(peer) != nil {
-		return
-	}
-	_ = c.tcp.Send(live.Envelope{TxID: txID, From: c.id, To: core.ProcessID(peer),
-		Path: unstagePath, Msg: unstageMsg{}})
-}
-
-// Query runs a one-shot read against the hosted resource on a peer. The
-// reply is whatever message type the resource answers with; an unreachable
-// or non-hosting peer surfaces as context expiry.
-func (c *Client) Query(ctx context.Context, peer int, m Message) (Message, error) {
-	c.mu.Lock()
-	c.seq++
-	qid := fmt.Sprintf("q%d-%d", c.id, c.seq)
-	c.mu.Unlock()
-	reply, err := c.roundTrip(ctx, qid, peer, queryPath, m)
-	if err != nil {
-		return nil, fmt.Errorf("commit: query P%d: %w", peer, err)
-	}
-	return reply, nil
-}
-
 var errClientClosed = errors.New("client closed")
 
-// roundTrip sends m to peer on path under txID and waits for the one reply
-// deliver files under (txID, peer), a closed client or the deadline.
-func (c *Client) roundTrip(ctx context.Context, txID string, peer int, path string, m Message) (core.Message, error) {
-	if err := c.checkPeer(peer); err != nil {
-		return nil, err
+// Query runs a one-shot read against the hosted resource on a peer and waits
+// for the one reply deliver files under the query's own ID and that peer. The
+// reply is whatever message type the resource answers with; an unreachable
+// or non-hosting peer surfaces as context expiry. The wait is capped at the
+// client's own deadline, so no query waits on a crashed peer longer than the
+// protocol's timeout budget, whatever the caller's context says.
+func (c *Client) Query(ctx context.Context, peer int, m Message) (Message, error) {
+	fail := func(err error) (Message, error) {
+		return nil, fmt.Errorf("commit: query P%d: %w", peer, err)
 	}
-	ctx, cancel := c.bound(ctx, 32*c.opts.Timeout)
+	if err := c.checkPeer(peer); err != nil {
+		return fail(err)
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	ctx, cancel := context.WithTimeout(ctx, 32*c.opts.Timeout)
 	defer cancel()
-	k := replyKey{txID: txID, from: core.ProcessID(peer)}
 	ch := make(chan core.Message, 1)
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return nil, errClientClosed
+		return fail(errClientClosed)
 	}
-	if _, dup := c.replies[k]; dup {
-		c.mu.Unlock()
-		return nil, errors.New("already in flight")
-	}
+	c.seq++
+	k := replyKey{txID: fmt.Sprintf("q%d-%d", c.id, c.seq), from: core.ProcessID(peer)}
 	c.replies[k] = ch
 	c.mu.Unlock()
 	defer func() {
 		c.mu.Lock()
-		if c.replies[k] == ch { // else deliver took it, and k may have a new waiter
-			delete(c.replies, k)
-		}
+		delete(c.replies, k)
 		c.mu.Unlock()
 	}()
 
-	if err := c.tcp.Send(live.Envelope{TxID: txID, From: c.id, To: k.from, Path: path, Msg: m}); err != nil {
-		return nil, err
+	if err := c.tcp.Send(live.Envelope{TxID: k.txID, From: c.id, To: k.from, Path: queryPath, Msg: m}); err != nil {
+		return fail(err)
 	}
 	select {
 	case reply := <-ch:
 		return reply, nil
 	case <-c.stop:
-		return nil, errClientClosed
+		return fail(errClientClosed)
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return fail(ctx.Err())
 	}
 }
 
 // SubmitAt asks peer coord to coordinate txID's commit and returns a future
-// immediately. Every involved resource's footprint must already be staged
-// AND acked (Stage) — acks are what guarantee no peer sees the protocol's
-// begin before its footprint. There is no retransmission: if the
-// coordinator dies mid-run the future resolves with an error once the
-// bound expires (the transaction's fate is whatever the surviving peers
-// decided — a restarted coordinator must not be handed the txID afresh).
+// immediately. It ships no footprint, so it suits resources that vote on the
+// txID alone; a HostedResource's footprint travels with StageGoAll. There is
+// no retransmission: if the coordinator dies mid-run the future resolves
+// with an error once the bound expires (the transaction's fate is whatever
+// the surviving peers decided — a restarted coordinator must not be handed
+// the txID afresh).
 func (c *Client) SubmitAt(ctx context.Context, txID string, coord int) *Txn {
 	return c.submitMsg(ctx, txID, coord, goPath, goMsg{})
 }
@@ -322,14 +275,13 @@ func (c *Client) submitMsg(ctx context.Context, txID string, coord int, path str
 }
 
 // stageGoBudget bounds the footprint a stage+go message may carry, all
-// slices together. A larger footprint falls back to the two-phase stage path
-// so one giant transaction cannot monopolize a flush frame (frames are
-// bounded at 8 MiB on the read side) or starve the envelopes batched behind
-// it.
+// slices together, and so the footprint of any transaction: one giant
+// transaction must not monopolize a flush frame (frames are bounded at 8 MiB
+// on the read side) or starve the envelopes batched behind it.
 const stageGoBudget = 256 << 10
 
-// ErrStageTooLarge reports a footprint too big to ride the stage+go message;
-// the caller should stage it two-phase (Stage + SubmitAt) instead.
+// ErrStageTooLarge reports a footprint too big to ride the stage+go message,
+// the only way a footprint reaches its peers: split the transaction.
 var ErrStageTooLarge = errors.New("commit: footprint exceeds the stage+go budget")
 
 // StageGoAll ships txID's whole footprint — fps maps each involved peer to
@@ -339,7 +291,7 @@ var ErrStageTooLarge = errors.New("commit: footprint exceeds the stage+go budget
 // that announces the transaction to that peer, so no slice can be overtaken
 // by the protocol run it belongs to and no ack is needed. Returns
 // ErrStageTooLarge (before anything is sent) when the encoded slices exceed
-// the budget together — stage two-phase then.
+// 256 KiB together.
 func (c *Client) StageGoAll(ctx context.Context, txID string, coord int, fps map[int]Message) (*Txn, error) {
 	var msg stageGoMsg
 	total := 0

@@ -160,6 +160,8 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// TestClientStageAndCommit: a transaction with a slice at every peer, shipped
+// by stage+go, stages each peer's own payload and commits everywhere.
 func TestClientStageAndCommit(t *testing.T) {
 	t.Parallel()
 	opts := Options{Protocol: INBAC, F: 1, Timeout: 25 * time.Millisecond}
@@ -167,27 +169,26 @@ func TestClientStageAndCommit(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	const txID = "client-tx-1"
-	for i := 1; i <= 3; i++ {
-		if err := c.Stage(ctx, txID, i, fakeFootprint{Payload: fmt.Sprintf("fp-%d", i)}); err != nil {
-			t.Fatalf("stage at P%d: %v", i, err)
+	// An indulgent protocol may legally abort an all-yes transaction when
+	// scheduling delay violates its timing bound, so retry with a fresh ID.
+	var txID string
+	committed := false
+	for attempt := 0; attempt < 4 && !committed; attempt++ {
+		txID = fmt.Sprintf("client-tx-%d", attempt)
+		slices := make(map[int]Message)
+		for i := 1; i <= 3; i++ {
+			slices[i] = fakeFootprint{Payload: fmt.Sprintf("fp-%d", i)}
+		}
+		txn, err := c.StageGoAll(ctx, txID, 1, slices)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if committed, err = txn.Wait(ctx); err != nil {
+			t.Fatal(err)
 		}
 	}
-	// The stage must be on the resource before the protocol runs.
-	fakes[1].mu.Lock()
-	got := fakes[1].staged[txID]
-	fakes[1].mu.Unlock()
-	if got != "fp-2" {
-		t.Fatalf("P2 staged payload = %q, want fp-2", got)
-	}
-
-	txn := c.SubmitAt(ctx, txID, 1)
-	ok, err := txn.Wait(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatal("all-yes transaction aborted")
+	if !committed {
+		t.Fatal("all-yes transaction aborted on every attempt")
 	}
 	// Every peer decides on its own; the commit callback may trail the
 	// client's result slightly.
@@ -196,6 +197,12 @@ func TestClientStageAndCommit(t *testing.T) {
 		waitFor(t, fmt.Sprintf("P%d commit callback", i+1), func() bool {
 			return f.has(committedList, txID)
 		})
+		f.mu.Lock()
+		got := f.history[txID]
+		f.mu.Unlock()
+		if want := fmt.Sprintf("fp-%d", i+1); got != want {
+			t.Fatalf("P%d staged payload = %q, want %q", i+1, got, want)
+		}
 	}
 }
 
@@ -303,53 +310,6 @@ func TestClientLateResultFindsConnection(t *testing.T) {
 	}
 }
 
-func TestClientStageRefusedAndUnstage(t *testing.T) {
-	t.Parallel()
-	opts := Options{Protocol: INBAC, F: 1, Timeout: 25 * time.Millisecond}
-	_, fakes, c := hostedDeployment(t, 3, opts)
-	fakes[1].mu.Lock()
-	fakes[1].refuse = true
-	fakes[1].mu.Unlock()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-
-	const txID = "refused-tx"
-	if err := c.Stage(ctx, txID, 1, fakeFootprint{Payload: "a"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Stage(ctx, txID, 2, fakeFootprint{Payload: "b"}); err == nil {
-		t.Fatal("refused stage must error")
-	}
-	// The client walks back the successful sibling stage; the peer aborts it.
-	c.Unstage(txID, 1)
-	waitFor(t, "P1 abort of unstaged txn", func() bool {
-		return fakes[0].has(abortedList, txID)
-	})
-}
-
-func TestClientStageNonHostedPeer(t *testing.T) {
-	t.Parallel()
-	opts := Options{Protocol: INBAC, F: 1, Timeout: 25 * time.Millisecond}
-	addrs := reserveAddrs(t, 2)
-	for i := 1; i <= 2; i++ {
-		p, err := NewPeer(i, addrs, ResourceFunc{}, opts) // not a HostedResource
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(p.Close)
-	}
-	c, err := NewClient(3, addrs, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := c.Stage(ctx, "tx", 1, fakeFootprint{}); err == nil {
-		t.Fatal("staging on a non-hosting peer must be refused")
-	}
-}
-
 // TestClientDeadCoordinatorResolves: a go sent to a crashed coordinator
 // must resolve the future with an error — never hang.
 func TestClientDeadCoordinatorResolves(t *testing.T) {
@@ -366,34 +326,5 @@ func TestClientDeadCoordinatorResolves(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("future never resolved against a dead coordinator")
-	}
-}
-
-// TestStageTTLReclaim: a staged transaction whose go never arrives is
-// aborted by the peer's TTL, and a later begin for it is refused (poisoned).
-func TestStageTTLReclaim(t *testing.T) {
-	t.Parallel()
-	opts := Options{Protocol: INBAC, F: 1, Timeout: 2 * time.Millisecond} // TTL = 128ms
-	_, fakes, c := hostedDeployment(t, 3, opts)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-
-	const txID = "orphan-tx"
-	if err := c.Stage(ctx, txID, 1, fakeFootprint{Payload: "orphan"}); err != nil {
-		t.Fatal(err)
-	}
-	// No go: the client "crashes". The TTL must reclaim the stage.
-	waitFor(t, "stage TTL abort", func() bool {
-		return fakes[0].has(abortedList, txID)
-	})
-	// A pathologically late go for the poisoned txID must answer abort,
-	// not commit a transaction whose footprint was dropped.
-	txn := c.SubmitAt(ctx, txID, 1)
-	ok, err := txn.Wait(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Fatal("poisoned transaction committed after its stage was reclaimed")
 	}
 }

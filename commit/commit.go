@@ -183,21 +183,21 @@ type Resource interface {
 
 // HostedResource is a Resource a Peer can expose to remote clients: Stage
 // receives a transaction's footprint (what the resource must validate at
-// Prepare and apply at Commit) ahead of the protocol run, and Query answers
-// one-shot reads outside any transaction. A kv shard is the canonical
-// implementation; any resource wanting remote clients implements it the
-// same way. A peer hosting one never calls Prepare before the transaction
-// was announced to it, since the footprint may arrive on the announcement
-// (see the ordering rule on Peer).
+// Prepare and apply at Commit), and Query answers one-shot reads outside
+// any transaction. A kv shard is the canonical implementation; any resource
+// wanting remote clients implements it the same way. A peer hosting one
+// never calls Prepare before the transaction was announced to it, since the
+// footprint arrives on the announcement (see the ordering rule on Peer).
 //
-// The contract: a staged transaction is eventually resolved — by the commit
-// protocol's Commit/Abort callback, by an explicit client unstage, or by
-// the peer's stage TTL aborting a transaction whose protocol run never
-// arrived (coordinator crashed between stage and begin).
+// The contract: Stage is called only by the peer that claimed the
+// transaction's run, immediately before Prepare and on the same goroutine,
+// so a stage is resolved by the Commit or Abort callback unless the peer
+// closes first. Nothing else drops one: there is no stage timeout and no
+// client unstage.
 type HostedResource interface {
 	Resource
-	// Stage hands the resource txID's footprint before the protocol runs.
-	// An error refuses the stage (the client aborts the transaction).
+	// Stage hands the resource txID's footprint right before Prepare. An
+	// error refuses it: the peer votes abort without calling Prepare.
 	Stage(txID string, m Message) error
 	// Query answers a read-only request outside any transaction. An answer
 	// that is a Hop goes on to the process it names instead of back to the

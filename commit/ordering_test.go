@@ -3,6 +3,7 @@ package commit
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -225,4 +226,49 @@ func TestPlainPeerJoinsOnProtocolEnvelope(t *testing.T) {
 	waitFor(t, "P1's outcome callback", func() bool {
 		return counters[0].commits.Load()+counters[0].aborts.Load() == 1
 	})
+}
+
+// TestReservedPathIgnored: an envelope on a reserved path a peer does not
+// serve — a reply meant for a client, a request of a retired message, a path
+// nobody ever used — is not protocol traffic. Neither a hosted nor a plain
+// peer joins a transaction for it, calls its resource or answers it.
+func TestReservedPathIgnored(t *testing.T) {
+	t.Parallel()
+	opts := Options{Protocol: INBAC, F: 1, Timeout: 10 * time.Millisecond}
+	hosted, fakes, _ := hostedDeployment(t, 3, opts)
+	var calls, sent atomic.Int64
+	count := func(string) { calls.Add(1) }
+	plain := startPeers(t, []Resource{
+		ResourceFunc{PrepareFn: func(string) bool { calls.Add(1); return true }, CommitFn: count, AbortFn: count},
+		ResourceFunc{}, ResourceFunc{},
+	}, opts)
+	paths := []string{"\x00stage", "\x00unstage", "\x00stageack", "\x00result", "\x00bogus"}
+	for _, p := range []*Peer{hosted[0], plain[0]} {
+		p.tr.(*live.TCP).SetShaper(live.LinkShaper{Drop: func(live.Envelope) bool { sent.Add(1); return true }})
+		for i, path := range paths {
+			p.deliver(live.Envelope{TxID: fmt.Sprintf("reserved-%d", i), From: 4, To: 1, Path: path,
+				Msg: fakeFootprint{Payload: "x"}})
+		}
+	}
+	time.Sleep(4 * opts.Timeout) // what a joined transaction would do by now: vote, time out, decide
+
+	f := fakes[0]
+	f.mu.Lock()
+	staged, prepared, decided := len(f.history), len(f.prepared), len(f.committed)+len(f.aborted)
+	f.mu.Unlock()
+	if staged+prepared+decided != 0 || calls.Load() != 0 {
+		t.Errorf("resource calls: hosted stage %d, prepare %d, commit or abort %d; plain %d; want none",
+			staged, prepared, decided, calls.Load())
+	}
+	if n := sent.Load(); n != 0 {
+		t.Errorf("the peers sent %d envelopes, want none", n)
+	}
+	for _, p := range []*Peer{hosted[0], plain[0]} {
+		p.mu.Lock()
+		n := len(p.txns)
+		p.mu.Unlock()
+		if n != 0 {
+			t.Errorf("%v holds %d transaction records, want none", p.id, n)
+		}
+	}
 }

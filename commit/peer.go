@@ -22,16 +22,6 @@ import (
 // late, and gets the outcome itself in place of protocol help (see deliver).
 const retireGraceUnits = 1
 
-// stageTTLUnits bounds how long a staged-but-never-begun transaction may
-// hold its footprint (intents, staged writes) on a hosted resource: if the
-// protocol run has not arrived within stageTTLUnits timeout units — the
-// client crashed between stage and go, or the go was partitioned away —
-// the peer aborts the stage and poisons the txID so a pathologically late
-// begin votes abort instead of vacuously committing a transaction whose
-// writes were dropped. Generous relative to the client's stage→go hop
-// (one WAN round trip).
-const stageTTLUnits = 64
-
 // coordinateUnits bounds a client-initiated commit run on the coordinating
 // peer, so a resultMsg always goes back even if the protocol cannot
 // terminate (e.g. no correct majority): far above any decision time, which
@@ -64,9 +54,11 @@ var (
 // arrival. So a hosted peer never calls Prepare on the strength of a protocol
 // envelope alone: it buffers such envelopes on the transaction's record until
 // the announcement arrives — a begin, a go or stage+go, a local Commit or
-// Wait, the Cluster driver's join, or an earlier two-phase stage of that ID —
-// and if none arrives within one timeout unit it joins voting abort without
-// calling Prepare, which would vote on a footprint it does not have.
+// Wait, or the Cluster driver's join — and if none arrives within one
+// timeout unit it joins voting abort without calling Prepare, which would
+// vote on a footprint it does not have. The footprint is staged only by the
+// run that claimed the transaction, right before its Prepare, so a hosted
+// peer never holds a footprint it has not voted on.
 type Peer struct {
 	id     core.ProcessID
 	n      int
@@ -77,7 +69,7 @@ type Peer struct {
 	mk     func(core.ProcessID) core.Module // opts.factory(), built once
 
 	mu      sync.Mutex
-	txns    map[string]*txn        // live transactions, staged or running
+	txns    map[string]*txn        // live transactions, running or unannounced
 	settled []settled              // applied, awaiting retirement; oldest first
 	decided boundedMap[core.Value] // outcomes of retired transactions
 	// Decision cross-checking (see decideMsg): peer decisions that arrived
@@ -87,7 +79,7 @@ type Peer struct {
 	sweeping bool // a coordination sweep is armed (see sweep)
 
 	// apply is the apply worker: every decision of this peer, in the order
-	// they landed, and every dropped stage, run one at a time by settle.
+	// they landed, run one at a time by settle.
 	apply *live.Inbox[decision]
 
 	// stopDebug closes the optional observability endpoint (ServeDebug). A
@@ -129,9 +121,8 @@ func (t *txn) applied() bool {
 	}
 }
 
-// decision is one entry of the apply worker's queue: txID's outcome v, to
-// apply and report, or — with no record — a stage dropped before its run
-// began, which only Resource.Abort hears of.
+// decision is one entry of the apply worker's queue: the outcome v of the
+// transaction txID whose record is t, to apply and report.
 type decision struct {
 	txID string
 	t    *txn
@@ -143,11 +134,8 @@ type txnPhase uint8
 
 const (
 	// running: join claimed the record for one caller, who is in, or past,
-	// Resource.Prepare.
+	// the run: the slice's Stage, if it has one, then Resource.Prepare.
 	running txnPhase = iota
-	// staged: a client's two-phase footprint is on the hosted resource and
-	// the protocol run has not arrived, so the stage TTL may still reclaim it.
-	staged
 	// unannounced: a hosted peer holds protocol envelopes of a transaction
 	// nobody announced to it yet (see the ordering rule on Peer).
 	unannounced
@@ -167,8 +155,8 @@ type peerReport struct {
 
 // NewPeer starts participant id (1-based); addrs[i-1] is Pi's address, and
 // this peer listens on addrs[id-1]. If resource implements HostedResource,
-// the peer also serves remote clients (see Client): footprint staging,
-// client-initiated commits, and one-shot queries.
+// the peer also serves remote clients (see Client): client-initiated commits
+// that carry their footprint, and one-shot queries.
 func NewPeer(id int, addrs []string, resource Resource, opts Options) (*Peer, error) {
 	if resource == nil {
 		return nil, fmt.Errorf("%w (peer %d)", ErrNilResource, id)
@@ -239,10 +227,8 @@ func (p *Peer) deliver(e live.Envelope) {
 		if m, ok := e.Msg.(decideMsg); ok {
 			p.observeDecision(e.From, e.TxID, m.V, e.Path == outcomePath)
 		}
-	case stagePath:
-		p.handleStage(e)
 	case goPath:
-		p.coordinate(e, nil)
+		p.coordinate(e, nil, nil)
 	case stageGoPath:
 		p.handleStageGo(e)
 	case runPath:
@@ -253,9 +239,6 @@ func (p *Peer) deliver(e live.Envelope) {
 		}
 	case queryPath:
 		p.handleQuery(e)
-	case unstagePath:
-		// A sibling stage was refused, so the transaction will never begin.
-		p.dropStage(e.TxID)
 	case beginPath:
 		m, _ := e.Msg.(beginMsg)
 		p.mu.Lock()
@@ -267,6 +250,12 @@ func (p *Peer) deliver(e live.Envelope) {
 			p.run(e.TxID, t, m.Fp)
 		}
 	default:
+		if e.Path != "" && e.Path[0] == 0 {
+			// A reserved path this peer does not serve: a reply meant for a
+			// client, or a request it no longer knows. It is not protocol
+			// traffic, so it neither joins nor announces a transaction.
+			return
+		}
 		// A protocol message. For a plain Resource it also implies that the
 		// transaction exists: join it. A hosted peer waits for the
 		// announcement instead (the ordering rule on Peer).
@@ -327,65 +316,18 @@ func (p *Peer) awaitAnnouncement(txID string, t *txn) {
 	})
 }
 
-// handleStage hands a remote client's two-phase footprint to the hosted
-// resource and acks the outcome (the client collects every involved peer's
-// ack before it sends go, so the begin cannot overtake the footprint).
-func (p *Peer) handleStage(e live.Envelope) {
-	_, refusal := p.stage(e.TxID, e.Msg)
-	if refusal == "" {
-		// The stage TTL: a footprint whose protocol run never arrives is
-		// aborted, bounding how long a dead client's intents can block
-		// other transactions. The timer goroutine only looks; the
-		// Resource's callback, in the rare case there is something to
-		// drop, runs on the apply worker.
-		txID := e.TxID
-		live.After(stageTTLUnits*p.opts.Timeout, func() { p.dropStage(txID) })
-	}
-	_ = p.tr.Send(live.Envelope{TxID: e.TxID, From: p.id, To: e.From, Path: stageAckPath, Msg: stageAckMsg{Err: refusal}})
-}
-
-// stage puts a client's footprint for txID on the hosted resource. refusal
-// says why not ("" on success); begun, that the reason is a protocol run
-// that already began, or finished, here.
-func (p *Peer) stage(txID string, fp Message) (begun bool, refusal string) {
-	if p.hosted == nil {
-		return false, "peer does not host a stageable resource"
-	}
-	p.mu.Lock()
-	_, done := p.decided.get(txID)
-	t := p.txns[txID]
-	closed := p.closed
-	p.mu.Unlock()
-	if closed {
-		return false, "peer closed"
-	}
-	if done || (t != nil && t.phase == running) {
-		return true, "transaction already running or decided"
-	}
-	if err := p.hosted.Stage(txID, fp); err != nil {
-		return false, err.Error()
-	}
-	p.mu.Lock()
-	switch t := p.txns[txID]; {
-	case t == nil:
-		p.txns[txID] = &txn{phase: staged}
-	case t.phase == unannounced:
-		t.phase = staged // the stage announces it; the run collects t.pending
-	default: // the protocol run claimed it meanwhile
-	}
-	p.mu.Unlock()
-	return false, ""
-}
-
 // coordinate runs the commit of a client's transaction from this peer, which
 // announces it to every other peer (slices[q], if any, riding the begin to
-// Pq), and files the client for the result: the apply worker sends it once
-// this peer applied the decision (settle), and the coordination sweep sends
-// an error if that has not happened within coordinateUnits — the client must
-// observe abort-or-commit-or-error, never a hang. It runs on the delivery
-// path up to the instance's start, as a begin does; nothing waits per
-// transaction.
-func (p *Peer) coordinate(e live.Envelope, slices [][]byte) {
+// Pq; fp, its own slice, staged by its run), and files the client for the
+// result: the apply worker sends it once this peer applied the decision
+// (settle), and the coordination sweep sends an error if that has not
+// happened within coordinateUnits — the client must observe
+// abort-or-commit-or-error, never a hang. It runs on the delivery path up to
+// the instance's start, as a begin does; nothing waits per transaction. A
+// replayed go finds the record claimed, or the outcome cached, so fp is
+// dropped unstaged and only the result goes back; a peer the first begin
+// reached drops the repeated begin's slice the same way.
+func (p *Peer) coordinate(e live.Envelope, slices [][]byte, fp []byte) {
 	if e.TxID == "" {
 		p.reply(e.TxID, e.From, resultMsg{V: core.Abort, Err: "commit: txID required"})
 		return
@@ -414,7 +356,7 @@ func (p *Peer) coordinate(e live.Envelope, slices [][]byte) {
 		live.After(coordinateUnits/16*p.opts.Timeout, p.sweep)
 	}
 	if first {
-		p.run(e.TxID, t, nil)
+		p.run(e.TxID, t, fp)
 	}
 	if answer {
 		p.reply(e.TxID, e.From, res)
@@ -462,50 +404,43 @@ func (p *Peer) reply(txID string, to core.ProcessID, res resultMsg) {
 }
 
 // handleStageGo is the whole client side of a commit in one leg: check every
-// slice, stage this peer's own, then coordinate the commit with each other
-// slice riding the begin to its peer, and report the decision. The stage
-// needs no ack and no TTL, because nothing orders it against the run but this
-// function: the footprint was inside the message that starts the commit. A
-// malformed message or a refused stage answers as a resultMsg error before
-// anything is staged anywhere — the transaction never begins.
+// slice, then coordinate the commit with each other slice riding the begin
+// to its peer and this peer's own staged by the run, right before its
+// Prepare. No stage needs an ack or a TTL, because nothing orders it against
+// the run but the message that starts the run: the footprint was inside it.
+// A malformed message answers as a resultMsg error before anything is staged
+// anywhere — the transaction never begins.
 func (p *Peer) handleStageGo(e live.Envelope) {
 	m, ok := e.Msg.(stageGoMsg)
 	if !ok {
 		return
 	}
-	refuse := func(why string) { p.reply(e.TxID, e.From, resultMsg{V: core.Abort, Err: why}) }
 	slices, err := p.checkSlices(m)
 	if err != nil {
-		refuse(err.Error())
+		p.reply(e.TxID, e.From, resultMsg{V: core.Abort, Err: err.Error()})
 		return
 	}
-	if len(m.Fp) > 0 {
-		fp, err := live.UnmarshalMessage(m.Fp)
-		if err != nil {
-			refuse("malformed footprint: " + err.Error())
-			return
-		}
-		if begun, why := p.stage(e.TxID, fp); begun {
-			// A replayed stage+go: the footprints already reached the
-			// protocol, so only answer, from the run or the cache.
-			slices = nil
-		} else if why != "" {
-			refuse(why)
-			return
-		}
-	}
-	p.coordinate(e, slices)
+	p.coordinate(e, slices, m.Fp)
 }
 
-// checkSlices validates the other peers' slices of a client's stage+go
-// message — which crosses a trust boundary — and files them by peer, for
-// commit to forward: nil when there is none.
+// checkSlices validates every slice of a client's stage+go message — which
+// crosses a trust boundary — and files the other peers' by peer, for
+// coordinate to forward: nil when there is none. Each slice must decode, and
+// all of them together must fit the budget.
 func (p *Peer) checkSlices(m stageGoMsg) ([][]byte, error) {
+	total := len(m.Fp)
+	if total > stageGoBudget {
+		return nil, ErrStageTooLarge
+	}
+	if total > 0 {
+		if _, err := live.UnmarshalMessage(m.Fp); err != nil {
+			return nil, fmt.Errorf("malformed footprint: %v", err)
+		}
+	}
 	if len(m.Others) == 0 {
 		return nil, nil
 	}
 	slices := make([][]byte, p.n+1)
-	total := len(m.Fp)
 	for _, o := range m.Others {
 		if o.Peer < 1 || int(o.Peer) > p.n || o.Peer == p.id || slices[o.Peer] != nil {
 			return nil, fmt.Errorf("footprint for %v: not another peer of P1..P%d, or its second", o.Peer, p.n)
@@ -546,26 +481,6 @@ func (p *Peer) handleQuery(e live.Envelope) {
 	_ = p.tr.Send(live.Envelope{TxID: e.TxID, From: p.id, To: to, Path: path, Msg: reply})
 }
 
-// dropStage aborts a staged, never-begun transaction and poisons its txID
-// with a cached abort outcome — a pathologically late begin must be dropped
-// (and answered abort from the cache), not allowed to vacuously commit a
-// transaction whose staged writes were just thrown away. No-op once the
-// protocol run began or decided: the protocol owns the outcome then. The
-// Resource's Abort runs on the apply worker.
-func (p *Peer) dropStage(txID string) {
-	p.mu.Lock()
-	t := p.txns[txID]
-	staged := t != nil && t.phase == staged
-	if staged {
-		delete(p.txns, txID)
-		p.decided.put(txID, core.Abort)
-	}
-	p.mu.Unlock()
-	if staged {
-		p.apply.Push(decision{txID: txID, v: core.Abort})
-	}
-}
-
 // retire forgets the instances of the transactions settled at least the
 // grace ago, remembering their outcomes (bounded by retiredHistory) so late
 // messages are dropped and Wait/Commit replays still answer from the cache.
@@ -590,12 +505,11 @@ func (p *Peer) retire() {
 	}
 }
 
-// join returns txID's running record, creating it (or taking over a staged
-// or unannounced one: the protocol owns the footprint's fate now, and the run
-// the envelopes held back) when the transaction is announced. first tells the
-// caller it made that claim and must call run once it released p.mu, which it
-// holds. A nil record means the peer is closed, or txID retired and the
-// outcome cache answers.
+// join returns txID's running record, creating it (or taking over an
+// unannounced one: the run gets the envelopes held back) when the
+// transaction is announced. first tells the caller it made that claim and
+// must call run once it released p.mu, which it holds. A nil record means
+// the peer is closed, or txID retired and the outcome cache answers.
 func (p *Peer) join(txID string) (t *txn, first bool) {
 	if p.closed {
 		return nil, false
@@ -617,9 +531,12 @@ func (p *Peer) join(txID string) (t *txn, first bool) {
 
 // run takes a transaction its caller just claimed through the local
 // lifecycle: stage fp, the slice of the footprint its announcement carried
-// (if it carried one), vote via the Resource, and start the protocol. A slice
-// that does not decode, or that the resource refuses, is a vote to abort
-// without Prepare — the client sees an abort, never a hang.
+// (if it carried one), vote via the Resource, and start the protocol. It is
+// the one place a footprint reaches the hosted resource, so Stage and Prepare
+// run back to back on one goroutine and the decision resolves the stage. A
+// slice that does not decode, or that the resource refuses, is a vote to
+// abort without Prepare — the client sees an abort, never a hang; so is a
+// slice for a peer that hosts no HostedResource.
 func (p *Peer) run(txID string, t *txn, fp []byte) {
 	// Stage and Prepare outside the lock: user code, and may take time.
 	vote := core.Abort
@@ -672,13 +589,8 @@ func (p *Peer) start(txID string, t *txn, vote core.Value) {
 // must not stall. Cross-check and announce, apply to the Resource, release
 // the waiters, answer the client this peer coordinates for and count down the
 // Cluster driver's run, then queue for retirement so that per-transaction
-// state stays bounded. A dropped stage, which has no record, only reaches
-// Resource.Abort.
+// state stays bounded.
 func (p *Peer) settle(d decision) {
-	if d.t == nil {
-		p.res.Abort(d.txID)
-		return
-	}
 	p.announce(d.txID, d.v)
 	if d.v == core.Commit {
 		p.res.Commit(d.txID)

@@ -96,8 +96,8 @@ func TestNewClientValidation(t *testing.T) {
 	c.Close()
 	// Closing twice is a no-op; calls after Close error instead of hanging.
 	c.Close()
-	if err := c.Stage(nil, "tx", 1, goMsg{}); err == nil {
-		t.Fatal("Stage after Close should error")
+	if _, err := c.Query(nil, 1, goMsg{}); err == nil {
+		t.Fatal("Query after Close should error")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -52,8 +53,9 @@ func TestClientStageGoCommits(t *testing.T) {
 	})
 }
 
-// TestClientStageGoNilFootprint: no footprint degrades to a bare go — the
-// path two-phase callers use after staging everything with acks.
+// TestClientStageGoNilFootprint: a stage+go with no footprint is a bare go:
+// nothing is staged, every peer prepares on the txID alone, and the
+// transaction commits.
 func TestClientStageGoNilFootprint(t *testing.T) {
 	t.Parallel()
 	opts := Options{Protocol: INBAC, F: 1, Timeout: 25 * time.Millisecond}
@@ -61,17 +63,11 @@ func TestClientStageGoNilFootprint(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	// Timing aborts are legal for an all-yes transaction (see above):
-	// retry with a fresh ID, re-staging everything two-phase each time.
+	// Timing aborts are legal for an all-yes transaction (see above): retry
+	// with a fresh ID.
 	committed := false
 	for attempt := 0; attempt < 4 && !committed; attempt++ {
-		txID := fmt.Sprintf("stagego-bare-%d", attempt)
-		for i := 1; i <= 3; i++ {
-			if err := c.Stage(ctx, txID, i, fakeFootprint{Payload: "two-phase"}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		txn, err := c.StageGoAll(ctx, txID, 1, nil)
+		txn, err := c.StageGoAll(ctx, fmt.Sprintf("stagego-bare-%d", attempt), 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,8 +82,7 @@ func TestClientStageGoNilFootprint(t *testing.T) {
 }
 
 // TestClientStageGoTooLarge: an oversized footprint is rejected client-side
-// before anything reaches the wire, so the caller can fall back to the
-// two-phase path.
+// before anything reaches the wire; there is no other way to ship it.
 func TestClientStageGoTooLarge(t *testing.T) {
 	t.Parallel()
 	opts := Options{Protocol: INBAC, F: 1, Timeout: 25 * time.Millisecond}
@@ -103,8 +98,10 @@ func TestClientStageGoTooLarge(t *testing.T) {
 	}
 }
 
-// TestClientStageGoRefused: a refused piggybacked stage must resolve the
-// future with an error — the transaction never began, nothing hangs.
+// TestClientStageGoRefused: a coordinator whose resource refuses its own
+// slice votes abort without calling Prepare, as every other peer does with a
+// slice it cannot stage (TestBeginBadSliceVotesAbort): the client sees an
+// abort without error, never a hang.
 func TestClientStageGoRefused(t *testing.T) {
 	t.Parallel()
 	opts := Options{Protocol: INBAC, F: 1, Timeout: 25 * time.Millisecond}
@@ -115,24 +112,34 @@ func TestClientStageGoRefused(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	txn, err := c.StageGoAll(ctx, "stagego-refused", 1, map[int]Message{1: fakeFootprint{Payload: "p"}})
+	const txID = "stagego-refused"
+	txn, err := c.StageGoAll(ctx, txID, 1, map[int]Message{1: fakeFootprint{Payload: "p"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ok, err := txn.Wait(ctx)
-	if ok || err == nil {
-		t.Fatalf("refused stage+go: ok=%v err=%v, want abort with error", ok, err)
+	if ok || err != nil {
+		t.Fatalf("refused stage+go: ok=%v err=%v, want an abort without error", ok, err)
+	}
+	if payload, called := fakes[0].preparedWith(txID); called {
+		t.Fatalf("P1 called Prepare (on %q) after refusing its slice", payload)
 	}
 }
 
-// TestClientStageGoNonHostedPeer: a peer without a stageable resource must
-// refuse the piggybacked footprint, not silently run the commit without it.
+// TestClientStageGoNonHostedPeer: a coordinator without a stageable resource
+// cannot take its slice, so it votes abort without calling Prepare — it does
+// not silently run the commit without the footprint.
 func TestClientStageGoNonHostedPeer(t *testing.T) {
 	t.Parallel()
 	opts := Options{Protocol: INBAC, F: 1, Timeout: 25 * time.Millisecond}
 	addrs := reserveAddrs(t, 2)
+	var prepared atomic.Int64
 	for i := 1; i <= 2; i++ {
-		p, err := NewPeer(i, addrs, ResourceFunc{}, opts) // not a HostedResource
+		res := ResourceFunc{} // not a HostedResource
+		if i == 1 {
+			res.PrepareFn = func(string) bool { prepared.Add(1); return true }
+		}
+		p, err := NewPeer(i, addrs, res, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,8 +158,11 @@ func TestClientStageGoNonHostedPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	ok, werr := txn.Wait(ctx)
-	if ok || werr == nil {
-		t.Fatalf("stage+go at a non-hosting peer: ok=%v err=%v, want abort with error", ok, werr)
+	if ok || werr != nil {
+		t.Fatalf("stage+go at a non-hosting peer: ok=%v err=%v, want an abort without error", ok, werr)
+	}
+	if n := prepared.Load(); n != 0 {
+		t.Fatalf("P1 called Prepare %d times without the footprint it was sent", n)
 	}
 }
 

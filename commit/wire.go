@@ -6,8 +6,9 @@ import (
 	"atomiccommit/internal/wire"
 )
 
-// The seven control messages a Peer and a Client exchange beside the
-// protocol's own, each on a reserved envelope path.
+// The control messages a Peer and a Client exchange beside the protocol's
+// own, each on a reserved envelope path (one with a leading NUL byte, which
+// no protocol module path has).
 
 // beginPath is the reserved envelope path announcing a transaction to peers
 // that have not started an instance for it yet.
@@ -76,42 +77,19 @@ func (decideMsg) UnmarshalWire(d *wire.Decoder) (core.Message, error) {
 }
 
 // The client-facing paths: a commit.Client (not itself a protocol
-// participant) speaks to peers over these reserved paths to stage
-// footprints on hosted resources, start the commit, read outside
-// transactions, and learn outcomes. See client.go for the driving side.
+// participant) speaks to peers over these reserved paths to start a commit,
+// with or without a footprint, read outside transactions, and learn
+// outcomes. See client.go for the driving side.
 const (
-	stagePath      = "\x00stage"      // payload is the resource's own footprint message
-	stageAckPath   = "\x00stageack"   // stageAckMsg: stage accepted or refused
-	goPath         = "\x00go"         // goMsg: all stages acked; run the commit
-	stageGoPath    = "\x00stagego"    // stageGoMsg: footprint piggybacked on the go leg
+	goPath         = "\x00go"         // goMsg: run the commit
+	stageGoPath    = "\x00stagego"    // stageGoMsg: the footprint rides the go leg
 	resultPath     = "\x00result"     // resultMsg: the coordinator's local decision
 	queryPath      = "\x00query"      // payload is the resource's read request, or a Hop passed on
 	queryReplyPath = "\x00queryreply" // payload is the resource's read reply
-	unstagePath    = "\x00unstage"    // unstageMsg: drop a staged, never-begun txn
 )
 
-// stageAckMsg acknowledges a stage; Err != "" means the resource refused it
-// and the client must abort the transaction.
-type stageAckMsg struct {
-	Err string
-}
-
-// Kind implements core.Message.
-func (stageAckMsg) Kind() string { return "STAGEACK" }
-
-// WireID implements core.Wire (commit block, ID 4).
-func (stageAckMsg) WireID() uint16 { return 4 }
-
-// MarshalWire implements core.Wire.
-func (m stageAckMsg) MarshalWire(b []byte) []byte { return wire.AppendString(b, m.Err) }
-
-// UnmarshalWire implements core.Wire.
-func (stageAckMsg) UnmarshalWire(d *wire.Decoder) (core.Message, error) {
-	return stageAckMsg{Err: d.String()}, d.Err()
-}
-
-// goMsg asks the receiving peer to coordinate the commit of Envelope.TxID
-// (every involved peer has acked its stage) and reply with resultMsg.
+// goMsg asks the receiving peer to coordinate the commit of Envelope.TxID,
+// whose resources need no footprint, and reply with resultMsg.
 type goMsg struct{}
 
 // Kind implements core.Message.
@@ -205,30 +183,10 @@ func (stageGoMsg) UnmarshalWire(d *wire.Decoder) (core.Message, error) {
 	return m, d.Err()
 }
 
-// unstageMsg drops a staged transaction that will never begin (a sibling
-// stage was refused). Only honored before the protocol instance starts.
-type unstageMsg struct{}
-
-// Kind implements core.Message.
-func (unstageMsg) Kind() string { return "UNSTAGE" }
-
-// WireID implements core.Wire (commit block, ID 7).
-func (unstageMsg) WireID() uint16 { return 7 }
-
-// MarshalWire implements core.Wire.
-func (unstageMsg) MarshalWire(b []byte) []byte { return b }
-
-// UnmarshalWire implements core.Wire.
-func (unstageMsg) UnmarshalWire(d *wire.Decoder) (core.Message, error) {
-	return unstageMsg{}, d.Err()
-}
-
 func init() {
 	live.RegisterWire(beginMsg{})
 	live.RegisterWire(decideMsg{})
-	live.RegisterWire(stageAckMsg{})
 	live.RegisterWire(goMsg{})
 	live.RegisterWire(stageGoMsg{})
 	live.RegisterWire(resultMsg{})
-	live.RegisterWire(unstageMsg{})
 }

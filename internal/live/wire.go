@@ -18,8 +18,9 @@ import (
 // information on the wire, so IDs are allocated in per-package blocks and
 // never renumbered:
 //
-//	 1..7    commit (beginMsg, decideMsg, stageAck/go/result/unstage; ID 3,
-//	         once the client's hello, is retired: never reuse)
+//	 1..7    commit (beginMsg, decideMsg, go, result; IDs 3, 4 and 7, once
+//	         the client's hello, stageAck and unstage, are retired: never
+//	         reuse)
 //	 8..14   internal/consensus (incl. flooding)
 //	16..20   protocols/inbac
 //	24..26   protocols/twopc (24, once MsgReq, is retired: never reuse)

@@ -56,10 +56,10 @@
 //   - Open hosts every shard in-process on a commit.Cluster (goroutine
 //     mesh). Reads and staging are function calls.
 //   - OpenRemote hosts no shards at all: each shard lives in its own
-//     commit.Peer process (see Serve), and the store talks to them over
-//     TCP through a commit.Client — reads become Query round-trips,
-//     Txn.Submit ships per-shard footprints to their owners before
-//     driving the commit remotely, and a read-only Submit is one more
+//     commit.Peer process (see ServeShard), and the store talks to them
+//     over TCP through a commit.Client — reads become Query round-trips,
+//     Txn.Submit ships every shard's footprint inside the one message that
+//     asks a peer to drive the commit, and a read-only Submit is one more
 //     parallel Query round trip, to every shard read from that its relay
 //     did not validate.
 //

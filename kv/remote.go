@@ -31,9 +31,10 @@
 //     coordinator's begin to each other peer carries that peer's slice.
 //     Footprint and announcement share an envelope, so neither can
 //     overtake the other; commit.Peer's ordering rule keeps a shard from
-//     voting before its announcement arrived. Only a footprint over the
-//     message budget is staged two-phase — stage at every owner, collect
-//     the acks, bare go.
+//     voting before its announcement arrived. That message is the only way a
+//     footprint travels, so a transaction whose footprint is over its
+//     budget (256 KiB, all shards together) fails at Submit and sends
+//     nothing.
 //  3. Every peer joins every instance, so any peer can coordinate: with a
 //     geo profile the one nearest the client does, involved or not, and
 //     the go and result legs cross the client's shortest link. The peers
@@ -41,10 +42,10 @@
 //     the result.
 //
 // Once the go is sent the protocol owns the outcome: the client never
-// unstages, because a one-sided release could break atomicity. Two-phase
-// footprints orphaned by a client crash are reclaimed by the peers' stage
-// TTL, which also poisons the transaction ID so a pathologically late "go"
-// answers abort. (A footprint riding the go has no orphan window.)
+// releases a footprint, because a one-sided release could break atomicity,
+// and a peer stages a footprint only when it runs the transaction, so a
+// client crash leaves no footprint behind that the protocol does not
+// resolve.
 
 package kv
 
@@ -498,6 +499,10 @@ func (b *remoteBackend) validate(ctx context.Context, reads map[string]uint64) (
 	return firstErr == nil, firstErr
 }
 
+// submit ships every shard's footprint inside the one message that asks the
+// coordinator to run the commit: one leg. Once it is sent the peers own the
+// staged state, so there is no cleanup func. A footprint over the message
+// budget is refused before anything is sent (commit.ErrStageTooLarge).
 func (b *remoteBackend) submit(ctx context.Context, txID string, fps map[int]*footprint) (*commit.Txn, func(), error) {
 	idxs := make([]int, 0, len(fps))
 	msgs := make(map[int]commit.Message, len(fps))
@@ -507,46 +512,12 @@ func (b *remoteBackend) submit(ctx context.Context, txID string, fps map[int]*fo
 	}
 	sort.Ints(idxs)
 	coord := coordinator(b.net, core.ProcessID(b.client.ID()), b.n, idxs)
-
-	// One leg: every shard's footprint rides the message that starts the
-	// commit, and reaches its shard on the coordinator's begin.
 	ct, err := b.client.StageGoAll(ctx, txID, coord, msgs)
-	if err == nil {
-		mLegs.Add(1)
-		// No cleanup func: once go is sent the peers own the staged state.
-		return ct, nil, nil
-	}
-	if !errors.Is(err, commit.ErrStageTooLarge) {
+	if err != nil {
 		return nil, nil, fmt.Errorf("kv: %s: %w", txID, err)
 	}
-
-	// Too large for one message: stage at every involved owner in parallel
-	// and collect all acks — the barrier that keeps a begin from overtaking
-	// a footprint travelling apart from it — then send a bare go.
-	mLegs.Add(2)
-	errs := make([]error, len(idxs))
-	var wg sync.WaitGroup
-	for j, i := range idxs {
-		wg.Add(1)
-		go func(j, i int) {
-			defer wg.Done()
-			if err := b.client.Stage(ctx, txID, i+1, msgs[i+1]); err != nil {
-				errs[j] = fmt.Errorf("stage at P%d: %w", i+1, err)
-			}
-		}(j, i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			// Nothing has begun: walking back the sibling stages is safe
-			// (and the peers' stage TTL backstops any unstage we lose).
-			for _, i := range idxs {
-				b.client.Unstage(txID, i+1)
-			}
-			return nil, nil, fmt.Errorf("kv: %s: %w", txID, err)
-		}
-	}
-	return b.client.SubmitAt(ctx, txID, coord), nil, nil
+	mLegs.Add(1)
+	return ct, nil, nil
 }
 
 // coordinator picks the peer (1..n) that drives the commit of a transaction

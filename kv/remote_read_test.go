@@ -105,41 +105,62 @@ func TestRemoteGetMultiFanOut(t *testing.T) {
 
 // TestRemoteCommitLegs pins the WAN-leg cost of the commit path: ONE client
 // leg whether the transaction touches one shard or all of them (every
-// footprint rides the stage+go message), and the two-phase fallback — stage
-// barrier, then go — only for a footprint over the message budget. A
+// footprint rides the stage+go message). A footprint over the message budget
+// has no other way to travel: Submit refuses it with commit.ErrStageTooLarge
+// before anything is sent, so no leg is paid and no shard hears of it. A
 // regression here re-adds a WAN round trip. Not parallel: it asserts on
 // global counter deltas.
 func TestRemoteCommitLegs(t *testing.T) {
 	opts := commit.Options{Protocol: commit.INBAC, F: 1, Timeout: 25 * time.Millisecond}
-	s, _, _ := remoteDeployment(t, 3, opts)
+	s, spies := spyDeployment(t, 3, opts)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
+	keys := keysAcrossShards(t, 3, 3, "legs")
+
+	// Oversize first, while nothing else reaches the shards: two values of
+	// 200 KiB exceed the 256 KiB budget together.
+	big := strings.Repeat("x", 200<<10)
+	txn := s.Txn()
+	txn.Put(keys[0][2], big)
+	txn.Put(keys[1][2], big)
+	legs0 := obs.M.CounterValue("kv.remote.legs")
+	if _, err := txn.Submit(ctx); !errors.Is(err, commit.ErrStageTooLarge) {
+		t.Fatalf("oversize Submit: err = %v, want commit.ErrStageTooLarge", err)
+	}
+	if d := obs.M.CounterValue("kv.remote.legs") - legs0; d != 0 {
+		t.Fatalf("a refused oversize write paid %d legs, want 0", d)
+	}
+	time.Sleep(4 * opts.Timeout) // what a sent footprint would have reached by now
+	for i, sp := range spies {
+		sp.mu.Lock()
+		staged, locks := len(sp.staged), len(sp.locks)
+		sp.mu.Unlock()
+		if n := sp.commitPath.Load(); n != 0 || staged != 0 || locks != 0 {
+			t.Errorf("shard %d after a refused submit: %d commit-path calls, staged=%d locks=%d; want none",
+				i, n, staged, locks)
+		}
+	}
 
 	// Keys of its own for every case: a shard other than the coordinator's may
 	// still hold the previous case's write intents when the client has its
 	// result, and would vote no on a second write of the key.
-	keys := keysAcrossShards(t, 3, 3, "legs")
-	big := strings.Repeat("x", 200<<10) // two of these exceed the 256 KiB budget
 	for i, tc := range []struct {
 		name   string
 		shards []int
-		value  string
-		legs   int64
 	}{
-		{"single-shard", []int{0}, "a", 1},
-		{"cross-shard", []int{0, 1, 2}, "b", 1},
-		{"oversize", []int{0, 1}, big, 2},
+		{"single-shard", []int{0}},
+		{"cross-shard", []int{0, 1, 2}},
 	} {
 		txn := s.Txn()
 		for _, sh := range tc.shards {
-			txn.Put(keys[sh][i], tc.value)
+			txn.Put(keys[sh][i], tc.name)
 		}
 		legs0 := obs.M.CounterValue("kv.remote.legs")
 		if ok, err := txn.Commit(ctx); !ok || err != nil {
 			t.Fatalf("%s txn: ok=%v err=%v", tc.name, ok, err)
 		}
-		if d := obs.M.CounterValue("kv.remote.legs") - legs0; d != tc.legs {
-			t.Fatalf("%s blind write paid %d legs, want %d", tc.name, d, tc.legs)
+		if d := obs.M.CounterValue("kv.remote.legs") - legs0; d != 1 {
+			t.Fatalf("%s blind write paid %d legs, want 1", tc.name, d)
 		}
 	}
 }

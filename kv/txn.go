@@ -222,7 +222,10 @@ func (p *Pending) Wait(ctx context.Context) (bool, error) {
 
 // Submit stages the transaction's footprint on every involved shard and
 // enqueues it on the store's commit pipeline, returning a future
-// immediately. ctx bounds the transaction itself. A transaction that wrote
+// immediately. ctx bounds the transaction itself. Over a remote runtime the
+// whole footprint travels in one message, so one whose encoding exceeds
+// 256 KiB, all shards together, is refused with an error wrapping
+// commit.ErrStageTooLarge before anything is sent. A transaction that wrote
 // nothing runs no protocol instance: the future resolves committed iff every
 // shard it read from, but those its relay validated, validates its reads
 // (see the package comment), with an error if some shard's answer never
