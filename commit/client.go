@@ -293,11 +293,27 @@ var ErrStageTooLarge = errors.New("commit: footprint exceeds the stage+go budget
 // ErrStageTooLarge (before anything is sent) when the encoded slices exceed
 // 256 KiB together.
 func (c *Client) StageGoAll(ctx context.Context, txID string, coord int, fps map[int]Message) (*Txn, error) {
-	var msg stageGoMsg
+	slices, err := marshalSlices(fps, c.n)
+	if err != nil {
+		return nil, err
+	}
+	msg := stageGoMsg{Fp: slices[core.ProcessID(coord)]}
+	for peer, fp := range slices {
+		if int(peer) != coord {
+			msg.Others = append(msg.Others, peerSlice{Peer: peer, Fp: fp})
+		}
+	}
+	return c.submitMsg(ctx, txID, coord, stageGoPath, msg), nil
+}
+
+// marshalSlices encodes each peer's slice of a footprint (peers are 1..n),
+// refusing a set over the stage+go budget.
+func marshalSlices(fps map[int]Message, n int) (map[core.ProcessID][]byte, error) {
+	slices := make(map[core.ProcessID][]byte, len(fps))
 	total := 0
 	for peer, m := range fps {
-		if err := c.checkPeer(peer); err != nil {
-			return nil, err
+		if peer < 1 || peer > n {
+			return nil, fmt.Errorf("%w: peer %d not in 1..%d", ErrPeerID, peer, n)
 		}
 		fp, err := live.MarshalMessage(m)
 		if err != nil {
@@ -306,20 +322,15 @@ func (c *Client) StageGoAll(ctx context.Context, txID string, coord int, fps map
 		if total += len(fp); total > stageGoBudget {
 			return nil, fmt.Errorf("%w: over %d bytes", ErrStageTooLarge, stageGoBudget)
 		}
-		if peer == coord {
-			msg.Fp = fp
-		} else {
-			msg.Others = append(msg.Others, peerSlice{Peer: core.ProcessID(peer), Fp: fp})
-		}
+		slices[core.ProcessID(peer)] = fp
 	}
-	return c.submitMsg(ctx, txID, coord, stageGoPath, msg), nil
+	return slices, nil
 }
 
 // Submit enqueues one transaction, choosing a coordinator round-robin
-// across the peers, and returns a future immediately; it (with Close) is
-// what lets a Client stand in for a Cluster behind the kv store's Committer
-// interface. Use SubmitAt to pick the coordinator — e.g. one in the client's
-// own region.
+// across the peers, and returns a future immediately, as Cluster.Submit
+// does. Use SubmitAt to pick the coordinator — e.g. one in the client's own
+// region.
 func (c *Client) Submit(ctx context.Context, txID string) *Txn {
 	c.mu.Lock()
 	c.seq++

@@ -33,11 +33,12 @@ import (
 //	62..65   protocols/anbac
 //	68..69   protocols/hubnbac
 //	72..76   protocols/fullnbac
-//	80..81   kv (footprint, read; 82, once readReply with per-key intent
-//	         bits, is retired: never reuse)
+//	80..87   kv (80 footprint, 86 relay — the one kv query: a read, a
+//	         validation, or a read passed along the far owners; the read,
+//	         readReply with and without per-key intent bits, validate and
+//	         validateReply, once 81, 82, 87, 84 and 85, are retired: never
+//	         reuse)
 //	83       commit (stageGoMsg — piggybacked stage+go client leg)
-//	84..85   kv (validate, validateReply — the read-only commit)
-//	86..87   kv (relay — a read passed along the far owners; readReply)
 //	>= 240   reserved for tests
 //
 // Versioning: adding a message type takes a fresh ID; removing one retires

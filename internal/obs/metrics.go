@@ -3,7 +3,6 @@ package obs
 import (
 	"expvar"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -243,20 +242,6 @@ func (r *Registry) CounterValue(name string) int64 {
 	return c.Value()
 }
 
-// Counters returns the current value of every counter whose name starts
-// with prefix ("" = all), sorted by name.
-func (r *Registry) Counters(prefix string) map[string]int64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make(map[string]int64)
-	for name, c := range r.counters {
-		if len(name) >= len(prefix) && name[:len(prefix)] == prefix {
-			out[name] = c.Value()
-		}
-	}
-	return out
-}
-
 // Snapshot returns every instrument's current value keyed by name:
 // counters and gauges as int64, histograms as HistogramSnapshot. The
 // map is freshly built and safe to serialize.
@@ -274,25 +259,6 @@ func (r *Registry) Snapshot() map[string]any {
 		out[name] = h.snapshot()
 	}
 	return out
-}
-
-// Names returns every registered instrument name, sorted — the metrics
-// inventory (see DESIGN.md's Observability section).
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.hists))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	for n := range r.hists {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 func init() {

@@ -96,9 +96,6 @@ type Event struct {
 	Note   string         `json:"note,omitempty"`
 }
 
-// KindName is Kind's string form, for the JSON dump's readability.
-func (e Event) KindName() string { return e.Kind.String() }
-
 // DefaultRingSize is Default's capacity. At roughly 20 events per
 // transaction per participant this holds the recent few hundred
 // transactions of a 4-member cluster — comfortably more than the window

@@ -54,19 +54,21 @@
 // The store runs over either of two runtimes behind the same Txn API:
 //
 //   - Open hosts every shard in-process on a commit.Cluster (goroutine
-//     mesh). Reads and staging are function calls.
+//     mesh). Reads and validations are function calls, and Txn.Submit
+//     hands the cluster every shard's footprint with the transaction.
 //   - OpenRemote hosts no shards at all: each shard lives in its own
 //     commit.Peer process (see ServeShard), and the store talks to them
-//     over TCP through a commit.Client — reads become Query round-trips,
-//     Txn.Submit ships every shard's footprint inside the one message that
-//     asks a peer to drive the commit, and a read-only Submit is one more
-//     parallel Query round trip, to every shard read from that its relay
-//     did not validate.
+//     over TCP through a commit.Client — every read is a Query round trip
+//     carrying a relay, the one query a shard answers; Txn.Submit ships
+//     every shard's footprint inside the one message that asks a peer to
+//     drive the commit; and a read-only Submit is one more parallel round
+//     of relays, to every shard read from that its first read did not
+//     validate.
 //
-// Transactions commit through the Committer, so thousands of them run
-// concurrently under Options.MaxInFlight. See Workload and Run for the
-// built-in contention generator used by the benchmarks (commitbench
-// -throughput -runtime kv).
+// Either way a footprint reaches its shard inside the run that votes on it,
+// right before Prepare, and only the decision releases it: a transaction
+// whose context expired before its peers decided holds its intents until
+// they do.
 package kv
 
 import (
@@ -85,20 +87,6 @@ import (
 // problem to solve and should use a plain map.
 var ErrTooFewShards = errors.New("kv: a store needs at least 2 shards")
 
-// Committer is the commit-pipeline surface the store drives transactions
-// through. Both commit.Cluster (in-process mesh) and commit.Client
-// (TCP peers) satisfy it, which is what lets one Store implementation run
-// over either runtime.
-type Committer interface {
-	Submit(ctx context.Context, txID string) *commit.Txn
-	Close()
-}
-
-var (
-	_ Committer = (*commit.Cluster)(nil)
-	_ Committer = (*commit.Client)(nil)
-)
-
 // readResult is one key's answer from a backend read: the committed value,
 // presence, the version to validate at Prepare, and whether it was served
 // from the client-side read cache (no WAN leg; the transaction remembers,
@@ -110,9 +98,9 @@ type readResult struct {
 	cached bool
 }
 
-// backend is the runtime-specific half of the store: how reads reach a
-// shard and how a transaction's footprints are staged before the commit
-// protocol runs.
+// backend is the runtime-specific half of the store: how reads and
+// validations reach a shard and how a transaction's footprints reach the
+// commit protocol.
 type backend interface {
 	// read returns key's latest committed state, never from the client-side
 	// read cache: a non-transactional read has no commit to catch a stale
@@ -126,11 +114,10 @@ type backend interface {
 	// last, fresh and in one relay; it returns the owners (1-based) whose
 	// read was also their validation (remoteBackend.readMulti).
 	readMulti(ctx context.Context, keys []string, first bool) ([]readResult, []int, error)
-	// submit stages fps (keyed by shard index) and starts the commit for
-	// txID. The returned cleanup — which may be nil — releases staged
-	// state if the protocol instance dies of an infrastructure error
-	// (Txn.Err != nil) and its Commit/Abort callbacks never fire.
-	submit(ctx context.Context, txID string, fps map[int]*footprint) (*commit.Txn, func(), error)
+	// submit starts the commit of txID with fps, each peer's slice of the
+	// footprint keyed by peer (1-based), which the peer stages right before
+	// its Prepare.
+	submit(ctx context.Context, txID string, fps map[int]commit.Message) (*commit.Txn, error)
 	// validate is the whole commit of a transaction that wrote nothing: it
 	// asks every shard owning a key of reads whether the versions read still
 	// stand with no write intent in the way (Shard.validate), and reports
@@ -156,7 +143,7 @@ type footprint struct {
 // Store is a sharded transactional key-value store. All methods are safe
 // for concurrent use.
 type Store struct {
-	com      Committer
+	close    func() // closes the Cluster or Client beneath
 	b        backend
 	nshards  int
 	proto    commit.Protocol
@@ -187,7 +174,7 @@ func Open(shards int, opts commit.Options) (*Store, error) {
 		return nil, fmt.Errorf("kv: %w", err)
 	}
 	return &Store{
-		com:      cl,
+		close:    cl.Close,
 		b:        &localBackend{com: cl, shards: local},
 		nshards:  shards,
 		proto:    protoOf(opts),
@@ -199,7 +186,7 @@ func Open(shards int, opts commit.Options) (*Store, error) {
 // Close shuts the store down; in-flight transactions resolve with errors.
 // For OpenRemote stores this closes the client side only — the shard
 // peers keep running.
-func (s *Store) Close() { s.com.Close() }
+func (s *Store) Close() { s.close() }
 
 // Shards returns the number of shards (= commit participants).
 func (s *Store) Shards() int { return s.nshards }
@@ -273,9 +260,9 @@ func protoOf(opts commit.Options) commit.Protocol {
 }
 
 // localBackend serves an Open store: shards are in-process, so reads and
-// staging are function calls and cleanup can unstage directly.
+// validations are function calls.
 type localBackend struct {
-	com    Committer
+	com    *commit.Cluster
 	shards []*Shard
 }
 
@@ -295,26 +282,18 @@ func (b *localBackend) readMulti(ctx context.Context, keys []string, _ bool) ([]
 func (b *localBackend) note(bool, map[string]uint64, map[string]write, []string) {}
 
 func (b *localBackend) validate(_ context.Context, reads map[string]uint64) (bool, error) {
-	for i, m := range validateMsgs(reads, len(b.shards)) {
-		if !b.shards[i].validate(m.Keys, m.Vers) {
+	for i, h := range validationHops(reads, len(b.shards)) {
+		if !b.shards[i].validate(h.Keys, h.Got.Vers) {
 			return false, nil
 		}
 	}
 	return true, nil
 }
 
-func (b *localBackend) submit(ctx context.Context, txID string, fps map[int]*footprint) (*commit.Txn, func(), error) {
-	involved := make([]*Shard, 0, len(fps))
-	for i, fp := range fps {
-		sh := b.shards[i]
-		sh.stage(txID, fp.reads, fp.writes)
-		involved = append(involved, sh)
+func (b *localBackend) submit(ctx context.Context, txID string, fps map[int]commit.Message) (*commit.Txn, error) {
+	ct, err := b.com.SubmitStaged(ctx, txID, fps)
+	if err != nil {
+		return nil, fmt.Errorf("kv: %s: %w", txID, err)
 	}
-	ct := b.com.Submit(ctx, txID)
-	cleanup := func() {
-		for _, sh := range involved {
-			sh.unstage(txID)
-		}
-	}
-	return ct, cleanup, nil
+	return ct, nil
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"atomiccommit/commit"
+	"atomiccommit/internal/live"
 )
 
 func testCtx(t *testing.T) context.Context {
@@ -263,6 +264,49 @@ func TestNoStateLeaks(t *testing.T) {
 		sh.mu.Unlock()
 		if staged != 0 || locks != 0 {
 			t.Errorf("shard %d leaked: staged=%d locks=%d", i, staged, locks)
+		}
+	}
+}
+
+// TestExpiredLocalSubmitKeepsIntents: a local transaction whose context ends
+// while its peers still run keeps its footprint until they decide. T1 writes
+// k with every envelope late by U/2, so its run decides commit, but its
+// context is cancelled right after Submit and its future resolves with that
+// error. T2 then writes k while T1 is undecided: its run comes after T1's on
+// k's shard, meets T1's write intent and votes no, and k ends up holding T1's
+// value. Releasing T1's footprint when its future failed would let T2 commit
+// and drop T1's committed write.
+func TestExpiredLocalSubmitKeepsIntents(t *testing.T) {
+	t.Parallel()
+	const u = 100 * time.Millisecond
+	s := open(t, 2, commit.Options{Timeout: u})
+	s.b.(*localBackend).com.Mesh().Latency = func(live.Envelope) time.Duration { return u / 2 }
+	ctx := testCtx(t)
+
+	t1ctx, cancel := context.WithCancel(ctx)
+	t1 := s.Txn()
+	t1.Put("k", "t1")
+	p1, err := t1.Submit(t1ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	if ok, err := p1.Wait(ctx); ok || err == nil {
+		t.Fatalf("T1: ok=%v err=%v, want its context's error", ok, err)
+	}
+
+	t2 := s.Txn()
+	t2.Put("k", "t2")
+	if ok, err := t2.Commit(ctx); ok || err != nil {
+		t.Fatalf("T2 over undecided T1's key: ok=%v err=%v, want an abort", ok, err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		v, _ := s.Get("k")
+		if v == "t1" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("k = %q, want T1's committed value", v)
 		}
 	}
 }

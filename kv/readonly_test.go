@@ -14,6 +14,12 @@ import (
 	"atomiccommit/internal/obs"
 )
 
+// validation is the query a client validates keys read at vers on sh with:
+// a one-hop relay already on its way back.
+func validation(sh *Shard, keys []string, vers []uint64) relayMsg {
+	return relayMsg{N: 2, Client: 3, Back: true, Hops: []relayHop{{Peer: core.ProcessID(sh.id + 1), Keys: keys, Got: readReplyMsg{Vers: vers}}}}
+}
+
 // TestValidateRefusesAcrossVisibilityGap walks one writer W over x (shard A)
 // and y (shard B) through the gap in which it is applied on A and still
 // prepared on B, and asks both shards about a reader that saw new x and old
@@ -38,11 +44,11 @@ func TestValidateRefusesAcrossVisibilityGap(t *testing.T) {
 	}
 	validate := func(sh *Shard, key string, ver uint64) bool {
 		t.Helper()
-		reply, err := sh.Query(validateMsg{Keys: []string{key}, Vers: []uint64{ver}})
+		reply, err := sh.Query(validation(sh, []string{key}, []uint64{ver}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return reply.(validateReplyMsg).OK
+		return reply.(relayMsg).Hops[0].OK
 	}
 	conflicts := func() (intent, stale int64) {
 		return obs.M.CounterValue("kv.conflict.intent"), obs.M.CounterValue("kv.conflict.stale_read")
@@ -153,11 +159,11 @@ func TestAnchorHeldAcrossVisibilityGap(t *testing.T) {
 	if !r.Held[0] {
 		t.Fatal("the anchor read of old y reports no intent while W's is on it: a fractured read commits")
 	}
-	reply, err := b.Query(validateMsg{Keys: []string{"y"}, Vers: []uint64{r.Vers[0]}})
+	reply, err := b.Query(validation(b, []string{"y"}, []uint64{r.Vers[0]}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reply.(validateReplyMsg).OK {
+	if reply.(relayMsg).Hops[0].OK {
 		t.Fatal("shard B validated old y while W's write intent is on it")
 	}
 

@@ -1,10 +1,15 @@
 // The distributed runtime: one Shard hosted per commit.Peer process, and a
 // client-side Store that reaches them over TCP through commit.Client.
 //
+// Every question the client asks a shard is one relay (relayMsg) and one
+// helper asks it (remoteBackend.ask): a read is a one-hop relay on its way
+// out, a validation a one-hop relay already on its way back, and a first
+// read may visit several far owners in one relay.
+//
 // A remote transaction costs WAN legs, and this file exists to spend as
 // few as the protocol allows:
 //
-//  1. Reads are batched Query round-trips (readMsg -> readReplyMsg):
+//  1. Reads are batched Query round-trips, one-hop relays:
 //     Txn.GetMulti fans out one query per owning shard in parallel (one
 //     leg of wall-clock for the whole read set), a per-owner coalescer
 //     lets reads from different in-flight transactions that are pending
@@ -15,14 +20,13 @@
 //     revalidates every read version, so the worst case is an OCC abort,
 //     which drops the entry.
 //  2. Submit is one leg and waits for nothing. A transaction that wrote
-//     nothing runs no commit protocol at all: one validation query per
-//     shard it read from (validateMsg -> validateReplyMsg), fanned out in
-//     parallel like the reads, and it commits iff every shard says yes —
-//     read round plus validation round, nothing staged anywhere. Its
-//     first read can take every far shard's two rounds off the client's
-//     clock but one round trip (relayOf): the near shards are read
-//     first, then one relay (relayMsg) visits the far owners in turn and
-//     comes back the same way. Each reads its keys fresh on the way out;
+//     nothing runs no commit protocol at all: one validation per shard it
+//     read from, fanned out in parallel like the reads, and it commits iff
+//     every shard says yes — read round plus validation round, nothing
+//     staged anywhere. Its first read can take every far shard's two
+//     rounds off the client's clock but one round trip (relayOf): the near
+//     shards are read first, then one relay visits the far owners in turn
+//     and comes back the same way. Each reads its keys fresh on the way out;
 //     the last one's read, with no write intent on its keys, is its
 //     validation, and each earlier one validates on the way back, over
 //     the far region's short links. For a transaction that writes, every
@@ -66,10 +70,10 @@ import (
 
 // WAN-leg accounting: mLegs counts the sequential round-trip phases remote
 // transactions paid (a parallel fan-out is one phase — it costs one RTT of
-// wall-clock); mReadBatches counts read queries (readMsg or relayMsg)
-// actually put on the wire, so batches much smaller than reads means the
-// coalescer and the cache are doing their jobs. The geo bench reports both
-// per transaction.
+// wall-clock); mReadBatches counts the relays that read — coalesced reads
+// and first-read relays, not validations — actually put on the wire, so
+// batches much smaller than reads means the coalescer and the cache are
+// doing their jobs. The geo bench reports both per transaction.
 var (
 	mLegs        = obs.M.Counter("kv.remote.legs")
 	mReadBatches = obs.M.Counter("kv.remote.read.batches")
@@ -116,7 +120,7 @@ func OpenRemote(clientID int, addrs []string, opts commit.Options) (*Store, erro
 		return nil, fmt.Errorf("kv: %w", err)
 	}
 	return &Store{
-		com: cl,
+		close: cl.Close,
 		b: &remoteBackend{
 			client: cl, n: len(addrs), net: opts.Net,
 			cache:      newReadCache(defaultCacheCapacity, 0),
@@ -155,7 +159,7 @@ type readBatch struct {
 
 // readCoalescer merges concurrent reads bound for one shard owner: the first
 // reader to find nothing pending opens a batch and starts its sender, and
-// every reader that arrives before the sender runs rides the same readMsg.
+// every reader that arrives before the sender runs rides the same relay.
 // The sender takes the batch as it is and puts it on the wire at once — a
 // read never waits for the reply to somebody else's query, so it costs one
 // round trip however many queries to its owner are already in flight.
@@ -208,44 +212,62 @@ func (co *readCoalescer) send(batch *readBatch) {
 	close(batch.done)
 }
 
-// fetch puts one batched read on the wire and fills the cache from the
-// reply. The query is bounded by the client's own deadline (a multiple of
-// the timeout unit), not any single caller's context: the batch serves
-// many callers, each of which stops *waiting* when its own context
-// expires.
+// fetch puts one batched read, a one-hop relay, on the wire and fills the
+// cache from the reply. Its verdict is ignored: reads that run in parallel
+// are not ordered before one another, so no read of a fan-out validates. The
+// query is bounded by the client's own deadline (a multiple of the timeout
+// unit), not any single caller's context: the batch serves many callers, each
+// of which stops *waiting* when its own context expires.
 func (b *remoteBackend) fetch(owner int, keys []string) ([]readResult, error) {
-	reply, err := b.ask(context.Background(), owner, readMsg{Keys: keys})
+	hops, err := b.ask(context.Background(), []relayHop{{Peer: core.ProcessID(owner), Keys: keys}}, false)
 	if err != nil {
 		return nil, err
 	}
-	r, ok := reply.(readReplyMsg)
-	if !ok || len(r.Vals) != len(keys) || len(r.Oks) != len(keys) || len(r.Vers) != len(keys) {
-		return nil, fmt.Errorf("shard owner P%d: malformed read reply %T", owner, reply)
-	}
-	res := make([]readResult, len(keys))
-	for i, key := range keys {
-		res[i] = readResult{val: r.Vals[i], ok: r.Oks[i], ver: r.Vers[i]}
-		b.cache.put(key, r.Vals[i], r.Oks[i], r.Vers[i])
-	}
-	return res, nil
+	return b.got(hops[0]), nil
 }
 
-// ask puts one read query on the wire. When the client's own (generous)
+// ask sends a relay along hops, to the first of them, and returns its hops
+// once it is back, checked to be the ones sent with a read of every key. back
+// sends a one-hop relay already on its way back: a validation of the versions
+// in its Got.Vers, which is never retried. A read, the relay of a first read
+// included, counts as a read batch and, when the client's own (generous)
 // deadline expires — a reply lost under load, not a caller cancellation —
-// it asks once more: the coalescer fans a single batch failure out to every
+// is asked once more: the coalescer fans a single batch failure out to every
 // merged reader, and a relay's failure is a transaction's, so a transient
 // loss is disproportionately expensive.
-func (b *remoteBackend) ask(ctx context.Context, owner int, m commit.Message) (commit.Message, error) {
-	mReadBatches.Add(1)
-	reply, err := b.client.Query(ctx, owner, m)
-	if err != nil && errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
-		mReadRetries.Add(1)
-		reply, err = b.client.Query(ctx, owner, m)
+func (b *remoteBackend) ask(ctx context.Context, hops []relayHop, back bool) ([]relayHop, error) {
+	m := relayMsg{N: b.n, Client: core.ProcessID(b.client.ID()), Back: back, Hops: hops}
+	first := int(hops[0].Peer)
+	reply, err := b.client.Query(ctx, first, m)
+	if !back {
+		mReadBatches.Add(1)
+		if err != nil && errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
+			mReadRetries.Add(1)
+			reply, err = b.client.Query(ctx, first, m)
+		}
 	}
 	if err != nil {
-		return nil, fmt.Errorf("shard owner P%d: %w", owner, err)
+		return nil, fmt.Errorf("shard owner P%d: %w", first, err)
 	}
-	return reply, nil
+	r, ok := reply.(relayMsg)
+	ok = ok && len(r.Hops) == len(hops)
+	for j := 0; ok && j < len(hops); j++ {
+		ok = r.Hops[j].Peer == hops[j].Peer && len(r.Hops[j].Got.Vals) == len(hops[j].Keys)
+	}
+	if !ok {
+		return nil, fmt.Errorf("shard owner P%d: malformed reply %T", first, reply)
+	}
+	return r.Hops, nil
+}
+
+// got returns what hop h read, key by key, and caches it.
+func (b *remoteBackend) got(h relayHop) []readResult {
+	res := make([]readResult, len(h.Keys))
+	for k, key := range h.Keys {
+		res[k] = readResult{val: h.Got.Vals[k], ok: h.Got.Oks[k], ver: h.Got.Vers[k]}
+		b.cache.put(key, h.Got.Vals[k], h.Got.Oks[k], h.Got.Vers[k])
+	}
+	return res
 }
 
 // await blocks until the batch resolves or ctx expires (the batch flies on
@@ -306,32 +328,23 @@ func (b *remoteBackend) readMulti(ctx context.Context, keys []string, first bool
 // owners whose read was also their validation.
 func (b *remoteBackend) relay(ctx context.Context, keys []string, out []readResult, owners map[int][]int, route []int) ([]int, error) {
 	mLegs.Add(1)
-	m := relayMsg{N: b.n, Client: core.ProcessID(b.client.ID()), Hops: make([]relayHop, len(route))}
+	hops := make([]relayHop, len(route))
 	for j, o := range route {
-		m.Hops[j] = relayHop{Peer: core.ProcessID(o), Keys: make([]string, len(owners[o]))}
+		hops[j] = relayHop{Peer: core.ProcessID(o), Keys: make([]string, len(owners[o]))}
 		for k, i := range owners[o] {
-			m.Hops[j].Keys[k] = keys[i]
+			hops[j].Keys[k] = keys[i]
 		}
 	}
-	reply, err := b.ask(ctx, route[0], m)
+	hops, err := b.ask(ctx, hops, false)
 	if err != nil {
-		return nil, fmt.Errorf("relay %q via P%d: %w", keys[owners[route[0]][0]], route[0], err)
-	}
-	r, ok := reply.(relayMsg)
-	if !ok || len(r.Hops) != len(route) {
-		return nil, fmt.Errorf("relay via P%d: malformed reply %T", route[0], reply)
+		return nil, fmt.Errorf("relay %q: %w", keys[owners[route[0]][0]], err)
 	}
 	var validated []int
 	for j, o := range route {
-		h := r.Hops[j]
-		if int(h.Peer) != o || len(h.Got.Vals) != len(owners[o]) {
-			return nil, fmt.Errorf("relay via P%d: malformed hop at P%d", route[0], h.Peer)
+		for k, r := range b.got(hops[j]) {
+			out[owners[o][k]] = r
 		}
-		for k, i := range owners[o] {
-			out[i] = readResult{val: h.Got.Vals[k], ok: h.Got.Oks[k], ver: h.Got.Vers[k]}
-			b.cache.put(keys[i], h.Got.Vals[k], h.Got.Oks[k], h.Got.Vers[k])
-		}
-		if h.OK {
+		if hops[j].OK {
 			validated = append(validated, o)
 		}
 	}
@@ -458,34 +471,31 @@ func (b *remoteBackend) note(committed bool, reads map[string]uint64, writes map
 	}
 }
 
-// validate fans one validateMsg out to every owner of a key in reads, in
-// parallel: one WAN round trip of wall-clock, the read-only transaction's
-// whole commit. A refusal is final whatever the other owners say, so it
-// returns at once; an owner whose answer never came is an error, never a
-// yes or a no.
+// validate fans a validation, a one-hop relay already on its way back, out
+// to every owner of a key in reads, in parallel: one WAN round trip of
+// wall-clock, the read-only transaction's whole commit. A refusal is final
+// whatever the other owners say, so it returns at once; an owner whose answer
+// never came is an error, never a yes or a no.
 func (b *remoteBackend) validate(ctx context.Context, reads map[string]uint64) (bool, error) {
-	msgs := validateMsgs(reads, b.n)
+	hops := validationHops(reads, b.n)
 	mLegs.Add(1)
 	type answer struct {
 		ok  bool
 		err error
 	}
-	answers := make(chan answer, len(msgs)) // every sender finishes, whoever listens
-	for i, m := range msgs {
-		go func(owner int, m validateMsg) {
-			reply, err := b.client.Query(ctx, owner, m)
-			r, ok := reply.(validateReplyMsg)
-			if err == nil && !ok {
-				err = fmt.Errorf("malformed reply %T", reply)
-			}
+	answers := make(chan answer, len(hops)) // every sender finishes, whoever listens
+	for _, h := range hops {
+		go func(h relayHop) {
+			r, err := b.ask(ctx, []relayHop{h}, true)
 			if err != nil {
-				err = fmt.Errorf("kv: validate at P%d: %w", owner, err)
+				answers <- answer{err: fmt.Errorf("kv: validate: %w", err)}
+				return
 			}
-			answers <- answer{ok: r.OK, err: err}
-		}(i+1, m)
+			answers <- answer{ok: r[0].OK}
+		}(h)
 	}
 	var firstErr error
-	for range msgs {
+	for range hops {
 		a := <-answers
 		switch {
 		case a.err != nil:
@@ -501,23 +511,21 @@ func (b *remoteBackend) validate(ctx context.Context, reads map[string]uint64) (
 
 // submit ships every shard's footprint inside the one message that asks the
 // coordinator to run the commit: one leg. Once it is sent the peers own the
-// staged state, so there is no cleanup func. A footprint over the message
-// budget is refused before anything is sent (commit.ErrStageTooLarge).
-func (b *remoteBackend) submit(ctx context.Context, txID string, fps map[int]*footprint) (*commit.Txn, func(), error) {
+// staged state. A footprint over the message budget is refused before
+// anything is sent (commit.ErrStageTooLarge).
+func (b *remoteBackend) submit(ctx context.Context, txID string, fps map[int]commit.Message) (*commit.Txn, error) {
 	idxs := make([]int, 0, len(fps))
-	msgs := make(map[int]commit.Message, len(fps))
-	for i, fp := range fps {
-		idxs = append(idxs, i)
-		msgs[i+1] = footprintToMsg(fp)
+	for peer := range fps {
+		idxs = append(idxs, peer-1)
 	}
 	sort.Ints(idxs)
 	coord := coordinator(b.net, core.ProcessID(b.client.ID()), b.n, idxs)
-	ct, err := b.client.StageGoAll(ctx, txID, coord, msgs)
+	ct, err := b.client.StageGoAll(ctx, txID, coord, fps)
 	if err != nil {
-		return nil, nil, fmt.Errorf("kv: %s: %w", txID, err)
+		return nil, fmt.Errorf("kv: %s: %w", txID, err)
 	}
 	mLegs.Add(1)
-	return ct, nil, nil
+	return ct, nil
 }
 
 // coordinator picks the peer (1..n) that drives the commit of a transaction

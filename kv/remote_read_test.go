@@ -182,7 +182,9 @@ func (s *spyShard) Prepare(txID string) bool { s.commitPath.Add(1); return s.Sha
 func (s *spyShard) Commit(txID string)       { s.commitPath.Add(1); s.Shard.Commit(txID) }
 func (s *spyShard) Abort(txID string)        { s.commitPath.Add(1); s.Shard.Abort(txID) }
 func (s *spyShard) Query(m commit.Message) (commit.Message, error) {
-	if _, ok := m.(validateMsg); ok {
+	// A validation is a relay that arrives on its way back at its last hop:
+	// the client sent it so.
+	if r, ok := m.(relayMsg); ok && r.Back && r.At == len(r.Hops)-1 {
 		s.validations.Add(1)
 		if s.mute.Load() {
 			return nil, fmt.Errorf("muted") // the peer turns an error into silence

@@ -52,9 +52,10 @@ type lockState struct {
 // Shard is one partition of the keyspace and one commit participant. It
 // implements commit.Resource (Prepare votes on conflicts, Commit/Abort
 // apply or drop the staged footprint) and commit.HostedResource (Stage
-// receives a remote client's footprint, Query answers reads, relay hops and
-// read-only validations), so a shard runs identically inside a local
-// Cluster and inside a commit.Peer process reachable only over TCP.
+// receives a transaction's footprint from the peer's run, right before
+// Prepare; Query runs its hop of a relay, the one kv query), so a shard runs
+// identically inside a local Cluster and inside a commit.Peer process
+// reachable only over TCP: in both, only a decision releases a footprint.
 type Shard struct {
 	id int // 0-based; shard i is hosted by peer i+1 in a distributed store
 
@@ -122,26 +123,8 @@ func (sh *Shard) readCommittedMulti(keys []string) (r readReplyMsg, free bool) {
 	return r, free
 }
 
-// stage registers a transaction's footprint ahead of Prepare. Keys in both
-// sets are treated as writes for locking purposes.
-func (sh *Shard) stage(txID string, reads map[string]uint64, writes map[string]write) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.staged[txID] = &stagedTxn{reads: reads, writes: writes}
-}
-
-// unstage drops a transaction whose protocol instance resolved with an
-// infrastructure error (so Commit/Abort will never fire), releasing
-// whatever it held. Idempotent.
-func (sh *Shard) unstage(txID string) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.drop(txID)
-}
-
-// Stage implements commit.HostedResource: a remote client's footprint for
-// txID, shipped as a footprintMsg, lands exactly where a local
-// Txn.Submit would have staged it.
+// Stage implements commit.HostedResource: txID's footprint on this shard,
+// shipped as a footprintMsg by a remote client or a local Store alike.
 func (sh *Shard) Stage(txID string, m commit.Message) error {
 	fp, ok := m.(footprintMsg)
 	if !ok {
@@ -151,28 +134,21 @@ func (sh *Shard) Stage(txID string, m commit.Message) error {
 	if err != nil {
 		return fmt.Errorf("kv: shard %d: %w", sh.id, err)
 	}
-	sh.stage(txID, reads, writes)
+	// Keys in both sets are treated as writes for locking purposes.
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.staged[txID] = &stagedTxn{reads: reads, writes: writes}
 	return nil
 }
 
-// Query implements commit.HostedResource: batched committed reads
-// (readMsg -> readReplyMsg) for remote clients building their read sets,
-// this shard's hop of a relay (relayMsg, passed on to the process it names
-// next), and the read-only commit (validateMsg -> validateReplyMsg).
+// Query implements commit.HostedResource: every question a client asks a
+// shard is a relay (relayMsg), of which this shard runs its hop and which it
+// passes on to the process the hop names next — a read, a validation, or a
+// part of a read that visits several owners. Anything else is an error, which
+// the peer turns into silence.
 func (sh *Shard) Query(m commit.Message) (commit.Message, error) {
-	switch rq := m.(type) {
-	case readMsg:
-		r, _ := sh.readCommittedMulti(rq.Keys)
-		return r, nil
-	case relayMsg:
+	if rq, ok := m.(relayMsg); ok {
 		return sh.relay(rq)
-	case validateMsg:
-		// The decoder produces matching lengths; only a hand-built message
-		// can disagree, and it gets no answer rather than a yes.
-		if len(rq.Keys) != len(rq.Vers) {
-			return nil, fmt.Errorf("kv: shard %d: malformed validate: %d keys, %d versions", sh.id, len(rq.Keys), len(rq.Vers))
-		}
-		return validateReplyMsg{OK: sh.validate(rq.Keys, rq.Vers)}, nil
 	}
 	return nil, fmt.Errorf("kv: shard %d: unexpected query %T", sh.id, m)
 }

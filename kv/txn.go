@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 
 	"atomiccommit/commit"
@@ -169,21 +168,9 @@ func (t *Txn) Delete(key string) {
 // Pending is the future of a submitted transaction, wrapping the commit
 // pipeline's own future.
 type Pending struct {
-	id      string
-	txn     *commit.Txn
-	clean   func() // backend-provided; may be nil (remote: peers own cleanup)
-	release sync.Once
-	noted   chan struct{} // closed after the post-decision cache note; nil if it precedes Done
-}
-
-// cleanup releases staged state after an infrastructure error (the
-// Commit/Abort callbacks will never fire). Idempotent; only called once the
-// future resolved.
-func (p *Pending) cleanup() {
-	if p.clean == nil || p.txn.Err() == nil {
-		return
-	}
-	p.release.Do(p.clean)
+	id    string
+	txn   *commit.Txn
+	noted chan struct{} // closed after the post-decision cache note; nil if it precedes Done
 }
 
 // TxID returns the transaction's identifier.
@@ -203,29 +190,28 @@ func (p *Pending) Wait(ctx context.Context) (bool, error) {
 	ok, err := p.txn.Wait(ctx)
 	select {
 	case <-p.txn.Done():
-		// Resolved: release the footprint synchronously on infrastructure
-		// errors so callers observe a clean store when Wait returns, and
-		// join the post-decision cache note (fresh entries for this
-		// transaction's committed writes, invalidations after an abort) so
-		// a follow-up read on this store observes the outcome —
+		// Resolved: join the post-decision cache note (fresh entries for
+		// this transaction's committed writes, invalidations after an
+		// abort) so a follow-up read on this store observes the outcome —
 		// read-your-writes across transactions. The note goroutine is past
 		// its own wait on Done here and runs straight-line local code, so
 		// this receive is bounded.
 		if p.noted != nil {
 			<-p.noted
 		}
-		p.cleanup()
 	default:
 	}
 	return ok, err
 }
 
-// Submit stages the transaction's footprint on every involved shard and
-// enqueues it on the store's commit pipeline, returning a future
-// immediately. ctx bounds the transaction itself. Over a remote runtime the
+// Submit hands the transaction, with every involved shard's slice of its
+// footprint, to the store's commit pipeline and returns a future
+// immediately; each shard stages its slice right before it votes. ctx bounds
+// the wait for the outcome: a future that resolves with ctx's error leaves the
+// transaction to its peers, which decide it and release its intents. The
 // whole footprint travels in one message, so one whose encoding exceeds
 // 256 KiB, all shards together, is refused with an error wrapping
-// commit.ErrStageTooLarge before anything is sent. A transaction that wrote
+// commit.ErrStageTooLarge before anything runs. A transaction that wrote
 // nothing runs no protocol instance: the future resolves committed iff every
 // shard it read from, but those its relay validated, validates its reads
 // (see the package comment), with an error if some shard's answer never
@@ -253,10 +239,11 @@ func (t *Txn) Submit(ctx context.Context) (*Pending, error) {
 				}
 			}
 		}
-		if len(reads) == 0 {
-			return &Pending{id: txID, txn: commit.ResolvedTxn(txID, true)}, nil
-		}
 		ct, resolve := commit.UnresolvedTxn(txID)
+		if len(reads) == 0 {
+			resolve(true, nil)
+			return &Pending{id: txID, txn: ct}, nil
+		}
 		go func() {
 			ok, err := t.s.b.validate(ctx, reads)
 			if err == nil {
@@ -269,7 +256,7 @@ func (t *Txn) Submit(ctx context.Context) (*Pending, error) {
 		return &Pending{id: txID, txn: ct}, nil
 	}
 
-	// Split the footprint by shard index.
+	// Split the footprint by shard index; peer i+1 hosts shard i.
 	byShard := make(map[int]*footprint)
 	fp := func(i int) *footprint {
 		f, ok := byShard[i]
@@ -285,28 +272,26 @@ func (t *Txn) Submit(ctx context.Context) (*Pending, error) {
 	for key, w := range t.writes {
 		fp(shardIndex(key, t.s.nshards)).writes[key] = w
 	}
+	msgs := make(map[int]commit.Message, len(byShard))
+	for i, f := range byShard {
+		msgs[i+1] = footprintToMsg(f)
+	}
 
-	ct, clean, err := t.s.b.submit(ctx, txID, byShard)
+	ct, err := t.s.b.submit(ctx, txID, msgs)
 	if err != nil {
 		return nil, err
 	}
-	p := &Pending{id: txID, txn: ct, clean: clean, noted: make(chan struct{})}
+	p := &Pending{id: txID, txn: ct, noted: make(chan struct{})}
 
-	// If the protocol instance resolves with an infrastructure error (ctx
-	// expiry, closed store), the Commit/Abort callbacks never fire; release
-	// the staged footprint so its keys are not pinned forever. Outcome
-	// callbacks complete before the future resolves, so this cannot race a
-	// real decision. A real decision instead feeds the backend's read cache
-	// (fresh entries from committed writes, invalidations after aborts);
-	// Wait joins p.noted so the refreshed cache is visible by the time it
-	// returns.
+	// A decision feeds the backend's read cache (fresh entries from
+	// committed writes, invalidations after aborts); Wait joins p.noted so
+	// the refreshed cache is visible by the time it returns.
 	go func() {
 		defer close(p.noted)
 		<-ct.Done()
 		if ct.Err() == nil {
 			t.s.b.note(ct.Committed(), t.reads, t.writes, t.cachedReads)
 		}
-		p.cleanup()
 	}()
 	return p, nil
 }

@@ -1,9 +1,9 @@
-// Wire messages for the distributed kv runtime: the footprint a remote
-// client stages at a shard owner, the read request/reply pair behind
-// transactional Gets, the validation request/reply pair that commits a
-// read-only transaction, and the relay that reads several far owners in one
-// client round trip. IDs live in the kv block (80..81, 84..87) of the live
-// wire registry — see internal/live/wire.go for the ID map.
+// Wire messages for the distributed kv runtime: the footprint a client
+// stages at a shard owner, and the relay, the one query a shard answers —
+// a coalesced read, a read-only transaction's validation, and the first read
+// that visits several far owners in one client round trip are all relays.
+// IDs 80 and 86 live in the kv block of the live wire registry; 81, 82, 84,
+// 85 and 87 are retired — see internal/live/wire.go for the ID map.
 //
 // Maps are encoded as sorted parallel slices so the same footprint always
 // produces the same bytes (useful for tests and future dedup/digests).
@@ -22,10 +22,6 @@ import (
 
 func init() {
 	live.RegisterWire(footprintMsg{})
-	live.RegisterWire(readMsg{})
-	live.RegisterWire(readReplyMsg{})
-	live.RegisterWire(validateMsg{})
-	live.RegisterWire(validateReplyMsg{})
 	live.RegisterWire(relayMsg{})
 }
 
@@ -139,87 +135,23 @@ func (m footprintMsg) sets() (map[string]uint64, map[string]write, error) {
 	return reads, writes, nil
 }
 
-// readMsg asks a shard owner for the latest committed state of Keys.
-type readMsg struct {
-	Keys []string
-}
-
-// Kind implements core.Message.
-func (readMsg) Kind() string { return "KVREAD" }
-
-// WireID implements core.Wire.
-func (readMsg) WireID() uint16 { return 81 }
-
-// MarshalWire implements core.Wire.
-func (m readMsg) MarshalWire(b []byte) []byte {
-	b = wire.AppendUvarint(b, uint64(len(m.Keys)))
-	for _, k := range m.Keys {
-		b = wire.AppendString(b, k)
-	}
-	return b
-}
-
-// UnmarshalWire implements core.Wire.
-func (readMsg) UnmarshalWire(d *wire.Decoder) (core.Message, error) {
-	var m readMsg
-	if n := d.Len(); n > 0 {
-		m.Keys = make([]string, n)
-		for i := range m.Keys {
-			m.Keys[i] = d.String()
-		}
-	}
-	return m, d.Err()
-}
-
-// readReplyMsg answers a readMsg: value, presence and version per requested
-// key, in request order (parallel slices). It took a fresh wire ID when the
-// per-key intent bits it carried under ID 82 went: a relay's verdict says
-// whether a read was also a validation now.
+// readReplyMsg is what one hop of a relay read: value, presence and version
+// per key of the hop, in its key order (parallel slices). It is no message of
+// its own: it travels only as relayHop.Got.
 type readReplyMsg struct {
 	Vals []string
 	Oks  []bool
 	Vers []uint64
 }
 
-// Kind implements core.Message.
-func (readReplyMsg) Kind() string { return "KVREADREPLY" }
-
-// WireID implements core.Wire.
-func (readReplyMsg) WireID() uint16 { return 87 }
-
-// MarshalWire implements core.Wire.
-func (m readReplyMsg) MarshalWire(b []byte) []byte {
-	b = wire.AppendUvarint(b, uint64(len(m.Vals)))
-	for i := range m.Vals {
-		b = wire.AppendString(b, m.Vals[i])
-		b = wire.AppendBool(b, m.Oks[i])
-		b = wire.AppendUvarint(b, m.Vers[i])
-	}
-	return b
-}
-
-// UnmarshalWire implements core.Wire.
-func (readReplyMsg) UnmarshalWire(d *wire.Decoder) (core.Message, error) {
-	var m readReplyMsg
-	if n := d.Len(); n > 0 {
-		m.Vals = make([]string, n)
-		m.Oks = make([]bool, n)
-		m.Vers = make([]uint64, n)
-		for i := 0; i < n; i++ {
-			m.Vals[i] = d.String()
-			m.Oks[i] = d.Bool()
-			m.Vers[i] = d.Uvarint()
-		}
-	}
-	return m, d.Err()
-}
-
-// relayMsg is one read that visits the owners in Hops in turn and comes
-// back the same way (Shard.relay): each hop reads its keys on the way out;
-// the last hop's read counts as its validation when no write intent sits on
-// its keys; on the way back each earlier hop validates what it read, and the
-// first hop hands the whole message to Client. Every hop is a Query answer
+// relayMsg is the one kv query: it visits the owners in Hops in turn and
+// comes back the same way (Shard.relay). Each hop reads its keys on the way
+// out; the last hop's read counts as its validation when no write intent sits
+// on its keys; on the way back each earlier hop validates what it read, and
+// the first hop hands the whole message to Client. Every hop is a Query answer
 // that names the next process (commit.Hop), so no peer keeps state or waits.
+// A one-hop relay is a plain read, and one sent already on its way back
+// (Back, with the versions read in Got.Vers) is a plain validation.
 //
 // N is the deployment's peer count as the client knows it: peers are 1..N
 // and clients above. The decoder holds a route to at most N hops, in
@@ -235,7 +167,7 @@ type relayMsg struct {
 
 // relayHop is one owner's part of a relay: its keys, what it read (Got,
 // empty until it did) and its verdict — OK iff the read doubled as the
-// owner's validation.
+// owner's validation, or the validation on the way back said yes.
 type relayHop struct {
 	Peer core.ProcessID
 	Keys []string
@@ -269,8 +201,16 @@ func (m relayMsg) MarshalWire(b []byte) []byte {
 	b = wire.AppendUvarint(b, uint64(len(m.Hops)))
 	for _, h := range m.Hops {
 		b = wire.AppendUvarint(b, uint64(h.Peer))
-		b = readMsg{Keys: h.Keys}.MarshalWire(b)
-		b = h.Got.MarshalWire(b)
+		b = wire.AppendUvarint(b, uint64(len(h.Keys)))
+		for _, k := range h.Keys {
+			b = wire.AppendString(b, k)
+		}
+		b = wire.AppendUvarint(b, uint64(len(h.Got.Vals)))
+		for i := range h.Got.Vals {
+			b = wire.AppendString(b, h.Got.Vals[i])
+			b = wire.AppendBool(b, h.Got.Oks[i])
+			b = wire.AppendUvarint(b, h.Got.Vers[i])
+		}
 		b = wire.AppendBool(b, h.OK)
 	}
 	return b
@@ -284,12 +224,19 @@ var errRelayRoute = errors.New("kv: malformed relay")
 func (relayMsg) UnmarshalWire(d *wire.Decoder) (core.Message, error) {
 	m := relayMsg{N: int(d.Uvarint()), Client: core.ProcessID(d.Uvarint()), At: d.Int(), Back: d.Bool()}
 	for n := d.Len(); n > 0 && d.Err() == nil; n-- {
-		var h relayHop
-		h.Peer = core.ProcessID(d.Uvarint())
-		keys, _ := readMsg{}.UnmarshalWire(d)
-		h.Keys = keys.(readMsg).Keys
-		got, _ := readReplyMsg{}.UnmarshalWire(d)
-		h.Got = got.(readReplyMsg)
+		h := relayHop{Peer: core.ProcessID(d.Uvarint())}
+		if nk := d.Len(); nk > 0 {
+			h.Keys = make([]string, nk)
+			for i := range h.Keys {
+				h.Keys[i] = d.String()
+			}
+		}
+		if ng := d.Len(); ng > 0 {
+			h.Got = readReplyMsg{Vals: make([]string, ng), Oks: make([]bool, ng), Vers: make([]uint64, ng)}
+			for i := 0; i < ng; i++ {
+				h.Got.Vals[i], h.Got.Oks[i], h.Got.Vers[i] = d.String(), d.Bool(), d.Uvarint()
+			}
+		}
 		h.OK = d.Bool()
 		if h.Peer < 1 || int(h.Peer) > m.N || len(m.Hops) > 0 && h.Peer <= m.Hops[len(m.Hops)-1].Peer ||
 			len(h.Got.Vals) != 0 && len(h.Got.Vals) != len(h.Keys) {
@@ -306,75 +253,21 @@ func (relayMsg) UnmarshalWire(d *wire.Decoder) (core.Message, error) {
 	return m, nil
 }
 
-// validateMsg asks a shard owner whether a read-only transaction's reads
-// there still stand: Keys[i] was read at version Vers[i] (parallel slices,
-// in no particular order). It names no transaction — nothing is staged.
-type validateMsg struct {
-	Keys []string
-	Vers []uint64
-}
-
-// Kind implements core.Message.
-func (validateMsg) Kind() string { return "KVVALIDATE" }
-
-// WireID implements core.Wire.
-func (validateMsg) WireID() uint16 { return 84 }
-
-// MarshalWire implements core.Wire.
-func (m validateMsg) MarshalWire(b []byte) []byte {
-	b = wire.AppendUvarint(b, uint64(len(m.Keys)))
-	for i, k := range m.Keys {
-		b = wire.AppendString(b, k)
-		b = wire.AppendUvarint(b, m.Vers[i])
-	}
-	return b
-}
-
-// UnmarshalWire implements core.Wire.
-func (validateMsg) UnmarshalWire(d *wire.Decoder) (core.Message, error) {
-	var m validateMsg
-	if n := d.Len(); n > 0 {
-		m.Keys = make([]string, n)
-		m.Vers = make([]uint64, n)
-		for i := 0; i < n; i++ {
-			m.Keys[i] = d.String()
-			m.Vers[i] = d.Uvarint()
-		}
-	}
-	return m, d.Err()
-}
-
-// validateMsgs splits a read set into one validateMsg per owning shard,
-// keyed by shard index among n.
-func validateMsgs(reads map[string]uint64, n int) map[int]validateMsg {
-	msgs := make(map[int]validateMsg)
+// validationHops groups a read set by owning shard index among n, each group
+// the hop of a validation relay: its owner, its keys and, in Got.Vers, the
+// versions read, with Got.Vals and Got.Oks zero to the same length (Got is
+// encoded as one triple per value).
+func validationHops(reads map[string]uint64, n int) map[int]relayHop {
+	hops := make(map[int]relayHop)
 	for key, ver := range reads {
 		i := shardIndex(key, n)
-		m := msgs[i]
-		m.Keys = append(m.Keys, key)
-		m.Vers = append(m.Vers, ver)
-		msgs[i] = m
+		h := hops[i]
+		h.Peer = core.ProcessID(i + 1)
+		h.Keys = append(h.Keys, key)
+		h.Got.Vals = append(h.Got.Vals, "")
+		h.Got.Oks = append(h.Got.Oks, false)
+		h.Got.Vers = append(h.Got.Vers, ver)
+		hops[i] = h
 	}
-	return msgs
-}
-
-// validateReplyMsg answers a validateMsg: OK iff every key still has the
-// version that was read and no write intent is on it (Shard.validate).
-type validateReplyMsg struct {
-	OK bool
-}
-
-// Kind implements core.Message.
-func (validateReplyMsg) Kind() string { return "KVVALIDATEREPLY" }
-
-// WireID implements core.Wire.
-func (validateReplyMsg) WireID() uint16 { return 85 }
-
-// MarshalWire implements core.Wire.
-func (m validateReplyMsg) MarshalWire(b []byte) []byte { return wire.AppendBool(b, m.OK) }
-
-// UnmarshalWire implements core.Wire.
-func (validateReplyMsg) UnmarshalWire(d *wire.Decoder) (core.Message, error) {
-	m := validateReplyMsg{OK: d.Bool()}
-	return m, d.Err()
+	return hops
 }

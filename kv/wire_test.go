@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"atomiccommit/internal/core"
+	"atomiccommit/internal/live"
 	"atomiccommit/internal/wire"
 )
 
@@ -59,31 +60,26 @@ func TestFootprintSetsMismatch(t *testing.T) {
 	}
 }
 
+// TestReadWireRoundTrip: a coalesced read — a one-hop relay on its way
+// out — and the answer that brings its values back round-trip, empty keys,
+// absent values and versions above 32 bits included.
 func TestReadWireRoundTrip(t *testing.T) {
 	t.Parallel()
-	rq := readMsg{Keys: []string{"x", "", "acct-7"}}
-	var d wire.Decoder
-	d.Reset(rq.MarshalWire(nil))
-	decoded, err := readMsg{}.UnmarshalWire(&d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(decoded, rq) {
-		t.Fatalf("readMsg round trip: %#v", decoded)
-	}
-
-	reply := readReplyMsg{
-		Vals: []string{"10", "", "z"},
-		Oks:  []bool{true, false, true},
-		Vers: []uint64{7, 0, 1 << 40},
-	}
-	d.Reset(reply.MarshalWire(nil))
-	decoded, err = readReplyMsg{}.UnmarshalWire(&d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(decoded, reply) {
-		t.Fatalf("readReplyMsg round trip: %#v", decoded)
+	keys := []string{"x", "", "acct-7"}
+	for _, m := range []relayMsg{
+		{N: 2, Client: 3, Hops: []relayHop{{Peer: 2, Keys: keys}}},
+		{N: 2, Client: 3, At: -1, Back: true, Hops: []relayHop{{Peer: 2, Keys: keys, Got: readReplyMsg{
+			Vals: []string{"10", "", "z"},
+			Oks:  []bool{true, false, true},
+			Vers: []uint64{7, 0, 1 << 40},
+		}}}},
+	} {
+		var d wire.Decoder
+		d.Reset(m.MarshalWire(nil))
+		decoded, err := relayMsg{}.UnmarshalWire(&d)
+		if err != nil || !reflect.DeepEqual(decoded, m) {
+			t.Fatalf("read round trip of %#v: %#v, %v", m, decoded, err)
+		}
 	}
 }
 
@@ -177,51 +173,79 @@ func TestWireTruncated(t *testing.T) {
 	}
 }
 
+// TestValidateWireRoundTrip: the validations a client sends — one-hop
+// relays already on their way back, Got zero but for the versions read — and
+// their answers round-trip, and every cut of their encoding errors.
 func TestValidateWireRoundTrip(t *testing.T) {
 	t.Parallel()
-	for _, m := range []core.Wire{
-		validateMsg{Keys: []string{"x", "", "acct-7"}, Vers: []uint64{7, 0, 1 << 40}},
-		validateMsg{},
-		validateReplyMsg{OK: true},
-		validateReplyMsg{},
-	} {
+	reads := map[string]uint64{"x": 7, "": 0, "acct-7": 1 << 40, "y": 3}
+	var msgs []relayMsg
+	for _, h := range validationHops(reads, 2) {
+		m := relayMsg{N: 2, Client: 3, Back: true, Hops: []relayHop{h}}
+		answer := relayMsg{N: 2, Client: 3, At: -1, Back: true, Hops: []relayHop{h}}
+		answer.Hops[0].OK = true
+		msgs = append(msgs, m, answer)
+	}
+	if len(msgs) != 4 {
+		t.Fatalf("%d reads grouped into %d validations, want one per owner of 2", len(reads), len(msgs)/2)
+	}
+	for _, m := range msgs {
 		full := m.MarshalWire(nil)
 		var d wire.Decoder
 		d.Reset(full)
-		decoded, err := m.UnmarshalWire(&d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(decoded, m) {
-			t.Fatalf("%T round trip: %#v", m, decoded)
+		decoded, err := relayMsg{}.UnmarshalWire(&d)
+		if err != nil || !reflect.DeepEqual(decoded, m) {
+			t.Fatalf("round trip of %#v: %#v, %v", m, decoded, err)
 		}
 		for cut := 0; cut < len(full); cut++ {
 			d.Reset(full[:cut])
-			if _, err := m.UnmarshalWire(&d); err == nil {
-				t.Fatalf("%T truncated at %d of %d decoded without error", m, cut, len(full))
+			if _, err := (relayMsg{}).UnmarshalWire(&d); err == nil {
+				t.Fatalf("%#v truncated at %d of %d decoded without error", m, cut, len(full))
 			}
 		}
 	}
 }
 
-// TestValidateLengthMismatch: a validateMsg whose parallel slices disagree can
-// only be hand-built. The shard must answer it with an error — which the peer
-// turns into silence — never with a panic or a yes.
+// TestValidateLengthMismatch: a validation whose versions do not match its
+// keys can only be hand-built. The shard must answer it with an error — which
+// the peer turns into silence — never with a panic or a yes.
 func TestValidateLengthMismatch(t *testing.T) {
 	t.Parallel()
 	sh := NewShard(0)
-	for _, m := range []validateMsg{
-		{Keys: []string{"a", "b"}, Vers: []uint64{0}},
-		{Keys: []string{"a"}},
-		{Vers: []uint64{0}},
+	for _, m := range []relayMsg{
+		validation(sh, []string{"a", "b"}, []uint64{0}),
+		validation(sh, []string{"a"}, nil),
+		validation(sh, nil, []uint64{0}),
 	} {
 		if reply, err := sh.Query(m); err == nil {
 			t.Fatalf("Query(%#v) = %#v, want an error", m, reply)
 		}
 	}
 	// The well-formed one about a never-written key is a yes.
-	reply, err := sh.Query(validateMsg{Keys: []string{"a"}, Vers: []uint64{0}})
-	if err != nil || reply != (validateReplyMsg{OK: true}) {
-		t.Fatalf("Query = %#v, %v; want a yes", reply, err)
+	reply, err := sh.Query(validation(sh, []string{"a"}, []uint64{0}))
+	if r, ok := reply.(relayMsg); err != nil || !ok || r.Next() != 3 || !r.Hops[0].OK {
+		t.Fatalf("Query = %#v, %v; want a yes headed to the client", reply, err)
+	}
+}
+
+// TestKVWireBlock: this package registers exactly the IDs it still sends —
+// 80, the footprint, and 86, the relay — the way commit's TestCommitWireBlock
+// pins its own. 81, 82, 84, 85 and 87, once the read, two forms of its
+// reply, the validation and its reply, are retired: a type registered under
+// one of them again would decode what an old sender meant by it as something
+// else.
+func TestKVWireBlock(t *testing.T) {
+	t.Parallel()
+	var got []uint16
+	for _, w := range live.RegisteredWires() {
+		if reflect.TypeOf(w).PkgPath() == "atomiccommit/kv" {
+			got = append(got, w.WireID())
+		}
+	}
+	if want := []uint16{80, 86}; !reflect.DeepEqual(got, want) {
+		t.Errorf("kv registers wire IDs %v, want exactly %v", got, want)
+	}
+	if reply, err := NewShard(0).Query(footprintMsg{}); err == nil {
+		t.Errorf("a shard answered a query that is no relay with %#v", reply)
 	}
 }

@@ -209,12 +209,6 @@ func (s RunStats) Percentile(p float64) time.Duration {
 	return percentileOf(s.Latencies, p)
 }
 
-// WallPercentile returns the p-th (0..1) full-transaction wall latency
-// percentile.
-func (s RunStats) WallPercentile(p float64) time.Duration {
-	return percentileOf(s.WallLatencies, p)
-}
-
 func percentileOf(sorted []time.Duration, p float64) time.Duration {
 	if len(sorted) == 0 {
 		return 0
