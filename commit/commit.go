@@ -201,8 +201,22 @@ type HostedResource interface {
 	Stage(txID string, m Message) error
 	// Query answers a read-only request outside any transaction. An answer
 	// that is a Hop goes on to the process it names instead of back to the
-	// sender.
+	// sender; one that is a Deferred is not ready yet, and the peer waits for
+	// it without blocking the delivery path.
 	Query(m Message) (Message, error)
+}
+
+// Deferred is a Query answer that is not ready yet: a kv read that met a
+// prepared writer's intent waits for that writer's decision. The peer hands
+// Await the function that does with the real answer what it does with a ready
+// one — reply to the sender, or pass a Hop on — and Await calls it once, on
+// whatever goroutine has the answer (for a kv shard, the apply worker), or
+// never, which the asking client sees as its query's deadline. A waiting
+// answer costs the peer no goroutine, timer or context; the answer handed
+// over may itself be another Deferred, which is awaited in turn.
+type Deferred interface {
+	Message
+	Await(answer func(Message))
 }
 
 // Hop is a Query answer that names the process it goes to next: another

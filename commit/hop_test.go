@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -137,6 +138,169 @@ func TestQueryHopChain(t *testing.T) {
 	_, err := c.Query(ctx(t), 1, hopMsg{Route: []core.ProcessID{1, 2, client}})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("a chain ending at P2 for a query to P1: err = %v, want a deadline error", err)
+	}
+}
+
+// heldAnswer is an answer a laterFake holds back: a Deferred that, awaited,
+// files on awaited the function that hands it over.
+type heldAnswer struct {
+	Message
+	awaited chan func()
+}
+
+// Await implements Deferred.
+func (h heldAnswer) Await(answer func(Message)) {
+	h.awaited <- func() { answer(h.Message) }
+}
+
+// laterFake is a hopFake that holds back every answer but the one to
+// fakeFootprint{"now"}, until the test hands it over.
+type laterFake struct {
+	hopFake
+	awaited chan func()
+}
+
+func (l laterFake) Query(m Message) (Message, error) {
+	reply, err := l.hopFake.Query(m)
+	if fp, ok := m.(fakeFootprint); err != nil || ok && fp.Payload == "now" {
+		return reply, err
+	}
+	return heldAnswer{reply, l.awaited}, nil
+}
+
+// TestQueryAnsweredLater: a Query answer that is a Deferred reaches the
+// client once the resource hands it over and not before, in one reply under
+// the query's ID; a deferred Hop goes on as a ready one does, so a chain P1 →
+// P2 (held) → P1 → client still costs the client one round trip; and a held
+// query costs no goroutine. Not parallel: it times round trips and counts the
+// process's goroutines.
+func TestQueryAnsweredLater(t *testing.T) {
+	const oneWay = 30 * time.Millisecond
+	opts := Options{Protocol: INBAC, F: 1, Timeout: 50 * time.Millisecond} // a query expires after 1.6s
+	awaited := make(chan func(), 1)
+	addrs := reserveAddrs(t, 3)
+	peers := make([]*Peer, 3)
+	for i := 1; i <= 3; i++ {
+		var r HostedResource = hopFake{newHostedFake(), core.ProcessID(i)}
+		if i == 2 {
+			r = laterFake{r.(hopFake), awaited}
+		}
+		p, err := NewPeer(i, addrs, r, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		peers[i-1] = p
+		t.Cleanup(p.Close)
+	}
+	c, err := NewClient(4, addrs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	client := core.ProcessID(c.ID())
+	var mu sync.Mutex
+	var replies []live.Envelope // every query reply the client received
+	c.tcp.SetHandler(func(e live.Envelope) {
+		if e.Path == queryReplyPath {
+			mu.Lock()
+			replies = append(replies, e)
+			mu.Unlock()
+		}
+		c.deliver(e)
+	})
+	repliesSoFar := func() []live.Envelope {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]live.Envelope(nil), replies...)
+	}
+	type result struct {
+		reply Message
+		err   error
+	}
+	// ask starts a query and returns, once peer 2 holds its answer, the
+	// function that hands the answer over and the channel the result comes on.
+	ask := func(peer int, m Message) (func(), chan result) {
+		t.Helper()
+		done := make(chan result, 1)
+		go func() {
+			reply, err := c.Query(ctx(t), peer, m)
+			done <- result{reply, err}
+		}()
+		select {
+		case release := <-awaited:
+			return release, done
+		case r := <-done:
+			t.Fatalf("query to P%d answered %v, %v before P2 handed its answer over", peer, r.reply, r.err)
+		}
+		return nil, nil
+	}
+	chain := hopMsg{Route: []core.ProcessID{1, 2, 1, client}}
+
+	// Warm-up: every connection the count could see being made exists
+	// before it is taken.
+	for _, q := range []struct {
+		peer int
+		m    Message
+	}{{2, fakeFootprint{"x"}}, {1, chain}} {
+		release, done := ask(q.peer, q.m)
+		release()
+		if r := <-done; r.err != nil {
+			t.Fatalf("warm-up: %v", r.err)
+		}
+	}
+	base := runtime.NumGoroutine()
+
+	// A direct query: nothing before the answer is handed over, one reply
+	// after, under the query's ID.
+	before := len(repliesSoFar())
+	release, done := ask(2, fakeFootprint{"x"})
+	waitFor(t, "the goroutine count to settle", func() bool { return runtime.NumGoroutine() <= base+1 }) // +1: ask's
+	c.mu.Lock()
+	var id string
+	for k := range c.replies {
+		id = k.txID
+	}
+	c.mu.Unlock()
+	if n := len(repliesSoFar()) - before; n != 0 {
+		t.Fatalf("%d replies reached the client while P2 held the answer", n)
+	}
+	release()
+	if r := <-done; r.err != nil || r.reply != (fakeFootprint{"x-reply"}) {
+		t.Fatalf("held query: %v, %v; want x-reply", r.reply, r.err)
+	}
+	// A ready answer from P2 comes after any second copy of the held one on
+	// the same connection.
+	if _, err := c.Query(ctx(t), 2, fakeFootprint{"now"}); err != nil {
+		t.Fatal(err)
+	}
+	got := repliesSoFar()[before:]
+	if len(got) != 2 || got[0].TxID != id || got[0].From != 2 {
+		t.Fatalf("replies after the release: %v, want one from P2 under %q, then the ready one", got, id)
+	}
+
+	// A held hop: the chain goes on from P2 once it is handed over, and the
+	// client pays one round trip besides the wait. Only the client's links
+	// are slow.
+	c.tcp.SetShaper(live.LinkShaper{Delay: func(live.Envelope) time.Duration { return oneWay }})
+	peers[0].tr.(*live.TCP).SetShaper(live.LinkShaper{Delay: func(e live.Envelope) time.Duration {
+		if e.To == client {
+			return oneWay
+		}
+		return 0
+	}})
+	start := time.Now()
+	release, done = ask(1, chain)
+	heldAt := time.Now()
+	waitFor(t, "the goroutine count to settle", func() bool { return runtime.NumGoroutine() <= base+1 })
+	wait := time.Since(heldAt)
+	release()
+	r := <-done
+	elapsed := time.Since(start) - wait
+	if m, ok := r.reply.(hopMsg); r.err != nil || !ok || m.Trail != "P1 P2 P1 " {
+		t.Fatalf("held chain: %#v, %v; want the trail P1 P2 P1", r.reply, r.err)
+	}
+	if elapsed >= 3*oneWay {
+		t.Fatalf("the held chain took %v besides the wait, want one %v client round trip (under 1.5)", elapsed, 2*oneWay)
 	}
 }
 

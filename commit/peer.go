@@ -457,17 +457,28 @@ func (p *Peer) checkSlices(m stageGoMsg) ([][]byte, error) {
 	return slices, nil
 }
 
-// handleQuery answers a one-shot read against the hosted resource, or, when
-// the answer is a Hop, passes it on: to another peer as a query, to anyone
-// else as the reply, both under the query's ID. Errors the resource cannot
-// encode in its reply message degrade to silence (the client's context
-// expires), the same as a crashed peer.
+// handleQuery answers a one-shot read against the hosted resource. Errors the
+// resource cannot encode in its reply message degrade to silence (the
+// client's context expires), the same as a crashed peer.
 func (p *Peer) handleQuery(e live.Envelope) {
 	if p.hosted == nil {
 		return
 	}
-	reply, err := p.hosted.Query(e.Msg)
-	if err != nil || reply == nil {
+	if reply, err := p.hosted.Query(e.Msg); err == nil {
+		p.answer(e, reply)
+	}
+}
+
+// answer sends the answer to query e back to its sender or, when it is a Hop,
+// passes it on: to another peer as a query, to anyone else as the reply, both
+// under the query's ID. A Deferred answer is sent the same way once it is
+// ready.
+func (p *Peer) answer(e live.Envelope, reply Message) {
+	switch r := reply.(type) {
+	case nil:
+		return
+	case Deferred:
+		r.Await(func(m Message) { p.answer(e, m) })
 		return
 	}
 	to, path := e.From, queryReplyPath

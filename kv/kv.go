@@ -39,27 +39,36 @@
 // shard and still pending on another; see Shard.validate. A refusal is an
 // ordinary abort: retry with a fresh Txn.
 //
+// A read never returns the pre-image of a prepared writer: one that meets a
+// write intent waits for the writer's decision — at most one decision's time
+// — and then reads what it applied. So a reader that learned of a commit,
+// from the commit's reply or from another shard's read, sees it on every
+// shard, and a read that returns found no intent on its keys.
+//
 // Over a remote runtime the first read can spare the far shards that
 // question. Once every near read returned, one relay visits the read set's
 // owners in the farthest region in turn: each reads its keys fresh and
-// passes the relay on; the last one's read is its validation when no write
-// intent is on its keys (r_a = t_a in the argument above); on the way back
-// each earlier one validates what it read, after every later read. Only
-// the near shards are validated after that. The far shards then cost one
-// client round trip between them, and the near ones two: "Distributed
-// Transactional Systems Cannot Be Fast" (PAPERS.md) rules out one round at
-// every shard, and it counts rounds, not how long they take — each far
-// shard still has its two, over its region's short links.
+// passes the relay on; the last one's read is its validation, since it
+// found no write intent on its keys (r_a = t_a in the argument above); on
+// the way back each earlier one validates what it read, after every later
+// read. Only the near shards are validated after that. The far shards then
+// cost one client round trip between them, and the near ones two:
+// "Distributed Transactional Systems Cannot Be Fast" (PAPERS.md) rules out
+// one round at every shard, and it counts rounds, not how long they take —
+// each far shard still has its two, over its region's short links.
 //
 // The store runs over either of two runtimes behind the same Txn API:
 //
 //   - Open hosts every shard in-process on a commit.Cluster (goroutine
-//     mesh). Reads and validations are function calls, and Txn.Submit
-//     hands the cluster every shard's footprint with the transaction.
+//     mesh). Reads and validations are function calls — a read that waits
+//     for a writer waits on its caller's goroutine — and Txn.Submit hands
+//     the cluster every shard's footprint with the transaction.
 //   - OpenRemote hosts no shards at all: each shard lives in its own
 //     commit.Peer process (see ServeShard), and the store talks to them
 //     over TCP through a commit.Client — every read is a Query round trip
-//     carrying a relay, the one query a shard answers; Txn.Submit ships
+//     carrying a relay, the one query a shard answers, which a hop that
+//     must wait for a writer parks at its peer (a commit.Deferred answer)
+//     until the writer's decision is applied; Txn.Submit ships
 //     every shard's footprint inside the one message that asks a peer to
 //     drive the commit; and a read-only Submit is one more parallel round
 //     of relays, to every shard read from that its first read did not
@@ -104,8 +113,8 @@ type readResult struct {
 type backend interface {
 	// read returns key's latest committed state, never from the client-side
 	// read cache: a non-transactional read has no commit to catch a stale
-	// version. ctx bounds the read leg (remote runtimes; local reads never
-	// block).
+	// version. Like every read it waits out a prepared writer's intent on
+	// the key; ctx bounds the read leg and that wait.
 	read(ctx context.Context, key string) (readResult, error)
 	// readMulti returns the committed state of every key for a transaction,
 	// in input order, answering from the read cache what it can and fanning
@@ -222,7 +231,9 @@ func (s *Store) Get(key string) (string, bool) {
 // Read always consults the owning shard — never the client-side read
 // cache, which is only safe for transactional reads (a stale cached
 // version there costs an OCC abort at Prepare; a non-transactional read
-// has no such validation step).
+// has no such validation step). Like every read, it waits out a writer
+// that holds the key prepared and returns what its decision left, so a
+// commit any reader has seen is what Read returns, on whichever shard.
 func (s *Store) Read(key string) (string, bool, error) {
 	r, err := s.b.read(context.Background(), key)
 	return r.val, r.ok, err
@@ -266,15 +277,23 @@ type localBackend struct {
 	shards []*Shard
 }
 
-func (b *localBackend) read(_ context.Context, key string) (readResult, error) {
-	v, ok, ver := b.shards[shardIndex(key, len(b.shards))].readCommitted(key)
-	return readResult{val: v, ok: ok, ver: ver}, nil
+// read waits out a write intent on key, on the caller's goroutine, before it
+// reads (Shard.readWaiting).
+func (b *localBackend) read(ctx context.Context, key string) (readResult, error) {
+	r, err := b.shards[shardIndex(key, len(b.shards))].readWaiting(ctx, []string{key})
+	if err != nil {
+		return readResult{}, err
+	}
+	return readResult{val: r.Vals[0], ok: r.Oks[0], ver: r.Vers[0]}, nil
 }
 
 func (b *localBackend) readMulti(ctx context.Context, keys []string, _ bool) ([]readResult, []int, error) {
 	out := make([]readResult, len(keys))
 	for i, key := range keys {
-		out[i], _ = b.read(ctx, key)
+		var err error
+		if out[i], err = b.read(ctx, key); err != nil {
+			return nil, nil, err
+		}
 	}
 	return out, nil, nil
 }

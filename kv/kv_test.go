@@ -3,6 +3,7 @@ package kv
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -308,6 +309,48 @@ func TestExpiredLocalSubmitKeepsIntents(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("k = %q, want T1's committed value", v)
 		}
+	}
+}
+
+// TestLocalReadWaitsForWriter: a local store's read of a key a prepared
+// writer holds waits for the writer's decision instead of returning the
+// pre-image. W is prepared on k's shard by hand, so nothing but the test's
+// own Commit decides it; the Get is seen parked on the shard's waiter list,
+// and only then is W applied.
+func TestLocalReadWaitsForWriter(t *testing.T) {
+	t.Parallel()
+	s := open(t, 2, commit.Options{})
+	const k = "k"
+	sh := s.shardFor(k)
+	if err := sh.Stage("W", footprintMsg{WriteKeys: []string{k}, WriteVals: []string{"w"}, WriteDels: []bool{false}}); err != nil {
+		t.Fatal(err)
+	}
+	if !sh.Prepare("W") {
+		t.Fatal("W: shard voted no")
+	}
+	type got struct {
+		v  string
+		ok bool
+	}
+	read := make(chan got, 1)
+	go func() {
+		v, ok := s.Get(k)
+		read <- got{v, ok}
+	}()
+	for waiting(sh) == 0 {
+		runtime.Gosched()
+	}
+	select {
+	case r := <-read:
+		t.Fatalf("Get returned %q, %v while W's intent is on k", r.v, r.ok)
+	default:
+	}
+	sh.Commit("W")
+	if r := <-read; !r.ok || r.v != "w" {
+		t.Fatalf("Get = %q, %v; want W's value", r.v, r.ok)
+	}
+	if n := waiting(sh); n != 0 {
+		t.Fatalf("the shard keeps %d waiters after the apply", n)
 	}
 }
 

@@ -14,6 +14,16 @@ import (
 	"atomiccommit/internal/obs"
 )
 
+// readCommitted returns key's latest committed value and version without
+// waiting out a write intent on it: the view of a shard in the middle of a
+// decision that no store read takes (see Shard.readCommittedMulti).
+func (sh *Shard) readCommitted(key string) (string, bool, uint64) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	v, ok := sh.data[key]
+	return v, ok, sh.versions[key]
+}
+
 // validation is the query a client validates keys read at vers on sh with:
 // a one-hop relay already on its way back.
 func validation(sh *Shard, keys []string, vers []uint64) relayMsg {
@@ -104,11 +114,12 @@ func TestValidateRefusesAcrossVisibilityGap(t *testing.T) {
 }
 
 // TestAnchorHeldAcrossVisibilityGap is TestValidateRefusesAcrossVisibilityGap
-// with B as the anchor: the reader saw W's x on A, then read y on B last,
+// with B as the anchor: the reader saw W's x on A, then reads y on B last,
 // where the read is to stand in for B's validation. W still holds its intent
-// on B, so the read reports y held, the anchor is not clear and B must be
-// asked after all — and refuses. Once B applied W, a fresh read of y is new
-// and clear.
+// on B, so the read must not answer the pre-image: it answers a
+// commit.Deferred, which calls nobody back until B applies W and then
+// answers W's y with the verdict yes. The shards are called directly, so
+// only B's Commit can answer the parked read.
 func TestAnchorHeldAcrossVisibilityGap(t *testing.T) {
 	t.Parallel()
 	a, b := NewShard(0), NewShard(1)
@@ -121,55 +132,153 @@ func TestAnchorHeldAcrossVisibilityGap(t *testing.T) {
 			t.Fatalf("%s: shard %d voted no", txID, sh.id)
 		}
 	}
-	// The anchor's read is a one-hop relay; y is held iff its verdict is no.
-	type anchorRead struct {
-		readReplyMsg
-		Held []bool
-	}
-	read := func(sh *Shard, key string) anchorRead {
+	// The anchor's read is a one-hop relay.
+	read := func(sh *Shard, key string) commit.Message {
 		t.Helper()
 		reply, err := sh.Query(relayMsg{N: 2, Client: 3, Hops: []relayHop{{Peer: core.ProcessID(sh.id + 1), Keys: []string{key}}}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := reply.(relayMsg).Hops[0]
-		return anchorRead{h.Got, []bool{!h.OK}}
+		return reply
 	}
 
 	write("seed", a, "x", "old")
 	write("seed", b, "y", "old")
 	a.Commit("seed")
 	b.Commit("seed")
-	if r := read(b, "y"); r.Held[0] {
-		t.Fatal("y read as held with no transaction in flight")
-	}
+	_, _, yver := b.readCommitted("y")
 
 	// W prepared on both shards, committed on A only.
 	write("W", a, "x", "new")
 	write("W", b, "y", "new")
 	a.Commit("W")
 
-	if r := read(a, "x"); r.Vals[0] != "new" || r.Held[0] {
-		t.Fatalf("x = %q held=%v, want new and clear", r.Vals[0], r.Held[0])
+	if h := read(a, "x").(relayMsg).Hops[0]; h.Got.Vals[0] != "new" || !h.OK {
+		t.Fatalf("x = %q ok=%v, want new and validated", h.Got.Vals[0], h.OK)
 	}
-	r := read(b, "y")
-	if r.Vals[0] != "old" {
-		t.Fatalf("y = %q, want the pre-image old", r.Vals[0])
+	reply := read(b, "y")
+	parked, ok := reply.(commit.Deferred)
+	if !ok {
+		t.Fatalf("the anchor read of y answered %T while W's intent is on it, want a commit.Deferred", reply)
 	}
-	if !r.Held[0] {
-		t.Fatal("the anchor read of old y reports no intent while W's is on it: a fractured read commits")
+	var answers []commit.Message
+	parked.Await(func(m commit.Message) { answers = append(answers, m) })
+	if len(answers) != 0 {
+		t.Fatal("the parked read of y was answered while W's intent is on it")
 	}
-	reply, err := b.Query(validation(b, []string{"y"}, []uint64{r.Vers[0]}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reply.(relayMsg).Hops[0].OK {
+	// A validation of the pre-image, had it been read, is still refused.
+	if v, _ := b.Query(validation(b, []string{"y"}, []uint64{yver})); v.(relayMsg).Hops[0].OK {
 		t.Fatal("shard B validated old y while W's write intent is on it")
 	}
 
 	b.Commit("W")
-	if r := read(b, "y"); r.Vals[0] != "new" || r.Held[0] {
-		t.Fatalf("after the apply y = %q held=%v, want new and clear", r.Vals[0], r.Held[0])
+	if len(answers) != 1 {
+		t.Fatalf("B's apply of W answered the parked read %d times, want once", len(answers))
+	}
+	if h := answers[0].(relayMsg).Hops[0]; h.Got.Vals[0] != "new" || !h.OK {
+		t.Fatalf("the parked read answered y = %q ok=%v, want W's new and validated", h.Got.Vals[0], h.OK)
+	}
+	if n := waiting(b); n != 0 {
+		t.Fatalf("shard B keeps %d waiters after the apply", n)
+	}
+}
+
+// waiting counts the reads parked on sh's waiter lists.
+func waiting(sh *Shard) int {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	n := 0
+	for _, ws := range sh.waiters {
+		n += len(ws)
+	}
+	return n
+}
+
+// TestRelayParksAtSecondHop walks a two-hop relay, A then B, that A forwards
+// before a writer W prepares and that B, meeting W's intent, parks until B
+// applies W. If W wrote y only, the relay comes back with both hops
+// validated: W's y is all B answers, and x is untouched. If W wrote x as
+// well and is applied on B only, B's re-run reads W's y, but A's validation
+// on the way back meets W's intent on x and refuses — parking at B does not
+// make old x and new y a committed read. The shards are called directly, so
+// only B's Commit can answer the parked hop.
+func TestRelayParksAtSecondHop(t *testing.T) {
+	t.Parallel()
+	const client = 3
+	for _, tc := range []struct {
+		name  string
+		wantX bool // W leaves x alone, so A validates it on the way back
+	}{
+		{name: "W writes y", wantX: true},
+		{name: "W writes x and y"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			a, b := NewShard(0), NewShard(1)
+			write := func(txID string, sh *Shard, key, val string) {
+				t.Helper()
+				if err := sh.Stage(txID, footprintMsg{WriteKeys: []string{key}, WriteVals: []string{val}, WriteDels: []bool{false}}); err != nil {
+					t.Fatal(err)
+				}
+				if !sh.Prepare(txID) {
+					t.Fatalf("%s: shard %d voted no", txID, sh.id)
+				}
+			}
+			write("seed", a, "x", "old")
+			write("seed", b, "y", "old")
+			a.Commit("seed")
+			b.Commit("seed")
+
+			reply, err := a.Query(relayMsg{N: 2, Client: client, Hops: []relayHop{{Peer: 1, Keys: []string{"x"}}, {Peer: 2, Keys: []string{"y"}}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.wantX {
+				write("W", b, "y", "new")
+			} else {
+				write("W", a, "x", "new")
+				write("W", b, "y", "new")
+			}
+			reply, err = b.Query(reply)
+			if err != nil {
+				t.Fatal(err)
+			}
+			parked, ok := reply.(commit.Deferred)
+			if !ok {
+				t.Fatalf("B answered %T while W's intent is on y, want a commit.Deferred", reply)
+			}
+			var answers []commit.Message
+			parked.Await(func(m commit.Message) { answers = append(answers, m) })
+			if len(answers) != 0 {
+				t.Fatal("the parked hop was answered while W's intent is on y")
+			}
+			b.Commit("W")
+			if len(answers) != 1 {
+				t.Fatalf("B's apply of W answered the parked hop %d times, want once", len(answers))
+			}
+			back, ok := answers[0].(relayMsg)
+			if !ok || back.Next() != 1 {
+				t.Fatalf("B's re-run answered %#v, want the relay headed back to A", answers[0])
+			}
+			reply, err = a.Query(back)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := reply.(relayMsg)
+			if m.Next() != client {
+				t.Fatalf("A passed the relay to %d, want the client", m.Next())
+			}
+			x, y := m.Hops[0], m.Hops[1]
+			if x.Got.Vals[0] != "old" || y.Got.Vals[0] != "new" || !y.OK {
+				t.Fatalf("read x=%q y=%q (y ok=%v), want old x and W's y, validated", x.Got.Vals[0], y.Got.Vals[0], y.OK)
+			}
+			if x.OK != tc.wantX {
+				t.Fatalf("A's validation of old x on the way back = %v, want %v", x.OK, tc.wantX)
+			}
+			if n := waiting(b); n != 0 {
+				t.Fatalf("shard B keeps %d waiters after the apply", n)
+			}
+		})
 	}
 }
 
@@ -375,10 +484,9 @@ func auditUnderTransfers(t *testing.T, s *Store, u time.Duration) {
 			t.Fatalf("the seed aborted %d times", try)
 		}
 	}
-	// The seed's writes may still be applying on shards other than its
-	// coordinator's, where an account reads as absent: a transaction built
-	// on that is refused (the seed's intent, then its version), so absent
-	// just counts as 0.
+	// A read waits out the seed's intent, so no account reads as absent once
+	// the seed committed; one that did would count as 0 and show as a wrong
+	// total.
 	want := balance * len(accounts)
 	amount := func(v string, ok bool) int {
 		n, err := strconv.Atoi(v)
@@ -439,6 +547,11 @@ func auditUnderTransfers(t *testing.T, s *Store, u time.Duration) {
 				for i, v := range vals {
 					sum += amount(v, oks[i])
 				}
+				// A read waits out every prepared writer, so only a transfer
+				// that prepares after an audit read can get the audit
+				// refused: holding the reads before validating opens that
+				// window.
+				time.Sleep(u / 4)
 				ok, err := txn.Commit(ctx)
 				switch {
 				case err != nil:
@@ -452,7 +565,6 @@ func auditUnderTransfers(t *testing.T, s *Store, u time.Duration) {
 				default:
 					audits.Add(1)
 				}
-				time.Sleep(u / 4)
 			}
 		}()
 	}

@@ -26,10 +26,10 @@
 //     staged anywhere. Its first read can take every far shard's two
 //     rounds off the client's clock but one round trip (relayOf): the near
 //     shards are read first, then one relay visits the far owners in turn
-//     and comes back the same way. Each reads its keys fresh on the way out;
-//     the last one's read, with no write intent on its keys, is its
-//     validation, and each earlier one validates on the way back, over
-//     the far region's short links. For a transaction that writes, every
+//     and comes back the same way. Each reads its keys fresh on the way out,
+//     parking the relay at its peer while a writer's intent is on one of
+//     them; the last one's read is its validation, and each earlier one
+//     validates on the way back, over the far region's short links. For a transaction that writes, every
 //     involved shard's footprint (footprintMsg) rides INSIDE the message
 //     that asks one coordinator peer to run the commit, and the
 //     coordinator's begin to each other peer carries that peer's slice.

@@ -195,8 +195,8 @@ func TestRemoteBankConservation(t *testing.T) {
 // every other time. Now and then a begin is late enough (U is 10 ms) for its
 // peer to give up on it.
 // Whatever each transfer's fate, once the network is quiet no shard holds a
-// staged footprint or an intent, and money is conserved — it is not if a
-// peer votes yes on a footprint that has yet to arrive.
+// staged footprint, an intent or a parked read, and money is conserved — it
+// is not if a peer votes yes on a footprint that has yet to arrive.
 func TestRemoteNoStateLeaks(t *testing.T) {
 	t.Parallel()
 	const n = 4
@@ -279,10 +279,10 @@ func TestRemoteNoStateLeaks(t *testing.T) {
 	sum := 0
 	for i, sh := range shards {
 		sh.mu.Lock()
-		staged, locks := len(sh.staged), len(sh.locks)
+		staged, locks, waiters := len(sh.staged), len(sh.locks), len(sh.waiters)
 		sh.mu.Unlock()
-		if staged != 0 || locks != 0 {
-			t.Errorf("shard %d leaked: staged=%d locks=%d", i, staged, locks)
+		if staged != 0 || locks != 0 || waiters != 0 {
+			t.Errorf("shard %d leaked: staged=%d locks=%d waiter lists=%d", i, staged, locks, waiters)
 		}
 		for _, key := range byShard[i] {
 			v, ok, err := s.Read(key)

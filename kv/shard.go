@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"sync"
@@ -56,6 +57,10 @@ type lockState struct {
 // Prepare; Query runs its hop of a relay, the one kv query), so a shard runs
 // identically inside a local Cluster and inside a commit.Peer process
 // reachable only over TCP: in both, only a decision releases a footprint.
+//
+// A read never returns the pre-image of a prepared writer: one that meets a
+// write intent waits on the key's waiter list, and the Commit or Abort that
+// releases the intent wakes it.
 type Shard struct {
 	id int // 0-based; shard i is hosted by peer i+1 in a distributed store
 
@@ -64,6 +69,7 @@ type Shard struct {
 	versions map[string]uint64 // bumped on every committed write; survives deletes
 	staged   map[string]*stagedTxn
 	locks    map[string]*lockState
+	waiters  map[string][]func() // by key: reads waiting for its write intent to go
 }
 
 // NewShard creates shard index (0-based). In a distributed store, shard i
@@ -75,6 +81,7 @@ func NewShard(index int) *Shard {
 		versions: make(map[string]uint64),
 		staged:   make(map[string]*stagedTxn),
 		locks:    make(map[string]*lockState),
+		waiters:  make(map[string][]func()),
 	}
 }
 
@@ -91,36 +98,73 @@ func (sh *Shard) traceIntent(kind obs.EventKind, txID, key, note string) {
 	})
 }
 
-// readCommitted returns the latest committed value and its version.
-func (sh *Shard) readCommitted(key string) (string, bool, uint64) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	v, ok := sh.data[key]
-	return v, ok, sh.versions[key]
-}
-
 // readCommittedMulti answers a whole batch under one lock acquisition, so a
 // coalesced read observes one consistent committed snapshot of the shard
-// and the lock is not bounced once per key. free reports that no write
-// intent sat on any of the keys in that same snapshot: the read is then
-// what validate would have said yes to at the moment of the read.
-func (sh *Shard) readCommittedMulti(keys []string) (r readReplyMsg, free bool) {
+// and the lock is not bounced once per key. While a write intent sits on any
+// of the keys it reads nothing and reports false: the read would return the
+// pre-image of a writer that may have decided already (see await).
+func (sh *Shard) readCommittedMulti(keys []string) (r readReplyMsg, ok bool) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if _, held := sh.writeHeld(keys); held {
+		return r, false
+	}
 	r = readReplyMsg{
 		Vals: make([]string, len(keys)),
 		Oks:  make([]bool, len(keys)),
 		Vers: make([]uint64, len(keys)),
 	}
-	free = true
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	for i, key := range keys {
 		r.Vals[i], r.Oks[i] = sh.data[key]
 		r.Vers[i] = sh.versions[key]
-		if l, locked := sh.locks[key]; locked && l.writer != "" {
-			free = false
+	}
+	return r, true
+}
+
+// writeHeld returns the first of keys a write intent sits on. Callers hold
+// sh.mu.
+func (sh *Shard) writeHeld(keys []string) (string, bool) {
+	for _, key := range keys {
+		if l, held := sh.locks[key]; held && l.writer != "" {
+			return key, true
 		}
 	}
-	return r, free
+	return "", false
+}
+
+// await calls wake once the first of keys that holds a write intent is
+// released, from the Commit or Abort that releases it, after that call let go
+// of sh.mu; with no intent on any of them, at once on the caller's goroutine.
+// wake must read again, and may meet another intent. An intent is in doubt
+// for at most one decision, and a waiting read holds none, so every wait
+// ends unless the shard's peer stops deciding.
+func (sh *Shard) await(keys []string, wake func()) {
+	sh.mu.Lock()
+	key, held := sh.writeHeld(keys)
+	if held {
+		sh.waiters[key] = append(sh.waiters[key], wake)
+	}
+	sh.mu.Unlock()
+	if !held {
+		wake()
+	}
+}
+
+// readWaiting is readCommittedMulti waiting out, on the caller's goroutine,
+// every write intent it meets, until ctx ends.
+func (sh *Shard) readWaiting(ctx context.Context, keys []string) (readReplyMsg, error) {
+	for {
+		if r, ok := sh.readCommittedMulti(keys); ok {
+			return r, nil
+		}
+		woken := make(chan struct{})
+		sh.await(keys, func() { close(woken) })
+		select {
+		case <-woken:
+		case <-ctx.Done():
+			return readReplyMsg{}, ctx.Err()
+		}
+	}
 }
 
 // Stage implements commit.HostedResource: txID's footprint on this shard,
@@ -154,11 +198,13 @@ func (sh *Shard) Query(m commit.Message) (commit.Message, error) {
 }
 
 // relay runs this shard's part of a relay and names where it goes next. On
-// the way out the hop reads its keys and forwards the relay; the last hop's
-// read is its validation when no write intent is on its keys, and it turns
-// the relay back. On the way back a hop validates what it read on the way
-// out — only now, after every later hop has read — and passes the relay on
-// towards the first hop, which hands it to the client.
+// the way out the hop reads its keys and forwards the relay; a hop that meets
+// a write intent on one of them answers parkedHop and runs again once the
+// writer's decision is applied. The last hop's read is its validation — it
+// waited out every intent — and it turns the relay back. On the way back a
+// hop validates what it read on the way out — only now, after every later
+// hop has read — and passes the relay on towards the first hop, which hands
+// it to the client.
 func (sh *Shard) relay(m relayMsg) (commit.Message, error) {
 	if m.At < 0 || m.At >= len(m.Hops) || m.Hops[m.At].Peer != core.ProcessID(sh.id+1) {
 		return nil, fmt.Errorf("kv: shard %d: relay not at this shard", sh.id)
@@ -167,13 +213,15 @@ func (sh *Shard) relay(m relayMsg) (commit.Message, error) {
 	h := &m.Hops[m.At]
 	switch {
 	case !m.Back:
-		var free bool
-		h.Got, free = sh.readCommittedMulti(h.Keys)
+		var ok bool
+		if h.Got, ok = sh.readCommittedMulti(h.Keys); !ok {
+			return parkedHop{sh, m}, nil
+		}
 		if m.At < len(m.Hops)-1 {
 			m.At++
 			return m, nil
 		}
-		h.OK, m.Back = free, true
+		h.OK, m.Back = true, true
 	case len(h.Got.Vers) != len(h.Keys):
 		return nil, fmt.Errorf("kv: shard %d: relay back with %d versions for %d keys", sh.id, len(h.Got.Vers), len(h.Keys))
 	default:
@@ -181,6 +229,27 @@ func (sh *Shard) relay(m relayMsg) (commit.Message, error) {
 	}
 	m.At--
 	return m, nil
+}
+
+// parkedHop is a relay hop that met a write intent on its way out, the
+// commit.Deferred that Shard.relay answers with: awaited, it runs the hop
+// again once the intent is released and hands over what that answers — the
+// relay going on or back, or the hop parked again.
+type parkedHop struct {
+	sh *Shard
+	m  relayMsg
+}
+
+// Kind implements core.Message. A parkedHop never crosses the wire.
+func (parkedHop) Kind() string { return "KVPARKED" }
+
+// Await implements commit.Deferred.
+func (p parkedHop) Await(answer func(commit.Message)) {
+	p.sh.await(p.m.Hops[p.m.At].Keys, func() {
+		if reply, err := p.sh.relay(p.m); err == nil {
+			answer(reply)
+		}
+	})
 }
 
 // validate is a read-only transaction's whole commit on this shard: yes iff
@@ -204,16 +273,16 @@ func (sh *Shard) relay(m relayMsg) (commit.Message, error) {
 // is told yes at B, a fractured read.
 //
 // The argument also holds with r_a = t_a at one shard a: a read there
-// (readCommittedMulti) that found no write intent on any of the
-// transaction's keys is this check's yes at the moment of the read. A relay
-// (Shard.relay) makes a its last hop. The client reads its other shards
-// first and sends the relay only once they returned; the relay reads at
-// every hop on its way out, reaches a last, and validates each earlier hop
-// only on its way back, after a's read; the client validates what is left
-// only once the relay is back. So every read still precedes every
-// validation, and an intent at a is what fails a's read-as-validation then,
-// exactly as here. A one-hop relay is the case where a is the only far
-// shard.
+// (readCommittedMulti) returns only once it found no write intent on any of
+// the transaction's keys — it waited out every one it met — so it is this
+// check's yes at the moment of the read. A relay (Shard.relay) makes a its
+// last hop. The client reads its other shards first and sends the relay only
+// once they returned; the relay reads at every hop on its way out, reaches a
+// last, and validates each earlier hop only on its way back, after a's read;
+// the client validates what is left only once the relay is back. So every
+// read still precedes every validation. A one-hop relay is the case where a
+// is the only far shard. Here an intent still refuses: the read waited out
+// every intent it met, so one found now was taken after the read.
 func (sh *Shard) validate(keys []string, vers []uint64) bool {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -308,42 +377,44 @@ func (sh *Shard) lock(key string) *lockState {
 
 // Commit implements commit.Resource: apply the staged writes, bump
 // versions, release intents.
-func (sh *Shard) Commit(txID string) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	st, ok := sh.staged[txID]
-	if !ok {
-		return
-	}
-	for key, w := range st.writes {
-		if w.tombstone {
-			delete(sh.data, key)
-		} else {
-			sh.data[key] = w.value
-		}
-		sh.versions[key]++
-	}
-	sh.drop(txID)
-}
+func (sh *Shard) Commit(txID string) { sh.settle(txID, true) }
 
 // Abort implements commit.Resource: drop the staged writes and release
 // intents.
-func (sh *Shard) Abort(txID string) {
+func (sh *Shard) Abort(txID string) { sh.settle(txID, false) }
+
+// settle applies txID's staged writes if apply is set and drops its
+// footprint; then, with sh.mu released, it wakes the reads that waited for a
+// write intent it held.
+func (sh *Shard) settle(txID string, apply bool) {
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.drop(txID)
+	if st, ok := sh.staged[txID]; ok && apply {
+		for key, w := range st.writes {
+			if w.tombstone {
+				delete(sh.data, key)
+			} else {
+				sh.data[key] = w.value
+			}
+			sh.versions[key]++
+		}
+	}
+	woken := sh.drop(txID)
+	sh.mu.Unlock()
+	for _, wake := range woken {
+		wake()
+	}
 }
 
-// drop removes a transaction's staged state and any intents it holds.
-// Callers hold sh.mu.
-func (sh *Shard) drop(txID string) {
+// drop removes a transaction's staged state and any intents it holds, and
+// returns the waiters of the write intents it released. Callers hold sh.mu.
+func (sh *Shard) drop(txID string) (woken []func()) {
 	st, ok := sh.staged[txID]
 	if !ok {
-		return
+		return nil
 	}
 	delete(sh.staged, txID)
 	if !st.locked {
-		return
+		return nil
 	}
 	release := func(key string) {
 		l, held := sh.locks[key]
@@ -352,6 +423,8 @@ func (sh *Shard) drop(txID string) {
 		}
 		if l.writer == txID {
 			l.writer = ""
+			woken = append(woken, sh.waiters[key]...)
+			delete(sh.waiters, key)
 		}
 		delete(l.readers, txID)
 		if l.writer == "" && len(l.readers) == 0 {
@@ -364,4 +437,5 @@ func (sh *Shard) drop(txID string) {
 	for key := range st.reads {
 		release(key)
 	}
+	return woken
 }

@@ -35,8 +35,9 @@ type Txn struct {
 }
 
 // WithContext sets the context bounding the transaction's read legs (over a
-// remote runtime, every read is a WAN round trip); Submit/Commit take their
-// own context for the commit itself. Returns t for chaining.
+// remote runtime, every read is a WAN round trip) and a read's wait for a
+// prepared writer's decision; Submit/Commit take their own context for the
+// commit itself. Returns t for chaining.
 func (t *Txn) WithContext(ctx context.Context) *Txn {
 	t.ctx = ctx
 	return t
@@ -68,7 +69,9 @@ func (t *Txn) Get(key string) (string, bool) {
 	return v, ok
 }
 
-// Read is Get with the runtime error exposed. Local stores never error.
+// Read is Get with the runtime error exposed. A local store errors only when
+// the transaction's context ends while the read waits for a prepared
+// writer's decision.
 func (t *Txn) Read(key string) (string, bool, error) {
 	t.use()
 	if t.err != nil {

@@ -146,10 +146,11 @@ type readReplyMsg struct {
 
 // relayMsg is the one kv query: it visits the owners in Hops in turn and
 // comes back the same way (Shard.relay). Each hop reads its keys on the way
-// out; the last hop's read counts as its validation when no write intent sits
-// on its keys; on the way back each earlier hop validates what it read, and
+// out, once no write intent sits on them; the last hop's read counts as its
+// validation; on the way back each earlier hop validates what it read, and
 // the first hop hands the whole message to Client. Every hop is a Query answer
-// that names the next process (commit.Hop), so no peer keeps state or waits.
+// that names the next process (commit.Hop), so no peer keeps state for it but
+// a hop that waits out an intent, on the key's waiter list.
 // A one-hop relay is a plain read, and one sent already on its way back
 // (Back, with the versions read in Got.Vers) is a plain validation.
 //
