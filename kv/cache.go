@@ -7,6 +7,9 @@
 // a current one lives until LRU eviction or a blind write. OpenRemote sets
 // no staleness TTL: an age limit would only evict entries that are still
 // current. An explicit one (Store.ConfigureReadCache) is still honoured.
+// It never serves a key this store is still writing (its entry is the
+// writer's pre-image: a certain refusal), and an entry's version only moves
+// forward, so a read answered before a commit cannot undo the commit's note.
 
 package kv
 
@@ -40,29 +43,31 @@ type cacheEntry struct {
 }
 
 // readCache is an LRU of key -> (value, version) with an optional
-// staleness TTL (0 = none).
+// staleness TTL (0 = none), and a count per key of this store's undecided
+// writers of it (two may be in flight at once).
 // Filled by read replies and by the client's own committed
 // read-modify-writes (whose post-commit version is exactly readVersion+1:
 // the shard's Prepare validated the read under intents that excluded every
 // other writer until our commit applied). All methods are safe for
 // concurrent use; a nil *readCache is a valid, always-missing cache.
 type readCache struct {
-	mu  sync.Mutex
-	cap int
-	ttl time.Duration
-	ll  *list.List // front = most recent
-	m   map[string]*list.Element
+	mu      sync.Mutex
+	cap     int
+	ttl     time.Duration
+	ll      *list.List // front = most recent
+	m       map[string]*list.Element
+	writing map[string]int // key -> undecided writes of it; get misses while > 0
 }
 
 func newReadCache(capacity int, ttl time.Duration) *readCache {
 	if capacity <= 0 {
 		return nil
 	}
-	return &readCache{cap: capacity, ttl: ttl, ll: list.New(), m: make(map[string]*list.Element, capacity)}
+	return &readCache{cap: capacity, ttl: ttl, ll: list.New(), m: make(map[string]*list.Element, capacity), writing: make(map[string]int)}
 }
 
-// get returns the cached entry for key if present and within the TTL,
-// counting the hit or miss.
+// get returns the cached entry for key if present, within the TTL and not
+// being written by this store, counting the hit or miss.
 func (c *readCache) get(key string) (val string, ok bool, ver uint64, hit bool) {
 	if c == nil {
 		return "", false, 0, false
@@ -70,7 +75,7 @@ func (c *readCache) get(key string) (val string, ok bool, ver uint64, hit bool) 
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, found := c.m[key]
-	if !found {
+	if !found || c.writing[key] > 0 {
 		mCacheMiss.Add(1)
 		return "", false, 0, false
 	}
@@ -88,7 +93,7 @@ func (c *readCache) get(key string) (val string, ok bool, ver uint64, hit bool) 
 }
 
 // put records key's committed state, evicting the least recently used
-// entry beyond capacity.
+// entry beyond capacity. An entry already at a later version stays.
 func (c *readCache) put(key, val string, ok bool, ver uint64) {
 	if c == nil {
 		return
@@ -101,6 +106,9 @@ func (c *readCache) put(key, val string, ok bool, ver uint64) {
 	defer c.mu.Unlock()
 	if el, found := c.m[key]; found {
 		e := el.Value.(*cacheEntry)
+		if e.ver > ver {
+			return
+		}
 		e.val, e.ok, e.ver, e.at = val, ok, ver, now
 		c.ll.MoveToFront(el)
 		return
@@ -125,6 +133,38 @@ func (c *readCache) invalidate(key string) {
 	if el, found := c.m[key]; found {
 		c.ll.Remove(el)
 		delete(c.m, key)
+	}
+}
+
+// mark counts one more undecided write of this store on every key of
+// writes, before its footprint leaves.
+func (c *readCache) mark(writes map[string]write) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for key := range writes {
+		c.writing[key]++
+	}
+}
+
+// unmark takes back one mark of every key of writes; drop first drops the
+// keys' entries, for a write whose outcome is unknown.
+func (c *readCache) unmark(writes map[string]write, drop bool) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for key := range writes {
+		if el, found := c.m[key]; found && drop {
+			c.ll.Remove(el)
+			delete(c.m, key)
+		}
+		if c.writing[key]--; c.writing[key] <= 0 {
+			delete(c.writing, key)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package kv
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -67,11 +68,53 @@ func TestReadCacheDisabledAndNil(t *testing.T) {
 	var c *readCache
 	c.put("k", "v", true, 1) // must not panic
 	c.invalidate("k")
+	c.mark(map[string]write{"k": {}})
+	c.unmark(map[string]write{"k": {}}, true)
 	if _, _, _, hit := c.get("k"); hit {
 		t.Fatal("nil cache returned a hit")
 	}
 	if c.len() != 0 {
 		t.Fatal("nil cache has entries")
+	}
+}
+
+// TestReadCacheNeverLowersVersion: a fill at an earlier version than the
+// entry's — a read answered before this store's own commit, landing after
+// the commit's note — leaves the later entry in place.
+func TestReadCacheNeverLowersVersion(t *testing.T) {
+	t.Parallel()
+	c := newReadCache(8, 0)
+	c.put("k", "five", true, 5)
+	c.put("k", "three", true, 3)
+	if v, ok, ver, hit := c.get("k"); !hit || v != "five" || !ok || ver != 5 {
+		t.Fatalf("get k = (%q,%v,%d,%v), want (five,true,5,hit)", v, ok, ver, hit)
+	}
+}
+
+// TestReadCacheSkipsUndecidedWrite: a key this store is writing misses while
+// any of its writers is undecided — two may be in flight at once — and hits
+// again, with the entry the last note installed, once the last one is done.
+func TestReadCacheSkipsUndecidedWrite(t *testing.T) {
+	t.Parallel()
+	c := newReadCache(8, 0)
+	w := map[string]write{"k": {value: "new"}}
+	c.put("k", "old", true, 1)
+	c.mark(w)
+	if _, _, _, hit := c.get("k"); hit {
+		t.Fatal("a key with an undecided writer was served")
+	}
+	c.mark(w)
+	c.unmark(w, false)
+	if _, _, _, hit := c.get("k"); hit {
+		t.Fatal("a key was served while its second writer was undecided")
+	}
+	c.put("k", "new", true, 2) // the second writer's note
+	c.unmark(w, false)
+	if v, ok, ver, hit := c.get("k"); !hit || v != "new" || !ok || ver != 2 {
+		t.Fatalf("get k = (%q,%v,%d,%v), want the noted (new,true,2,hit)", v, ok, ver, hit)
+	}
+	if n := writingCount(c); n != 0 {
+		t.Fatalf("%d writer counts left, want none", n)
 	}
 }
 
@@ -322,5 +365,124 @@ func TestRemoteCacheOwnWriteFreshness(t *testing.T) {
 	}
 	if v, _, err := s.Read(key); err != nil || v != "last" {
 		t.Fatalf("shard state = (%q,%v), want last", v, err)
+	}
+}
+
+// cachedWrite seeds key with val through s, reads it back in a read-only
+// transaction so that s caches it, and returns s's read cache.
+func cachedWrite(t *testing.T, s *Store, ctx context.Context, key, val string) *readCache {
+	t.Helper()
+	seed := s.Txn()
+	seed.Put(key, val)
+	if ok, err := seed.Commit(ctx); !ok || err != nil {
+		t.Fatalf("seed: ok=%v err=%v", ok, err)
+	}
+	readOnly(t, s, ctx, []string{key})
+	c := s.b.(*remoteBackend).cache
+	if v, _, _, hit := c.get(key); !hit || v != val {
+		t.Fatalf("cached %s = (%q,%v), want (%q,hit)", key, v, hit, val)
+	}
+	return c
+}
+
+// writingCount returns how many keys c counts an undecided writer of.
+func writingCount(c *readCache) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.writing)
+}
+
+// TestRemoteReadSkipsCacheUnderOwnWriter is the cache rule on real sockets:
+// a transaction R that reads a cached key while a write W of the same store
+// to it is undecided reads it at its shard, not from the cache. The shard
+// parks the read behind W's intent and answers with W's value, and R
+// commits; served the cached pre-image, R's validation would refuse it.
+func TestRemoteReadSkipsCacheUnderOwnWriter(t *testing.T) {
+	t.Parallel()
+	// U = 100 ms: W decides some 2U after it prepared, long after R's read.
+	opts := commit.Options{Protocol: commit.INBAC, F: 1, Timeout: 100 * time.Millisecond}
+	s, spies := spyDeployment(t, 2, opts)
+	s.ConfigureReadCache(1024, 0)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	key := keyForShard(t, 1, 2)
+	owner := spies[1]
+	cachedWrite(t, s, ctx, key, "v1")
+
+	w := s.Txn()
+	w.Put(key, "v2")
+	pw, err := w.Submit(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := func() bool {
+		owner.mu.Lock()
+		defer owner.mu.Unlock()
+		l := owner.locks[key]
+		return l != nil && l.writer != ""
+	}
+	for deadline := time.Now().Add(10 * time.Second); !held(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("W never took its intent")
+		}
+	}
+
+	reads0 := owner.reads.Load()
+	r := s.Txn().WithContext(ctx)
+	v, ok, err := r.Read(key)
+	if err != nil || !ok || v != "v2" {
+		t.Fatalf("R read (%q,%v,%v), want W's v2", v, ok, err)
+	}
+	if owner.reads.Load() == reads0 {
+		t.Fatal("R's read never reached the shard: the cache served a key its store was writing")
+	}
+	if ok, err := pw.Wait(ctx); !ok || err != nil {
+		t.Fatalf("W: ok=%v err=%v", ok, err)
+	}
+	if ok, err := r.Commit(ctx); !ok || err != nil {
+		t.Fatalf("R: ok=%v err=%v, want a commit", ok, err)
+	}
+}
+
+// TestRemoteUnknownWriteOutcomeLeavesNoMark: a write whose future resolves
+// with an error — its context ended, or the store closed — may still
+// commit at its peers, so it leaves neither a writer count nor its key's
+// cached pre-image behind.
+func TestRemoteUnknownWriteOutcomeLeavesNoMark(t *testing.T) {
+	t.Parallel()
+	// U = 100 ms: neither write can decide before its future is resolved.
+	opts := commit.Options{Protocol: commit.INBAC, F: 1, Timeout: 100 * time.Millisecond}
+	s, _, _ := remoteDeployment(t, 2, opts)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	keys := keysAcrossShards(t, 2, 2, "unknown")[1]
+
+	for _, tc := range []struct {
+		name string
+		key  string
+		end  func(context.CancelFunc)
+		want string
+	}{
+		{"context", keys[0], func(stop context.CancelFunc) { stop() }, "context canceled"},
+		{"close", keys[1], func(context.CancelFunc) { s.Close() }, "client closed"},
+	} {
+		c := cachedWrite(t, s, ctx, tc.key, "v1")
+		wctx, stop := context.WithCancel(ctx)
+		w := s.Txn()
+		w.Put(tc.key, "v2")
+		p, err := w.Submit(wctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.end(stop)
+		if ok, err := p.Wait(ctx); ok || err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: ok=%v err=%v, want an error saying %q", tc.name, ok, err, tc.want)
+		}
+		if n := writingCount(c); n != 0 {
+			t.Errorf("%s: %d writer counts left, want none", tc.name, n)
+		}
+		if v, _, _, hit := c.get(tc.key); hit {
+			t.Errorf("%s: the cache still serves %s = %q", tc.name, tc.key, v)
+		}
 	}
 }

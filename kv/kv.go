@@ -72,7 +72,9 @@
 //     every shard's footprint inside the one message that asks a peer to
 //     drive the commit; and a read-only Submit is one more parallel round
 //     of relays, to every shard read from that its first read did not
-//     validate.
+//     validate. A client-side read cache answers repeat reads with no
+//     round trip, but never a key the store itself is still writing: that
+//     entry is the writer's pre-image, which validation would refuse.
 //
 // Either way a footprint reaches its shard inside the run that votes on it,
 // right before Prepare, and only the decision releases it: a transaction
@@ -140,6 +142,12 @@ type backend interface {
 	// toward the stale-abort metric if any of them was a cache hit). cached
 	// lists the keys whose reads were cache hits.
 	note(committed bool, reads map[string]uint64, writes map[string]write, cached []string)
+	// mark counts an undecided write of this store on every key of writes,
+	// before its footprint leaves; until unmark takes the count back, after
+	// note, the read cache serves none of them. drop also drops the keys,
+	// for a write whose future resolved with an error: it may have applied.
+	mark(writes map[string]write)
+	unmark(writes map[string]write, drop bool)
 }
 
 // footprint is a transaction's per-shard read and write set, split by
@@ -299,6 +307,8 @@ func (b *localBackend) readMulti(ctx context.Context, keys []string, _ bool) ([]
 }
 
 func (b *localBackend) note(bool, map[string]uint64, map[string]write, []string) {}
+func (b *localBackend) mark(map[string]write)                                    {}
+func (b *localBackend) unmark(map[string]write, bool)                            {}
 
 func (b *localBackend) validate(_ context.Context, reads map[string]uint64) (bool, error) {
 	for i, h := range validationHops(reads, len(b.shards)) {

@@ -18,7 +18,9 @@
 //     client-side versioned read cache answers repeat reads with no leg
 //     at all. A stale cache hit is safe by construction — the commit
 //     revalidates every read version, so the worst case is an OCC abort,
-//     which drops the entry.
+//     which drops the entry. A key this store has an undecided write of
+//     is never a hit (mark): its read goes to the shard, which parks it
+//     behind the writer's intent and answers with the post-image.
 //  2. Submit is one leg and waits for nothing. A transaction that wrote
 //     nothing runs no commit protocol at all: one validation per shard it
 //     read from, fanned out in parallel like the reads, and it commits iff
@@ -470,6 +472,9 @@ func (b *remoteBackend) note(committed bool, reads map[string]uint64, writes map
 		b.cache.invalidate(key)
 	}
 }
+
+func (b *remoteBackend) mark(w map[string]write)              { b.cache.mark(w) }
+func (b *remoteBackend) unmark(w map[string]write, drop bool) { b.cache.unmark(w, drop) }
 
 // validate fans a validation, a one-hop relay already on its way back, out
 // to every owner of a key in reads, in parallel: one WAN round trip of

@@ -165,11 +165,13 @@ func TestRemoteCommitLegs(t *testing.T) {
 	}
 }
 
-// spyShard is a shard that counts the commit-path calls and the validation
-// queries reaching it and can be told to leave validation queries unanswered.
+// spyShard is a shard that counts the commit-path calls, the reads and the
+// validation queries reaching it and can be told to leave validation queries
+// unanswered.
 type spyShard struct {
 	*Shard
 	commitPath  atomic.Int64 // Stage + Prepare + Commit + Abort
+	reads       atomic.Int64 // relays arriving on their way out
 	validations atomic.Int64
 	mute        atomic.Bool
 }
@@ -182,9 +184,11 @@ func (s *spyShard) Prepare(txID string) bool { s.commitPath.Add(1); return s.Sha
 func (s *spyShard) Commit(txID string)       { s.commitPath.Add(1); s.Shard.Commit(txID) }
 func (s *spyShard) Abort(txID string)        { s.commitPath.Add(1); s.Shard.Abort(txID) }
 func (s *spyShard) Query(m commit.Message) (commit.Message, error) {
-	// A validation is a relay that arrives on its way back at its last hop:
-	// the client sent it so.
-	if r, ok := m.(relayMsg); ok && r.Back && r.At == len(r.Hops)-1 {
+	// A read is a relay on its way out; a validation is one that arrives on
+	// its way back at its last hop: the client sent it so.
+	if r, ok := m.(relayMsg); ok && !r.Back {
+		s.reads.Add(1)
+	} else if ok && r.At == len(r.Hops)-1 {
 		s.validations.Add(1)
 		if s.mute.Load() {
 			return nil, fmt.Errorf("muted") // the peer turns an error into silence

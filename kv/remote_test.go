@@ -195,8 +195,9 @@ func TestRemoteBankConservation(t *testing.T) {
 // every other time. Now and then a begin is late enough (U is 10 ms) for its
 // peer to give up on it.
 // Whatever each transfer's fate, once the network is quiet no shard holds a
-// staged footprint, an intent or a parked read, and money is conserved — it
-// is not if a peer votes yes on a footprint that has yet to arrive.
+// staged footprint, an intent or a parked read, the client's read cache
+// counts no undecided writer, and money is conserved — it is not if a peer
+// votes yes on a footprint that has yet to arrive.
 func TestRemoteNoStateLeaks(t *testing.T) {
 	t.Parallel()
 	const n = 4
@@ -295,6 +296,9 @@ func TestRemoteNoStateLeaks(t *testing.T) {
 	if sum != 0 {
 		t.Errorf("money not conserved: the balances sum to %d, want 0 (%d transfers committed, %d aborted)",
 			sum, committed.Load(), aborted.Load())
+	}
+	if n := writingCount(s.b.(*remoteBackend).cache); n != 0 {
+		t.Errorf("the client still counts an undecided writer of %d keys", n)
 	}
 }
 

@@ -280,21 +280,26 @@ func (t *Txn) Submit(ctx context.Context) (*Pending, error) {
 		msgs[i+1] = footprintToMsg(f)
 	}
 
+	t.s.b.mark(t.writes) // the cache holds their pre-images until note
 	ct, err := t.s.b.submit(ctx, txID, msgs)
 	if err != nil {
+		t.s.b.unmark(t.writes, false) // nothing was sent
 		return nil, err
 	}
 	p := &Pending{id: txID, txn: ct, noted: make(chan struct{})}
 
 	// A decision feeds the backend's read cache (fresh entries from
 	// committed writes, invalidations after aborts); Wait joins p.noted so
-	// the refreshed cache is visible by the time it returns.
+	// the refreshed cache is visible by the time it returns. A future that
+	// resolved with an error (its context ended, or Store.Close) notes
+	// nothing, and unmark drops the written keys: the write may have applied.
 	go func() {
 		defer close(p.noted)
 		<-ct.Done()
 		if ct.Err() == nil {
 			t.s.b.note(ct.Committed(), t.reads, t.writes, t.cachedReads)
 		}
+		t.s.b.unmark(t.writes, ct.Err() != nil)
 	}()
 	return p, nil
 }
