@@ -144,9 +144,9 @@ func (c *Cluster) markFinished(txID string) {
 // so a nice execution pays the protocol's own messages only, and the caller
 // — Submit, or a run passing its slot on — never runs a Resource method.
 // Every record is claimed before any peer runs: an early peer's vote finds a
-// later one's record and waits in it, and no peer can have decided and
-// retired before the driver holds its record. slot says t holds one of the
-// pipeline's slots, which the run passes on when it ends.
+// later one's record and waits in it, and no peer can have decided — and
+// with that retired the record — before the driver holds it. slot says t
+// holds one of the pipeline's slots, which the run passes on when it ends.
 func (c *Cluster) begin(t *Txn, slot bool) *txnRun {
 	n := len(c.peers)
 	r := &txnRun{c: c, fut: t, slot: slot, txns: make([]*txn, n)}
@@ -167,18 +167,13 @@ func (c *Cluster) begin(t *Txn, slot bool) *txnRun {
 	for i, p := range c.peers {
 		p.mu.Lock()
 		tx, first := p.join(t.TxID)
-		switch {
-		case tx == nil:
-			if missing == nil {
-				missing = p
-			}
-		case tx.applied():
-			r.left.Add(-1)
-		default:
+		if tx != nil {
 			tx.run = r
+		} else if missing == nil {
+			missing = p
 		}
+		r.txns[i], claimed[i] = tx, first // under p.mu, which expire takes
 		p.mu.Unlock()
-		r.txns[i], claimed[i] = tx, first
 	}
 	for i, p := range c.peers {
 		if claimed[i] {
@@ -261,9 +256,13 @@ func (r *txnRun) complete() {
 // class, not failure-free. The peers run on and apply what they decide.
 func (r *txnRun) expire(err error) {
 	var late *Peer
-	for i, tx := range r.txns {
-		if tx != nil && !tx.applied() {
-			late = r.c.peers[i]
+	for i, p := range r.c.peers {
+		p.mu.Lock()
+		tx := r.txns[i]
+		pending := tx != nil && tx.phase != settled
+		p.mu.Unlock()
+		if pending {
+			late = p
 			break
 		}
 	}

@@ -8,8 +8,9 @@
 // Three ways to use it:
 //
 //   - Peer: one participant — it votes via its Resource, runs the
-//     protocol instance, applies the decision and retires the transaction —
-//     in its own address space over TCP (NewPeer): a real deployment shape,
+//     protocol instance, and applies the decision, which retires the
+//     transaction to an outcome cache — in its own address space over TCP
+//     (NewPeer): a real deployment shape,
 //     which a Client can drive without being a participant.
 //   - Cluster: n of those Peers in one address space over an in-memory
 //     network, plus a driver that starts a transaction on all of them and

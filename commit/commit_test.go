@@ -185,10 +185,11 @@ func TestClusterINBACSurvivesPartitionedMember(t *testing.T) {
 	}
 }
 
-// TestStragglerLearnsOutcome: a member cut off while the others decided and
-// retired has nobody left to run the protocol with. When a late message of
-// its reaches a retired peer, the peer answers with the outcome, and the
-// straggler decides that — applying it like any decision of its own.
+// TestStragglerLearnsOutcome: a member cut off while the others decided —
+// and with their applies retired the transaction — has nobody left to run
+// the protocol with. When a late message of its reaches a retired peer, the
+// peer answers with the outcome, and the straggler decides that — applying
+// it like any decision of its own.
 func TestStragglerLearnsOutcome(t *testing.T) {
 	t.Parallel()
 	rs, crs := resources(true, true, true)
@@ -207,13 +208,8 @@ func TestStragglerLearnsOutcome(t *testing.T) {
 	if _, err := cl.Commit(c, "cut-off"); err == nil {
 		t.Fatal("P3 is cut off and cannot decide; expected ctx expiry")
 	}
+	// P1's Wait returns once it applied, that is, retired.
 	p1, p3 := cl.peers[0], cl.peers[2]
-	waitFor(t, "P1 to retire", func() bool {
-		p1.mu.Lock()
-		defer p1.mu.Unlock()
-		_, retired := p1.decided.get("cut-off")
-		return retired
-	})
 	want, err := p1.Wait(ctx(t), "cut-off")
 	if err != nil {
 		t.Fatal(err)

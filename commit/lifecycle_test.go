@@ -1,11 +1,13 @@
 package commit
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"atomiccommit/internal/live"
 	"atomiccommit/internal/obs"
 )
 
@@ -168,4 +170,59 @@ func TestLivePathEnvelopeBound(t *testing.T) {
 		defer obs.SetAuditor(nil)
 		run(t, 2*f*n+n*(n-1))
 	})
+}
+
+// TestNiceCommitsAnswerNoOutcome: retiring a transaction at the apply adds
+// no envelope to a nice execution. Every protocol envelope of one reaches
+// its receiver before the receiver decides, so no peer answers one from its
+// outcome cache (outcomePath). Only nice runs count: a member that decides
+// late legitimately writes to peers that already retired.
+func TestNiceCommitsAnswerNoOutcome(t *testing.T) {
+	t.Parallel()
+	const n, f, runs = 4, 1, 64
+	cl, err := NewCluster(yesResources(n), Options{Protocol: INBAC, F: f, Timeout: 100 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	var mu sync.Mutex
+	outcomes := make(map[string]int)
+	cl.Mesh().Drop = func(e live.Envelope) bool {
+		if e.Path == outcomePath {
+			mu.Lock()
+			outcomes[e.TxID]++
+			mu.Unlock()
+		}
+		return false
+	}
+	var nice []string
+	rs := make([]*txnRun, runs)
+	for i := range rs { // concurrently: a nice run takes 2 U
+		rs[i] = cl.begin(newTxn(ctx(t), fmt.Sprintf("nice-%d", i)), false)
+	}
+	for _, r := range rs {
+		ok, err := r.fut.Wait(ctx(t))
+		fast := ok && err == nil
+		for _, tx := range r.txns {
+			fast = fast && tx.inst.DecidePath() == "fast"
+		}
+		if fast {
+			nice = append(nice, r.fut.TxID)
+		}
+	}
+	if len(nice) < runs/2 {
+		t.Fatalf("only %d of %d executions were nice", len(nice), runs)
+	}
+	// One more commit takes 2 U, in which any late envelope of the runs
+	// above is delivered, and answered.
+	if _, err := cl.Commit(ctx(t), "fence"); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, txID := range nice {
+		if outcomes[txID] != 0 {
+			t.Errorf("nice execution %s: %d outcome envelopes, want 0", txID, outcomes[txID])
+		}
+	}
 }

@@ -185,9 +185,9 @@ func TestLateSliceIsNotStaged(t *testing.T) {
 		payload, ok := fakes[0].history[txID]
 		return payload, ok
 	}
-	peers[0].deliver(begin) // while the record lives
+	peers[0].deliver(begin) // as the transaction ends there
 	if payload, ok := staged(); ok {
-		t.Fatalf("a begin for a running transaction staged %q", payload)
+		t.Fatalf("a begin for an ending transaction staged %q", payload)
 	}
 	waitFor(t, "P1's retirement", func() bool {
 		peers[0].mu.Lock()

@@ -14,14 +14,6 @@ import (
 	"atomiccommit/internal/obs"
 )
 
-// retireGraceUnits is how many timeout units a peer keeps a decided
-// instance alive before retiring it. A peer only knows its own decision,
-// and messages already in flight to it — a vote it no longer needs, a plea
-// for help — still deserve the protocol's own answer; one unit is the bound
-// the deployment assumes on a message delay. Whoever writes later is running
-// late, and gets the outcome itself in place of protocol help (see deliver).
-const retireGraceUnits = 1
-
 // coordinateUnits bounds a client-initiated commit run on the coordinating
 // peer, so a resultMsg always goes back even if the protocol cannot
 // terminate (e.g. no correct majority): far above any decision time, which
@@ -40,7 +32,9 @@ var (
 )
 
 // Peer is one participant, and the only owner of a transaction's lifecycle
-// at its process: vote, protocol instance, apply, retirement. NewPeer puts
+// at its process: vote, protocol instance, apply, and retirement with the
+// apply: from its decision on, a transaction is one entry of the outcome
+// cache, which answers whoever still writes about it. NewPeer puts
 // it in its own address space on TCP, the realistic deployment shape; a
 // Cluster is n of them on an in-memory mesh. Any peer may initiate a
 // transaction with Commit; the others vote and apply via their Resource.
@@ -70,8 +64,7 @@ type Peer struct {
 
 	mu      sync.Mutex
 	txns    map[string]*txn        // live transactions, running or unannounced
-	settled []settled              // applied, awaiting retirement; oldest first
-	decided boundedMap[core.Value] // outcomes of retired transactions
+	decided boundedMap[core.Value] // outcomes of applied, retired transactions
 	// Decision cross-checking (see decideMsg): peer decisions that arrived
 	// before our own landed. Read when ours does, then left to age out.
 	reports  boundedMap[[]peerReport]
@@ -91,14 +84,17 @@ type Peer struct {
 }
 
 // txn is what a peer holds for one live transaction, from the first sign of
-// it until retire moves its outcome into Peer.decided. Peer.mu guards the
-// fields until done is closed; after that they no longer change.
+// it until settle applies the decision and moves the outcome into
+// Peer.decided. Peer.mu guards the fields until then; after that they no
+// longer change, and only a Cluster driver's run still holds the record.
 type txn struct {
 	phase   txnPhase
 	vote    core.Value
 	inst    *live.Instance  // nil until the vote is in
 	pending []live.Envelope // protocol envelopes that arrived before inst
-	done    chan struct{}   // closed once Resource.Commit/Abort returned
+	// done is made by a local Commit or Wait, and closed once
+	// Resource.Commit/Abort returned; nil while nobody waits.
+	done chan struct{}
 
 	// client asked this peer to coordinate the commit and awaits its result
 	// (0: nobody does); its go arrived at since.
@@ -107,18 +103,6 @@ type txn struct {
 	// run is the Cluster driver's view of the transaction, which the apply
 	// counts down (nil outside a Cluster).
 	run *txnRun
-}
-
-// applied reports whether the peer applied t's decision. settle closes done
-// under Peer.mu, so under the lock the answer is consistent with the rest
-// of the record.
-func (t *txn) applied() bool {
-	select {
-	case <-t.done:
-		return true
-	default:
-		return false
-	}
 }
 
 // decision is one entry of the apply worker's queue: the outcome v of the
@@ -139,13 +123,9 @@ const (
 	// unannounced: a hosted peer holds protocol envelopes of a transaction
 	// nobody announced to it yet (see the ordering rule on Peer).
 	unannounced
+	// settled: the decision is applied and the record retired.
+	settled
 )
-
-// settled is a transaction whose decision was applied at the given time.
-type settled struct {
-	txID string
-	at   time.Time
-}
 
 // peerReport is one remote decision awaiting our local one.
 type peerReport struct {
@@ -291,8 +271,8 @@ func (p *Peer) deliver(e live.Envelope) {
 		case inst != nil:
 			inst.Deliver(e)
 		case retired:
-			// A straggler is dropped, not buffered forever. But its sender
-			// still runs a protocol we can no longer take part in, and
+			// A late envelope is dropped, not buffered forever. But its
+			// sender still runs a protocol we no longer take part in, and
 			// cannot terminate if enough of us retired: tell it the outcome.
 			_ = p.tr.Send(live.Envelope{TxID: e.TxID, From: p.id, To: e.From, Path: outcomePath, Msg: decideMsg{V: outcome}})
 		}
@@ -345,8 +325,6 @@ func (p *Peer) coordinate(e live.Envelope, slices [][]byte, fp []byte) {
 		} else {
 			res.Err = "commit: peer closed"
 		}
-	case t.applied():
-		res.V = t.inst.Outcome()
 	default:
 		t.client, t.since = e.From, time.Now()
 		answer, arm = false, !p.sweeping
@@ -493,30 +471,6 @@ func (p *Peer) answer(e live.Envelope, reply Message) {
 	_ = p.tr.Send(live.Envelope{TxID: e.TxID, From: p.id, To: to, Path: path, Msg: reply})
 }
 
-// retire forgets the instances of the transactions settled at least the
-// grace ago, remembering their outcomes (bounded by retiredHistory) so late
-// messages are dropped and Wait/Commit replays still answer from the cache.
-// One deadline serves the whole queue, and a busy peer retires in batches:
-// a deadline per transaction costs more than the rest of settling one. It
-// runs on the timer goroutine, and calls nothing that may block.
-func (p *Peer) retire() {
-	grace := retireGraceUnits * p.opts.Timeout
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for len(p.settled) > 0 && time.Since(p.settled[0].at) >= grace {
-		txID := p.settled[0].txID
-		p.settled = p.settled[1:]
-		if t := p.txns[txID]; t != nil { // nil once Close dropped the records
-			t.inst.Close()
-			delete(p.txns, txID)
-			p.decided.put(txID, t.inst.Outcome())
-		}
-	}
-	if len(p.settled) > 0 && !p.closed {
-		live.After(max(grace-time.Since(p.settled[0].at), grace/4), p.retire)
-	}
-}
-
 // join returns txID's running record, creating it (or taking over an
 // unannounced one: the run gets the envelopes held back) when the
 // transaction is announced. first tells the caller it made that claim and
@@ -537,7 +491,7 @@ func (p *Peer) join(txID string) (t *txn, first bool) {
 		t = &txn{}
 		p.txns[txID] = t
 	}
-	t.phase, t.done = running, make(chan struct{})
+	t.phase = running
 	return t, true
 }
 
@@ -598,10 +552,11 @@ func (p *Peer) start(txID string, t *txn, vote core.Value) {
 // the apply worker in the order the decisions landed: the instance's Decided
 // hook queues it, because the deciding handler may be a transport's read loop
 // or the timer goroutine, which announce's sends and the Resource's callback
-// must not stall. Cross-check and announce, apply to the Resource, release
-// the waiters, answer the client this peer coordinates for and count down the
-// Cluster driver's run, then queue for retirement so that per-transaction
-// state stays bounded.
+// must not stall. Cross-check and announce, apply to the Resource, then, in
+// one critical section, release the waiters and retire the record: its
+// outcome moves to the cache (bounded by retiredHistory), which answers
+// replays and late envelopes from here on. Last, answer the client this peer
+// coordinates for and count down the Cluster driver's run.
 func (p *Peer) settle(d decision) {
 	p.announce(d.txID, d.v)
 	if d.v == core.Commit {
@@ -609,21 +564,23 @@ func (p *Peer) settle(d decision) {
 	} else {
 		p.res.Abort(d.txID)
 	}
+	t := d.t
 	p.mu.Lock()
-	close(d.t.done)
-	client, run := d.t.client, d.t.run
-	d.t.client = 0
-	p.settled = append(p.settled, settled{d.txID, time.Now()})
-	first := len(p.settled) == 1
+	t.phase = settled
+	if t.done != nil {
+		close(t.done)
+	}
+	client, run := t.client, t.run
+	t.client = 0
+	delete(p.txns, d.txID)
+	p.decided.put(d.txID, d.v)
 	p.mu.Unlock()
+	t.inst.Close()
 	if client != 0 {
 		p.reply(d.txID, client, resultMsg{V: d.v})
 	}
 	if run != nil {
 		run.applied()
-	}
-	if first {
-		live.After(retireGraceUnits*p.opts.Timeout, p.retire)
 	}
 }
 
@@ -656,8 +613,9 @@ func (p *Peer) broadcast(txID, path string, m core.Message) {
 // observeDecision handles a peer's decision announcement for txID: compare
 // it against ours if we have one (live or cached), else stash it until ours
 // lands. A disagreement is reported through the anomaly hook with the full
-// flight-recorder timeline. final marks a retired peer's answer to our
-// straggler (see deliver): an instance still undecided adopts that decision.
+// flight-recorder timeline. final marks a retired peer's answer to a late
+// envelope of ours (see deliver): an instance still undecided adopts that
+// decision, which Agreement makes the decision.
 func (p *Peer) observeDecision(from core.ProcessID, txID string, theirs core.Value, final bool) {
 	// Feed the remote decision to the auditor: announcements are how one
 	// process's auditor learns the rest of the decision vector. Decide is
@@ -671,11 +629,7 @@ func (p *Peer) observeDecision(from core.ProcessID, txID string, theirs core.Val
 		if final {
 			t.inst.Adopt(theirs)
 		}
-		select {
-		case <-t.inst.Done():
-			ours, known = t.inst.Outcome(), true
-		default:
-		}
+		ours, known = t.inst.Decision()
 	}
 	if !known {
 		stash, _ := p.reports.get(txID)
@@ -748,11 +702,14 @@ func (p *Peer) sendBegins(txID string, slices [][]byte) {
 // Wait blocks until this peer's instance for txID (started by any peer, or
 // by this call: the paper's footnote-13 spontaneous start, which costs no
 // message) has decided and the local Resource applied the decision. A
-// transaction that already retired answers from the outcome cache.
+// transaction already applied answers from the outcome cache.
 func (p *Peer) Wait(ctx context.Context, txID string) (bool, error) {
 	p.mu.Lock()
 	t, first := p.join(txID)
 	v, retired := p.decided.get(txID)
+	if t != nil && t.done == nil {
+		t.done = make(chan struct{})
+	}
 	p.mu.Unlock()
 	if first {
 		p.run(txID, t, nil)

@@ -167,8 +167,8 @@ func TestBoundedMapEviction(t *testing.T) {
 		b.put(fmt.Sprintf("tx-%d", i), i)
 	}
 	b.put("tx-10", -1) // overwriting neither grows the map nor re-queues the key
-	if len(b.m) != retiredHistory || len(b.order) != retiredHistory {
-		t.Fatalf("map must cap at %d, got %d/%d", retiredHistory, len(b.m), len(b.order))
+	if len(b.m) != retiredHistory {
+		t.Fatalf("map must cap at %d, got %d", retiredHistory, len(b.m))
 	}
 	if _, ok := b.get("tx-9"); ok {
 		t.Fatal("oldest keys must be evicted")
@@ -179,6 +179,33 @@ func TestBoundedMapEviction(t *testing.T) {
 	b.put("one-more", 0)
 	if _, ok := b.get("tx-10"); ok {
 		t.Fatal("an overwritten key must keep its place in the eviction queue")
+	}
+}
+
+// TestBoundedMapPutAllocs: once full, a put evicts the oldest key in place.
+// Every peer's apply puts once per decision, so a run of retiredHistory new
+// keys — each evicting one — allocates nothing: the queue of keys is a fixed
+// ring, never shifted, regrown or copied. Not parallel: AllocsPerRun counts
+// the whole process's allocations.
+func TestBoundedMapPutAllocs(t *testing.T) {
+	keys := make([]string, 2*retiredHistory)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("tx-%d", i)
+	}
+	var b boundedMap[int]
+	half := 0
+	fill := func() { // the half of keys the map does not hold
+		for _, k := range keys[half*retiredHistory : (half+1)*retiredHistory] {
+			b.put(k, half)
+		}
+		half = 1 - half
+	}
+	fill()
+	if avg := testing.AllocsPerRun(4, fill); avg != 0 {
+		t.Fatalf("%d puts that each evict a key allocate %.0f times, want 0", retiredHistory, avg)
+	}
+	if len(b.m) != retiredHistory {
+		t.Fatalf("map must cap at %d, got %d", retiredHistory, len(b.m))
 	}
 }
 
@@ -279,10 +306,11 @@ func (straggler) Kind() string { return "STRAGGLER" }
 
 var _ core.Message = straggler{}
 
-// TestPeerRetiresDecidedInstances: a peer must bound its per-transaction
-// state — after the decision plus the retire grace, the record is gone, yet
-// Wait still answers from the outcome cache and stragglers are dropped, on
-// TCP and on a Cluster's mesh peers alike.
+// TestPeerRetiresDecidedInstances: a peer's state for a transaction ends
+// with its decision — once the local apply returned, the record is gone and
+// the outcome cached, with no grace to wait out. Wait still answers from the
+// cache and stragglers are dropped, on TCP and on a Cluster's mesh peers
+// alike.
 func TestPeerRetiresDecidedInstances(t *testing.T) {
 	t.Parallel()
 	opts := Options{Protocol: INBAC, F: 1, Timeout: 25 * time.Millisecond}
@@ -297,27 +325,34 @@ func TestPeerRetiresDecidedInstances(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
+	// A Cluster's Commit returns once every peer applied.
 	if ok, err := cl.Commit(ctx(t), "retire-tx"); err != nil || !ok {
 		t.Fatalf("mesh: ok=%v err=%v", ok, err)
 	}
 
-	for _, p := range append(tcp, cl.peers...) {
-		// Every peer retires soon after the grace (U = 25ms here) of its
-		// own decision; poll with a generous deadline.
-		waitFor(t, fmt.Sprintf("%v to retire", p.id), func() bool {
-			p.mu.Lock()
-			defer p.mu.Unlock()
-			_, cached := p.decided.get("retire-tx")
-			return len(p.txns) == 0 && cached
-		})
-		// Wait after retirement answers from the cache, and neither it nor
-		// a straggler resurrects or buffers anything.
+	for i, p := range append(tcp, cl.peers...) {
+		if i < len(tcp) {
+			// P1's Commit returned after its own apply; the others' Wait
+			// returns after theirs.
+			if okW, err := p.Wait(ctx(t), "retire-tx"); err != nil || !okW {
+				t.Fatalf("tcp %v: ok=%v err=%v", p.id, okW, err)
+			}
+		}
+		p.mu.Lock()
+		_, cached := p.decided.get("retire-tx")
+		left := len(p.txns)
+		p.mu.Unlock()
+		if left != 0 || !cached {
+			t.Fatalf("peer %v right after its apply: %d records, outcome cached %v", p.id, left, cached)
+		}
+		// Wait answers from the cache, and neither it nor a straggler
+		// resurrects or buffers anything.
 		if okC, err := p.Wait(ctx(t), "retire-tx"); err != nil || !okC {
 			t.Fatalf("peer %v cached outcome: ok=%v err=%v", p.id, okC, err)
 		}
 		p.deliver(live.Envelope{TxID: "retire-tx", From: 2, To: p.id, Msg: straggler{}})
 		p.mu.Lock()
-		left := len(p.txns)
+		left = len(p.txns)
 		p.mu.Unlock()
 		if left != 0 {
 			t.Fatalf("peer %v holds %d records after retirement", p.id, left)

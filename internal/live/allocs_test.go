@@ -19,27 +19,7 @@ import (
 // buffer, so once those buffers have grown to working size nothing on the
 // per-envelope path allocates.
 func TestTCPSendSteadyStateAllocs(t *testing.T) {
-	addrs := []string{"127.0.0.1:0", "127.0.0.1:0"}
-	t2, err := NewTCP(2, addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer t2.Close()
-	addrs[1] = t2.Addr()
-	t1, err := NewTCP(1, addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer t1.Close()
-
-	recv := make(chan struct{}, 4096)
-	t2.SetHandler(func(Envelope) {
-		select {
-		case recv <- struct{}{}:
-		default:
-		}
-	})
-
+	t1, recv := tcpPair(t)
 	e := Envelope{TxID: "alloc-test", From: 1, To: 2, Path: "", Msg: echoMsg{V: core.Commit}}
 
 	// Warm-up: dial the connection and grow the pending/scratch/frame
@@ -67,6 +47,64 @@ func TestTCPSendSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestTCPLoneEnvelopeAllocs counts what one envelope costs end to end when
+// it travels alone — its own flush, its own frame, its own decode — which
+// the test above, amortizing flushes over thousands of sends, cannot see.
+// The two allocations are the receiver's decoded TxID and message. A flush
+// is one writev of header and frame, and its vector is the connection's:
+// built per flush, it cost two more.
+func TestTCPLoneEnvelopeAllocs(t *testing.T) {
+	const ceiling = 2
+	t1, recv := tcpPair(t)
+	e := Envelope{TxID: "alloc-test", From: 1, To: 2, Path: "", Msg: echoMsg{V: core.Commit}}
+	lost := time.After(30 * time.Second) // one timer: a timer per send would count
+	send := func() {
+		if err := t1.Send(e); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-recv:
+		case <-lost:
+			t.Fatal("envelope never delivered")
+		}
+	}
+	for i := 0; i < 64; i++ { // dial, grow the buffers
+		send()
+	}
+	avg := testing.AllocsPerRun(500, send)
+	t.Logf("%.2f allocs per lone envelope, send to delivery", avg)
+	if avg > ceiling {
+		t.Fatalf("a lone envelope costs %.2f allocations, ceiling %d", avg, ceiling)
+	}
+}
+
+// tcpPair connects P1 to P2 over loopback and returns P1's transport and a
+// channel that signals each envelope P2 is handed (dropping signals nobody
+// takes in time).
+func tcpPair(t *testing.T) (*TCP, <-chan struct{}) {
+	t.Helper()
+	addrs := []string{"127.0.0.1:0", "127.0.0.1:0"}
+	t2, err := NewTCP(2, addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { t2.Close() })
+	addrs[1] = t2.Addr()
+	t1, err := NewTCP(1, addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { t1.Close() })
+	recv := make(chan struct{}, 4096)
+	t2.SetHandler(func(Envelope) {
+		select {
+		case recv <- struct{}{}:
+		default:
+		}
+	})
+	return t1, recv
+}
+
 // TestDecidePathCounterResolvedOnce: a decision counts on the registry's
 // "decide_path.<label>.<note>" counter ("unlabeled" standing in for no
 // label), and once the pair was resolved, finding it again allocates
@@ -87,11 +125,12 @@ func TestDecidePathCounterResolvedOnce(t *testing.T) {
 
 // TestInstanceNiceINBACAllocs is the ceiling on what a nice INBAC commit may
 // allocate at n=4 across its four live.Instances, protocol modules included:
-// 60 as of PR 14, 101 before it (a goroutine per self-send, a time.AfterFunc
-// per timer, map-backed collections). A change that needs more than the
-// ceiling has to say why here.
+// 45 since an instance holds its modules as a root and a slice of children
+// (49 with a map per instance), 60 before that, and 101 with a goroutine per
+// self-send, a time.AfterFunc per timer and map-backed collections. A change
+// that needs more than the ceiling has to say why here.
 func TestInstanceNiceINBACAllocs(t *testing.T) {
-	const txns, ceiling = 64, 90
+	const txns, ceiling = 64, 48
 	niceINBAC(t, txns) // start the timer goroutine, grow the deadline heap
 	perTxn := testing.AllocsPerRun(5, func() { niceINBAC(t, txns) }) / txns
 	t.Logf("%.1f allocs per nice INBAC transaction", perTxn)

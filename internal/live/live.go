@@ -69,28 +69,34 @@ type Instance struct {
 	txID  string
 	label string // protocol name, for metrics; "" if the caller set none
 
-	tr    Transport // shared per-process transport (routes by TxID)
 	sendE func(Envelope) error
 
 	mu         sync.Mutex
 	started    time.Time
 	running    bool
 	pending    []Envelope // deliveries that arrived before Start
-	modules    map[string]core.Module
-	selfq      []Envelope // the running handler's self-sends (see drainSelf)
+	root       core.Module
+	children   []submodule // what the tree registered below the root (see module)
+	selfq      []Envelope  // the running handler's self-sends (see drainSelf)
 	closed     bool
 	decidePath string // last "decide-path" annotation (see Env Annotate)
 
-	decideOnce sync.Once
-	done       chan struct{}
-	outcome    core.Value
-	decided    func(core.Value) // Config.Decided
-	fire       bool             // the running handler decided: leave calls decided
+	final   bool          // the root decided: outcome holds the decision
+	done    chan struct{} // made by the first Done or Wait, closed at the decision
+	outcome core.Value
+	decided func(core.Value) // Config.Decided
+	fire    bool             // the running handler decided: leave calls decided
 
 	// Guarded by deadlines.mu: how many deadlines of this instance are on the
 	// heap, and whether Close released them.
 	armed    int
 	released bool
+}
+
+// submodule is a module registered below the root, under its path.
+type submodule struct {
+	path string
+	m    core.Module
 }
 
 // Config parameterizes an Instance.
@@ -118,12 +124,23 @@ func NewInstance(cfg Config) *Instance {
 	inst := &Instance{
 		id: cfg.ID, n: cfg.N, f: cfg.F, u: cfg.U, txID: cfg.TxID, label: cfg.Label,
 		sendE: cfg.Send, decided: cfg.Decided,
-		modules: make(map[string]core.Module),
-		done:    make(chan struct{}),
 	}
-	root := cfg.New(cfg.ID)
-	inst.modules[""] = root
+	inst.root = cfg.New(cfg.ID)
 	return inst
+}
+
+// module returns the module registered at path, nil if none is. A protocol
+// registers at most one child, so a scan beats a map.
+func (inst *Instance) module(path string) core.Module {
+	if path == "" {
+		return inst.root
+	}
+	for _, c := range inst.children {
+		if c.path == path {
+			return c.m
+		}
+	}
+	return nil
 }
 
 // leave ends a handler: it delivers the handler's self-sends, releases the
@@ -149,7 +166,7 @@ func (inst *Instance) leave() {
 func (inst *Instance) drainSelf() {
 	for i := 0; i < len(inst.selfq); i++ { // a delivery may append
 		e := inst.selfq[i]
-		if m, ok := inst.modules[e.Path]; ok {
+		if m := inst.module(e.Path); m != nil {
 			m.Deliver(e.From, e.Msg)
 		}
 	}
@@ -173,10 +190,9 @@ func (inst *Instance) Start(vote core.Value) {
 		a.Vote(inst.txID, inst.id, inst.n, inst.label, vote,
 			time.Duration(inst.u)*TickDuration)
 	}
-	root := inst.modules[""]
-	root.Init(&liveEnv{inst: inst, path: ""})
+	inst.root.Init(&liveEnv{inst: inst, path: ""})
 	inst.running = true
-	root.Propose(vote)
+	inst.root.Propose(vote)
 	if a := obs.ActiveAuditor(); a != nil {
 		// The instance's clock started at the top: a stall since then makes
 		// every deadline of this process early for the others.
@@ -194,8 +210,8 @@ func (inst *Instance) Start(vote core.Value) {
 // receipt: what waited behind a stalled process while its deadline passed was
 // late, whatever the network did.
 func (inst *Instance) handle(e Envelope) {
-	m, ok := inst.modules[e.Path]
-	if !ok {
+	m := inst.module(e.Path)
+	if m == nil {
 		return
 	}
 	if a := obs.ActiveAuditor(); a != nil {
@@ -222,11 +238,31 @@ func (inst *Instance) Deliver(e Envelope) {
 }
 
 // Done is closed once the root decision is available; any number of
-// goroutines may wait on it.
-func (inst *Instance) Done() <-chan struct{} { return inst.done }
+// goroutines may wait on it. The channel is made on the first call, so a
+// host that takes the decision from Config.Decided never pays for one.
+func (inst *Instance) Done() <-chan struct{} {
+	inst.mu.Lock()
+	defer inst.mu.Unlock()
+	if inst.done == nil {
+		inst.done = make(chan struct{})
+		if inst.final {
+			close(inst.done)
+		}
+	}
+	return inst.done
+}
 
-// Outcome returns the decision; valid only after Done is closed.
+// Outcome returns the decision; valid only after Done is closed or
+// Config.Decided was called.
 func (inst *Instance) Outcome() core.Value { return inst.outcome }
+
+// Decision returns the decision, and whether the root has decided yet; safe
+// to call at any time.
+func (inst *Instance) Decision() (core.Value, bool) {
+	inst.mu.Lock()
+	defer inst.mu.Unlock()
+	return inst.outcome, inst.final
+}
 
 // DecidePath returns the instance's last "decide-path" annotation (see
 // core.Annotate): which branch of its protocol's decision state machine
@@ -241,7 +277,7 @@ func (inst *Instance) DecidePath() string {
 // Wait blocks until the decision or ctx expiry.
 func (inst *Instance) Wait(ctx context.Context) (core.Value, error) {
 	select {
-	case <-inst.done:
+	case <-inst.Done():
 		return inst.outcome, nil
 	case <-ctx.Done():
 		return 0, fmt.Errorf("commit instance %s at %v: %w", inst.txID, inst.id, ctx.Err())
@@ -256,13 +292,8 @@ func (inst *Instance) Wait(ctx context.Context) (core.Value, error) {
 func (inst *Instance) Adopt(v core.Value) {
 	inst.mu.Lock()
 	defer inst.leave()
-	if !inst.running || inst.closed {
+	if !inst.running || inst.closed || inst.final {
 		return
-	}
-	select {
-	case <-inst.done:
-		return
-	default:
 	}
 	env := &liveEnv{inst: inst}
 	env.Annotate("decide-path", "adopted")
@@ -286,7 +317,7 @@ func (inst *Instance) timeout(path string, tag int, when time.Duration) {
 	if inst.closed {
 		return
 	}
-	if m, ok := inst.modules[path]; ok {
+	if m := inst.module(path); m != nil {
 		if obs.Default.Enabled() {
 			obs.Default.Record(obs.Event{
 				Kind: obs.EvTimerFire, TxID: inst.txID, Proc: inst.id,
@@ -359,25 +390,25 @@ func (e *liveEnv) SetTimerAt(t core.Ticks, tag int) {
 }
 
 func (e *liveEnv) Decide(v core.Value) {
-	if e.path != "" {
-		return // child decisions are routed via Register's callback
+	// Child decisions are routed via Register's callback; the root decides
+	// once. Decide runs inside a handler, so inst.mu is held.
+	if e.path != "" || e.inst.final {
+		return
 	}
-	e.inst.decideOnce.Do(func() {
-		if obs.Default.Enabled() {
-			obs.Default.Record(obs.Event{
-				Kind: obs.EvDecide, TxID: e.inst.txID, Proc: e.inst.id,
-				Arg: int64(v), Note: v.String(),
-			})
-		}
-		if a := obs.ActiveAuditor(); a != nil {
-			// inst.mu is held (Decide runs inside a handler), so the
-			// sticky decide-path annotation is stable to read here.
-			a.Decide(e.inst.txID, e.inst.id, v, e.inst.decidePath)
-		}
-		e.inst.outcome = v
-		e.inst.fire = true
+	if obs.Default.Enabled() {
+		obs.Default.Record(obs.Event{
+			Kind: obs.EvDecide, TxID: e.inst.txID, Proc: e.inst.id,
+			Arg: int64(v), Note: v.String(),
+		})
+	}
+	if a := obs.ActiveAuditor(); a != nil {
+		// The sticky decide-path annotation is stable to read here.
+		a.Decide(e.inst.txID, e.inst.id, v, e.inst.decidePath)
+	}
+	e.inst.outcome, e.inst.final, e.inst.fire = v, true, true
+	if e.inst.done != nil {
 		close(e.inst.done)
-	})
+	}
 }
 
 // Annotate implements core.Annotator: protocol branch points land in the
@@ -439,7 +470,7 @@ func (e *liveEnv) Register(name string, child core.Module, onDecide func(core.Va
 	if e.path != "" {
 		path = e.path + "/" + name
 	}
-	e.inst.modules[path] = child
+	e.inst.children = append(e.inst.children, submodule{path, child})
 	child.Init(&childEnv{liveEnv: liveEnv{inst: e.inst, path: path}, onDecide: onDecide})
 }
 

@@ -484,6 +484,10 @@ func (t *TCP) connLoop(conn *tcpConn) {
 	var spare []byte
 	var hdr [1 + binary.MaxVarintLen64]byte
 	hdr[0] = frameVersion
+	// The header and the frame of one writev. WriteTo takes its vector by
+	// pointer, so one built per flush would cost two allocations a frame.
+	var vec [2][]byte
+	var bufs net.Buffers
 	flush := func() error {
 		conn.mu.Lock()
 		if conn.err != nil {
@@ -502,7 +506,8 @@ func (t *TCP) connLoop(conn *tcpConn) {
 		mFlushFrames.Add(1)
 		mFlushBytes.Add(int64(len(frame)))
 		n := 1 + binary.PutUvarint(hdr[1:], uint64(len(frame)))
-		bufs := net.Buffers{hdr[:n], frame}
+		vec = [2][]byte{hdr[:n], frame}
+		bufs = vec[:]
 		_, err := bufs.WriteTo(c)
 		spare = frame[:0] // recycle for the next swap
 		if err != nil {
