@@ -23,6 +23,7 @@ import (
 // the connection a request came in on, and files that connection under the
 // sender's ID. A client dials and never listens; it needs no address, and a
 // peer that restarted answers as soon as the next request has redialed it.
+// Cluster.NewClient attaches a client to a Cluster's in-memory mesh instead.
 //
 // Every call is bounded by a deadline derived from Options.Timeout — whatever
 // the caller's context says — so a crashed peer yields an error within the
@@ -32,7 +33,7 @@ type Client struct {
 	id   core.ProcessID
 	n    int // peers are 1..n
 	opts Options
-	tcp  *live.TCP
+	tr   live.Transport
 
 	mu       sync.Mutex
 	pending  map[string]*Txn                // awaiting resultMsg, keyed by txID
@@ -70,14 +71,20 @@ func NewClient(id int, addrs []string, opts Options) (*Client, error) {
 	if opts.Net != nil {
 		tcp.SetShaper(opts.Net.Shaper(time.Now()))
 	}
+	return newClient(core.ProcessID(id), len(addrs), tcp, opts), nil
+}
+
+// newClient runs client id of a deployment of n peers over tr; opts already
+// carry defaults.
+func newClient(id core.ProcessID, n int, tr live.Transport, opts Options) *Client {
 	c := &Client{
-		id: core.ProcessID(id), n: len(addrs), opts: opts, tcp: tcp,
+		id: id, n: n, opts: opts, tr: tr,
 		pending: make(map[string]*Txn),
 		replies: make(map[replyKey]chan core.Message),
 		stop:    make(chan struct{}),
 	}
-	tcp.SetHandler(c.deliver)
-	return c, nil
+	tr.SetHandler(c.deliver)
+	return c
 }
 
 // ID returns the client's process ID.
@@ -206,7 +213,7 @@ func (c *Client) Query(ctx context.Context, peer int, m Message) (Message, error
 		c.mu.Unlock()
 	}()
 
-	if err := c.tcp.Send(live.Envelope{TxID: k.txID, From: c.id, To: k.from, Path: queryPath, Msg: m}); err != nil {
+	if err := c.tr.Send(live.Envelope{TxID: k.txID, From: c.id, To: k.from, Path: queryPath, Msg: m}); err != nil {
 		return fail(err)
 	}
 	select {
@@ -268,7 +275,7 @@ func (c *Client) submitMsg(ctx context.Context, txID string, coord int, path str
 		live.After(coordinateUnits/16*c.opts.Timeout, c.sweep)
 	}
 
-	if err := c.tcp.Send(live.Envelope{TxID: txID, From: c.id, To: core.ProcessID(coord), Path: path, Msg: msg}); err != nil {
+	if err := c.tr.Send(live.Envelope{TxID: txID, From: c.id, To: core.ProcessID(coord), Path: path, Msg: msg}); err != nil {
 		c.resolve(txID, false, err)
 	}
 	return t
@@ -293,27 +300,11 @@ var ErrStageTooLarge = errors.New("commit: footprint exceeds the stage+go budget
 // ErrStageTooLarge (before anything is sent) when the encoded slices exceed
 // 256 KiB together.
 func (c *Client) StageGoAll(ctx context.Context, txID string, coord int, fps map[int]Message) (*Txn, error) {
-	slices, err := marshalSlices(fps, c.n)
-	if err != nil {
-		return nil, err
-	}
-	msg := stageGoMsg{Fp: slices[core.ProcessID(coord)]}
-	for peer, fp := range slices {
-		if int(peer) != coord {
-			msg.Others = append(msg.Others, peerSlice{Peer: peer, Fp: fp})
-		}
-	}
-	return c.submitMsg(ctx, txID, coord, stageGoPath, msg), nil
-}
-
-// marshalSlices encodes each peer's slice of a footprint (peers are 1..n),
-// refusing a set over the stage+go budget.
-func marshalSlices(fps map[int]Message, n int) (map[core.ProcessID][]byte, error) {
-	slices := make(map[core.ProcessID][]byte, len(fps))
+	var msg stageGoMsg
 	total := 0
 	for peer, m := range fps {
-		if peer < 1 || peer > n {
-			return nil, fmt.Errorf("%w: peer %d not in 1..%d", ErrPeerID, peer, n)
+		if err := c.checkPeer(peer); err != nil {
+			return nil, err
 		}
 		fp, err := live.MarshalMessage(m)
 		if err != nil {
@@ -322,9 +313,13 @@ func marshalSlices(fps map[int]Message, n int) (map[core.ProcessID][]byte, error
 		if total += len(fp); total > stageGoBudget {
 			return nil, fmt.Errorf("%w: over %d bytes", ErrStageTooLarge, stageGoBudget)
 		}
-		slices[core.ProcessID(peer)] = fp
+		if peer == coord {
+			msg.Fp = fp
+		} else {
+			msg.Others = append(msg.Others, peerSlice{Peer: core.ProcessID(peer), Fp: fp})
+		}
 	}
-	return slices, nil
+	return c.submitMsg(ctx, txID, coord, stageGoPath, msg), nil
 }
 
 // Submit enqueues one transaction, choosing a coordinator round-robin
@@ -360,5 +355,5 @@ func (c *Client) Close() {
 	for _, t := range pending {
 		t.resolve(false, fmt.Errorf("commit: client closed"))
 	}
-	c.tcp.Close()
+	c.tr.Close()
 }

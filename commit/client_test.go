@@ -149,6 +149,44 @@ func hostedDeployment(t *testing.T, n int, opts Options) ([]*Peer, []*hostedFake
 	return peers, fakes, c
 }
 
+// meshDeployment is hostedDeployment on a Cluster: n peers on its mesh, each
+// hosting a fresh hostedFake, and one client attached by Cluster.NewClient.
+func meshDeployment(t *testing.T, n int, opts Options) ([]*hostedFake, *Client) {
+	t.Helper()
+	fakes := make([]*hostedFake, n)
+	rs := make([]Resource, n)
+	for i := range fakes {
+		fakes[i] = newHostedFake()
+		rs[i] = fakes[i]
+	}
+	cl, err := NewCluster(rs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	c, err := cl.NewClient(n + 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close) // before the cluster's: cleanups run last-in first
+	return fakes, c
+}
+
+// onBothTransports runs test, in parallel subtests, against a client of n
+// hosted peers over TCP and against one on a Cluster's mesh.
+func onBothTransports(t *testing.T, n int, opts Options, test func(t *testing.T, fakes []*hostedFake, c *Client)) {
+	t.Run("tcp", func(t *testing.T) {
+		t.Parallel()
+		_, fakes, c := hostedDeployment(t, n, opts)
+		test(t, fakes, c)
+	})
+	t.Run("mesh", func(t *testing.T) {
+		t.Parallel()
+		fakes, c := meshDeployment(t, n, opts)
+		test(t, fakes, c)
+	})
+}
+
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -161,66 +199,71 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 // TestClientStageAndCommit: a transaction with a slice at every peer, shipped
-// by stage+go, stages each peer's own payload and commits everywhere.
+// by stage+go, stages each peer's own payload and commits everywhere, from a
+// TCP client and from a Cluster's mesh client alike.
 func TestClientStageAndCommit(t *testing.T) {
 	t.Parallel()
 	opts := Options{Protocol: INBAC, F: 1, Timeout: 25 * time.Millisecond}
-	_, fakes, c := hostedDeployment(t, 3, opts)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
+	onBothTransports(t, 3, opts, func(t *testing.T, fakes []*hostedFake, c *Client) {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
 
-	// An indulgent protocol may legally abort an all-yes transaction when
-	// scheduling delay violates its timing bound, so retry with a fresh ID.
-	var txID string
-	committed := false
-	for attempt := 0; attempt < 4 && !committed; attempt++ {
-		txID = fmt.Sprintf("client-tx-%d", attempt)
-		slices := make(map[int]Message)
-		for i := 1; i <= 3; i++ {
-			slices[i] = fakeFootprint{Payload: fmt.Sprintf("fp-%d", i)}
+		// An indulgent protocol may legally abort an all-yes transaction when
+		// scheduling delay violates its timing bound, so retry with a fresh ID.
+		var txID string
+		committed := false
+		for attempt := 0; attempt < 4 && !committed; attempt++ {
+			txID = fmt.Sprintf("client-tx-%d", attempt)
+			slices := make(map[int]Message)
+			for i := 1; i <= 3; i++ {
+				slices[i] = fakeFootprint{Payload: fmt.Sprintf("fp-%d", i)}
+			}
+			txn, err := c.StageGoAll(ctx, txID, 1, slices)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if committed, err = txn.Wait(ctx); err != nil {
+				t.Fatal(err)
+			}
 		}
-		txn, err := c.StageGoAll(ctx, txID, 1, slices)
-		if err != nil {
-			t.Fatal(err)
+		if !committed {
+			t.Fatal("all-yes transaction aborted on every attempt")
 		}
-		if committed, err = txn.Wait(ctx); err != nil {
-			t.Fatal(err)
+		// Every peer decides on its own; the commit callback may trail the
+		// client's result slightly.
+		for i, f := range fakes {
+			f := f
+			waitFor(t, fmt.Sprintf("P%d commit callback", i+1), func() bool {
+				return f.has(committedList, txID)
+			})
+			f.mu.Lock()
+			got := f.history[txID]
+			f.mu.Unlock()
+			if want := fmt.Sprintf("fp-%d", i+1); got != want {
+				t.Fatalf("P%d staged payload = %q, want %q", i+1, got, want)
+			}
 		}
-	}
-	if !committed {
-		t.Fatal("all-yes transaction aborted on every attempt")
-	}
-	// Every peer decides on its own; the commit callback may trail the
-	// client's result slightly.
-	for i, f := range fakes {
-		f := f
-		waitFor(t, fmt.Sprintf("P%d commit callback", i+1), func() bool {
-			return f.has(committedList, txID)
-		})
-		f.mu.Lock()
-		got := f.history[txID]
-		f.mu.Unlock()
-		if want := fmt.Sprintf("fp-%d", i+1); got != want {
-			t.Fatalf("P%d staged payload = %q, want %q", i+1, got, want)
-		}
-	}
+	})
 }
 
+// TestClientQuery: a query reaches the hosted resource and its answer comes
+// back, over TCP and over a Cluster's mesh.
 func TestClientQuery(t *testing.T) {
 	t.Parallel()
 	opts := Options{Protocol: INBAC, F: 1, Timeout: 25 * time.Millisecond}
-	_, _, c := hostedDeployment(t, 3, opts)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
+	onBothTransports(t, 3, opts, func(t *testing.T, _ []*hostedFake, c *Client) {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
 
-	reply, err := c.Query(ctx, 2, fakeFootprint{Payload: "ping"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp, ok := reply.(fakeFootprint)
-	if !ok || fp.Payload != "ping-reply" {
-		t.Fatalf("reply = %#v, want ping-reply", reply)
-	}
+		reply, err := c.Query(ctx, 2, fakeFootprint{Payload: "ping"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp, ok := reply.(fakeFootprint)
+		if !ok || fp.Payload != "ping-reply" {
+			t.Fatalf("reply = %#v, want ping-reply", reply)
+		}
+	})
 }
 
 // TestClientFirstQueryOneRoundTrip: a peer answers on the connection the
@@ -233,7 +276,7 @@ func TestClientFirstQueryOneRoundTrip(t *testing.T) {
 	peers, _, c := hostedDeployment(t, 3, opts)
 	const oneWay, jitter = 50 * time.Millisecond, 100 * time.Millisecond
 	shaper := live.LinkShaper{Delay: live.Jitter(oneWay, jitter, 1)}
-	c.tcp.SetShaper(shaper)
+	c.tr.(*live.TCP).SetShaper(shaper)
 	peers[1].tr.(*live.TCP).SetShaper(shaper)
 
 	start := time.Now()

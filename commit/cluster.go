@@ -76,6 +76,19 @@ func NewCluster(resources []Resource, opts Options) (*Cluster, error) {
 // tests and demos.
 func (c *Cluster) Mesh() *live.Mesh { return c.mesh }
 
+// NewClient attaches a Client with process ID id to the cluster's mesh: the
+// same client a deployment of Peers gets from the package-level NewClient,
+// with its footprints, queries and results carried by the mesh, not by TCP.
+// id must exceed the number of peers and be unique among the cluster's
+// clients. Close the client before the cluster.
+func (c *Cluster) NewClient(id int) (*Client, error) {
+	n := len(c.peers)
+	if id <= n {
+		return nil, fmt.Errorf("%w: client id %d must exceed the peer count %d", ErrPeerID, id, n)
+	}
+	return newClient(core.ProcessID(id), n, c.mesh.Endpoint(core.ProcessID(id)), c.opts), nil
+}
+
 // txnRun is the driver's view of one transaction: every peer's record of it
 // and the future it resolves. Nothing waits on it: each peer's apply counts
 // it down (applied), and the last one checks agreement and resolves the

@@ -15,7 +15,9 @@
 //   - Cluster: n of those Peers in one address space over an in-memory
 //     network, plus a driver that starts a transaction on all of them and
 //     gathers their outcomes — the quickest way to commit transactions or
-//     to demonstrate protocol behavior under injected failures.
+//     to demonstrate protocol behavior under injected failures. A Client
+//     attached with Cluster.NewClient drives those Peers as it would over
+//     TCP.
 //   - Simulate: deterministic executions on the discrete-event simulator
 //     with exact message/delay measurements — the paper's complexity
 //     tables live here.
@@ -100,7 +102,9 @@ type Options struct {
 	Accelerated bool
 	// MaxInFlight bounds how many pipelined transactions (Submit,
 	// CommitMany) run concurrently; submissions beyond the window queue in
-	// order. Defaults to 64. Synchronous Commit calls are not window-gated.
+	// order. Defaults to 64. Synchronous Commit calls are not window-gated,
+	// nor are a Client's commits, a Cluster's own clients (NewClient)
+	// included.
 	MaxInFlight int
 	// Net emulates a geo-distributed network: per-region one-way delays,
 	// jitter, and partition windows (see live.NamedProfile for the built-in

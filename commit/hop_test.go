@@ -111,7 +111,7 @@ func TestQueryHopChain(t *testing.T) {
 	opts := Options{Protocol: INBAC, F: 1, Timeout: 10 * time.Millisecond} // a query expires after 320ms
 	peers, c := hopDeployment(t, 3, opts)
 	client := core.ProcessID(c.ID())
-	c.tcp.SetShaper(live.LinkShaper{Delay: func(live.Envelope) time.Duration { return oneWay }})
+	c.tr.(*live.TCP).SetShaper(live.LinkShaper{Delay: func(live.Envelope) time.Duration { return oneWay }})
 	peers[0].tr.(*live.TCP).SetShaper(live.LinkShaper{Delay: func(e live.Envelope) time.Duration {
 		if e.To == client {
 			return oneWay
@@ -200,7 +200,7 @@ func TestQueryAnsweredLater(t *testing.T) {
 	client := core.ProcessID(c.ID())
 	var mu sync.Mutex
 	var replies []live.Envelope // every query reply the client received
-	c.tcp.SetHandler(func(e live.Envelope) {
+	c.tr.SetHandler(func(e live.Envelope) {
 		if e.Path == queryReplyPath {
 			mu.Lock()
 			replies = append(replies, e)
@@ -281,7 +281,7 @@ func TestQueryAnsweredLater(t *testing.T) {
 	// A held hop: the chain goes on from P2 once it is handed over, and the
 	// client pays one round trip besides the wait. Only the client's links
 	// are slow.
-	c.tcp.SetShaper(live.LinkShaper{Delay: func(live.Envelope) time.Duration { return oneWay }})
+	c.tr.(*live.TCP).SetShaper(live.LinkShaper{Delay: func(live.Envelope) time.Duration { return oneWay }})
 	peers[0].tr.(*live.TCP).SetShaper(live.LinkShaper{Delay: func(e live.Envelope) time.Duration {
 		if e.To == client {
 			return oneWay

@@ -214,9 +214,8 @@ func (p *Peer) deliver(e live.Envelope) {
 	case runPath:
 		// The Cluster driver's start of a record it claimed (Cluster.begin),
 		// posted to this peer's delivery goroutine; never off the network.
-		// The slice SubmitStaged filed for this peer is staged by the run.
 		if m, ok := e.Msg.(runMsg); ok {
-			p.run(e.TxID, m.t, m.t.run.fut.slices[p.id])
+			p.run(e.TxID, m.t, nil)
 		}
 	case queryPath:
 		p.handleQuery(e)

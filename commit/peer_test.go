@@ -82,6 +82,17 @@ func TestNewClientValidation(t *testing.T) {
 			t.Fatalf("NewClient(%d): err = %v, want errors.Is(err, ErrPeerID)", id, err)
 		}
 	}
+	// So would one attached to a Cluster's mesh.
+	cl, err := NewCluster([]Resource{ResourceFunc{}, ResourceFunc{}, ResourceFunc{}}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	for _, id := range []int{0, 1, 3} {
+		if _, err := cl.NewClient(id); !errors.Is(err, ErrPeerID) {
+			t.Fatalf("Cluster.NewClient(%d): err = %v, want errors.Is(err, ErrPeerID)", id, err)
+		}
+	}
 	if _, err := NewClient(4, []string{addrs[0], addrs[0], addrs[2]}, opts); !errors.Is(err, ErrBadAddrs) {
 		t.Fatalf("NewClient with duplicate addrs: err = %v, want ErrBadAddrs", err)
 	}

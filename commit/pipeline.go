@@ -6,7 +6,6 @@ import (
 	"slices"
 	"time"
 
-	"atomiccommit/internal/core"
 	"atomiccommit/internal/obs"
 )
 
@@ -28,7 +27,6 @@ type Txn struct {
 	unwatch func() bool // stops ctx's watch; nil if nothing watches it
 	start   time.Time   // when the transaction began running
 	end     time.Time
-	slices  map[core.ProcessID][]byte // a Cluster peer's encoded slice, staged by its run
 
 	done      chan struct{}
 	committed bool
@@ -118,24 +116,7 @@ func UnresolvedTxn(txID string) (t *Txn, resolve func(committed bool, err error)
 // decided-set) is rejected — the future resolves with an error — because
 // instances are routed by txID and reuse would cross-wire two transactions.
 func (c *Cluster) Submit(ctx context.Context, txID string) *Txn {
-	return c.submit(ctx, txID, nil)
-}
-
-// SubmitStaged is Submit with a footprint, as Client.StageGoAll: fps maps
-// each involved peer to its slice, which that peer's run stages right before
-// Prepare. It returns ErrStageTooLarge, before anything runs, when the
-// encoded slices exceed 256 KiB together.
-func (c *Cluster) SubmitStaged(ctx context.Context, txID string, fps map[int]Message) (*Txn, error) {
-	slices, err := marshalSlices(fps, len(c.peers))
-	if err != nil {
-		return nil, err
-	}
-	return c.submit(ctx, txID, slices), nil
-}
-
-func (c *Cluster) submit(ctx context.Context, txID string, slices map[core.ProcessID][]byte) *Txn {
 	t := newTxn(ctx, txID)
-	t.slices = slices
 	id, err := c.reserveTxID(txID)
 	if err != nil {
 		t.resolve(false, err)

@@ -74,7 +74,7 @@ func main() {
 	w := kv.Workload{Keys: 256, Theta: 0.9, ReadFrac: 0.5, OpsPerTxn: 4}
 	fmt.Println("hot-key workload (theta=0.9, 256 keys, 50% reads, 4 ops/txn), 200 txns, 16 workers:")
 	for _, proto := range []commit.Protocol{commit.TwoPC, commit.INBAC, commit.PaxosCommit} {
-		s, err := kv.Open(4, commit.Options{Protocol: proto, F: 1, Timeout: 10 * time.Millisecond, MaxInFlight: 16})
+		s, err := kv.Open(4, commit.Options{Protocol: proto, F: 1, Timeout: 10 * time.Millisecond})
 		if err != nil {
 			log.Fatal(err)
 		}

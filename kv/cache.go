@@ -1,10 +1,10 @@
-// Client-side versioned read cache for the remote runtime. A hit skips the
-// WAN entirely; safety comes for free because every read version travels in
+// Client-side versioned read cache of a Store. A hit skips the round trip
+// entirely; safety comes for free because every read version travels in
 // the footprint and shard Prepare (or a read-only validation) revalidates
 // it — the worst a stale entry can cause is an OCC abort, which the existing
 // abort-attribution counters already classify. That abort drops every key
 // the transaction read, so a stale entry lives until its first failed use;
-// a current one lives until LRU eviction or a blind write. OpenRemote sets
+// a current one lives until LRU eviction or a blind write. A store sets
 // no staleness TTL: an age limit would only evict entries that are still
 // current. An explicit one (Store.ConfigureReadCache) is still honoured.
 // It never serves a key this store is still writing (its entry is the

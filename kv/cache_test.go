@@ -339,7 +339,7 @@ func TestRemoteCacheOwnWriteFreshness(t *testing.T) {
 		// note() runs async post-resolution; wait until the entry carries
 		// THIS iteration's value (a mere hit could be the pre-commit fetch)
 		// before the next iteration reads through the cache.
-		rb := s.b.(*remoteBackend)
+		rb := s.b
 		deadline := time.Now().Add(5 * time.Second)
 		for {
 			if v, _, _, hit := rb.cache.get(key); hit && v == written {
@@ -378,7 +378,7 @@ func cachedWrite(t *testing.T, s *Store, ctx context.Context, key, val string) *
 		t.Fatalf("seed: ok=%v err=%v", ok, err)
 	}
 	readOnly(t, s, ctx, []string{key})
-	c := s.b.(*remoteBackend).cache
+	c := s.b.cache
 	if v, _, _, hit := c.get(key); !hit || v != val {
 		t.Fatalf("cached %s = (%q,%v), want (%q,hit)", key, v, hit, val)
 	}

@@ -247,9 +247,15 @@ func TestClosedStoreErrors(t *testing.T) {
 
 // TestNoStateLeaks: after a mix of committed and aborted transactions
 // resolve, no shard retains staged footprints or intents.
+//
+// A commit returns once the client learns the decision; a shard that has
+// yet to hear it applies it a little later, at the latest when its own
+// timeout fires and it asks for it. So the shards are checked once they
+// have had 20 U to settle, and not before.
 func TestNoStateLeaks(t *testing.T) {
 	t.Parallel()
-	s := open(t, 4, commit.Options{MaxInFlight: 16})
+	opts := commit.Options{Timeout: 25 * time.Millisecond, MaxInFlight: 16}
+	s := open(t, 4, opts)
 	ctx := testCtx(t)
 	stats, err := Run(ctx, s, Workload{Keys: 16, Theta: 0.9, ReadFrac: 0.5, OpsPerTxn: 4},
 		RunConfig{Txns: 128, Workers: 16, Seed: 7})
@@ -259,11 +265,24 @@ func TestNoStateLeaks(t *testing.T) {
 	if stats.Committed+stats.Aborted != 128 {
 		t.Fatalf("decided %d+%d, want 128", stats.Committed, stats.Aborted)
 	}
-	for i, sh := range s.local {
+	held := func(sh *Shard) (staged, locks int) {
 		sh.mu.Lock()
-		staged, locks := len(sh.staged), len(sh.locks)
-		sh.mu.Unlock()
-		if staged != 0 || locks != 0 {
+		defer sh.mu.Unlock()
+		return len(sh.staged), len(sh.locks)
+	}
+	for deadline := time.Now().Add(20 * opts.Timeout); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		settled := true
+		for _, sh := range s.local {
+			if staged, locks := held(sh); staged != 0 || locks != 0 {
+				settled = false
+			}
+		}
+		if settled {
+			break
+		}
+	}
+	for i, sh := range s.local {
+		if staged, locks := held(sh); staged != 0 || locks != 0 {
 			t.Errorf("shard %d leaked: staged=%d locks=%d", i, staged, locks)
 		}
 	}
@@ -271,17 +290,20 @@ func TestNoStateLeaks(t *testing.T) {
 
 // TestExpiredLocalSubmitKeepsIntents: a local transaction whose context ends
 // while its peers still run keeps its footprint until they decide. T1 writes
-// k with every envelope late by U/2, so its run decides commit, but its
+// k with every envelope late by U/4, so its run decides commit, but its
 // context is cancelled right after Submit and its future resolves with that
 // error. T2 then writes k while T1 is undecided: its run comes after T1's on
 // k's shard, meets T1's write intent and votes no, and k ends up holding T1's
 // value. Releasing T1's footprint when its future failed would let T2 commit
-// and drop T1's committed write.
+// and drop T1's committed write. The delay is U/4, not more: the client's
+// stage+go and the coordinator's begin come before the protocol's own
+// envelopes, and a begin skew of U/2 on top of U/2 envelopes pushes INBAC
+// past its timers, so T1 would legitimately abort.
 func TestExpiredLocalSubmitKeepsIntents(t *testing.T) {
 	t.Parallel()
 	const u = 100 * time.Millisecond
 	s := open(t, 2, commit.Options{Timeout: u})
-	s.b.(*localBackend).com.Mesh().Latency = func(live.Envelope) time.Duration { return u / 2 }
+	s.cluster.Mesh().Latency = func(live.Envelope) time.Duration { return u / 4 }
 	ctx := testCtx(t)
 
 	t1ctx, cancel := context.WithCancel(ctx)

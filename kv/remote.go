@@ -1,5 +1,6 @@
-// The distributed runtime: one Shard hosted per commit.Peer process, and a
-// client-side Store that reaches them over TCP through commit.Client.
+// The store's client side: a Store reaches its shards, each hosted by one
+// commit.Peer, through a commit.Client — over TCP for OpenRemote, over a
+// Cluster's in-memory mesh for Open — and by message only.
 //
 // Every question the client asks a shard is one relay (relayMsg) and one
 // helper asks it (remoteBackend.ask): a read is a one-hop relay on its way
@@ -82,7 +83,7 @@ var (
 	mReadRetries = obs.M.Counter("kv.remote.read.retries")
 )
 
-// defaultCacheCapacity is OpenRemote's read-cache size in entries. The
+// defaultCacheCapacity is a store's read-cache size in entries. The
 // cache gets no staleness bound: the first abort a stale entry causes drops
 // it (note), so an age limit would only evict entries still current.
 const defaultCacheCapacity = 4096
@@ -121,20 +122,11 @@ func OpenRemote(clientID int, addrs []string, opts commit.Options) (*Store, erro
 	if err != nil {
 		return nil, fmt.Errorf("kv: %w", err)
 	}
-	return &Store{
-		close: cl.Close,
-		b: &remoteBackend{
-			client: cl, n: len(addrs), net: opts.Net,
-			cache:      newReadCache(defaultCacheCapacity, 0),
-			coalescers: make(map[int]*readCoalescer, len(addrs)),
-		},
-		nshards:  len(addrs),
-		proto:    protoOf(opts),
-		idPrefix: fmt.Sprintf("kv-c%d-", clientID),
-	}, nil
+	return newStore(cl, len(addrs), opts), nil
 }
 
-// remoteBackend reaches shards through a commit.Client over TCP.
+// remoteBackend is how a Store reaches its shards: through a commit.Client,
+// whose transport is TCP or a Cluster's mesh.
 type remoteBackend struct {
 	client *commit.Client
 	n      int
@@ -283,6 +275,10 @@ func await(ctx context.Context, batch *readBatch) error {
 	}
 }
 
+// read returns key's latest committed state, never from the read cache: a
+// non-transactional read has no commit to catch a stale version. Like every
+// read it waits out a prepared writer's intent on the key; ctx bounds the
+// read leg and that wait.
 func (b *remoteBackend) read(ctx context.Context, key string) (readResult, error) {
 	out := make([]readResult, 1)
 	err := b.readInto(ctx, []string{key}, out, map[int][]int{shardIndex(key, b.n) + 1: {0}})
@@ -450,7 +446,7 @@ func (b *remoteBackend) relayOf(owners, misses map[int][]int) []int {
 // a refused validation drops every key the transaction read — the entries
 // it fetched itself as much as its cache hits, or the next reader of the
 // stale one aborts too — and counts toward the stale-abort metric if it
-// consumed a hit.
+// consumed a hit. cached lists the keys whose reads were cache hits.
 func (b *remoteBackend) note(committed bool, reads map[string]uint64, writes map[string]write, cached []string) {
 	if b.cache == nil {
 		return
@@ -473,6 +469,10 @@ func (b *remoteBackend) note(committed bool, reads map[string]uint64, writes map
 	}
 }
 
+// mark counts an undecided write of this store on every key of w, before
+// its footprint leaves; until unmark takes the count back, after note, the
+// read cache serves none of them. drop also drops the keys, for a write
+// whose future resolved with an error: it may have applied.
 func (b *remoteBackend) mark(w map[string]write)              { b.cache.mark(w) }
 func (b *remoteBackend) unmark(w map[string]write, drop bool) { b.cache.unmark(w, drop) }
 
@@ -514,10 +514,12 @@ func (b *remoteBackend) validate(ctx context.Context, reads map[string]uint64) (
 	return firstErr == nil, firstErr
 }
 
-// submit ships every shard's footprint inside the one message that asks the
-// coordinator to run the commit: one leg. Once it is sent the peers own the
-// staged state. A footprint over the message budget is refused before
-// anything is sent (commit.ErrStageTooLarge).
+// submit ships every shard's footprint — fps holds each involved peer's
+// slice, keyed by peer (1-based), which that peer stages right before its
+// Prepare — inside the one message that asks the coordinator to run the
+// commit: one leg. Once it is sent the peers own the staged state. A
+// footprint over the message budget is refused before anything is sent
+// (commit.ErrStageTooLarge).
 func (b *remoteBackend) submit(ctx context.Context, txID string, fps map[int]commit.Message) (*commit.Txn, error) {
 	idxs := make([]int, 0, len(fps))
 	for peer := range fps {

@@ -506,7 +506,7 @@ func TestRemoteCoalescerMerge(t *testing.T) {
 	// Pending together: with one P the sender goroutine the first enqueue
 	// starts cannot run before this goroutine blocks, so all eight readers
 	// (and a repeated key) are pending when it does.
-	co := s.b.(*remoteBackend).coalescer(2)
+	co := s.b.coalescer(2)
 	batches0 := obs.M.CounterValue("kv.remote.read.batches")
 	procs := runtime.GOMAXPROCS(1)
 	batches := make([]*readBatch, readers+1)

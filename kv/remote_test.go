@@ -186,16 +186,23 @@ func TestRemoteBankConservation(t *testing.T) {
 	}
 }
 
-// TestRemoteNoStateLeaks is TestNoStateLeaks for the remote runtime, on a
-// network built to break the one-leg commit's ordering. Every envelope is
-// delayed by up to 6 ms on its own, and the client sits with P2 and P4, a
-// millisecond nearer than P1 and P3, so every transfer is coordinated by P2
-// or P4 and P1 — the INBAC backup every vote goes to — is in a race between
-// those votes and the begin carrying its slice, which the votes win about
-// every other time. Now and then a begin is late enough (U is 10 ms) for its
-// peer to give up on it.
-// Whatever each transfer's fate, once the network is quiet no shard holds a
-// staged footprint, an intent or a parked read, the client's read cache
+// TestRemoteNoStateLeaks: once every transaction resolved, no shard holds
+// anything of it, on a network built to break the one-leg commit's ordering.
+// Every envelope is delayed by up to 6 ms on its own, and the client sits
+// with P2 and P4, a millisecond nearer than P1 and P3, so every transfer is
+// coordinated by P2 or P4 and P1 — the INBAC backup every vote goes to — is
+// in a race between those votes and the begin carrying its slice, which the
+// votes win about every other time. Now and then a begin is late enough (U
+// is 10 ms) for its peer to give up on it.
+//
+// After the transfers, a contended workload (Zipf 0.9 over 16 keys, half its
+// operations reads, so some transactions are read-only and commit by
+// validation) runs 128 transactions, every one of which must decide. It runs
+// after the transfers, not beside them, so the test's peak load is that of
+// either part alone: the tests running in parallel keep their timing.
+//
+// Whatever each transaction's fate, once the network is quiet no shard holds
+// a staged footprint, an intent or a parked read, the client's read cache
 // counts no undecided writer, and money is conserved — it is not if a peer
 // votes yes on a footprint that has yet to arrive.
 func TestRemoteNoStateLeaks(t *testing.T) {
@@ -272,6 +279,14 @@ func TestRemoteNoStateLeaks(t *testing.T) {
 	if committed.Load() == 0 || aborted.Load() == 0 {
 		t.Errorf("%d transfers committed and %d aborted: the test needs both", committed.Load(), aborted.Load())
 	}
+	stats, err := Run(ctx, s, Workload{Keys: 16, Theta: 0.9, ReadFrac: 0.5, OpsPerTxn: 4},
+		RunConfig{Txns: 128, Workers: 16, Seed: 7})
+	if err != nil {
+		t.Fatalf("contended workload: %v", err)
+	}
+	if stats.Committed+stats.Aborted != 128 {
+		t.Errorf("contended workload decided %d+%d, want 128", stats.Committed, stats.Aborted)
+	}
 	// Quiescence: the last envelopes land within the jitter bound and the
 	// slowest transaction ends a few U after its last peer joined. Only then
 	// is what the shards hold a final state.
@@ -297,7 +312,7 @@ func TestRemoteNoStateLeaks(t *testing.T) {
 		t.Errorf("money not conserved: the balances sum to %d, want 0 (%d transfers committed, %d aborted)",
 			sum, committed.Load(), aborted.Load())
 	}
-	if n := writingCount(s.b.(*remoteBackend).cache); n != 0 {
+	if n := writingCount(s.b.cache); n != 0 {
 		t.Errorf("the client still counts an undecided writer of %d keys", n)
 	}
 }

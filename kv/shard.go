@@ -1,7 +1,6 @@
 package kv
 
 import (
-	"context"
 	"fmt"
 	"hash/fnv"
 	"sync"
@@ -54,9 +53,10 @@ type lockState struct {
 // implements commit.Resource (Prepare votes on conflicts, Commit/Abort
 // apply or drop the staged footprint) and commit.HostedResource (Stage
 // receives a transaction's footprint from the peer's run, right before
-// Prepare; Query runs its hop of a relay, the one kv query), so a shard runs
-// identically inside a local Cluster and inside a commit.Peer process
-// reachable only over TCP: in both, only a decision releases a footprint.
+// Prepare; Query runs its hop of a relay, the one kv query). A shard is
+// reached by message only, whether its commit.Peer sits on an Open store's
+// in-process mesh or in a process of its own behind TCP, and only a
+// decision releases a footprint.
 //
 // A read never returns the pre-image of a prepared writer: one that meets a
 // write intent waits on the key's waiter list, and the Commit or Abort that
@@ -150,25 +150,8 @@ func (sh *Shard) await(keys []string, wake func()) {
 	}
 }
 
-// readWaiting is readCommittedMulti waiting out, on the caller's goroutine,
-// every write intent it meets, until ctx ends.
-func (sh *Shard) readWaiting(ctx context.Context, keys []string) (readReplyMsg, error) {
-	for {
-		if r, ok := sh.readCommittedMulti(keys); ok {
-			return r, nil
-		}
-		woken := make(chan struct{})
-		sh.await(keys, func() { close(woken) })
-		select {
-		case <-woken:
-		case <-ctx.Done():
-			return readReplyMsg{}, ctx.Err()
-		}
-	}
-}
-
 // Stage implements commit.HostedResource: txID's footprint on this shard,
-// shipped as a footprintMsg by a remote client or a local Store alike.
+// a footprintMsg that rode the client's stage+go or the coordinator's begin.
 func (sh *Shard) Stage(txID string, m commit.Message) error {
 	fp, ok := m.(footprintMsg)
 	if !ok {

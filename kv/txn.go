@@ -31,11 +31,11 @@ type Txn struct {
 	cachedReads []string // keys served from the client-side read cache
 	validated   []int    // peers whose first read was also their validation
 	submitted   bool
-	err         error // sticky: a failed remote read poisons the transaction
+	err         error // sticky: a failed read poisons the transaction
 }
 
-// WithContext sets the context bounding the transaction's read legs (over a
-// remote runtime, every read is a WAN round trip) and a read's wait for a
+// WithContext sets the context bounding the transaction's read legs (every
+// read is a round trip to its shard's peer) and a read's wait for a
 // prepared writer's decision; Submit/Commit take their own context for the
 // commit itself. Returns t for chaining.
 func (t *Txn) WithContext(ctx context.Context) *Txn {
@@ -60,18 +60,17 @@ func (t *Txn) use() {
 
 // Get reads a key: the transaction's own pending write if it has one, the
 // cached first read otherwise, else the latest committed value (whose
-// version is recorded and revalidated at commit). Over a remote runtime a
-// failed read reports absent and poisons the transaction — Submit will
-// return the error instead of committing on incomplete data. Use Read to
-// observe read errors directly.
+// version is recorded and revalidated at commit). A failed read reports
+// absent and poisons the transaction — Submit will return the error instead
+// of committing on incomplete data. Use Read to observe read errors directly.
 func (t *Txn) Get(key string) (string, bool) {
 	v, ok, _ := t.Read(key)
 	return v, ok
 }
 
-// Read is Get with the runtime error exposed. A local store errors only when
-// the transaction's context ends while the read waits for a prepared
-// writer's decision.
+// Read is Get with the read's error exposed: an unreachable shard owner, a
+// closed store, or the transaction's context ending while the read waits for
+// a prepared writer's decision.
 func (t *Txn) Read(key string) (string, bool, error) {
 	t.use()
 	if t.err != nil {
@@ -89,9 +88,9 @@ func (t *Txn) Read(key string) (string, bool, error) {
 	return r.value, r.ok, nil
 }
 
-// fetch reads keys from the backend into the read set. Only the first
-// backend read may validate inside the read; a later one clears those
-// validations, which then no longer follow every read of the transaction.
+// fetch reads keys from the shards into the read set. Only the first read
+// may validate inside the read; a later one clears those validations, which
+// then no longer follow every read of the transaction.
 func (t *Txn) fetch(keys []string) error {
 	rs, validated, err := t.s.b.readMulti(t.readCtx(), keys, len(t.reads) == 0)
 	if err != nil {
@@ -109,15 +108,14 @@ func (t *Txn) fetch(keys []string) error {
 	return nil
 }
 
-// GetMulti reads many keys at once, in input order. Over a remote runtime
-// the whole miss set costs at most one WAN round trip of wall-clock: the
-// backend fans out one batched query per owning shard in parallel (and the
-// client-side read cache may answer some keys with no round trip at all). A
-// transaction's first read may instead read its farthest shards after the
-// others, in one relay, when that spares a read-only commit their
-// validation.
-// Keys already written or read by this transaction are served from its own
-// buffers, like Get. A failed read poisons the transaction.
+// GetMulti reads many keys at once, in input order. The whole miss set costs
+// at most one round trip of wall-clock: the store fans out one batched query
+// per owning shard in parallel (and the client-side read cache may answer
+// some keys with no round trip at all). A transaction's first read may
+// instead read its farthest shards after the others, in one relay, when that
+// spares a read-only commit their validation. Keys already written or read
+// by this transaction are served from its own buffers, like Get. A failed
+// read poisons the transaction.
 func (t *Txn) GetMulti(keys ...string) ([]string, []bool, error) {
 	t.use()
 	if t.err != nil {
@@ -208,17 +206,17 @@ func (p *Pending) Wait(ctx context.Context) (bool, error) {
 }
 
 // Submit hands the transaction, with every involved shard's slice of its
-// footprint, to the store's commit pipeline and returns a future
-// immediately; each shard stages its slice right before it votes. ctx bounds
-// the wait for the outcome: a future that resolves with ctx's error leaves the
-// transaction to its peers, which decide it and release its intents. The
-// whole footprint travels in one message, so one whose encoding exceeds
-// 256 KiB, all shards together, is refused with an error wrapping
-// commit.ErrStageTooLarge before anything runs. A transaction that wrote
-// nothing runs no protocol instance: the future resolves committed iff every
-// shard it read from, but those its relay validated, validates its reads
-// (see the package comment), with an error if some shard's answer never
-// came; one with nothing left to validate commits at once.
+// footprint, to a coordinating peer and returns a future immediately; each
+// shard stages its slice right before it votes. ctx bounds the wait for the
+// outcome: a future that resolves with ctx's error leaves the transaction to
+// its peers, which decide it and release its intents. The whole footprint
+// travels in one message, so one whose encoding exceeds 256 KiB, all shards
+// together, is refused with an error wrapping commit.ErrStageTooLarge before
+// anything runs. A transaction that wrote nothing runs no protocol instance:
+// the future resolves committed iff every shard it read from, but those its
+// relay validated, validates its reads (see the package comment), with an
+// error if some shard's answer never came; one with nothing left to validate
+// commits at once.
 func (t *Txn) Submit(ctx context.Context) (*Pending, error) {
 	if t.submitted {
 		return nil, fmt.Errorf("kv: transaction already submitted")
@@ -288,7 +286,7 @@ func (t *Txn) Submit(ctx context.Context) (*Pending, error) {
 	}
 	p := &Pending{id: txID, txn: ct, noted: make(chan struct{})}
 
-	// A decision feeds the backend's read cache (fresh entries from
+	// A decision feeds the store's read cache (fresh entries from
 	// committed writes, invalidations after aborts); Wait joins p.noted so
 	// the refreshed cache is visible by the time it returns. A future that
 	// resolved with an error (its context ended, or Store.Close) notes

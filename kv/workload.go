@@ -97,9 +97,8 @@ func (g *Gen) nextKey() uint64 {
 }
 
 // Apply replays the operations on a transaction builder: all reads go
-// through one GetMulti (one WAN round trip of wall-clock over a remote
-// runtime, however many shards own the keys), then writes Put a fresh
-// value in operation order.
+// through one GetMulti (one round trip of wall-clock, however many shards
+// own the keys), then writes Put a fresh value in operation order.
 func (g *Gen) Apply(t *Txn, ops []Op) {
 	var reads []string
 	for _, op := range ops {
@@ -166,8 +165,9 @@ func (z *zipfGen) next(r *rand.Rand) uint64 {
 type RunConfig struct {
 	// Txns is the total number of transactions; defaults to 256.
 	Txns int
-	// Workers is the number of concurrent committers; defaults to 16. The
-	// store's Options.MaxInFlight still gates actual protocol concurrency.
+	// Workers is the number of concurrent committers; defaults to 16. They
+	// are all the bound there is: a store's Options.MaxInFlight does not
+	// gate its transactions.
 	Workers int
 	// Seed makes the run reproducible; worker i uses Seed+i.
 	Seed int64
