@@ -157,58 +157,6 @@ func TestSubmitQueuedContextExpiry(t *testing.T) {
 	_ = first // resolves once gate closes at cleanup
 }
 
-// TestBoundedMapEviction checks the shared bounded memory (a peer's outcome
-// cache and stashed reports, a cluster's finished set) stays bounded and
-// evicts oldest-first.
-func TestBoundedMapEviction(t *testing.T) {
-	t.Parallel()
-	var b boundedMap[int]
-	for i := 0; i < retiredHistory+10; i++ {
-		b.put(fmt.Sprintf("tx-%d", i), i)
-	}
-	b.put("tx-10", -1) // overwriting neither grows the map nor re-queues the key
-	if len(b.m) != retiredHistory {
-		t.Fatalf("map must cap at %d, got %d", retiredHistory, len(b.m))
-	}
-	if _, ok := b.get("tx-9"); ok {
-		t.Fatal("oldest keys must be evicted")
-	}
-	if v, ok := b.get("tx-10"); !ok || v != -1 {
-		t.Fatalf("tx-10 = (%d, %v), want the overwritten value", v, ok)
-	}
-	b.put("one-more", 0)
-	if _, ok := b.get("tx-10"); ok {
-		t.Fatal("an overwritten key must keep its place in the eviction queue")
-	}
-}
-
-// TestBoundedMapPutAllocs: once full, a put evicts the oldest key in place.
-// Every peer's apply puts once per decision, so a run of retiredHistory new
-// keys — each evicting one — allocates nothing: the queue of keys is a fixed
-// ring, never shifted, regrown or copied. Not parallel: AllocsPerRun counts
-// the whole process's allocations.
-func TestBoundedMapPutAllocs(t *testing.T) {
-	keys := make([]string, 2*retiredHistory)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("tx-%d", i)
-	}
-	var b boundedMap[int]
-	half := 0
-	fill := func() { // the half of keys the map does not hold
-		for _, k := range keys[half*retiredHistory : (half+1)*retiredHistory] {
-			b.put(k, half)
-		}
-		half = 1 - half
-	}
-	fill()
-	if avg := testing.AllocsPerRun(4, fill); avg != 0 {
-		t.Fatalf("%d puts that each evict a key allocate %.0f times, want 0", retiredHistory, avg)
-	}
-	if len(b.m) != retiredHistory {
-		t.Fatalf("map must cap at %d, got %d", retiredHistory, len(b.m))
-	}
-}
-
 // TestTxIDReuseRejected: the documented reuse rule is enforced — an ID that
 // is in flight or already decided is rejected instead of silently
 // cross-wiring instance routing.

@@ -98,6 +98,47 @@ func TestClientStageGoTooLarge(t *testing.T) {
 	}
 }
 
+// TestClientStageGoLargeFrame: a footprint of 200 KiB, under stageGoBudget,
+// goes out as one TCP frame fifty times the 4 KiB per-connection read buffer
+// (readBufferSize in internal/live). The reader must take it whole, past its
+// buffer: the coordinator stages every byte and the transaction commits.
+func TestClientStageGoLargeFrame(t *testing.T) {
+	t.Parallel()
+	opts := Options{Protocol: INBAC, F: 1, Timeout: 25 * time.Millisecond}
+	_, fakes, c := hostedDeployment(t, 3, opts)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	var b strings.Builder
+	for i := 0; b.Len() < 200<<10; i++ {
+		fmt.Fprintf(&b, "%08d", i) // no two 8-byte blocks alike: a lost or repeated chunk shows
+	}
+	payload := b.String()
+	// Timing aborts are legal for an all-yes transaction (see
+	// TestClientStageGoCommits): retry with a fresh ID.
+	var txID string
+	committed := false
+	for attempt := 0; attempt < 4 && !committed; attempt++ {
+		txID = fmt.Sprintf("stagego-large-%d", attempt)
+		txn, err := c.StageGoAll(ctx, txID, 2, map[int]Message{2: fakeFootprint{Payload: payload}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if committed, err = txn.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !committed {
+		t.Fatal("all-yes stage+go transaction with a 200 KiB footprint aborted on every attempt")
+	}
+	fakes[1].mu.Lock()
+	staged := fakes[1].history[txID]
+	fakes[1].mu.Unlock()
+	if staged != payload {
+		t.Fatalf("coordinator staged %d bytes, want the %d sent", len(staged), len(payload))
+	}
+}
+
 // TestClientStageGoRefused: a coordinator whose resource refuses its own
 // slice votes abort without calling Prepare, as every other peer does with a
 // slice it cannot stage (TestBeginBadSliceVotesAbort): the client sees an

@@ -20,8 +20,8 @@ import (
 func (sh *Shard) readCommitted(key string) (string, bool, uint64) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	v, ok := sh.data[key]
-	return v, ok, sh.versions[key]
+	rec := sh.records[key]
+	return rec.value, rec.present, rec.version
 }
 
 // validation is the query a client validates keys read at vers on sh with:

@@ -64,24 +64,32 @@ type lockState struct {
 type Shard struct {
 	id int // 0-based; shard i is hosted by peer i+1 in a distributed store
 
-	mu       sync.Mutex
-	data     map[string]string
-	versions map[string]uint64 // bumped on every committed write; survives deletes
-	staged   map[string]*stagedTxn
-	locks    map[string]*lockState
-	waiters  map[string][]func() // by key: reads waiting for its write intent to go
+	mu      sync.Mutex
+	records map[string]record // every key ever written, deleted ones included
+	staged  map[string]*stagedTxn
+	locks   map[string]*lockState
+	waiters map[string][]func() // by key: reads waiting for its write intent to go
+}
+
+// record is a key's committed state: its value, if present, and its version,
+// bumped on every committed write. A delete clears present and keeps the
+// version, so a read of the deleted key still validates against it. A key
+// never written has the zero record: absent at version 0.
+type record struct {
+	value   string
+	version uint64
+	present bool
 }
 
 // NewShard creates shard index (0-based). In a distributed store, shard i
 // is the resource of peer i+1.
 func NewShard(index int) *Shard {
 	return &Shard{
-		id:       index,
-		data:     make(map[string]string),
-		versions: make(map[string]uint64),
-		staged:   make(map[string]*stagedTxn),
-		locks:    make(map[string]*lockState),
-		waiters:  make(map[string][]func()),
+		id:      index,
+		records: make(map[string]record),
+		staged:  make(map[string]*stagedTxn),
+		locks:   make(map[string]*lockState),
+		waiters: make(map[string][]func()),
 	}
 }
 
@@ -115,8 +123,8 @@ func (sh *Shard) readCommittedMulti(keys []string) (r readReplyMsg, ok bool) {
 		Vers: make([]uint64, len(keys)),
 	}
 	for i, key := range keys {
-		r.Vals[i], r.Oks[i] = sh.data[key]
-		r.Vers[i] = sh.versions[key]
+		rec := sh.records[key]
+		r.Vals[i], r.Oks[i], r.Vers[i] = rec.value, rec.present, rec.version
 	}
 	return r, true
 }
@@ -270,7 +278,7 @@ func (sh *Shard) validate(keys []string, vers []uint64) bool {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	for i, key := range keys {
-		if sh.versions[key] != vers[i] {
+		if sh.records[key].version != vers[i] {
 			mStaleRead.Add(1)
 			return false
 		}
@@ -296,7 +304,7 @@ func (sh *Shard) Prepare(txID string) bool {
 		return true
 	}
 	for key, ver := range st.reads {
-		if sh.versions[key] != ver {
+		if sh.records[key].version != ver {
 			// A concurrent transaction committed over our read.
 			mStaleRead.Add(1)
 			sh.traceIntent(obs.EvIntentConflict, txID, key, "stale-read")
@@ -373,12 +381,11 @@ func (sh *Shard) settle(txID string, apply bool) {
 	sh.mu.Lock()
 	if st, ok := sh.staged[txID]; ok && apply {
 		for key, w := range st.writes {
-			if w.tombstone {
-				delete(sh.data, key)
-			} else {
-				sh.data[key] = w.value
+			rec := record{version: sh.records[key].version + 1}
+			if !w.tombstone {
+				rec.value, rec.present = w.value, true
 			}
-			sh.versions[key]++
+			sh.records[key] = rec
 		}
 	}
 	woken := sh.drop(txID)
