@@ -9,7 +9,6 @@ import (
 
 	"atomiccommit/internal/core"
 	"atomiccommit/internal/live"
-	"atomiccommit/internal/obs"
 )
 
 // Client drives transactions against a deployment of Peers without being a
@@ -109,10 +108,6 @@ func (c *Client) deliver(e live.Envelope) {
 		var err error
 		if m.Err != "" {
 			err = fmt.Errorf("commit: coordinator P%d: %s", e.From, m.Err)
-		} else if a := obs.ActiveAuditor(); a != nil {
-			// The coordinator's result is its decision as seen from the
-			// client side: a third vantage point for the auditor.
-			a.Decide(e.TxID, e.From, m.V, "")
 		}
 		c.resolve(e.TxID, err == nil && m.V == core.Commit, err)
 	}

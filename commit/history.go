@@ -17,7 +17,7 @@ const indexSlots = 2 * retiredHistory
 
 // boundedMap remembers the retiredHistory most recently inserted keys and
 // evicts FIFO. It is the one bounded memory behind a Peer's outcome cache
-// and stashed decision reports and a Cluster's txID-reuse check.
+// and a Cluster's txID-reuse check.
 //
 // The keys and values sit in a fixed ring, in insertion order, and a fixed
 // open-addressing table indexes the ring: linear probing over indexSlots

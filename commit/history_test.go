@@ -10,8 +10,7 @@ import (
 )
 
 // TestBoundedMapEviction checks the shared bounded memory (a peer's outcome
-// cache and stashed reports, a cluster's finished set) stays bounded and
-// evicts oldest-first.
+// cache, a cluster's finished set) stays bounded and evicts oldest-first.
 func TestBoundedMapEviction(t *testing.T) {
 	t.Parallel()
 	var b boundedMap[int]

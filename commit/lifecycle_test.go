@@ -128,11 +128,11 @@ func TestApplyBeforeAck(t *testing.T) {
 }
 
 // TestLivePathEnvelopeBound pins the paper's message bound on the live
-// path: with nobody watching, a nice INBAC execution on a 4-member Cluster
-// (f=1) puts exactly 2fn = 8 envelopes on the mesh — no begin, no decision
-// broadcast. With an auditor installed every peer also announces its
-// decision to the others, n(n-1) = 12 more. Not parallel: the counter is
-// process-wide (parallel tests wait until the serial ones finished).
+// path: a nice INBAC execution on a 4-member Cluster (f=1) puts exactly
+// 2fn = 8 envelopes on the mesh — no begin, no decision broadcast — and
+// watching it adds none: not an installed auditor, not the flight recorder.
+// Not parallel: the counter is process-wide (parallel tests wait until the
+// serial ones finished).
 func TestLivePathEnvelopeBound(t *testing.T) {
 	const n, f = 4, 1
 	run := func(t *testing.T, want int64) {
@@ -168,7 +168,13 @@ func TestLivePathEnvelopeBound(t *testing.T) {
 	t.Run("audited", func(t *testing.T) {
 		obs.SetAuditor(obs.NewAuditor(obs.AuditorConfig{}))
 		defer obs.SetAuditor(nil)
-		run(t, 2*f*n+n*(n-1))
+		run(t, 2*f*n)
+	})
+	t.Run("recorded", func(t *testing.T) {
+		obs.Default.Enable()
+		defer obs.Default.Reset()
+		defer obs.Default.Disable()
+		run(t, 2*f*n)
 	})
 }
 

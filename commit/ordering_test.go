@@ -242,7 +242,7 @@ func TestReservedPathIgnored(t *testing.T) {
 		ResourceFunc{PrepareFn: func(string) bool { calls.Add(1); return true }, CommitFn: count, AbortFn: count},
 		ResourceFunc{}, ResourceFunc{},
 	}, opts)
-	paths := []string{"\x00stage", "\x00unstage", "\x00stageack", "\x00result", "\x00bogus"}
+	paths := []string{"\x00stage", "\x00unstage", "\x00stageack", "\x00decide", "\x00result", "\x00bogus"}
 	for _, p := range []*Peer{hosted[0], plain[0]} {
 		p.tr.(*live.TCP).SetShaper(live.LinkShaper{Drop: func(live.Envelope) bool { sent.Add(1); return true }})
 		for i, path := range paths {

@@ -62,12 +62,9 @@ type Peer struct {
 	tr     live.Transport
 	mk     func(core.ProcessID) core.Module // opts.factory(), built once
 
-	mu      sync.Mutex
-	txns    map[string]*txn        // live transactions, running or unannounced
-	decided boundedMap[core.Value] // outcomes of applied, retired transactions
-	// Decision cross-checking (see decideMsg): peer decisions that arrived
-	// before our own landed. Read when ours does, then left to age out.
-	reports  boundedMap[[]peerReport]
+	mu       sync.Mutex
+	txns     map[string]*txn        // live transactions, running or unannounced
+	decided  boundedMap[core.Value] // outcomes of applied, retired transactions
 	closed   bool
 	sweeping bool // a coordination sweep is armed (see sweep)
 
@@ -126,12 +123,6 @@ const (
 	// settled: the decision is applied and the record retired.
 	settled
 )
-
-// peerReport is one remote decision awaiting our local one.
-type peerReport struct {
-	from core.ProcessID
-	v    core.Value
-}
 
 // NewPeer starts participant id (1-based); addrs[i-1] is Pi's address, and
 // this peer listens on addrs[id-1]. If resource implements HostedResource,
@@ -201,11 +192,9 @@ func (p *Peer) Addr() string {
 
 func (p *Peer) deliver(e live.Envelope) {
 	switch e.Path {
-	case decidePath, outcomePath:
-		// Decision announcements are cross-checked even for transactions we
-		// already retired: the cached outcome still answers.
+	case outcomePath:
 		if m, ok := e.Msg.(decideMsg); ok {
-			p.observeDecision(e.From, e.TxID, m.V, e.Path == outcomePath)
+			p.adopt(e.TxID, m.V)
 		}
 	case goPath:
 		p.coordinate(e, nil, nil)
@@ -550,14 +539,13 @@ func (p *Peer) start(txID string, t *txn, vote core.Value) {
 // settle is the one place a decision takes effect at this process, run by
 // the apply worker in the order the decisions landed: the instance's Decided
 // hook queues it, because the deciding handler may be a transport's read loop
-// or the timer goroutine, which announce's sends and the Resource's callback
-// must not stall. Cross-check and announce, apply to the Resource, then, in
-// one critical section, release the waiters and retire the record: its
-// outcome moves to the cache (bounded by retiredHistory), which answers
-// replays and late envelopes from here on. Last, answer the client this peer
-// coordinates for and count down the Cluster driver's run.
+// or the timer goroutine, which the Resource's callback must not stall.
+// Apply to the Resource, then, in one critical section, release the waiters
+// and retire the record: its outcome moves to the cache (bounded by
+// retiredHistory), which answers replays and late envelopes from here on.
+// Last, answer the client this peer coordinates for and count down the
+// Cluster driver's run.
 func (p *Peer) settle(d decision) {
-	p.announce(d.txID, d.v)
 	if d.v == core.Commit {
 		p.res.Commit(d.txID)
 	} else {
@@ -583,69 +571,14 @@ func (p *Peer) settle(d decision) {
 	}
 }
 
-// announce checks our decision v against the remote ones that arrived
-// before it, and broadcasts it so every peer can do the same — only while
-// an auditor is installed or the flight recorder is on: nobody else reads
-// it, and it is n(n-1) envelopes on top of a protocol built to need 2fn.
-func (p *Peer) announce(txID string, v core.Value) {
+// adopt hands a retired peer's outcome for txID (see deliver) to our
+// instance if it is still undecided: Agreement makes it the decision.
+func (p *Peer) adopt(txID string, v core.Value) {
 	p.mu.Lock()
-	stash, _ := p.reports.get(txID)
-	closed := p.closed
-	p.mu.Unlock()
-	for _, r := range stash {
-		p.crossCheck(txID, r.from, r.v, v)
-	}
-	if !closed && (obs.ActiveAuditor() != nil || obs.Default.Enabled()) {
-		p.broadcast(txID, decidePath, decideMsg{V: v})
-	}
-}
-
-// broadcast sends m to every other peer.
-func (p *Peer) broadcast(txID, path string, m core.Message) {
-	for q := core.ProcessID(1); int(q) <= p.n; q++ {
-		if q != p.id {
-			_ = p.tr.Send(live.Envelope{TxID: txID, From: p.id, To: q, Path: path, Msg: m})
-		}
-	}
-}
-
-// observeDecision handles a peer's decision announcement for txID: compare
-// it against ours if we have one (live or cached), else stash it until ours
-// lands. A disagreement is reported through the anomaly hook with the full
-// flight-recorder timeline. final marks a retired peer's answer to a late
-// envelope of ours (see deliver): an instance still undecided adopts that
-// decision, which Agreement makes the decision.
-func (p *Peer) observeDecision(from core.ProcessID, txID string, theirs core.Value, final bool) {
-	// Feed the remote decision to the auditor: announcements are how one
-	// process's auditor learns the rest of the decision vector. Decide is
-	// idempotent for repeated equal values, so re-announcements are free.
-	if a := obs.ActiveAuditor(); a != nil {
-		a.Decide(txID, from, theirs, "")
-	}
-	p.mu.Lock()
-	ours, known := p.decided.get(txID)
-	if t := p.txns[txID]; !known && t != nil && t.inst != nil {
-		if final {
-			t.inst.Adopt(theirs)
-		}
-		ours, known = t.inst.Decision()
-	}
-	if !known {
-		stash, _ := p.reports.get(txID)
-		p.reports.put(txID, append(stash, peerReport{from: from, v: theirs}))
-		p.mu.Unlock()
-		return
+	if t := p.txns[txID]; t != nil && t.inst != nil {
+		t.inst.Adopt(v)
 	}
 	p.mu.Unlock()
-	p.crossCheck(txID, from, theirs, ours)
-}
-
-// crossCheck reports a decision disagreement between this peer and from.
-func (p *Peer) crossCheck(txID string, from core.ProcessID, theirs, ours core.Value) {
-	if theirs != ours {
-		obs.ReportAnomaly("peer-decision-mismatch", txID,
-			fmt.Sprintf("%v decided %s but %v decided %s", p.id, ours, from, theirs))
-	}
 }
 
 // ServeDebug starts the observability HTTP endpoint (expvar under

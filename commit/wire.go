@@ -46,15 +46,9 @@ func (beginMsg) UnmarshalWire(d *wire.Decoder) (core.Message, error) {
 	return beginMsg{Fp: d.Bytes()}, d.Err()
 }
 
-// decidePath is the reserved envelope path carrying a peer's decision to the
-// others, so every peer can cross-check agreement and feed its auditor the
-// whole decision vector (a peer otherwise only knows its own). Sent only
-// while someone is watching: see Peer.announce.
-const decidePath = "\x00decide"
-
-// outcomePath carries the same decideMsg as a retired peer's answer to a
-// straggler still running the protocol: a decision to adopt, not only to
-// cross-check (see Peer.deliver).
+// outcomePath carries a retired peer's decision, as a decideMsg, to a
+// straggler still running the protocol: a decision to adopt (see
+// Peer.deliver). It is the only path a decideMsg travels.
 const outcomePath = "\x00outcome"
 
 // decideMsg announces that From decided V for Envelope.TxID.

@@ -256,14 +256,6 @@ func (inst *Instance) Done() <-chan struct{} {
 // Config.Decided was called.
 func (inst *Instance) Outcome() core.Value { return inst.outcome }
 
-// Decision returns the decision, and whether the root has decided yet; safe
-// to call at any time.
-func (inst *Instance) Decision() (core.Value, bool) {
-	inst.mu.Lock()
-	defer inst.mu.Unlock()
-	return inst.outcome, inst.final
-}
-
 // DecidePath returns the instance's last "decide-path" annotation (see
 // core.Annotate): which branch of its protocol's decision state machine
 // produced the outcome. "" if the protocol does not report paths. Valid

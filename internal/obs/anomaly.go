@@ -11,8 +11,8 @@ import (
 )
 
 // Anomaly identifies one detected correctness problem on the live
-// commit path: a cross-member decision mismatch, an agreement-check
-// failure, an invariant breach.
+// commit path: an agreement-check failure, an audited property
+// violation, an invariant breach.
 type Anomaly struct {
 	Kind   string    `json:"kind"`
 	TxID   string    `json:"txID"`
@@ -94,9 +94,9 @@ var (
 )
 
 // SetAnomalyHook installs f to be called (synchronously) with every
-// reported anomaly's dump; nil uninstalls. The commit runtimes report
-// decision mismatches here, tests intercept them, and commitbench
-// -trace prints the interleaving.
+// reported anomaly's dump; nil uninstalls. The commit runtime and the
+// auditor report agreement violations here, tests intercept them, and
+// commitbench -trace prints the interleaving.
 func SetAnomalyHook(f func(Dump)) {
 	if f == nil {
 		anomalyHook.Store(func(Dump) {})

@@ -4,8 +4,8 @@
 // always-on metrics registry (counters, gauges, HDR-style histograms
 // exposed through expvar and the /debug endpoint), and an anomaly hook
 // that dumps the merged multi-process timeline of an offending
-// transaction the moment a cross-member decision mismatch or invariant
-// breach is detected.
+// transaction the moment an agreement violation or invariant breach is
+// detected.
 //
 // Tracing is off by default and gated by one atomic flag: the disabled
 // hot path is a single branch with no allocation (pinned by test), so
