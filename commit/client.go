@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -26,8 +27,9 @@ import (
 //
 // Every call is bounded by a deadline derived from Options.Timeout — whatever
 // the caller's context says — so a crashed peer yields an error within the
-// protocol's timeout budget, never a hang. A submission's bound costs no
-// goroutine and no timer of its own: one sweep per client serves them all.
+// protocol's timeout budget, never a hang. A submission's or a query's bound
+// costs no goroutine and no timer of its own: one sweep per client serves
+// them all.
 type Client struct {
 	id   core.ProcessID
 	n    int // peers are 1..n
@@ -35,20 +37,30 @@ type Client struct {
 	tr   live.Transport
 
 	mu       sync.Mutex
-	pending  map[string]*Txn                // awaiting resultMsg, keyed by txID
-	replies  map[replyKey]chan core.Message // awaiting a query reply
+	pending  map[string]*Txn        // awaiting resultMsg, keyed by txID
+	replies  map[replyKey]awaitedBy // awaiting a query reply
 	seq      uint64
 	closed   bool
-	sweeping bool // a sweep of pending is armed (see sweep)
-	stop     chan struct{}
+	sweeping bool // a sweep of pending and replies is armed (see sweep)
 }
 
-// replyKey files the one reply a Query waits for: the query's ID, unique
+// replyKey files the one reply a query waits for: the query's ID, unique
 // per client, and the peer it asked.
 type replyKey struct {
 	txID string
 	from core.ProcessID
 }
+
+// awaitedBy is an outstanding query: the callback its reply, or its error,
+// goes to, and when it was sent.
+type awaitedBy struct {
+	done  func(Message, error)
+	since time.Time
+}
+
+// queryUnits bounds a query: with no reply after queryUnits timeout units,
+// the sweep fails it with context.DeadlineExceeded.
+const queryUnits = 32
 
 // NewClient connects a client with process ID id (id > len(addrs)) to the
 // peers at addrs; addrs[i-1] is Pi's address, exactly as given to NewPeer.
@@ -79,8 +91,7 @@ func newClient(id core.ProcessID, n int, tr live.Transport, opts Options) *Clien
 	c := &Client{
 		id: id, n: n, opts: opts, tr: tr,
 		pending: make(map[string]*Txn),
-		replies: make(map[replyKey]chan core.Message),
-		stop:    make(chan struct{}),
+		replies: make(map[replyKey]awaitedBy),
 	}
 	tr.SetHandler(c.deliver)
 	return c
@@ -92,13 +103,8 @@ func (c *Client) ID() int { return int(c.id) }
 func (c *Client) deliver(e live.Envelope) {
 	switch e.Path {
 	case queryReplyPath:
-		k := replyKey{txID: e.TxID, from: e.From}
-		c.mu.Lock()
-		ch := c.replies[k]
-		delete(c.replies, k)
-		c.mu.Unlock()
-		if ch != nil {
-			ch <- e.Msg // buffered; the waiter may already have given up
+		if q, ok := c.takeQuery(replyKey{txID: e.TxID, from: e.From}); ok {
+			q.done(e.Msg, nil)
 		}
 	case resultPath:
 		m, ok := e.Msg.(resultMsg)
@@ -143,10 +149,13 @@ func (c *Client) expire(t *Txn) {
 // answered within coordinateUnits+16 timeout units — the coordinator bounds
 // its own run at coordinateUnits and always replies, so the slack beyond
 // that only covers the reply's travel; past it the coordinator is presumed
-// dead — and looks again every coordinateUnits/16 while one is pending. It
-// runs on the timer goroutine.
+// dead — and every query unanswered for queryUnits, and looks again every
+// coordinateUnits/16 while either is outstanding. It runs on the timer
+// goroutine.
 func (c *Client) sweep() {
 	var expired []*Txn
+	var lost []replyKey
+	var lostBy []awaitedBy
 	c.mu.Lock()
 	for id, t := range c.pending {
 		if time.Since(t.start) >= (coordinateUnits+16)*c.opts.Timeout {
@@ -154,7 +163,13 @@ func (c *Client) sweep() {
 			expired = append(expired, t)
 		}
 	}
-	c.sweeping = len(c.pending) > 0 && !c.closed
+	for k, q := range c.replies {
+		if time.Since(q.since) >= queryUnits*c.opts.Timeout {
+			delete(c.replies, k)
+			lost, lostBy = append(lost, k), append(lostBy, q)
+		}
+	}
+	c.sweeping = len(c.pending)+len(c.replies) > 0 && !c.closed
 	again := c.sweeping
 	c.mu.Unlock()
 	if again {
@@ -163,6 +178,16 @@ func (c *Client) sweep() {
 	for _, t := range expired {
 		t.resolve(false, fmt.Errorf("commit: submit %s: %w", t.TxID, context.DeadlineExceeded))
 	}
+	for i, k := range lost {
+		lostBy[i].done(nil, queryErr(k.from, context.DeadlineExceeded))
+	}
+}
+
+// armSweep arms the sweep unless one is armed already; c.mu is held.
+func (c *Client) armSweep() bool {
+	arm := !c.sweeping
+	c.sweeping = true
+	return arm
 }
 
 func (c *Client) checkPeer(peer int) error {
@@ -174,50 +199,93 @@ func (c *Client) checkPeer(peer int) error {
 
 var errClientClosed = errors.New("client closed")
 
-// Query runs a one-shot read against the hosted resource on a peer and waits
-// for the one reply deliver files under the query's own ID and that peer. The
-// reply is whatever message type the resource answers with; an unreachable
-// or non-hosting peer surfaces as context expiry. The wait is capped at the
-// client's own deadline, so no query waits on a crashed peer longer than the
-// protocol's timeout budget, whatever the caller's context says.
-func (c *Client) Query(ctx context.Context, peer int, m Message) (Message, error) {
-	fail := func(err error) (Message, error) {
-		return nil, fmt.Errorf("commit: query P%d: %w", peer, err)
-	}
+func queryErr(peer core.ProcessID, err error) error {
+	return fmt.Errorf("commit: query %v: %w", peer, err)
+}
+
+// QueryFunc sends m, a one-shot read, to the hosted resource on peer and
+// returns at once; done gets the peer's reply — whatever message type the
+// resource answers with — or an error, exactly once:
+//
+//   - with the reply, on the client's delivery path, the goroutine that
+//     delivers every reply and result this client receives: done must not
+//     block, nor wait for another reply;
+//   - with context.DeadlineExceeded once the client's sweep finds the query
+//     unanswered for 32 timeout units (it looks every 8): an unreachable or
+//     non-hosting peer, or an answer the resource could not encode;
+//   - with an error at Close, for every query still outstanding;
+//   - with an error before QueryFunc returns, for a bad peer ID, a closed
+//     client or a failed send.
+//
+// A query costs no goroutine, runtime timer, channel or context: the reply
+// is filed under the query's own ID and the peer asked, and one sweep per
+// client bounds every outstanding one.
+func (c *Client) QueryFunc(peer int, m Message, done func(Message, error)) {
 	if err := c.checkPeer(peer); err != nil {
-		return fail(err)
+		done(nil, queryErr(core.ProcessID(peer), err))
+		return
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	ctx, cancel := context.WithTimeout(ctx, 32*c.opts.Timeout)
-	defer cancel()
-	ch := make(chan core.Message, 1)
+	from := core.ProcessID(peer)
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return fail(errClientClosed)
+		done(nil, queryErr(from, errClientClosed))
+		return
 	}
 	c.seq++
-	k := replyKey{txID: fmt.Sprintf("q%d-%d", c.id, c.seq), from: core.ProcessID(peer)}
-	c.replies[k] = ch
+	k := replyKey{txID: c.seqID('q'), from: from}
+	c.replies[k] = awaitedBy{done: done, since: time.Now()}
+	arm := c.armSweep()
 	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		delete(c.replies, k)
-		c.mu.Unlock()
-	}()
+	if arm {
+		live.After(coordinateUnits/16*c.opts.Timeout, c.sweep)
+	}
+	if err := c.tr.Send(live.Envelope{TxID: k.txID, From: c.id, To: from, Path: queryPath, Msg: m}); err != nil {
+		if q, ok := c.takeQuery(k); ok {
+			q.done(nil, queryErr(from, err))
+		}
+	}
+}
 
-	if err := c.tr.Send(live.Envelope{TxID: k.txID, From: c.id, To: k.from, Path: queryPath, Msg: m}); err != nil {
-		return fail(err)
+// seqID names a query ('q') or a submission ('c') of this client by c.seq:
+// "q5-17". c.mu is held.
+func (c *Client) seqID(kind byte) string {
+	var buf [48]byte
+	b := strconv.AppendUint(append(buf[:0], kind), uint64(c.id), 10)
+	b = strconv.AppendUint(append(b, '-'), c.seq, 10)
+	return string(b)
+}
+
+// takeQuery removes the outstanding query k, reporting whether it was
+// there: whoever removes it (its reply, the sweep, Close, a failed send)
+// calls its done.
+func (c *Client) takeQuery(k replyKey) (awaitedBy, bool) {
+	c.mu.Lock()
+	q, ok := c.replies[k]
+	delete(c.replies, k)
+	c.mu.Unlock()
+	return q, ok
+}
+
+// Query is QueryFunc that waits for the reply, or for ctx to end first: the
+// query then still runs to its own end, unobserved. The wait is capped at
+// the client's own 32-unit bound, so no query waits on a crashed peer
+// longer than the protocol's timeout budget, whatever ctx says.
+func (c *Client) Query(ctx context.Context, peer int, m Message) (Message, error) {
+	type answer struct {
+		m   Message
+		err error
+	}
+	ch := make(chan answer, 1)
+	c.QueryFunc(peer, m, func(reply Message, err error) { ch <- answer{reply, err} })
+	if ctx == nil {
+		ctx = context.Background()
 	}
 	select {
-	case reply := <-ch:
-		return reply, nil
-	case <-c.stop:
-		return fail(errClientClosed)
+	case a := <-ch:
+		return a.m, a.err
 	case <-ctx.Done():
-		return fail(ctx.Err())
+		return nil, queryErr(core.ProcessID(peer), ctx.Err())
 	}
 }
 
@@ -250,7 +318,7 @@ func (c *Client) submitMsg(ctx context.Context, txID string, coord int, path str
 	if txID == "" {
 		for {
 			c.seq++
-			txID = fmt.Sprintf("c%d-%d", c.id, c.seq)
+			txID = c.seqID('c')
 			if _, dup := c.pending[txID]; !dup {
 				break
 			}
@@ -263,8 +331,7 @@ func (c *Client) submitMsg(ctx context.Context, txID string, coord int, path str
 	}
 	c.pending[txID] = t
 	t.watchContext(c.expire)
-	arm := !c.sweeping
-	c.sweeping = true
+	arm := c.armSweep()
 	c.mu.Unlock()
 	if arm {
 		live.After(coordinateUnits/16*c.opts.Timeout, c.sweep)
@@ -335,7 +402,8 @@ func (c *Client) CommitMany(ctx context.Context, txIDs []string) ([]bool, error)
 	return commitMany(ctx, txIDs, c.Submit)
 }
 
-// Close shuts the client down; in-flight futures resolve with an error.
+// Close shuts the client down; in-flight futures resolve with an error, and
+// every outstanding query's done gets one.
 func (c *Client) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -343,12 +411,14 @@ func (c *Client) Close() {
 		return
 	}
 	c.closed = true
-	close(c.stop)
-	pending := c.pending
-	c.pending = make(map[string]*Txn)
+	pending, replies := c.pending, c.replies
+	c.pending, c.replies = make(map[string]*Txn), make(map[replyKey]awaitedBy)
 	c.mu.Unlock()
 	for _, t := range pending {
 		t.resolve(false, fmt.Errorf("commit: client closed"))
+	}
+	for k, q := range replies {
+		q.done(nil, queryErr(k.from, errClientClosed))
 	}
 	c.tr.Close()
 }

@@ -331,3 +331,100 @@ func TestQueryHopDropped(t *testing.T) {
 	}
 	waitFor(t, "the goroutine count to settle", func() bool { return runtime.NumGoroutine() <= base })
 }
+
+// TestQueryFuncOnce is QueryFunc's contract: done runs exactly once, with the
+// reply; with context.DeadlineExceeded once the sweep finds the query 32 U
+// old (and not before); with the closed-client error, for every outstanding
+// query, before Close returns; and before QueryFunc returns for a peer out
+// of range or a closed client.
+func TestQueryFuncOnce(t *testing.T) {
+	t.Parallel()
+	opts := Options{Protocol: INBAC, F: 1, Timeout: 5 * time.Millisecond} // a query expires after 160ms
+	peers, c := hopDeployment(t, 3, opts)
+	client := core.ProcessID(c.ID())
+	type call struct {
+		reply Message
+		err   error
+		at    time.Time
+	}
+	// query sends m to peer and returns the channel its done calls go to,
+	// and whether the first came before QueryFunc returned.
+	query := func(c *Client, peer int, m Message) (<-chan call, bool) {
+		calls := make(chan call, 2)
+		c.QueryFunc(peer, m, func(reply Message, err error) { calls <- call{reply, err, time.Now()} })
+		return calls, len(calls) > 0
+	}
+	// once waits for the first call and checks that no second one follows
+	// within the sweep's period and then some.
+	once := func(what string, calls <-chan call) call {
+		t.Helper()
+		var first call
+		select {
+		case first = <-calls:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: done never ran", what)
+		}
+		select {
+		case again := <-calls:
+			t.Fatalf("%s: done ran twice: %v, then %v", what, first.err, again.err)
+		case <-time.After(16 * opts.Timeout):
+		}
+		return first
+	}
+
+	calls, _ := query(c, 2, fakeFootprint{"x"})
+	if r := once("answered", calls); r.err != nil || r.reply != (fakeFootprint{"x-reply"}) {
+		t.Fatalf("answered: %v, %v; want x-reply", r.reply, r.err)
+	}
+
+	sent := time.Now()
+	calls, _ = query(c, 1, hopMsg{Route: []core.ProcessID{1, 1, client}}) // P1 drops it
+	r := once("unanswered", calls)
+	if !errors.Is(r.err, context.DeadlineExceeded) {
+		t.Fatalf("unanswered: err = %v, want a deadline error", r.err)
+	}
+	if took := r.at.Sub(sent); took < queryUnits*opts.Timeout {
+		t.Fatalf("unanswered: failed after %v, before the %v bound", took, queryUnits*opts.Timeout)
+	}
+
+	for _, peer := range []int{0, 4} {
+		calls, early := query(c, peer, fakeFootprint{"x"})
+		if !early {
+			t.Fatalf("peer %d: done had not run when QueryFunc returned", peer)
+		}
+		if r := once(fmt.Sprintf("peer %d", peer), calls); !errors.Is(r.err, ErrPeerID) {
+			t.Fatalf("peer %d: err = %v, want ErrPeerID", peer, r.err)
+		}
+	}
+
+	// A client of its own, so that Close finds queries outstanding.
+	addrs := make([]string, len(peers))
+	for i, p := range peers {
+		addrs[i] = p.Addr()
+	}
+	c2, err := NewClient(len(addrs)+2, addrs, Options{Protocol: INBAC, F: 1, Timeout: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var outstanding []<-chan call
+	for i := 0; i < 3; i++ {
+		calls, _ := query(c2, 1, hopMsg{Route: []core.ProcessID{1, 0}}) // P1 drops it
+		outstanding = append(outstanding, calls)
+	}
+	c2.Close()
+	for i, calls := range outstanding {
+		if len(calls) == 0 {
+			t.Fatalf("query %d: done had not run when Close returned", i)
+		}
+		if r := once(fmt.Sprintf("query %d at Close", i), calls); !errors.Is(r.err, errClientClosed) {
+			t.Fatalf("query %d at Close: err = %v, want the closed-client error", i, r.err)
+		}
+	}
+	calls, early := query(c2, 1, fakeFootprint{"x"})
+	if !early {
+		t.Fatal("closed client: done had not run when QueryFunc returned")
+	}
+	if r := once("closed client", calls); !errors.Is(r.err, errClientClosed) {
+		t.Fatalf("closed client: err = %v, want the closed-client error", r.err)
+	}
+}

@@ -213,10 +213,15 @@ func (p *Peer) deliver(e live.Envelope) {
 		p.mu.Lock()
 		t, first := p.join(e.TxID)
 		p.mu.Unlock()
-		if first {
-			// Otherwise the slice, if any, is dropped unstaged: the
-			// transaction already runs, or ended, without it.
-			p.run(e.TxID, t, m.Fp)
+		if !first {
+			// The slice, if any, is dropped unstaged: the transaction
+			// already runs, or ended, without it.
+			return
+		}
+		if fp, err := decodeSlice(m.Fp); err != nil {
+			p.start(e.TxID, t, core.Abort) // a slice that does not decode is a vote to abort
+		} else {
+			p.run(e.TxID, t, fp)
 		}
 	default:
 		if e.Path != "" && e.Path[0] == 0 {
@@ -296,7 +301,7 @@ func (p *Peer) awaitAnnouncement(txID string, t *txn) {
 // replayed go finds the record claimed, or the outcome cached, so fp is
 // dropped unstaged and only the result goes back; a peer the first begin
 // reached drops the repeated begin's slice the same way.
-func (p *Peer) coordinate(e live.Envelope, slices [][]byte, fp []byte) {
+func (p *Peer) coordinate(e live.Envelope, slices [][]byte, fp Message) {
 	if e.TxID == "" {
 		p.reply(e.TxID, e.From, resultMsg{V: core.Abort, Err: "commit: txID required"})
 		return
@@ -382,50 +387,58 @@ func (p *Peer) handleStageGo(e live.Envelope) {
 	if !ok {
 		return
 	}
-	slices, err := p.checkSlices(m)
+	fp, slices, err := p.checkSlices(m)
 	if err != nil {
 		p.reply(e.TxID, e.From, resultMsg{V: core.Abort, Err: err.Error()})
 		return
 	}
-	p.coordinate(e, slices, m.Fp)
+	p.coordinate(e, slices, fp)
 }
 
 // checkSlices validates every slice of a client's stage+go message — which
-// crosses a trust boundary — and files the other peers' by peer, for
+// crosses a trust boundary — and returns this peer's own, decoded (nil when
+// there is none), for its run to stage, and the other peers' by peer, for
 // coordinate to forward: nil when there is none. Each slice must decode, and
 // all of them together must fit the budget.
-func (p *Peer) checkSlices(m stageGoMsg) ([][]byte, error) {
+func (p *Peer) checkSlices(m stageGoMsg) (Message, [][]byte, error) {
 	total := len(m.Fp)
 	if total > stageGoBudget {
-		return nil, ErrStageTooLarge
+		return nil, nil, ErrStageTooLarge
 	}
-	if total > 0 {
-		if _, err := live.UnmarshalMessage(m.Fp); err != nil {
-			return nil, fmt.Errorf("malformed footprint: %v", err)
-		}
+	fp, err := decodeSlice(m.Fp)
+	if err != nil {
+		return nil, nil, fmt.Errorf("malformed footprint: %v", err)
 	}
 	if len(m.Others) == 0 {
-		return nil, nil
+		return fp, nil, nil
 	}
 	slices := make([][]byte, p.n+1)
 	for _, o := range m.Others {
 		if o.Peer < 1 || int(o.Peer) > p.n || o.Peer == p.id || slices[o.Peer] != nil {
-			return nil, fmt.Errorf("footprint for %v: not another peer of P1..P%d, or its second", o.Peer, p.n)
+			return nil, nil, fmt.Errorf("footprint for %v: not another peer of P1..P%d, or its second", o.Peer, p.n)
 		}
 		if total += len(o.Fp); total > stageGoBudget {
-			return nil, ErrStageTooLarge
+			return nil, nil, ErrStageTooLarge
 		}
 		if _, err := live.UnmarshalMessage(o.Fp); err != nil {
-			return nil, fmt.Errorf("malformed footprint for %v: %v", o.Peer, err)
+			return nil, nil, fmt.Errorf("malformed footprint for %v: %v", o.Peer, err)
 		}
 		slices[o.Peer] = o.Fp
 	}
-	return slices, nil
+	return fp, slices, nil
+}
+
+// decodeSlice decodes one peer's slice of a footprint: nil for an empty one.
+func decodeSlice(fp []byte) (Message, error) {
+	if len(fp) == 0 {
+		return nil, nil
+	}
+	return live.UnmarshalMessage(fp)
 }
 
 // handleQuery answers a one-shot read against the hosted resource. Errors the
 // resource cannot encode in its reply message degrade to silence (the
-// client's context expires), the same as a crashed peer.
+// client's query bound expires), the same as a crashed peer.
 func (p *Peer) handleQuery(e live.Envelope) {
 	if p.hosted == nil {
 		return
@@ -484,29 +497,21 @@ func (p *Peer) join(txID string) (t *txn, first bool) {
 }
 
 // run takes a transaction its caller just claimed through the local
-// lifecycle: stage fp, the slice of the footprint its announcement carried
-// (if it carried one), vote via the Resource, and start the protocol. It is
-// the one place a footprint reaches the hosted resource, so Stage and Prepare
-// run back to back on one goroutine and the decision resolves the stage. A
-// slice that does not decode, or that the resource refuses, is a vote to
-// abort without Prepare — the client sees an abort, never a hang; so is a
-// slice for a peer that hosts no HostedResource.
-func (p *Peer) run(txID string, t *txn, fp []byte) {
+// lifecycle: stage fp, the decoded slice of the footprint its announcement
+// carried (nil if it carried none), vote via the Resource, and start the
+// protocol. It is the one place a footprint reaches the hosted resource, so
+// Stage and Prepare run back to back on one goroutine and the decision
+// resolves the stage. A slice that the resource refuses is a vote to abort
+// without Prepare — the client sees an abort, never a hang; so is a slice
+// for a peer that hosts no HostedResource, and (in the caller) one that does
+// not decode.
+func (p *Peer) run(txID string, t *txn, fp Message) {
 	// Stage and Prepare outside the lock: user code, and may take time.
 	vote := core.Abort
-	if (len(fp) == 0 || p.stageSlice(txID, fp)) && p.res.Prepare(txID) {
+	if (fp == nil || p.hosted != nil && p.hosted.Stage(txID, fp) == nil) && p.res.Prepare(txID) {
 		vote = core.Commit
 	}
 	p.start(txID, t, vote)
-}
-
-// stageSlice hands a begin's slice to the hosted resource.
-func (p *Peer) stageSlice(txID string, fp []byte) bool {
-	if p.hosted == nil {
-		return false
-	}
-	m, err := live.UnmarshalMessage(fp)
-	return err == nil && p.hosted.Stage(txID, m) == nil
 }
 
 // start runs the protocol instance of a claimed transaction on vote, with

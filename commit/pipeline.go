@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"atomiccommit/internal/obs"
@@ -31,6 +32,10 @@ type Txn struct {
 	done      chan struct{}
 	committed bool
 	err       error
+
+	mu       sync.Mutex // orders resolve against OnResolve
+	resolved bool
+	hook     func(committed bool, err error)
 }
 
 // newTxn returns the unresolved future of txID, bounded by ctx (nil: no
@@ -80,7 +85,31 @@ func (t *Txn) resolve(ok bool, err error) {
 		t.start = t.end
 	}
 	t.committed, t.err = ok, err
+	t.mu.Lock()
+	t.resolved = true
+	hook := t.hook
+	t.mu.Unlock()
+	if hook != nil {
+		hook(ok, err)
+	}
 	close(t.done)
+}
+
+// OnResolve arranges for fn to get the outcome once the transaction
+// resolves, before Done closes, so that whoever sees Done closed sees what fn
+// did. fn runs on the goroutine that resolves the future — a client's
+// delivery path, the timer goroutine, a context's AfterFunc, or Close — and
+// must not block; on the caller's, before OnResolve returns, if the future
+// has resolved already. A Txn takes one hook.
+func (t *Txn) OnResolve(fn func(committed bool, err error)) {
+	t.mu.Lock()
+	if !t.resolved {
+		t.hook = fn
+		t.mu.Unlock()
+		return
+	}
+	t.mu.Unlock()
+	fn(t.committed, t.err)
 }
 
 // watchContext arranges for expire to run once ctx ends — with

@@ -307,3 +307,35 @@ func TestPeerRetiresDecidedInstances(t *testing.T) {
 		}
 	}
 }
+
+// TestTxnOnResolve: a hook set before the future resolves gets the outcome
+// before Done closes; one set after it runs at once, before OnResolve
+// returns.
+func TestTxnOnResolve(t *testing.T) {
+	t.Parallel()
+	x, resolve := UnresolvedTxn("hooked")
+	ran := false
+	x.OnResolve(func(committed bool, err error) {
+		select {
+		case <-x.Done():
+			t.Error("the hook ran after Done closed")
+		default:
+		}
+		if !committed || err != nil {
+			t.Errorf("the hook got (%v, %v), want (true, nil)", committed, err)
+		}
+		ran = true
+	})
+	resolve(true, nil)
+	if !ran {
+		t.Fatal("the hook never ran")
+	}
+
+	y, resolveY := UnresolvedTxn("resolved")
+	resolveY(true, nil)
+	late := false
+	y.OnResolve(func(committed bool, err error) { late = committed && err == nil })
+	if !late {
+		t.Fatal("a hook set on a resolved future did not run at once with its outcome")
+	}
+}

@@ -167,13 +167,11 @@ func Open(shards int, opts commit.Options) (*Store, error) {
 // newStore builds the store over cl, a client of the n peers hosting the
 // shards, with the read cache enabled and no staleness bound.
 func newStore(cl *commit.Client, n int, opts commit.Options) *Store {
+	b := &remoteBackend{client: cl, n: n, net: opts.Net, cache: newReadCache(defaultCacheCapacity, 0)}
+	b.newCoalescers()
 	return &Store{
-		close: cl.Close,
-		b: &remoteBackend{
-			client: cl, n: n, net: opts.Net,
-			cache:      newReadCache(defaultCacheCapacity, 0),
-			coalescers: make(map[int]*readCoalescer, n),
-		},
+		close:    cl.Close,
+		b:        b,
 		nshards:  n,
 		proto:    protoOf(opts),
 		idPrefix: fmt.Sprintf("kv-c%d-", cl.ID()),
@@ -183,7 +181,10 @@ func newStore(cl *commit.Client, n int, opts commit.Options) *Store {
 // Close shuts the store down; in-flight transactions resolve with errors.
 // For OpenRemote stores this closes the client side only — the shard
 // peers keep running.
-func (s *Store) Close() { s.close() }
+func (s *Store) Close() {
+	s.b.close()
+	s.close()
+}
 
 // Shards returns the number of shards (= commit participants).
 func (s *Store) Shards() int { return s.nshards }

@@ -128,14 +128,15 @@ func OpenRemote(clientID int, addrs []string, opts commit.Options) (*Store, erro
 // remoteBackend is how a Store reaches its shards: through a commit.Client,
 // whose transport is TCP or a Cluster's mesh.
 type remoteBackend struct {
-	client *commit.Client
-	n      int
-	net    *live.NetProfile
-	cache  *readCache // nil = disabled
-
-	mu         sync.Mutex
-	coalescers map[int]*readCoalescer // by owning peer (1-based)
+	client     *commit.Client
+	n          int
+	net        *live.NetProfile
+	cache      *readCache       // nil = disabled
+	coalescers []*readCoalescer // by owning peer (1-based); [0] unused
 }
+
+// errStoreClosed fails a read batch that Store.Close caught before it left.
+var errStoreClosed = errors.New("store closed")
 
 // readBatch is one coalesced wire read: the deduplicated keys headed to
 // one owner (fixed once its sender ran), and (after done closes) their
@@ -152,41 +153,64 @@ type readBatch struct {
 }
 
 // readCoalescer merges concurrent reads bound for one shard owner: the first
-// reader to find nothing pending opens a batch and starts its sender, and
-// every reader that arrives before the sender runs rides the same relay.
-// The sender takes the batch as it is and puts it on the wire at once — a
-// read never waits for the reply to somebody else's query, so it costs one
-// round trip however many queries to its owner are already in flight.
+// reader to find nothing pending opens a batch and queues it for the owner's
+// sender, and every reader that arrives before the sender takes it rides the
+// same relay. The sender, one long-lived worker per owner, takes the batch as
+// it is and puts it on the wire at once — a read never waits for the reply to
+// somebody else's query, so it costs one round trip however many queries to
+// its owner are already in flight.
 type readCoalescer struct {
-	b     *remoteBackend
-	owner int
+	b      *remoteBackend
+	owner  int
+	sender *live.Inbox[*readBatch] // stopped by Store.Close
 
 	mu      sync.Mutex
-	pending *readBatch // open: its sender has not run yet
+	pending *readBatch // open: its sender has not taken it yet
 }
 
-func (b *remoteBackend) coalescer(owner int) *readCoalescer {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	co, ok := b.coalescers[owner]
-	if !ok {
-		co = &readCoalescer{b: b, owner: owner}
+// newCoalescers starts one coalescer, and its sender, per owner 1..n.
+func (b *remoteBackend) newCoalescers() {
+	b.coalescers = make([]*readCoalescer, b.n+1)
+	for owner := 1; owner <= b.n; owner++ {
+		co := &readCoalescer{b: b, owner: owner}
+		co.sender = live.NewInbox(co.send)
 		b.coalescers[owner] = co
 	}
-	return co
+}
+
+func (b *remoteBackend) coalescer(owner int) *readCoalescer { return b.coalescers[owner] }
+
+// close stops every owner's sender and fails the batch each had not taken
+// yet: nothing else would resolve it.
+func (b *remoteBackend) close() {
+	for _, co := range b.coalescers[1:] {
+		co.sender.Close()
+		co.mu.Lock()
+		batch := co.pending
+		co.pending = nil
+		co.mu.Unlock()
+		if batch != nil {
+			batch.err = errStoreClosed
+			close(batch.done)
+		}
+	}
 }
 
 // enqueue adds keys to the owner's open batch (deduplicated: two
-// transactions reading one key share a slot), opening one and starting its
-// sender if there is none, and returns the batch to wait on.
+// transactions reading one key share a slot), opening one and queueing it
+// for the sender if there is none, and returns the batch to wait on.
 func (co *readCoalescer) enqueue(keys []string) *readBatch {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	batch := co.pending
 	if batch == nil {
 		batch = &readBatch{pos: make(map[string]int, len(keys)), done: make(chan struct{})}
+		if !co.sender.Push(batch) {
+			batch.err = errStoreClosed
+			close(batch.done)
+			return batch
+		}
 		co.pending = batch
-		go co.send(batch)
 	}
 	for _, k := range keys {
 		if _, ok := batch.pos[k]; !ok {
@@ -197,61 +221,71 @@ func (co *readCoalescer) enqueue(keys []string) *readBatch {
 	return batch
 }
 
-// send closes batch to further readers and runs its query.
+// send, the owner's sender, closes batch to further readers and puts it on
+// the wire, one read: a one-hop relay whose reply fills the cache and
+// resolves the batch. Its verdict is ignored: reads that run in parallel are
+// not ordered before one another, so no read of a fan-out validates. The
+// read is bounded by the client's own deadline (a multiple of the timeout
+// unit), not any single caller's context: the batch serves many callers,
+// each of which stops *waiting* when its own context expires.
 func (co *readCoalescer) send(batch *readBatch) {
 	co.mu.Lock()
+	if co.pending != batch {
+		co.mu.Unlock()
+		return // Store.Close failed it
+	}
 	co.pending = nil
 	co.mu.Unlock()
-	batch.res, batch.err = co.b.fetch(co.owner, batch.keys)
-	close(batch.done)
+	co.b.ask([]relayHop{{Peer: core.ProcessID(co.owner), Keys: batch.keys}}, false, func(hops []relayHop, err error) {
+		if err == nil {
+			batch.res = co.b.got(hops[0])
+		}
+		batch.err = err
+		close(batch.done)
+	})
 }
 
-// fetch puts one batched read, a one-hop relay, on the wire and fills the
-// cache from the reply. Its verdict is ignored: reads that run in parallel
-// are not ordered before one another, so no read of a fan-out validates. The
-// query is bounded by the client's own deadline (a multiple of the timeout
-// unit), not any single caller's context: the batch serves many callers, each
-// of which stops *waiting* when its own context expires.
-func (b *remoteBackend) fetch(owner int, keys []string) ([]readResult, error) {
-	hops, err := b.ask(context.Background(), []relayHop{{Peer: core.ProcessID(owner), Keys: keys}}, false)
-	if err != nil {
-		return nil, err
-	}
-	return b.got(hops[0]), nil
-}
-
-// ask sends a relay along hops, to the first of them, and returns its hops
-// once it is back, checked to be the ones sent with a read of every key. back
-// sends a one-hop relay already on its way back: a validation of the versions
-// in its Got.Vers, which is never retried. A read, the relay of a first read
-// included, counts as a read batch and, when the client's own (generous)
-// deadline expires — a reply lost under load, not a caller cancellation —
-// is asked once more: the coalescer fans a single batch failure out to every
-// merged reader, and a relay's failure is a transaction's, so a transient
-// loss is disproportionately expensive.
-func (b *remoteBackend) ask(ctx context.Context, hops []relayHop, back bool) ([]relayHop, error) {
+// ask sends a relay along hops, to the first of them, and hands done its hops
+// once it is back, checked to be the ones sent with a read of every key; done
+// runs once, on the client's delivery path or its sweep, and must not block.
+// back sends a one-hop relay already on its way back: a validation of the
+// versions in its Got.Vers, which is never retried. A read, the relay of a
+// first read included, counts as a read batch and, when the client's own
+// (generous) deadline expires — a reply lost under load — is asked once
+// more: the coalescer fans a single batch failure out to every merged
+// reader, and a relay's failure is a transaction's, so a transient loss is
+// disproportionately expensive.
+func (b *remoteBackend) ask(hops []relayHop, back bool, done func([]relayHop, error)) {
 	m := relayMsg{N: b.n, Client: core.ProcessID(b.client.ID()), Back: back, Hops: hops}
 	first := int(hops[0].Peer)
-	reply, err := b.client.Query(ctx, first, m)
+	retry := !back
+	var answered func(commit.Message, error)
+	answered = func(reply commit.Message, err error) {
+		if retry && errors.Is(err, context.DeadlineExceeded) {
+			retry = false
+			mReadRetries.Add(1)
+			b.client.QueryFunc(first, m, answered)
+			return
+		}
+		if err != nil {
+			done(nil, fmt.Errorf("shard owner P%d: %w", first, err))
+			return
+		}
+		r, ok := reply.(relayMsg)
+		ok = ok && len(r.Hops) == len(hops)
+		for j := 0; ok && j < len(hops); j++ {
+			ok = r.Hops[j].Peer == hops[j].Peer && len(r.Hops[j].Got.Vals) == len(hops[j].Keys)
+		}
+		if !ok {
+			done(nil, fmt.Errorf("shard owner P%d: malformed reply %T", first, reply))
+			return
+		}
+		done(r.Hops, nil)
+	}
 	if !back {
 		mReadBatches.Add(1)
-		if err != nil && errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
-			mReadRetries.Add(1)
-			reply, err = b.client.Query(ctx, first, m)
-		}
 	}
-	if err != nil {
-		return nil, fmt.Errorf("shard owner P%d: %w", first, err)
-	}
-	r, ok := reply.(relayMsg)
-	ok = ok && len(r.Hops) == len(hops)
-	for j := 0; ok && j < len(hops); j++ {
-		ok = r.Hops[j].Peer == hops[j].Peer && len(r.Hops[j].Got.Vals) == len(hops[j].Keys)
-	}
-	if !ok {
-		return nil, fmt.Errorf("shard owner P%d: malformed reply %T", first, reply)
-	}
-	return r.Hops, nil
+	b.client.QueryFunc(first, m, answered)
 }
 
 // got returns what hop h read, key by key, and caches it.
@@ -333,16 +367,21 @@ func (b *remoteBackend) relay(ctx context.Context, keys []string, out []readResu
 			hops[j].Keys[k] = keys[i]
 		}
 	}
-	hops, err := b.ask(ctx, hops, false)
-	if err != nil {
+	var back []relayHop
+	batch := &readBatch{done: make(chan struct{})}
+	b.ask(hops, false, func(h []relayHop, err error) {
+		back, batch.err = h, err
+		close(batch.done)
+	})
+	if err := await(ctx, batch); err != nil {
 		return nil, fmt.Errorf("relay %q: %w", keys[owners[route[0]][0]], err)
 	}
 	var validated []int
 	for j, o := range route {
-		for k, r := range b.got(hops[j]) {
+		for k, r := range b.got(back[j]) {
 			out[owners[o][k]] = r
 		}
-		if hops[j].OK {
+		if back[j].OK {
 			validated = append(validated, o)
 		}
 	}
@@ -478,40 +517,41 @@ func (b *remoteBackend) unmark(w map[string]write, drop bool) { b.cache.unmark(w
 
 // validate fans a validation, a one-hop relay already on its way back, out
 // to every owner of a key in reads, in parallel: one WAN round trip of
-// wall-clock, the read-only transaction's whole commit. A refusal is final
-// whatever the other owners say, so it returns at once; an owner whose answer
-// never came is an error, never a yes or a no.
-func (b *remoteBackend) validate(ctx context.Context, reads map[string]uint64) (bool, error) {
+// wall-clock, the read-only transaction's whole commit. done gets the
+// verdict once, on the client's delivery path or its sweep, and must not
+// block. A refusal is final whatever the other owners say, so it is handed
+// over at once; an owner whose answer never came is an error, never a yes or
+// a no.
+func (b *remoteBackend) validate(reads map[string]uint64, done func(ok bool, err error)) {
 	hops := validationHops(reads, b.n)
 	mLegs.Add(1)
-	type answer struct {
-		ok  bool
-		err error
-	}
-	answers := make(chan answer, len(hops)) // every sender finishes, whoever listens
-	for _, h := range hops {
-		go func(h relayHop) {
-			r, err := b.ask(ctx, []relayHop{h}, true)
-			if err != nil {
-				answers <- answer{err: fmt.Errorf("kv: validate: %w", err)}
-				return
-			}
-			answers <- answer{ok: r[0].OK}
-		}(h)
-	}
+	var mu sync.Mutex
+	left := len(hops)
 	var firstErr error
-	for range hops {
-		a := <-answers
-		switch {
-		case a.err != nil:
-			if firstErr == nil {
-				firstErr = a.err
+	for _, h := range hops {
+		b.ask([]relayHop{h}, true, func(r []relayHop, err error) {
+			mu.Lock()
+			left--
+			if err != nil && firstErr == nil {
+				firstErr = fmt.Errorf("kv: validate: %w", err)
 			}
-		case !a.ok:
-			return false, nil
-		}
+			refused := err == nil && !r[0].OK
+			last := left == 0
+			verdict := done
+			if refused || last {
+				done = nil // answered: a later answer has nothing to add
+			}
+			err = firstErr
+			mu.Unlock()
+			switch {
+			case verdict == nil:
+			case refused:
+				verdict(false, nil)
+			case last:
+				verdict(err == nil, err)
+			}
+		})
 	}
-	return firstErr == nil, firstErr
 }
 
 // submit ships every shard's footprint — fps holds each involved peer's

@@ -167,11 +167,13 @@ func (t *Txn) Delete(key string) {
 }
 
 // Pending is the future of a submitted transaction, wrapping the commit
-// pipeline's own future.
+// pipeline's own future. Whatever the outcome does to the store's read
+// cache (fresh entries for committed writes, invalidations after an abort
+// or a refused validation) is done before Done closes, so a follow-up read
+// on this store observes the outcome: read-your-writes across transactions.
 type Pending struct {
-	id    string
-	txn   *commit.Txn
-	noted chan struct{} // closed after the post-decision cache note; nil if it precedes Done
+	id  string
+	txn *commit.Txn
 }
 
 // TxID returns the transaction's identifier.
@@ -187,23 +189,7 @@ func (p *Pending) Latency() time.Duration { return p.txn.Latency() }
 // Wait blocks until the transaction decides or ctx expires, returning the
 // decision: true = committed everywhere, false = aborted (a conflict is a
 // normal abort, not an error).
-func (p *Pending) Wait(ctx context.Context) (bool, error) {
-	ok, err := p.txn.Wait(ctx)
-	select {
-	case <-p.txn.Done():
-		// Resolved: join the post-decision cache note (fresh entries for
-		// this transaction's committed writes, invalidations after an
-		// abort) so a follow-up read on this store observes the outcome —
-		// read-your-writes across transactions. The note goroutine is past
-		// its own wait on Done here and runs straight-line local code, so
-		// this receive is bounded.
-		if p.noted != nil {
-			<-p.noted
-		}
-	default:
-	}
-	return ok, err
-}
+func (p *Pending) Wait(ctx context.Context) (bool, error) { return p.txn.Wait(ctx) }
 
 // Submit hands the transaction, with every involved shard's slice of its
 // footprint, to a coordinating peer and returns a future immediately; each
@@ -243,17 +229,9 @@ func (t *Txn) Submit(ctx context.Context) (*Pending, error) {
 		ct, resolve := commit.UnresolvedTxn(txID)
 		if len(reads) == 0 {
 			resolve(true, nil)
-			return &Pending{id: txID, txn: ct}, nil
+		} else {
+			t.validate(ctx, reads, resolve)
 		}
-		go func() {
-			ok, err := t.s.b.validate(ctx, reads)
-			if err == nil {
-				// Before the future resolves: whoever sees the outcome sees
-				// the cache without the keys a refusal found stale.
-				t.s.b.note(ok, t.reads, nil, t.cachedReads)
-			}
-			resolve(ok, err)
-		}()
 		return &Pending{id: txID, txn: ct}, nil
 	}
 
@@ -284,22 +262,39 @@ func (t *Txn) Submit(ctx context.Context) (*Pending, error) {
 		t.s.b.unmark(t.writes, false) // nothing was sent
 		return nil, err
 	}
-	p := &Pending{id: txID, txn: ct, noted: make(chan struct{})}
-
-	// A decision feeds the store's read cache (fresh entries from
-	// committed writes, invalidations after aborts); Wait joins p.noted so
-	// the refreshed cache is visible by the time it returns. A future that
-	// resolved with an error (its context ended, or Store.Close) notes
-	// nothing, and unmark drops the written keys: the write may have applied.
-	go func() {
-		defer close(p.noted)
-		<-ct.Done()
-		if ct.Err() == nil {
-			t.s.b.note(ct.Committed(), t.reads, t.writes, t.cachedReads)
+	// A decision feeds the store's read cache (fresh entries from committed
+	// writes, invalidations after aborts) before the future resolves. A
+	// future that resolved with an error (its context ended, or Store.Close)
+	// notes nothing, and unmark drops the written keys: the write may have
+	// applied.
+	ct.OnResolve(func(committed bool, err error) {
+		if err == nil {
+			t.s.b.note(committed, t.reads, t.writes, t.cachedReads)
 		}
-		t.s.b.unmark(t.writes, ct.Err() != nil)
-	}()
-	return p, nil
+		t.s.b.unmark(t.writes, err != nil)
+	})
+	return &Pending{id: txID, txn: ct}, nil
+}
+
+// validate resolves a read-only transaction by validating reads, the part of
+// its read set its relay did not validate already, with whichever comes
+// first: the verdict — once the read cache has dropped the keys a refusal
+// found stale — or ctx's end, with ctx's error.
+func (t *Txn) validate(ctx context.Context, reads map[string]uint64, resolve func(bool, error)) {
+	var stop func() bool // nil: ctx never ends
+	if ctx.Done() != nil {
+		stop = context.AfterFunc(ctx, func() {
+			resolve(false, fmt.Errorf("kv: validate: %w", ctx.Err()))
+		})
+	}
+	t.s.b.validate(reads, func(ok bool, err error) {
+		if err == nil {
+			t.s.b.note(ok, t.reads, nil, t.cachedReads)
+		}
+		if stop == nil || stop() {
+			resolve(ok, err)
+		}
+	})
 }
 
 // Commit submits the transaction and waits for its decision: true =
