@@ -23,8 +23,8 @@
 //	commitbench -throughput -runtime kv -n 4 -f 1 -depths 8 -geo us-eu-ap -kv-thetas 0.7 -kv-keys 256
 //
 // -audit attaches the live NBAC auditor and exits 3 on a property violation.
-// -trace arms the flight recorder: an anomaly (an audit violation, a
-// cross-member disagreement) prints the merged per-member timeline of the
+// -trace arms the flight recorder: an anomaly (an audit violation, such as
+// members that disagree) prints the merged per-member timeline of the
 // offending transaction to stderr and dumps it as anomaly-<tx>-<kind>.json.
 package main
 

@@ -2,7 +2,6 @@ package commit
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -70,11 +69,12 @@ func watchAnomalies(t *testing.T) (aud *obs.Auditor, dumps func() []obs.Dump, di
 
 // TestAgreementViolationFlightRecorder pins what the flight recorder and the
 // auditor exist for: when members of one transaction decide differently, the
-// cross-member check fails the commit with ErrAgreementViolation and dumps a
-// complete merged per-member timeline of the transaction, and the live
-// auditor classifies the same run as an NBAC agreement violation through the
-// shared predicates. The disagreement comes from a test module; the search
-// for one in INBAC itself is TestINBACAgreementUnderJitter.
+// live auditor classifies the run as an NBAC agreement violation through the
+// shared predicates and dumps it ("audit-agreement"), and the recorder holds
+// the complete merged per-member timeline of the transaction. Agreement is
+// checked there only: the commit itself answers with its coordinator's
+// decision. The disagreement comes from a test module; the search for one in
+// INBAC itself is TestINBACAgreementUnderJitter.
 func TestAgreementViolationFlightRecorder(t *testing.T) {
 	aud, dumps, dir := watchAnomalies(t)
 
@@ -94,43 +94,32 @@ func TestAgreementViolationFlightRecorder(t *testing.T) {
 	// Unique per run: under -count a straggling delivery of the previous
 	// run may be recorded after that run reset the recorder.
 	txID := fmt.Sprintf("anom-split-%d", time.Now().UnixNano())
-	if _, err := cl.Commit(context.Background(), txID); !errors.Is(err, ErrAgreementViolation) {
-		t.Fatalf("commit of a split decision: %v, want ErrAgreementViolation", err)
+	if ok, err := cl.client.SubmitAt(context.Background(), txID, 1).Wait(ctx(t)); ok || err != nil {
+		t.Fatalf("commit of a split decision at P1: ok=%v err=%v, want P1's abort", ok, err)
 	}
+	waitApplied(t, cl, txID)
 	// The auditor reads every member's decision from its instance and
 	// classifies the split as an agreement violation. Waiting for its dump
 	// also means no dump is still being written when the test ends.
-	var all []obs.Dump
 	waitFor(t, "the audit-agreement dump", func() bool {
-		all = dumps()
-		for _, d := range all {
+		for _, d := range dumps() {
 			if d.Anomaly.Kind == "audit-agreement" && d.Anomaly.TxID == txID {
 				return true
 			}
 		}
 		return false
 	})
-	var hit *obs.Dump
-	for i := range all {
-		if all[i].Anomaly.Kind == "cluster-agreement-violation" {
-			hit = &all[i]
-		}
-	}
-	if hit == nil {
-		t.Fatalf("no cluster-agreement-violation dump among %d", len(all))
-	}
-	if hit.Anomaly.TxID != txID {
-		t.Fatalf("dump is for %s, want %s", hit.Anomaly.TxID, txID)
-	}
+	events := obs.Default.TxTimeline(txID)
 
-	// The dump must be the complete multi-member story: every member's
-	// vote and decide, and both decision values that contradicted.
+	// The timeline, taken after every member applied, must be the complete
+	// multi-member story: every member's vote and decide, and both decision
+	// values that contradicted.
 	decided := make(map[core.ProcessID]string)
 	voted := make(map[core.ProcessID]bool)
 	sends := 0
-	for _, e := range hit.Events {
+	for _, e := range events {
 		if e.TxID != txID {
-			t.Fatalf("dump for %s contains foreign event for %s", txID, e.TxID)
+			t.Fatalf("timeline of %s contains foreign event for %s", txID, e.TxID)
 		}
 		switch e.Kind {
 		case obs.EvDecide:
@@ -165,12 +154,12 @@ func TestAgreementViolationFlightRecorder(t *testing.T) {
 	// envelope's HLC stamp rides along as EvRecv.Arg, so the matching
 	// EvSend is identifiable, not inferred from wall clocks.
 	recvs, matched := 0, 0
-	for i := 1; i < len(hit.Events); i++ {
-		if hit.Events[i-1].HLC > hit.Events[i].HLC {
+	for i := 1; i < len(events); i++ {
+		if events[i-1].HLC > events[i].HLC {
 			t.Errorf("timeline out of HLC order at %d", i)
 		}
 	}
-	for i, e := range hit.Events {
+	for i, e := range events {
 		if e.Kind != obs.EvRecv || e.Arg == 0 {
 			continue
 		}
@@ -180,7 +169,7 @@ func TestAgreementViolationFlightRecorder(t *testing.T) {
 			t.Errorf("recv %d not after its send stamp: recv=%v sent=%v", i, e.HLC, sent)
 		}
 		for j := 0; j < i; j++ {
-			if hit.Events[j].Kind == obs.EvSend && hit.Events[j].HLC == sent {
+			if events[j].Kind == obs.EvSend && events[j].HLC == sent {
 				matched++
 				break
 			}
@@ -193,13 +182,12 @@ func TestAgreementViolationFlightRecorder(t *testing.T) {
 		t.Errorf("only %d of %d receives have their matching send earlier in the timeline", matched, recvs)
 	}
 
-	// The auditor reached the same verdict through the shared predicates;
-	// its dump is the one waited for above.
+	// The auditor counted the violation its dump reported.
 	if v := aud.Violations(); v["audit-agreement"] == 0 {
-		t.Errorf("auditor did not classify an agreement violation: %v", v)
+		t.Errorf("auditor did not count an agreement violation: %v", v)
 	}
 	// And the dump file landed next to the run.
-	path := filepath.Join(dir, "anomaly-"+txID+"-cluster-agreement-violation.json")
+	path := filepath.Join(dir, "anomaly-"+txID+"-audit-agreement.json")
 	if _, err := os.Stat(path); err != nil {
 		t.Errorf("dump file: %v", err)
 	}
@@ -244,9 +232,13 @@ func TestINBACAgreementUnderJitter(t *testing.T) {
 			ids[i] = fmt.Sprintf("anom-r%d-%d", round, i)
 		}
 		_, err = cl.CommitMany(context.Background(), ids)
+		// CommitMany answers once each coordinator applied; a member that
+		// decides later must still reach the auditor before Close stops
+		// its timers.
+		waitApplied(t, cl, ids...)
 		cl.Close()
 		for _, d := range dumps() {
-			if d.Anomaly.Kind == "cluster-agreement-violation" || d.Anomaly.Kind == "audit-agreement" {
+			if d.Anomaly.Kind == "audit-agreement" {
 				t.Fatalf("round %d: %s on %s: %s\n%s", round, d.Anomaly.Kind, d.Anomaly.TxID, d.Anomaly.Detail, d.Interleaving())
 			}
 		}
@@ -256,5 +248,9 @@ func TestINBACAgreementUnderJitter(t *testing.T) {
 	}
 	if v := aud.Violations(); v["audit-agreement"] != 0 {
 		t.Fatalf("auditor counted agreement violations without a dump: %v", v)
+	}
+	// Every member's decision of every transaction reached the auditor.
+	if s := aud.Summary(); s.TxnsChecked != rounds*perRound || s.Incomplete != 0 {
+		t.Fatalf("auditor checked %d of %d transactions (%d incomplete)", s.TxnsChecked, rounds*perRound, s.Incomplete)
 	}
 }

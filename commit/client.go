@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -23,7 +25,21 @@ import (
 // the connection a request came in on, and files that connection under the
 // sender's ID. A client dials and never listens; it needs no address, and a
 // peer that restarted answers as soon as the next request has redialed it.
-// Cluster.NewClient attaches a client to a Cluster's in-memory mesh instead.
+// Cluster.NewClient attaches a client to a Cluster's in-memory mesh instead,
+// and every Cluster drives its own commits through one.
+//
+// A future resolves once its coordinator has applied the decision to its own
+// Resource; the other peers apply theirs on their own. Up to
+// Options.MaxInFlight of a client's submissions run at once: the rest queue,
+// in order, and each submission that resolves starts the oldest queued one.
+// A txID pending at the client (queued or running) is rejected — the second
+// future resolves with an error — because peers route instances by txID. A
+// txID resubmitted after it decided gets the decision its coordinator's
+// outcome cache recorded, without another call to any Resource method, as
+// long as the cache holds it (the last 4096 transactions of that peer). IDs
+// of the form "c<number>-<number>" are the clients' own: Submit allocates
+// them, and a caller's txID of that form is rejected, so an allocated ID
+// never names a transaction that already decided.
 //
 // Every call is bounded by a deadline derived from Options.Timeout — whatever
 // the caller's context says — so a crashed peer yields an error within the
@@ -36,12 +52,23 @@ type Client struct {
 	opts Options
 	tr   live.Transport
 
-	mu       sync.Mutex
-	pending  map[string]*Txn        // awaiting resultMsg, keyed by txID
-	replies  map[replyKey]awaitedBy // awaiting a query reply
-	seq      uint64
+	mu      sync.Mutex
+	pending map[string]*Txn        // submitted and unresolved, keyed by txID
+	queue   []queued               // pending, not sent: waiting, in order, for a window slot
+	replies map[replyKey]awaitedBy // awaiting a query reply
+	seq     uint64                 // names queries and allocated txIDs (seqID)
+	// rr is Submit's round-robin over the coordinators, apart from seq so
+	// that queries and allocated IDs do not skip coordinators.
+	rr       uint64
 	closed   bool
 	sweeping bool // a sweep of pending and replies is armed (see sweep)
+}
+
+// queued is a submission waiting for a slot of the Options.MaxInFlight
+// window: its future and the envelope that asks its coordinator to run it.
+type queued struct {
+	t   *Txn
+	env live.Envelope
 }
 
 // replyKey files the one reply a query waits for: the query's ID, unique
@@ -115,38 +142,72 @@ func (c *Client) deliver(e live.Envelope) {
 		if m.Err != "" {
 			err = fmt.Errorf("commit: coordinator P%d: %s", e.From, m.Err)
 		}
-		c.resolve(e.TxID, err == nil && m.V == core.Commit, err)
+		c.finish(e.TxID, nil, err == nil && m.V == core.Commit, err)
 	}
 }
 
-// resolve settles txID's future exactly once: whoever removes it from
-// pending (the result handler, its context's watch, the sweep, Close)
-// resolves it.
-func (c *Client) resolve(txID string, ok bool, err error) {
+// finish settles t, the future pending under txID (nil: whichever is), with
+// (ok, err) and sends the submission its window slot passes to. Whoever
+// takes a future from pending — the result handler, its context's watch, a
+// failed send, the sweep, Close — resolves it, so it resolves exactly once
+// and frees its slot exactly once.
+func (c *Client) finish(txID string, t *Txn, ok bool, err error) {
 	c.mu.Lock()
-	t := c.pending[txID]
-	delete(c.pending, txID)
+	if t == nil {
+		t = c.pending[txID]
+	}
+	mine := t != nil && c.pending[txID] == t
+	var next queued
+	if mine {
+		next = c.takeLocked(txID, t)
+	}
 	c.mu.Unlock()
-	if t != nil {
+	if mine {
 		t.resolve(ok, err)
+		c.send(next)
+	}
+}
+
+// takeLocked removes t from pending, and from the queue if it still waits
+// there. A t that was sent held a window slot, which passes to the oldest
+// queued submission: takeLocked returns it, started, for the caller to send
+// once it released c.mu (zero: none waits). c.mu is held.
+func (c *Client) takeLocked(txID string, t *Txn) queued {
+	delete(c.pending, txID)
+	if t.start.IsZero() { // never sent, so it holds no slot
+		if i := slices.IndexFunc(c.queue, func(q queued) bool { return q.t == t }); i >= 0 {
+			c.queue = slices.Delete(c.queue, i, i+1)
+		}
+		return queued{}
+	}
+	if len(c.queue) == 0 {
+		return queued{}
+	}
+	next := c.queue[0]
+	c.queue[0] = queued{}
+	c.queue = c.queue[1:]
+	next.t.start = time.Now()
+	return next
+}
+
+// send asks q's coordinator to run it; a send that fails resolves q with
+// the error. A zero q is a no-op.
+func (c *Client) send(q queued) {
+	if q.t == nil {
+		return
+	}
+	if err := c.tr.Send(q.env); err != nil {
+		c.finish(q.env.TxID, q.t, false, err)
 	}
 }
 
 // expire resolves t, if it is still pending, with its context's error.
 func (c *Client) expire(t *Txn) {
-	c.mu.Lock()
-	mine := c.pending[t.TxID] == t
-	if mine {
-		delete(c.pending, t.TxID)
-	}
-	c.mu.Unlock()
-	if mine {
-		t.resolve(false, fmt.Errorf("commit: submit %s: %w", t.TxID, t.ctx.Err()))
-	}
+	c.finish(t.TxID, t, false, fmt.Errorf("commit: submit %s: %w", t.TxID, t.ctx.Err()))
 }
 
-// sweep resolves, with an error, every submission whose coordinator has not
-// answered within coordinateUnits+16 timeout units — the coordinator bounds
+// sweep resolves, with an error, every sent submission whose coordinator has
+// not answered within coordinateUnits+16 timeout units — the coordinator bounds
 // its own run at coordinateUnits and always replies, so the slack beyond
 // that only covers the reply's travel; past it the coordinator is presumed
 // dead — and every query unanswered for queryUnits, and looks again every
@@ -154,13 +215,14 @@ func (c *Client) expire(t *Txn) {
 // goroutine.
 func (c *Client) sweep() {
 	var expired []*Txn
+	var next []queued
 	var lost []replyKey
 	var lostBy []awaitedBy
 	c.mu.Lock()
 	for id, t := range c.pending {
-		if time.Since(t.start) >= (coordinateUnits+16)*c.opts.Timeout {
-			delete(c.pending, id)
+		if !t.start.IsZero() && time.Since(t.start) >= (coordinateUnits+16)*c.opts.Timeout {
 			expired = append(expired, t)
+			next = append(next, c.takeLocked(id, t))
 		}
 	}
 	for k, q := range c.replies {
@@ -175,8 +237,9 @@ func (c *Client) sweep() {
 	if again {
 		live.After(coordinateUnits/16*c.opts.Timeout, c.sweep)
 	}
-	for _, t := range expired {
+	for i, t := range expired {
 		t.resolve(false, fmt.Errorf("commit: submit %s: %w", t.TxID, context.DeadlineExceeded))
+		c.send(next[i])
 	}
 	for i, k := range lost {
 		lostBy[i].done(nil, queryErr(k.from, context.DeadlineExceeded))
@@ -302,45 +365,65 @@ func (c *Client) SubmitAt(ctx context.Context, txID string, coord int) *Txn {
 
 // submitMsg is SubmitAt generalized over the message that starts the
 // commit: a bare goMsg, or a stageGoMsg carrying the footprint (StageGoAll).
+// It sends the message at once while fewer than Options.MaxInFlight of the
+// client's submissions run, and queues it otherwise: each submission that
+// resolves starts the oldest queued one in its place.
 func (c *Client) submitMsg(ctx context.Context, txID string, coord int, path string, msg Message) *Txn {
 	t := newTxn(ctx, txID)
-	t.start = time.Now()
 	if err := c.checkPeer(coord); err != nil {
 		t.resolve(false, err)
 		return t
 	}
 	c.mu.Lock()
+	var err error
+	if _, dup := c.pending[txID]; dup {
+		err = fmt.Errorf("commit: txID %q is already in flight", txID)
+	}
+	if allocatedForm(txID) {
+		err = fmt.Errorf("commit: txID %q: %w", txID, errAllocatedTxID)
+	}
 	if c.closed {
+		err = fmt.Errorf("commit: submit %s: %w", txID, errClientClosed)
+	}
+	if err != nil {
 		c.mu.Unlock()
-		t.resolve(false, fmt.Errorf("commit: client closed"))
+		t.resolve(false, err)
 		return t
 	}
-	if txID == "" {
-		for {
-			c.seq++
-			txID = c.seqID('c')
-			if _, dup := c.pending[txID]; !dup {
-				break
-			}
-		}
-		t.TxID = txID
-	} else if _, dup := c.pending[txID]; dup {
-		c.mu.Unlock()
-		t.resolve(false, fmt.Errorf("commit: txID %q is already in flight", txID))
-		return t
+	if t.TxID == "" {
+		c.seq++
+		t.TxID = c.seqID('c')
 	}
-	c.pending[txID] = t
+	q := queued{t, live.Envelope{TxID: t.TxID, From: c.id, To: core.ProcessID(coord), Path: path, Msg: msg}}
+	c.pending[t.TxID] = t
+	if len(c.pending)-len(c.queue) > c.opts.MaxInFlight { // counting t
+		c.queue = append(c.queue, q)
+		q = queued{}
+	} else {
+		t.start = time.Now()
+	}
 	t.watchContext(c.expire)
 	arm := c.armSweep()
 	c.mu.Unlock()
 	if arm {
 		live.After(coordinateUnits/16*c.opts.Timeout, c.sweep)
 	}
-
-	if err := c.tr.Send(live.Envelope{TxID: txID, From: c.id, To: core.ProcessID(coord), Path: path, Msg: msg}); err != nil {
-		c.resolve(txID, false, err)
-	}
+	c.send(q)
 	return t
+}
+
+// errAllocatedTxID rejects a caller's txID of the form the clients allocate
+// in ("c<client ID>-<n>"): with it, an allocated ID could name a
+// transaction that already decided, and get that one's recorded decision.
+var errAllocatedTxID = errors.New("the form c<n>-<n> is reserved for allocated IDs")
+
+// allocatedForm reports whether txID has the form of an allocated ID:
+// 'c', digits, '-', digits.
+func allocatedForm(txID string) bool {
+	digits := func(s string) bool { return s != "" && strings.Trim(s, "0123456789") == "" }
+	rest, c := strings.CutPrefix(txID, "c")
+	client, seq, dash := strings.Cut(rest, "-")
+	return c && dash && digits(client) && digits(seq)
 }
 
 // stageGoBudget bounds the footprint a stage+go message may carry, all
@@ -385,21 +468,39 @@ func (c *Client) StageGoAll(ctx context.Context, txID string, coord int, fps map
 }
 
 // Submit enqueues one transaction, choosing a coordinator round-robin
-// across the peers, and returns a future immediately, as Cluster.Submit
-// does. Use SubmitAt to pick the coordinator — e.g. one in the client's own
-// region.
+// across the peers, and returns a future immediately. Use SubmitAt to pick
+// the coordinator — e.g. one in the client's own region. An empty txID
+// allocates one ("c<client ID>-<n>"); a caller's txID of that form is
+// rejected. ctx bounds the transaction: if it expires while the transaction
+// is queued or running, the future resolves with its error, and the peers
+// still run and apply whatever they decide. A nil ctx defaults to
+// context.Background().
 func (c *Client) Submit(ctx context.Context, txID string) *Txn {
 	c.mu.Lock()
-	c.seq++
-	coord := int(c.seq%uint64(c.n)) + 1
+	coord := int(c.rr%uint64(c.n)) + 1
+	c.rr++
 	c.mu.Unlock()
 	return c.SubmitAt(ctx, txID, coord)
 }
 
 // CommitMany submits every txID (allocating IDs for empty strings) and
-// waits for all of them, exactly as Cluster.CommitMany does.
+// waits for all of them. results[i] is txIDs[i]'s decision; the first
+// per-transaction error, if any, is returned after every future resolved.
 func (c *Client) CommitMany(ctx context.Context, txIDs []string) ([]bool, error) {
-	return commitMany(ctx, txIDs, c.Submit)
+	txns := make([]*Txn, len(txIDs))
+	for i, id := range txIDs {
+		txns[i] = c.Submit(ctx, id)
+	}
+	results := make([]bool, len(txns))
+	var firstErr error
+	for i, t := range txns {
+		ok, err := t.Wait(ctx)
+		results[i] = ok
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	return results, firstErr
 }
 
 // Close shuts the client down; in-flight futures resolve with an error, and
@@ -412,10 +513,10 @@ func (c *Client) Close() {
 	}
 	c.closed = true
 	pending, replies := c.pending, c.replies
-	c.pending, c.replies = make(map[string]*Txn), make(map[replyKey]awaitedBy)
+	c.pending, c.replies, c.queue = make(map[string]*Txn), make(map[replyKey]awaitedBy), nil
 	c.mu.Unlock()
-	for _, t := range pending {
-		t.resolve(false, fmt.Errorf("commit: client closed"))
+	for id, t := range pending {
+		t.resolve(false, fmt.Errorf("commit: submit %s: %w", id, errClientClosed))
 	}
 	for k, q := range replies {
 		q.done(nil, queryErr(k.from, errClientClosed))

@@ -164,7 +164,7 @@ func meshDeployment(t *testing.T, n int, opts Options) ([]*hostedFake, *Client) 
 		t.Fatal(err)
 	}
 	t.Cleanup(cl.Close)
-	c, err := cl.NewClient(n + 1)
+	c, err := cl.NewClient(n + 2) // n+1 is the cluster's own client
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,11 +100,12 @@ type Options struct {
 	Timeout time.Duration
 	// Accelerated enables INBAC's one-delay abort fast path (section 5.2).
 	Accelerated bool
-	// MaxInFlight bounds how many pipelined transactions (Submit,
-	// CommitMany) run concurrently; submissions beyond the window queue in
-	// order. Defaults to 64. Synchronous Commit calls are not window-gated,
-	// nor are a Client's commits, a Cluster's own clients (NewClient)
-	// included.
+	// MaxInFlight bounds how many of one Client's submissions run at once —
+	// a Cluster's Commit, Submit and CommitMany, which its own client
+	// drives, included; submissions beyond the window queue in order, and
+	// each one that resolves starts the oldest queued. Defaults to 64. Each
+	// Client has its own window: the peers do not bound what they
+	// coordinate.
 	MaxInFlight int
 	// Net emulates a geo-distributed network: per-region one-way delays,
 	// jitter, and partition windows (see live.NamedProfile for the built-in

@@ -40,6 +40,21 @@ func ctx(t *testing.T) context.Context {
 	return c
 }
 
+// waitApplied waits until every peer of cl has applied each txID's
+// decision: a Cluster's commit answers once its coordinator applied, and
+// the others apply on their own.
+func waitApplied(t *testing.T, cl *Cluster, txIDs ...string) {
+	t.Helper()
+	c := ctx(t)
+	for _, txID := range txIDs {
+		for _, p := range cl.peers {
+			if _, err := p.Wait(c, txID); err != nil {
+				t.Fatalf("%v applying %s: %v", p.id, txID, err)
+			}
+		}
+	}
+}
+
 func TestClusterCommitAllProtocols(t *testing.T) {
 	t.Parallel()
 	for _, name := range Protocols() {
@@ -59,6 +74,7 @@ func TestClusterCommitAllProtocols(t *testing.T) {
 			if !ok {
 				t.Fatalf("all-yes transaction must commit")
 			}
+			waitApplied(t, cl, "tx-live-1")
 			for i, cr := range crs {
 				if cr.commits.Load() != 1 || cr.aborts.Load() != 0 {
 					t.Errorf("resource %d: commits=%d aborts=%d", i, cr.commits.Load(), cr.aborts.Load())
@@ -91,6 +107,7 @@ func TestClusterAbortAllProtocols(t *testing.T) {
 			if ok && name != "0nbac" {
 				t.Fatalf("a no vote must abort")
 			}
+			waitApplied(t, cl, "tx-live-abort")
 			for i, cr := range crs {
 				total := cr.aborts.Load() + cr.commits.Load()
 				if total != 1 {
@@ -117,9 +134,12 @@ func TestClusterSequentialTransactions(t *testing.T) {
 		if err != nil || !ok {
 			t.Fatalf("tx %d: ok=%v err=%v", i, ok, err)
 		}
+		waitApplied(t, cl, fmt.Sprintf("seq-%d", i))
 	}
-	if crs[0].commits.Load() != 5 {
-		t.Fatalf("expected 5 commits, got %d", crs[0].commits.Load())
+	for i, cr := range crs {
+		if cr.commits.Load() != 5 {
+			t.Fatalf("resource %d: expected 5 commits, got %d", i, cr.commits.Load())
+		}
 	}
 }
 
@@ -144,7 +164,8 @@ func TestClusterINBACWithJitter(t *testing.T) {
 
 // TestClusterINBACSurvivesPartitionedMember: one member is unreachable; an
 // indulgent protocol must still terminate (F=2 > 1 member down, majority
-// alive) — the scenario where 2PC would block forever.
+// alive) — the scenario where 2PC would block forever. The commit answers
+// with its coordinator's decision, which every reachable member applied.
 func TestClusterINBACSurvivesPartitionedMember(t *testing.T) {
 	t.Parallel()
 	rs, crs := resources(true, true, true, true, true)
@@ -159,18 +180,16 @@ func TestClusterINBACSurvivesPartitionedMember(t *testing.T) {
 		return partitioned.Load() && (e.To == 5 || e.From == 5)
 	}
 
-	// Commit waits for every member and P5 cannot decide, so it runs into
-	// its deadline; the four reachable members decide and apply on their
-	// own, the same way.
-	c, cancel := context.WithTimeout(context.Background(), 800*time.Millisecond)
-	defer cancel()
-	_, err = cl.Commit(c, "partitioned")
-	if err == nil {
-		t.Fatalf("Commit waits for all members and P5 is partitioned; expected ctx expiry")
-	}
-	want, err := cl.peers[0].Wait(ctx(t), "partitioned")
+	// P1 coordinates; P5 cannot decide, and the four reachable members
+	// decide and apply on their own.
+	want, err := cl.client.SubmitAt(ctx(t), "partitioned", 1).Wait(ctx(t))
 	if err != nil {
 		t.Fatalf("P1 must have decided despite the partition: %v", err)
+	}
+	for i, p := range cl.peers[:4] {
+		if got, err := p.Wait(ctx(t), "partitioned"); err != nil || got != want {
+			t.Fatalf("P%d: committed=%v err=%v, P1 answered committed=%v", i+1, got, err, want)
+		}
 	}
 	for i, cr := range crs[:4] {
 		if got := cr.commits.Load() == 1; got != want || cr.commits.Load()+cr.aborts.Load() != 1 {
@@ -203,16 +222,21 @@ func TestStragglerLearnsOutcome(t *testing.T) {
 	cl.Mesh().Drop = func(e live.Envelope) bool {
 		return partitioned.Load() && (e.To == 3 || e.From == 3)
 	}
-	c, cancel := context.WithTimeout(context.Background(), 800*time.Millisecond)
-	defer cancel()
-	if _, err := cl.Commit(c, "cut-off"); err == nil {
-		t.Fatal("P3 is cut off and cannot decide; expected ctx expiry")
-	}
-	// P1's Wait returns once it applied, that is, retired.
-	p1, p3 := cl.peers[0], cl.peers[2]
-	want, err := p1.Wait(ctx(t), "cut-off")
+	// P1 coordinates and answers once it applied, that is, retired; P2
+	// decides with it, and P3 cannot.
+	want, err := cl.client.SubmitAt(ctx(t), "cut-off", 1).Wait(ctx(t))
 	if err != nil {
 		t.Fatal(err)
+	}
+	p1, p3 := cl.peers[0], cl.peers[2]
+	if got, err := cl.peers[1].Wait(ctx(t), "cut-off"); err != nil || got != want {
+		t.Fatalf("P2: committed=%v err=%v, P1 answered committed=%v", got, err, want)
+	}
+	for i, cr := range crs[:2] {
+		if cr.commits.Load()+cr.aborts.Load() != 1 || (cr.commits.Load() == 1) != want {
+			t.Errorf("P%d's resource: commits=%d aborts=%d, want the one callback for committed=%v",
+				i+1, cr.commits.Load(), cr.aborts.Load(), want)
+		}
 	}
 
 	// P3's messages were lost, not late, so stand in for the late one.

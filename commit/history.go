@@ -7,7 +7,7 @@ import "hash/maphash"
 // this is all it keeps of one from then on: long enough that a late protocol
 // envelope (a vote or a plea for help landing after the decision) is
 // answered with the outcome instead of buffered forever, that a replayed
-// Wait or go still gets its answer, and that a reused txID is rejected.
+// Wait or go still gets its answer, also when a client resubmits the txID.
 const retiredHistory = 4096
 
 // indexSlots is the size of boundedMap's index: a power of two at twice
@@ -16,8 +16,7 @@ const retiredHistory = 4096
 const indexSlots = 2 * retiredHistory
 
 // boundedMap remembers the retiredHistory most recently inserted keys and
-// evicts FIFO. It is the one bounded memory behind a Peer's outcome cache
-// and a Cluster's txID-reuse check.
+// evicts FIFO. It is the one bounded memory behind a Peer's outcome cache.
 //
 // The keys and values sit in a fixed ring, in insertion order, and a fixed
 // open-addressing table indexes the ring: linear probing over indexSlots

@@ -75,8 +75,9 @@ func TestWaitDuringSlowPrepare(t *testing.T) {
 
 // TestApplyBeforeAck: an answer means the local Resource has applied the
 // decision — Peer.Commit and Peer.Wait resolve only after their own
-// Resource's callback returned, and a Cluster's Commit only after all n did.
-// The callbacks are slow here, so answering on the decision alone loses.
+// Resource's callback returned, and a Cluster's Commit only after its
+// coordinator's did, as a Client's commit on TCP. The callbacks are slow
+// here, so answering on the decision alone loses.
 func TestApplyBeforeAck(t *testing.T) {
 	t.Parallel()
 	opts := Options{Protocol: TwoPC, Timeout: 25 * time.Millisecond}
@@ -117,25 +118,64 @@ func TestApplyBeforeAck(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
+	// The cluster's client sends its first commit to P1.
 	if ok, err := cl.Commit(ctx(t), "slow-apply"); err != nil || !ok {
 		t.Fatalf("mesh: ok=%v err=%v", ok, err)
 	}
-	for i := range applied {
+	if !applied[0].Load() {
+		t.Error("mesh: Commit returned before its coordinator P1 applied")
+	}
+	for i, p := range cl.peers {
+		if ok, err := p.Wait(ctx(t), "slow-apply"); err != nil || !ok {
+			t.Fatalf("mesh P%d: ok=%v err=%v", i+1, ok, err)
+		}
 		if !applied[i].Load() {
-			t.Errorf("mesh: Commit returned before P%d applied", i+1)
+			t.Errorf("mesh P%d answered before its Commit callback returned", i+1)
 		}
 	}
 }
 
+// envelopesByPath counts the envelopes sent on cl's mesh from now on: on the
+// protocol's paths, and on the reserved paths of the host's legs (the go,
+// the begins, the result; the outcome answer).
+func envelopesByPath(cl *Cluster) (protocol, host func() int) {
+	var mu sync.Mutex
+	var p, h int
+	cl.Mesh().Drop = func(e live.Envelope) bool {
+		mu.Lock()
+		if e.Path != "" && e.Path[0] == 0 {
+			h++
+		} else {
+			p++
+		}
+		mu.Unlock()
+		return false
+	}
+	read := func(n *int) func() int {
+		return func() int {
+			mu.Lock()
+			defer mu.Unlock()
+			return *n
+		}
+	}
+	return read(&p), read(&h)
+}
+
+// fastDecisions reads how many INBAC decisions, process-wide, were taken on
+// the fast path.
+func fastDecisions() int64 { return obs.M.CounterValue("decide_path.inbac.fast") }
+
 // TestLivePathEnvelopeBound pins the paper's message bound on the live
 // path: a nice INBAC execution on a 4-member Cluster (f=1) puts exactly
-// 2fn = 8 envelopes on the mesh — no begin, no decision broadcast — and
-// watching it adds none: not an installed auditor, not the flight recorder.
-// Not parallel: the counter is process-wide (parallel tests wait until the
-// serial ones finished).
+// 2fn = 8 envelopes on the mesh's protocol paths — no decision broadcast —
+// and n+1 = 5 on the host's legs: the client's go, the coordinator's n-1
+// begins and its result. Watching it adds none: not an installed auditor,
+// not the flight recorder. A run is nice when every member decided on the
+// fast path: decide_path.inbac.fast moved by n. Not parallel: the counters
+// are process-wide (parallel tests wait until the serial ones finished).
 func TestLivePathEnvelopeBound(t *testing.T) {
 	const n, f = 4, 1
-	run := func(t *testing.T, want int64) {
+	run := func(t *testing.T) {
 		// A busy machine can make a run miss its timing bound, and the
 		// fallback paths legitimately cost more; measure nice runs only.
 		for attempt := 0; attempt < 5; attempt++ {
@@ -143,38 +183,40 @@ func TestLivePathEnvelopeBound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			before := obs.M.CounterValue("live.mesh.envelopes")
-			r := cl.begin(newTxn(ctx(t), "bound"), false)
-			ok, err := r.fut.Wait(ctx(t))
+			protocol, host := envelopesByPath(cl)
+			before, fast := obs.M.CounterValue("live.mesh.envelopes"), fastDecisions()
+			ok, err := cl.Commit(ctx(t), "bound")
+			waitApplied(t, cl, "bound")
 			got := obs.M.CounterValue("live.mesh.envelopes") - before
-			nice := ok && err == nil
-			for _, tx := range r.txns {
-				nice = nice && tx.inst.DecidePath() == "fast"
-			}
+			fast = fastDecisions() - fast
+			gotP, gotH := protocol(), host()
 			cl.Close()
-			if !nice {
-				t.Logf("attempt %d was not a nice execution (ok=%v err=%v, %d envelopes)", attempt, ok, err, got)
+			if !ok || err != nil || fast != n {
+				t.Logf("attempt %d was not a nice execution (ok=%v err=%v, %d fast decisions, %d+%d envelopes)", attempt, ok, err, fast, gotP, gotH)
 				continue
 			}
-			if got != want {
-				t.Fatalf("a nice execution moved live.mesh.envelopes by %d, want %d", got, want)
+			if gotP != 2*f*n || gotH != n+1 {
+				t.Fatalf("a nice execution sent %d envelopes on protocol paths and %d on host legs, want %d and %d", gotP, gotH, 2*f*n, n+1)
+			}
+			if got != 2*f*n+n+1 {
+				t.Fatalf("a nice execution moved live.mesh.envelopes by %d, want %d", got, 2*f*n+n+1)
 			}
 			return
 		}
 		t.Fatal("no nice execution in 5 attempts")
 	}
 
-	t.Run("unobserved", func(t *testing.T) { run(t, 2*f*n) })
+	t.Run("unobserved", run)
 	t.Run("audited", func(t *testing.T) {
 		obs.SetAuditor(obs.NewAuditor(obs.AuditorConfig{}))
 		defer obs.SetAuditor(nil)
-		run(t, 2*f*n)
+		run(t)
 	})
 	t.Run("recorded", func(t *testing.T) {
 		obs.Default.Enable()
 		defer obs.Default.Reset()
 		defer obs.Default.Disable()
-		run(t, 2*f*n)
+		run(t)
 	})
 }
 
@@ -182,10 +224,11 @@ func TestLivePathEnvelopeBound(t *testing.T) {
 // no envelope to a nice execution. Every protocol envelope of one reaches
 // its receiver before the receiver decides, so no peer answers one from its
 // outcome cache (outcomePath). Only nice runs count: a member that decides
-// late legitimately writes to peers that already retired.
+// late legitimately writes to peers that already retired. A batch of
+// concurrent commits is nice when decide_path.inbac.fast moved by n per
+// commit. Not parallel: that counter is process-wide.
 func TestNiceCommitsAnswerNoOutcome(t *testing.T) {
-	t.Parallel()
-	const n, f, runs = 4, 1, 64
+	const n, f, batches, batch = 4, 1, 8, 8
 	cl, err := NewCluster(yesResources(n), Options{Protocol: INBAC, F: f, Timeout: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -202,22 +245,26 @@ func TestNiceCommitsAnswerNoOutcome(t *testing.T) {
 		return false
 	}
 	var nice []string
-	rs := make([]*txnRun, runs)
-	for i := range rs { // concurrently: a nice run takes 2 U
-		rs[i] = cl.begin(newTxn(ctx(t), fmt.Sprintf("nice-%d", i)), false)
-	}
-	for _, r := range rs {
-		ok, err := r.fut.Wait(ctx(t))
-		fast := ok && err == nil
-		for _, tx := range r.txns {
-			fast = fast && tx.inst.DecidePath() == "fast"
+	for b := 0; b < batches; b++ {
+		fast := fastDecisions()
+		ids := make([]string, batch)
+		txns := make([]*Txn, batch)
+		for i := range ids { // concurrently: a nice run takes 2 U
+			ids[i] = fmt.Sprintf("nice-%d-%d", b, i)
+			txns[i] = cl.Submit(ctx(t), ids[i])
 		}
-		if fast {
-			nice = append(nice, r.fut.TxID)
+		all := true
+		for i, x := range txns {
+			ok, err := x.Wait(ctx(t))
+			all = all && ok && err == nil
+			waitApplied(t, cl, ids[i])
+		}
+		if all && fastDecisions()-fast == n*batch {
+			nice = append(nice, ids...)
 		}
 	}
-	if len(nice) < runs/2 {
-		t.Fatalf("only %d of %d executions were nice", len(nice), runs)
+	if len(nice) < batches*batch/2 {
+		t.Fatalf("only %d of %d executions were in nice batches", len(nice), batches*batch)
 	}
 	// One more commit takes 2 U, in which any late envelope of the runs
 	// above is delivered, and answered.

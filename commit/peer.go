@@ -36,8 +36,9 @@ var (
 // apply: from its decision on, a transaction is one entry of the outcome
 // cache, which answers whoever still writes about it. NewPeer puts
 // it in its own address space on TCP, the realistic deployment shape; a
-// Cluster is n of them on an in-memory mesh. Any peer may initiate a
-// transaction with Commit; the others vote and apply via their Resource.
+// Cluster is n of them and a Client on an in-memory mesh. A Client asks a
+// peer to coordinate a transaction, or any peer initiates one with Commit;
+// the others vote and apply via their Resource.
 //
 // The ordering rule. A peer with a plain Resource joins a transaction on
 // first contact, be it a begin or a protocol envelope: its vote needs
@@ -47,12 +48,12 @@ var (
 // envelope is delayed on its own, only what shares an envelope shares an
 // arrival. So a hosted peer never calls Prepare on the strength of a protocol
 // envelope alone: it buffers such envelopes on the transaction's record until
-// the announcement arrives — a begin, a go or stage+go, a local Commit or
-// Wait, or the Cluster driver's join — and if none arrives within one
-// timeout unit it joins voting abort without calling Prepare, which would
-// vote on a footprint it does not have. The footprint is staged only by the
-// run that claimed the transaction, right before its Prepare, so a hosted
-// peer never holds a footprint it has not voted on.
+// the announcement arrives — a begin, a go or stage+go, or a local Commit or
+// Wait — and if none arrives within one timeout unit it joins voting abort
+// without calling Prepare, which would vote on a footprint it does not have.
+// The footprint is staged only by the run that claimed the transaction,
+// right before its Prepare, so a hosted peer never holds a footprint it has
+// not voted on.
 type Peer struct {
 	id     core.ProcessID
 	n      int
@@ -83,7 +84,7 @@ type Peer struct {
 // txn is what a peer holds for one live transaction, from the first sign of
 // it until settle applies the decision and moves the outcome into
 // Peer.decided. Peer.mu guards the fields until then; after that they no
-// longer change, and only a Cluster driver's run still holds the record.
+// longer change, and only a local Wait still holds the record.
 type txn struct {
 	phase   txnPhase
 	vote    core.Value
@@ -97,9 +98,6 @@ type txn struct {
 	// (0: nobody does); its go arrived at since.
 	client core.ProcessID
 	since  time.Time
-	// run is the Cluster driver's view of the transaction, which the apply
-	// counts down (nil outside a Cluster).
-	run *txnRun
 }
 
 // decision is one entry of the apply worker's queue: the outcome v of the
@@ -200,12 +198,6 @@ func (p *Peer) deliver(e live.Envelope) {
 		p.coordinate(e, nil, nil)
 	case stageGoPath:
 		p.handleStageGo(e)
-	case runPath:
-		// The Cluster driver's start of a record it claimed (Cluster.begin),
-		// posted to this peer's delivery goroutine; never off the network.
-		if m, ok := e.Msg.(runMsg); ok {
-			p.run(e.TxID, m.t, nil)
-		}
 	case queryPath:
 		p.handleQuery(e)
 	case beginPath:
@@ -548,8 +540,7 @@ func (p *Peer) start(txID string, t *txn, vote core.Value) {
 // Apply to the Resource, then, in one critical section, release the waiters
 // and retire the record: its outcome moves to the cache (bounded by
 // retiredHistory), which answers replays and late envelopes from here on.
-// Last, answer the client this peer coordinates for and count down the
-// Cluster driver's run.
+// Last, answer the client this peer coordinates for.
 func (p *Peer) settle(d decision) {
 	if d.v == core.Commit {
 		p.res.Commit(d.txID)
@@ -562,7 +553,7 @@ func (p *Peer) settle(d decision) {
 	if t.done != nil {
 		close(t.done)
 	}
-	client, run := t.client, t.run
+	client := t.client
 	t.client = 0
 	delete(p.txns, d.txID)
 	p.decided.put(d.txID, d.v)
@@ -570,9 +561,6 @@ func (p *Peer) settle(d decision) {
 	t.inst.Close()
 	if client != 0 {
 		p.reply(d.txID, client, resultMsg{V: d.v})
-	}
-	if run != nil {
-		run.applied()
 	}
 }
 

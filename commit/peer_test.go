@@ -82,13 +82,14 @@ func TestNewClientValidation(t *testing.T) {
 			t.Fatalf("NewClient(%d): err = %v, want errors.Is(err, ErrPeerID)", id, err)
 		}
 	}
-	// So would one attached to a Cluster's mesh.
+	// So would one attached to a Cluster's mesh, and, at n+1, one with the
+	// cluster's own client.
 	cl, err := NewCluster([]Resource{ResourceFunc{}, ResourceFunc{}, ResourceFunc{}}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	for _, id := range []int{0, 1, 3} {
+	for _, id := range []int{0, 1, 3, 4} {
 		if _, err := cl.NewClient(id); !errors.Is(err, ErrPeerID) {
 			t.Fatalf("Cluster.NewClient(%d): err = %v, want errors.Is(err, ErrPeerID)", id, err)
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,7 +15,8 @@ import (
 
 // TestSubmitConcurrentTransactions floods one cluster with concurrent
 // submissions from many goroutines — well past the in-flight window — and
-// checks every transaction commits and every callback fired exactly once.
+// checks every transaction commits and, once every peer applied it, every
+// callback fired exactly once.
 // Run under -race this is the pipeline's main interleaving test.
 func TestSubmitConcurrentTransactions(t *testing.T) {
 	t.Parallel()
@@ -50,6 +52,11 @@ func TestSubmitConcurrentTransactions(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+	for g := 0; g < 4; g++ {
+		for i := 0; i < total/4; i++ {
+			waitApplied(t, cl, fmt.Sprintf("conc-%d-%d", g, i))
+		}
 	}
 	for i, cr := range crs {
 		if got := cr.commits.Load(); got != total {
@@ -114,8 +121,8 @@ func TestSubmitAfterCloseResolvesWithError(t *testing.T) {
 	}
 	cl.Close()
 	txn := cl.Submit(ctx(t), "late")
-	if ok, err := txn.Wait(ctx(t)); err == nil || ok {
-		t.Fatalf("submit on a closed cluster must error: ok=%v err=%v", ok, err)
+	if ok, err := txn.Wait(ctx(t)); !errors.Is(err, errClientClosed) || ok {
+		t.Fatalf("submit on a closed cluster: ok=%v err=%v, want %v", ok, err, errClientClosed)
 	}
 }
 
@@ -157,13 +164,20 @@ func TestSubmitQueuedContextExpiry(t *testing.T) {
 	_ = first // resolves once gate closes at cleanup
 }
 
-// TestTxIDReuseRejected: the documented reuse rule is enforced — an ID that
-// is in flight or already decided is rejected instead of silently
-// cross-wiring instance routing.
+// TestTxIDReuseRejected: the documented reuse rule is enforced. An ID that
+// is in flight is rejected instead of silently cross-wiring instance
+// routing; one that already decided gets its recorded decision from the
+// outcome cache, and no Resource method runs for it again.
 func TestTxIDReuseRejected(t *testing.T) {
 	t.Parallel()
-	rs, _ := resources(true, true)
-	cl, err := NewCluster(rs, Options{Timeout: 20 * time.Millisecond, MaxInFlight: 4})
+	var prepares atomic.Int32
+	rs, crs := resources(true, true)
+	counted := ResourceFunc{
+		PrepareFn: func(txID string) bool { prepares.Add(1); return crs[0].Prepare(txID) },
+		CommitFn:  crs[0].Commit,
+		AbortFn:   crs[0].Abort,
+	}
+	cl, err := NewCluster([]Resource{counted, rs[1]}, Options{Timeout: 20 * time.Millisecond, MaxInFlight: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,12 +186,21 @@ func TestTxIDReuseRejected(t *testing.T) {
 	if ok, err := cl.Commit(ctx(t), "dup"); err != nil || !ok {
 		t.Fatalf("first use: ok=%v err=%v", ok, err)
 	}
-	if _, err := cl.Commit(ctx(t), "dup"); err == nil {
-		t.Fatal("Commit with a decided txID must error")
+	waitApplied(t, cl, "dup")
+	// Round-robin: one resubmission reaches P2, the other P1.
+	if ok, err := cl.Commit(ctx(t), "dup"); err != nil || !ok {
+		t.Fatalf("Commit with a decided txID: ok=%v err=%v, want the recorded commit", ok, err)
 	}
-	txn := cl.Submit(ctx(t), "dup")
-	if _, err := txn.Wait(ctx(t)); err == nil {
-		t.Fatal("Submit with a decided txID must resolve with an error")
+	if ok, err := cl.Submit(ctx(t), "dup").Wait(ctx(t)); err != nil || !ok {
+		t.Fatalf("Submit with a decided txID: ok=%v err=%v, want the recorded commit", ok, err)
+	}
+	if n := prepares.Load(); n != 1 {
+		t.Errorf("P1 prepared dup %d times, want once", n)
+	}
+	for i, cr := range crs {
+		if cr.commits.Load() != 1 || cr.aborts.Load() != 0 {
+			t.Errorf("resource %d: commits=%d aborts=%d, want the first use's commit only", i, cr.commits.Load(), cr.aborts.Load())
+		}
 	}
 
 	// In-flight rejection: hold a transaction open in Prepare and resubmit
@@ -207,24 +230,86 @@ func TestTxIDReuseRejected(t *testing.T) {
 }
 
 // TestAutoIDsSkipUsedTxIDs: auto-allocation must not collide with an ID a
-// caller used explicitly.
+// caller used explicitly — in flight or decided. A caller's txID of the
+// allocated form is rejected, so an allocated ID is never answered from an
+// outcome cache with another transaction's decision.
 func TestAutoIDsSkipUsedTxIDs(t *testing.T) {
 	t.Parallel()
-	rs, _ := resources(true, true)
+	rs, crs := resources(true, true)
 	cl, err := NewCluster(rs, Options{Timeout: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
+	// The cluster's client, P3, allocates c3-1 first; c12-7 would be
+	// another client's.
+	for _, id := range []string{"c3-1", "c12-7"} {
+		if ok, err := cl.Commit(ctx(t), id); !errors.Is(err, errAllocatedTxID) || ok {
+			t.Fatalf("explicit %s: ok=%v err=%v, want %v", id, ok, err, errAllocatedTxID)
+		}
+	}
+	for _, id := range []string{"c", "c3", "c3-", "c-1", "cx-1", "c3-1a", "tx-1"} {
+		if allocatedForm(id) {
+			t.Errorf("%q is not of the allocated form", id)
+		}
+	}
 	if ok, err := cl.Commit(ctx(t), "tx-1"); err != nil || !ok {
 		t.Fatalf("explicit tx-1: ok=%v err=%v", ok, err)
 	}
 	txn := cl.Submit(ctx(t), "")
 	if ok, err := txn.Wait(ctx(t)); err != nil || !ok {
-		t.Fatalf("auto-ID after explicit tx-1: id=%q ok=%v err=%v", txn.TxID, ok, err)
+		t.Fatalf("auto ID %s: ok=%v err=%v", txn.TxID, ok, err)
 	}
-	if txn.TxID == "tx-1" {
-		t.Fatal("auto-allocated ID collided with an explicitly used one")
+	if txn.TxID != "c3-1" {
+		t.Fatalf("auto ID %q, want c3-1", txn.TxID)
+	}
+	// Each resource ran both transactions: the auto-ID one was not
+	// answered from an outcome cache.
+	waitApplied(t, cl, "tx-1", txn.TxID)
+	for i, cr := range crs {
+		if cr.commits.Load() != 2 || cr.aborts.Load() != 0 {
+			t.Errorf("resource %d: commits=%d aborts=%d, want 2 and 0", i, cr.commits.Load(), cr.aborts.Load())
+		}
+	}
+}
+
+// TestSubmitRoundRobinCoordinators: a Cluster's submissions spread evenly
+// over its peers. 4n of them with allocated IDs send exactly n go
+// envelopes to each peer — allocating an ID, like a query, takes nothing
+// from the round-robin.
+func TestSubmitRoundRobinCoordinators(t *testing.T) {
+	t.Parallel()
+	const n = 4
+	cl, err := NewCluster(yesResources(n), Options{Timeout: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	var mu sync.Mutex
+	gos := make(map[core.ProcessID]int)
+	cl.Mesh().Drop = func(e live.Envelope) bool {
+		if e.Path == goPath {
+			mu.Lock()
+			gos[e.To]++
+			mu.Unlock()
+		}
+		return false
+	}
+	txns := make([]*Txn, 4*n)
+	for i := range txns {
+		txns[i] = cl.Submit(ctx(t), "")
+	}
+	for _, x := range txns {
+		if _, err := x.Wait(ctx(t)); err != nil {
+			t.Fatalf("%s: %v", x.TxID, err)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for p := core.ProcessID(1); p <= n; p++ {
+		if gos[p] != n {
+			t.Errorf("%v coordinated %d of %d submissions, want %d (all: %v)", p, gos[p], 4*n, n, gos)
+		}
 	}
 }
 
@@ -273,18 +358,15 @@ func TestPeerRetiresDecidedInstances(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	// A Cluster's Commit returns once every peer applied.
 	if ok, err := cl.Commit(ctx(t), "retire-tx"); err != nil || !ok {
 		t.Fatalf("mesh: ok=%v err=%v", ok, err)
 	}
 
-	for i, p := range append(tcp, cl.peers...) {
-		if i < len(tcp) {
-			// P1's Commit returned after its own apply; the others' Wait
-			// returns after theirs.
-			if okW, err := p.Wait(ctx(t), "retire-tx"); err != nil || !okW {
-				t.Fatalf("tcp %v: ok=%v err=%v", p.id, okW, err)
-			}
+	for _, p := range append(tcp, cl.peers...) {
+		// A commit answers after its coordinator's apply; each peer's Wait
+		// returns after its own.
+		if okW, err := p.Wait(ctx(t), "retire-tx"); err != nil || !okW {
+			t.Fatalf("%v: ok=%v err=%v", p.id, okW, err)
 		}
 		p.mu.Lock()
 		_, cached := p.decided.get("retire-tx")

@@ -7,8 +7,11 @@
 // consensus substrate and the benchmark harness live under internal/. Beyond one-at-a-time commit.Cluster.Commit, the
 // pipeline API (commit.Cluster.Submit, Txn.Wait, commit.Cluster.CommitMany)
 // runs many transactions concurrently under a configurable in-flight window
-// — the throughput path; see commit/pipeline.go. The kv subpackage is a
-// sharded transactional key-value store driven by that pipeline: every shard
+// — the throughput path. Every commit, on the in-memory mesh of a Cluster
+// or on TCP, is driven by one commit.Client: it asks a Peer to coordinate,
+// and queues what the window does not admit (see commit/client.go). The kv
+// subpackage is a sharded transactional key-value store driven by such a
+// client: every shard
 // votes on conflicts, so abort behavior becomes a real, workload-induced
 // measurement. commitbench -throughput puts either under closed-loop load on
 // the mesh, on TCP or through kv (-runtime) with the live NBAC auditor

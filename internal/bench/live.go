@@ -97,9 +97,8 @@ type Row struct {
 	// transaction's validation). TimingAborts were aborted although every
 	// vote seen was yes:
 	// an indulgent protocol's legal reaction to a violated timing bound.
-	// InfraAborts never got a decision — a deadline, a refused stage, a
-	// cross-member disagreement — and are left out of DecidedPerSec and the
-	// percentiles.
+	// InfraAborts never got a decision — a deadline, a refused stage — and
+	// are left out of DecidedPerSec and the percentiles.
 	VoteAborts, TimingAborts, InfraAborts int
 }
 

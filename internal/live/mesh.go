@@ -125,11 +125,10 @@ type Mesh struct {
 }
 
 // meshItem is one entry of a destination's inbox: an envelope and its
-// encoded size, or (local) a process's own work item (see Post).
+// encoded size.
 type meshItem struct {
-	e     Envelope
-	size  int
-	local bool
+	e    Envelope
+	size int
 }
 
 // NewMesh returns an empty mesh.
@@ -156,20 +155,6 @@ func (m *Mesh) Endpoint(id core.ProcessID) Transport {
 	return &meshEndpoint{mesh: m, id: id}
 }
 
-// Post queues e on e.To's inbox as it is: no codec, no counters, no latency
-// and no drop. It is how a host hands one of its processes local work — the
-// commit.Cluster driver's start of a peer — to run on that process's delivery
-// goroutine, in order with its envelopes, without putting a message on the
-// network.
-func (m *Mesh) Post(e Envelope) {
-	m.mu.RLock()
-	in := m.inboxes[e.To]
-	m.mu.RUnlock()
-	if in != nil {
-		in.Push(meshItem{e: e, local: true})
-	}
-}
-
 type meshEndpoint struct {
 	mesh *Mesh
 	id   core.ProcessID
@@ -191,10 +176,6 @@ func (t *meshEndpoint) SetHandler(h func(Envelope)) {
 // deliverMesh runs h on one inbox entry, on the destination's goroutine.
 func deliverMesh(h func(Envelope), it meshItem) {
 	e := it.e
-	if it.local {
-		h(e)
-		return
-	}
 	var now obs.HLC
 	if e.HLC != 0 {
 		now = obs.ProcessClock.Observe(e.HLC)

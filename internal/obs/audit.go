@@ -13,9 +13,8 @@ import (
 )
 
 // The live NBAC auditor. It ingests per-process audit records — votes,
-// decisions, decide-path annotations, failure suspicions — emitted by
-// the live runtime (live.Instance) and the commit layer (Cluster, Peer,
-// Client), plus live.Instance's timing observations (every protocol
+// decisions, decide-path annotations — emitted by the live runtime
+// (live.Instance), plus its timing observations (every protocol
 // envelope sent and handled, every timer handler's lag), and continuously evaluates the same property predicates the simulator
 // checks (internal/nbac: one shared implementation) against every
 // observed transaction. A violated property fires ReportAnomaly, so it
@@ -33,7 +32,7 @@ import (
 // Execution-class honesty: the paper's validity property only forbids
 // an all-yes abort in failure-free executions, and a live run cannot
 // prove a negative — so a transaction is classified failure-free only
-// when no suspicion was recorded, every protocol envelope sent was
+// when every protocol envelope sent was
 // handled by the time the last process decided, and the timing slack,
 // taken together, stayed under the bound U: the largest delay from a
 // send to the receiver's handler, plus the spread of the votes (the
@@ -47,17 +46,6 @@ import (
 // auditor free of false positives — on a saturated host too, where a
 // delivery can wait its turn longer than U — while the class-independent
 // checks (agreement, stability, commit-despite-a-no) stay fully armed.
-
-// AuditKind tags one audit record.
-type AuditKind uint8
-
-// The audit record kinds (see Auditor).
-const (
-	AuditVote AuditKind = iota + 1
-	AuditDecide
-	AuditPath
-	AuditSuspect
-)
 
 // AuditorConfig parameterizes NewAuditor. The zero value is usable.
 type AuditorConfig struct {
@@ -90,14 +78,12 @@ type auditTxn struct {
 	label string
 	u     time.Duration // the transaction's configured bound U
 
-	firstVote  HLC // earliest vote stamp (span + vote-spread measurement)
-	lastVote   HLC
-	lastDec    HLC
-	maxDelay   time.Duration // largest delay from an envelope's send to its handler
-	maxLag     time.Duration // longest a timer handler ran behind its deadline
-	inflight   int           // protocol envelopes sent and not handled yet
-	suspected  bool          // some process was suspected (crash class)
-	suspectWhy string        // first suspicion's reason, for detail strings
+	firstVote HLC // earliest vote stamp (span + vote-spread measurement)
+	lastVote  HLC
+	lastDec   HLC
+	maxDelay  time.Duration // largest delay from an envelope's send to its handler
+	maxLag    time.Duration // longest a timer handler ran behind its deadline
+	inflight  int           // protocol envelopes sent and not handled yet
 
 	done     bool
 	reported map[string]bool // anomaly kinds already fired for this txn
@@ -179,7 +165,6 @@ func (a *Auditor) get(txID string) *auditTxn {
 			reported: make(map[string]bool),
 			exec: nbac.Execution{
 				Decisions: make(map[core.ProcessID]core.Value),
-				Crashed:   make(map[core.ProcessID]bool),
 			},
 		}
 		a.txns[txID] = tx
@@ -291,31 +276,6 @@ func (a *Auditor) DecidePath(txID string, proc core.ProcessID, path string) {
 	a.mu.Unlock()
 }
 
-// Suspect records that proc was suspected of failure during txID
-// (proc 0: an unattributed infrastructure failure). The transaction is
-// then audited under its crash-failure contract column at best.
-func (a *Auditor) Suspect(txID string, proc core.ProcessID, reason string) {
-	a.mu.Lock()
-	tx := a.get(txID)
-	if !tx.suspected {
-		tx.suspected = true
-		tx.suspectWhy = reason
-	}
-	if proc != 0 {
-		tx.exec.Crashed[proc] = true
-	}
-	a.mu.Unlock()
-}
-
-// Suspected reports whether some process was suspected during txID (and
-// the transaction's record is still held).
-func (a *Auditor) Suspected(txID string) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	tx, ok := a.txns[txID]
-	return ok && tx.suspected
-}
-
 // ObserveSend records that a protocol envelope of txID left a process.
 // Called by live.Instance, like the other two observations, while an
 // auditor is installed.
@@ -390,7 +350,6 @@ func (a *Auditor) maybeFinalizeLocked(txID string, tx *auditTxn) []pendingViolat
 	// failure-free only when nothing observable suggests the timing
 	// assumptions were broken.
 	voteSpread := tx.lastVote.Sub(tx.firstVote)
-	tx.exec.AnyCrash = tx.suspected || len(tx.exec.Crashed) > 0
 	tx.exec.NetworkFailure = votesMissing || tx.inflight != 0 ||
 		(tx.u > 0 && tx.maxDelay+voteSpread+tx.maxLag >= tx.u)
 
@@ -408,9 +367,6 @@ func (a *Auditor) maybeFinalizeLocked(txID string, tx *auditTxn) []pendingViolat
 	if failed.Has(nbac.PropV) {
 		detail := fmt.Sprintf("%v execution: votes %v, decisions %s",
 			tx.exec.Class(), tx.exec.Votes, a.decisionVectorLocked(tx))
-		if tx.suspectWhy != "" {
-			detail += " (suspected: " + tx.suspectWhy + ")"
-		}
 		if p := a.violLocked(tx, "audit-validity", txID, detail); p != nil {
 			pend = append(pend, *p)
 		}

@@ -27,9 +27,6 @@ func replay(t *testing.T, contract nbac.Contract, exec *nbac.Execution, u, delay
 		aud.ObserveSend(txID)
 		aud.ObserveRecv(txID, sent, now)
 	}
-	for p := range exec.Crashed {
-		aud.Suspect(txID, p, "replayed crash")
-	}
 	for i := 1; i <= exec.N; i++ {
 		if v, ok := exec.Decisions[core.ProcessID(i)]; ok {
 			aud.Decide(txID, core.ProcessID(i), v, "")

@@ -133,9 +133,10 @@ type Store struct {
 // OpenRemote builds, without sockets. shards must be >= 2 (ErrTooFewShards
 // otherwise): each shard is one participant of the commit protocol. opts
 // selects the protocol and its tuning; the zero Options means INBAC with
-// the package defaults. opts.MaxInFlight does not bound the store's
-// concurrent transactions: they reach the peers as client commits, which
-// the Cluster's pipeline does not see.
+// the package defaults. opts.MaxInFlight bounds how many of the store's
+// write transactions commit at once, as for OpenRemote: the rest queue in
+// its client, in order. Read-only transactions run no commit and are not
+// bounded by it.
 func Open(shards int, opts commit.Options) (*Store, error) {
 	if shards < 2 {
 		return nil, fmt.Errorf("%w: got %d (each shard is one commit participant, and the protocol needs n >= 2)", ErrTooFewShards, shards)
@@ -150,7 +151,7 @@ func Open(shards int, opts commit.Options) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("kv: %w", err)
 	}
-	cl, err := cluster.NewClient(shards + 1)
+	cl, err := cluster.NewClient(shards + 2) // the cluster's own client is shards+1
 	if err != nil {
 		cluster.Close()
 		return nil, fmt.Errorf("kv: %w", err)

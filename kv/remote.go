@@ -111,6 +111,8 @@ func ServeShard(index int, addrs []string, opts commit.Options) (*commit.Peer, e
 // len(addrs)+2, ... for concurrent clients, and give every client a
 // distinct ID. opts must agree with the peers' (same protocol, same
 // timeout base, same Net profile) for the deployment to behave.
+// opts.MaxInFlight bounds how many of the store's write transactions commit
+// at once; the rest queue in its client, in order.
 //
 // The store starts with the versioned read cache enabled and no staleness
 // bound; resize or disable it with Store.ConfigureReadCache.

@@ -167,7 +167,7 @@ func (t *Txn) Delete(key string) {
 }
 
 // Pending is the future of a submitted transaction, wrapping the commit
-// pipeline's own future. Whatever the outcome does to the store's read
+// client's own future. Whatever the outcome does to the store's read
 // cache (fresh entries for committed writes, invalidations after an abort
 // or a refused validation) is done before Done closes, so a follow-up read
 // on this store observes the outcome: read-your-writes across transactions.
