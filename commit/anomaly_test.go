@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -211,6 +212,7 @@ func TestINBACAgreementUnderJitter(t *testing.T) {
 		n, f     = 4, 1
 		u        = 5 * time.Millisecond
 		perRound = 256
+		inFlight = 64 // 256 at once outlast the coordinators' 128 U bound under -race
 		rounds   = 96
 	)
 	for round := 0; round < rounds; round++ {
@@ -219,7 +221,7 @@ func TestINBACAgreementUnderJitter(t *testing.T) {
 			rs[i] = ResourceFunc{}
 		}
 		cl, err := NewCluster(rs, Options{
-			Protocol: "inbac", F: f, Timeout: u, MaxInFlight: 64,
+			Protocol: "inbac", F: f, Timeout: u,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -231,8 +233,27 @@ func TestINBACAgreementUnderJitter(t *testing.T) {
 		for i := range ids {
 			ids[i] = fmt.Sprintf("anom-r%d-%d", round, i)
 		}
-		_, err = cl.CommitMany(context.Background(), ids)
-		// CommitMany answers once each coordinator applied; a member that
+		// inFlight committers in closed loop; the first error is kept.
+		var next atomic.Int64
+		var mu sync.Mutex
+		var wg sync.WaitGroup
+		for w := 0; w < inFlight; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := next.Add(1) - 1; i < perRound; i = next.Add(1) - 1 {
+					if _, e := cl.Commit(context.Background(), ids[i]); e != nil {
+						mu.Lock()
+						if err == nil {
+							err = e
+						}
+						mu.Unlock()
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		// A commit answers once its coordinator applied; a member that
 		// decides later must still reach the auditor before Close stops
 		// its timers.
 		waitApplied(t, cl, ids...)

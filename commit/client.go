@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -29,14 +28,14 @@ import (
 // and every Cluster drives its own commits through one.
 //
 // A future resolves once its coordinator has applied the decision to its own
-// Resource; the other peers apply theirs on their own. Up to
-// Options.MaxInFlight of a client's submissions run at once: the rest queue,
-// in order, and each submission that resolves starts the oldest queued one.
-// A txID pending at the client (queued or running) is rejected — the second
-// future resolves with an error — because peers route instances by txID. A
-// txID resubmitted after it decided gets the decision its coordinator's
-// outcome cache recorded, without another call to any Resource method, as
-// long as the cache holds it (the last 4096 transactions of that peer). IDs
+// Resource; the other peers apply theirs on their own. Every submission is
+// sent at once: the client does not bound how many run, so a caller that
+// wants a bound keeps that many outstanding. A txID pending at the client
+// is rejected — the second future resolves with an error — because peers
+// route instances by txID. A txID resubmitted after it decided gets the
+// decision its coordinator's outcome cache recorded, without another call
+// to any Resource method, as long as the cache holds it (the last 4096
+// transactions of that peer). IDs
 // of the form "c<number>-<number>" are the clients' own: Submit allocates
 // them, and a caller's txID of that form is rejected, so an allocated ID
 // never names a transaction that already decided.
@@ -54,7 +53,6 @@ type Client struct {
 
 	mu      sync.Mutex
 	pending map[string]*Txn        // submitted and unresolved, keyed by txID
-	queue   []queued               // pending, not sent: waiting, in order, for a window slot
 	replies map[replyKey]awaitedBy // awaiting a query reply
 	seq     uint64                 // names queries and allocated txIDs (seqID)
 	// rr is Submit's round-robin over the coordinators, apart from seq so
@@ -62,13 +60,6 @@ type Client struct {
 	rr       uint64
 	closed   bool
 	sweeping bool // a sweep of pending and replies is armed (see sweep)
-}
-
-// queued is a submission waiting for a slot of the Options.MaxInFlight
-// window: its future and the envelope that asks its coordinator to run it.
-type queued struct {
-	t   *Txn
-	env live.Envelope
 }
 
 // replyKey files the one reply a query waits for: the query's ID, unique
@@ -147,57 +138,21 @@ func (c *Client) deliver(e live.Envelope) {
 }
 
 // finish settles t, the future pending under txID (nil: whichever is), with
-// (ok, err) and sends the submission its window slot passes to. Whoever
-// takes a future from pending — the result handler, its context's watch, a
-// failed send, the sweep, Close — resolves it, so it resolves exactly once
-// and frees its slot exactly once.
+// (ok, err). Whoever takes a future from pending — the result handler, its
+// context's watch, a failed send, the sweep, Close — resolves it, so it
+// resolves exactly once.
 func (c *Client) finish(txID string, t *Txn, ok bool, err error) {
 	c.mu.Lock()
 	if t == nil {
 		t = c.pending[txID]
 	}
 	mine := t != nil && c.pending[txID] == t
-	var next queued
 	if mine {
-		next = c.takeLocked(txID, t)
+		delete(c.pending, txID)
 	}
 	c.mu.Unlock()
 	if mine {
 		t.resolve(ok, err)
-		c.send(next)
-	}
-}
-
-// takeLocked removes t from pending, and from the queue if it still waits
-// there. A t that was sent held a window slot, which passes to the oldest
-// queued submission: takeLocked returns it, started, for the caller to send
-// once it released c.mu (zero: none waits). c.mu is held.
-func (c *Client) takeLocked(txID string, t *Txn) queued {
-	delete(c.pending, txID)
-	if t.start.IsZero() { // never sent, so it holds no slot
-		if i := slices.IndexFunc(c.queue, func(q queued) bool { return q.t == t }); i >= 0 {
-			c.queue = slices.Delete(c.queue, i, i+1)
-		}
-		return queued{}
-	}
-	if len(c.queue) == 0 {
-		return queued{}
-	}
-	next := c.queue[0]
-	c.queue[0] = queued{}
-	c.queue = c.queue[1:]
-	next.t.start = time.Now()
-	return next
-}
-
-// send asks q's coordinator to run it; a send that fails resolves q with
-// the error. A zero q is a no-op.
-func (c *Client) send(q queued) {
-	if q.t == nil {
-		return
-	}
-	if err := c.tr.Send(q.env); err != nil {
-		c.finish(q.env.TxID, q.t, false, err)
 	}
 }
 
@@ -206,7 +161,7 @@ func (c *Client) expire(t *Txn) {
 	c.finish(t.TxID, t, false, fmt.Errorf("commit: submit %s: %w", t.TxID, t.ctx.Err()))
 }
 
-// sweep resolves, with an error, every sent submission whose coordinator has
+// sweep resolves, with an error, every submission whose coordinator has
 // not answered within coordinateUnits+16 timeout units — the coordinator bounds
 // its own run at coordinateUnits and always replies, so the slack beyond
 // that only covers the reply's travel; past it the coordinator is presumed
@@ -215,14 +170,13 @@ func (c *Client) expire(t *Txn) {
 // goroutine.
 func (c *Client) sweep() {
 	var expired []*Txn
-	var next []queued
 	var lost []replyKey
 	var lostBy []awaitedBy
 	c.mu.Lock()
 	for id, t := range c.pending {
-		if !t.start.IsZero() && time.Since(t.start) >= (coordinateUnits+16)*c.opts.Timeout {
+		if time.Since(t.start) >= (coordinateUnits+16)*c.opts.Timeout {
 			expired = append(expired, t)
-			next = append(next, c.takeLocked(id, t))
+			delete(c.pending, id)
 		}
 	}
 	for k, q := range c.replies {
@@ -237,9 +191,8 @@ func (c *Client) sweep() {
 	if again {
 		live.After(coordinateUnits/16*c.opts.Timeout, c.sweep)
 	}
-	for i, t := range expired {
+	for _, t := range expired {
 		t.resolve(false, fmt.Errorf("commit: submit %s: %w", t.TxID, context.DeadlineExceeded))
-		c.send(next[i])
 	}
 	for i, k := range lost {
 		lostBy[i].done(nil, queryErr(k.from, context.DeadlineExceeded))
@@ -360,15 +313,13 @@ func (c *Client) Query(ctx context.Context, peer int, m Message) (Message, error
 // the surviving peers decided — a restarted coordinator must not be handed
 // the txID afresh).
 func (c *Client) SubmitAt(ctx context.Context, txID string, coord int) *Txn {
-	return c.submitMsg(ctx, txID, coord, goPath, goMsg{})
+	return c.submitMsg(ctx, txID, coord, stageGoMsg{})
 }
 
-// submitMsg is SubmitAt generalized over the message that starts the
-// commit: a bare goMsg, or a stageGoMsg carrying the footprint (StageGoAll).
-// It sends the message at once while fewer than Options.MaxInFlight of the
-// client's submissions run, and queues it otherwise: each submission that
-// resolves starts the oldest queued one in its place.
-func (c *Client) submitMsg(ctx context.Context, txID string, coord int, path string, msg Message) *Txn {
+// submitMsg sends msg, the stage+go message that asks coord to run txID's
+// commit — empty for SubmitAt, carrying the footprint for StageGoAll — and
+// returns the future its result resolves.
+func (c *Client) submitMsg(ctx context.Context, txID string, coord int, msg stageGoMsg) *Txn {
 	t := newTxn(ctx, txID)
 	if err := c.checkPeer(coord); err != nil {
 		t.resolve(false, err)
@@ -394,21 +345,17 @@ func (c *Client) submitMsg(ctx context.Context, txID string, coord int, path str
 		c.seq++
 		t.TxID = c.seqID('c')
 	}
-	q := queued{t, live.Envelope{TxID: t.TxID, From: c.id, To: core.ProcessID(coord), Path: path, Msg: msg}}
 	c.pending[t.TxID] = t
-	if len(c.pending)-len(c.queue) > c.opts.MaxInFlight { // counting t
-		c.queue = append(c.queue, q)
-		q = queued{}
-	} else {
-		t.start = time.Now()
-	}
 	t.watchContext(c.expire)
 	arm := c.armSweep()
 	c.mu.Unlock()
 	if arm {
 		live.After(coordinateUnits/16*c.opts.Timeout, c.sweep)
 	}
-	c.send(q)
+	env := live.Envelope{TxID: t.TxID, From: c.id, To: core.ProcessID(coord), Path: stageGoPath, Msg: msg}
+	if err := c.tr.Send(env); err != nil {
+		c.finish(t.TxID, t, false, err)
+	}
 	return t
 }
 
@@ -464,17 +411,16 @@ func (c *Client) StageGoAll(ctx context.Context, txID string, coord int, fps map
 			msg.Others = append(msg.Others, peerSlice{Peer: core.ProcessID(peer), Fp: fp})
 		}
 	}
-	return c.submitMsg(ctx, txID, coord, stageGoPath, msg), nil
+	return c.submitMsg(ctx, txID, coord, msg), nil
 }
 
-// Submit enqueues one transaction, choosing a coordinator round-robin
+// Submit sends one transaction, choosing a coordinator round-robin
 // across the peers, and returns a future immediately. Use SubmitAt to pick
 // the coordinator — e.g. one in the client's own region. An empty txID
 // allocates one ("c<client ID>-<n>"); a caller's txID of that form is
 // rejected. ctx bounds the transaction: if it expires while the transaction
-// is queued or running, the future resolves with its error, and the peers
-// still run and apply whatever they decide. A nil ctx defaults to
-// context.Background().
+// runs, the future resolves with its error, and the peers still run and
+// apply whatever they decide. A nil ctx defaults to context.Background().
 func (c *Client) Submit(ctx context.Context, txID string) *Txn {
 	c.mu.Lock()
 	coord := int(c.rr%uint64(c.n)) + 1
@@ -483,9 +429,10 @@ func (c *Client) Submit(ctx context.Context, txID string) *Txn {
 	return c.SubmitAt(ctx, txID, coord)
 }
 
-// CommitMany submits every txID (allocating IDs for empty strings) and
-// waits for all of them. results[i] is txIDs[i]'s decision; the first
-// per-transaction error, if any, is returned after every future resolved.
+// CommitMany submits every txID at once (allocating IDs for empty strings)
+// and waits for all of them; a caller that wants fewer in flight chunks its
+// IDs. results[i] is txIDs[i]'s decision; the first per-transaction error,
+// if any, is returned after every future resolved.
 func (c *Client) CommitMany(ctx context.Context, txIDs []string) ([]bool, error) {
 	txns := make([]*Txn, len(txIDs))
 	for i, id := range txIDs {
@@ -513,7 +460,7 @@ func (c *Client) Close() {
 	}
 	c.closed = true
 	pending, replies := c.pending, c.replies
-	c.pending, c.replies, c.queue = make(map[string]*Txn), make(map[replyKey]awaitedBy), nil
+	c.pending, c.replies = make(map[string]*Txn), make(map[replyKey]awaitedBy)
 	c.mu.Unlock()
 	for id, t := range pending {
 		t.resolve(false, fmt.Errorf("commit: submit %s: %w", id, errClientClosed))

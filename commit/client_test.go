@@ -323,9 +323,9 @@ func TestClientReopenedSameID(t *testing.T) {
 }
 
 // TestClientLateResultFindsConnection: a client whose first and only message
-// is a bare go — what the repository benchmark sends — gets the coordinator's
-// result, which leaves two timeout units later, on the connection the go
-// opened.
+// is a bare stage+go — what the repository benchmark sends — gets the
+// coordinator's result, which leaves two timeout units later, on the
+// connection the stage+go opened.
 func TestClientLateResultFindsConnection(t *testing.T) {
 	t.Parallel()
 	opts := Options{Protocol: INBAC, F: 1, Timeout: 25 * time.Millisecond}
@@ -353,7 +353,7 @@ func TestClientLateResultFindsConnection(t *testing.T) {
 	}
 }
 
-// TestClientDeadCoordinatorResolves: a go sent to a crashed coordinator
+// TestClientDeadCoordinatorResolves: a stage+go sent to a crashed coordinator
 // must resolve the future with an error — never hang.
 func TestClientDeadCoordinatorResolves(t *testing.T) {
 	t.Parallel()

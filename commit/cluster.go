@@ -86,18 +86,19 @@ func (c *Cluster) Commit(ctx context.Context, txID string) (bool, error) {
 	return t.Committed(), t.Err()
 }
 
-// Submit enqueues one transaction and returns a future immediately: the
+// Submit sends one transaction and returns a future immediately: the
 // cluster's client sends it to a coordinator chosen round-robin across the
-// peers (see Client.Submit). Up to Options.MaxInFlight submissions run at
-// once, each a full protocol instance routed by its txID; the rest queue in
-// order. Resources must be safe for concurrent use once transactions are
-// pipelined.
+// peers (see Client.Submit). Every submission runs at once, each a full
+// protocol instance routed by its txID; nothing bounds how many, so a
+// caller that wants a bound keeps that many outstanding. Resources must be
+// safe for concurrent use once transactions are pipelined.
 func (c *Cluster) Submit(ctx context.Context, txID string) *Txn {
 	return c.client.Submit(ctx, txID)
 }
 
-// CommitMany submits every txID (allocating IDs for empty strings) and
-// waits for all of them (see Client.CommitMany).
+// CommitMany submits every txID at once (allocating IDs for empty strings)
+// and waits for all of them (see Client.CommitMany); a caller that wants
+// fewer in flight chunks its IDs.
 func (c *Cluster) CommitMany(ctx context.Context, txIDs []string) ([]bool, error) {
 	return c.client.CommitMany(ctx, txIDs)
 }

@@ -13,10 +13,10 @@
 //     (NewPeer): a real deployment shape,
 //     which a Client can drive without being a participant.
 //   - Cluster: n of those Peers in one address space over an in-memory
-//     network, plus a driver that starts a transaction on all of them and
-//     gathers their outcomes — the quickest way to commit transactions or
-//     to demonstrate protocol behavior under injected failures. A Client
-//     attached with Cluster.NewClient drives those Peers as it would over
+//     network, plus one Client that Commit, Submit and CommitMany drive
+//     them through — the quickest way to commit transactions or to
+//     demonstrate protocol behavior under injected failures. More Clients
+//     attached with Cluster.NewClient drive those Peers as they would over
 //     TCP.
 //   - Simulate: deterministic executions on the discrete-event simulator
 //     with exact message/delay measurements — the paper's complexity
@@ -100,12 +100,11 @@ type Options struct {
 	Timeout time.Duration
 	// Accelerated enables INBAC's one-delay abort fast path (section 5.2).
 	Accelerated bool
-	// MaxInFlight bounds how many of one Client's submissions run at once —
-	// a Cluster's Commit, Submit and CommitMany, which its own client
-	// drives, included; submissions beyond the window queue in order, and
-	// each one that resolves starts the oldest queued. Defaults to 64. Each
-	// Client has its own window: the peers do not bound what they
-	// coordinate.
+	// MaxInFlight is ignored: a Client sends every submission at once, and
+	// a caller that wants a bound keeps that many outstanding.
+	//
+	// Deprecated: it bounds nothing, and stays only so that callers which
+	// still set it compile.
 	MaxInFlight int
 	// Net emulates a geo-distributed network: per-region one-way delays,
 	// jitter, and partition windows (see live.NamedProfile for the built-in
@@ -129,12 +128,6 @@ func (o Options) withDefaults(n int) (Options, error) {
 		} else {
 			o.Timeout = 50 * time.Millisecond
 		}
-	}
-	if o.MaxInFlight == 0 {
-		o.MaxInFlight = 64
-	}
-	if o.MaxInFlight < 0 {
-		return o, fmt.Errorf("commit: MaxInFlight must be positive, got %d", o.MaxInFlight)
 	}
 	if n < 2 {
 		return o, fmt.Errorf("commit: need at least 2 participants, got %d", n)

@@ -136,8 +136,8 @@ func TestApplyBeforeAck(t *testing.T) {
 }
 
 // envelopesByPath counts the envelopes sent on cl's mesh from now on: on the
-// protocol's paths, and on the reserved paths of the host's legs (the go,
-// the begins, the result; the outcome answer).
+// protocol's paths, and on the reserved paths of the host's legs (the
+// stage+go, the begins, the result; the outcome answer).
 func envelopesByPath(cl *Cluster) (protocol, host func() int) {
 	var mu sync.Mutex
 	var p, h int
@@ -168,7 +168,7 @@ func fastDecisions() int64 { return obs.M.CounterValue("decide_path.inbac.fast")
 // TestLivePathEnvelopeBound pins the paper's message bound on the live
 // path: a nice INBAC execution on a 4-member Cluster (f=1) puts exactly
 // 2fn = 8 envelopes on the mesh's protocol paths — no decision broadcast —
-// and n+1 = 5 on the host's legs: the client's go, the coordinator's n-1
+// and n+1 = 5 on the host's legs: the client's stage+go, the coordinator's n-1
 // begins and its result. Watching it adds none: not an installed auditor,
 // not the flight recorder. A run is nice when every member decided on the
 // fast path: decide_path.inbac.fast moved by n. Not parallel: the counters

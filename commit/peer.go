@@ -48,7 +48,7 @@ var (
 // envelope is delayed on its own, only what shares an envelope shares an
 // arrival. So a hosted peer never calls Prepare on the strength of a protocol
 // envelope alone: it buffers such envelopes on the transaction's record until
-// the announcement arrives — a begin, a go or stage+go, or a local Commit or
+// the announcement arrives — a begin, a stage+go, or a local Commit or
 // Wait — and if none arrives within one timeout unit it joins voting abort
 // without calling Prepare, which would vote on a footprint it does not have.
 // The footprint is staged only by the run that claimed the transaction,
@@ -74,10 +74,10 @@ type Peer struct {
 	apply *live.Inbox[decision]
 
 	// stopDebug closes the optional observability endpoint (ServeDebug). A
-	// func, not the *http.Server: the queued records reach Peer, the linker
-	// keeps every method of every type reachable from a queued value, and a
-	// field of the server's type drags in net/http's TLS stack (1.9 MB of
-	// binary, 0.7 MB of resident text on kv-geo-read).
+	// func, not the *http.Server: the apply worker's records reach Peer,
+	// the linker keeps every method of every type reachable from such a
+	// value, and a field of the server's type drags in net/http's TLS stack
+	// (1.9 MB of binary, 0.7 MB of resident text on kv-geo-read).
 	stopDebug func() error
 }
 
@@ -95,7 +95,7 @@ type txn struct {
 	done chan struct{}
 
 	// client asked this peer to coordinate the commit and awaits its result
-	// (0: nobody does); its go arrived at since.
+	// (0: nobody does); its stage+go arrived at since.
 	client core.ProcessID
 	since  time.Time
 }
@@ -194,10 +194,8 @@ func (p *Peer) deliver(e live.Envelope) {
 		if m, ok := e.Msg.(decideMsg); ok {
 			p.adopt(e.TxID, m.V)
 		}
-	case goPath:
-		p.coordinate(e, nil, nil)
 	case stageGoPath:
-		p.handleStageGo(e)
+		p.coordinate(e)
 	case queryPath:
 		p.handleQuery(e)
 	case beginPath:
@@ -282,20 +280,34 @@ func (p *Peer) awaitAnnouncement(txID string, t *txn) {
 	})
 }
 
-// coordinate runs the commit of a client's transaction from this peer, which
-// announces it to every other peer (slices[q], if any, riding the begin to
-// Pq; fp, its own slice, staged by its run), and files the client for the
-// result: the apply worker sends it once this peer applied the decision
-// (settle), and the coordination sweep sends an error if that has not
-// happened within coordinateUnits — the client must observe
-// abort-or-commit-or-error, never a hang. It runs on the delivery path up to
-// the instance's start, as a begin does; nothing waits per transaction. A
-// replayed go finds the record claimed, or the outcome cached, so fp is
-// dropped unstaged and only the result goes back; a peer the first begin
-// reached drops the repeated begin's slice the same way.
-func (p *Peer) coordinate(e live.Envelope, slices [][]byte, fp Message) {
-	if e.TxID == "" {
-		p.reply(e.TxID, e.From, resultMsg{V: core.Abort, Err: "commit: txID required"})
+// coordinate is the whole client side of a commit in one leg: a client's
+// stage+go asks this peer to run the transaction's commit, carrying its
+// footprint, if it has one. It checks every slice, then announces the
+// transaction to every other peer, each other slice riding the begin to its
+// peer and this peer's own staged by the run, right before its Prepare; no
+// stage needs an ack or a TTL, because nothing orders it against the run but
+// the message that starts the run. A malformed message answers as a
+// resultMsg error before anything is staged anywhere — the transaction never
+// begins. Otherwise the client is filed for the result: the apply worker
+// sends it once this peer applied the decision (settle), and the
+// coordination sweep sends an error if that has not happened within
+// coordinateUnits — the client must observe abort-or-commit-or-error, never
+// a hang. It runs on the delivery path up to the instance's start, as a
+// begin does; nothing waits per transaction. A replayed stage+go finds the
+// record claimed, or the outcome cached, so its slice is dropped unstaged and
+// only the result goes back; a peer the first begin reached drops the
+// repeated begin's slice the same way.
+func (p *Peer) coordinate(e live.Envelope) {
+	m, ok := e.Msg.(stageGoMsg)
+	if !ok {
+		return
+	}
+	fp, slices, err := p.checkSlices(m)
+	if err == nil && e.TxID == "" {
+		err = errors.New("commit: txID required")
+	}
+	if err != nil {
+		p.reply(e.TxID, e.From, resultMsg{V: core.Abort, Err: err.Error()})
 		return
 	}
 	p.sendBegins(e.TxID, slices)
@@ -365,26 +377,6 @@ func (p *Peer) sweep() {
 // reply sends a client the result of the commit it asked this peer to run.
 func (p *Peer) reply(txID string, to core.ProcessID, res resultMsg) {
 	_ = p.tr.Send(live.Envelope{TxID: txID, From: p.id, To: to, Path: resultPath, Msg: res})
-}
-
-// handleStageGo is the whole client side of a commit in one leg: check every
-// slice, then coordinate the commit with each other slice riding the begin
-// to its peer and this peer's own staged by the run, right before its
-// Prepare. No stage needs an ack or a TTL, because nothing orders it against
-// the run but the message that starts the run: the footprint was inside it.
-// A malformed message answers as a resultMsg error before anything is staged
-// anywhere — the transaction never begins.
-func (p *Peer) handleStageGo(e live.Envelope) {
-	m, ok := e.Msg.(stageGoMsg)
-	if !ok {
-		return
-	}
-	fp, slices, err := p.checkSlices(m)
-	if err != nil {
-		p.reply(e.TxID, e.From, resultMsg{V: core.Abort, Err: err.Error()})
-		return
-	}
-	p.coordinate(e, slices, fp)
 }
 
 // checkSlices validates every slice of a client's stage+go message — which
@@ -668,7 +660,7 @@ func (p *Peer) Close() {
 	p.txns = make(map[string]*txn)
 	stopDebug := p.stopDebug
 	p.mu.Unlock()
-	p.apply.Close() // a crash: applies still queued are dropped
+	p.apply.Close() // a crash: applies still waiting are dropped
 	if stopDebug != nil {
 		stopDebug()
 	}

@@ -108,7 +108,7 @@ func TestNewClientValidation(t *testing.T) {
 	c.Close()
 	// Closing twice is a no-op; calls after Close error instead of hanging.
 	c.Close()
-	if _, err := c.Query(nil, 1, goMsg{}); err == nil {
+	if _, err := c.Query(nil, 1, resultMsg{}); err == nil {
 		t.Fatal("Query after Close should error")
 	}
 }

@@ -15,7 +15,7 @@ type Txn struct {
 
 	ctx     context.Context
 	unwatch func() bool // stops ctx's watch; nil if nothing watches it
-	start   time.Time   // when the transaction began running
+	start   time.Time   // when it was submitted
 	end     time.Time
 
 	done      chan struct{}
@@ -33,7 +33,7 @@ func newTxn(ctx context.Context, txID string) *Txn {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return &Txn{TxID: txID, ctx: ctx, done: make(chan struct{})}
+	return &Txn{TxID: txID, ctx: ctx, start: time.Now(), done: make(chan struct{})}
 }
 
 // Done is closed once the transaction's outcome is available.
@@ -46,9 +46,8 @@ func (t *Txn) Committed() bool { return t.committed }
 // closed. A unanimous abort is a normal outcome, not an error.
 func (t *Txn) Err() error { return t.err }
 
-// Latency is the wall-clock time from dispatch to decision; valid only
-// after Done is closed. Queueing time behind the in-flight window is
-// excluded, so this measures the protocol, not the backlog.
+// Latency is the wall-clock time from submission to decision; valid only
+// after Done is closed.
 func (t *Txn) Latency() time.Duration { return t.end.Sub(t.start) }
 
 // Wait blocks until the transaction decides or ctx expires, returning the
@@ -63,15 +62,12 @@ func (t *Txn) Wait(ctx context.Context) (bool, error) {
 }
 
 // resolve settles the future; its caller is the one that may (see
-// Client.finish). A transaction that never began running has zero latency.
+// Client.finish).
 func (t *Txn) resolve(ok bool, err error) {
 	if t.unwatch != nil {
 		t.unwatch()
 	}
 	t.end = time.Now()
-	if t.start.IsZero() {
-		t.start = t.end
-	}
 	t.committed, t.err = ok, err
 	t.mu.Lock()
 	t.resolved = true
@@ -116,6 +112,6 @@ func (t *Txn) watchContext(expire func(*Txn)) {
 // Latency runs from this call to resolve; the ID is not registered with
 // any client.
 func UnresolvedTxn(txID string) (t *Txn, resolve func(committed bool, err error)) {
-	t = &Txn{TxID: txID, done: make(chan struct{}), start: time.Now()}
+	t = newTxn(context.Background(), txID)
 	return t, t.resolve
 }

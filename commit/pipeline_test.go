@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,7 +15,7 @@ import (
 )
 
 // TestSubmitConcurrentTransactions floods one cluster with concurrent
-// submissions from many goroutines — well past the in-flight window — and
+// submissions from many goroutines and
 // checks every transaction commits and, once every peer applied it, every
 // callback fired exactly once.
 // Run under -race this is the pipeline's main interleaving test.
@@ -25,7 +26,7 @@ func TestSubmitConcurrentTransactions(t *testing.T) {
 	// U is generous: this test is about the pipeline's interleavings, and at
 	// a tight U the race detector's slowdown makes INBAC miss its timing
 	// bound — legal aborts, and now and then its known agreement bug.
-	cl, err := NewCluster(rs, Options{Timeout: 100 * time.Millisecond, MaxInFlight: 32})
+	cl, err := NewCluster(rs, Options{Timeout: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestCommitManyMixedVotes(t *testing.T) {
 	// Resource 1 rejects transactions with a "no-" prefix.
 	reject := ResourceFunc{PrepareFn: func(txID string) bool { return len(txID) < 3 || txID[:3] != "no-" }}
 	rs := []Resource{ResourceFunc{}, reject, ResourceFunc{}}
-	cl, err := NewCluster(rs, Options{Protocol: TwoPC, Timeout: 20 * time.Millisecond, MaxInFlight: 8})
+	cl, err := NewCluster(rs, Options{Protocol: TwoPC, Timeout: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,42 +127,40 @@ func TestSubmitAfterCloseResolvesWithError(t *testing.T) {
 	}
 }
 
-// TestSubmitQueuedContextExpiry: a submission queued behind the window
-// resolves with its own context's error as soon as that expires — whatever
-// the transaction holding the window is stuck in (here Resource.Prepare).
-func TestSubmitQueuedContextExpiry(t *testing.T) {
+// TestSubmitSendsAtOnce: a client sends every submission at once, however
+// many of its others are undecided. On a Cluster with default Options, 64
+// submissions are held: every envelope of theirs but the stage+go is
+// dropped, so each coordinator has prepared and never hears from the other
+// peers, and its answer waits for its 128 U sweep (6.4 s). A 65th
+// submission still commits at once. A Prepare that stalls cannot hold them
+// instead: it runs on its peer's delivery goroutine and would stall the
+// 65th too.
+func TestSubmitSendsAtOnce(t *testing.T) {
 	t.Parallel()
-	// Window of 1 and a resource whose Prepare stalls: the second
-	// submission sits in the queue until its context expires.
-	gate := make(chan struct{})
-	var once sync.Once
-	slow := ResourceFunc{PrepareFn: func(txID string) bool {
-		if txID == "stall" {
-			once.Do(func() { <-gate })
-		}
-		return true
-	}}
-	defer close(gate)
-	rs := []Resource{slow, ResourceFunc{}}
-	cl, err := NewCluster(rs, Options{Timeout: 20 * time.Millisecond, MaxInFlight: 1})
+	cl, err := NewCluster(yesResources(4), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-
-	first := cl.Submit(ctx(t), "stall")
-	short, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	cl.Mesh().Drop = func(e live.Envelope) bool {
+		return strings.HasPrefix(e.TxID, "held-") && e.Path != stageGoPath
+	}
+	held := make([]*Txn, 64)
+	for i := range held {
+		held[i] = cl.Submit(ctx(t), fmt.Sprintf("held-%d", i))
+	}
+	c1, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 	defer cancel()
-	second := cl.Submit(short, "queued")
-	select {
-	case <-second.Done():
-	case <-time.After(time.Second):
-		t.Fatal("the queued submission did not resolve within 1s of its 50ms context")
+	if ok, err := cl.Submit(c1, "free").Wait(c1); err != nil || !ok {
+		t.Fatalf("the 65th submission: ok=%v err=%v, want a commit with 64 others undecided", ok, err)
 	}
-	if ok, err := second.Committed(), second.Err(); ok || !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("queued submission must resolve with its context error: ok=%v err=%v", ok, err)
+	for _, x := range held {
+		select {
+		case <-x.Done():
+			t.Fatalf("%s resolved (ok=%v err=%v), want it held", x.TxID, x.Committed(), x.Err())
+		default:
+		}
 	}
-	_ = first // resolves once gate closes at cleanup
 }
 
 // TestTxIDReuseRejected: the documented reuse rule is enforced. An ID that
@@ -177,7 +176,7 @@ func TestTxIDReuseRejected(t *testing.T) {
 		CommitFn:  crs[0].Commit,
 		AbortFn:   crs[0].Abort,
 	}
-	cl, err := NewCluster([]Resource{counted, rs[1]}, Options{Timeout: 20 * time.Millisecond, MaxInFlight: 4})
+	cl, err := NewCluster([]Resource{counted, rs[1]}, Options{Timeout: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +212,7 @@ func TestTxIDReuseRejected(t *testing.T) {
 		}
 		return true
 	}}
-	cl2, err := NewCluster([]Resource{slow, ResourceFunc{}}, Options{Timeout: 20 * time.Millisecond, MaxInFlight: 4})
+	cl2, err := NewCluster([]Resource{slow, ResourceFunc{}}, Options{Timeout: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,9 +273,10 @@ func TestAutoIDsSkipUsedTxIDs(t *testing.T) {
 }
 
 // TestSubmitRoundRobinCoordinators: a Cluster's submissions spread evenly
-// over its peers. 4n of them with allocated IDs send exactly n go
-// envelopes to each peer — allocating an ID, like a query, takes nothing
-// from the round-robin.
+// over its peers. 4n bare submissions with allocated IDs send exactly n
+// stage+go envelopes to each peer — allocating an ID, like a query, takes
+// nothing from the round-robin, and a bare commit starts on the stage+go a
+// footprint rides.
 func TestSubmitRoundRobinCoordinators(t *testing.T) {
 	t.Parallel()
 	const n = 4
@@ -288,7 +288,7 @@ func TestSubmitRoundRobinCoordinators(t *testing.T) {
 	var mu sync.Mutex
 	gos := make(map[core.ProcessID]int)
 	cl.Mesh().Drop = func(e live.Envelope) bool {
-		if e.Path == goPath {
+		if e.Path == stageGoPath {
 			mu.Lock()
 			gos[e.To]++
 			mu.Unlock()

@@ -53,8 +53,8 @@ func TestClientStageGoCommits(t *testing.T) {
 	})
 }
 
-// TestClientStageGoNilFootprint: a stage+go with no footprint is a bare go:
-// nothing is staged, every peer prepares on the txID alone, and the
+// TestClientStageGoNilFootprint: a stage+go with no footprint is a bare
+// commit, what SubmitAt sends: nothing is staged, every peer prepares on the txID alone, and the
 // transaction commits.
 func TestClientStageGoNilFootprint(t *testing.T) {
 	t.Parallel()
@@ -244,7 +244,7 @@ func TestStageGoMalformedRefused(t *testing.T) {
 			c1, cancel := context.WithTimeout(context.Background(), 20*opts.Timeout)
 			defer cancel()
 			txID := fmt.Sprintf("malformed-%d", i)
-			ok, err := c.submitMsg(c1, txID, 1, stageGoPath, tc.msg).Wait(c1)
+			ok, err := c.submitMsg(c1, txID, 1, tc.msg).Wait(c1)
 			if ok || err == nil || errors.Is(err, context.DeadlineExceeded) {
 				t.Fatalf("ok=%v err=%v, want the coordinator's refusal", ok, err)
 			}

@@ -75,30 +75,11 @@ func (decideMsg) UnmarshalWire(d *wire.Decoder) (core.Message, error) {
 // with or without a footprint, read outside transactions, and learn
 // outcomes. See client.go for the driving side.
 const (
-	goPath         = "\x00go"         // goMsg: run the commit
-	stageGoPath    = "\x00stagego"    // stageGoMsg: the footprint rides the go leg
+	stageGoPath    = "\x00stagego"    // stageGoMsg: run the commit; any footprint rides along
 	resultPath     = "\x00result"     // resultMsg: the coordinator's local decision
 	queryPath      = "\x00query"      // payload is the resource's read request, or a Hop passed on
 	queryReplyPath = "\x00queryreply" // payload is the resource's read reply
 )
-
-// goMsg asks the receiving peer to coordinate the commit of Envelope.TxID,
-// whose resources need no footprint, and reply with resultMsg.
-type goMsg struct{}
-
-// Kind implements core.Message.
-func (goMsg) Kind() string { return "GO" }
-
-// WireID implements core.Wire (commit block, ID 5).
-func (goMsg) WireID() uint16 { return 5 }
-
-// MarshalWire implements core.Wire.
-func (goMsg) MarshalWire(b []byte) []byte { return b }
-
-// UnmarshalWire implements core.Wire.
-func (goMsg) UnmarshalWire(d *wire.Decoder) (core.Message, error) {
-	return goMsg{}, d.Err()
-}
 
 // resultMsg reports the coordinator's local decision for Envelope.TxID back
 // to the client; Err != "" reports an infrastructure failure instead.
@@ -124,14 +105,17 @@ func (resultMsg) UnmarshalWire(d *wire.Decoder) (core.Message, error) {
 	return resultMsg{V: core.Value(d.Uvarint()), Err: d.String()}, d.Err()
 }
 
-// stageGoMsg carries a transaction's whole footprint on the message that
-// starts its commit. Fp is the coordinator's own slice and Others the slices
-// of the other involved peers, which the coordinator forwards on its begin to
-// each (beginMsg.Fp): a footprint riding *inside* the message that announces
-// the transaction cannot be overtaken by it, so no stage round trip and no
-// ack barrier is paid. Each slice is a live.MarshalMessage encoding of the
-// resource's footprint message; an empty Fp means the coordinator hosts no
-// slice of this transaction.
+// stageGoMsg asks the receiving peer to coordinate the commit of
+// Envelope.TxID and reply with resultMsg; it is the only message that starts
+// a client's commit. It carries the transaction's whole footprint: Fp is the
+// coordinator's own slice and Others the slices of the other involved peers,
+// which the coordinator forwards on its begin to each (beginMsg.Fp): a
+// footprint riding *inside* the message that announces the transaction
+// cannot be overtaken by it, so no stage round trip and no ack barrier is
+// paid. Each slice is a live.MarshalMessage encoding of the resource's
+// footprint message; an empty Fp means the coordinator hosts no slice of
+// this transaction, and the empty message (one byte on the wire) starts a
+// commit whose resources need no footprint.
 type stageGoMsg struct {
 	Fp     []byte
 	Others []peerSlice
@@ -180,7 +164,6 @@ func (stageGoMsg) UnmarshalWire(d *wire.Decoder) (core.Message, error) {
 func init() {
 	live.RegisterWire(beginMsg{})
 	live.RegisterWire(decideMsg{})
-	live.RegisterWire(goMsg{})
 	live.RegisterWire(stageGoMsg{})
 	live.RegisterWire(resultMsg{})
 }

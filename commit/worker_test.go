@@ -40,7 +40,7 @@ func goroutineGrowth(base int, d time.Duration) int {
 // goroutines.
 func TestClusterSpawnsNothingPerTxn(t *testing.T) {
 	const inFlight = 1024
-	cl, err := NewCluster(yesResources(4), Options{Timeout: time.Second, MaxInFlight: inFlight})
+	cl, err := NewCluster(yesResources(4), Options{Timeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,33 +275,34 @@ func TestCloseWithQueuedApplies(t *testing.T) {
 }
 
 // TestSubmitRunningContextExpiry: a transaction whose context expires while
-// it runs resolves with that error at once, and frees its window slot
-// exactly once, however late the run itself ends. The peers run it to its
-// decision, and the auditor finds no property violated. Not parallel: it
-// installs the process-wide auditor.
+// it runs resolves with that error at once, and leaves the client's pending
+// set exactly once, however late the run itself ends: its result, when it
+// comes, finds nothing to resolve. The peers run it to its decision, and the
+// auditor finds no property violated. Not parallel: it installs the
+// process-wide auditor.
 func TestSubmitRunningContextExpiry(t *testing.T) {
 	aud := obs.NewAuditor(obs.AuditorConfig{})
 	obs.SetAuditor(aud)
 	defer obs.SetAuditor(nil)
 	rs, crs := resources(true, true, true)
-	cl, err := NewCluster(rs, Options{Protocol: TwoPC, Timeout: 20 * time.Millisecond, MaxInFlight: 1})
+	cl, err := NewCluster(rs, Options{Protocol: TwoPC, Timeout: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	// Every envelope of "late" takes 300ms: its context expires mid-run,
-	// and its run ends long after.
+	// Every envelope of "late" but its result takes 300ms: its context
+	// expires mid-run, and its run ends long after, the result with it.
 	cl.Mesh().Latency = func(e live.Envelope) time.Duration {
-		if e.TxID == "late" {
+		if e.TxID == "late" && e.Path != resultPath {
 			return 300 * time.Millisecond
 		}
 		return 0
 	}
-	slots := func() int {
+	pending := func() int {
 		c := cl.client
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		return len(c.pending) - len(c.queue)
+		return len(c.pending)
 	}
 	short, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
@@ -314,8 +315,10 @@ func TestSubmitRunningContextExpiry(t *testing.T) {
 	if late.Committed() || !errors.Is(late.Err(), context.DeadlineExceeded) {
 		t.Fatalf("committed=%v err=%v, want the context's deadline", late.Committed(), late.Err())
 	}
+	if n := pending(); n != 0 {
+		t.Fatalf("%d pending after late expired, want 0", n)
+	}
 
-	// The window is one: this runs only because the expiry freed the slot.
 	if ok, err := cl.Submit(ctx(t), "next").Wait(ctx(t)); err != nil || !ok {
 		t.Fatalf("next: ok=%v err=%v", ok, err)
 	}
@@ -327,10 +330,12 @@ func TestSubmitRunningContextExpiry(t *testing.T) {
 		}
 		return true
 	})
-	waitFor(t, "the window to empty", func() bool { return slots() == 0 })
-	time.Sleep(20 * time.Millisecond)
-	if n := slots(); n != 0 {
-		t.Fatalf("%d slots taken with nothing running: the late run freed its slot again", n)
+	time.Sleep(20 * time.Millisecond) // late's result reaches the client
+	if n := pending(); n != 0 {
+		t.Fatalf("%d pending with nothing running", n)
+	}
+	if !errors.Is(late.Err(), context.DeadlineExceeded) {
+		t.Fatalf("late's result changed its outcome to err=%v", late.Err())
 	}
 	if ok, err := cl.Submit(ctx(t), "after").Wait(ctx(t)); err != nil || !ok {
 		t.Fatalf("after: ok=%v err=%v", ok, err)

@@ -6,10 +6,11 @@
 // in internal/protocols' registry), the deterministic simulator, the
 // consensus substrate and the benchmark harness live under internal/. Beyond one-at-a-time commit.Cluster.Commit, the
 // pipeline API (commit.Cluster.Submit, Txn.Wait, commit.Cluster.CommitMany)
-// runs many transactions concurrently under a configurable in-flight window
-// — the throughput path. Every commit, on the in-memory mesh of a Cluster
-// or on TCP, is driven by one commit.Client: it asks a Peer to coordinate,
-// and queues what the window does not admit (see commit/client.go). The kv
+// runs many transactions concurrently, as many as the caller keeps
+// outstanding — the throughput path. Every commit, on the in-memory mesh of
+// a Cluster or on TCP, is driven by one commit.Client: it sends each
+// submission at once, on one stage+go message that asks a Peer to
+// coordinate (see commit/client.go). The kv
 // subpackage is a sharded transactional key-value store driven by such a
 // client: every shard
 // votes on conflicts, so abort behavior becomes a real, workload-induced

@@ -198,7 +198,7 @@ func (v hostedVoteLog) Prepare(txID string) bool {
 // boot starts the fleet of cell id. What it started before an error is
 // fl.close's to stop.
 func (fl *fleet) boot(cfg Config, proto string, theta float64, depth, id int) error {
-	opts := commit.Options{Protocol: commit.Protocol(proto), F: cfg.F, Timeout: cfg.Timeout, MaxInFlight: depth}
+	opts := commit.Options{Protocol: commit.Protocol(proto), F: cfg.F, Timeout: cfg.Timeout}
 	clientID := cfg.N + id
 	if cfg.Geo != "" {
 		profile, err := live.NamedProfile(cfg.Geo)

@@ -11,7 +11,7 @@ import (
 
 func benchStore(b *testing.B, shards int) *Store {
 	b.Helper()
-	s, err := Open(shards, commit.Options{Timeout: 5 * time.Millisecond, MaxInFlight: 64})
+	s, err := Open(shards, commit.Options{Timeout: 5 * time.Millisecond})
 	if err != nil {
 		b.Fatal(err)
 	}

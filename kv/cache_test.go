@@ -136,11 +136,7 @@ func TestRemoteCacheStaleAbort(t *testing.T) {
 	defer cancel()
 
 	const key = "stale-key"
-	seed := sB.Txn()
-	seed.Put(key, "v1")
-	if ok, err := seed.Commit(ctx); !ok || err != nil {
-		t.Fatalf("seed: ok=%v err=%v", ok, err)
-	}
+	commitSeed(t, ctx, sB, func(seed *Txn) { seed.Put(key, "v1") })
 
 	// Fill A's cache with the current version.
 	warm := sA.Txn()
@@ -276,16 +272,8 @@ func TestRemoteCacheOutlivesOldTTL(t *testing.T) {
 	defer cancel()
 
 	const key = "aged-key"
-	// Retried: a U this tight can time a commit out, which is a legal abort.
-	for try := 0; ; try++ {
-		seed := s.Txn()
-		seed.Put(key, "v")
-		if ok, err := seed.Commit(ctx); ok && err == nil {
-			break
-		} else if try == 9 {
-			t.Fatalf("seed: ok=%v err=%v", ok, err)
-		}
-	}
+	// A U this tight can time a commit out, which is a legal abort.
+	commitSeed(t, ctx, s, func(seed *Txn) { seed.Put(key, "v") })
 	if v, ok, err := s.Txn().WithContext(ctx).Read(key); err != nil || !ok || v != "v" {
 		t.Fatalf("filling read = (%q,%v,%v), want v", v, ok, err)
 	}
@@ -315,11 +303,7 @@ func TestRemoteCacheOwnWriteFreshness(t *testing.T) {
 	defer cancel()
 
 	const key = "rmw-key"
-	seed := s.Txn()
-	seed.Put(key, "0")
-	if ok, err := seed.Commit(ctx); !ok || err != nil {
-		t.Fatalf("seed: ok=%v err=%v", ok, err)
-	}
+	commitSeed(t, ctx, s, func(seed *Txn) { seed.Put(key, "0") })
 
 	// Prime the cache, then read-modify-write through it repeatedly: after
 	// the first wire read, every iteration's read must be a cache hit AND
@@ -372,11 +356,7 @@ func TestRemoteCacheOwnWriteFreshness(t *testing.T) {
 // transaction so that s caches it, and returns s's read cache.
 func cachedWrite(t *testing.T, s *Store, ctx context.Context, key, val string) *readCache {
 	t.Helper()
-	seed := s.Txn()
-	seed.Put(key, val)
-	if ok, err := seed.Commit(ctx); !ok || err != nil {
-		t.Fatalf("seed: ok=%v err=%v", ok, err)
-	}
+	commitSeed(t, ctx, s, func(seed *Txn) { seed.Put(key, val) })
 	readOnly(t, s, ctx, []string{key})
 	c := s.b.cache
 	if v, _, _, hit := c.get(key); !hit || v != val {

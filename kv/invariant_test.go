@@ -17,12 +17,14 @@ import (
 func bank(t *testing.T, s *Store, ctx context.Context, accounts, balance int) []string {
 	t.Helper()
 	keys := make([]string, accounts)
-	seed := s.Txn()
 	for i := range keys {
 		keys[i] = fmt.Sprintf("acct-%d", i)
-		seed.Put(keys[i], strconv.Itoa(balance))
 	}
-	mustCommit(t, seed, ctx)
+	commitSeed(t, ctx, s, func(seed *Txn) {
+		for _, k := range keys {
+			seed.Put(k, strconv.Itoa(balance))
+		}
+	})
 	return keys
 }
 
@@ -78,7 +80,7 @@ func TestBankConservationUnderContention(t *testing.T) {
 		balance  = 100
 		txns     = 240
 	)
-	s := open(t, shards, commit.Options{MaxInFlight: 64})
+	s := open(t, shards, commit.Options{})
 	ctx := testCtx(t)
 	keys := bank(t, s, ctx, accounts, balance)
 
@@ -144,7 +146,7 @@ func TestProtocolMatrixConservation(t *testing.T) {
 			)
 			s := open(t, 4, commit.Options{
 				Protocol: commit.Protocol(name), F: 1,
-				Timeout: 50 * time.Millisecond, MaxInFlight: workers,
+				Timeout: 50 * time.Millisecond,
 			})
 			ctx := testCtx(t)
 			keys := bank(t, s, ctx, accounts, balance)

@@ -133,10 +133,8 @@ type Store struct {
 // OpenRemote builds, without sockets. shards must be >= 2 (ErrTooFewShards
 // otherwise): each shard is one participant of the commit protocol. opts
 // selects the protocol and its tuning; the zero Options means INBAC with
-// the package defaults. opts.MaxInFlight bounds how many of the store's
-// write transactions commit at once, as for OpenRemote: the rest queue in
-// its client, in order. Read-only transactions run no commit and are not
-// bounded by it.
+// the package defaults. As for OpenRemote, every write transaction's commit
+// is sent at once, and read-only transactions run no commit.
 func Open(shards int, opts commit.Options) (*Store, error) {
 	if shards < 2 {
 		return nil, fmt.Errorf("%w: got %d (each shard is one commit participant, and the protocol needs n >= 2)", ErrTooFewShards, shards)

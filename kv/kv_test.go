@@ -32,14 +32,30 @@ func open(t *testing.T, shards int, opts commit.Options) *Store {
 	return s
 }
 
-func mustCommit(t *testing.T, txn *Txn, ctx context.Context) {
+// seedTries bounds commitSeed's attempts.
+const seedTries = 20
+
+// commitSeed commits, on s, the transaction fill builds — a test's setup,
+// which must commit — and returns it. INBAC may abort it on timing, a legal
+// outcome on a loaded machine (a first TCP contact, or jitter near U): an
+// abort is retried with a fresh Txn that fill builds again, under the same
+// U, jitter and schedule, up to seedTries times. Any error fails the test at
+// once.
+func commitSeed(t *testing.T, ctx context.Context, s *Store, fill func(*Txn)) *Txn {
 	t.Helper()
-	ok, err := txn.Commit(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatal("transaction unexpectedly aborted")
+	for try := 1; ; try++ {
+		txn := s.Txn()
+		fill(txn)
+		ok, err := txn.Commit(ctx)
+		if err != nil {
+			t.Fatalf("seed: %v", err)
+		}
+		if ok {
+			return txn
+		}
+		if try == seedTries {
+			t.Fatalf("the seed aborted %d times", try)
+		}
 	}
 }
 
@@ -48,23 +64,21 @@ func TestPutGetDeleteAcrossTxns(t *testing.T) {
 	s := open(t, 4, commit.Options{})
 	ctx := testCtx(t)
 
-	w := s.Txn()
-	w.Put("a", "1")
-	w.Put("b", "2")
-	w.Put("c", "3") // keys hash to different shards; one atomic commit
-	mustCommit(t, w, ctx)
+	commitSeed(t, ctx, s, func(w *Txn) {
+		w.Put("a", "1")
+		w.Put("b", "2")
+		w.Put("c", "3") // keys hash to different shards; one atomic commit
+	})
 
-	r := s.Txn()
-	for key, want := range map[string]string{"a": "1", "b": "2", "c": "3"} {
-		if got, ok := r.Get(key); !ok || got != want {
-			t.Fatalf("Get(%q) = %q, %v; want %q", key, got, ok, want)
+	commitSeed(t, ctx, s, func(r *Txn) {
+		for key, want := range map[string]string{"a": "1", "b": "2", "c": "3"} {
+			if got, ok := r.Get(key); !ok || got != want {
+				t.Fatalf("Get(%q) = %q, %v; want %q", key, got, ok, want)
+			}
 		}
-	}
-	mustCommit(t, r, ctx)
+	})
 
-	d := s.Txn()
-	d.Delete("b")
-	mustCommit(t, d, ctx)
+	commitSeed(t, ctx, s, func(d *Txn) { d.Delete("b") })
 
 	if _, ok := s.Get("b"); ok {
 		t.Fatal("deleted key still visible")
@@ -79,9 +93,7 @@ func TestReadYourWrites(t *testing.T) {
 	s := open(t, 2, commit.Options{})
 	ctx := testCtx(t)
 
-	seed := s.Txn()
-	seed.Put("x", "old")
-	mustCommit(t, seed, ctx)
+	commitSeed(t, ctx, s, func(seed *Txn) { seed.Put("x", "old") })
 
 	txn := s.Txn()
 	txn.Put("x", "new")
@@ -108,16 +120,12 @@ func TestStaleReadAborts(t *testing.T) {
 	s := open(t, 2, commit.Options{})
 	ctx := testCtx(t)
 
-	seed := s.Txn()
-	seed.Put("k", "0")
-	mustCommit(t, seed, ctx)
+	commitSeed(t, ctx, s, func(seed *Txn) { seed.Put("k", "0") })
 
 	stale := s.Txn()
 	stale.Get("k") // observes version 1
 
-	winner := s.Txn()
-	winner.Put("k", "1")
-	mustCommit(t, winner, ctx)
+	commitSeed(t, ctx, s, func(winner *Txn) { winner.Put("k", "1") })
 
 	stale.Put("k", "2") // would be a lost update over winner's write
 	ok, err := stale.Commit(ctx)
@@ -136,7 +144,7 @@ func TestStaleReadAborts(t *testing.T) {
 // commit, and the key holds a value only a committed transaction wrote.
 func TestWriteWriteConflict(t *testing.T) {
 	t.Parallel()
-	s := open(t, 4, commit.Options{MaxInFlight: 8})
+	s := open(t, 4, commit.Options{})
 	ctx := testCtx(t)
 
 	const racers = 8
@@ -196,9 +204,7 @@ func TestTxnSingleUse(t *testing.T) {
 	t.Parallel()
 	s := open(t, 2, commit.Options{})
 	ctx := testCtx(t)
-	txn := s.Txn()
-	txn.Put("k", "v")
-	mustCommit(t, txn, ctx)
+	txn := commitSeed(t, ctx, s, func(txn *Txn) { txn.Put("k", "v") })
 	if _, err := txn.Submit(ctx); err == nil {
 		t.Fatal("resubmitting a transaction must error")
 	}
@@ -254,7 +260,7 @@ func TestClosedStoreErrors(t *testing.T) {
 // have had 20 U to settle, and not before.
 func TestNoStateLeaks(t *testing.T) {
 	t.Parallel()
-	opts := commit.Options{Timeout: 25 * time.Millisecond, MaxInFlight: 16}
+	opts := commit.Options{Timeout: 25 * time.Millisecond}
 	s := open(t, 4, opts)
 	ctx := testCtx(t)
 	stats, err := Run(ctx, s, Workload{Keys: 16, Theta: 0.9, ReadFrac: 0.5, OpsPerTxn: 4},

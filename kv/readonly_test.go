@@ -378,7 +378,7 @@ func TestRelayedAuditSeesConstantTotal(t *testing.T) {
 	for _, id := range []core.ProcessID{2, 4} {
 		profile.Pin(id, "far")
 	}
-	opts := commit.Options{Protocol: commit.INBAC, F: 1, Timeout: 28 * ms, MaxInFlight: 16, Net: profile}
+	opts := commit.Options{Protocol: commit.INBAC, F: 1, Timeout: 28 * ms, Net: profile}
 	s, _, _ := remoteDeployment(t, n, opts)
 	s.ConfigureReadCache(0, 0)
 	auditUnderTransfers(t, s, opts.Timeout)
@@ -418,7 +418,7 @@ func TestAnchoredAuditSeesConstantTotal(t *testing.T) {
 	profile.Pin(2, "far")
 	// P2's vote reaches the near peers about 14 ms after they start: U
 	// leaves that much again for a loaded machine.
-	opts := commit.Options{Protocol: commit.INBAC, F: 1, Timeout: 28 * ms, MaxInFlight: 16, Net: profile}
+	opts := commit.Options{Protocol: commit.INBAC, F: 1, Timeout: 28 * ms, Net: profile}
 	s, _, _ := remoteDeployment(t, n, opts)
 	s.ConfigureReadCache(0, 0)
 	auditUnderTransfers(t, s, opts.Timeout)
@@ -434,7 +434,7 @@ func TestReadOnlyAuditSeesConstantTotal(t *testing.T) {
 	t.Parallel()
 	t.Run("local", func(t *testing.T) {
 		t.Parallel()
-		s := open(t, 4, commit.Options{MaxInFlight: 16})
+		s := open(t, 4, commit.Options{})
 		auditUnderTransfers(t, s, 25*time.Millisecond)
 	})
 	t.Run("remote", func(t *testing.T) {
@@ -449,7 +449,7 @@ func TestReadOnlyAuditSeesConstantTotal(t *testing.T) {
 			Jitter: 6 * time.Millisecond,
 		}
 		profile.Pin(n+1, "b")
-		opts := commit.Options{Protocol: commit.INBAC, F: 1, Timeout: 10 * time.Millisecond, MaxInFlight: 16, Net: profile}
+		opts := commit.Options{Protocol: commit.INBAC, F: 1, Timeout: 10 * time.Millisecond, Net: profile}
 		s, _, _ := remoteDeployment(t, n, opts)
 		auditUnderTransfers(t, s, opts.Timeout)
 	})
@@ -466,24 +466,11 @@ func auditUnderTransfers(t *testing.T, s *Store, u time.Duration) {
 	for _, ks := range keysAcrossShards(t, s.Shards(), perShard, "audit") {
 		accounts = append(accounts, ks...)
 	}
-	// INBAC may abort the seed on timing, a legal outcome on a loaded
-	// machine: try again with a fresh Txn, a few times.
-	for try := 1; ; try++ {
-		seed := s.Txn()
+	commitSeed(t, ctx, s, func(seed *Txn) {
 		for _, k := range accounts {
 			seed.Put(k, strconv.Itoa(balance))
 		}
-		ok, err := seed.Commit(ctx)
-		if err != nil {
-			t.Fatalf("seed: %v", err)
-		}
-		if ok {
-			break
-		}
-		if try == 5 {
-			t.Fatalf("the seed aborted %d times", try)
-		}
-	}
+	})
 	// A read waits out the seed's intent, so no account reads as absent once
 	// the seed committed; one that did would count as 0 and show as a wrong
 	// total.

@@ -44,11 +44,11 @@
 //     nothing.
 //  3. Every peer joins every instance, so any peer can coordinate: with a
 //     geo profile the one nearest the client does, involved or not, and
-//     the go and result legs cross the client's shortest link. The peers
+//     the stage+go and result legs cross the client's shortest link. The peers
 //     run the commit protocol among themselves and the client only learns
 //     the result.
 //
-// Once the go is sent the protocol owns the outcome: the client never
+// Once the stage+go is sent the protocol owns the outcome: the client never
 // releases a footprint, because a one-sided release could break atomicity,
 // and a peer stages a footprint only when it runs the transaction, so a
 // client crash leaves no footprint behind that the protocol does not
@@ -110,9 +110,9 @@ func ServeShard(index int, addrs []string, opts commit.Options) (*commit.Peer, e
 // must be outside the peer range 1..len(addrs) — use len(addrs)+1,
 // len(addrs)+2, ... for concurrent clients, and give every client a
 // distinct ID. opts must agree with the peers' (same protocol, same
-// timeout base, same Net profile) for the deployment to behave.
-// opts.MaxInFlight bounds how many of the store's write transactions commit
-// at once; the rest queue in its client, in order.
+// timeout base, same Net profile) for the deployment to behave. The
+// store's client sends every write transaction's commit at once: nothing
+// bounds how many run but the callers.
 //
 // The store starts with the versioned read cache enabled and no staleness
 // bound; resize or disable it with Store.ConfigureReadCache.

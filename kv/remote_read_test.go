@@ -53,18 +53,17 @@ func TestRemoteGetMultiFanOut(t *testing.T) {
 	defer cancel()
 
 	byShard := keysAcrossShards(t, 3, 2, "fan")
-	seed := s.Txn()
 	want := make(map[string]string)
 	for si, ks := range byShard {
 		for j, k := range ks {
-			v := fmt.Sprintf("v-%d-%d", si, j)
-			seed.Put(k, v)
-			want[k] = v
+			want[k] = fmt.Sprintf("v-%d-%d", si, j)
 		}
 	}
-	if ok, err := seed.Commit(ctx); !ok || err != nil {
-		t.Fatalf("seed: ok=%v err=%v", ok, err)
-	}
+	commitSeed(t, ctx, s, func(seed *Txn) {
+		for k, v := range want {
+			seed.Put(k, v)
+		}
+	})
 
 	var all []string
 	for _, ks := range byShard {
@@ -400,13 +399,11 @@ func TestRemoteReadOnlyLegs(t *testing.T) {
 	for _, ks := range keysAcrossShards(t, n, 1, "ro") {
 		keys = append(keys, ks...)
 	}
-	seed := s.Txn()
-	for _, k := range keys {
-		seed.Put(k, "v")
-	}
-	if ok, err := seed.Commit(ctx); !ok || err != nil {
-		t.Fatalf("seed: ok=%v err=%v", ok, err)
-	}
+	commitSeed(t, ctx, s, func(seed *Txn) {
+		for _, k := range keys {
+			seed.Put(k, "v")
+		}
+	})
 	// The seed's outcome reaches the shards other than its coordinator's after
 	// the client has its result; wait for all three to have applied it, which
 	// is also when the last commit-path call of the seed has been counted.
@@ -764,7 +761,7 @@ func TestRemoteReadErrorDemux(t *testing.T) {
 // leg active — the tentpole's acceptance shape, run under -race in CI.
 func TestRemoteGetMultiBankConservation(t *testing.T) {
 	t.Parallel()
-	opts := commit.Options{Protocol: commit.INBAC, F: 1, Timeout: 25 * time.Millisecond, MaxInFlight: 64}
+	opts := commit.Options{Protocol: commit.INBAC, F: 1, Timeout: 25 * time.Millisecond}
 	s, _, _ := remoteDeployment(t, 3, opts)
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
@@ -772,13 +769,11 @@ func TestRemoteGetMultiBankConservation(t *testing.T) {
 	const accounts = 8
 	const initial = 100
 	acct := func(i int) string { return fmt.Sprintf("macct-%d", i) }
-	seed := s.Txn()
-	for i := 0; i < accounts; i++ {
-		seed.Put(acct(i), "100")
-	}
-	if ok, err := seed.Commit(ctx); !ok || err != nil {
-		t.Fatalf("seed: ok=%v err=%v", ok, err)
-	}
+	commitSeed(t, ctx, s, func(seed *Txn) {
+		for i := 0; i < accounts; i++ {
+			seed.Put(acct(i), "100")
+		}
+	})
 
 	const workers = 4
 	const perWorker = 20

@@ -116,7 +116,7 @@ func TestProtocolAccessor(t *testing.T) {
 // sockets must conserve the total balance, whatever commits or aborts.
 func TestRemoteBankConservation(t *testing.T) {
 	t.Parallel()
-	opts := commit.Options{Protocol: commit.INBAC, F: 1, Timeout: 25 * time.Millisecond, MaxInFlight: 64}
+	opts := commit.Options{Protocol: commit.INBAC, F: 1, Timeout: 25 * time.Millisecond}
 	s, _, _ := remoteDeployment(t, 3, opts)
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
@@ -125,12 +125,7 @@ func TestRemoteBankConservation(t *testing.T) {
 	const initial = 100
 	acct := func(i int) string { return fmt.Sprintf("acct-%d", i) }
 	for i := 0; i < accounts; i++ {
-		txn := s.Txn()
-		txn.Put(acct(i), strconv.Itoa(initial))
-		ok, err := txn.Commit(ctx)
-		if err != nil || !ok {
-			t.Fatalf("seeding %s: ok=%v err=%v", acct(i), ok, err)
-		}
+		commitSeed(t, ctx, s, func(txn *Txn) { txn.Put(acct(i), strconv.Itoa(initial)) })
 	}
 
 	const workers = 4
@@ -214,7 +209,7 @@ func TestRemoteNoStateLeaks(t *testing.T) {
 		Jitter: 6 * time.Millisecond,
 	}
 	profile.Pin(n+1, "b")
-	opts := commit.Options{Protocol: commit.INBAC, F: 1, Timeout: 10 * time.Millisecond, MaxInFlight: 16, Net: profile}
+	opts := commit.Options{Protocol: commit.INBAC, F: 1, Timeout: 10 * time.Millisecond, Net: profile}
 	addrs := kvAddrs(t, n)
 	shards := make([]*Shard, n)
 	for i := range shards {
@@ -344,12 +339,10 @@ func TestRemotePeerCrashAndRedial(t *testing.T) {
 
 	k0 := keyForShard(t, 0, 2)
 	k1 := keyForShard(t, 1, 2)
-	seed := s.Txn()
-	seed.Put(k0, "1")
-	seed.Put(k1, "1")
-	if ok, err := seed.Commit(ctx); !ok || err != nil {
-		t.Fatalf("seed txn: ok=%v err=%v", ok, err)
-	}
+	commitSeed(t, ctx, s, func(seed *Txn) {
+		seed.Put(k0, "1")
+		seed.Put(k1, "1")
+	})
 
 	p0.Close() // crash shard 0's owner mid-deployment
 

@@ -165,9 +165,8 @@ func (z *zipfGen) next(r *rand.Rand) uint64 {
 type RunConfig struct {
 	// Txns is the total number of transactions; defaults to 256.
 	Txns int
-	// Workers is the number of concurrent committers; defaults to 16. A
-	// store's Options.MaxInFlight (default 64) bounds only how many of their
-	// write transactions commit at once.
+	// Workers is the number of concurrent committers, and so the most
+	// transactions in flight at once; defaults to 16.
 	Workers int
 	// Seed makes the run reproducible; worker i uses Seed+i.
 	Seed int64
