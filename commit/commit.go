@@ -36,7 +36,6 @@ import (
 	"atomiccommit/internal/core"
 	"atomiccommit/internal/live"
 	"atomiccommit/internal/protocols"
-	"atomiccommit/internal/protocols/inbac"
 )
 
 // Protocol selects a commit protocol by its registry name.
@@ -98,8 +97,6 @@ type Options struct {
 	// round trip; indulgent protocols (INBAC, PaxosCommit, FullNBAC) stay
 	// correct even when the bound is violated.
 	Timeout time.Duration
-	// Accelerated enables INBAC's one-delay abort fast path (section 5.2).
-	Accelerated bool
 	// MaxInFlight is ignored: a Client sends every submission at once, and
 	// a caller that wants a bound keeps that many outstanding.
 	//
@@ -143,9 +140,6 @@ func (o Options) withDefaults(n int) (Options, error) {
 
 // factory builds the per-process module factory for the chosen protocol.
 func (o Options) factory() func(core.ProcessID) core.Module {
-	if o.Protocol == INBAC && o.Accelerated {
-		return inbac.New(inbac.Options{Accelerated: true})
-	}
 	info, _ := protocols.ByName(string(o.Protocol))
 	return info.New()
 }

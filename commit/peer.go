@@ -567,7 +567,7 @@ func (p *Peer) adopt(txID string, v core.Value) {
 }
 
 // ServeDebug starts the observability HTTP endpoint (expvar under
-// /debug/vars, the metrics registry under /debug/metrics, the flight
+// /debug/vars, the counter registry under /debug/metrics, the flight
 // recorder under /debug/trace, and net/http/pprof under /debug/pprof/) on
 // addr, returning the bound address (useful with ":0"). The server stops
 // when the peer closes.

@@ -8,15 +8,6 @@ import (
 	"time"
 
 	"atomiccommit/internal/core"
-	"atomiccommit/internal/obs"
-)
-
-// Shaped-link metrics: envelopes held back by an emulated WAN delay and
-// envelopes swallowed by an emulated partition window. A geo run whose
-// abort rate looks off is diagnosed here first.
-var (
-	mShapedDelayed = obs.M.Counter("live.shape.delayed")
-	mShapedDropped = obs.M.Counter("live.shape.dropped")
 )
 
 // LinkShaper shapes a process's outbound links: Delay returns the extra

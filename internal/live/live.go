@@ -79,7 +79,7 @@ type Instance struct {
 	children   []submodule // what the tree registered below the root (see module)
 	selfq      []Envelope  // the running handler's self-sends (see drainSelf)
 	closed     bool
-	decidePath string // last "decide-path" annotation (see Env Annotate)
+	decidePath string // first "decide-path" annotation, for the auditor (see Annotate)
 
 	final   bool          // the root decided: outcome holds the decision
 	done    chan struct{} // made by the first Done or Wait, closed at the decision
@@ -256,16 +256,6 @@ func (inst *Instance) Done() <-chan struct{} {
 // Config.Decided was called.
 func (inst *Instance) Outcome() core.Value { return inst.outcome }
 
-// DecidePath returns the instance's last "decide-path" annotation (see
-// core.Annotate): which branch of its protocol's decision state machine
-// produced the outcome. "" if the protocol does not report paths. Valid
-// once Done is closed; safe to call at any time.
-func (inst *Instance) DecidePath() string {
-	inst.mu.Lock()
-	defer inst.mu.Unlock()
-	return inst.decidePath
-}
-
 // Wait blocks until the decision or ctx expiry.
 func (inst *Instance) Wait(ctx context.Context) (core.Value, error) {
 	select {
@@ -405,9 +395,10 @@ func (e *liveEnv) Decide(v core.Value) {
 
 // Annotate implements core.Annotator: protocol branch points land in the
 // flight recorder (when enabled) and the metrics registry (always). The
-// "decide-path" key additionally sticks to the instance so the commit
-// layer can label its latency histograms per decide path. Called from
-// inside handlers, so inst.mu is already held.
+// "decide-path" key additionally sticks to the instance (first one wins)
+// so that the live auditor, its only reader, can name in a violation
+// report the branch that produced the decision. Called from inside
+// handlers, so inst.mu is already held.
 func (e *liveEnv) Annotate(key, note string) {
 	if key == "decide-path" {
 		if e.inst.decidePath == "" {

@@ -22,11 +22,7 @@ import (
 var (
 	mSendEnvelopes = obs.M.Counter("live.send.envelopes")
 	mSendBytes     = obs.M.Counter("live.send.bytes")
-	mRecvEnvelopes = obs.M.Counter("live.recv.envelopes")
 	mFlushFrames   = obs.M.Counter("live.tcp.flush.frames")
-	mFlushBytes    = obs.M.Counter("live.tcp.flush.bytes")
-	mReadFrames    = obs.M.Counter("live.tcp.read.frames")
-	mReadBytes     = obs.M.Counter("live.tcp.read.bytes")
 	mDials         = obs.M.Counter("live.tcp.dials")
 	mEvictions     = obs.M.Counter("live.tcp.evictions") // dead conns dropped; the next Send redials
 )
@@ -265,8 +261,6 @@ func (t *TCP) readLoop(c net.Conn, conn *tcpConn) {
 		t.mu.Lock()
 		h := t.handler
 		t.mu.Unlock()
-		mReadFrames.Add(1)
-		mReadBytes.Add(int64(len(frame)))
 		d.Reset(frame)
 		for d.Remaining() > 0 {
 			before := d.Remaining()
@@ -277,7 +271,6 @@ func (t *TCP) readLoop(c net.Conn, conn *tcpConn) {
 				}
 				return
 			}
-			mRecvEnvelopes.Add(1)
 			if e.From != from {
 				from = e.From
 				conn = t.bind(from, c, conn)
@@ -352,12 +345,10 @@ func (t *TCP) Send(e Envelope) error {
 	e.HLC = obs.ProcessClock.Tick()
 
 	if shaper.Drop != nil && shaper.Drop(e) {
-		mShapedDropped.Add(1)
 		return nil // partitioned: silence, exactly like a crashed peer
 	}
 	if shaper.Delay != nil {
 		if d := shaper.Delay(e); d > 0 {
-			mShapedDelayed.Add(1)
 			After(d, func() { t.enqueue(e) })
 			return nil
 		}
@@ -508,7 +499,6 @@ func (t *TCP) connLoop(conn *tcpConn) {
 		conn.mu.Unlock()
 
 		mFlushFrames.Add(1)
-		mFlushBytes.Add(int64(len(frame)))
 		n := 1 + binary.PutUvarint(hdr[1:], uint64(len(frame)))
 		vec = [2][]byte{hdr[:n], frame}
 		bufs = vec[:]

@@ -18,9 +18,9 @@ import (
 // information on the wire, so IDs are allocated in per-package blocks and
 // never renumbered:
 //
-//	 1..7    commit (beginMsg, decideMsg, go, result; IDs 3, 4 and 7, once
-//	         the client's hello, stageAck and unstage, are retired: never
-//	         reuse)
+//	 1..7    commit (1 beginMsg, 2 decideMsg, 6 resultMsg; 3, 4, 5 and 7,
+//	         once the client's hello, stageAck, bare go and unstage, are
+//	         retired: never reuse)
 //	 8..14   internal/consensus (incl. flooding)
 //	16..20   protocols/inbac
 //	24..26   protocols/twopc (24, once MsgReq, is retired: never reuse)
@@ -38,7 +38,8 @@ import (
 //	         readReply with and without per-key intent bits, validate and
 //	         validateReply, once 81, 82, 87, 84 and 85, are retired: never
 //	         reuse)
-//	83       commit (stageGoMsg — piggybacked stage+go client leg)
+//	83       commit (stageGoMsg — the one client message that starts a
+//	         commit, its footprint empty for a bare commit)
 //	>= 240   reserved for tests
 //
 // Versioning: adding a message type takes a fresh ID; removing one retires

@@ -115,7 +115,6 @@ func SetDumpDir(dir string) { dumpDir.Store(dir) }
 // is set, and invokes the anomaly hook. It returns the dump.
 func ReportAnomaly(kind, txID, detail string) Dump {
 	M.Counter("obs.anomalies").Add(1)
-	M.Counter("obs.anomalies." + kind).Add(1)
 	Default.Record(Event{Kind: EvAnomaly, TxID: txID, Note: kind + ": " + detail})
 	d := Dump{
 		Anomaly: Anomaly{Kind: kind, TxID: txID, Detail: detail, Time: time.Now()},

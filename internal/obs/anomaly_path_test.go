@@ -118,32 +118,3 @@ func TestSanitize(t *testing.T) {
 		}
 	}
 }
-
-// TestHistogramMinMax checks the exact extremes next to the bucket-floor
-// quantiles, including the zero-sample and single-sample corners.
-func TestHistogramMinMax(t *testing.T) {
-	var h Histogram
-	if h.Min() != 0 || h.Max() != 0 {
-		t.Fatalf("empty histogram extremes: min=%d max=%d", h.Min(), h.Max())
-	}
-	h.Record(77)
-	if h.Min() != 77 || h.Max() != 77 {
-		t.Fatalf("single sample extremes: min=%d max=%d, want 77/77", h.Min(), h.Max())
-	}
-	h.Record(3)
-	h.Record(1_000_000)
-	h.Record(0)
-	s := h.snapshot()
-	if s.Min != 0 {
-		t.Fatalf("snapshot min = %d, want 0", s.Min)
-	}
-	if s.Max != 1_000_000 {
-		t.Fatalf("snapshot max = %d, want 1000000", s.Max)
-	}
-	if s.P99 > s.Max {
-		t.Fatalf("quantile %d above exact max %d", s.P99, s.Max)
-	}
-	if s.Count != 4 || s.Sum != 77+3+1_000_000 {
-		t.Fatalf("count/sum = %d/%d", s.Count, s.Sum)
-	}
-}

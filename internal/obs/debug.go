@@ -10,9 +10,9 @@ import (
 // DebugHandler returns the /debug HTTP surface a live process (e.g. a
 // commit.Peer via ServeDebug) exposes:
 //
-//	/debug/vars          expvar (includes the "atomiccommit" metrics map)
-//	/debug/metrics       the metrics registry snapshot as JSON
-//	/debug/metrics.prom  the registry in Prometheus text exposition format
+//	/debug/vars          the standard expvar handler (memstats, cmdline)
+//	/debug/metrics       the counters of M as JSON
+//	/debug/metrics.prom  the counters of M in Prometheus text exposition format
 //	/debug/trace         the flight recorder ring as JSON; ?tx=ID filters
 //	                     to one transaction's merged timeline
 //	/debug/audit         the live NBAC auditor's summary (see Auditor);

@@ -11,70 +11,21 @@ import (
 // 0.0.4, which WritePrometheus emits.
 const PrometheusContentType = "text/plain; version=0.0.4; charset=utf-8"
 
-// WritePrometheus renders every instrument in the registry in the
-// Prometheus text exposition format: counters as counter samples,
-// gauges as gauge samples, histograms as the conventional cumulative
-// _bucket/_sum/_count triple plus exact _min and _max gauges.
-//
-// Instrument names are mangled to Prometheus's [a-zA-Z0-9_:] alphabet
-// (the registry's dotted names become underscored). The histogram `le`
-// bounds are the log-linear bucket boundaries; a bucket's samples are
-// attributed to its upper bound, consistent with the bucket-floor
-// quantiles /debug/metrics reports. Empty buckets are elided — the
-// cumulative counts stay correct without them.
+// WritePrometheus renders every counter in the registry as a counter
+// sample in the Prometheus text exposition format, sorted by name.
+// Counter names are mangled to Prometheus's [a-zA-Z0-9_:] alphabet (the
+// registry's dotted names become underscored).
 func WritePrometheus(w io.Writer, r *Registry) {
-	r.mu.RLock()
-	counters := make(map[string]int64, len(r.counters))
-	for name, c := range r.counters {
-		counters[name] = c.Value()
+	counters := r.Snapshot()
+	names := make([]string, 0, len(counters))
+	for name := range counters {
+		names = append(names, name)
 	}
-	gauges := make(map[string]int64, len(r.gauges))
-	for name, g := range r.gauges {
-		gauges[name] = g.Value()
-	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for name, h := range r.hists {
-		hists[name] = h
-	}
-	r.mu.RUnlock()
-
-	for _, name := range sortedKeys(counters) {
+	sort.Strings(names)
+	for _, name := range names {
 		pn := promName(name)
 		fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", pn, pn, counters[name])
 	}
-	for _, name := range sortedKeys(gauges) {
-		pn := promName(name)
-		fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", pn, pn, gauges[name])
-	}
-	for _, name := range sortedKeys(hists) {
-		writePromHistogram(w, promName(name), hists[name])
-	}
-}
-
-func writePromHistogram(w io.Writer, pn string, h *Histogram) {
-	// Snapshot the buckets first so count ≥ sum-of-buckets can't be
-	// violated by concurrent recording mid-render.
-	var counts [histBuckets]int64
-	var total int64
-	for i := range h.buckets {
-		counts[i] = h.buckets[i].Load()
-		total += counts[i]
-	}
-	fmt.Fprintf(w, "# TYPE %s histogram\n", pn)
-	var cum int64
-	for i, c := range counts {
-		if c == 0 {
-			continue
-		}
-		cum += c
-		// The sample's upper bound: the next bucket's lower bound.
-		fmt.Fprintf(w, "%s_bucket{le=\"%d\"} %d\n", pn, bucketLower(i+1), cum)
-	}
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", pn, total)
-	fmt.Fprintf(w, "%s_sum %d\n", pn, h.sum.Load())
-	fmt.Fprintf(w, "%s_count %d\n", pn, total)
-	fmt.Fprintf(w, "# TYPE %s_min gauge\n%s_min %d\n", pn, pn, h.Min())
-	fmt.Fprintf(w, "# TYPE %s_max gauge\n%s_max %d\n", pn, pn, h.Max())
 }
 
 // promName mangles a registry name into the Prometheus metric-name
@@ -93,13 +44,4 @@ func promName(s string) string {
 		b.WriteRune(r)
 	}
 	return b.String()
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -1,11 +1,10 @@
 // Package obs is the observability layer for the live commit path: a
 // flight recorder (a lock-free per-process ring buffer of compact trace
 // events fed by the transports, the runtime, the protocols and kv), an
-// always-on metrics registry (counters, gauges, HDR-style histograms
-// exposed through expvar and the /debug endpoint), and an anomaly hook
-// that dumps the merged multi-process timeline of an offending
-// transaction the moment an agreement violation or invariant breach is
-// detected.
+// always-on registry of atomic counters (served by the /debug endpoint),
+// and an anomaly hook that dumps the merged multi-process timeline of an
+// offending transaction the moment an agreement violation or invariant
+// breach is detected.
 //
 // Tracing is off by default and gated by one atomic flag: the disabled
 // hot path is a single branch with no allocation (pinned by test), so

@@ -182,8 +182,8 @@ const (
 
 // Tag is the branch's short stable name, used as the "decide-path"
 // annotation (core.Annotate) on the live runtime: it labels the flight
-// recorder's per-transaction timeline, the decide_path.* counters, and
-// the per-path commit latency histograms.
+// recorder's per-transaction timeline, the decide_path.* counters and the
+// live auditor's violation reports.
 func (b Branch) Tag() string {
 	switch b {
 	case BranchFastDecide:

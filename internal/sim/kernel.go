@@ -206,11 +206,6 @@ type proc struct {
 	decidedDepth int
 }
 
-type arrival struct {
-	at   core.Ticks
-	path string
-}
-
 type kernel struct {
 	cfg   Config
 	now   core.Ticks
@@ -220,7 +215,7 @@ type kernel struct {
 
 	messagesSent   int
 	sentByPath     map[string]int
-	arrivals       []arrival
+	arrivals       []core.Ticks // when each network message arrived
 	netFailure     bool
 	violations     []string
 	decidedCorrect int
@@ -408,7 +403,7 @@ func Run(cfg Config) *Result {
 				p.depth = e.depth
 			}
 			if e.from != e.to {
-				k.arrivals = append(k.arrivals, arrival{at: k.now, path: e.path})
+				k.arrivals = append(k.arrivals, k.now)
 			}
 			k.traceDeliver(e)
 			slot.mod.Deliver(e.from, e.msg)
@@ -456,20 +451,18 @@ func (k *kernel) result(horizon bool) *Result {
 			}
 		}
 	}
-	r.MessagesToDecide, r.ToDecideByPath = k.countArrivals(r.LastDecisionTick)
+	r.MessagesToDecide = k.countArrivals(r.LastDecisionTick)
 	return r
 }
 
-func (k *kernel) countArrivals(cutoff core.Ticks) (int, map[string]int) {
-	byPath := make(map[string]int)
+func (k *kernel) countArrivals(cutoff core.Ticks) int {
 	n := 0
-	for _, a := range k.arrivals {
-		if a.at <= cutoff {
+	for _, at := range k.arrivals {
+		if at <= cutoff {
 			n++
-			byPath[a.path]++
 		}
 	}
-	return n, byPath
+	return n
 }
 
 // Trace hooks (no-ops when tracing is off).

@@ -45,7 +45,6 @@ type Result struct {
 	// helping broadcast is sent at decision time, arrives afterwards, and
 	// is not part of the n^2-n bound).
 	MessagesToDecide int
-	ToDecideByPath   map[string]int
 }
 
 // DelayUnits returns the paper's "number of message delays" of the
@@ -58,11 +57,6 @@ func (r *Result) DelayUnits() int {
 	}
 	return int((r.LastDecisionTick + r.U - 1) / r.U)
 }
-
-// RootMessages returns the paper's message count restricted to the commit
-// protocol itself (excluding any consensus sub-module traffic, which must be
-// zero in nice executions anyway).
-func (r *Result) RootMessages() int { return r.ToDecideByPath[""] }
 
 // ConsensusMessages returns the number of messages sent by sub-modules
 // (everything that is not the root protocol instance).
