@@ -324,14 +324,22 @@ func TestClientReopenedSameID(t *testing.T) {
 
 // TestClientLateResultFindsConnection: a client whose first and only message
 // is a bare stage+go — what the repository benchmark sends — gets the
-// coordinator's result, which leaves two timeout units later, on the
-// connection the stage+go opened.
+// coordinator's result on the connection the stage+go opened, however late
+// it leaves: the coordinator's apply, which the result follows, is held until
+// the test has seen the transaction still unresolved.
 func TestClientLateResultFindsConnection(t *testing.T) {
 	t.Parallel()
 	opts := Options{Protocol: INBAC, F: 1, Timeout: 25 * time.Millisecond}
 	addrs := reserveAddrs(t, 3)
+	applying, gate := make(chan struct{}), make(chan struct{})
+	var release sync.Once
+	t.Cleanup(func() { release.Do(func() { close(gate) }) })
 	for i := 1; i <= 3; i++ {
-		p, err := NewPeer(i, addrs, ResourceFunc{}, opts)
+		var res Resource = ResourceFunc{}
+		if i == 2 {
+			res = ResourceFunc{CommitFn: func(string) { close(applying); <-gate }}
+		}
+		p, err := NewPeer(i, addrs, res, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -344,12 +352,22 @@ func TestClientLateResultFindsConnection(t *testing.T) {
 	t.Cleanup(c.Close)
 
 	txn := c.SubmitAt(ctx(t), "", 2)
-	ok, err := txn.Wait(ctx(t))
-	if !ok || err != nil {
-		t.Fatalf("first-contact go: committed=%v err=%v", ok, err)
+	select {
+	case <-applying:
+	case <-txn.Done():
+		t.Fatalf("first-contact go resolved (committed=%v err=%v) before its coordinator applied", txn.Committed(), txn.Err())
+	case <-time.After(10 * time.Second):
+		t.Fatal("the coordinator never applied a commit")
 	}
-	if took := txn.Latency(); took < 2*opts.Timeout {
-		t.Fatalf("result after %v, before INBAC's 2U = %v decision", took, 2*opts.Timeout)
+	time.Sleep(4 * opts.Timeout)
+	select {
+	case <-txn.Done():
+		t.Fatalf("resolved (committed=%v err=%v) while the coordinator's apply was held", txn.Committed(), txn.Err())
+	default:
+	}
+	release.Do(func() { close(gate) })
+	if ok, err := txn.Wait(ctx(t)); !ok || err != nil {
+		t.Fatalf("first-contact go: committed=%v err=%v", ok, err)
 	}
 }
 

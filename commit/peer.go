@@ -87,7 +87,6 @@ type Peer struct {
 // longer change, and only a local Wait still holds the record.
 type txn struct {
 	phase   txnPhase
-	vote    core.Value
 	inst    *live.Instance  // nil until the vote is in
 	pending []live.Envelope // protocol envelopes that arrived before inst
 	// done is made by a local Commit or Wait, and closed once
@@ -118,8 +117,6 @@ const (
 	// unannounced: a hosted peer holds protocol envelopes of a transaction
 	// nobody announced to it yet (see the ordering rule on Peer).
 	unannounced
-	// settled: the decision is applied and the record retired.
-	settled
 )
 
 // NewPeer starts participant id (1-based); addrs[i-1] is Pi's address, and
@@ -514,7 +511,7 @@ func (p *Peer) start(txID string, t *txn, vote core.Value) {
 		p.mu.Unlock()
 		return
 	}
-	t.vote, t.inst = vote, inst
+	t.inst = inst
 	pend := t.pending
 	t.pending = nil
 	p.mu.Unlock()
@@ -541,7 +538,6 @@ func (p *Peer) settle(d decision) {
 	}
 	t := d.t
 	p.mu.Lock()
-	t.phase = settled
 	if t.done != nil {
 		close(t.done)
 	}

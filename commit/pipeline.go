@@ -16,7 +16,6 @@ type Txn struct {
 	ctx     context.Context
 	unwatch func() bool // stops ctx's watch; nil if nothing watches it
 	start   time.Time   // when it was submitted
-	end     time.Time
 
 	done      chan struct{}
 	committed bool
@@ -46,10 +45,6 @@ func (t *Txn) Committed() bool { return t.committed }
 // closed. A unanimous abort is a normal outcome, not an error.
 func (t *Txn) Err() error { return t.err }
 
-// Latency is the wall-clock time from submission to decision; valid only
-// after Done is closed.
-func (t *Txn) Latency() time.Duration { return t.end.Sub(t.start) }
-
 // Wait blocks until the transaction decides or ctx expires, returning the
 // decision (true = committed).
 func (t *Txn) Wait(ctx context.Context) (bool, error) {
@@ -67,7 +62,6 @@ func (t *Txn) resolve(ok bool, err error) {
 	if t.unwatch != nil {
 		t.unwatch()
 	}
-	t.end = time.Now()
 	t.committed, t.err = ok, err
 	t.mu.Lock()
 	t.resolved = true
@@ -109,8 +103,7 @@ func (t *Txn) watchContext(expire func(*Txn)) {
 // UnresolvedTxn returns a future that its caller resolves, by calling
 // resolve exactly once, for a transaction a layer above the Client decides
 // without running an atomic-commit instance (kv's read-only validation).
-// Latency runs from this call to resolve; the ID is not registered with
-// any client.
+// The ID is not registered with any client.
 func UnresolvedTxn(txID string) (t *Txn, resolve func(committed bool, err error)) {
 	t = newTxn(context.Background(), txID)
 	return t, t.resolve

@@ -33,18 +33,19 @@ func goroutineGrowth(base int, d time.Duration) int {
 }
 
 // TestClusterSpawnsNothingPerTxn: 1024 transactions in flight on a Cluster
-// (U = 1 s, so none decides while the count is taken) cost fewer than 32
-// goroutines; the pipeline used to park one per transaction, and the mesh and
-// the decisions spawned more. Close resolves them all with the closed
-// client's error. Not parallel: it counts the process's
-// goroutines.
+// cost fewer than 32 goroutines; the pipeline used to park one per
+// transaction, and the mesh and the decisions spawned more. The peers run
+// and apply every one, but the mesh drops each result, so none resolves
+// while the count is taken; Close resolves them all with the closed client's
+// error. Not parallel: it counts the process's goroutines.
 func TestClusterSpawnsNothingPerTxn(t *testing.T) {
 	const inFlight = 1024
-	cl, err := NewCluster(yesResources(4), Options{Timeout: time.Second})
+	cl, err := NewCluster(yesResources(4), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
+	cl.Mesh().Drop = func(e live.Envelope) bool { return e.Path == resultPath }
 	base := runtime.NumGoroutine()
 	txns := make([]*Txn, inFlight)
 	for i := range txns {

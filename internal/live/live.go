@@ -405,9 +405,6 @@ func (e *liveEnv) Annotate(key, note string) {
 			e.inst.decidePath = note
 		}
 		decidePathCounter(e.inst.label, note).Add(1)
-		if a := obs.ActiveAuditor(); a != nil {
-			a.DecidePath(e.inst.txID, e.inst.id, note)
-		}
 	}
 	if obs.Default.Enabled() {
 		obs.Default.Record(obs.Event{

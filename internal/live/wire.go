@@ -30,7 +30,8 @@ import (
 //	50..51   protocols/avnbac
 //	54..56   protocols/zeronbac
 //	60       protocols/chainnbac
-//	62..65   protocols/anbac
+//	63..65   protocols/anbac (62, once its copy of chainnbac's aggregate,
+//	         is retired: never reuse)
 //	68..69   protocols/hubnbac
 //	72..76   protocols/fullnbac
 //	80..87   kv (80 footprint, 86 relay — the one kv query: a read, a

@@ -265,17 +265,6 @@ func (a *Auditor) Decide(txID string, proc core.ProcessID, v core.Value, path st
 	a.fire(pend)
 }
 
-// DecidePath records a decide-path annotation (which branch of the
-// protocol's decision state machine fired) for anomaly detail strings.
-func (a *Auditor) DecidePath(txID string, proc core.ProcessID, path string) {
-	a.mu.Lock()
-	tx := a.get(txID)
-	if tx.paths[proc] == "" {
-		tx.paths[proc] = path
-	}
-	a.mu.Unlock()
-}
-
 // ObserveSend records that a protocol envelope of txID left a process.
 // Called by live.Instance, like the other two observations, while an
 // auditor is installed.

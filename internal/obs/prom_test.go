@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"strings"
@@ -44,7 +45,9 @@ func TestPromNameMangling(t *testing.T) {
 // TestDebugMetricsProm serves the endpoint and checks the content type
 // and that the exposition carries a known global counter.
 func TestDebugMetricsProm(t *testing.T) {
-	M.Counter("obs.prom_endpoint_test").Add(7)
+	c := M.Counter("obs.prom_endpoint_test")
+	want := fmt.Sprintf("obs_prom_endpoint_test %d", c.Value()+7)
+	c.Add(7)
 	srv := httptest.NewServer(DebugHandler())
 	defer srv.Close()
 
@@ -60,7 +63,7 @@ func TestDebugMetricsProm(t *testing.T) {
 	if _, err := b.ReadFrom(resp.Body); err != nil {
 		t.Fatalf("read body: %v", err)
 	}
-	if !strings.Contains(b.String(), "obs_prom_endpoint_test 7") {
+	if !strings.Contains(b.String(), want+"\n") {
 		t.Fatalf("exposition missing counter:\n%s", b.String())
 	}
 }

@@ -20,10 +20,8 @@ import (
 	"atomiccommit/internal/wire"
 )
 
-// Message types.
+// Message types of the overlay; the chain's aggregate is chainnbac.MsgVal.
 type (
-	// MsgVal is the chain aggregate (identical role to chainnbac's).
-	MsgVal struct{ V core.Value }
 	// MsgV0 announces a 0 vote (overlay).
 	MsgV0 struct{}
 	// MsgB0 is the second-round zero announcement from 1-voters (overlay).
@@ -32,9 +30,8 @@ type (
 	MsgAck struct{ B bool }
 )
 
-func (MsgVal) Kind() string { return "VAL" }
-func (MsgV0) Kind() string  { return "V0" }
-func (MsgB0) Kind() string  { return "B0" }
+func (MsgV0) Kind() string { return "V0" }
+func (MsgB0) Kind() string { return "B0" }
 func (m MsgAck) Kind() string {
 	if m.B {
 		return "ACKB"
@@ -42,23 +39,16 @@ func (m MsgAck) Kind() string {
 	return "ACKV"
 }
 
-// Wire IDs (anbac block 62..65; see internal/live's registry).
+// Wire IDs (anbac block 63..65; see internal/live's registry).
 const (
-	wireIDVal uint16 = 62 + iota
-	wireIDV0
+	wireIDV0 uint16 = 63 + iota
 	wireIDB0
 	wireIDAck
 )
 
-func (MsgVal) WireID() uint16 { return wireIDVal }
 func (MsgV0) WireID() uint16  { return wireIDV0 }
 func (MsgB0) WireID() uint16  { return wireIDB0 }
 func (MsgAck) WireID() uint16 { return wireIDAck }
-
-func (m MsgVal) MarshalWire(b []byte) []byte { return wire.AppendUvarint(b, uint64(m.V)) }
-func (MsgVal) UnmarshalWire(d *wire.Decoder) (core.Message, error) {
-	return MsgVal{V: core.Value(d.Uvarint())}, d.Err()
-}
 
 func (MsgV0) MarshalWire(b []byte) []byte { return b }
 func (MsgV0) UnmarshalWire(d *wire.Decoder) (core.Message, error) {
@@ -103,7 +93,7 @@ func New() func(core.ProcessID) core.Module {
 // Init implements core.Module.
 func (p *ANBAC) Init(env core.Env) {
 	p.env = env
-	p.Chain.Init(env, func(v core.Value) core.Message { return MsgVal{V: v} })
+	p.Chain.Init(env)
 	p.collectionV = core.NewProcSet(env.N())
 	p.collectionB = core.NewProcSet(env.N())
 }
@@ -136,7 +126,7 @@ func (p *ANBAC) Deliver(from core.ProcessID, m core.Message) {
 		} else {
 			p.collectionV.Add(from)
 		}
-	case MsgVal:
+	case chainnbac.MsgVal:
 		p.Chain.Deliver(from, msg.V)
 	}
 }

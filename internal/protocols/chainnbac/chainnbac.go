@@ -24,7 +24,8 @@ import (
 )
 
 // MsgVal carries the AND of the votes collected so far along the chain (and
-// the abort floods of failure executions).
+// the abort floods of failure executions), for every protocol built on
+// Chain.
 type MsgVal struct{ V core.Value }
 
 // Kind implements core.Message.
@@ -55,7 +56,6 @@ const (
 // aNBAC commits only if its acknowledgement overlay raised no objection.
 type Chain struct {
 	env core.Env
-	val func(core.Value) core.Message // wraps an aggregate in the embedder's wire type
 
 	Decision    core.Value // AND of everything seen so far
 	Decided     bool       // set by the embedder; a decided process stops re-flooding zeros
@@ -64,10 +64,9 @@ type Chain struct {
 	zeroFlooded bool
 }
 
-// Init attaches the chain to env; val builds the message that carries an
-// aggregate (each embedding protocol has its own wire ID for it).
-func (c *Chain) Init(env core.Env, val func(core.Value) core.Message) {
-	c.env, c.val, c.Decision = env, val, core.Commit
+// Init attaches the chain to env.
+func (c *Chain) Init(env core.Env) {
+	c.env, c.Decision = env, core.Commit
 }
 
 func (c *Chain) i() int { return int(c.env.ID()) }
@@ -85,7 +84,7 @@ func (c *Chain) At(paperTime int) core.Ticks { return core.Ticks(paperTime-1) * 
 func (c *Chain) Propose(v core.Value) {
 	c.Decision = c.Decision.And(v)
 	if c.i() == 1 {
-		c.env.Send(2, c.val(c.Decision))
+		c.env.Send(2, MsgVal{V: c.Decision})
 		c.env.SetTimerAt(c.At(c.n()+1), tagPhase2)
 		c.phase = 2
 	} else {
@@ -115,7 +114,7 @@ func (c *Chain) floodZero() {
 		return
 	}
 	c.zeroFlooded = true
-	core.SendOthers(c.env, c.val(core.Abort))
+	core.SendOthers(c.env, MsgVal{V: core.Abort})
 }
 
 // Timeout runs the chain's handler for tag (tags it does not own are
@@ -127,7 +126,7 @@ func (c *Chain) Timeout(tag int) (noopOver bool) {
 			c.Decision = core.Abort
 		}
 		if c.Decision == core.Commit {
-			c.env.Send(c.succ(), c.val(c.Decision))
+			c.env.Send(c.succ(), MsgVal{V: c.Decision})
 		} else if c.i() == c.n() {
 			c.floodZero()
 		}
@@ -144,7 +143,7 @@ func (c *Chain) Timeout(tag int) (noopOver bool) {
 			c.Decision = core.Abort
 		}
 		if c.Decision == core.Commit && c.i() != c.f() {
-			c.env.Send(c.succ(), c.val(c.Decision))
+			c.env.Send(c.succ(), MsgVal{V: c.Decision})
 		}
 		if c.Decision == core.Abort {
 			c.floodZero()
@@ -168,9 +167,7 @@ func New() func(core.ProcessID) core.Module {
 }
 
 // Init implements core.Module.
-func (p *ChainNBAC) Init(env core.Env) {
-	p.Chain.Init(env, func(v core.Value) core.Message { return MsgVal{V: v} })
-}
+func (p *ChainNBAC) Init(env core.Env) { p.Chain.Init(env) }
 
 // Deliver implements core.Module.
 func (p *ChainNBAC) Deliver(from core.ProcessID, m core.Message) {

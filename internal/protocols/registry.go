@@ -133,7 +133,7 @@ var all = []Info{
 		PaperDelays: nil, PaperMessages: func(n, f int) int { return n - 1 + f },
 		Delays: func(n, f int) int { return n + 2*f }, Messages: func(n, f int) int { return n - 1 + f },
 		MinN:  3,
-		Wires: []core.Wire{anbac.MsgVal{}, anbac.MsgV0{}, anbac.MsgB0{}, anbac.MsgAck{}},
+		Wires: []core.Wire{chainnbac.MsgVal{}, anbac.MsgV0{}, anbac.MsgB0{}, anbac.MsgAck{}},
 	},
 	{
 		Name: "chainnbac", Paper: "(n-1+f)NBAC (appendix E.2)",

@@ -377,11 +377,11 @@ func writingCount(c *readCache) int {
 // to it is undecided reads it at its shard, not from the cache. The shard
 // parks the read behind W's intent and answers with W's value, and R
 // commits; served the cached pre-image, R's validation would refuse it.
+// Every shard holds its applies until R's read has reached the shard, so W
+// stays undecided at the client, and its intent in place, until then.
 func TestRemoteReadSkipsCacheUnderOwnWriter(t *testing.T) {
 	t.Parallel()
-	// U = 100 ms: W decides some 2U after it prepared, long after R's read.
-	opts := commit.Options{Protocol: commit.INBAC, F: 1, Timeout: 100 * time.Millisecond}
-	s, spies := spyDeployment(t, 2, opts)
+	s, spies := spyDeployment(t, 2, commit.Options{Protocol: commit.INBAC, F: 1})
 	s.ConfigureReadCache(1024, 0)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -389,6 +389,7 @@ func TestRemoteReadSkipsCacheUnderOwnWriter(t *testing.T) {
 	owner := spies[1]
 	cachedWrite(t, s, ctx, key, "v1")
 
+	release := holdApplies(t, spies)
 	w := s.Txn()
 	w.Put(key, "v2")
 	pw, err := w.Submit(ctx)
@@ -407,14 +408,31 @@ func TestRemoteReadSkipsCacheUnderOwnWriter(t *testing.T) {
 		}
 	}
 
+	type read struct {
+		v   string
+		ok  bool
+		err error
+	}
 	reads0 := owner.reads.Load()
 	r := s.Txn().WithContext(ctx)
-	v, ok, err := r.Read(key)
-	if err != nil || !ok || v != "v2" {
-		t.Fatalf("R read (%q,%v,%v), want W's v2", v, ok, err)
+	got := make(chan read, 1)
+	go func() {
+		v, ok, err := r.Read(key)
+		got <- read{v, ok, err}
+	}()
+	for deadline := time.Now().Add(10 * time.Second); owner.reads.Load() == reads0; time.Sleep(time.Millisecond) {
+		select {
+		case g := <-got:
+			t.Fatalf("R read (%q,%v,%v) without reaching the shard: the cache served a key its store was writing", g.v, g.ok, g.err)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("R's read never reached the shard")
+		}
 	}
-	if owner.reads.Load() == reads0 {
-		t.Fatal("R's read never reached the shard: the cache served a key its store was writing")
+	release()
+	if g := <-got; g.err != nil || !g.ok || g.v != "v2" {
+		t.Fatalf("R read (%q,%v,%v), want W's v2", g.v, g.ok, g.err)
 	}
 	if ok, err := pw.Wait(ctx); !ok || err != nil {
 		t.Fatalf("W: ok=%v err=%v", ok, err)

@@ -263,13 +263,12 @@ func TestNoStateLeaks(t *testing.T) {
 	opts := commit.Options{Timeout: 25 * time.Millisecond}
 	s := open(t, 4, opts)
 	ctx := testCtx(t)
-	stats, err := Run(ctx, s, Workload{Keys: 16, Theta: 0.9, ReadFrac: 0.5, OpsPerTxn: 4},
-		RunConfig{Txns: 128, Workers: 16, Seed: 7})
+	committed, aborted, err := runWorkload(ctx, s, Workload{Keys: 16, Theta: 0.9, ReadFrac: 0.5, OpsPerTxn: 4}, 128, 16, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Committed+stats.Aborted != 128 {
-		t.Fatalf("decided %d+%d, want 128", stats.Committed, stats.Aborted)
+	if committed+aborted != 128 {
+		t.Fatalf("decided %d+%d, want 128", committed, aborted)
 	}
 	held := func(sh *Shard) (staged, locks int) {
 		sh.mu.Lock()
@@ -380,6 +379,48 @@ func TestLocalReadWaitsForWriter(t *testing.T) {
 	if n := waiting(sh); n != 0 {
 		t.Fatalf("the shard keeps %d waiters after the apply", n)
 	}
+}
+
+// runWorkload commits txns transactions generated from w through s from
+// workers concurrent committers, worker i seeded with seed+i, and counts the
+// outcomes: an abort is counted, not retried, and the first error ends the
+// run.
+func runWorkload(ctx context.Context, s *Store, w Workload, txns, workers int, seed int64) (committed, aborted int, err error) {
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for i := range workers {
+		gen, gerr := w.Generator(seed + int64(i))
+		if gerr != nil {
+			return 0, 0, gerr
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := i; j < txns; j += workers {
+				txn := s.Txn().WithContext(ctx)
+				gen.Apply(txn, gen.NextTxn())
+				ok, cerr := txn.Commit(ctx)
+				mu.Lock()
+				switch {
+				case cerr != nil:
+					if err == nil {
+						err = cerr
+					}
+				case ok:
+					committed++
+				default:
+					aborted++
+				}
+				stop := err != nil
+				mu.Unlock()
+				if stop {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return committed, aborted, err
 }
 
 func TestWorkloadGeneratorDeterministic(t *testing.T) {

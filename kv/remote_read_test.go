@@ -166,13 +166,14 @@ func TestRemoteCommitLegs(t *testing.T) {
 
 // spyShard is a shard that counts the commit-path calls, the reads and the
 // validation queries reaching it and can be told to leave validation queries
-// unanswered.
+// unanswered, or to hold its applies (see holdApplies).
 type spyShard struct {
 	*Shard
 	commitPath  atomic.Int64 // Stage + Prepare + Commit + Abort
 	reads       atomic.Int64 // relays arriving on their way out
 	validations atomic.Int64
 	mute        atomic.Bool
+	gate        atomic.Pointer[chan struct{}] // set: Commit and Abort wait for it to close
 }
 
 func (s *spyShard) Stage(txID string, m commit.Message) error {
@@ -180,8 +181,31 @@ func (s *spyShard) Stage(txID string, m commit.Message) error {
 	return s.Shard.Stage(txID, m)
 }
 func (s *spyShard) Prepare(txID string) bool { s.commitPath.Add(1); return s.Shard.Prepare(txID) }
-func (s *spyShard) Commit(txID string)       { s.commitPath.Add(1); s.Shard.Commit(txID) }
-func (s *spyShard) Abort(txID string)        { s.commitPath.Add(1); s.Shard.Abort(txID) }
+func (s *spyShard) Commit(txID string)       { s.commitPath.Add(1); s.waitGate(); s.Shard.Commit(txID) }
+func (s *spyShard) Abort(txID string)        { s.commitPath.Add(1); s.waitGate(); s.Shard.Abort(txID) }
+
+func (s *spyShard) waitGate() {
+	if g := s.gate.Load(); g != nil {
+		<-*g
+	}
+}
+
+// holdApplies makes every spy's later Commit and Abort wait until release
+// is called, which the test's cleanup also does. A peer answers the client
+// whose commit it coordinates once it applied the decision, so no write
+// resolves meanwhile, however early its peers decide, and no intent is
+// released.
+func holdApplies(t *testing.T, spies []*spyShard) (release func()) {
+	gate := make(chan struct{})
+	for _, sp := range spies {
+		sp.gate.Store(&gate)
+	}
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
+	t.Cleanup(release)
+	return release
+}
+
 func (s *spyShard) Query(m commit.Message) (commit.Message, error) {
 	// A read is a relay on its way out; a validation is one that arrives on
 	// its way back at its last hop: the client sent it so.

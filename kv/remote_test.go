@@ -274,13 +274,12 @@ func TestRemoteNoStateLeaks(t *testing.T) {
 	if committed.Load() == 0 || aborted.Load() == 0 {
 		t.Errorf("%d transfers committed and %d aborted: the test needs both", committed.Load(), aborted.Load())
 	}
-	stats, err := Run(ctx, s, Workload{Keys: 16, Theta: 0.9, ReadFrac: 0.5, OpsPerTxn: 4},
-		RunConfig{Txns: 128, Workers: 16, Seed: 7})
+	wc, wa, err := runWorkload(ctx, s, Workload{Keys: 16, Theta: 0.9, ReadFrac: 0.5, OpsPerTxn: 4}, 128, 16, 7)
 	if err != nil {
 		t.Fatalf("contended workload: %v", err)
 	}
-	if stats.Committed+stats.Aborted != 128 {
-		t.Errorf("contended workload decided %d+%d, want 128", stats.Committed, stats.Aborted)
+	if wc+wa != 128 {
+		t.Errorf("contended workload decided %d+%d, want 128", wc, wa)
 	}
 	// Quiescence: the last envelopes land within the jitter bound and the
 	// slowest transaction ends a few U after its last peer joined. Only then

@@ -19,8 +19,9 @@ import (
 // the client's one sweep. These tests pin that.
 
 // TestRemoteStoreSpawnsNothingPerTxn: 256 transactions in flight on an
-// OpenRemote store — two-key transfers that INBAC at U = 1 s holds for 2 s,
-// and three-shard read-only ones whose validations no shard answers — grow
+// OpenRemote store — two-key transfers whose applies every shard holds, so
+// that no coordinator answers, and three-shard read-only ones whose
+// validations no shard answers (a query's own bound is 32 U, 1.6 s) — grow
 // the goroutine count by a small constant; the store used to park a
 // goroutine per commit's cache note, per read-only commit and per validation
 // hop. After Store.Close every future has resolved and the count is back at
@@ -28,7 +29,7 @@ import (
 // for no context per call. Not parallel: it counts the process's goroutines.
 func TestRemoteStoreSpawnsNothingPerTxn(t *testing.T) {
 	const n, inFlight = 3, 256
-	s, spies := spyDeployment(t, n, commit.Options{Protocol: commit.INBAC, F: 1, Timeout: time.Second})
+	s, spies := spyDeployment(t, n, commit.Options{Protocol: commit.INBAC, F: 1})
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
@@ -54,7 +55,7 @@ func TestRemoteStoreSpawnsNothingPerTxn(t *testing.T) {
 	}
 
 	// Read everything first; then no validation is answered, and no
-	// transfer decides, while the count is taken.
+	// transfer is applied, while the count is taken.
 	txns := make([]*Txn, inFlight)
 	for i := range txns {
 		txns[i] = s.Txn().WithContext(ctx)
@@ -72,6 +73,7 @@ func TestRemoteStoreSpawnsNothingPerTxn(t *testing.T) {
 	for _, sp := range spies {
 		sp.mute.Store(true)
 	}
+	release := holdApplies(t, spies)
 	runtime.GC()
 	base := runtime.NumGoroutine()
 	pending := make([]*Pending, inFlight)
@@ -101,6 +103,7 @@ func TestRemoteStoreSpawnsNothingPerTxn(t *testing.T) {
 			t.Fatalf("%s: resolved without an error after Store.Close", p.TxID())
 		}
 	}
+	release()
 	t.Logf("%d transactions in flight grew the goroutine count by %d", inFlight, peak-base)
 	if peak-base >= 16 {
 		t.Fatal("a goroutine per transaction")

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"time"
 
 	"atomiccommit/commit"
 )
@@ -181,10 +180,6 @@ func (p *Pending) TxID() string { return p.id }
 
 // Done is closed once the outcome is available.
 func (p *Pending) Done() <-chan struct{} { return p.txn.Done() }
-
-// Latency is the protocol latency (dispatch to decision); valid only after
-// Done is closed.
-func (p *Pending) Latency() time.Duration { return p.txn.Latency() }
 
 // Wait blocks until the transaction decides or ctx expires, returning the
 // decision: true = committed everywhere, false = aborted (a conflict is a

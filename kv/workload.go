@@ -1,14 +1,9 @@
 package kv
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
 )
 
 // Workload describes a synthetic transaction mix over the store: Zipf-skewed
@@ -159,152 +154,4 @@ func (z *zipfGen) next(r *rand.Rand) uint64 {
 		k = z.n - 1
 	}
 	return k
-}
-
-// RunConfig drives a workload against a store.
-type RunConfig struct {
-	// Txns is the total number of transactions; defaults to 256.
-	Txns int
-	// Workers is the number of concurrent committers, and so the most
-	// transactions in flight at once; defaults to 16.
-	Workers int
-	// Seed makes the run reproducible; worker i uses Seed+i.
-	Seed int64
-}
-
-// RunStats is the outcome of a workload run. Latencies are the per-
-// transaction protocol latencies (dispatch to decision), sorted ascending.
-// WallLatencies are the full user-visible transaction latencies (Txn
-// creation to decision), sorted ascending — unlike Latencies they include
-// the client's read legs and stage legs, so collapsing WAN round trips
-// shows up here even when the protocol span is timer-bound.
-type RunStats struct {
-	Committed     int
-	Aborted       int
-	Elapsed       time.Duration
-	Latencies     []time.Duration
-	WallLatencies []time.Duration
-}
-
-// AbortRate is the fraction of transactions that decided abort.
-func (s RunStats) AbortRate() float64 {
-	total := s.Committed + s.Aborted
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Aborted) / float64(total)
-}
-
-// TxnsPerSec is the decided-transaction throughput of the run.
-func (s RunStats) TxnsPerSec() float64 {
-	if s.Elapsed <= 0 {
-		return 0
-	}
-	return float64(s.Committed+s.Aborted) / s.Elapsed.Seconds()
-}
-
-// Percentile returns the p-th (0..1) protocol latency percentile.
-func (s RunStats) Percentile(p float64) time.Duration {
-	return percentileOf(s.Latencies, p)
-}
-
-func percentileOf(sorted []time.Duration, p float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(p * float64(len(sorted)-1))
-	return sorted[idx]
-}
-
-// Run drives cfg.Txns generated transactions through the store from
-// cfg.Workers concurrent workers and aggregates outcomes. Aborts (induced
-// by conflicts) are counted, not retried — the abort rate is the
-// measurement. An infrastructure error from any transaction stops the run.
-func Run(ctx context.Context, s *Store, w Workload, cfg RunConfig) (RunStats, error) {
-	if cfg.Txns <= 0 {
-		cfg.Txns = 256
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 16
-	}
-	if cfg.Workers > cfg.Txns {
-		cfg.Workers = cfg.Txns
-	}
-
-	var (
-		committed atomic.Int64
-		aborted   atomic.Int64
-		rem       atomic.Int64
-		mu        sync.Mutex
-		latencies = make([]time.Duration, 0, cfg.Txns)
-		walls     = make([]time.Duration, 0, cfg.Txns)
-		firstErr  error
-	)
-	rem.Store(int64(cfg.Txns))
-
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i := 0; i < cfg.Workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			gen, err := w.Generator(cfg.Seed + int64(i))
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				return
-			}
-			local := make([]time.Duration, 0, cfg.Txns/cfg.Workers+1)
-			wlocal := make([]time.Duration, 0, cfg.Txns/cfg.Workers+1)
-			for rem.Add(-1) >= 0 {
-				begin := time.Now()
-				t := s.Txn().WithContext(ctx)
-				gen.Apply(t, gen.NextTxn())
-				p, err := t.Submit(ctx)
-				if err == nil {
-					var ok bool
-					ok, err = p.Wait(ctx)
-					if err == nil {
-						if ok {
-							committed.Add(1)
-						} else {
-							aborted.Add(1)
-						}
-						local = append(local, p.Latency())
-						wlocal = append(wlocal, time.Since(begin))
-					}
-				}
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					return
-				}
-			}
-			mu.Lock()
-			latencies = append(latencies, local...)
-			walls = append(walls, wlocal...)
-			mu.Unlock()
-		}(i)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	if firstErr != nil {
-		return RunStats{}, firstErr
-	}
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	sort.Slice(walls, func(i, j int) bool { return walls[i] < walls[j] })
-	return RunStats{
-		Committed:     int(committed.Load()),
-		Aborted:       int(aborted.Load()),
-		Elapsed:       elapsed,
-		Latencies:     latencies,
-		WallLatencies: walls,
-	}, nil
 }
