@@ -4,14 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
-	"net/http"
 	"sync"
 	"time"
 
 	"atomiccommit/internal/core"
 	"atomiccommit/internal/live"
-	"atomiccommit/internal/obs"
 )
 
 // coordinateUnits bounds a client-initiated commit run on the coordinating
@@ -72,13 +69,6 @@ type Peer struct {
 	// apply is the apply worker: every decision of this peer, in the order
 	// they landed, run one at a time by settle.
 	apply *live.Inbox[decision]
-
-	// stopDebug closes the optional observability endpoint (ServeDebug). A
-	// func, not the *http.Server: the apply worker's records reach Peer,
-	// the linker keeps every method of every type reachable from such a
-	// value, and a field of the server's type drags in net/http's TLS stack
-	// (1.9 MB of binary, 0.7 MB of resident text on kv-geo-read).
-	stopDebug func() error
 }
 
 // txn is what a peer holds for one live transaction, from the first sign of
@@ -562,30 +552,6 @@ func (p *Peer) adopt(txID string, v core.Value) {
 	p.mu.Unlock()
 }
 
-// ServeDebug starts the observability HTTP endpoint (expvar under
-// /debug/vars, the counter registry under /debug/metrics, the flight
-// recorder under /debug/trace, and net/http/pprof under /debug/pprof/) on
-// addr, returning the bound address (useful with ":0"). The server stops
-// when the peer closes.
-func (p *Peer) ServeDebug(addr string) (string, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return "", fmt.Errorf("commit: peer closed")
-	}
-	if p.stopDebug != nil {
-		return "", fmt.Errorf("commit: debug endpoint already serving")
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
-	srv := &http.Server{Handler: obs.DebugHandler()}
-	p.stopDebug = srv.Close
-	go srv.Serve(ln)
-	return ln.Addr().String(), nil
-}
-
 // Commit initiates transaction txID from this peer and blocks until the
 // LOCAL decision is applied (other peers decide on their own and fire their
 // callbacks). It returns true iff the transaction committed.
@@ -654,11 +620,7 @@ func (p *Peer) Close() {
 		}
 	}
 	p.txns = make(map[string]*txn)
-	stopDebug := p.stopDebug
 	p.mu.Unlock()
 	p.apply.Close() // a crash: applies still waiting are dropped
-	if stopDebug != nil {
-		stopDebug()
-	}
 	p.tr.Close()
 }

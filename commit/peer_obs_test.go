@@ -1,12 +1,7 @@
 package commit
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -89,62 +84,4 @@ func TestAuditedTCPCommitSendsNoDecision(t *testing.T) {
 			t.Errorf("%v: %v on the retired decision path", e.Proc, e.Kind)
 		}
 	}
-}
-
-// TestPeerServeDebug drives the peer's observability endpoint.
-func TestPeerServeDebug(t *testing.T) {
-	peers := startPeers(t, yesResources(2), Options{Protocol: "2pc", Timeout: 50 * time.Millisecond})
-	addr, err := peers[0].ServeDebug("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := peers[0].ServeDebug("127.0.0.1:0"); err == nil {
-		t.Error("second ServeDebug should fail")
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if ok, err := peers[0].Commit(ctx, "debug-1"); err != nil || !ok {
-		t.Fatalf("commit: ok=%v err=%v", ok, err)
-	}
-
-	resp, err := http.Get(fmt.Sprintf("http://%s/debug/metrics", addr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("metrics status %d", resp.StatusCode)
-	}
-	var metrics map[string]any
-	if err := json.Unmarshal(body, &metrics); err != nil {
-		t.Fatalf("metrics json: %v", err)
-	}
-	if v, ok := metrics["live.send.envelopes"].(float64); !ok || v <= 0 {
-		t.Errorf("live.send.envelopes = %v, want > 0", metrics["live.send.envelopes"])
-	}
-
-	resp, err = http.Get(fmt.Sprintf("http://%s/debug/pprof/cmdline", addr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if len(b) == 0 {
-		t.Error("pprof cmdline empty")
-	}
-
-	// Close stops the server.
-	peers[0].Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if _, err := http.Get(fmt.Sprintf("http://%s/debug/metrics", addr)); err != nil {
-			if strings.Contains(err.Error(), "refused") || strings.Contains(err.Error(), "EOF") {
-				return
-			}
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	t.Error("debug endpoint still serving after Close")
 }

@@ -76,6 +76,7 @@ type Instance struct {
 	running    bool
 	pending    []Envelope // deliveries that arrived before Start
 	root       core.Module
+	env        liveEnv     // the root's Env (see Start)
 	children   []submodule // what the tree registered below the root (see module)
 	selfq      []Envelope  // the running handler's self-sends (see drainSelf)
 	closed     bool
@@ -190,7 +191,8 @@ func (inst *Instance) Start(vote core.Value) {
 		a.Vote(inst.txID, inst.id, inst.n, inst.label, vote,
 			time.Duration(inst.u)*TickDuration)
 	}
-	inst.root.Init(&liveEnv{inst: inst, path: ""})
+	inst.env = liveEnv{inst: inst}
+	inst.root.Init(&inst.env)
 	inst.running = true
 	inst.root.Propose(vote)
 	if a := obs.ActiveAuditor(); a != nil {

@@ -194,10 +194,13 @@ func deliverMesh(h func(Envelope), it meshItem) {
 	h(e)
 }
 
-// meshBuf is the pooled scratch pair for the mesh's codec round-trip.
+// meshBuf is the pooled scratch for the mesh's codec round-trip. The
+// decoder lives here because decodeEnvelope's payload decode makes it
+// escape: on the stack it would be a heap allocation per envelope.
 type meshBuf struct {
 	frame   []byte
 	scratch []byte
+	d       wire.Decoder
 }
 
 var meshBufPool = sync.Pool{New: func() any { return new(meshBuf) }}
@@ -213,9 +216,8 @@ func roundTrip(e Envelope) (Envelope, int, error) {
 	if err != nil {
 		return Envelope{}, 0, err
 	}
-	var d wire.Decoder
-	d.Reset(bb.frame)
-	out, err := decodeEnvelope(&d)
+	bb.d.Reset(bb.frame)
+	out, err := decodeEnvelope(&bb.d)
 	if err != nil {
 		return Envelope{}, 0, fmt.Errorf("live: mesh codec round-trip of %T: %w", e.Msg, err)
 	}

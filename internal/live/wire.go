@@ -129,6 +129,9 @@ func appendEnvelope(b []byte, e *Envelope, scratch []byte) (out, scr []byte, err
 
 // decodeEnvelope decodes one envelope from d. On errUnknownWireID the
 // decoder is positioned at the next envelope and the caller may continue.
+// The payload is decoded on d itself, narrowed to the payload and then
+// restored: a decoder of its own would escape to the heap through the
+// message's UnmarshalWire, one allocation per envelope.
 func decodeEnvelope(d *wire.Decoder) (Envelope, error) {
 	id := d.Uvarint()
 	e := Envelope{TxID: d.String()}
@@ -147,9 +150,10 @@ func decodeEnvelope(d *wire.Decoder) (Envelope, error) {
 	if !ok {
 		return Envelope{}, fmt.Errorf("%w %d", errUnknownWireID, id)
 	}
-	var pd wire.Decoder
-	pd.Reset(payload)
-	m, err := proto.UnmarshalWire(&pd)
+	rest := *d
+	d.Reset(payload)
+	m, err := proto.UnmarshalWire(d)
+	*d = rest
 	if err != nil {
 		return Envelope{}, fmt.Errorf("live: decode %T: %w", proto, err)
 	}

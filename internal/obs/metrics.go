@@ -27,8 +27,8 @@ func NewRegistry() *Registry {
 	return &Registry{counters: make(map[string]*Counter)}
 }
 
-// M is the process-global metrics registry, served by DebugHandler at
-// /debug/metrics. It holds only counters something reads: the repo
+// M is the process-global metrics registry, served at /debug/metrics by
+// package debughttp. It holds only counters something reads: the repo
 // benchmark's per-layer columns, the decide_path family and the anomaly
 // counts.
 var M = NewRegistry()

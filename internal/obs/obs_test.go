@@ -3,8 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"io"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -82,6 +80,65 @@ func TestRecorderConcurrent(t *testing.T) {
 	}
 }
 
+// TestRecorderNeverEnabled: a recorder that was never enabled holds no
+// ring, so a process that never traces pays no memory for one, and every
+// reader sees an empty ring.
+func TestRecorderNeverEnabled(t *testing.T) {
+	r := NewRecorder(1 << 16)
+	r.Record(Event{Kind: EvSend, TxID: "tx", Proc: 1})
+	r.Disable()
+	if r.ring.Load() != nil {
+		t.Fatal("a recorder never enabled allocated its ring")
+	}
+	if got := r.Snapshot(); len(got) != 0 {
+		t.Errorf("Snapshot returned %d events, want 0", len(got))
+	}
+	if got := r.TxTimeline("tx"); len(got) != 0 {
+		t.Errorf("TxTimeline returned %d events, want 0", len(got))
+	}
+	r.Reset()
+	if r.ring.Load() != nil {
+		t.Fatal("Reset allocated the ring")
+	}
+}
+
+// TestRecorderFirstEnableRace races the first Enable, which allocates the
+// ring, against writers and readers; run under -race this pins that the
+// ring is published before a writer can see the recorder enabled.
+func TestRecorderFirstEnableRace(t *testing.T) {
+	r := NewRecorder(256)
+	const workers = 4
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(3)
+		go func() {
+			defer wg.Done()
+			r.Enable()
+		}()
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				r.Record(Event{Kind: EvSend, TxID: fmt.Sprintf("tx-%d", w), Proc: 1, Size: i})
+			}
+		}(w)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				r.Snapshot()
+				r.TxTimeline("tx-1")
+			}
+		}()
+	}
+	wg.Wait()
+	r.Record(Event{Kind: EvDecide, TxID: "after", Proc: 1})
+	if got := r.TxTimeline("after"); len(got) != 1 {
+		t.Fatalf("an enabled recorder holds %d events of tx after, want 1", len(got))
+	}
+	if got := len(r.Snapshot()); got == 0 || got > 256 {
+		t.Fatalf("ring holds %d events, want 1..256", got)
+	}
+}
+
 // TestTxTimelineFilters checks TxTimeline returns exactly one
 // transaction's events, merged across recording participants.
 func TestTxTimelineFilters(t *testing.T) {
@@ -150,55 +207,5 @@ func TestReportAnomalyDump(t *testing.T) {
 	}
 	if back.Anomaly.TxID != "tx-anom" || len(back.Events) != len(d.Events) {
 		t.Errorf("json round-trip lost data: %+v", back.Anomaly)
-	}
-}
-
-// TestDebugHandler drives the HTTP observability surface.
-func TestDebugHandler(t *testing.T) {
-	M.Counter("test.debug.counter").Add(7)
-	Default.Enable()
-	defer Default.Disable()
-	defer Default.Reset()
-	Default.Record(Event{Kind: EvSend, TxID: "tx-debug", Proc: 1, Peer: 2})
-
-	srv := httptest.NewServer(DebugHandler())
-	defer srv.Close()
-
-	get := func(path string) []byte {
-		t.Helper()
-		resp, err := srv.Client().Get(srv.URL + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != 200 {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
-		}
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		return body
-	}
-
-	var metrics map[string]any
-	if err := json.Unmarshal(get("/debug/metrics"), &metrics); err != nil {
-		t.Fatalf("metrics json: %v", err)
-	}
-	if v, ok := metrics["test.debug.counter"]; !ok || v.(float64) < 7 {
-		t.Errorf("metrics missing test.debug.counter: %v", metrics["test.debug.counter"])
-	}
-	var events []Event
-	if err := json.Unmarshal(get("/debug/trace?tx=tx-debug"), &events); err != nil {
-		t.Fatalf("trace json: %v", err)
-	}
-	if len(events) != 1 || events[0].TxID != "tx-debug" {
-		t.Errorf("trace returned %+v", events)
-	}
-	if body := get("/debug/pprof/cmdline"); len(body) == 0 {
-		t.Error("pprof cmdline empty")
-	}
-	if body := get("/debug/vars"); !strings.Contains(string(body), "memstats") {
-		t.Error("expvar missing memstats")
 	}
 }

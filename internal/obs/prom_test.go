@@ -2,10 +2,7 @@ package obs
 
 import (
 	"bytes"
-	"fmt"
-	"net/http/httptest"
 	"os"
-	"strings"
 	"testing"
 )
 
@@ -39,31 +36,5 @@ func TestPromNameMangling(t *testing.T) {
 		if got := promName(in); got != want {
 			t.Errorf("promName(%q) = %q, want %q", in, got, want)
 		}
-	}
-}
-
-// TestDebugMetricsProm serves the endpoint and checks the content type
-// and that the exposition carries a known global counter.
-func TestDebugMetricsProm(t *testing.T) {
-	c := M.Counter("obs.prom_endpoint_test")
-	want := fmt.Sprintf("obs_prom_endpoint_test %d", c.Value()+7)
-	c.Add(7)
-	srv := httptest.NewServer(DebugHandler())
-	defer srv.Close()
-
-	resp, err := srv.Client().Get(srv.URL + "/debug/metrics.prom")
-	if err != nil {
-		t.Fatalf("GET: %v", err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != PrometheusContentType {
-		t.Fatalf("content type %q, want %q", ct, PrometheusContentType)
-	}
-	var b bytes.Buffer
-	if _, err := b.ReadFrom(resp.Body); err != nil {
-		t.Fatalf("read body: %v", err)
-	}
-	if !strings.Contains(b.String(), want+"\n") {
-		t.Fatalf("exposition missing counter:\n%s", b.String())
 	}
 }

@@ -1,19 +1,22 @@
 // Package obs is the observability layer for the live commit path: a
 // flight recorder (a lock-free per-process ring buffer of compact trace
 // events fed by the transports, the runtime, the protocols and kv), an
-// always-on registry of atomic counters (served by the /debug endpoint),
-// and an anomaly hook that dumps the merged multi-process timeline of an
-// offending transaction the moment an agreement violation or invariant
-// breach is detected.
+// always-on registry of atomic counters (served by package debughttp's
+// opt-in /debug endpoint), and an anomaly hook that dumps the merged
+// multi-process timeline of an offending transaction the moment an
+// agreement violation or invariant breach is detected.
 //
 // Tracing is off by default and gated by one atomic flag: the disabled
 // hot path is a single branch with no allocation (pinned by test), so
 // the instrumentation can stay compiled into the steady-state send/recv
-// path. Metrics are plain atomic adds and are always on.
+// path, and the ring itself is allocated on the first Enable, so a process
+// that never traces pays no memory for it. Metrics are plain atomic adds
+// and are always on.
 package obs
 
 import (
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -106,21 +109,30 @@ const DefaultRingSize = 1 << 16
 // one atomic add and publish the event with one atomic pointer store;
 // readers (Snapshot, TxTimeline) load the pointers without blocking
 // anybody. When disabled, Record is a single atomic load and branch.
+//
+// The ring is allocated by the first Enable and published through an
+// atomic pointer before enabled flips, so a writer that saw enabled sees
+// the ring, and a reader of a recorder never enabled sees an empty one.
 type Recorder struct {
 	enabled atomic.Bool
 	pos     atomic.Uint64
 	mask    uint64
-	slots   []atomic.Pointer[Event]
+	ring    atomic.Pointer[ring] // nil until the first Enable
+	alloc   sync.Once
 }
 
+// ring is a Recorder's slots.
+type ring []atomic.Pointer[Event]
+
 // NewRecorder builds a recorder holding the most recent size events
-// (rounded up to a power of two, minimum 16).
+// (rounded up to a power of two, minimum 16). It allocates no slot until
+// the first Enable.
 func NewRecorder(size int) *Recorder {
 	n := 16
 	for n < size {
 		n <<= 1
 	}
-	return &Recorder{mask: uint64(n - 1), slots: make([]atomic.Pointer[Event], n)}
+	return &Recorder{mask: uint64(n - 1)}
 }
 
 // Default is the process-global flight recorder every instrumented
@@ -129,8 +141,14 @@ func NewRecorder(size int) *Recorder {
 // participants share the address space (Cluster, in-process benches).
 var Default = NewRecorder(DefaultRingSize)
 
-// Enable turns tracing on.
-func (r *Recorder) Enable() { r.enabled.Store(true) }
+// Enable turns tracing on, allocating the ring the first time.
+func (r *Recorder) Enable() {
+	r.alloc.Do(func() {
+		slots := make(ring, r.mask+1)
+		r.ring.Store(&slots)
+	})
+	r.enabled.Store(true)
+}
 
 // Disable turns tracing off; recorded events remain readable.
 func (r *Recorder) Disable() { r.enabled.Store(false) }
@@ -165,7 +183,7 @@ func (r *Recorder) publish(e Event) {
 	}
 	i := r.pos.Add(1) - 1
 	e.Seq = i
-	r.slots[i&r.mask].Store(&e)
+	r.slots()[i&r.mask].Store(&e)
 }
 
 // Snapshot returns every event currently in the ring, in happens-before
@@ -173,9 +191,10 @@ func (r *Recorder) publish(e Event) {
 // It does not block writers; events recorded concurrently may or may
 // not be included.
 func (r *Recorder) Snapshot() []Event {
-	out := make([]Event, 0, len(r.slots))
-	for i := range r.slots {
-		if p := r.slots[i].Load(); p != nil {
+	slots := r.slots()
+	out := make([]Event, 0, len(slots))
+	for i := range slots {
+		if p := slots[i].Load(); p != nil {
 			out = append(out, *p)
 		}
 	}
@@ -188,8 +207,9 @@ func (r *Recorder) Snapshot() []Event {
 // recording participants, in happens-before (HLC) order.
 func (r *Recorder) TxTimeline(txID string) []Event {
 	var out []Event
-	for i := range r.slots {
-		if p := r.slots[i].Load(); p != nil && p.TxID == txID {
+	slots := r.slots()
+	for i := range slots {
+		if p := slots[i].Load(); p != nil && p.TxID == txID {
 			out = append(out, *p)
 		}
 	}
@@ -200,9 +220,18 @@ func (r *Recorder) TxTimeline(txID string) []Event {
 // Reset drops every recorded event (the enabled flag is untouched).
 // Intended for tests and between benchmark points.
 func (r *Recorder) Reset() {
-	for i := range r.slots {
-		r.slots[i].Store(nil)
+	slots := r.slots()
+	for i := range slots {
+		slots[i].Store(nil)
 	}
+}
+
+// slots returns the ring, empty if the recorder was never enabled.
+func (r *Recorder) slots() ring {
+	if p := r.ring.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // sortEvents orders a merged timeline by happens-before: primary key is
