@@ -82,7 +82,7 @@ func main() {
 	var aud *obs.Auditor
 	if *audit {
 		// Each protocol against the Table 1 property cell the simulator
-		// checks it against (sim.Contract is an alias of nbac.Contract).
+		// checks it against.
 		contracts := make(map[string]nbac.Contract)
 		for _, info := range protocols.All() {
 			contracts[info.Name] = info.Contract

@@ -227,7 +227,7 @@ func TestINBACAgreementUnderJitter(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Each round reseeds, so rounds explore different interleavings.
-		cl.Mesh().Latency = live.Jitter(0, 12*time.Millisecond, int64(round+1))
+		cl.Mesh().SetShaper(live.LinkShaper{Delay: live.Jitter(0, 12*time.Millisecond, int64(round+1))})
 
 		ids := make([]string, perRound)
 		for i := range ids {

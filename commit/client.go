@@ -76,9 +76,20 @@ type awaitedBy struct {
 	since time.Time
 }
 
+// coordinateUnits bounds a submission: with no result after coordinateUnits
+// timeout units, the sweep fails it with context.DeadlineExceeded. It is the
+// one bound on a commit, for one the protocol cannot terminate (no correct
+// majority) or whose coordinator crashed: far above any decision time,
+// which is a few timeout units.
+const coordinateUnits = 128
+
 // queryUnits bounds a query: with no reply after queryUnits timeout units,
 // the sweep fails it with context.DeadlineExceeded.
 const queryUnits = 32
+
+// sweepUnits is how often, in timeout units, the sweep looks while a
+// submission or a query is outstanding.
+const sweepUnits = 8
 
 // NewClient connects a client with process ID id (id > len(addrs)) to the
 // peers at addrs; addrs[i-1] is Pi's address, exactly as given to NewPeer.
@@ -161,12 +172,11 @@ func (c *Client) expire(t *Txn) {
 	c.finish(t.TxID, t, false, fmt.Errorf("commit: submit %s: %w", t.TxID, t.ctx.Err()))
 }
 
-// sweep resolves, with an error, every submission whose coordinator has
-// not answered within coordinateUnits+16 timeout units — the coordinator bounds
-// its own run at coordinateUnits and always replies, so the slack beyond
-// that only covers the reply's travel; past it the coordinator is presumed
-// dead — and every query unanswered for queryUnits, and looks again every
-// coordinateUnits/16 while either is outstanding. It runs on the timer
+// sweep resolves, with context.DeadlineExceeded, every submission whose
+// coordinator has not answered within coordinateUnits — the commit cannot
+// terminate, or its coordinator is dead; the peers keep running it and apply
+// whatever they decide — and every query unanswered for queryUnits, and looks
+// again every sweepUnits while either is outstanding. It runs on the timer
 // goroutine.
 func (c *Client) sweep() {
 	var expired []*Txn
@@ -174,7 +184,7 @@ func (c *Client) sweep() {
 	var lostBy []awaitedBy
 	c.mu.Lock()
 	for id, t := range c.pending {
-		if time.Since(t.start) >= (coordinateUnits+16)*c.opts.Timeout {
+		if time.Since(t.start) >= coordinateUnits*c.opts.Timeout {
 			expired = append(expired, t)
 			delete(c.pending, id)
 		}
@@ -189,7 +199,7 @@ func (c *Client) sweep() {
 	again := c.sweeping
 	c.mu.Unlock()
 	if again {
-		live.After(coordinateUnits/16*c.opts.Timeout, c.sweep)
+		live.After(sweepUnits*c.opts.Timeout, c.sweep)
 	}
 	for _, t := range expired {
 		t.resolve(false, fmt.Errorf("commit: submit %s: %w", t.TxID, context.DeadlineExceeded))
@@ -254,7 +264,7 @@ func (c *Client) QueryFunc(peer int, m Message, done func(Message, error)) {
 	arm := c.armSweep()
 	c.mu.Unlock()
 	if arm {
-		live.After(coordinateUnits/16*c.opts.Timeout, c.sweep)
+		live.After(sweepUnits*c.opts.Timeout, c.sweep)
 	}
 	if err := c.tr.Send(live.Envelope{TxID: k.txID, From: c.id, To: from, Path: queryPath, Msg: m}); err != nil {
 		if q, ok := c.takeQuery(k); ok {
@@ -350,7 +360,7 @@ func (c *Client) submitMsg(ctx context.Context, txID string, coord int, msg stag
 	arm := c.armSweep()
 	c.mu.Unlock()
 	if arm {
-		live.After(coordinateUnits/16*c.opts.Timeout, c.sweep)
+		live.After(sweepUnits*c.opts.Timeout, c.sweep)
 	}
 	env := live.Envelope{TxID: t.TxID, From: c.id, To: core.ProcessID(coord), Path: stageGoPath, Msg: msg}
 	if err := c.tr.Send(env); err != nil {

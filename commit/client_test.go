@@ -2,8 +2,10 @@ package commit
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -387,5 +389,50 @@ func TestClientDeadCoordinatorResolves(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("future never resolved against a dead coordinator")
+	}
+}
+
+// TestUndecidableCommitBoundByClient: a commit that cannot terminate has one
+// bound, the client's. Every envelope of the transaction but its stage+go is
+// dropped, so the coordinator prepares and never hears from the others, and
+// INBAC's consensus has no majority to decide with. The future resolves with
+// context.DeadlineExceeded, no sooner than coordinateUnits after the submit,
+// and the coordinator sent no result for it meanwhile: a peer keeps no bound
+// of its own.
+func TestUndecidableCommitBoundByClient(t *testing.T) {
+	t.Parallel()
+	opts := Options{Protocol: INBAC, F: 1, Timeout: 2 * time.Millisecond}
+	cl, err := NewCluster(yesResources(3), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	const txID = "undecidable"
+	var results atomic.Int32
+	cl.Mesh().SetShaper(live.LinkShaper{Drop: func(e live.Envelope) bool {
+		if e.TxID != txID {
+			return false
+		}
+		if e.Path == resultPath {
+			results.Add(1)
+		}
+		return e.Path != stageGoPath
+	}})
+	start := time.Now()
+	txn := cl.Submit(context.Background(), txID)
+	select {
+	case <-txn.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("the future never resolved")
+	}
+	elapsed, sent := time.Since(start), results.Load()
+	if err := txn.Err(); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("err = %v, want context.DeadlineExceeded from the client's bound", err)
+	}
+	if bound := coordinateUnits * opts.Timeout; elapsed < bound {
+		t.Errorf("resolved %v after the submit, before the %v bound", elapsed, bound)
+	}
+	if sent != 0 {
+		t.Errorf("the coordinator sent %d results before the future resolved, want none", sent)
 	}
 }

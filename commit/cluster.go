@@ -38,9 +38,7 @@ func NewCluster(resources []Resource, opts Options) (*Cluster, error) {
 	}
 	c := &Cluster{mesh: live.NewMesh()}
 	if opts.Net != nil {
-		sh := opts.Net.Shaper(time.Now())
-		c.mesh.Latency = sh.Delay
-		c.mesh.Drop = sh.Drop
+		c.mesh.SetShaper(opts.Net.Shaper(time.Now()))
 	}
 	for i, res := range resources {
 		id := core.ProcessID(i + 1)
@@ -76,9 +74,9 @@ func (c *Cluster) NewClient(id int) (*Client, error) {
 // committed) once the coordinator has applied it; the other participants
 // apply theirs on their own.
 //
-// The returned error reports infrastructure problems (context expiry before
-// the coordinator's answer, a closed cluster, a txID that is already in
-// flight or has the allocated IDs' form); a unanimous abort is a normal
+// The returned error reports infrastructure problems (context expiry, or
+// the client's 128 U bound, before the coordinator's answer; a closed
+// cluster; a txID that is already in flight or has the allocated IDs' form); a unanimous abort is a normal
 // outcome, not an error. A nil ctx defaults to context.Background().
 func (c *Cluster) Commit(ctx context.Context, txID string) (bool, error) {
 	t := c.client.Submit(ctx, txID)

@@ -154,7 +154,7 @@ func TestClusterINBACWithJitter(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	cl.Mesh().Latency = live.Jitter(time.Millisecond, 25*time.Millisecond, 7)
+	cl.Mesh().SetShaper(live.LinkShaper{Delay: live.Jitter(time.Millisecond, 25*time.Millisecond, 7)})
 	for i := 0; i < 3; i++ {
 		if _, err := cl.Commit(ctx(t), fmt.Sprintf("jitter-%d", i)); err != nil {
 			t.Fatal(err)
@@ -176,9 +176,9 @@ func TestClusterINBACSurvivesPartitionedMember(t *testing.T) {
 	defer cl.Close()
 	var partitioned atomic.Bool // P5's instance outlives the partition, so heal it race-free
 	partitioned.Store(true)
-	cl.Mesh().Drop = func(e live.Envelope) bool {
+	cl.Mesh().SetShaper(live.LinkShaper{Drop: func(e live.Envelope) bool {
 		return partitioned.Load() && (e.To == 5 || e.From == 5)
-	}
+	}})
 
 	// P1 coordinates; P5 cannot decide, and the four reachable members
 	// decide and apply on their own.
@@ -219,9 +219,9 @@ func TestStragglerLearnsOutcome(t *testing.T) {
 	defer cl.Close()
 	var partitioned atomic.Bool
 	partitioned.Store(true)
-	cl.Mesh().Drop = func(e live.Envelope) bool {
+	cl.Mesh().SetShaper(live.LinkShaper{Drop: func(e live.Envelope) bool {
 		return partitioned.Load() && (e.To == 3 || e.From == 3)
-	}
+	}})
 	// P1 coordinates and answers once it applied, that is, retired; P2
 	// decides with it, and P3 cannot.
 	want, err := cl.client.SubmitAt(ctx(t), "cut-off", 1).Wait(ctx(t))

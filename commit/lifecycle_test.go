@@ -141,7 +141,7 @@ func TestApplyBeforeAck(t *testing.T) {
 func envelopesByPath(cl *Cluster) (protocol, host func() int) {
 	var mu sync.Mutex
 	var p, h int
-	cl.Mesh().Drop = func(e live.Envelope) bool {
+	cl.Mesh().SetShaper(live.LinkShaper{Drop: func(e live.Envelope) bool {
 		mu.Lock()
 		if e.Path != "" && e.Path[0] == 0 {
 			h++
@@ -150,7 +150,7 @@ func envelopesByPath(cl *Cluster) (protocol, host func() int) {
 		}
 		mu.Unlock()
 		return false
-	}
+	}})
 	read := func(n *int) func() int {
 		return func() int {
 			mu.Lock()
@@ -236,14 +236,14 @@ func TestNiceCommitsAnswerNoOutcome(t *testing.T) {
 	defer cl.Close()
 	var mu sync.Mutex
 	outcomes := make(map[string]int)
-	cl.Mesh().Drop = func(e live.Envelope) bool {
+	cl.Mesh().SetShaper(live.LinkShaper{Drop: func(e live.Envelope) bool {
 		if e.Path == outcomePath {
 			mu.Lock()
 			outcomes[e.TxID]++
 			mu.Unlock()
 		}
 		return false
-	}
+	}})
 	var nice []string
 	for b := 0; b < batches; b++ {
 		fast := fastDecisions()

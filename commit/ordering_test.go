@@ -31,13 +31,26 @@ func interceptBegins(coord *Peer, victim core.ProcessID) <-chan live.Envelope {
 	return held
 }
 
+// countProtocol wraps p's handler to count the protocol envelopes of txID
+// p has been handed, and returns the count.
+func countProtocol(p *Peer, txID string) *atomic.Int32 {
+	var n atomic.Int32
+	p.tr.SetHandler(func(e live.Envelope) {
+		p.deliver(e)
+		if e.TxID == txID && (e.Path == "" || e.Path[0] != 0) {
+			n.Add(1)
+		}
+	})
+	return &n
+}
+
 // buffered reports how many protocol envelopes p holds for an unannounced
-// txID (-1 if the record is in any other state).
-func buffered(p *Peer, txID string) int {
+// txID, of the ones counted in n (-1 if the record is in any other state).
+func buffered(p *Peer, txID string, n *atomic.Int32) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if t := p.txns[txID]; t != nil && t.phase == unannounced {
-		return len(t.pending)
+		return int(n.Load())
 	}
 	return -1
 }
@@ -64,6 +77,7 @@ func TestHostedPeerWaitsForItsAnnouncement(t *testing.T) {
 			c1 := ctx(t)
 
 			txID := "overtaken-" + tc.payload
+			got := countProtocol(peers[0], txID)
 			txn, err := c.StageGoAll(c1, txID, 2, map[int]Message{
 				1: fakeFootprint{Payload: tc.payload},
 				2: fakeFootprint{Payload: "coord"},
@@ -74,7 +88,7 @@ func TestHostedPeerWaitsForItsAnnouncement(t *testing.T) {
 			}
 			begin := <-held
 			// Both other peers vote to P1; it holds the votes.
-			waitFor(t, "P2's and P3's votes at P1", func() bool { return buffered(peers[0], txID) == 2 })
+			waitFor(t, "P2's and P3's votes at P1", func() bool { return buffered(peers[0], txID, got) == 2 })
 			if payload, ok := fakes[0].preparedWith(txID); ok {
 				t.Fatalf("P1 called Prepare (on %q) before its announcement arrived", payload)
 			}

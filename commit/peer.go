@@ -11,13 +11,6 @@ import (
 	"atomiccommit/internal/live"
 )
 
-// coordinateUnits bounds a client-initiated commit run on the coordinating
-// peer, so a resultMsg always goes back even if the protocol cannot
-// terminate (e.g. no correct majority): far above any decision time, which
-// is a few timeout units. One sweep per peer enforces it, every
-// coordinateUnits/16 (see sweep).
-const coordinateUnits = 128
-
 // NewPeer input validation errors, matchable with errors.Is.
 var (
 	// ErrNilResource reports a nil Resource.
@@ -44,10 +37,11 @@ var (
 // carrying its slice), which protocol envelopes routinely overtake — every
 // envelope is delayed on its own, only what shares an envelope shares an
 // arrival. So a hosted peer never calls Prepare on the strength of a protocol
-// envelope alone: it buffers such envelopes on the transaction's record until
-// the announcement arrives — a begin, a stage+go, or a local Commit or
-// Wait — and if none arrives within one timeout unit it joins voting abort
-// without calling Prepare, which would vote on a footprint it does not have.
+// envelope alone: it files the transaction's record, whose instance holds
+// such envelopes until it starts, and waits for the announcement — a begin,
+// a stage+go, or a local Commit or Wait — and if none arrives within one
+// timeout unit it joins voting abort without calling Prepare, which would
+// vote on a footprint it does not have.
 // The footprint is staged only by the run that claimed the transaction,
 // right before its Prepare, so a hosted peer never holds a footprint it has
 // not voted on.
@@ -60,11 +54,10 @@ type Peer struct {
 	tr     live.Transport
 	mk     func(core.ProcessID) core.Module // opts.factory(), built once
 
-	mu       sync.Mutex
-	txns     map[string]*txn        // live transactions, running or unannounced
-	decided  boundedMap[core.Value] // outcomes of applied, retired transactions
-	closed   bool
-	sweeping bool // a coordination sweep is armed (see sweep)
+	mu      sync.Mutex
+	txns    map[string]*txn        // live transactions, running or unannounced
+	decided boundedMap[core.Value] // outcomes of applied, retired transactions
+	closed  bool
 
 	// apply is the apply worker: every decision of this peer, in the order
 	// they landed, run one at a time by settle.
@@ -76,17 +69,17 @@ type Peer struct {
 // Peer.decided. Peer.mu guards the fields until then; after that they no
 // longer change, and only a local Wait still holds the record.
 type txn struct {
-	phase   txnPhase
-	inst    *live.Instance  // nil until the vote is in
-	pending []live.Envelope // protocol envelopes that arrived before inst
+	phase txnPhase
+	// inst is the transaction's protocol instance, built with the record
+	// (see file): every protocol envelope goes to it, and it holds them
+	// until the vote starts it.
+	inst *live.Instance
 	// done is made by a local Commit or Wait, and closed once
 	// Resource.Commit/Abort returned; nil while nobody waits.
 	done chan struct{}
-
 	// client asked this peer to coordinate the commit and awaits its result
-	// (0: nobody does); its stage+go arrived at since.
+	// (0: nobody does), which settle sends.
 	client core.ProcessID
-	since  time.Time
 }
 
 // decision is one entry of the apply worker's queue: the outcome v of the
@@ -196,7 +189,7 @@ func (p *Peer) deliver(e live.Envelope) {
 			return
 		}
 		if fp, err := decodeSlice(m.Fp); err != nil {
-			p.start(e.TxID, t, core.Abort) // a slice that does not decode is a vote to abort
+			t.inst.Start(core.Abort) // a slice that does not decode is a vote to abort
 		} else {
 			p.run(e.TxID, t, fp)
 		}
@@ -221,25 +214,19 @@ func (p *Peer) deliver(e live.Envelope) {
 		case p.closed || retired:
 			t = nil
 		case p.hosted != nil && t == nil:
-			t, arm = &txn{phase: unannounced}, true
-			p.txns[e.TxID] = t
+			t, arm = p.file(e.TxID, unannounced), true
 		case p.hosted == nil || t.phase != unannounced:
 			t, first = p.join(e.TxID)
 		}
-		var inst *live.Instance
-		if t != nil {
-			if inst = t.inst; inst == nil {
-				t.pending = append(t.pending, e)
-			}
-		}
 		p.mu.Unlock()
+		if t != nil {
+			t.inst.Deliver(e) // held until the instance starts
+		}
 		switch {
 		case first:
 			p.run(e.TxID, t, nil)
 		case arm:
 			p.awaitAnnouncement(e.TxID, t)
-		case inst != nil:
-			inst.Deliver(e)
 		case retired:
 			// A late envelope is dropped, not buffered forever. But its
 			// sender still runs a protocol we no longer take part in, and
@@ -262,7 +249,7 @@ func (p *Peer) awaitAnnouncement(txID string, t *txn) {
 		}
 		p.mu.Unlock()
 		if first {
-			p.start(txID, t, core.Abort)
+			t.inst.Start(core.Abort)
 		}
 	})
 }
@@ -275,15 +262,14 @@ func (p *Peer) awaitAnnouncement(txID string, t *txn) {
 // stage needs an ack or a TTL, because nothing orders it against the run but
 // the message that starts the run. A malformed message answers as a
 // resultMsg error before anything is staged anywhere — the transaction never
-// begins. Otherwise the client is filed for the result: the apply worker
-// sends it once this peer applied the decision (settle), and the
-// coordination sweep sends an error if that has not happened within
-// coordinateUnits — the client must observe abort-or-commit-or-error, never
-// a hang. It runs on the delivery path up to the instance's start, as a
-// begin does; nothing waits per transaction. A replayed stage+go finds the
-// record claimed, or the outcome cached, so its slice is dropped unstaged and
-// only the result goes back; a peer the first begin reached drops the
-// repeated begin's slice the same way.
+// begins. Otherwise the client is filed for the result, which the apply
+// worker sends once this peer applied the decision (settle). A commit that
+// cannot terminate (no correct majority) gets no answer here: the client's
+// own deadline bounds it. It runs on the delivery path up to the instance's
+// start, as a begin does; nothing waits per transaction. A replayed stage+go
+// finds the record claimed, or the outcome cached, so its slice is dropped
+// unstaged and only the result goes back; a peer the first begin reached
+// drops the repeated begin's slice the same way.
 func (p *Peer) coordinate(e live.Envelope) {
 	m, ok := e.Msg.(stageGoMsg)
 	if !ok {
@@ -300,64 +286,20 @@ func (p *Peer) coordinate(e live.Envelope) {
 	p.sendBegins(e.TxID, slices)
 	p.mu.Lock()
 	t, first := p.join(e.TxID)
-	answer, arm := true, false
 	res := resultMsg{V: core.Abort}
-	switch {
-	case t == nil:
-		if v, retired := p.decided.get(e.TxID); retired {
-			res.V = v
-		} else {
-			res.Err = "commit: peer closed"
-		}
-	default:
-		t.client, t.since = e.From, time.Now()
-		answer, arm = false, !p.sweeping
-		p.sweeping = true
+	if t != nil {
+		t.client = e.From
+	} else if v, retired := p.decided.get(e.TxID); retired {
+		res.V = v
+	} else {
+		res.Err = "commit: peer closed"
 	}
 	p.mu.Unlock()
-	if arm {
-		live.After(coordinateUnits/16*p.opts.Timeout, p.sweep)
-	}
 	if first {
 		p.run(e.TxID, t, fp)
 	}
-	if answer {
+	if t == nil {
 		p.reply(e.TxID, e.From, res)
-	}
-}
-
-// sweep answers, with an error, every client whose commit this peer has
-// coordinated for coordinateUnits without applying a decision — the protocol
-// cannot terminate without a correct majority — and looks again every
-// coordinateUnits/16 while some client waits. One deadline per peer serves
-// them all: one per commit would keep tens of thousands of heap entries alive
-// under load, each for 128 U. It runs on the timer goroutine, and only sends.
-func (p *Peer) sweep() {
-	type late struct {
-		txID string
-		to   core.ProcessID
-	}
-	var expired []late
-	p.mu.Lock()
-	p.sweeping = false
-	for txID, t := range p.txns {
-		switch {
-		case t.client == 0:
-		case time.Since(t.since) >= coordinateUnits*p.opts.Timeout:
-			expired = append(expired, late{txID, t.client})
-			t.client = 0
-		default:
-			p.sweeping = true
-		}
-	}
-	again := p.sweeping && !p.closed
-	p.mu.Unlock()
-	if again {
-		live.After(coordinateUnits/16*p.opts.Timeout, p.sweep)
-	}
-	for _, l := range expired {
-		p.reply(l.txID, l.to, resultMsg{V: core.Abort,
-			Err: fmt.Sprintf("commit instance %s at %v: %v", l.txID, p.id, context.DeadlineExceeded)})
 	}
 }
 
@@ -444,10 +386,10 @@ func (p *Peer) answer(e live.Envelope, reply Message) {
 }
 
 // join returns txID's running record, creating it (or taking over an
-// unannounced one: the run gets the envelopes held back) when the
-// transaction is announced. first tells the caller it made that claim and
-// must call run once it released p.mu, which it holds. A nil record means
-// the peer is closed, or txID retired and the outcome cache answers.
+// unannounced one, whose instance holds the envelopes that came first) when
+// the transaction is announced. first tells the caller it made that claim
+// and must call run once it released p.mu, which it holds. A nil record
+// means the peer is closed, or txID retired and the outcome cache answers.
 func (p *Peer) join(txID string) (t *txn, first bool) {
 	if p.closed {
 		return nil, false
@@ -456,15 +398,31 @@ func (p *Peer) join(txID string) (t *txn, first bool) {
 		return nil, false
 	}
 	t = p.txns[txID]
-	if t != nil && t.phase == running {
-		return t, false
-	}
 	if t == nil {
-		t = &txn{}
-		p.txns[txID] = t
+		return p.file(txID, running), true
+	}
+	if t.phase == running {
+		return t, false
 	}
 	t.phase = running
 	return t, true
+}
+
+// file makes txID's record in phase ph, with the protocol instance every
+// envelope of the transaction goes to from now on: the instance holds them
+// until the vote starts it, and its Decided hook queues the decision for the
+// apply worker. p.mu is held.
+func (p *Peer) file(txID string, ph txnPhase) *txn {
+	t := &txn{phase: ph}
+	t.inst = live.NewInstance(live.Config{
+		ID: p.id, N: p.n, F: p.opts.F, U: p.opts.ticks(), TxID: txID,
+		Label:   string(p.opts.Protocol),
+		New:     p.mk,
+		Send:    p.tr.Send,
+		Decided: func(v core.Value) { p.apply.Push(decision{txID, t, v}) },
+	})
+	p.txns[txID] = t
+	return t
 }
 
 // run takes a transaction its caller just claimed through the local
@@ -482,34 +440,7 @@ func (p *Peer) run(txID string, t *txn, fp Message) {
 	if (fp == nil || p.hosted != nil && p.hosted.Stage(txID, fp) == nil) && p.res.Prepare(txID) {
 		vote = core.Commit
 	}
-	p.start(txID, t, vote)
-}
-
-// start runs the protocol instance of a claimed transaction on vote, with
-// the apply worker's queue as its decision hook, and hands it what arrived
-// meanwhile. A peer that closed meanwhile starts nothing.
-func (p *Peer) start(txID string, t *txn, vote core.Value) {
-	inst := live.NewInstance(live.Config{
-		ID: p.id, N: p.n, F: p.opts.F, U: p.opts.ticks(), TxID: txID,
-		Label:   string(p.opts.Protocol),
-		New:     p.mk,
-		Send:    p.tr.Send,
-		Decided: func(v core.Value) { p.apply.Push(decision{txID, t, v}) },
-	})
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return
-	}
-	t.inst = inst
-	pend := t.pending
-	t.pending = nil
-	p.mu.Unlock()
-
-	inst.Start(vote)
-	for _, e := range pend {
-		inst.Deliver(e)
-	}
+	t.inst.Start(vote) // a no-op if the peer closed meanwhile: Close closed it
 }
 
 // settle is the one place a decision takes effect at this process, run by
@@ -532,7 +463,6 @@ func (p *Peer) settle(d decision) {
 		close(t.done)
 	}
 	client := t.client
-	t.client = 0
 	delete(p.txns, d.txID)
 	p.decided.put(d.txID, d.v)
 	p.mu.Unlock()
@@ -546,7 +476,7 @@ func (p *Peer) settle(d decision) {
 // instance if it is still undecided: Agreement makes it the decision.
 func (p *Peer) adopt(txID string, v core.Value) {
 	p.mu.Lock()
-	if t := p.txns[txID]; t != nil && t.inst != nil {
+	if t := p.txns[txID]; t != nil {
 		t.inst.Adopt(v)
 	}
 	p.mu.Unlock()
@@ -615,9 +545,7 @@ func (p *Peer) Close() {
 	}
 	p.closed = true
 	for _, t := range p.txns {
-		if t.inst != nil {
-			t.inst.Close() // stops its timers; takes no lock of ours
-		}
+		t.inst.Close() // stops its timers; takes no lock of ours
 	}
 	p.txns = make(map[string]*txn)
 	p.mu.Unlock()

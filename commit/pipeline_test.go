@@ -131,7 +131,7 @@ func TestSubmitAfterCloseResolvesWithError(t *testing.T) {
 // many of its others are undecided. On a Cluster with default Options, 64
 // submissions are held: every envelope of theirs but the stage+go is
 // dropped, so each coordinator has prepared and never hears from the other
-// peers, and its answer waits for its 128 U sweep (6.4 s). A 65th
+// peers, and each future waits for the client's 128 U bound (6.4 s). A 65th
 // submission still commits at once. A Prepare that stalls cannot hold them
 // instead: it runs on its peer's delivery goroutine and would stall the
 // 65th too.
@@ -142,9 +142,9 @@ func TestSubmitSendsAtOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	cl.Mesh().Drop = func(e live.Envelope) bool {
+	cl.Mesh().SetShaper(live.LinkShaper{Drop: func(e live.Envelope) bool {
 		return strings.HasPrefix(e.TxID, "held-") && e.Path != stageGoPath
-	}
+	}})
 	held := make([]*Txn, 64)
 	for i := range held {
 		held[i] = cl.Submit(ctx(t), fmt.Sprintf("held-%d", i))
@@ -287,14 +287,14 @@ func TestSubmitRoundRobinCoordinators(t *testing.T) {
 	defer cl.Close()
 	var mu sync.Mutex
 	gos := make(map[core.ProcessID]int)
-	cl.Mesh().Drop = func(e live.Envelope) bool {
+	cl.Mesh().SetShaper(live.LinkShaper{Drop: func(e live.Envelope) bool {
 		if e.Path == stageGoPath {
 			mu.Lock()
 			gos[e.To]++
 			mu.Unlock()
 		}
 		return false
-	}
+	}})
 	txns := make([]*Txn, 4*n)
 	for i := range txns {
 		txns[i] = cl.Submit(ctx(t), "")

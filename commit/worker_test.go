@@ -45,7 +45,7 @@ func TestClusterSpawnsNothingPerTxn(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	cl.Mesh().Drop = func(e live.Envelope) bool { return e.Path == resultPath }
+	cl.Mesh().SetShaper(live.LinkShaper{Drop: func(e live.Envelope) bool { return e.Path == resultPath }})
 	base := runtime.NumGoroutine()
 	txns := make([]*Txn, inFlight)
 	for i := range txns {
@@ -293,12 +293,12 @@ func TestSubmitRunningContextExpiry(t *testing.T) {
 	defer cl.Close()
 	// Every envelope of "late" but its result takes 300ms: its context
 	// expires mid-run, and its run ends long after, the result with it.
-	cl.Mesh().Latency = func(e live.Envelope) time.Duration {
+	cl.Mesh().SetShaper(live.LinkShaper{Delay: func(e live.Envelope) time.Duration {
 		if e.TxID == "late" && e.Path != resultPath {
 			return 300 * time.Millisecond
 		}
 		return 0
-	}
+	}})
 	pending := func() int {
 		c := cl.client
 		c.mu.Lock()

@@ -3,15 +3,15 @@ package bench
 import (
 	"fmt"
 
+	"atomiccommit/internal/nbac"
 	"atomiccommit/internal/protocols"
-	"atomiccommit/internal/sim"
 )
 
 // Cell is one non-empty cell of the paper's Table 1: the properties required
 // in crash-failure (CF) and network-failure (NF) executions, the paper's
 // tight bounds, and the protocols whose measurements realize them.
 type Cell struct {
-	CF, NF sim.Props
+	CF, NF nbac.Props
 
 	// PaperDelays / PaperMessages are Table 1's tight bounds as formulas.
 	PaperDelays   func(n, f int) int
@@ -36,10 +36,10 @@ func mFull(n, f int) int { return 2*n - 2 + f }
 // Table1Cells enumerates all 27 non-empty cells of Table 1 (columns = CF
 // row-major as printed in the paper).
 func Table1Cells() []Cell {
-	A, V, T := sim.PropA, sim.PropV, sim.PropT
-	AV, AT, VT, AVT := sim.PropsAV, sim.PropsAT, sim.PropsVT, sim.PropsAVT
-	none := sim.PropsNone
-	mk := func(cf, nf sim.Props, d, m func(n, f int) int) Cell {
+	A, V, T := nbac.PropA, nbac.PropV, nbac.PropT
+	AV, AT, VT, AVT := nbac.PropsAV, nbac.PropsAT, nbac.PropsVT, nbac.PropsAVT
+	none := nbac.PropsNone
+	mk := func(cf, nf nbac.Props, d, m func(n, f int) int) Cell {
 		c := Cell{CF: cf, NF: nf, PaperDelays: d, PaperMessages: m}
 		// Delay-optimal protocol: the paper's group local maxima.
 		if d(3, 1) == 2 {
@@ -97,7 +97,7 @@ func Table1Cells() []Cell {
 }
 
 // covers reports whether the named protocol's contract dominates the cell.
-func covers(name string, cf, nf sim.Props) bool {
+func covers(name string, cf, nf nbac.Props) bool {
 	info, ok := protocols.ByName(name)
 	if !ok {
 		return false

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"atomiccommit/internal/core"
+	"atomiccommit/internal/nbac"
 	"atomiccommit/internal/sched"
 	"atomiccommit/internal/sim"
 )
@@ -97,7 +98,7 @@ func TestConsensusEventuallySynchronous(t *testing.T) {
 	u := sim.DefaultU
 	r := run(t, sim.Config{N: 3, F: 1, Policy: sched.GST(u, 20*u, 4*u)})
 	checkConsensus(t, r)
-	if r.Class() != sim.NetworkFailure {
+	if r.Class() != nbac.NetworkFailure {
 		t.Fatalf("expected network-failure class, got %v", r.Class())
 	}
 	if !r.AllCorrectDecided() {

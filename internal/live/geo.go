@@ -13,8 +13,8 @@ import (
 // LinkShaper shapes a process's outbound links: Delay returns the extra
 // one-way latency to impose on an envelope, Drop suppresses it entirely (an
 // emulated partition — the protocols already tolerate silence as a crash).
-// Either function may be nil. The field shapes match Mesh.Latency/Mesh.Drop,
-// so one shaper drives both transports.
+// Either function may be nil. Mesh.SetShaper and TCP.SetShaper both take
+// one.
 type LinkShaper struct {
 	Delay func(e Envelope) time.Duration
 	Drop  func(e Envelope) bool

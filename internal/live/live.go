@@ -176,10 +176,13 @@ func (inst *Instance) drainSelf() {
 }
 
 // Start initializes the module tree, proposes the vote, and flushes any
-// messages that raced ahead of it. It must be called exactly once.
+// messages that raced ahead of it. Call it once at most; a closed instance ignores it.
 func (inst *Instance) Start(vote core.Value) {
 	inst.mu.Lock()
 	defer inst.leave()
+	if inst.closed {
+		return
+	}
 	inst.started = time.Now()
 	if obs.Default.Enabled() {
 		obs.Default.Record(obs.Event{

@@ -143,7 +143,7 @@ func TestMeshDropAndLatency(t *testing.T) {
 			mu.Unlock()
 		})
 	}
-	mesh.Drop = func(e Envelope) bool { return e.To == 3 }
+	mesh.SetShaper(LinkShaper{Drop: func(e Envelope) bool { return e.To == 3 }})
 	ep := mesh.Endpoint(1)
 	for i := 2; i <= 3; i++ {
 		if err := ep.Send(Envelope{From: 1, To: core.ProcessID(i), Msg: echoMsg{}}); err != nil {
@@ -253,7 +253,16 @@ func TestTCPSendNeverWaitsForDial(t *testing.T) {
 	}
 	defer t2.Close()
 	recv := make(chan Envelope, 256)
-	t2.SetHandler(func(e Envelope) { recv <- e })
+	t2.SetHandler(func(e Envelope) {
+		// Never block the read loop: up to 300 buffered "down"s and one "up"
+		// per round arrive, and once the test returned nobody reads recv,
+		// so a blocked handler would hang t2.Close. Each round sends
+		// another "up", so a dropped one is sent again.
+		select {
+		case recv <- e:
+		default:
+		}
+	})
 	deadline := time.After(10 * time.Second)
 	for {
 		if err := t1.Send(Envelope{TxID: "up", From: 1, To: 2, Msg: echoMsg{}}); err != nil {

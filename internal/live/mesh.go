@@ -94,12 +94,12 @@ func (b *Inbox[T]) run(handle func(T)) {
 
 // Mesh is an in-memory network connecting n processes in one address space:
 // the transport behind the public commit.Cluster. Latency and partitions are
-// injectable, which the failure examples and tests use.
+// injectable through SetShaper, which the tests use.
 //
 // Each destination has one inbox, drained in arrival order by one goroutine
 // that runs the destination's handler — the mesh twin of a TCP read loop: a
 // handler that blocks holds up deliveries to its own process only. An
-// envelope that Latency delays reaches its inbox from the deadline heap
+// envelope that the shaper delays reaches its inbox from the deadline heap
 // (After), so nothing on the mesh starts a goroutine or a runtime timer per
 // envelope.
 //
@@ -114,14 +114,7 @@ func (b *Inbox[T]) run(handle func(T)) {
 type Mesh struct {
 	mu      sync.RWMutex
 	inboxes map[core.ProcessID]*Inbox[meshItem]
-
-	// Latency returns the artificial one-way latency of an envelope; nil
-	// means deliver as fast as the scheduler allows.
-	Latency func(e Envelope) time.Duration
-	// Drop suppresses delivery (a crashed or partitioned destination); the
-	// perfect-links assumption is the caller's responsibility, exactly as
-	// with the simulator's adversary.
-	Drop func(e Envelope) bool
+	shaper  LinkShaper
 }
 
 // meshItem is one entry of a destination's inbox: an envelope and its
@@ -136,7 +129,16 @@ func NewMesh() *Mesh {
 	return &Mesh{inboxes: make(map[core.ProcessID]*Inbox[meshItem])}
 }
 
-// Jitter returns a Latency function uniform in [base, base+spread).
+// SetShaper shapes every envelope the mesh carries, as TCP.SetShaper does a
+// process's outbound ones; a zero LinkShaper removes shaping. A Drop makes
+// perfect links the caller's responsibility, as with the simulator's adversary.
+func (m *Mesh) SetShaper(s LinkShaper) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.shaper = s
+}
+
+// Jitter returns a LinkShaper Delay function uniform in [base, base+spread).
 func Jitter(base, spread time.Duration, seed int64) func(Envelope) time.Duration {
 	rng := rand.New(rand.NewSource(seed))
 	var mu sync.Mutex
@@ -227,10 +229,9 @@ func roundTrip(e Envelope) (Envelope, int, error) {
 func (t *meshEndpoint) Send(e Envelope) error {
 	t.mesh.mu.RLock()
 	in := t.mesh.inboxes[e.To]
-	drop := t.mesh.Drop
-	lat := t.mesh.Latency
+	sh := t.mesh.shaper
 	t.mesh.mu.RUnlock()
-	if in == nil || (drop != nil && drop(e)) {
+	if in == nil || (sh.Drop != nil && sh.Drop(e)) {
 		return nil // silence models a crashed/partitioned peer
 	}
 	size := 0
@@ -254,8 +255,8 @@ func (t *meshEndpoint) Send(e Envelope) error {
 		}
 	}
 	it := meshItem{e: e, size: size}
-	if lat != nil {
-		if d := lat(e); d > 0 {
+	if sh.Delay != nil {
+		if d := sh.Delay(e); d > 0 {
 			After(d, func() { in.Push(it) })
 			return nil
 		}

@@ -99,7 +99,7 @@ func TestMeshLatencyDelivers(t *testing.T) {
 	t.Parallel()
 	const delay = 30 * time.Millisecond
 	mesh := NewMesh()
-	mesh.Latency = func(Envelope) time.Duration { return delay }
+	mesh.SetShaper(LinkShaper{Delay: func(Envelope) time.Duration { return delay }})
 	got := make(chan time.Time, 1)
 	mesh.Endpoint(2).SetHandler(func(Envelope) { got <- time.Now() })
 	sent := time.Now()

@@ -27,7 +27,7 @@ import (
 //	audit-validity     a decision contradicts the vote vector for the
 //	                   transaction's observed execution class
 //	audit-termination  all processes decided, but the vote→decision HLC
-//	                   span exceeded TerminationFactor × U
+//	                   span exceeded terminationFactor × U
 //
 // Execution-class honesty: the paper's validity property only forbids
 // an all-yes abort in failure-free executions, and a live run cannot
@@ -53,16 +53,16 @@ type AuditorConfig struct {
 	// registry's Table 1 cells). A transaction whose label has no entry
 	// is audited under a conservative agreement+validity contract.
 	Contracts map[string]nbac.Contract
-	// TerminationFactor bounds a transaction's vote→decision HLC span at
-	// TerminationFactor × U before audit-termination fires. Default 128
-	// (the commit layer's own coordination ceiling); 0 uses the default,
-	// negative disables the span check.
-	TerminationFactor int
-	// MaxTxns bounds the auditor's memory: beyond it the oldest
-	// transaction is evicted (counted Incomplete if not fully decided).
-	// Default 8192.
-	MaxTxns int
 }
+
+// terminationFactor bounds a transaction's vote→decision HLC span at
+// terminationFactor × U before audit-termination fires: the client's own
+// bound on a commit, 128 U.
+const terminationFactor = 128
+
+// maxAuditTxns bounds the auditor's memory: beyond it the oldest
+// transaction is evicted (counted Incomplete if not fully decided).
+const maxAuditTxns = 8192
 
 // defaultContract audits transactions of unknown protocols: agreement
 // and validity in every class — safe for any atomic commit protocol,
@@ -93,8 +93,8 @@ type auditTxn struct {
 // concurrent use; install it with SetAuditor to start receiving records.
 type Auditor struct {
 	contracts  map[string]nbac.Contract
-	termFactor int
-	maxTxns    int
+	termFactor int // terminationFactor; tests lower it
+	maxTxns    int // maxAuditTxns; tests lower it
 
 	maxDelay atomic.Int64 // ns, across every observed envelope
 
@@ -112,16 +112,10 @@ type Auditor struct {
 
 // NewAuditor builds an auditor; install it with SetAuditor.
 func NewAuditor(cfg AuditorConfig) *Auditor {
-	if cfg.TerminationFactor == 0 {
-		cfg.TerminationFactor = 128
-	}
-	if cfg.MaxTxns <= 0 {
-		cfg.MaxTxns = 8192
-	}
 	return &Auditor{
 		contracts:  cfg.Contracts,
-		termFactor: cfg.TerminationFactor,
-		maxTxns:    cfg.MaxTxns,
+		termFactor: terminationFactor,
+		maxTxns:    maxAuditTxns,
 		txns:       make(map[string]*auditTxn),
 		viol:       make(map[string]int64),
 		violTxns:   make(map[string][]string),
@@ -366,7 +360,7 @@ func (a *Auditor) maybeFinalizeLocked(txID string, tx *auditTxn) []pendingViolat
 		if span > a.maxSpan {
 			a.maxSpan = span
 		}
-		if a.termFactor > 0 && tx.u > 0 && span > time.Duration(a.termFactor)*tx.u {
+		if tx.u > 0 && span > time.Duration(a.termFactor)*tx.u {
 			if p := a.violLocked(tx, "audit-termination", txID, fmt.Sprintf(
 				"vote→decision span %v exceeds %d×U (U=%v)", span, a.termFactor, tx.u)); p != nil {
 				pend = append(pend, *p)
@@ -415,7 +409,8 @@ type AuditSummary struct {
 	MaxOneWayDelayNs int64 `json:"maxOneWayDelayNs"`
 	MaxUNs           int64 `json:"maxUNs"`
 	// MaxSpanNs is the largest vote→decision HLC span of any checked
-	// transaction; TerminationFactor×U is the bound it is audited against.
+	// transaction; TerminationFactor×U is the bound it is audited against,
+	// the client's bound on a commit (128 U).
 	MaxSpanNs         int64 `json:"maxSpanNs"`
 	TerminationFactor int   `json:"terminationFactor"`
 }

@@ -37,7 +37,7 @@ func replay(t *testing.T, contract nbac.Contract, exec *nbac.Execution, u, delay
 
 // TestAuditorMatchesSimChecker is the shared-implementation proof the
 // issue demands: the same execution record is fed to the simulator's
-// checker (sim.Check on a Result embedding it) and replayed through the
+// checker (nbac.Check on a sim.Result's embedded record) and replayed through the
 // live auditor, and both must flag the identical property set — they
 // run the same nbac predicates, so any divergence is a wiring bug.
 func TestAuditorMatchesSimChecker(t *testing.T) {
@@ -86,7 +86,7 @@ func TestAuditorMatchesSimChecker(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			// Sim path: the checker on a Result embedding the record.
 			r := &sim.Result{Execution: tc.exec}
-			simBad := sim.Check(contract, r)
+			simBad := nbac.Check(contract, &r.Execution)
 			simAgreement, simValidity := false, false
 			for _, msg := range simBad {
 				if strings.Contains(msg, "agreement violated") {
@@ -190,9 +190,11 @@ func TestAuditorAgreementFiresBeforeLaggards(t *testing.T) {
 }
 
 // TestAuditorTerminationSpan: a transaction that completes far outside
-// TerminationFactor×U is flagged from its recorded HLC span.
+// the auditor's termination factor × U (lowered to 1 here) is flagged from
+// its recorded HLC span.
 func TestAuditorTerminationSpan(t *testing.T) {
-	aud := NewAuditor(AuditorConfig{TerminationFactor: 1})
+	aud := NewAuditor(AuditorConfig{})
+	aud.termFactor = 1
 	u := 100 * time.Microsecond
 	aud.Vote("tx-slow", 1, 1, "2pc", core.Commit, u)
 	time.Sleep(3 * time.Millisecond) // span >> 1×U
@@ -209,7 +211,8 @@ func TestAuditorTerminationSpan(t *testing.T) {
 // TestAuditorSummaryAndEviction: observed/checked/incomplete counts and
 // the delay maxima line up; FIFO eviction counts undecided transactions.
 func TestAuditorSummaryAndEviction(t *testing.T) {
-	aud := NewAuditor(AuditorConfig{MaxTxns: 2})
+	aud := NewAuditor(AuditorConfig{})
+	aud.maxTxns = 2 // evict beyond two
 	u := 5 * time.Millisecond
 	for i := 0; i < 3; i++ {
 		tx := fmt.Sprintf("tx-%d", i)

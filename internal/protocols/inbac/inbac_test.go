@@ -5,6 +5,7 @@ import (
 
 	"atomiccommit/internal/consensus"
 	"atomiccommit/internal/core"
+	"atomiccommit/internal/nbac"
 	"atomiccommit/internal/sched"
 	"atomiccommit/internal/sim"
 )
@@ -78,7 +79,7 @@ func TestFigure1ConsProposeAND(t *testing.T) {
 	n, f := 5, 2
 	r := run(sim.Config{N: n, F: f, New: factory(Options{}),
 		Policy: sched.Crashes(map[core.ProcessID]core.Ticks{1: u})})
-	if r.Class() != sim.CrashFailure {
+	if r.Class() != nbac.CrashFailure {
 		t.Fatalf("expected crash-failure execution: %v", r)
 	}
 	if !r.Agreement() || !r.Validity() || !r.Termination() {
@@ -189,7 +190,7 @@ func TestIndulgence(t *testing.T) {
 	for _, late := range []core.Ticks{2 * u, 4 * u, 9 * u} {
 		r := run(sim.Config{N: 5, F: 2, New: factory(Options{}),
 			Policy: sched.GST(u, 12*u, late)})
-		if r.Class() != sim.NetworkFailure {
+		if r.Class() != nbac.NetworkFailure {
 			t.Fatalf("late=%d: expected network failure class", late)
 		}
 		if !r.Agreement() || !r.Validity() || !r.Termination() {

@@ -12,6 +12,7 @@ import (
 
 	"atomiccommit/internal/consensus"
 	"atomiccommit/internal/core"
+	"atomiccommit/internal/nbac"
 	"atomiccommit/internal/sched"
 	"atomiccommit/internal/sim"
 )
@@ -140,13 +141,13 @@ func TestCrashFailureContracts(t *testing.T) {
 				for si, pol := range crashSchedules(n, f, sim.DefaultU) {
 					for _, votes := range [][]core.Value{nil, mixedVotes(n)} {
 						r := sim.Run(sim.Config{N: n, F: f, Votes: votes, New: p.New(), Policy: pol})
-						if r.Class() == sim.NetworkFailure {
+						if r.Class() == nbac.NetworkFailure {
 							continue // partial broadcast of a non-crashed sender; skip
 						}
 						if len(r.Crashed) > f {
 							continue // schedule exceeds the resilience bound
 						}
-						if bad := sim.Check(p.Contract, r); len(bad) != 0 {
+						if bad := nbac.Check(p.Contract, &r.Execution); len(bad) != 0 {
 							t.Fatalf("n=%d f=%d schedule#%d votes=%v: %v\n%v", n, f, si, votes, bad, r)
 						}
 					}
@@ -195,7 +196,7 @@ func TestNetworkFailureContracts(t *testing.T) {
 						if len(r.Crashed) > f {
 							continue
 						}
-						if bad := sim.Check(p.Contract, r); len(bad) != 0 {
+						if bad := nbac.Check(p.Contract, &r.Execution); len(bad) != 0 {
 							t.Fatalf("n=%d f=%d schedule#%d votes=%v: %v\n%v", n, f, si, votes, bad, r)
 						}
 					}
@@ -231,7 +232,7 @@ func TestRandomSchedules(t *testing.T) {
 				if len(r.Crashed) > f {
 					continue
 				}
-				if bad := sim.Check(p.Contract, r); len(bad) != 0 {
+				if bad := nbac.Check(p.Contract, &r.Execution); len(bad) != 0 {
 					t.Fatalf("seed %d (n=%d f=%d votes=%v): %v\n%v", seed, n, f, votes, bad, r)
 				}
 			}

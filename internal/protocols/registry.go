@@ -12,6 +12,7 @@ package protocols
 
 import (
 	"atomiccommit/internal/core"
+	"atomiccommit/internal/nbac"
 	"atomiccommit/internal/protocols/anbac"
 	"atomiccommit/internal/protocols/avnbac"
 	"atomiccommit/internal/protocols/chainnbac"
@@ -23,7 +24,6 @@ import (
 	"atomiccommit/internal/protocols/threepc"
 	"atomiccommit/internal/protocols/twopc"
 	"atomiccommit/internal/protocols/zeronbac"
-	"atomiccommit/internal/sim"
 )
 
 // Formula is a closed-form complexity in n and f. A nil Formula means the
@@ -37,7 +37,7 @@ type Info struct {
 	// Paper is the protocol's name in the paper.
 	Paper string
 	// Contract is the protocol's (CF, NF) property cell.
-	Contract sim.Contract
+	Contract nbac.Contract
 	// New builds a fresh per-process module factory.
 	New func() func(core.ProcessID) core.Module
 
@@ -83,7 +83,7 @@ func All() []Info { return all }
 var all = []Info{
 	{
 		Name: "inbac", Paper: "INBAC (section 5, appendix A)",
-		Contract:    sim.Contract{Name: "inbac", CF: sim.PropsAVT, NF: sim.PropsAVT, MajorityForT: true},
+		Contract:    nbac.Contract{Name: "inbac", CF: nbac.PropsAVT, NF: nbac.PropsAVT, MajorityForT: true},
 		New:         func() func(core.ProcessID) core.Module { return inbac.New(inbac.Options{}) },
 		PaperDelays: c(2), PaperMessages: func(n, f int) int { return 2 * f * n },
 		Delays: c(2), Messages: func(n, f int) int { return 2 * f * n },
@@ -92,7 +92,7 @@ var all = []Info{
 	},
 	{
 		Name: "1nbac", Paper: "1NBAC (appendix D)",
-		Contract:    sim.Contract{Name: "1nbac", CF: sim.PropsAVT, NF: sim.PropsVT},
+		Contract:    nbac.Contract{Name: "1nbac", CF: nbac.PropsAVT, NF: nbac.PropsVT},
 		New:         func() func(core.ProcessID) core.Module { return onenbac.New() },
 		PaperDelays: c(1), PaperMessages: func(n, f int) int { return n*n - n },
 		Delays: c(1), Messages: func(n, f int) int { return n*n - n },
@@ -101,7 +101,7 @@ var all = []Info{
 	},
 	{
 		Name: "avnbac-delay", Paper: "avNBAC, delay-optimal variant (section 4.1)",
-		Contract:    sim.Contract{Name: "avnbac-delay", CF: sim.PropsAV, NF: sim.PropsAV},
+		Contract:    nbac.Contract{Name: "avnbac-delay", CF: nbac.PropsAV, NF: nbac.PropsAV},
 		New:         func() func(core.ProcessID) core.Module { return avnbac.NewDelayOptimal() },
 		PaperDelays: c(1), PaperMessages: nil,
 		Delays: c(1), Messages: func(n, f int) int { return n*n - n },
@@ -110,7 +110,7 @@ var all = []Info{
 	},
 	{
 		Name: "avnbac-msg", Paper: "avNBAC, message-optimal variant (appendix E.5)",
-		Contract:    sim.Contract{Name: "avnbac-msg", CF: sim.PropsAV, NF: sim.PropsAV},
+		Contract:    nbac.Contract{Name: "avnbac-msg", CF: nbac.PropsAV, NF: nbac.PropsAV},
 		New:         func() func(core.ProcessID) core.Module { return avnbac.NewMessageOptimal() },
 		PaperDelays: nil, PaperMessages: func(n, f int) int { return 2*n - 2 },
 		Delays: c(2), Messages: func(n, f int) int { return 2*n - 2 },
@@ -119,7 +119,7 @@ var all = []Info{
 	},
 	{
 		Name: "0nbac", Paper: "0NBAC (appendix E.1)",
-		Contract:    sim.Contract{Name: "0nbac", CF: sim.PropsAT, NF: sim.PropsAT, MajorityForT: true},
+		Contract:    nbac.Contract{Name: "0nbac", CF: nbac.PropsAT, NF: nbac.PropsAT, MajorityForT: true},
 		New:         func() func(core.ProcessID) core.Module { return zeronbac.New() },
 		PaperDelays: c(1), PaperMessages: c(0),
 		Delays: c(1), Messages: c(0),
@@ -128,7 +128,7 @@ var all = []Info{
 	},
 	{
 		Name: "anbac", Paper: "aNBAC (appendix E.3)",
-		Contract:    sim.Contract{Name: "anbac", CF: sim.PropsAV, NF: sim.PropA},
+		Contract:    nbac.Contract{Name: "anbac", CF: nbac.PropsAV, NF: nbac.PropA},
 		New:         func() func(core.ProcessID) core.Module { return anbac.New() },
 		PaperDelays: nil, PaperMessages: func(n, f int) int { return n - 1 + f },
 		Delays: func(n, f int) int { return n + 2*f }, Messages: func(n, f int) int { return n - 1 + f },
@@ -137,7 +137,7 @@ var all = []Info{
 	},
 	{
 		Name: "chainnbac", Paper: "(n-1+f)NBAC (appendix E.2)",
-		Contract:    sim.Contract{Name: "chainnbac", CF: sim.PropsAVT, NF: sim.PropT},
+		Contract:    nbac.Contract{Name: "chainnbac", CF: nbac.PropsAVT, NF: nbac.PropT},
 		New:         func() func(core.ProcessID) core.Module { return chainnbac.New() },
 		PaperDelays: func(n, f int) int { return 2*f + n - 1 }, PaperMessages: func(n, f int) int { return n - 1 + f },
 		Delays: func(n, f int) int { return n + 2*f }, Messages: func(n, f int) int { return n - 1 + f },
@@ -146,7 +146,7 @@ var all = []Info{
 	},
 	{
 		Name: "hubnbac", Paper: "(2n-2)NBAC (appendix E.4)",
-		Contract:    sim.Contract{Name: "hubnbac", CF: sim.PropsAVT, NF: sim.PropsVT},
+		Contract:    nbac.Contract{Name: "hubnbac", CF: nbac.PropsAVT, NF: nbac.PropsVT},
 		New:         func() func(core.ProcessID) core.Module { return hubnbac.New() },
 		PaperDelays: nil, PaperMessages: func(n, f int) int { return 2*n - 2 },
 		Delays: func(n, f int) int { return 2 + f }, Messages: func(n, f int) int { return 2*n - 2 },
@@ -155,7 +155,7 @@ var all = []Info{
 	},
 	{
 		Name: "fullnbac", Paper: "(2n-2+f)NBAC (appendix E.6)",
-		Contract:    sim.Contract{Name: "fullnbac", CF: sim.PropsAVT, NF: sim.PropsAVT, MajorityForT: true},
+		Contract:    nbac.Contract{Name: "fullnbac", CF: nbac.PropsAVT, NF: nbac.PropsAVT, MajorityForT: true},
 		New:         func() func(core.ProcessID) core.Module { return fullnbac.New() },
 		PaperDelays: nil, PaperMessages: func(n, f int) int { return 2*n - 2 + f },
 		Delays: func(n, f int) int { return 2*n + f - 2 }, Messages: func(n, f int) int { return 2*n - 2 + f },
@@ -164,7 +164,7 @@ var all = []Info{
 	},
 	{
 		Name: "2pc", Paper: "2PC (Gray 1978; Table 5)",
-		Contract:    sim.Contract{Name: "2pc", CF: sim.PropsAV, NF: sim.PropsAV},
+		Contract:    nbac.Contract{Name: "2pc", CF: nbac.PropsAV, NF: nbac.PropsAV},
 		New:         func() func(core.ProcessID) core.Module { return twopc.New() },
 		PaperDelays: c(2), PaperMessages: func(n, f int) int { return 2*n - 2 },
 		Delays: c(2), Messages: func(n, f int) int { return 2*n - 2 },
@@ -173,7 +173,7 @@ var all = []Info{
 	},
 	{
 		Name: "3pc", Paper: "3PC (Skeen 1981; section 6.2)",
-		Contract:    sim.Contract{Name: "3pc", CF: sim.PropsAVT, NF: sim.PropsVT},
+		Contract:    nbac.Contract{Name: "3pc", CF: nbac.PropsAVT, NF: nbac.PropsVT},
 		New:         func() func(core.ProcessID) core.Module { return threepc.New() },
 		PaperDelays: nil, PaperMessages: nil,
 		Delays: c(4), Messages: func(n, f int) int { return 4*n - 4 },
@@ -182,7 +182,7 @@ var all = []Info{
 	},
 	{
 		Name: "paxoscommit", Paper: "PaxosCommit (Gray & Lamport 2006; Table 5)",
-		Contract: sim.Contract{Name: "paxoscommit", CF: sim.PropsAVT, NF: sim.PropsAVT, MajorityForT: true},
+		Contract: nbac.Contract{Name: "paxoscommit", CF: nbac.PropsAVT, NF: nbac.PropsAVT, MajorityForT: true},
 		New: func() func(core.ProcessID) core.Module {
 			return paxoscommit.New(paxoscommit.Options{Mode: paxoscommit.Classic})
 		},
@@ -193,7 +193,7 @@ var all = []Info{
 	},
 	{
 		Name: "fasterpaxoscommit", Paper: "Faster PaxosCommit (Gray & Lamport 2006; Table 5)",
-		Contract: sim.Contract{Name: "fasterpaxoscommit", CF: sim.PropsAVT, NF: sim.PropsAVT, MajorityForT: true},
+		Contract: nbac.Contract{Name: "fasterpaxoscommit", CF: nbac.PropsAVT, NF: nbac.PropsAVT, MajorityForT: true},
 		New: func() func(core.ProcessID) core.Module {
 			return paxoscommit.New(paxoscommit.Options{Mode: paxoscommit.Faster})
 		},

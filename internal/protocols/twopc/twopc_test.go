@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"atomiccommit/internal/core"
+	"atomiccommit/internal/nbac"
 	"atomiccommit/internal/sched"
 	"atomiccommit/internal/sim"
 )
@@ -37,7 +38,7 @@ func TestBlocking(t *testing.T) {
 		t.Fatalf("nobody can decide: %v", r)
 	}
 	// Agreement and validity still hold vacuously, which is 2PC's contract.
-	if bad := sim.Check(sim.Contract{Name: "2pc", CF: sim.PropsAV, NF: sim.PropsAV}, r); len(bad) != 0 {
+	if bad := nbac.Check(nbac.Contract{Name: "2pc", CF: nbac.PropsAV, NF: nbac.PropsAV}, &r.Execution); len(bad) != 0 {
 		t.Fatalf("%v", bad)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"atomiccommit/internal/core"
+	"atomiccommit/internal/nbac"
 )
 
 // floodMsg is the single message type of the test protocol.
@@ -120,7 +121,7 @@ func TestKernelCrashStopsProcess(t *testing.T) {
 			}
 			return core.NoCrash
 		}}})
-	if !r.AnyCrash || r.Class() != CrashFailure {
+	if !r.AnyCrash || r.Class() != nbac.CrashFailure {
 		t.Fatalf("expected a crash-failure execution, got %v", r)
 	}
 	if _, ok := r.Decisions[3]; ok {
@@ -145,7 +146,7 @@ func TestKernelNetworkFailureClassification(t *testing.T) {
 		Policy: Policy{Delay: func(s, d core.ProcessID, at core.Ticks, nth int) core.Ticks {
 			return at + 3*DefaultU // all messages late: a network failure
 		}}})
-	if r.Class() != NetworkFailure {
+	if r.Class() != nbac.NetworkFailure {
 		t.Fatalf("expected network-failure class, got %v (%v)", r.Class(), r)
 	}
 }
@@ -248,7 +249,7 @@ func TestKernelDeterminism(t *testing.T) {
 
 func TestCheckerContractEvaluation(t *testing.T) {
 	nice := Run(Config{N: 3, F: 1, New: newFlood})
-	if bad := Check(Contract{Name: "flood", CF: PropsNone, NF: PropsNone}, nice); len(bad) != 0 {
+	if bad := nbac.Check(nbac.Contract{Name: "flood", CF: nbac.PropsNone, NF: nbac.PropsNone}, &nice.Execution); len(bad) != 0 {
 		t.Errorf("nice execution should pass: %v", bad)
 	}
 	// flood violates termination in a crash execution? No: survivors decide.
@@ -263,7 +264,7 @@ func TestCheckerContractEvaluation(t *testing.T) {
 			}
 			return core.NoCrash
 		}}})
-	if bad := Check(Contract{Name: "flood", CF: PropV, NF: PropsNone}, r); len(bad) == 0 {
+	if bad := nbac.Check(nbac.Contract{Name: "flood", CF: nbac.PropV, NF: nbac.PropsNone}, &r.Execution); len(bad) == 0 {
 		t.Errorf("expected a validity violation to be reported, got none (%v)", r)
 	}
 }

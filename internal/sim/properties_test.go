@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"atomiccommit/internal/core"
+	"atomiccommit/internal/nbac"
 )
 
 // TestFloodDecisionIsANDProperty: for the reference flood protocol, the
@@ -85,7 +86,7 @@ func TestMetricsInvariants(t *testing.T) {
 // TestPropsAlgebra quick-checks the property-set lattice used by the
 // contract checker.
 func TestPropsAlgebra(t *testing.T) {
-	clamp := func(b byte) Props { return Props(b) & PropsAVT }
+	clamp := func(b byte) nbac.Props { return nbac.Props(b) & nbac.PropsAVT }
 	if err := quick.Check(func(a, b byte) bool {
 		x, y := clamp(a), clamp(b)
 		union := x | y
@@ -93,7 +94,7 @@ func TestPropsAlgebra(t *testing.T) {
 	}, nil); err != nil {
 		t.Error(err)
 	}
-	if PropsAVT.String() != "AVT" || PropsNone.String() != "∅" || PropsAV.String() != "AV" {
+	if nbac.PropsAVT.String() != "AVT" || nbac.PropsNone.String() != "∅" || nbac.PropsAV.String() != "AV" {
 		t.Error("Props rendering broken")
 	}
 }

@@ -308,7 +308,7 @@ func TestExpiredLocalSubmitKeepsIntents(t *testing.T) {
 	t.Parallel()
 	const u = 100 * time.Millisecond
 	s := open(t, 2, commit.Options{Timeout: u})
-	s.cluster.Mesh().Latency = func(live.Envelope) time.Duration { return u / 4 }
+	s.cluster.Mesh().SetShaper(live.LinkShaper{Delay: func(live.Envelope) time.Duration { return u / 4 }})
 	ctx := testCtx(t)
 
 	t1ctx, cancel := context.WithCancel(ctx)
