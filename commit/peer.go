@@ -69,11 +69,13 @@ type Peer struct {
 // Peer.decided. Peer.mu guards the fields until then; after that they no
 // longer change, and only a local Wait still holds the record.
 type txn struct {
+	// inst is the transaction's protocol instance, built in place with the
+	// record (see file): every protocol envelope goes to it, and it holds
+	// them until the vote starts it. The record is its Decided hook, which
+	// queues the decision on p's apply worker.
+	inst  live.Instance
+	p     *Peer
 	phase txnPhase
-	// inst is the transaction's protocol instance, built with the record
-	// (see file): every protocol envelope goes to it, and it holds them
-	// until the vote starts it.
-	inst *live.Instance
 	// done is made by a local Commit or Wait, and closed once
 	// Resource.Commit/Abort returned; nil while nobody waits.
 	done chan struct{}
@@ -82,12 +84,15 @@ type txn struct {
 	client core.ProcessID
 }
 
+// Decided implements live.Decider: it queues the instance's decision for the
+// apply worker.
+func (t *txn) Decided(v core.Value) { t.p.apply.Push(decision{t, v}) }
+
 // decision is one entry of the apply worker's queue: the outcome v of the
-// transaction txID whose record is t, to apply and report.
+// transaction whose record is t, to apply and report.
 type decision struct {
-	txID string
-	t    *txn
-	v    core.Value
+	t *txn
+	v core.Value
 }
 
 // txnPhase is where a transaction's record stands at this peer.
@@ -410,16 +415,16 @@ func (p *Peer) join(txID string) (t *txn, first bool) {
 
 // file makes txID's record in phase ph, with the protocol instance every
 // envelope of the transaction goes to from now on: the instance holds them
-// until the vote starts it, and its Decided hook queues the decision for the
-// apply worker. p.mu is held.
+// until the vote starts it, and the record, its Decided hook, queues the
+// decision for the apply worker. One allocation holds both. p.mu is held.
 func (p *Peer) file(txID string, ph txnPhase) *txn {
-	t := &txn{phase: ph}
-	t.inst = live.NewInstance(live.Config{
+	t := &txn{p: p, phase: ph}
+	t.inst.Init(live.Config{
 		ID: p.id, N: p.n, F: p.opts.F, U: p.opts.ticks(), TxID: txID,
 		Label:   string(p.opts.Protocol),
 		New:     p.mk,
 		Send:    p.tr.Send,
-		Decided: func(v core.Value) { p.apply.Push(decision{txID, t, v}) },
+		Decided: t,
 	})
 	p.txns[txID] = t
 	return t
@@ -452,23 +457,23 @@ func (p *Peer) run(txID string, t *txn, fp Message) {
 // retiredHistory), which answers replays and late envelopes from here on.
 // Last, answer the client this peer coordinates for.
 func (p *Peer) settle(d decision) {
+	t, txID := d.t, d.t.inst.TxID()
 	if d.v == core.Commit {
-		p.res.Commit(d.txID)
+		p.res.Commit(txID)
 	} else {
-		p.res.Abort(d.txID)
+		p.res.Abort(txID)
 	}
-	t := d.t
 	p.mu.Lock()
 	if t.done != nil {
 		close(t.done)
 	}
 	client := t.client
-	delete(p.txns, d.txID)
-	p.decided.put(d.txID, d.v)
+	delete(p.txns, txID)
+	p.decided.put(txID, d.v)
 	p.mu.Unlock()
 	t.inst.Close()
 	if client != 0 {
-		p.reply(d.txID, client, resultMsg{V: d.v})
+		p.reply(txID, client, resultMsg{V: d.v})
 	}
 }
 

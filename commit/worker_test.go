@@ -221,9 +221,9 @@ func orderedPeer(t *testing.T, entered chan<- struct{}, gate <-chan struct{}) (*
 func decide(p *Peer, ids []string) []*txn {
 	recs := make([]*txn, len(ids))
 	for i, id := range ids {
-		inst := live.NewInstance(live.Config{ID: p.id, N: p.n, TxID: id, New: p.mk})
-		recs[i] = &txn{phase: running, inst: inst, done: make(chan struct{})}
-		p.apply.Push(decision{id, recs[i], core.Commit})
+		recs[i] = &txn{p: p, phase: running, done: make(chan struct{})}
+		recs[i].inst.Init(live.Config{ID: p.id, N: p.n, TxID: id, New: p.mk})
+		p.apply.Push(decision{recs[i], core.Commit})
 	}
 	return recs
 }

@@ -13,8 +13,9 @@
 //
 // The paper stresses that INBAC's correctness and best-case complexity are
 // independent of the consensus algorithm; accordingly this module is only
-// ever exercised in executions with failures, and the experiments assert
-// that nice executions exchange zero consensus messages.
+// ever built in executions with failures — a parent registers a Lazy holder,
+// which builds it on first use — and the experiments assert that nice
+// executions exchange zero consensus messages.
 package consensus
 
 import (
@@ -138,8 +139,9 @@ func (MsgDecided) UnmarshalWire(d *wire.Decoder) (core.Message, error) {
 	return MsgDecided{V: core.Value(d.Uvarint())}, d.Err()
 }
 
-// Consensus is one process's consensus module. Create one per process with
-// New and register it under the parent protocol via Env.Register.
+// Consensus is one process's consensus module. A parent protocol registers
+// a Lazy holder via Env.Register, which creates one with New when it is
+// first needed.
 type Consensus struct {
 	env core.Env
 

@@ -161,7 +161,9 @@ type Env interface {
 	// child is initialized immediately with its own Env whose Send/SetTimerAt
 	// are routed independently of the parent's and whose Decide invokes
 	// onDecide on the parent instead of terminating the process. Register
-	// must be called during Init, once per name.
+	// must be called during Init, at most once in the whole module tree: a
+	// protocol has one sub-module, its consensus, which the live runtime
+	// holds in place.
 	Register(name string, child Module, onDecide func(Value))
 }
 

@@ -9,8 +9,9 @@ import "math/bits"
 // modules use it and it need not branch on which one is calling (DESIGN.md,
 // internal/core).
 //
-// A set is sized once and no operation allocates. A process ID outside 1..n
-// — the From of a frame from a peer configured with another n, an entry of a
+// A set is sized once and no operation allocates; a VoteSet over at most 64
+// processes is not even sized on the heap. A process ID outside 1..n — the
+// From of a frame from a peer configured with another n, an entry of a
 // corrupt collection — is dropped by Add and Put, so a module never
 // range-checks a sender itself. The zero value is a set over no processes:
 // it drops everything.
@@ -84,68 +85,76 @@ func (s ProcSet) Next(after ProcessID) ProcessID {
 func (s ProcSet) Reset() { clear(s.bits) }
 
 // VoteSet is a set of (process, vote) pairs with at most one vote per
-// process: a ProcSet of who voted, and the same bit of yes set when the
-// vote is 1.
+// process: a word of who voted, and the same bit of a yes word set when the
+// vote is 1. Unlike a ProcSet it is a value, not a handle: up to n = 64 its
+// two words are in it, so a module's sets cost no allocation of their own;
+// beyond, they are on the heap. Use a set in place, through its methods
+// (they take its address); a copy of one over more than 64 processes shares
+// its words.
 type VoteSet struct {
-	has ProcSet
-	yes []uint64
+	n    int
+	w    [2]uint64 // n <= 64: the voters' word, then the yes word
+	wide *[]uint64 // n > 64: the voters' words, then as many yes words (a pointer keeps a set at 32 B)
 }
 
 // NewVoteSet returns an empty set over P1..Pn.
-func NewVoteSet(n int) VoteSet { return voteSetOver(n, make([]uint64, 2*((n+63)/64))) }
-
-// NewVoteSets returns k empty sets over P1..Pn sharing one backing array,
-// for a module that keeps several per instance (INBAC keeps f+4).
-func NewVoteSets(n, k int) []VoteSet {
-	words := (n + 63) / 64
-	backing := make([]uint64, 2*words*k)
-	sets := make([]VoteSet, k)
-	for i := range sets {
-		sets[i] = voteSetOver(n, backing[2*words*i:])
+func NewVoteSet(n int) VoteSet {
+	s := VoteSet{n: n}
+	if n > 64 {
+		words := make([]uint64, 2*((n+63)/64))
+		s.wide = &words
 	}
-	return sets
+	return s
 }
 
-// voteSetOver lays a set over P1..Pn on the first words of backing.
-func voteSetOver(n int, backing []uint64) VoteSet {
-	words := (n + 63) / 64
-	return VoteSet{has: ProcSet{n: n, bits: backing[:words:words]}, yes: backing[words : 2*words : 2*words]}
+// voters returns the set of who voted, on the set's own words, and the yes
+// words.
+func (s *VoteSet) voters() (voters ProcSet, yes []uint64) {
+	if s.wide == nil {
+		return ProcSet{n: s.n, bits: s.w[:1:1]}, s.w[1:]
+	}
+	w := *s.wide
+	k := len(w) / 2
+	return ProcSet{n: s.n, bits: w[:k:k]}, w[k:]
 }
 
 // Put records p's vote, replacing an earlier one; a p outside 1..n is
 // dropped.
-func (s VoteSet) Put(p ProcessID, v Value) {
-	if p < 1 || int(p) > s.has.n {
+func (s *VoteSet) Put(p ProcessID, v Value) {
+	if p < 1 || int(p) > s.n {
 		return
 	}
+	has, yes := s.voters()
 	w, bit := int(p-1)/64, uint64(1)<<(uint(p-1)%64)
-	s.has.bits[w] |= bit
+	has.bits[w] |= bit
 	if v == Commit {
-		s.yes[w] |= bit
+		yes[w] |= bit
 	} else {
-		s.yes[w] &^= bit
+		yes[w] &^= bit
 	}
 }
 
 // Get returns p's vote and whether the set has one.
-func (s VoteSet) Get(p ProcessID) (Value, bool) {
-	if !s.has.Has(p) {
+func (s *VoteSet) Get(p ProcessID) (Value, bool) {
+	has, yes := s.voters()
+	if !has.Has(p) {
 		return Abort, false
 	}
-	return Value(s.yes[(p-1)/64] >> (uint(p-1) % 64) & 1), true
+	return Value(yes[(p-1)/64] >> (uint(p-1) % 64) & 1), true
 }
 
 // Has, Count, Full, Holds and Next are those of the set of voters.
-func (s VoteSet) Has(p ProcessID) bool           { return s.has.Has(p) }
-func (s VoteSet) Count() int                     { return s.has.Count() }
-func (s VoteSet) Full() bool                     { return s.has.Full() }
-func (s VoteSet) Holds(k int) bool               { return s.has.Holds(k) }
-func (s VoteSet) Next(after ProcessID) ProcessID { return s.has.Next(after) }
+func (s *VoteSet) Has(p ProcessID) bool           { has, _ := s.voters(); return has.Has(p) }
+func (s *VoteSet) Count() int                     { has, _ := s.voters(); return has.Count() }
+func (s *VoteSet) Full() bool                     { has, _ := s.voters(); return has.Full() }
+func (s *VoteSet) Holds(k int) bool               { has, _ := s.voters(); return has.Holds(k) }
+func (s *VoteSet) Next(after ProcessID) ProcessID { has, _ := s.voters(); return has.Next(after) }
 
 // And is the AND of the votes in the set (Commit for the empty set).
-func (s VoteSet) And() Value {
-	for w, h := range s.has.bits {
-		if s.yes[w] != h {
+func (s *VoteSet) And() Value {
+	has, yes := s.voters()
+	for w, h := range has.bits {
+		if yes[w] != h {
 			return Abort
 		}
 	}
@@ -154,17 +163,20 @@ func (s VoteSet) And() Value {
 
 // Merge adds every pair of o (a set over the same n), o's vote winning
 // where both have one.
-func (s VoteSet) Merge(o VoteSet) {
-	for w, h := range o.has.bits {
-		s.has.bits[w] |= h
-		s.yes[w] = s.yes[w]&^h | o.yes[w]
+func (s *VoteSet) Merge(o *VoteSet) {
+	has, yes := s.voters()
+	ohas, oyes := o.voters()
+	for w, h := range ohas.bits {
+		has.bits[w] |= h
+		yes[w] = yes[w]&^h | oyes[w]
 	}
 }
 
 // Reset empties the set.
-func (s VoteSet) Reset() {
-	s.has.Reset()
-	clear(s.yes)
+func (s *VoteSet) Reset() {
+	has, yes := s.voters()
+	has.Reset()
+	clear(yes)
 }
 
 // SendAll sends m to P1..Pn in ascending order, the sender included (a

@@ -43,7 +43,7 @@ func (m refSet) and() Value {
 func TestSetsAgainstMap(t *testing.T) {
 	for _, n := range []int{1, 63, 64, 65, 130} {
 		rng := rand.New(rand.NewSource(int64(n)))
-		votes := NewVoteSets(n, 2)
+		votes := []VoteSet{NewVoteSet(n), NewVoteSet(n)}
 		procs := []ProcSet{NewProcSet(n), NewProcSet(n)}
 		refs := []refSet{{}, {}}
 		for step := 0; step < 2000; step++ {
@@ -55,7 +55,7 @@ func TestSetsAgainstMap(t *testing.T) {
 				clear(refs[k])
 			case op == 1:
 				// ProcSet has no Merge (no module unions two); add member by member.
-				votes[k].Merge(votes[1-k])
+				votes[k].Merge(&votes[1-k])
 				for q, v := range refs[1-k] {
 					procs[k].Add(q)
 					refs[k][q] = v
@@ -70,7 +70,7 @@ func TestSetsAgainstMap(t *testing.T) {
 					refs[k][q] = v
 				}
 			}
-			vs, ps, ref := votes[k], procs[k], refs[k]
+			vs, ps, ref := &votes[k], procs[k], refs[k]
 
 			var gotV, gotP []ProcessID
 			for p := vs.Next(0); p != 0; p = vs.Next(p) {

@@ -6,11 +6,13 @@
 package live
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
 	"atomiccommit/internal/core"
 	"atomiccommit/internal/obs"
+	"atomiccommit/internal/protocols/inbac"
 )
 
 // TestTCPSendSteadyStateAllocs pins the hot send path at (amortized) zero
@@ -107,6 +109,24 @@ func tcpPair(t *testing.T) (*TCP, <-chan struct{}) {
 	return t1, recv
 }
 
+// TestUnmarshalMessageAllocs: decoding a nested message allocates nothing of
+// its own (the message here boxes without an allocation). Its decoder cost
+// one per call while it was the call's own, escaping through UnmarshalWire.
+func TestUnmarshalMessageAllocs(t *testing.T) {
+	b, err := MarshalMessage(echoMsg{V: core.Commit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(1000, func() {
+		if m, err := UnmarshalMessage(b); err != nil || m != (echoMsg{V: core.Commit}) {
+			t.Fatalf("decoded %v, %v", m, err)
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("a nested message costs %.2f allocations to decode, want 0", avg)
+	}
+}
+
 // TestDecidePathCounterResolvedOnce: a decision counts on the registry's
 // "decide_path.<label>.<note>" counter ("unlabeled" standing in for no
 // label), and once the pair was resolved, finding it again allocates
@@ -127,18 +147,40 @@ func TestDecidePathCounterResolvedOnce(t *testing.T) {
 
 // TestInstanceNiceINBACAllocs is the ceiling on what a nice INBAC commit may
 // allocate at n=4 across its four live.Instances, protocol modules included:
-// 41 since an instance holds its root's Env and a payload is decoded on its
+// 17 since the consensus module is built on first use (a nice execution never
+// builds it), INBAC's vote sets are in the module, an instance holds its one
+// child in place and a Wait that finds the decision makes no channel, 41
+// since an instance holds its root's Env and a payload is decoded on its
 // transport's decoder, 45 since an instance holds its modules as a root and
 // a slice of children
 // (49 with a map per instance), 60 before that, and 101 with a goroutine per
 // self-send, a time.AfterFunc per timer and map-backed collections. A change
 // that needs more than the ceiling has to say why here.
 func TestInstanceNiceINBACAllocs(t *testing.T) {
-	const txns, ceiling = 64, 42
-	niceINBAC(t, txns) // start the timer goroutine, grow the deadline heap
-	perTxn := testing.AllocsPerRun(5, func() { niceINBAC(t, txns) }) / txns
+	const txns, ceiling = 64, 19
+	niceINBAC(t, txns, inbac.Options{}) // start the timer goroutine, grow the deadline heap
+	perTxn := testing.AllocsPerRun(5, func() { niceINBAC(t, txns, inbac.Options{}) }) / txns
 	t.Logf("%.1f allocs per nice INBAC transaction", perTxn)
 	if perTxn > ceiling {
 		t.Fatalf("a nice INBAC transaction allocates %.1f times, ceiling %d", perTxn, ceiling)
+	}
+}
+
+// TestInstanceNiceINBACBytesAllocs is the ceiling on the bytes the same nice
+// INBAC commit allocates, the test's own envelope queue (1,152 of them)
+// included: about 3,900 since the changes named above, 6,900 before them.
+func TestInstanceNiceINBACBytesAllocs(t *testing.T) {
+	const txns, ceiling = 64, 4200
+	niceINBAC(t, txns, inbac.Options{})
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for range 5 {
+		niceINBAC(t, txns, inbac.Options{})
+	}
+	runtime.ReadMemStats(&m1)
+	perTxn := float64(m1.TotalAlloc-m0.TotalAlloc) / (5 * txns)
+	t.Logf("%.0f bytes allocated per nice INBAC transaction", perTxn)
+	if perTxn > ceiling {
+		t.Fatalf("a nice INBAC transaction allocates %.0f bytes, ceiling %d", perTxn, ceiling)
 	}
 }

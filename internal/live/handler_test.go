@@ -2,10 +2,14 @@ package live
 
 import (
 	"context"
+	"fmt"
 	"strconv"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"atomiccommit/internal/consensus"
 	"atomiccommit/internal/core"
 	"atomiccommit/internal/protocols/inbac"
 )
@@ -141,11 +145,34 @@ func TestAfter(t *testing.T) {
 	}
 }
 
+// TestSecondChildPanics: a module tree has at most one child
+// (core.Env.Register), which the instance holds in place; it refuses a
+// second rather than route that child's messages nowhere.
+func TestSecondChildPanics(t *testing.T) {
+	inst := NewInstance(Config{ID: 1, N: 1, U: 20, TxID: "two",
+		New:  func(core.ProcessID) core.Module { return &twoChildren{} },
+		Send: func(Envelope) error { return nil }})
+	defer func() {
+		if r := recover(); !strings.Contains(fmt.Sprint(r), "second child") {
+			t.Fatalf("a second child registered without the panic (recovered %v)", r)
+		}
+	}()
+	inst.Start(core.Commit)
+}
+
+// twoChildren registers two children in Init.
+type twoChildren struct{ lateBackup }
+
+func (p *twoChildren) Init(env core.Env) {
+	env.Register("a", &lateBackup{}, func(core.Value) {})
+	env.Register("b", &lateBackup{}, func(core.Value) {})
+}
+
 // niceINBAC runs txns INBAC transactions at n=4, f=1 to their four decisions,
 // all at once, over a direct in-memory Send: no transport, no codec, no
 // commit layer — live.Instance and the protocol module alone. U is far above
 // the delivery time, so every execution is nice.
-func niceINBAC(tb testing.TB, txns int) {
+func niceINBAC(tb testing.TB, txns int, opts inbac.Options) {
 	const n, f, u = 4, 1, 20
 	// A handler's Send only queues (it holds its instance); one pump delivers.
 	// A nice run is 2fn = 8 envelopes per transaction.
@@ -159,7 +186,7 @@ func niceINBAC(tb testing.TB, txns int) {
 			all[i][e.To-1].Deliver(e)
 		}
 	}()
-	mk := inbac.New(inbac.Options{})
+	mk := inbac.New(opts)
 	send := func(e Envelope) error { queue <- e; return nil }
 	for i := range all {
 		for p := range all[i] {
@@ -187,6 +214,19 @@ func niceINBAC(tb testing.TB, txns int) {
 	<-pumped
 }
 
+// TestNiceINBACBuildsNoConsensus: a nice INBAC commit on the live runtime
+// never builds its consensus module.
+func TestNiceINBACBuildsNoConsensus(t *testing.T) {
+	var builds atomic.Int64
+	niceINBAC(t, 16, inbac.Options{Consensus: func() core.Module {
+		builds.Add(1)
+		return consensus.New()
+	}})
+	if b := builds.Load(); b != 0 {
+		t.Fatalf("16 nice INBAC transactions built %d consensus modules, want 0", b)
+	}
+}
+
 // BenchmarkInstanceNiceINBAC is the layer benchmark of a nice INBAC commit:
 // per transaction, the CPU and allocations of four live.Instances from Start
 // to their decisions (wall time per op is 2U over the batch size, by design).
@@ -194,6 +234,6 @@ func BenchmarkInstanceNiceINBAC(b *testing.B) {
 	b.ReportAllocs()
 	const batch = 128
 	for done := 0; done < b.N; done += batch {
-		niceINBAC(b, min(batch, b.N-done))
+		niceINBAC(b, min(batch, b.N-done), inbac.Options{})
 	}
 }

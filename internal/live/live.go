@@ -72,21 +72,20 @@ type Instance struct {
 	sendE func(Envelope) error
 
 	mu         sync.Mutex
-	started    time.Time
+	start      time.Duration // Start's time, since deadlineEpoch
 	running    bool
+	closed     bool
+	final      bool // the root decided: outcome holds the decision
+	fire       bool // the running handler decided: leave calls decided
+	outcome    core.Value
 	pending    []Envelope // deliveries that arrived before Start
 	root       core.Module
-	env        liveEnv     // the root's Env (see Start)
-	children   []submodule // what the tree registered below the root (see module)
-	selfq      []Envelope  // the running handler's self-sends (see drainSelf)
-	closed     bool
-	decidePath string // first "decide-path" annotation, for the auditor (see Annotate)
-
-	final   bool          // the root decided: outcome holds the decision
-	done    chan struct{} // made by the first Done or Wait, closed at the decision
-	outcome core.Value
-	decided func(core.Value) // Config.Decided
-	fire    bool             // the running handler decided: leave calls decided
+	env        liveEnv       // the root's Env (see Start)
+	child      submodule     // the one module registered below the root, if any
+	selfq      []Envelope    // the running handler's self-sends (see drainSelf)
+	decidePath string        // first "decide-path" annotation, for the auditor (see Annotate)
+	done       chan struct{} // made by a Done or Wait before the decision, closed at it
+	decided    Decider       // Config.Decided
 
 	// Guarded by deadlines.mu: how many deadlines of this instance are on the
 	// heap, and whether Close released them.
@@ -94,10 +93,11 @@ type Instance struct {
 	released bool
 }
 
-// submodule is a module registered below the root, under its path.
+// submodule is the module registered below the root, with its Env, which
+// holds its path.
 type submodule struct {
-	path string
-	m    core.Module
+	env childEnv
+	m   core.Module
 }
 
 // Config parameterizes an Instance.
@@ -113,33 +113,45 @@ type Config struct {
 	New func(id core.ProcessID) core.Module
 	// Send transmits an envelope (bound to the process's transport).
 	Send func(Envelope) error
-	// Decided, if set, is called once with the decision, as soon as the
-	// handler that decided has released the instance and on its goroutine (a
+	// Decided, if set, is told the decision once, as soon as the handler
+	// that decided has released the instance and on its goroutine (a
 	// delivery, a timer, Start or Adopt), so it must not block. It saves the
 	// host a goroutine waiting on Done per instance.
-	Decided func(core.Value)
+	Decided Decider
+}
+
+// Decider is told an instance's decision (see Config.Decided). A host that
+// keeps a record per transaction makes the record its Decider, and pays no
+// closure per instance.
+type Decider interface {
+	Decided(v core.Value)
 }
 
 // NewInstance builds (but does not start) an instance.
 func NewInstance(cfg Config) *Instance {
-	inst := &Instance{
-		id: cfg.ID, n: cfg.N, f: cfg.F, u: cfg.U, txID: cfg.TxID, label: cfg.Label,
-		sendE: cfg.Send, decided: cfg.Decided,
-	}
-	inst.root = cfg.New(cfg.ID)
+	inst := new(Instance)
+	inst.Init(cfg)
 	return inst
 }
 
-// module returns the module registered at path, nil if none is. A protocol
-// registers at most one child, so a scan beats a map.
+// Init builds an unused instance in place, for a host that allocates it
+// inside a record of its own; NewInstance is the same on a fresh one.
+func (inst *Instance) Init(cfg Config) {
+	inst.id, inst.n, inst.f, inst.u = cfg.ID, cfg.N, cfg.F, cfg.U
+	inst.txID, inst.label, inst.sendE, inst.decided = cfg.TxID, cfg.Label, cfg.Send, cfg.Decided
+	inst.root = cfg.New(cfg.ID)
+}
+
+// TxID is the transaction the instance runs.
+func (inst *Instance) TxID() string { return inst.txID }
+
+// module returns the module registered at path, nil if none is.
 func (inst *Instance) module(path string) core.Module {
-	if path == "" {
+	switch {
+	case path == "":
 		return inst.root
-	}
-	for _, c := range inst.children {
-		if c.path == path {
-			return c.m
-		}
+	case inst.child.m != nil && inst.child.env.path == path:
+		return inst.child.m
 	}
 	return nil
 }
@@ -153,7 +165,7 @@ func (inst *Instance) leave() {
 	inst.fire = false
 	inst.mu.Unlock()
 	if fire && inst.decided != nil {
-		inst.decided(inst.outcome)
+		inst.decided.Decided(inst.outcome)
 	}
 }
 
@@ -183,7 +195,7 @@ func (inst *Instance) Start(vote core.Value) {
 	if inst.closed {
 		return
 	}
-	inst.started = time.Now()
+	inst.start = time.Since(deadlineEpoch)
 	if obs.Default.Enabled() {
 		obs.Default.Record(obs.Event{
 			Kind: obs.EvVote, TxID: inst.txID, Proc: inst.id,
@@ -201,7 +213,7 @@ func (inst *Instance) Start(vote core.Value) {
 	if a := obs.ActiveAuditor(); a != nil {
 		// The instance's clock started at the top: a stall since then makes
 		// every deadline of this process early for the others.
-		a.ObserveLag(inst.txID, time.Since(inst.started))
+		a.ObserveLag(inst.txID, time.Since(deadlineEpoch)-inst.start)
 	}
 	for _, e := range inst.pending {
 		inst.drainSelf()
@@ -243,19 +255,27 @@ func (inst *Instance) Deliver(e Envelope) {
 }
 
 // Done is closed once the root decision is available; any number of
-// goroutines may wait on it. The channel is made on the first call, so a
-// host that takes the decision from Config.Decided never pays for one.
+// goroutines may wait on it. The channel is made by the first call before
+// the decision, so a host that takes the decision from Config.Decided, or
+// waits only once it is taken, never pays for one.
 func (inst *Instance) Done() <-chan struct{} {
 	inst.mu.Lock()
 	defer inst.mu.Unlock()
 	if inst.done == nil {
-		inst.done = make(chan struct{})
 		if inst.final {
-			close(inst.done)
+			return decidedDone
 		}
+		inst.done = make(chan struct{})
 	}
 	return inst.done
 }
+
+// decidedDone is the Done of every instance that decided before anyone asked.
+var decidedDone = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
 
 // Outcome returns the decision; valid only after Done is closed or
 // Config.Decided was called.
@@ -322,7 +342,7 @@ func (inst *Instance) timeout(path string, tag int, when time.Duration) {
 
 // now returns elapsed virtual time in ticks (milliseconds since Start).
 func (inst *Instance) now() core.Ticks {
-	return core.Ticks(time.Since(inst.started) / TickDuration)
+	return core.Ticks((time.Since(deadlineEpoch) - inst.start) / TickDuration)
 }
 
 // liveEnv implements core.Env over an Instance.
@@ -371,7 +391,7 @@ func (e *liveEnv) SetTimerAt(t core.Ticks, tag int) {
 		})
 	}
 	arm(deadline{
-		when: e.inst.started.Sub(deadlineEpoch) + time.Duration(t)*TickDuration,
+		when: e.inst.start + time.Duration(t)*TickDuration,
 		inst: e.inst, path: e.path, tag: tag,
 	})
 }
@@ -449,14 +469,15 @@ func decidePathCounter(label, note string) *obs.Counter {
 	return m[k]
 }
 
-// Register is only ever called from inside Init/handlers (inst.mu held).
+// Register is only ever called from inside Init/handlers (inst.mu held). A
+// module tree has at most one child (see core.Env), which goes in the
+// instance's place for it, so registering it allocates nothing.
 func (e *liveEnv) Register(name string, child core.Module, onDecide func(core.Value)) {
-	path := name
-	if e.path != "" {
-		path = e.path + "/" + name
+	if e.inst.child.m != nil {
+		panic(fmt.Sprintf("live: %s at %v registered a second child module, %q", e.inst.label, e.inst.id, name))
 	}
-	e.inst.children = append(e.inst.children, submodule{path, child})
-	child.Init(&childEnv{liveEnv: liveEnv{inst: e.inst, path: path}, onDecide: onDecide})
+	e.inst.child = submodule{env: childEnv{liveEnv: liveEnv{inst: e.inst, path: name}, onDecide: onDecide}, m: child}
+	child.Init(&e.inst.child.env)
 }
 
 // childEnv overrides Decide to invoke the parent's callback.

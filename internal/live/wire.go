@@ -178,7 +178,11 @@ func MarshalMessage(m core.Message) ([]byte, error) {
 // registered type. An unknown type ID is an error: nested messages travel
 // inside an already-dispatched envelope, so there is no frame to skip to.
 func UnmarshalMessage(b []byte) (core.Message, error) {
-	var d wire.Decoder
+	d := nestedDecoders.Get().(*wire.Decoder)
+	defer func() {
+		d.Reset(nil)
+		nestedDecoders.Put(d)
+	}()
 	d.Reset(b)
 	id := d.Uvarint()
 	if err := d.Err(); err != nil {
@@ -191,12 +195,18 @@ func UnmarshalMessage(b []byte) (core.Message, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w %d", errUnknownWireID, id)
 	}
-	m, err := proto.UnmarshalWire(&d)
+	m, err := proto.UnmarshalWire(d)
 	if err != nil {
 		return nil, fmt.Errorf("live: decode %T: %w", proto, err)
 	}
 	return m, nil
 }
+
+// nestedDecoders are UnmarshalMessage's decoders. A decoder of the call's
+// own would escape to the heap through the message's UnmarshalWire, one
+// allocation per nested message; its callers decode on whichever transport
+// goroutine delivered the envelope, and own no decoder those do not share.
+var nestedDecoders = sync.Pool{New: func() any { return new(wire.Decoder) }}
 
 // EncodedSize reports how many bytes e occupies inside a frame — the
 // envelope's full wire footprint (header fields plus length-prefixed

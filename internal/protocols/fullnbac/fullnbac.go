@@ -90,7 +90,7 @@ const (
 // FullNBAC is one process's instance.
 type FullNBAC struct {
 	env core.Env
-	uc  core.Module
+	uc  consensus.Lazy // built by the first consensus proposal or message
 
 	votes     core.Value
 	receivedV bool
@@ -113,8 +113,7 @@ func New() func(core.ProcessID) core.Module {
 func (p *FullNBAC) Init(env core.Env) {
 	p.env = env
 	p.votes = core.Commit
-	p.uc = consensus.New()
-	env.Register("uc", p.uc, p.onConsensus)
+	env.Register("uc", &p.uc, p.onConsensus)
 }
 
 func (p *FullNBAC) i() int { return int(p.env.ID()) }

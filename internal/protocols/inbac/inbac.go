@@ -233,34 +233,35 @@ func (b Branch) String() string {
 type INBAC struct {
 	env  core.Env
 	opts Options
-	uc   core.Module
+	uc   consensus.Lazy // built by the first consensus branch: a nice execution takes none
 
 	val      core.Value
-	phase    int
+	phase    uint8
 	proposed bool
 	decided  bool
 	wait     bool
 
-	collection0    core.VoteSet   // votes backed up here (phase 0), later the aggregate
-	collection1    []core.VoteSet // [C] acknowledgements; index j-1 holds those of Pj, j in 1..f+1
-	collectionHelp core.VoteSet   // union of [HELPED] collections
-	union          core.VoteSet   // unionC's result
-	cnt            int            // number of [C] messages received
-	cntHelp        int            // number of [HELPED] messages received
+	collection0    core.VoteSet    // votes backed up here (phase 0), later the aggregate
+	collection1    []core.VoteSet  // [C] acknowledgements; index j-1 holds those of Pj, j in 1..f+1
+	collectionHelp core.VoteSet    // union of [HELPED] collections
+	union          core.VoteSet    // unionC's result
+	acks           [2]core.VoteSet // collection1's storage while f <= 1
+	cnt            int             // number of [C] messages received
+	cntHelp        int             // number of [HELPED] messages received
 
 	pendingHelp []core.ProcessID
 }
 
 // putPairs adds a received collection to s (core.VoteSet drops entries for
 // processes outside 1..n).
-func putPairs(s core.VoteSet, pairs []VotePair) {
+func putPairs(s *core.VoteSet, pairs []VotePair) {
 	for _, pr := range pairs {
 		s.Put(pr.P, pr.V)
 	}
 }
 
 // pairsOf lists s in process order, the wire form of a collection.
-func pairsOf(s core.VoteSet) []VotePair {
+func pairsOf(s *core.VoteSet) []VotePair {
 	out := make([]VotePair, 0, s.Count())
 	for p := s.Next(0); p != 0; p = s.Next(p) {
 		v, _ := s.Get(p)
@@ -277,14 +278,18 @@ func New(opts Options) func(core.ProcessID) core.Module {
 // Init implements core.Module.
 func (p *INBAC) Init(env core.Env) {
 	p.env = env
-	sets := core.NewVoteSets(env.N(), env.F()+4)
-	p.collection0, p.collectionHelp, p.union, p.collection1 = sets[0], sets[1], sets[2], sets[3:]
-	if p.opts.Consensus != nil {
-		p.uc = p.opts.Consensus()
+	n := env.N()
+	p.collection0, p.collectionHelp, p.union = core.NewVoteSet(n), core.NewVoteSet(n), core.NewVoteSet(n)
+	if k := env.F() + 1; k <= len(p.acks) {
+		p.collection1 = p.acks[:k]
 	} else {
-		p.uc = consensus.New()
+		p.collection1 = make([]core.VoteSet, k)
 	}
-	env.Register("iuc", p.uc, p.onConsensus)
+	for j := range p.collection1 {
+		p.collection1[j] = core.NewVoteSet(n)
+	}
+	p.uc.New = p.opts.Consensus
+	env.Register("iuc", &p.uc, p.onConsensus)
 }
 
 func (p *INBAC) i() int { return int(p.env.ID()) }
@@ -323,14 +328,14 @@ func (p *INBAC) Deliver(from core.ProcessID, m core.Message) {
 		if from < 1 || int(from) > len(p.collection1) {
 			return // only P1..Pf+1 acknowledge
 		}
-		putPairs(p.collection1[from-1], msg.Pairs)
+		putPairs(&p.collection1[from-1], msg.Pairs)
 		p.cnt++
 		p.checkWait()
 	case MsgHelp:
 		p.pendingHelp = append(p.pendingHelp, from)
 		p.flushHelp()
 	case MsgHelped:
-		putPairs(p.collectionHelp, msg.Pairs)
+		putPairs(&p.collectionHelp, msg.Pairs)
 		p.cntHelp++
 		p.checkWait()
 	case MsgA:
@@ -346,7 +351,7 @@ func (p *INBAC) flushHelp() {
 		return
 	}
 	for _, q := range p.pendingHelp {
-		p.env.Send(q, MsgHelped{Pairs: pairsOf(p.collection0)})
+		p.env.Send(q, MsgHelped{Pairs: pairsOf(&p.collection0)})
 	}
 	p.pendingHelp = nil
 }
@@ -381,7 +386,7 @@ func (p *INBAC) sendAcks() {
 	if p.i() == p.f()+1 {
 		last = p.f()
 	}
-	pairs := pairsOf(p.collection0)
+	pairs := pairsOf(&p.collection0)
 	if p.opts.UnbundledAcks {
 		for d := 1; d <= last; d++ {
 			for _, pr := range pairs {
@@ -395,12 +400,12 @@ func (p *INBAC) sendAcks() {
 
 // unionC is the union of every acknowledged collection received so far. The
 // result is valid until the next call.
-func (p *INBAC) unionC() core.VoteSet {
+func (p *INBAC) unionC() *core.VoteSet {
 	p.union.Reset()
 	for j := range p.collection1 {
-		p.union.Merge(p.collection1[j])
+		p.union.Merge(&p.collection1[j])
 	}
-	return p.union
+	return &p.union
 }
 
 // fullAcksHigh is the decision test for P in {Pf+1..Pn}: a correct
@@ -472,7 +477,7 @@ func (p *INBAC) decideTimeoutLow() {
 // proposeFrom cons-proposes the AND of all n votes when the collection is
 // complete and 0 otherwise (the paper: missing votes mean a failure, so it
 // is safe to propose abort).
-func (p *INBAC) proposeFrom(u core.VoteSet) {
+func (p *INBAC) proposeFrom(u *core.VoteSet) {
 	p.proposed = true
 	if u.Full() {
 		p.hook(BranchConsAND)

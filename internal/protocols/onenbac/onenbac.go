@@ -61,7 +61,7 @@ const (
 // OneNBAC is one process's instance.
 type OneNBAC struct {
 	env core.Env
-	uc  core.Module
+	uc  consensus.Lazy // built by the first consensus proposal or message
 
 	phase    int
 	proposed bool
@@ -83,8 +83,8 @@ func (p *OneNBAC) Init(env core.Env) {
 	p.env = env
 	p.votes = core.NewProcSet(env.N())
 	p.decision = core.Commit
-	p.uc = consensus.NewFlooding()
-	env.Register("uc", p.uc, p.onConsensus)
+	p.uc.New = newFlooding
+	env.Register("uc", &p.uc, p.onConsensus)
 }
 
 // Propose implements core.Module.
@@ -129,6 +129,8 @@ func (p *OneNBAC) Timeout(tag int) {
 		p.uc.Propose(p.decision)
 	}
 }
+
+func newFlooding() core.Module { return consensus.NewFlooding() }
 
 func (p *OneNBAC) onConsensus(v core.Value) { p.decide(v) }
 

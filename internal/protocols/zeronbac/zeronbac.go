@@ -66,7 +66,7 @@ const (
 // ZeroNBAC is one process's instance.
 type ZeroNBAC struct {
 	env core.Env
-	uc  core.Module
+	uc  consensus.Lazy // built by the first consensus proposal or message
 
 	myvote   core.Value
 	myack    core.ProcSet // who acknowledged this process's [V] or [B]
@@ -87,8 +87,7 @@ func New() func(core.ProcessID) core.Module {
 func (p *ZeroNBAC) Init(env core.Env) {
 	p.env = env
 	p.myack = core.NewProcSet(env.N())
-	p.uc = consensus.New()
-	env.Register("uc", p.uc, p.onConsensus)
+	env.Register("uc", &p.uc, p.onConsensus)
 }
 
 // Propose implements core.Module.

@@ -320,16 +320,12 @@ func (e *simEnv) Register(name string, child core.Module, onDecide func(core.Val
 		e.p.k.violate("%v registered a child module with an empty name", e.p.id)
 		return
 	}
-	path := name
-	if e.path != "" {
-		path = e.path + "/" + name
-	}
-	if _, dup := e.p.modules[path]; dup {
-		e.p.k.violate("%v registered module %q twice", e.p.id, path)
+	if len(e.p.modules) > 1 {
+		e.p.k.violate("%v registered a second child module, %q", e.p.id, name)
 		return
 	}
-	e.p.modules[path] = &modSlot{mod: child, onDecide: onDecide}
-	child.Init(&simEnv{p: e.p, path: path})
+	e.p.modules[name] = &modSlot{mod: child, onDecide: onDecide}
+	child.Init(&simEnv{p: e.p, path: name})
 }
 
 // Run executes one complete run of the protocol under cfg and returns its

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"atomiccommit/internal/core"
@@ -216,6 +217,23 @@ func TestKernelSubModuleRoutingAndAccounting(t *testing.T) {
 	if r.ConsensusMessages() != n*(n-1) {
 		t.Errorf("ConsensusMessages = %d, want %d", r.ConsensusMessages(), n*(n-1))
 	}
+}
+
+// TestKernelSecondChildIsViolation: a module tree has at most one child
+// (core.Env.Register), the one the live runtime holds in place.
+func TestKernelSecondChildIsViolation(t *testing.T) {
+	r := Run(Config{N: 2, F: 1, New: func(core.ProcessID) core.Module { return &twoChildren{} }})
+	if len(r.Violations) != 2 || !strings.Contains(r.Violations[0], "second child") {
+		t.Fatalf("a second child must be a violation at each process, got %v", r.Violations)
+	}
+}
+
+// twoChildren is parentMod registering a second child beside "uc".
+type twoChildren struct{ parentMod }
+
+func (p *twoChildren) Init(env core.Env) {
+	p.parentMod.Init(env)
+	env.Register("uc2", &childMod{}, func(core.Value) {})
 }
 
 func TestKernelIntegrityDoubleDecide(t *testing.T) {
