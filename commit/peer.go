@@ -194,7 +194,10 @@ func (p *Peer) deliver(e live.Envelope) {
 			return
 		}
 		if fp, err := decodeSlice(m.Fp); err != nil {
-			t.inst.Start(core.Abort) // a slice that does not decode is a vote to abort
+			// A slice that does not decode is a vote to abort. The
+			// coordinator forwards a slice checking only its wire ID, so
+			// a client's truncated body first fails here.
+			t.inst.Start(core.Abort)
 		} else {
 			p.run(e.TxID, t, fp)
 		}
@@ -207,21 +210,26 @@ func (p *Peer) deliver(e live.Envelope) {
 		}
 		// A protocol message. For a plain Resource it also implies that the
 		// transaction exists: join it. A hosted peer waits for the
-		// announcement instead (the ordering rule on Peer).
+		// announcement instead (the ordering rule on Peer). A running
+		// transaction's envelope costs one probe of the records; only one
+		// without a record asks the outcome cache (see join).
 		p.mu.Lock()
 		t := p.txns[e.TxID]
 		var outcome core.Value
 		first, arm, retired := false, false, false
-		if t == nil {
+		if t == nil && !p.closed {
 			outcome, retired = p.decided.get(e.TxID)
 		}
 		switch {
 		case p.closed || retired:
 			t = nil
-		case p.hosted != nil && t == nil:
+		case t != nil:
+			// Running, or unannounced at a hosted peer, which an envelope
+			// does not announce: the instance takes it either way.
+		case p.hosted != nil:
 			t, arm = p.file(e.TxID, unannounced), true
-		case p.hosted == nil || t.phase != unannounced:
-			t, first = p.join(e.TxID)
+		default:
+			t, first = p.file(e.TxID, running), true
 		}
 		p.mu.Unlock()
 		if t != nil {
@@ -265,10 +273,12 @@ func (p *Peer) awaitAnnouncement(txID string, t *txn) {
 // transaction to every other peer, each other slice riding the begin to its
 // peer and this peer's own staged by the run, right before its Prepare; no
 // stage needs an ack or a TTL, because nothing orders it against the run but
-// the message that starts the run. A malformed message answers as a
-// resultMsg error before anything is staged anywhere — the transaction never
-// begins. Otherwise the client is filed for the result, which the apply
-// worker sends once this peer applied the decision (settle). A commit that
+// the message that starts the run. A malformed message (see checkSlices)
+// answers as a resultMsg error before anything is staged anywhere — the
+// transaction never begins; another peer's slice whose body is cut short
+// passes that check and aborts the transaction at its peer. Otherwise the
+// client is filed for the result, which the apply worker sends once this
+// peer applied the decision (settle). A commit that
 // cannot terminate (no correct majority) gets no answer here: the client's
 // own deadline bounds it. It runs on the delivery path up to the instance's
 // start, as a begin does; nothing waits per transaction. A replayed stage+go
@@ -313,11 +323,15 @@ func (p *Peer) reply(txID string, to core.ProcessID, res resultMsg) {
 	_ = p.tr.Send(live.Envelope{TxID: txID, From: p.id, To: to, Path: resultPath, Msg: res})
 }
 
-// checkSlices validates every slice of a client's stage+go message — which
-// crosses a trust boundary — and returns this peer's own, decoded (nil when
-// there is none), for its run to stage, and the other peers' by peer, for
-// coordinate to forward: nil when there is none. Each slice must decode, and
-// all of them together must fit the budget.
+// checkSlices validates a client's stage+go message — which crosses a trust
+// boundary — and returns this peer's own slice, decoded (nil when there is
+// none), for its run to stage, and the other peers' by peer, for coordinate
+// to forward: nil when there is none. All slices together must fit the
+// budget, and this peer's own must decode. Another peer's is checked only
+// as far as routing it needs: a peer of P1..Pn other than this one, named
+// once, with a non-empty slice whose wire ID is registered. Its body is
+// that peer's to decode, and a body that does not decode there is a vote to
+// abort (deliver's begin case).
 func (p *Peer) checkSlices(m stageGoMsg) (Message, [][]byte, error) {
 	total := len(m.Fp)
 	if total > stageGoBudget {
@@ -338,7 +352,7 @@ func (p *Peer) checkSlices(m stageGoMsg) (Message, [][]byte, error) {
 		if total += len(o.Fp); total > stageGoBudget {
 			return nil, nil, ErrStageTooLarge
 		}
-		if _, err := live.UnmarshalMessage(o.Fp); err != nil {
+		if _, err := live.MessageID(o.Fp); err != nil {
 			return nil, nil, fmt.Errorf("malformed footprint for %v: %v", o.Peer, err)
 		}
 		slices[o.Peer] = o.Fp
@@ -399,11 +413,13 @@ func (p *Peer) join(txID string) (t *txn, first bool) {
 	if p.closed {
 		return nil, false
 	}
-	if _, ok := p.decided.get(txID); ok {
-		return nil, false
-	}
 	t = p.txns[txID]
 	if t == nil {
+		// A record and a cached outcome never coexist: settle swaps one for
+		// the other under p.mu.
+		if _, ok := p.decided.get(txID); ok {
+			return nil, false
+		}
 		return p.file(txID, running), true
 	}
 	if t.phase == running {
@@ -520,8 +536,11 @@ func (p *Peer) sendBegins(txID string, slices [][]byte) {
 func (p *Peer) Wait(ctx context.Context, txID string) (bool, error) {
 	p.mu.Lock()
 	t, first := p.join(txID)
-	v, retired := p.decided.get(txID)
-	if t != nil && t.done == nil {
+	var v core.Value
+	retired := false
+	if t == nil {
+		v, retired = p.decided.get(txID)
+	} else if t.done == nil {
 		t.done = make(chan struct{})
 	}
 	p.mu.Unlock()

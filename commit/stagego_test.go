@@ -272,12 +272,45 @@ func TestBeginBadSliceVotesAbort(t *testing.T) {
 		peers, fakes, c := hostedDeployment(t, 3, opts)
 		c1 := ctx(t)
 		const txID = "begin-garbage"
-		// Only a faulty coordinator forwards a slice it could not decode.
+		// A coordinator forwards no slice whose wire ID is unregistered.
 		peers[2].deliver(live.Envelope{TxID: txID, From: 1, To: 3, Path: beginPath,
 			Msg: beginMsg{Fp: []byte{0xff, 0xff, 0xff, 0x7f}}})
 		ok, err := c.SubmitAt(c1, txID, 1).Wait(c1)
 		if ok || err != nil {
 			t.Fatalf("ok=%v err=%v, want an abort without error", ok, err)
+		}
+		if payload, called := fakes[2].preparedWith(txID); called {
+			t.Fatalf("P3 called Prepare (on %q) after a slice it could not decode", payload)
+		}
+	})
+
+	t.Run("body cut short", func(t *testing.T) {
+		t.Parallel()
+		_, fakes, c := hostedDeployment(t, 3, opts)
+		c1 := ctx(t)
+		const txID = "begin-truncated"
+		enc := func(payload string) []byte {
+			b, err := live.MarshalMessage(fakeFootprint{Payload: payload})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}
+		// A registered wire ID whose body ends early: the coordinator
+		// checks only the ID of a slice it forwards, so P3 meets the
+		// truncation when it decodes its begin.
+		cut := enc("slice")
+		cut = cut[:len(cut)-1]
+		ok, err := c.submitMsg(c1, txID, 1, stageGoMsg{Fp: enc("a"),
+			Others: []peerSlice{{Peer: 2, Fp: enc("b")}, {Peer: 3, Fp: cut}}}).Wait(c1)
+		if ok || err != nil {
+			t.Fatalf("ok=%v err=%v, want an abort without error", ok, err)
+		}
+		fakes[2].mu.Lock()
+		payload, staged := fakes[2].history[txID]
+		fakes[2].mu.Unlock()
+		if staged {
+			t.Fatalf("P3 staged %q from a slice cut short", payload)
 		}
 		if payload, called := fakes[2].preparedWith(txID); called {
 			t.Fatalf("P3 called Prepare (on %q) after a slice it could not decode", payload)

@@ -35,7 +35,10 @@ const TickDuration = time.Millisecond
 // clock stamp, assigned by the transport at send time and merged into the
 // receiver's clock on delivery; it rides the envelope header on both the
 // TCP frame codec and the mesh (frame version 0x02), giving every dump a
-// happens-before order and the auditor a per-hop delay observation.
+// happens-before order and the auditor a per-hop delay observation. It is
+// set only while the sender's flight recorder or an auditor is on
+// (obs.SendStamp): from an unobserved process it is 0, which a receiver
+// neither merges nor records as a causal edge.
 type Envelope struct {
 	TxID string
 	From core.ProcessID

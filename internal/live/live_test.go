@@ -3,6 +3,7 @@ package live
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -412,7 +413,9 @@ func TestTCPConcurrentSendsDuringPeerDeath(t *testing.T) {
 
 // TestTCPBatchedSendsAllDelivered floods the transport from several
 // goroutines: the flush-coalescing loop must deliver every envelope
-// exactly once, in spite of batching.
+// exactly once, in spite of batching, and each sender's envelopes in the
+// order it sent them (the TxID carries a per-sender sequence): a flush
+// that yields before it swaps must never reorder a connection.
 func TestTCPBatchedSendsAllDelivered(t *testing.T) {
 	addrs := []string{"127.0.0.1:0", "127.0.0.1:0"}
 	t2, err := NewTCP(2, addrs)
@@ -429,11 +432,22 @@ func TestTCPBatchedSendsAllDelivered(t *testing.T) {
 
 	const senders, per = 8, 250
 	var mu sync.Mutex
-	got := make(map[string]int)
+	next := make([]int, senders) // next[g]: the sequence expected from sender g
+	delivered := 0
+	var bad []string
 	t2.SetHandler(func(e Envelope) {
 		mu.Lock()
-		got[e.TxID]++
-		mu.Unlock()
+		defer mu.Unlock()
+		delivered++
+		var g, i int
+		if _, err := fmt.Sscanf(e.TxID, "t-%d-%d", &g, &i); err != nil || g < 0 || g >= senders {
+			bad = append(bad, fmt.Sprintf("unexpected TxID %q", e.TxID))
+			return
+		}
+		if i != next[g] {
+			bad = append(bad, fmt.Sprintf("sender %d: got #%d, want #%d", g, i, next[g]))
+		}
+		next[g] = i + 1
 	})
 	var wg sync.WaitGroup
 	for g := 0; g < senders; g++ {
@@ -453,21 +467,70 @@ func TestTCPBatchedSendsAllDelivered(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		mu.Lock()
-		n := len(got)
+		n := delivered
 		mu.Unlock()
-		if n == senders*per || time.Now().After(deadline) {
+		if n >= senders*per || time.Now().After(deadline) {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if len(got) != senders*per {
-		t.Fatalf("delivered %d distinct envelopes, want %d", len(got), senders*per)
+	if len(bad) > 0 {
+		t.Fatalf("%d envelopes out of order, lost or repeated; first: %s", len(bad), bad[0])
 	}
-	for id, n := range got {
-		if n != 1 {
-			t.Fatalf("envelope %s delivered %d times", id, n)
+	if delivered != senders*per {
+		t.Fatalf("delivered %d envelopes, want %d", delivered, senders*per)
+	}
+}
+
+// TestTCPBacklogCutIntoFrames: a receiver that stops reading lets the
+// sender's backlog outgrow the reader's 8 MiB frame bound. The writer must
+// cut it into frames below the bound at envelope boundaries, or the reader
+// drops the connection and with it the envelopes: all 24 MiB arrive, in
+// sending order, once the receiver reads again.
+func TestTCPBacklogCutIntoFrames(t *testing.T) {
+	addrs := []string{"127.0.0.1:0", "127.0.0.1:0"}
+	t2, err := NewTCP(2, addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer t2.Close()
+	addrs[1] = t2.Addr()
+	t1, err := NewTCP(1, addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer t1.Close()
+
+	const total, size = 384, 64 << 10 // 24 MiB of TxIDs
+	gate := make(chan struct{})
+	got := make(chan int, total)
+	t2.SetHandler(func(e Envelope) {
+		<-gate // the read loop stalls: the sender's backlog grows
+		var i int
+		fmt.Sscanf(e.TxID[size:], "%d", &i)
+		got <- i
+	})
+	pad := strings.Repeat("x", size)
+	for i := 0; i < total; i++ {
+		if err := t1.Send(Envelope{TxID: fmt.Sprintf("%s%d", pad, i), From: 1, To: 2, Msg: echoMsg{V: core.Commit}}); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(gate) // before any return: Close waits for the stalled read loop
+	if t.Failed() {
+		return
+	}
+	for want := 0; want < total; want++ {
+		select {
+		case i := <-got:
+			if i != want {
+				t.Fatalf("delivery %d carried #%d", want, i)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("delivery %d never came", want)
 		}
 	}
 }
@@ -507,6 +570,65 @@ func BenchmarkTCPSend(b *testing.B) {
 	case <-done:
 	case <-time.After(30 * time.Second):
 		b.Fatalf("delivered %d of %d", atomic.LoadInt64(&n), b.N)
+	}
+}
+
+// BenchmarkTCPFanIn is one event readying many senders at once: each op
+// releases 32 goroutines with one close, and each sends one envelope to the
+// same peer, as the clients one burst of results woke do. envelopes/frame
+// is how many of them one flush carried (32 at most: one writev for all).
+func BenchmarkTCPFanIn(b *testing.B) {
+	const fan = 32
+	addrs := []string{"127.0.0.1:0", "127.0.0.1:0"}
+	t2, err := NewTCP(2, addrs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer t2.Close()
+	addrs[1] = t2.Addr()
+	t1, err := NewTCP(1, addrs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer t1.Close()
+	got := make(chan struct{}, fan)
+	t2.SetHandler(func(Envelope) { got <- struct{}{} })
+	e := Envelope{TxID: "fan-in", From: 1, To: 2, Msg: echoMsg{V: core.Commit}}
+	lost := time.NewTimer(time.Hour)
+	defer lost.Stop()
+	wait := func(n int) {
+		lost.Reset(30 * time.Second)
+		for ; n > 0; n-- {
+			select {
+			case <-got:
+			case <-lost.C:
+				b.Fatal("envelopes never delivered")
+			}
+		}
+	}
+	if err := t1.Send(e); err != nil { // dial outside the measurement
+		b.Fatal(err)
+	}
+	wait(1)
+
+	frames0 := mFlushFrames.Value()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		gate := make(chan struct{})
+		for g := 0; g < fan; g++ {
+			go func() {
+				<-gate
+				if err := t1.Send(e); err != nil {
+					b.Error(err)
+				}
+			}()
+		}
+		close(gate)
+		wait(fan)
+	}
+	b.StopTimer()
+	if frames := mFlushFrames.Value() - frames0; frames > 0 {
+		b.ReportMetric(float64(fan*b.N)/float64(frames), "envelopes/frame")
 	}
 }
 

@@ -239,8 +239,8 @@ func (t *meshEndpoint) Send(e Envelope) error {
 		// Same stamping discipline as TCP: the HLC is assigned at send
 		// time, rides the encoded envelope, and any injected latency
 		// happens after it — so the receiver's Observe measures the
-		// modeled one-way delay.
-		e.HLC = obs.ProcessClock.Tick()
+		// modeled one-way delay. Unobserved, the stamp is 0.
+		e.HLC = obs.SendStamp()
 		var err error
 		if e, size, err = roundTrip(e); err != nil {
 			return err

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"time"
 
@@ -28,9 +29,9 @@ var (
 )
 
 // readBufferSize is the per-connection read buffer. Frames are small: on the
-// repo benchmark (bytes_per_commit ÷ frames_per_commit) they average 78 B on
-// peer-tcp-steady, 142 B on peer-tcp-overload, 64 B on kv-tcp-write and 67 B
-// on kv-geo-read, so 4 KiB holds dozens of them per read syscall. A larger
+// repo benchmark (bytes_per_commit ÷ frames_per_commit) they average 168 B on
+// peer-tcp-steady, 256 B on peer-tcp-overload, 77 B on kv-tcp-write and 68 B
+// on kv-geo-read, so 4 KiB holds a dozen or more per read syscall. A larger
 // frame is not cut: the reader reads it whole into its reused frame buffer,
 // straight from the socket once the buffered bytes are spent.
 const readBufferSize = 4 << 10
@@ -53,7 +54,8 @@ const (
 	frameVersion = 0x02
 	// maxFrameSize bounds a frame on the read side: a corrupt length prefix
 	// must not convince us to allocate gigabytes. 8 MiB is orders of
-	// magnitude above anything the protocols produce per flush.
+	// magnitude above anything the protocols produce per flush; a writer
+	// whose backlog outgrew it cuts the backlog into frames below it.
 	maxFrameSize = 8 << 20
 )
 
@@ -86,7 +88,11 @@ const (
 // and pushes the full frame to the socket. While one frame is in flight,
 // concurrent senders keep appending to the other buffer, so a pipeline with
 // thousands of in-flight envelopes pays one syscall per frame rather than
-// one per message; a lone envelope is still flushed immediately.
+// one per message. Before it swaps, the flush loop yields once, so that the
+// goroutines one event readied (a frame's deliveries, due deadlines, the
+// clients a burst of results woke) append first and share its writev. That
+// yield is all a lone envelope waits for: there is no timer and no size
+// threshold, and each connection stays FIFO.
 type TCP struct {
 	id core.ProcessID
 
@@ -117,11 +123,15 @@ type tcpConn struct {
 	// so shut's close(kick) cannot race a send on the channel.
 	kick chan struct{}
 
-	mu       sync.Mutex
-	c        net.Conn // nil until the dial succeeded
-	pending  []byte   // encoded envelopes awaiting the next frame
-	scratch  []byte   // per-message payload scratch for appendEnvelope
-	err      error    // sticky: first encode/flush failure; the conn is dead after
+	mu      sync.Mutex
+	c       net.Conn // nil until the dial succeeded
+	pending []byte   // encoded envelopes awaiting the next flush
+	scratch []byte   // per-message payload scratch for appendEnvelope
+	// cuts are the offsets in pending where a frame must end so that none
+	// exceeds maxFrameSize: empty unless the socket fell 8 MiB behind.
+	cuts     []int
+	cutFrom  int   // where pending's last frame begins
+	err      error // sticky: first encode/flush failure; the conn is dead after
 	shutdown bool
 }
 
@@ -277,8 +287,12 @@ func (t *TCP) readLoop(c net.Conn, conn *tcpConn) {
 			}
 			// Merge the sender's stamp into the local clock (the HLC
 			// receive rule): everything this process records after the
-			// delivery is causally after the matching send.
-			now := obs.ProcessClock.Observe(e.HLC)
+			// delivery is causally after the matching send. An unobserved
+			// sender stamps nothing, and there is nothing to merge.
+			var now obs.HLC
+			if e.HLC != 0 {
+				now = obs.ProcessClock.Observe(e.HLC)
+			}
 			if obs.Default.Enabled() {
 				obs.Default.Record(obs.Event{
 					Kind: obs.EvRecv, TxID: e.TxID, Proc: e.To, Peer: e.From,
@@ -340,9 +354,9 @@ func (t *TCP) Send(e Envelope) error {
 
 	// Stamp the hybrid logical clock at send time, before any shaping
 	// delay — a shaped envelope models a slow network, and the receiver
-	// measures that slowness as (receive HLC − stamp). One CAS, no
-	// allocation (the steady-state alloc test pins this path).
-	e.HLC = obs.ProcessClock.Tick()
+	// measures that slowness as (receive HLC − stamp). Unobserved, the
+	// stamp is 0 and reads no clock (see obs.SendStamp).
+	e.HLC = obs.SendStamp()
 
 	if shaper.Drop != nil && shaper.Drop(e) {
 		return nil // partitioned: silence, exactly like a crashed peer
@@ -380,6 +394,10 @@ func (t *TCP) enqueue(e Envelope) error {
 			// wire (unregistered / not core.Wire). Surface the bug.
 			conn.mu.Unlock()
 			return err
+		}
+		if len(conn.pending)-conn.cutFrom > maxFrameSize && before > conn.cutFrom {
+			conn.cuts = append(conn.cuts, before)
+			conn.cutFrom = before
 		}
 		size := len(conn.pending) - before
 		mSendEnvelopes.Add(1)
@@ -446,10 +464,13 @@ func (t *TCP) dial(conn *tcpConn) net.Conn {
 
 // connLoop dials, unless the connection was accepted, then drains the
 // connection's pending buffer to the socket as one length-prefixed frame per
-// iteration — one writev per batch of sends — until the connection shuts or a
-// write fails. Two buffers rotate between the senders and the flusher, so
-// encoding never waits on the network. What was buffered for a peer that
-// cannot be dialed is dropped with the record.
+// kick — one writev per batch of sends — until the connection shuts or a
+// write fails. Each kick first yields the processor once (runtime.Gosched):
+// goroutines that were already runnable, and would append for this
+// connection, do so before the swap, so their envelopes ride this frame
+// rather than the next. Two buffers rotate between the senders and the
+// flusher, so encoding never waits on the network. What was buffered for a
+// peer that cannot be dialed is dropped with the record.
 func (t *TCP) connLoop(conn *tcpConn) {
 	defer t.wg.Done()
 	c := conn.c // an accepted connection's; nil on a record to be dialed
@@ -477,12 +498,21 @@ func (t *TCP) connLoop(conn *tcpConn) {
 		}
 	}
 	var spare []byte
+	var spareCuts []int
 	var hdr [1 + binary.MaxVarintLen64]byte
 	hdr[0] = frameVersion
 	// The header and the frame of one writev. WriteTo takes its vector by
 	// pointer, so one built per flush would cost two allocations a frame.
 	var vec [2][]byte
 	var bufs net.Buffers
+	write := func(frame []byte) error {
+		mFlushFrames.Add(1)
+		n := 1 + binary.PutUvarint(hdr[1:], uint64(len(frame)))
+		vec = [2][]byte{hdr[:n], frame}
+		bufs = vec[:]
+		_, err := bufs.WriteTo(c)
+		return err
+	}
 	flush := func() error {
 		conn.mu.Lock()
 		if conn.err != nil {
@@ -494,16 +524,22 @@ func (t *TCP) connLoop(conn *tcpConn) {
 			conn.mu.Unlock()
 			return nil
 		}
-		frame := conn.pending
-		conn.pending = spare[:0]
+		block, cuts := conn.pending, conn.cuts
+		conn.pending, conn.cuts, conn.cutFrom = spare[:0], spareCuts[:0], 0
 		conn.mu.Unlock()
 
-		mFlushFrames.Add(1)
-		n := 1 + binary.PutUvarint(hdr[1:], uint64(len(frame)))
-		vec = [2][]byte{hdr[:n], frame}
-		bufs = vec[:]
-		_, err := bufs.WriteTo(c)
-		spare = frame[:0] // recycle for the next swap
+		var err error
+		from := 0
+		for _, cut := range cuts {
+			if err = write(block[from:cut]); err != nil {
+				break
+			}
+			from = cut
+		}
+		if err == nil {
+			err = write(block[from:])
+		}
+		spare, spareCuts = block[:0], cuts[:0] // recycle for the next swap
 		if err != nil {
 			conn.mu.Lock()
 			if conn.err == nil {
@@ -514,6 +550,11 @@ func (t *TCP) connLoop(conn *tcpConn) {
 		return err
 	}
 	for range conn.kick {
+		// Let the goroutines already runnable append first: the rest of a
+		// read loop's frame, the timer goroutine's due deadlines, the
+		// clients one result burst woke. Their envelopes then share this
+		// frame and its writev instead of each waking the loop once more.
+		runtime.Gosched()
 		if flush() != nil {
 			t.forget(conn)
 			return

@@ -184,6 +184,34 @@ func UnmarshalMessage(b []byte) (core.Message, error) {
 		nestedDecoders.Put(d)
 	}()
 	d.Reset(b)
+	proto, err := messageProto(d)
+	if err != nil {
+		return nil, err
+	}
+	m, err := proto.UnmarshalWire(d)
+	if err != nil {
+		return nil, fmt.Errorf("live: decode %T: %w", proto, err)
+	}
+	return m, nil
+}
+
+// MessageID returns the type ID of a MarshalMessage encoding, an error
+// unless the ID is registered, without decoding the payload: it is what a
+// process that only forwards the bytes can check. The payload is for the
+// receiver to decode.
+func MessageID(b []byte) (uint16, error) {
+	var d wire.Decoder
+	d.Reset(b)
+	proto, err := messageProto(&d)
+	if err != nil {
+		return 0, err
+	}
+	return proto.WireID(), nil
+}
+
+// messageProto reads a MarshalMessage encoding's type ID off d and returns
+// the prototype registered under it.
+func messageProto(d *wire.Decoder) (core.Wire, error) {
 	id := d.Uvarint()
 	if err := d.Err(); err != nil {
 		return nil, err
@@ -195,11 +223,7 @@ func UnmarshalMessage(b []byte) (core.Message, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w %d", errUnknownWireID, id)
 	}
-	m, err := proto.UnmarshalWire(d)
-	if err != nil {
-		return nil, fmt.Errorf("live: decode %T: %w", proto, err)
-	}
-	return m, nil
+	return proto, nil
 }
 
 // nestedDecoders are UnmarshalMessage's decoders. A decoder of the call's

@@ -102,11 +102,24 @@ func (c *Clock) Observe(remote HLC) HLC {
 // (0 if the clock has never ticked).
 func (c *Clock) Now() HLC { return HLC(c.last.Load()) }
 
-// ProcessClock is the address-space-wide hybrid logical clock. Every
-// transport stamps outgoing envelopes from it and merges incoming
+// ProcessClock is the address-space-wide hybrid logical clock. While
+// the flight recorder or an auditor is on, every transport stamps
+// outgoing envelopes from it (SendStamp) and merges incoming non-zero
 // stamps into it, and the flight recorder stamps every event from it —
 // one clock per address space means colocated participants (mesh
 // runtime, Cluster) get a total order consistent with happens-before,
 // while cross-process deployments (TCP runtime) get the standard HLC
-// guarantee via the envelope stamp.
+// guarantee via the envelope stamp. Nobody reads the clock of a process
+// nothing observes: its envelopes carry stamp 0, so a dump taken where
+// they arrive records no causal edge back to their sends.
 var ProcessClock Clock
+
+// SendStamp is the stamp for an envelope sent now: a tick of ProcessClock
+// while the flight recorder or an auditor is on, else 0 — nothing would
+// read it, and the clock read is the stamp's whole cost.
+func SendStamp() HLC {
+	if Default.Enabled() || ActiveAuditor() != nil {
+		return ProcessClock.Tick()
+	}
+	return 0
+}
