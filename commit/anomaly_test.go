@@ -3,8 +3,6 @@ package commit
 import (
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -39,12 +37,9 @@ func (p *splitDecision) Timeout(int) {
 }
 
 // watchAnomalies turns the flight recorder and a live auditor on for the
-// test, and returns the auditor, a reader of the anomaly dumps made so far,
-// and the directory their files land in.
-func watchAnomalies(t *testing.T) (aud *obs.Auditor, dumps func() []obs.Dump, dir string) {
+// test, and returns the auditor and a reader of the anomaly dumps made so far.
+func watchAnomalies(t *testing.T) (aud *obs.Auditor, dumps func() []obs.Dump) {
 	obs.Default.Enable()
-	dir = t.TempDir()
-	obs.SetDumpDir(dir)
 	var mu sync.Mutex
 	var got []obs.Dump
 	obs.SetAnomalyHook(func(d obs.Dump) {
@@ -56,7 +51,6 @@ func watchAnomalies(t *testing.T) (aud *obs.Auditor, dumps func() []obs.Dump, di
 	obs.SetAuditor(aud)
 	t.Cleanup(func() {
 		obs.SetAuditor(nil)
-		obs.SetDumpDir("")
 		obs.SetAnomalyHook(nil)
 		obs.Default.Reset()
 		obs.Default.Disable()
@@ -65,7 +59,7 @@ func watchAnomalies(t *testing.T) (aud *obs.Auditor, dumps func() []obs.Dump, di
 		mu.Lock()
 		defer mu.Unlock()
 		return append([]obs.Dump(nil), got...)
-	}, dir
+	}
 }
 
 // TestAgreementViolationFlightRecorder pins what the flight recorder and the
@@ -77,7 +71,7 @@ func watchAnomalies(t *testing.T) (aud *obs.Auditor, dumps func() []obs.Dump, di
 // decision. The disagreement comes from a test module; the search for one in
 // INBAC itself is TestINBACAgreementUnderJitter.
 func TestAgreementViolationFlightRecorder(t *testing.T) {
-	aud, dumps, dir := watchAnomalies(t)
+	aud, dumps := watchAnomalies(t)
 
 	const n = 4
 	rs := make([]Resource, n)
@@ -187,11 +181,6 @@ func TestAgreementViolationFlightRecorder(t *testing.T) {
 	if v := aud.Violations(); v["audit-agreement"] == 0 {
 		t.Errorf("auditor did not count an agreement violation: %v", v)
 	}
-	// And the dump file landed next to the run.
-	path := filepath.Join(dir, "anomaly-"+txID+"-audit-agreement.json")
-	if _, err := os.Stat(path); err != nil {
-		t.Errorf("dump file: %v", err)
-	}
 }
 
 // TestINBACAgreementUnderJitter searches for the INBAC agreement violation
@@ -206,7 +195,7 @@ func TestINBACAgreementUnderJitter(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a 20 s search; skipped in -short")
 	}
-	aud, dumps, _ := watchAnomalies(t)
+	aud, dumps := watchAnomalies(t)
 
 	const (
 		n, f     = 4, 1

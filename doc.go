@@ -14,9 +14,9 @@
 // subpackage is a sharded transactional key-value store driven by such a
 // client: every shard
 // votes on conflicts, so abort behavior becomes a real, workload-induced
-// measurement. commitbench -throughput puts either under closed-loop load on
-// the mesh, on TCP or through kv (-runtime) with the live NBAC auditor
-// attached (-audit); performance numbers come from the repo benchmark, see
+// measurement. TestAuditedLoad (audit_test.go) puts either under closed-loop
+// load on the mesh, on TCP and through kv with the live NBAC auditor
+// attached; performance numbers come from the repo benchmark, see
 // benchmark/README.md.
 // Both runtimes (in-memory mesh and TCP) speak a hand-rolled binary wire
 // codec with cross-instance frame packing and a pooled, allocation-free

@@ -2,8 +2,9 @@
 // evaluation from protocol executions on the deterministic simulator. Each
 // TableN function returns both structured rows (asserted by tests and
 // driven by the root-level benchmarks) and a formatted text rendering
-// (printed by cmd/commitbench) that mirrors the paper's layout. Run, in
-// live.go, is the one thing here that drives the live runtime.
+// (printed by cmd/commitbench) that mirrors the paper's layout. Nothing here
+// drives the live runtime: TestAuditedLoad (audit_test.go in the module root)
+// puts it under audited load, and benchmark/ measures its performance.
 package bench
 
 import (

@@ -1,10 +1,7 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -26,15 +23,6 @@ type Anomaly struct {
 type Dump struct {
 	Anomaly Anomaly `json:"anomaly"`
 	Events  []Event `json:"events"`
-}
-
-// JSON renders the dump as indented JSON.
-func (d *Dump) JSON() []byte {
-	b, err := json.MarshalIndent(d, "", "  ")
-	if err != nil {
-		return []byte(fmt.Sprintf("{%q:%q}", "error", err.Error()))
-	}
-	return append(b, '\n')
 }
 
 // Interleaving renders the dump as a human-readable merged timeline:
@@ -88,15 +76,13 @@ func eventDetail(e Event) string {
 	return s
 }
 
-var (
-	anomalyHook atomic.Value // func(Dump)
-	dumpDir     atomic.Value // string
-)
+var anomalyHook atomic.Value // func(Dump)
 
 // SetAnomalyHook installs f to be called (synchronously) with every
 // reported anomaly's dump; nil uninstalls. The commit runtime and the
-// auditor report agreement violations here, tests intercept them, and
-// commitbench -trace prints the interleaving.
+// auditor report agreement violations here; the hook is the one way out of
+// the process for a dump, so a test that watches for anomalies (such as
+// TestAuditedLoad, which fails with d.Interleaving()) installs one.
 func SetAnomalyHook(f func(Dump)) {
 	if f == nil {
 		anomalyHook.Store(func(Dump) {})
@@ -105,14 +91,10 @@ func SetAnomalyHook(f func(Dump)) {
 	anomalyHook.Store(f)
 }
 
-// SetDumpDir selects a directory to write anomaly dump files into
-// (anomaly-<tx>-<kind>.json); "" disables file output.
-func SetDumpDir(dir string) { dumpDir.Store(dir) }
-
 // ReportAnomaly records an anomaly: bumps the anomaly counter, stamps
 // an EvAnomaly event into the flight recorder, assembles the offending
-// transaction's merged timeline, writes the dump file if a dump directory
-// is set, and invokes the anomaly hook. It returns the dump.
+// transaction's merged timeline, and invokes the anomaly hook. It returns
+// the dump.
 func ReportAnomaly(kind, txID, detail string) Dump {
 	M.Counter("obs.anomalies").Add(1)
 	Default.Record(Event{Kind: EvAnomaly, TxID: txID, Note: kind + ": " + detail})
@@ -120,28 +102,8 @@ func ReportAnomaly(kind, txID, detail string) Dump {
 		Anomaly: Anomaly{Kind: kind, TxID: txID, Detail: detail, Time: time.Now()},
 		Events:  Default.TxTimeline(txID),
 	}
-	if dir, _ := dumpDir.Load().(string); dir != "" {
-		path := filepath.Join(dir, "anomaly-"+sanitize(txID)+"-"+sanitize(kind)+".json")
-		// The dump file is best-effort (reporting must never fail the
-		// commit path), but a write failure is counted so a run that
-		// silently produced no dumps is diagnosable.
-		if err := os.WriteFile(path, d.JSON(), 0o644); err != nil {
-			M.Counter("obs.anomaly_dump_errors").Add(1)
-		}
-	}
 	if f, _ := anomalyHook.Load().(func(Dump)); f != nil {
 		f(d)
 	}
 	return d
-}
-
-// sanitize keeps dump file names shell- and filesystem-safe.
-func sanitize(s string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_', r == '.':
-			return r
-		}
-		return '_'
-	}, s)
 }

@@ -389,9 +389,8 @@ func (a *Auditor) decisionVectorLocked(tx *auditTxn) string {
 	return strings.Join(parts, " ")
 }
 
-// AuditSummary is the auditor's aggregate view: what commitbench -audit
-// prints, what lands in the bench JSON snapshot, and what /debug/audit
-// serves.
+// AuditSummary is the auditor's aggregate view: what TestAuditedLoad
+// asserts on and what /debug/audit serves.
 type AuditSummary struct {
 	TxnsObserved int64 `json:"txnsObserved"` // transactions with ≥1 audit record
 	TxnsChecked  int64 `json:"txnsChecked"`  // fully decided and property-checked

@@ -4,10 +4,9 @@
 // it — the worst a stale entry can cause is an OCC abort, which the existing
 // abort-attribution counters already classify. That abort drops every key
 // the transaction read, so a stale entry lives until its first failed use;
-// a current one lives until LRU eviction or a blind write. A store sets
-// no staleness TTL: an age limit would only evict entries that are still
-// current. An explicit one (Store.ConfigureReadCache) is still honoured.
-// It never serves a key this store is still writing (its entry is the
+// a current one lives until LRU eviction or a blind write. There is no
+// staleness TTL: an age limit would only evict entries that are still
+// current. It never serves a key this store is still writing (its entry is the
 // writer's pre-image: a certain refusal), and an entry's version only moves
 // forward, so a read answered before a commit cannot undo the commit's note.
 
@@ -16,7 +15,6 @@ package kv
 import (
 	"container/list"
 	"sync"
-	"time"
 
 	"atomiccommit/internal/obs"
 )
@@ -31,20 +29,17 @@ var (
 	mCacheStaleAbort = obs.M.Counter("kv.cache.stale_abort")
 )
 
-// cacheEntry is one cached committed read: value, presence, the version the
-// owning shard reported (or the client derived from its own commit), and
-// when it was observed (zero when the cache has no TTL).
+// cacheEntry is one cached committed read: value, presence, and the version
+// the owning shard reported (or the client derived from its own commit).
 type cacheEntry struct {
 	key string
 	val string
 	ok  bool
 	ver uint64
-	at  time.Time
 }
 
-// readCache is an LRU of key -> (value, version) with an optional
-// staleness TTL (0 = none), and a count per key of this store's undecided
-// writers of it (two may be in flight at once).
+// readCache is an LRU of key -> (value, version), and a count per key of
+// this store's undecided writers of it (two may be in flight at once).
 // Filled by read replies and by the client's own committed
 // read-modify-writes (whose post-commit version is exactly readVersion+1:
 // the shard's Prepare validated the read under intents that excluded every
@@ -53,21 +48,20 @@ type cacheEntry struct {
 type readCache struct {
 	mu      sync.Mutex
 	cap     int
-	ttl     time.Duration
 	ll      *list.List // front = most recent
 	m       map[string]*list.Element
 	writing map[string]int // key -> undecided writes of it; get misses while > 0
 }
 
-func newReadCache(capacity int, ttl time.Duration) *readCache {
+func newReadCache(capacity int) *readCache {
 	if capacity <= 0 {
 		return nil
 	}
-	return &readCache{cap: capacity, ttl: ttl, ll: list.New(), m: make(map[string]*list.Element, capacity), writing: make(map[string]int)}
+	return &readCache{cap: capacity, ll: list.New(), m: make(map[string]*list.Element, capacity), writing: make(map[string]int)}
 }
 
-// get returns the cached entry for key if present, within the TTL and not
-// being written by this store, counting the hit or miss.
+// get returns the cached entry for key if present and not being written by
+// this store, counting the hit or miss.
 func (c *readCache) get(key string) (val string, ok bool, ver uint64, hit bool) {
 	if c == nil {
 		return "", false, 0, false
@@ -80,13 +74,6 @@ func (c *readCache) get(key string) (val string, ok bool, ver uint64, hit bool) 
 		return "", false, 0, false
 	}
 	e := el.Value.(*cacheEntry)
-	if c.ttl > 0 && time.Since(e.at) > c.ttl {
-		// Expired: drop it so the next fill re-reads the shard.
-		c.ll.Remove(el)
-		delete(c.m, key)
-		mCacheMiss.Add(1)
-		return "", false, 0, false
-	}
 	c.ll.MoveToFront(el)
 	mCacheHit.Add(1)
 	return e.val, e.ok, e.ver, true
@@ -98,10 +85,6 @@ func (c *readCache) put(key, val string, ok bool, ver uint64) {
 	if c == nil {
 		return
 	}
-	var now time.Time
-	if c.ttl > 0 {
-		now = time.Now()
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, found := c.m[key]; found {
@@ -109,11 +92,11 @@ func (c *readCache) put(key, val string, ok bool, ver uint64) {
 		if e.ver > ver {
 			return
 		}
-		e.val, e.ok, e.ver, e.at = val, ok, ver, now
+		e.val, e.ok, e.ver = val, ok, ver
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.m[key] = c.ll.PushFront(&cacheEntry{key: key, val: val, ok: ok, ver: ver, at: now})
+	c.m[key] = c.ll.PushFront(&cacheEntry{key: key, val: val, ok: ok, ver: ver})
 	for c.ll.Len() > c.cap {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)

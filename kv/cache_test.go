@@ -13,7 +13,7 @@ import (
 
 func TestReadCacheLRU(t *testing.T) {
 	t.Parallel()
-	c := newReadCache(2, 0)
+	c := newReadCache(2)
 	c.put("a", "1", true, 1)
 	c.put("b", "2", true, 1)
 	if v, ok, ver, hit := c.get("a"); !hit || v != "1" || !ok || ver != 1 {
@@ -44,25 +44,9 @@ func TestReadCacheLRU(t *testing.T) {
 	}
 }
 
-func TestReadCacheTTL(t *testing.T) {
-	t.Parallel()
-	c := newReadCache(8, 30*time.Millisecond)
-	c.put("k", "v", true, 3)
-	if _, _, _, hit := c.get("k"); !hit {
-		t.Fatal("fresh entry missed")
-	}
-	time.Sleep(60 * time.Millisecond)
-	if _, _, _, hit := c.get("k"); hit {
-		t.Fatal("entry served past its TTL")
-	}
-	if got := c.len(); got != 0 {
-		t.Fatalf("expired entry still resident: len = %d", got)
-	}
-}
-
 func TestReadCacheDisabledAndNil(t *testing.T) {
 	t.Parallel()
-	if c := newReadCache(0, time.Second); c != nil {
+	if c := newReadCache(0); c != nil {
 		t.Fatal("capacity 0 must disable the cache")
 	}
 	var c *readCache
@@ -83,7 +67,7 @@ func TestReadCacheDisabledAndNil(t *testing.T) {
 // the commit's note — leaves the later entry in place.
 func TestReadCacheNeverLowersVersion(t *testing.T) {
 	t.Parallel()
-	c := newReadCache(8, 0)
+	c := newReadCache(8)
 	c.put("k", "five", true, 5)
 	c.put("k", "three", true, 3)
 	if v, ok, ver, hit := c.get("k"); !hit || v != "five" || !ok || ver != 5 {
@@ -96,7 +80,7 @@ func TestReadCacheNeverLowersVersion(t *testing.T) {
 // again, with the entry the last note installed, once the last one is done.
 func TestReadCacheSkipsUndecidedWrite(t *testing.T) {
 	t.Parallel()
-	c := newReadCache(8, 0)
+	c := newReadCache(8)
 	w := map[string]write{"k": {value: "new"}}
 	c.put("k", "old", true, 1)
 	c.mark(w)
@@ -126,8 +110,8 @@ func TestReadCacheSkipsUndecidedWrite(t *testing.T) {
 func TestRemoteCacheStaleAbort(t *testing.T) {
 	opts := commit.Options{Protocol: commit.INBAC, F: 1, Timeout: 25 * time.Millisecond}
 	sA, _, addrs := remoteDeployment(t, 3, opts)
-	sA.ConfigureReadCache(1024, 10*time.Second) // TTL far beyond the test
-	sB, err := OpenRemote(5, addrs, opts)       // second client, own cache
+	sA.ConfigureReadCache(1024, 0)
+	sB, err := OpenRemote(5, addrs, opts) // second client, own cache
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +195,7 @@ func TestRemoteCacheStaleAbort(t *testing.T) {
 func TestRemoteCacheRefusedDropsFreshReads(t *testing.T) {
 	opts := commit.Options{Protocol: commit.INBAC, F: 1, Timeout: 25 * time.Millisecond}
 	sA, _, addrs := remoteDeployment(t, 3, opts)
-	sA.ConfigureReadCache(1024, 10*time.Second) // TTL far beyond the test
+	sA.ConfigureReadCache(1024, 0)
 	sB, err := OpenRemote(5, addrs, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -298,7 +282,7 @@ func TestRemoteCacheOutlivesOldTTL(t *testing.T) {
 func TestRemoteCacheOwnWriteFreshness(t *testing.T) {
 	opts := commit.Options{Protocol: commit.INBAC, F: 1, Timeout: 25 * time.Millisecond}
 	s, _, _ := remoteDeployment(t, 3, opts)
-	s.ConfigureReadCache(1024, 10*time.Second)
+	s.ConfigureReadCache(1024, 0)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 

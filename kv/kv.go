@@ -166,7 +166,7 @@ func Open(shards int, opts commit.Options) (*Store, error) {
 // newStore builds the store over cl, a client of the n peers hosting the
 // shards, with the read cache enabled and no staleness bound.
 func newStore(cl *commit.Client, n int, opts commit.Options) *Store {
-	b := &remoteBackend{client: cl, n: n, net: opts.Net, cache: newReadCache(defaultCacheCapacity, 0)}
+	b := &remoteBackend{client: cl, n: n, net: opts.Net, cache: newReadCache(defaultCacheCapacity)}
 	b.newCoalescers()
 	return &Store{
 		close:    cl.Close,
@@ -231,11 +231,12 @@ func (s *Store) Read(key string) (string, bool, error) {
 // to capacity entries; capacity 0 disables it — every transactional read
 // pays its round trip again. A stale hit can only cost an OCC abort
 // (Prepare revalidates every read version), never an incorrect commit, and
-// that abort drops the entry, so the cache a store starts with has no
-// staleness bound. ttl > 0 sets one anyway: entries older than ttl miss.
-// Not safe to call concurrently with in-flight transactions.
+// that abort drops the entry, so the cache has no staleness bound. ttl is
+// ignored and deprecated: it bounds nothing, and stays only so that callers
+// which still pass it compile. Not safe to call concurrently with in-flight
+// transactions.
 func (s *Store) ConfigureReadCache(capacity int, ttl time.Duration) {
-	s.b.cache = newReadCache(capacity, ttl)
+	s.b.cache = newReadCache(capacity)
 }
 
 // shardFor returns the in-process shard owning key. Only valid for Open

@@ -41,7 +41,7 @@ func TestMetricInventory(t *testing.T) {
 		})
 	}
 
-	known := map[string]bool{"obs.anomalies": true, "obs.anomaly_dump_errors": true}
+	known := map[string]bool{"obs.anomalies": true}
 	for _, name := range benchmarkCounters {
 		known[name] = true
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -506,8 +505,7 @@ func coalescerProfile() *live.NetProfile {
 // TestRemoteCoalescerMerge is the read contract: readers pending together
 // share one wire query, and no reader waits for the reply to a query that
 // left before it came — a read costs one round trip however many are in
-// flight to its owner. Not parallel: it asserts on global counter deltas,
-// and narrows the scheduler.
+// flight to its owner. Not parallel: it asserts on global counter deltas.
 func TestRemoteCoalescerMerge(t *testing.T) {
 	const roundTrip = 60 * time.Millisecond
 	opts := commit.Options{Protocol: commit.INBAC, F: 1, Timeout: 100 * time.Millisecond, Net: coalescerProfile()}
@@ -524,17 +522,21 @@ func TestRemoteCoalescerMerge(t *testing.T) {
 		}
 	}
 
-	// Pending together: with one P the sender goroutine the first enqueue
-	// starts cannot run before this goroutine blocks, so all eight readers
-	// (and a repeated key) are pending when it does.
+	// Pending together: the batch is open before its sender hears of it, so
+	// all eight readers (and a repeated key) join it before it can leave.
 	co := s.b.coalescer(2)
 	batches0 := obs.M.CounterValue("kv.remote.read.batches")
-	procs := runtime.GOMAXPROCS(1)
+	shared := &readBatch{pos: make(map[string]int), done: make(chan struct{})}
+	co.mu.Lock()
+	co.pending = shared
+	co.mu.Unlock()
 	batches := make([]*readBatch, readers+1)
 	for i := range batches {
 		batches[i] = co.enqueue([]string{keys[i%readers]})
 	}
-	runtime.GOMAXPROCS(procs)
+	if !co.sender.Push(shared) {
+		t.Fatal("the owner's sender is closed")
+	}
 	for i, b := range batches {
 		if b != batches[0] {
 			t.Fatalf("reader %d got a batch of its own", i)
